@@ -10,8 +10,15 @@ import json
 import sys
 
 from . import cheeger as _cheeger
-from .graph import GraphError, ParseError, parse_function, parse_graph, serialize_graph
-from .harness import SuiteConfig, random_signed_graph, run_suite, worker_count
+from .graph import (
+    GraphError,
+    ParseError,
+    parse_function,
+    parse_graph,
+    serialize_graph,
+    with_degree_measure,
+)
+from .harness import SuiteConfig, random_signed_graph, run_suite
 from .nodal import dual_counts, nodal_quantities
 from .operators import check_eigenpair_1lap
 from .spectra import extremal_p, one_lap_enumerate, spectrum_p2
@@ -107,15 +114,7 @@ def _cmd_nodal(args) -> int:
 def _cmd_cheeger(args) -> int:
     g = _load_graph(args.graph)
     if args.mu_mode == "degree":
-        from .graph import SignedGraph
-
-        deg = g.weighted_degrees()
-        g = SignedGraph(
-            ids=g.ids,
-            mu=tuple(d if d > 0 else 1.0 for d in deg),
-            kappa=g.kappa,
-            edges=g.edges,
-        )
+        g = with_degree_measure(g)
     res = _cheeger.cheeger_k(g, args.k, heuristic=args.heuristic)
     doc = {
         "k": args.k,
@@ -183,7 +182,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.config) as fh:
+    with open(args.config, "rb") as fh:
         cfg = SuiteConfig.from_json(fh.read())
     report = run_suite(cfg)
     print(report.to_json())
@@ -207,8 +206,7 @@ def _cmd_random(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sgspec",
-        description="Spectral toolkit for generalized p-Laplacians on signed graphs "
-                    f"(workers capped at {worker_count()} via SGSPEC_THREADS)",
+        description="Spectral toolkit for generalized p-Laplacians on signed graphs",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -8,6 +8,8 @@ Vertices have string ids at the boundary and dense indices 0..n-1 internally.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -24,6 +26,7 @@ __all__ = [
     "balance_state",
     "components",
     "cycle_surplus",
+    "with_degree_measure",
     "parse_graph",
     "serialize_graph",
     "parse_function",
@@ -39,12 +42,24 @@ class ParseError(GraphError):
     """Malformed graph or function document."""
 
 
+def _is(x, kind) -> bool:
+    """``x`` is a ``kind`` number and not a bool. Builtin types are tested
+    first: the ABC check is slow and this runs per edge of every graph."""
+    t = type(x)
+    return t is int or (t is float and kind is numbers.Real) or (
+        t is not bool and isinstance(x, kind))
+
+
 @dataclass(frozen=True)
 class SignedGraph:
     """Immutable vertex- and edge-weighted graph with a +-1 signature.
 
     ``edges`` is a tuple of ``(u, v, w, sigma)`` with dense indices
-    ``u < v``, weight ``w > 0`` and ``sigma in {-1, +1}``.
+    ``u < v``, finite weight ``w > 0`` and ``sigma in {-1, +1}`` an int;
+    ``mu`` is finite and positive, ``kappa`` finite. The constructor is the
+    one validator of these rules. It also caches read-only numeric views:
+    the edge columns ``eu``, ``ev`` (intp), ``ew``, ``es`` (float), mu,
+    kappa and the adjacency lists.
     """
 
     ids: tuple[str, ...]
@@ -52,6 +67,14 @@ class SignedGraph:
     kappa: tuple[float, ...]
     edges: tuple[tuple[int, int, float, int], ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _adj: tuple[tuple[tuple[int, float, int], ...], ...] = field(init=False, repr=False,
+                                                                 compare=False)
+    _mu: np.ndarray = field(init=False, repr=False, compare=False)
+    _kappa: np.ndarray = field(init=False, repr=False, compare=False)
+    eu: np.ndarray = field(init=False, repr=False, compare=False)
+    ev: np.ndarray = field(init=False, repr=False, compare=False)
+    ew: np.ndarray = field(init=False, repr=False, compare=False)
+    es: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.ids)
@@ -59,9 +82,15 @@ class SignedGraph:
             raise GraphError("vertex ids must be unique")
         if len(self.mu) != n or len(self.kappa) != n:
             raise GraphError("mu/kappa must match the vertex set")
-        for m in self.mu:
-            if not m > 0:
-                raise GraphError(f"vertex measure must be positive, got {m}")
+        for vid, m, k in zip(self.ids, self.mu, self.kappa):
+            if not (_is(m, numbers.Real) and math.isfinite(m) and m > 0):
+                raise GraphError(f"vertex {vid!r}: measure mu must be positive, finite, got {m}")
+            if not (_is(k, numbers.Real) and math.isfinite(k)):
+                raise GraphError(f"vertex {vid!r}: potential kappa must be finite, got {k}")
+        def edge_error(u, v, what):
+            return GraphError(f"edge {{{self.ids[u]},{self.ids[v]}}}: {what}")
+
+        adj: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
         seen = set()
         for u, v, w, s in self.edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -71,13 +100,23 @@ class SignedGraph:
             if u > v:
                 raise GraphError("edges must be stored with u < v")
             if (u, v) in seen:
-                raise GraphError(f"parallel edge {{{self.ids[u]},{self.ids[v]}}}")
+                raise edge_error(u, v, "parallel edge")
             seen.add((u, v))
-            if not w > 0:
-                raise GraphError(f"edge weight must be positive, got {w}")
-            if s not in (-1, 1):
-                raise GraphError(f"signature must be -1 or +1, got {s}")
+            if not (_is(w, numbers.Real) and math.isfinite(w) and w > 0):
+                raise edge_error(u, v, f"weight must be positive and finite, got {w}")
+            if not (_is(s, numbers.Integral) and s in (-1, 1)):
+                raise edge_error(u, v, f"signature must be the integer -1 or +1, got {s!r}")
+            adj[u].append((v, w, s))
+            adj[v].append((u, w, s))
         object.__setattr__(self, "_index", {vid: i for i, vid in enumerate(self.ids)})
+        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
+        u, v, w, s = zip(*self.edges) if self.edges else ((),) * 4
+        for attr, col, dtype in (("eu", u, np.intp), ("ev", v, np.intp), ("ew", w, float),
+                                 ("es", s, float), ("_mu", self.mu, float),
+                                 ("_kappa", self.kappa, float)):
+            arr = np.fromiter(col, dtype, len(col))
+            arr.flags.writeable = False
+            object.__setattr__(self, attr, arr)
 
     @property
     def n(self) -> int:
@@ -89,35 +128,24 @@ class SignedGraph:
         except KeyError:
             raise GraphError(f"unknown vertex id {vid!r}") from None
 
-    def neighbors(self, x: int) -> list[tuple[int, float, int]]:
-        """Adjacency of vertex ``x`` as ``(y, w, sigma)`` triples."""
-        out = []
-        for u, v, w, s in self.edges:
-            if u == x:
-                out.append((v, w, s))
-            elif v == x:
-                out.append((u, w, s))
-        return out
-
-    def adjacency(self) -> list[list[tuple[int, float, int]]]:
-        adj: list[list[tuple[int, float, int]]] = [[] for _ in range(self.n)]
-        for u, v, w, s in self.edges:
-            adj[u].append((v, w, s))
-            adj[v].append((u, w, s))
-        return adj
+    def adjacency(self) -> tuple[tuple[tuple[int, float, int], ...], ...]:
+        """Per vertex, its ``(y, w, sigma)`` neighbours in edge order."""
+        return self._adj
 
     def mu_array(self) -> np.ndarray:
-        return np.asarray(self.mu, dtype=float)
+        return self._mu
 
     def kappa_array(self) -> np.ndarray:
-        return np.asarray(self.kappa, dtype=float)
+        return self._kappa
+
+    def incident_sums(self, c) -> np.ndarray:
+        """Per vertex, the sum of the per-edge values ``c`` over its edges;
+        with sorted edges it adds them in edge order, as a per-edge loop."""
+        c = np.asarray(c, dtype=float)
+        return np.bincount(np.concatenate((self.ev, self.eu)), np.concatenate((c, c)), self.n)
 
     def weighted_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n)
-        for u, v, w, _ in self.edges:
-            deg[u] += w
-            deg[v] += w
-        return deg
+        return self.incident_sums(self.ew)
 
     @staticmethod
     def build(
@@ -252,6 +280,12 @@ def cycle_surplus(g: SignedGraph) -> int:
     return len(g.edges) - g.n + len(components(g))
 
 
+def with_degree_measure(g: SignedGraph) -> SignedGraph:
+    """``g`` with mu set to the weighted degree (1 on isolated vertices)."""
+    mu = tuple(float(d) if d > 0 else 1.0 for d in g.weighted_degrees())
+    return SignedGraph(ids=g.ids, mu=mu, kappa=g.kappa, edges=g.edges)
+
+
 def induced_subgraph(g: SignedGraph, keep: Sequence[int]) -> SignedGraph:
     """Subgraph induced on the index set ``keep`` (mu, kappa carried over)."""
     keep = sorted(set(keep))
@@ -269,52 +303,51 @@ def induced_subgraph(g: SignedGraph, keep: Sequence[int]) -> SignedGraph:
     )
 
 
+def _number(obj: dict, key: str, default: float, loc: str) -> float:
+    val = obj.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ParseError(f"{loc}: {key} must be a number, got {val!r}")
+    try:
+        return float(val)
+    except OverflowError:
+        raise ParseError(f"{loc}: {key} is out of range") from None
+
+
 def parse_graph(data: bytes | str) -> SignedGraph:
     """Parse the JSON graph document (see README for the schema)."""
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "vertices" not in doc:
-        raise ParseError("graph document must be an object with a 'vertices' list")
+    if not (isinstance(doc, dict) and isinstance(doc.get("vertices"), list)
+            and isinstance(doc.get("edges", []), list)):
+        raise ParseError("graph document must be an object with 'vertices' and 'edges' lists")
     ids, mu, kappa = [], [], []
     for i, v in enumerate(doc["vertices"]):
+        loc = f"vertices[{i}]"
         if not isinstance(v, dict) or "id" not in v:
-            raise ParseError(f"vertices[{i}]: each vertex needs an 'id'")
+            raise ParseError(f"{loc}: each vertex needs an 'id'")
         ids.append(str(v["id"]))
-        m = float(v.get("mu", 1.0))
-        if not m > 0:
-            raise ParseError(f"vertices[{i}]: mu must be positive, got {m}")
-        mu.append(m)
-        kappa.append(float(v.get("kappa", 0.0)))
+        mu.append(_number(v, "mu", 1.0, loc))
+        kappa.append(_number(v, "kappa", 0.0, loc))
     idx = {vid: j for j, vid in enumerate(ids)}
-    if len(idx) != len(ids):
-        raise ParseError("duplicate vertex id")
     edges = []
-    seen = set()
     for i, e in enumerate(doc.get("edges", [])):
         loc = f"edges[{i}]"
         if not isinstance(e, dict) or "u" not in e or "v" not in e:
             raise ParseError(f"{loc}: each edge needs 'u' and 'v'")
         a, b = str(e["u"]), str(e["v"])
-        if a not in idx:
-            raise ParseError(f"{loc}: unknown vertex {a!r}")
-        if b not in idx:
-            raise ParseError(f"{loc}: unknown vertex {b!r}")
-        if a == b:
-            raise ParseError(f"{loc}: self-loop at {a!r}")
+        for end in (a, b):
+            if end not in idx:
+                raise ParseError(f"{loc}: unknown vertex {end!r}")
         u, v = sorted((idx[a], idx[b]))
-        if (u, v) in seen:
-            raise ParseError(f"{loc}: parallel edge {{{a},{b}}}")
-        seen.add((u, v))
-        w = float(e.get("w", 1.0))
-        if not w > 0:
-            raise ParseError(f"{loc}: weight must be positive, got {w}")
-        s = e.get("sigma", 1)
-        if s not in (-1, 1):
-            raise ParseError(f"{loc}: signature must be ±1, got {s}")
-        edges.append((u, v, w, int(s)))
-    return SignedGraph(ids=tuple(ids), mu=tuple(mu), kappa=tuple(kappa), edges=tuple(sorted(edges)))
+        edges.append((u, v, _number(e, "w", 1.0, loc), e.get("sigma", 1)))
+    # sorted on (u, v) alone: a malformed sigma must reach the validator
+    edges.sort(key=lambda e: e[:2])
+    try:
+        return SignedGraph(ids=tuple(ids), mu=tuple(mu), kappa=tuple(kappa), edges=tuple(edges))
+    except GraphError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def serialize_graph(g: SignedGraph) -> bytes:
@@ -336,16 +369,18 @@ def parse_function(data: bytes | str, g: SignedGraph) -> np.ndarray:
     """Parse ``{"values": {id: value}}`` into a dense vector over g."""
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("values"), dict):
         raise ParseError("function document must be an object with a 'values' map")
     vals = doc["values"]
     f = np.zeros(g.n)
     seen = set()
-    for vid, value in vals.items():
+    for vid in vals:
         i = g.index(str(vid))
-        f[i] = float(value)
+        f[i] = _number(vals, vid, 0.0, "values")
+        if not math.isfinite(f[i]):
+            raise ParseError(f"values: {vid} must be finite, got {f[i]}")
         seen.add(i)
     if len(seen) != g.n:
         missing = [g.ids[i] for i in range(g.n) if i not in seen]

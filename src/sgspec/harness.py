@@ -10,8 +10,7 @@ results never depend on execution order.
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, fields, asdict
 from fractions import Fraction
 
 import numpy as np
@@ -20,11 +19,13 @@ from . import cheeger as _cheeger
 from .graph import (
     BalanceState,
     GraphError,
+    ParseError,
     SignedGraph,
     balance_state,
     components,
     serialize_graph,
     switch,
+    with_degree_measure,
 )
 from .nodal import SpectrumContext, bound_report, nodal_quantities, strong_domains, weak_domains
 from .operators import EigenPair, check_eigenpair
@@ -38,22 +39,10 @@ __all__ = [
     "SuiteReport",
     "run_suite",
     "example_3_1_check",
-    "worker_count",
     "ALL_CHECKS",
 ]
 
 MODELS = ("uniform", "all-negative", "all-positive", "balanced", "antibalanced")
-
-
-def worker_count() -> int:
-    """Worker cap from SGSPEC_THREADS (default: CPU count)."""
-    raw = os.environ.get("SGSPEC_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError as exc:
-            raise GraphError(f"SGSPEC_THREADS must be an integer, got {raw!r}") from exc
-    return os.cpu_count() or 1
 
 
 def random_signed_graph(
@@ -94,16 +83,9 @@ def random_signed_graph(
                         s = 1
                     edges.append((i, j, w, s))
         ids = tuple(f"v{i+1}" for i in range(n))
+        g = SignedGraph(ids=ids, mu=(1.0,) * n, kappa=(0.0,) * n, edges=tuple(sorted(edges)))
         if mu_mode == "degree":
-            deg = [0.0] * n
-            for u, v, w, _ in edges:
-                deg[u] += w
-                deg[v] += w
-            mu = tuple(d if d > 0 else 1.0 for d in deg)
-        else:
-            mu = tuple(1.0 for _ in range(n))
-        g = SignedGraph(ids=ids, mu=mu, kappa=tuple(0.0 for _ in range(n)),
-                        edges=tuple(sorted(edges)))
+            g = with_degree_measure(g)
         if model in ("balanced", "antibalanced"):
             tau = [int(t) for t in rng.choice((-1, 1), size=n)]
             g = switch(g, tau)
@@ -170,10 +152,22 @@ class SuiteConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
+        if any(type(getattr(self, k)) is not int for k in ("seed", "trials", "n_min", "n_max")):
+            raise GraphError("seed, trials, n_min and n_max must be integers")
+        if self.seed < 0 or self.trials < 1:
+            raise GraphError("need seed >= 0 and trials >= 1")
         if not 4 <= self.n_min <= self.n_max:
             raise GraphError("need 4 <= n_min <= n_max")
         if not 0 < self.density <= 1:
             raise GraphError("density must be in (0, 1]")
+        if not (self.models and self.p_list and self.checks):
+            raise GraphError("models, p_list and checks must be non-empty")
+        if not all(p >= 1 for p in self.p_list):
+            raise GraphError(f"every p must be >= 1, got {list(self.p_list)}")
+        if self.mu_mode not in ("unit", "degree"):
+            raise GraphError(f"mu_mode must be 'unit' or 'degree', got {self.mu_mode!r}")
+        if not self.tol >= 0:
+            raise GraphError("tol must be >= 0")
         for c in self.checks:
             if c not in ALL_CHECKS:
                 raise GraphError(f"unknown check {c!r}")
@@ -183,15 +177,22 @@ class SuiteConfig:
 
     @staticmethod
     def from_json(data) -> "SuiteConfig":
-        doc = json.loads(data)
-        kwargs = {}
-        for key in ("seed", "trials", "n_min", "n_max", "density", "mu_mode", "tol"):
-            if key in doc:
-                kwargs[key] = doc[key]
-        for key in ("models", "p_list", "checks"):
-            if key in doc:
-                kwargs[key] = tuple(doc[key])
-        return SuiteConfig(**kwargs)
+        """Parse a config document; any invalid document raises ParseError."""
+        try:
+            doc = json.loads(data)
+        except ValueError as exc:
+            raise ParseError(f"malformed JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ParseError("suite config must be a JSON object")
+        unknown = sorted(set(doc) - {f.name for f in fields(SuiteConfig)})
+        if unknown:
+            raise ParseError(f"unknown suite config keys {unknown}")
+        try:
+            kwargs = {k: tuple(v) if k in ("models", "p_list", "checks") else v
+                      for k, v in doc.items()}
+            return SuiteConfig(**kwargs)
+        except (GraphError, TypeError) as exc:
+            raise ParseError(f"invalid suite config: {exc}") from exc
 
 
 @dataclass
@@ -393,8 +394,8 @@ def _run_trial(cfg: SuiteConfig, trial: int, agg, failures):
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     """Run the configured checks over seeded random trials.
 
-    Deterministic for a given config regardless of worker count; failures
-    are returned as replayable (seed, trial, graph, inputs) bundles.
+    Deterministic for a given config; failures are returned as replayable
+    (seed, trial, graph, inputs) bundles.
     """
     agg: dict = {}
     failures: list = []

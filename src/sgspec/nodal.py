@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph, components, induced_subgraph
+from .graph import GraphError, SignedGraph, components, cycle_surplus, induced_subgraph
 
 __all__ = [
     "strong_domains",
@@ -41,11 +41,8 @@ def strong_domains(g: SignedGraph, f) -> tuple[int, list[set[int]]]:
     """Connected components of support(f) under edges with f(x) sigma f(y) > 0."""
     f = _require_nonzero(f)
     sgn = _support_sign(f)
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v, _, s in g.edges:
-        if sgn[u] * s * sgn[v] > 0:
-            adj[u].append(v)
-            adj[v].append(u)
+    adj = [[y for y, _, s in nbrs if sgn[x] * s * sgn[y] > 0]
+           for x, nbrs in enumerate(g.adjacency())]
     seen = [False] * g.n
     domains = []
     for root in range(g.n):
@@ -75,10 +72,12 @@ class _UnionFind:
             x = self.parent[x]
         return x
 
-    def union(self, a, b):
+    def union(self, a, b) -> bool:
+        """Merge the classes of a and b; True if they were distinct."""
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
+        return ra != rb
 
 
 def weak_domains(g: SignedGraph, f) -> tuple[int, list[set[int]], list[set[int]]]:
@@ -161,22 +160,10 @@ class NodalSummary:
 
 
 def _surplus_of_edge_set(n: int, edge_pairs: list[tuple[int, int]]) -> int:
-    """l of the graph (full vertex set, given edges): |E| - n + #components."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = n
-    for u, v in edge_pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return len(edge_pairs) - n + comps
+    """l of the graph (full vertex set, given edges): |E| - n + #components,
+    where each merging edge removes one component."""
+    uf = _UnionFind(range(n))
+    return len(edge_pairs) - sum(uf.union(u, v) for u, v in edge_pairs)
 
 
 def nodal_quantities(g: SignedGraph, f) -> NodalSummary:
@@ -254,8 +241,7 @@ def bound_report(g: SignedGraph, f, ctx: SpectrumContext) -> dict:
         )
     q = nodal_quantities(g, f)
     support = [x for x in range(n) if f[x] != 0]
-    gsup = induced_subgraph(g, support)
-    l_sub = len(gsup.edges) - gsup.n + len(components(gsup))
+    l_sub = cycle_surplus(induced_subgraph(g, support))
 
     checks = []
 

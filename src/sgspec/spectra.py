@@ -1,15 +1,17 @@
 """Spectra: exact p=2 eigendecomposition, extremal eigenpairs for p > 1,
 enumerated 1-Laplacian eigenpairs and Cheeger upper bounds.
 
-The p=2 case reduces to a symmetric matrix pencil and is solved by cyclic
-Jacobi rotations. For general p > 1 only the extremes of the Rayleigh
-quotient are computed (projected gradient with restarts, then a Newton
-polish); every reported pair is re-certified by its eigen-residual. For
-p = 1 candidates are the +-1/0 patterns, each decided exactly.
+The p=2 case reduces to a symmetric matrix pencil and is solved by
+``np.linalg.eigh`` on the symmetrically normalized matrix. For general
+p > 1 only the extremes of the Rayleigh quotient are computed (projected
+gradient with restarts, then a Newton polish); every reported pair is
+re-certified by its eigen-residual. For p = 1 candidates are the +-1/0
+patterns, each decided exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -18,7 +20,9 @@ import numpy as np
 
 from . import cheeger as _cheeger
 from .graph import BalanceState, GraphError, SignedGraph, balance_state, components, induced_subgraph
-from .operators import apply_p_laplacian, check_eigenpair, EigenPair, one_lap_lambda_range, phi_p, rayleigh
+from .operators import (
+    apply_p_laplacian, eigen_residual, one_lap_lambda_range, phi_p, rayleigh,
+)
 
 __all__ = [
     "SpectrumP2",
@@ -55,73 +59,28 @@ class SpectrumP2:
         raise IndexError(k)
 
 
+def _edge_matrix(g: SignedGraph, c: np.ndarray) -> np.ndarray:
+    """n x n matrix with -sigma_e c_e at both off-diagonal places of each
+    edge e and, on the diagonal, the sum of c over the vertex's edges."""
+    m = np.zeros((g.n, g.n))
+    m[g.eu, g.ev] = m[g.ev, g.eu] = -g.es * c
+    m[np.diag_indices(g.n)] = g.incident_sums(c)
+    return m
+
+
 def form_matrix(g: SignedGraph) -> np.ndarray:
     """Symmetric form matrix: L_xx = sum_y w_xy + kappa_x, L_xy = -sigma w_xy."""
-    n = g.n
-    lmat = np.zeros((n, n))
-    for u, v, w, s in g.edges:
-        lmat[u, u] += w
-        lmat[v, v] += w
-        lmat[u, v] -= s * w
-        lmat[v, u] -= s * w
-    lmat[np.diag_indices(n)] += g.kappa_array()
+    lmat = _edge_matrix(g, g.ew)
+    lmat[np.diag_indices(g.n)] += g.kappa_array()
     return lmat
 
 
-def _jacobi(a: np.ndarray, rtol: float = 1e-12, max_sweeps: int = 100):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Rotates until the off-diagonal Frobenius norm is <= rtol * ||A||_F.
-    Returns (eigenvalues, eigenvector columns), unsorted.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    norm = np.linalg.norm(a)
-    if norm == 0.0 or n == 1:
-        return np.diag(a).copy(), v
-    thresh = rtol * norm
-    for _ in range(max_sweeps):
-        # measure the off-diagonal part directly: subtracting the diagonal
-        # mass from the total sum of squares cancels catastrophically and can
-        # report zero while entries are still ~sqrt(eps) * ||A||
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= thresh / (n * n):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return np.diag(a).copy(), v
-
-
 def spectrum_p2(g: SignedGraph) -> SpectrumP2:
-    """Full p = 2 spectrum of the pencil (L, D_mu), by Jacobi on the
-    symmetrically normalized matrix."""
-    mu = g.mu_array()
-    dinv = 1.0 / np.sqrt(mu)
-    m = dinv[:, None] * form_matrix(g) * dinv[None, :]
-    m = 0.5 * (m + m.T)
-    vals, vecs = _jacobi(m)
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = dinv[:, None] * vecs[:, order]
+    """Full p = 2 spectrum of the pencil (L, D_mu), by ``eigh`` on the
+    symmetrically normalized matrix (eigenvalues come out ascending)."""
+    dinv = 1.0 / np.sqrt(g.mu_array())
+    vals, vecs = np.linalg.eigh(dinv[:, None] * form_matrix(g) * dinv[None, :])
+    vecs = dinv[:, None] * vecs
 
     groups: list[tuple[int, ...]] = []
     cur = [0]
@@ -160,13 +119,6 @@ def _normalize_p(g: SignedGraph, p: float, f: np.ndarray) -> np.ndarray:
     return f / scale
 
 
-def _residual(g: SignedGraph, p: float, f: np.ndarray, lam: float) -> float:
-    lap = apply_p_laplacian(g, p, f)
-    mu = g.mu_array()
-    scale = 1.0 + abs(lam) * mu * np.abs(f) ** (p - 1)
-    return float(np.max(np.abs(lap - lam * mu * phi_p(f, p)) / scale))
-
-
 def _newton_polish(g: SignedGraph, p: float, f: np.ndarray, lam: float, iters: int = 50):
     """Newton on (Delta_p f - lam mu Phi_p f, mu-p-norm - 1); keeps the best
     iterate by residual. Second derivatives |t|^(p-2) are clipped away from
@@ -176,7 +128,7 @@ def _newton_polish(g: SignedGraph, p: float, f: np.ndarray, lam: float, iters: i
     kap = g.kappa_array()
     f = _normalize_p(g, p, f.copy())
     best_f, best_lam = f.copy(), lam
-    best_res = _residual(g, p, f, lam)
+    best_res = eigen_residual(g, p, f, lam)
     for _ in range(iters):
         jac = np.zeros((n + 1, n + 1))
         rhs = np.zeros(n + 1)
@@ -184,13 +136,8 @@ def _newton_polish(g: SignedGraph, p: float, f: np.ndarray, lam: float, iters: i
         rhs[:n] = -(lap - lam * mu * phi_p(f, p))
         rhs[n] = -(float(np.dot(mu, np.abs(f) ** p)) - 1.0)
         dabs = np.maximum(np.abs(f), 1e-12) ** (p - 2)
-        for u, v, w, s in g.edges:
-            d = f[u] - s * f[v]
-            gpp = (p - 1) * w * max(abs(d), 1e-12) ** (p - 2)
-            jac[u, u] += gpp
-            jac[v, v] += gpp
-            jac[u, v] -= s * gpp
-            jac[v, u] -= s * gpp
+        d = f[g.eu] - g.es * f[g.ev]
+        jac[:n, :n] = _edge_matrix(g, (p - 1) * g.ew * np.maximum(np.abs(d), 1e-12) ** (p - 2))
         diag = (p - 1) * (kap - lam * mu) * dabs
         jac[np.arange(n), np.arange(n)] += diag
         jac[:n, n] = -mu * phi_p(f, p)
@@ -208,7 +155,7 @@ def _newton_polish(g: SignedGraph, p: float, f: np.ndarray, lam: float, iters: i
             f_try = f + t * step[:n]
             lam_try = lam + t * step[n]
             if np.any(f_try != 0):
-                r = _residual(g, p, f_try, lam_try)
+                r = eigen_residual(g, p, f_try, lam_try)
                 if r < best_res:
                     f, lam, best_res = f_try, lam_try, r
                     best_f, best_lam = f.copy(), lam
@@ -347,48 +294,59 @@ class OneLapEigenSet:
     patterns_solved: int
 
 
-def _prefilter_lambda_box(g: SignedGraph, f) -> tuple[float, float] | None:
-    """Cheap per-vertex necessary condition on lambda; None means infeasible.
+def _screen_data(g: SignedGraph):
+    """mu, kappa and the weighted adjacency with every value an int, all
+    scaled by one common denominator (a power of two for float data)."""
+    weights = (w for _, _, w, _ in g.edges)
+    den = math.lcm(*(Fraction(x).denominator for x in (*g.mu, *g.kappa, *weights)))
 
-    For each support vertex the inclusion pins lambda to an interval of
-    achievable normalized flux; the intervals must intersect.
+    def scaled(x) -> int:
+        q = Fraction(x)
+        return q.numerator * (den // q.denominator)
+
+    adj = [[(y, scaled(w), s) for y, w, s in nbrs] for nbrs in g.adjacency()]
+    return [scaled(m) for m in g.mu], [scaled(k) for k in g.kappa], adj
+
+
+def _prefilter_lambda_box(data, f) -> bool:
+    """Exact per-vertex necessary condition on lambda for a {-1, 0, +1}
+    pattern ``f``; False means infeasible.
+
+    For each support vertex x the inclusion pins lambda to an interval
+    [lo_x / mu_x, hi_x / mu_x] of achievable normalized flux; the intervals
+    must intersect. ``data`` is ``_screen_data(g)``, so the bounds are
+    compared exactly by cross-multiplication (mu > 0).
     """
-    lo_all, hi_all = -np.inf, np.inf
-    adj = g.adjacency()
-    for x in range(g.n):
-        if f[x] == 0:
+    mu, kappa, adj = data
+    lo_max = hi_min = None  # (flux, mu) of the largest lower / smallest upper end
+    for x, fx in enumerate(f):
+        if fx == 0:
             continue
-        lo = hi = float(g.kappa[x]) * f[x]  # z_x = sign(f_x) determined
+        lo = hi = kappa[x] * fx  # z_x = sign(f_x) determined
         for y, w, s in adj[x]:
-            d = f[x] - s * f[y]
-            if d > 0:
-                lo += w
-                hi += w
-            elif d < 0:
-                lo -= w
-                hi -= w
-            else:
-                lo -= w
-                hi += w
+            # z_xy = sign(d) is determined unless d = 0, where it spans [-1, 1]
+            d = fx - s * f[y]
+            lo += w if d > 0 else -w
+            hi += w if d >= 0 else -w
         # lambda * mu_x * sign(f_x) must equal the flux
-        sgn = 1 if f[x] > 0 else -1
-        a, b = lo * sgn / g.mu[x], hi * sgn / g.mu[x]
-        if a > b:
-            a, b = b, a
-        lo_all = max(lo_all, a)
-        hi_all = min(hi_all, b)
-        if lo_all > hi_all + 1e-12:
-            return None
-    return lo_all, hi_all
+        if fx < 0:
+            lo, hi = -hi, -lo
+        if lo_max is None or lo * lo_max[1] > lo_max[0] * mu[x]:
+            lo_max = (lo, mu[x])
+        if hi_min is None or hi * hi_min[1] < hi_min[0] * mu[x]:
+            hi_min = (hi, mu[x])
+        if lo_max[0] * hi_min[1] > hi_min[0] * lo_max[1]:
+            return False
+    return True
 
 
 def one_lap_enumerate(g: SignedGraph, cap: int = ONE_LAP_CAP) -> OneLapEigenSet:
     """All verified 1-Laplacian eigenpairs with {-1,0,+1}-valued functions.
 
-    Enumerates sign patterns up to global negation, prunes with a float
-    necessary condition, then decides survivors exactly. Interval-valued
-    lambda ranges (possible at this combinatorial granularity) are kept as
-    closed rational intervals.
+    Enumerates sign patterns up to global negation, prunes with an exact
+    integer necessary condition, then decides survivors exactly.
+    Interval-valued lambda ranges (possible at this combinatorial
+    granularity) are kept as closed rational intervals.
     """
     if g.n > cap:
         raise GraphError(
@@ -396,12 +354,13 @@ def one_lap_enumerate(g: SignedGraph, cap: int = ONE_LAP_CAP) -> OneLapEigenSet:
         )
     pairs: list[OneLapPair] = []
     scanned = solved = 0
+    screen = _screen_data(g)
     for pattern in product((0, 1, -1), repeat=g.n):
         first = next((t for t in pattern if t != 0), 0)
         if first != 1:  # dedup f ~ -f and skip the zero pattern
             continue
         scanned += 1
-        if _prefilter_lambda_box(g, pattern) is None:
+        if not _prefilter_lambda_box(screen, pattern):
             continue
         solved += 1
         for lo, hi in one_lap_lambda_range(g, np.array(pattern, dtype=float)):

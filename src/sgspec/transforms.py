@@ -94,7 +94,7 @@ def remove_node(g: SignedGraph, x0: int, f=None) -> SurgeryResult:
             raise GraphError("remove_node transport requires f(x0) = 0")
     changes: dict[str, float] = {}
     kappa = list(g.kappa)
-    for y, w, _ in g.neighbors(x0):
+    for y, w, _ in g.adjacency()[x0]:
         kappa[y] = kappa[y] + w
         changes[g.ids[y]] = changes.get(g.ids[y], 0.0) + w
     keep = [x for x in range(g.n) if x != x0]

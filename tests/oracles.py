@@ -39,6 +39,23 @@ def rayleigh_p2_oracle(g: SignedGraph, f) -> float:
     return num / float(np.dot(g.mu_array(), f**2))
 
 
+def p_laplacian_oracle(g: SignedGraph, p: float, f) -> list[float]:
+    """Delta_p f (without the 1/mu factor) summed per vertex from the
+    definition: sum_y w_xy Phi_p(f_x - sigma_xy f_y) + kappa_x Phi_p(f_x)."""
+
+    def phi(t: float) -> float:
+        return math.copysign(abs(t) ** (p - 1), t) if t != 0 else 0.0
+
+    f = [float(v) for v in f]
+    out = [float(k) * phi(fx) for k, fx in zip(g.kappa, f)]
+    for x in range(g.n):
+        for u, v, w, s in g.edges:
+            if x in (u, v):
+                y = v if x == u else u
+                out[x] += w * phi(f[x] - s * f[y])
+    return out
+
+
 def _closure(mat: np.ndarray) -> np.ndarray:
     """Boolean transitive closure by Floyd-Warshall."""
     m = mat.copy()

@@ -111,6 +111,24 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["ok"]
 
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[1, 2]",
+        json.dumps({"trials": 2, "checks": ["count-identity"], "trails": 3}),
+        json.dumps({"trials": 0}),
+        json.dumps({"trials": -3, "p_list": [0.5]}),
+        json.dumps({"trials": 2, "p_list": [2.0, 0.5]}),
+        json.dumps({"trials": 2, "mu_mode": "volume"}),
+        json.dumps({"trials": "2"}),
+        json.dumps({"models": 3}),
+    ])
+    def test_bad_config_exits_2(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "parse error" in err
+
 
 class TestRandomAndErrors:
     def test_random_deterministic(self, capsys):
@@ -130,6 +148,21 @@ class TestRandomAndErrors:
         bad.write_text("{not json")
         code, _, err = run(capsys, "spectrum", "--graph", str(bad))
         assert code == 2
+        assert "parse error" in err
+
+    @pytest.mark.parametrize("vertex, edge", [
+        (',"mu":"x"', ""),
+        (',"kappa":NaN', ""),
+        (',"kappa":-Infinity', ""),
+        ("", ',"w":1e309'),
+        ("", ',"sigma":true'),
+    ])
+    def test_bad_graph_values_exit_2(self, capsys, tmp_path, vertex, edge):
+        gfile = tmp_path / "g.json"
+        gfile.write_text('{"vertices":[{"id":"a"%s},{"id":"b"}],'
+                         '"edges":[{"u":"a","v":"b"%s}]}' % (vertex, edge))
+        code, out, err = run(capsys, "spectrum", "--graph", str(gfile))
+        assert code == 2 and out == ""
         assert "parse error" in err
 
     def test_bad_usage(self, capsys):

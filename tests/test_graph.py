@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -93,6 +94,53 @@ class TestConstruction:
     def test_canonical_edge_orientation(self):
         g = SignedGraph.build(["a", "b"], [("b", "a", 1.0, -1)])
         assert g.edges == ((0, 1, 1.0, -1),)
+
+    @pytest.mark.parametrize("mu, kappa, edge, match", [
+        ((1.0, float("nan")), (0.0, 0.0), (0, 1, 1.0, 1), "measure"),
+        ((1.0, 1.0), (0.0, float("nan")), (0, 1, 1.0, 1), "kappa"),
+        ((1.0, 1.0), (float("inf"), 0.0), (0, 1, 1.0, 1), "kappa"),
+        ((1.0, 1.0), (0.0, 0.0), (0, 1, float("inf"), 1), "weight"),
+        ((1.0, 1.0), (0.0, 0.0), (0, 1, 1.0, True), "signature"),
+        ((1.0, 1.0), (0.0, 0.0), (0, 1, 1.0, 1.0), "signature"),
+    ])
+    def test_non_finite_and_non_int_values_rejected(self, mu, kappa, edge, match):
+        with pytest.raises(GraphError, match=match):
+            SignedGraph(ids=("a", "b"), mu=mu, kappa=kappa, edges=(edge,))
+
+
+class TestCachedArrays:
+    def test_columns_match_edges(self):
+        g = triangle((-1, 1, 1))
+        assert g.eu.dtype == g.ev.dtype == np.intp
+        assert list(zip(g.eu, g.ev, g.ew, g.es)) == list(g.edges)
+        assert g.adjacency()[0] == ((1, 1.0, -1), (2, 1.0, 1))
+
+    def test_read_only(self):
+        g = triangle((-1, 1, 1))
+        for arr in (g.eu, g.ev, g.ew, g.es, g.mu_array(), g.kappa_array()):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.ew = np.zeros(3)
+
+    def test_equality_and_hash_see_only_the_fields(self):
+        rng = np.random.default_rng(5)
+        g = random_graph(rng, 6)
+        twin = SignedGraph(ids=g.ids, mu=g.mu, kappa=g.kappa, edges=g.edges)
+        assert g == twin and hash(g) == hash(twin)
+        assert hash(g) == hash((g.ids, g.mu, g.kappa, g.edges))
+        assert "ew" not in repr(g)
+
+    def test_weighted_degrees_equal_edge_loop(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            g = random_graph(rng, int(rng.integers(1, 12)))
+            deg = np.zeros(g.n)
+            for u, v, w, _ in g.edges:
+                deg[u] += w
+                deg[v] += w
+            assert np.array_equal(g.weighted_degrees(), deg)
 
 
 class TestSwitch:
@@ -226,6 +274,52 @@ class TestIO:
         with pytest.raises(ParseError, match="malformed"):
             parse_graph(b"{nope")
 
+    @pytest.mark.parametrize("vertex, edge, match", [
+        ({"mu": "x"}, {}, "mu must be a number"),
+        ({"kappa": None}, {}, "kappa must be a number"),
+        ({"mu": True}, {}, "mu must be a number"),
+        ({}, {"w": "x"}, "w must be a number"),
+        ({}, {"w": 10**400}, "out of range"),
+        ({"kappa": float("nan")}, {}, "kappa"),
+        ({}, {"w": float("inf")}, "weight"),
+        ({}, {"sigma": True}, "signature"),
+        ({}, {"sigma": [1]}, "signature"),
+    ])
+    def test_bad_values_are_parse_errors(self, vertex, edge, match):
+        doc = {"vertices": [{"id": "a", **vertex}, {"id": "b"}],
+               "edges": [{"u": "a", "v": "b", **edge}]}
+        with pytest.raises(ParseError, match=match):
+            parse_graph(json.dumps(doc))
+
+    @given(
+        st.sampled_from([(), ("vertices",), ("vertices", 0), ("vertices", 0, "id"),
+                         ("vertices", 0, "mu"), ("vertices", 1, "kappa"), ("edges",),
+                         ("edges", 0), ("edges", 0, "u"), ("edges", 0, "w"),
+                         ("edges", 0, "sigma")]),
+        st.recursive(st.none() | st.booleans() | st.integers() | st.floats()
+                     | st.text(max_size=3),
+                     lambda inner: st.lists(inner, max_size=2)
+                     | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+                     max_leaves=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_document_parses_or_raises_parse_error(self, where, value):
+        doc = {"vertices": [{"id": "a", "mu": 1.0, "kappa": 0.0}, {"id": "b"}],
+               "edges": [{"u": "a", "v": "b", "w": 1.0, "sigma": -1}]}
+        if where:
+            *head, last = where
+            target = doc
+            for key in head:
+                target = target[key]
+            target[last] = value
+        else:
+            doc = value
+        try:
+            g = parse_graph(json.dumps(doc))
+        except ParseError:
+            return
+        assert np.all(np.isfinite(g.ew)) and np.all(g.mu_array() > 0)
+
     def test_nonpositive_values(self):
         with pytest.raises(ParseError, match="mu"):
             parse_graph('{"vertices":[{"id":"a","mu":-1}]}')
@@ -237,6 +331,11 @@ class TestIO:
         g = path(3)
         f = np.array([0.5, -1.0, 0.0])
         assert np.array_equal(parse_function(serialize_function(f, g), g), f)
+
+    @pytest.mark.parametrize("value, match", [('"x"', "number"), ("NaN", "finite")])
+    def test_function_bad_value(self, value, match):
+        with pytest.raises(ParseError, match=match):
+            parse_function('{"values":{"v0":1.0,"v1":%s,"v2":0}}' % value, path(3))
 
     def test_function_missing_vertex(self):
         g = path(3)

@@ -11,7 +11,6 @@ from sgspec.harness import (
     import_symmetric_matrix,
     random_signed_graph,
     run_suite,
-    worker_count,
 )
 from sgspec.spectra import form_matrix
 
@@ -163,14 +162,3 @@ class TestRunSuite:
         agg = rep.aggregates["nodal-bounds"]
         assert agg["skipped"] == 4 and agg["checked"] == 0
         assert rep.aggregates["perron-frobenius"]["checked"] == 4
-
-
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SGSPEC_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("SGSPEC_THREADS", "zero")
-        with pytest.raises(GraphError):
-            worker_count()
-        monkeypatch.delenv("SGSPEC_THREADS")
-        assert worker_count() >= 1

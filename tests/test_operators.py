@@ -16,7 +16,7 @@ from sgspec.operators import (
     rayleigh,
 )
 
-from oracles import rayleigh_p2_oracle
+from oracles import p_laplacian_oracle, rayleigh_p2_oracle
 from test_graph import complete, path, random_graph, triangle
 
 
@@ -51,6 +51,23 @@ class TestApply:
     def test_p_le_one_rejected(self):
         with pytest.raises(GraphError):
             apply_p_laplacian(path(2), 1.0, [1, -1])
+
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.floats(1.0, 4.0, exclude_min=True),
+           st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_against_pointwise_oracle(self, seed, n, p, on_grid):
+        # values on a half-integer grid give exact zeros in f and edges
+        # with f_x = sigma f_y; density 0 draws edgeless graphs
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n, density=float(rng.choice((0.0, 0.6, 1.0))))
+        g = SignedGraph(ids=g.ids, mu=g.mu, edges=g.edges,
+                        kappa=tuple(float(k) for k in rng.uniform(-1.0, 1.0, n)))
+        if on_grid:
+            f = rng.integers(-3, 4, size=n) / 2.0
+        else:
+            f = rng.standard_normal(n)
+        assert np.allclose(apply_p_laplacian(g, p, f), p_laplacian_oracle(g, p, f),
+                           rtol=1e-12, atol=1e-12)
 
     @given(st.floats(-3, 3).filter(lambda c: abs(c) > 1e-6), st.integers(0, 10**6),
            st.floats(1.2, 4.0))

@@ -82,7 +82,7 @@ class TestSpectrumP2:
                                                spectrum_p2(g2).values]))
             assert np.allclose(spectrum_p2(union).values, expected, atol=1e-9)
 
-    def test_jacobi_vs_closed_form_roots(self):
+    def test_eigh_vs_closed_form_roots(self):
         # all 2- and 3-vertex sign/edge patterns with a few weight choices
         rng = np.random.default_rng(8)
         for n, closed in ((2, sym2_eigs), (3, sym3_eigs)):
@@ -160,7 +160,27 @@ class TestUpperBound:
             upper_bound_lambda_k(g, 2.0, 1)
 
 
+def repro_graph():
+    """Two support vertices whose fluxes a+b+c and c+b+a round apart in
+    floats; the pattern (1, 1, 0, 0, 0) is an exact eigenpair."""
+    k = 149451.3924888155
+    a, b, c = 0.1 * k, 0.2 * k, 0.3 * k
+    ids = ("x", "y", "z1", "z2", "z3")
+    edges = [("x", "z1", a), ("x", "z2", b), ("x", "z3", c),
+             ("y", "z1", c), ("y", "z2", b), ("y", "z3", a)]
+    g = SignedGraph.build(ids, [(p, q, w, 1) for p, q, w in edges],
+                          mu={"x": 1.0, "y": 1.0, "z1": 1e9, "z2": 1e9, "z3": 1e9})
+    return g, F(a) + F(b) + F(c)
+
+
 class TestOneLapEnumerate:
+    def test_screen_keeps_pattern_with_rounding_apart_fluxes(self):
+        g, lam = repro_graph()
+        pattern = (1, 1, 0, 0, 0)
+        assert check_eigenpair_1lap(g, lam, list(pattern)).verdict
+        ols = one_lap_enumerate(g)
+        assert any(pr.f == pattern and pr.lam == pr.lam_hi == lam for pr in ols.pairs)
+
     def test_p2_plus_edge(self):
         ols = one_lap_enumerate(path(2))
         found = {(pr.lam, pr.f) for pr in ols.pairs if pr.is_point}
