@@ -141,6 +141,7 @@ def _cmd_onelap(args) -> int:
         "lambda_2": None if ols.lambda_2 is None else str(ols.lambda_2),
         "smallest_positive": None if ols.smallest_positive is None else str(ols.smallest_positive),
         "patterns_scanned": ols.patterns_scanned,
+        "patterns_solved": ols.patterns_solved,
         "pairs": [
             {"lambda": str(p.lam), "lambda_hi": str(p.lam_hi),
              "f": {g.ids[i]: p.f[i] for i in range(g.n)}}

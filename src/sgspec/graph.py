@@ -12,6 +12,8 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -59,7 +61,8 @@ class SignedGraph:
     ``mu`` is finite and positive, ``kappa`` finite. The constructor is the
     one validator of these rules. It also caches read-only numeric views:
     the edge columns ``eu``, ``ev`` (intp), ``ew``, ``es`` (float), mu,
-    kappa and the adjacency lists.
+    kappa and the adjacency lists; ``scaled_ints``, the exact integer
+    view, is built on first use.
     """
 
     ids: tuple[str, ...]
@@ -146,6 +149,26 @@ class SignedGraph:
 
     def weighted_degrees(self) -> np.ndarray:
         return self.incident_sums(self.ew)
+
+    @cached_property
+    def scaled_ints(self) -> tuple[tuple[int, ...], tuple[int, ...],
+                                   tuple[tuple[int, int, int, int], ...],
+                                   tuple[tuple[tuple[int, int, int], ...], ...]]:
+        """Exact integer view ``(mu, kappa, edges, adjacency)``: every mu,
+        kappa and edge weight times one common denominator (a power of two
+        for float data), so sums and ratios of them compare exactly in
+        Python ints. Built on first use, then kept."""
+        weights = [w for _, _, w, _ in self.edges]
+        ratios = [Fraction(x).as_integer_ratio() for x in (*self.mu, *self.kappa, *weights)]
+        den = math.lcm(*(d for _, d in ratios))
+        ints = [num * (den // d) for num, d in ratios]
+        n = self.n
+        edges = tuple((u, v, w, s) for (u, v, _, s), w in zip(self.edges, ints[2 * n:]))
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for u, v, w, s in edges:
+            adj[u].append((v, w, s))
+            adj[v].append((u, w, s))
+        return tuple(ints[:n]), tuple(ints[n:2 * n]), edges, tuple(map(tuple, adj))
 
     @staticmethod
     def build(

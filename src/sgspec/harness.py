@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, asdict
-from fractions import Fraction
 
 import numpy as np
 
 from . import cheeger as _cheeger
 from .graph import (
-    BalanceState,
     GraphError,
     ParseError,
     SignedGraph,
@@ -29,8 +27,8 @@ from .graph import (
 )
 from .nodal import SpectrumContext, bound_report, nodal_quantities, strong_domains, weak_domains
 from .operators import EigenPair, check_eigenpair
-from .spectra import extremal_p, form_matrix, one_lap_enumerate, smallest_positive_1lap, spectrum_p2
-from .transforms import interlacing_check_p2, remove_edge, remove_node
+from .spectra import extremal_p, one_lap_enumerate, spectrum_p2
+from .transforms import interlacing_check_p2, remove_edge
 
 __all__ = [
     "random_signed_graph",

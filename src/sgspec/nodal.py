@@ -9,7 +9,7 @@ walk. Dual counts use the negated signature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

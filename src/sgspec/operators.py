@@ -2,8 +2,13 @@
 
 For p > 1 the operator is single-valued and residuals are checked in a
 scale-free relative form. For p = 1 the eigen-condition is a differential
-inclusion with Sgn intervals; it is decided exactly as a rational linear
-feasibility problem (see :mod:`sgspec.simplex`).
+inclusion with Sgn intervals. Given a sign pattern f, the lambda it admits
+is a single point or nothing: each component of support edges with
+f_u = sigma f_v pins lambda, and the rest is a network feasibility
+question, decided by an exact integer max-flow (``one_lap_lambda_range``).
+``check_eigenpair_1lap`` decides one (lambda, f) as a rational linear
+feasibility problem on the exact simplex (:mod:`sgspec.simplex`), the
+independent re-verifier of every reported pair.
 """
 
 from __future__ import annotations
@@ -207,120 +212,196 @@ def check_eigenpair_1lap(g: SignedGraph, lam, f) -> ResidualCertificate:
     return ResidualCertificate(verdict=True, witness=witness)
 
 
-def one_lap_lambda_range(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]]:
-    """All lambda for which (lambda, f) satisfies the 1-Laplacian inclusion.
+def _prefilter_lambda_box(g: SignedGraph, f) -> bool:
+    """Exact per-vertex necessary condition on lambda for a {-1, 0, +1}
+    pattern ``f``; False means infeasible.
 
-    Returned as a list of disjoint exact closed intervals (usually single
-    points). The system splits into two blocks sharing no z variables:
-    support-vertex equalities constrain lambda to an interval [a, b], and
-    zero-vertex interval constraints are monotone in |lambda| with a
-    threshold t. The answer is [a, b] minus the open band (-t, t).
+    For each support vertex x the inclusion pins lambda to an interval
+    [lo_x / mu_x, hi_x / mu_x] of achievable normalized flux; the intervals
+    must intersect. The bounds are ``g.scaled_ints`` sums, compared exactly
+    by cross-multiplication (mu > 0).
+    """
+    mu, kappa, _, adj = g.scaled_ints
+    lo_max = hi_min = None  # (flux, mu) of the largest lower / smallest upper end
+    for x, fx in enumerate(f):
+        if fx == 0:
+            continue
+        lo = hi = kappa[x] * fx  # z_x = sign(f_x) determined
+        for y, w, s in adj[x]:
+            # z_xy = sign(d) is determined unless d = 0, where it spans [-1, 1]
+            d = fx - s * f[y]
+            lo += w if d > 0 else -w
+            hi += w if d >= 0 else -w
+        # lambda * mu_x * sign(f_x) must equal the flux
+        if fx < 0:
+            lo, hi = -hi, -lo
+        if lo_max is None or lo * lo_max[1] > lo_max[0] * mu[x]:
+            lo_max = (lo, mu[x])
+        if hi_min is None or hi * hi_min[1] < hi_min[0] * mu[x]:
+            hi_min = (hi, mu[x])
+        if lo_max[0] * hi_min[1] > hi_min[0] * lo_max[1]:
+            return False
+    return True
+
+
+def _feasible_flow(n: int, arcs, lo, hi) -> bool:
+    """Whether a flow x_e in [-cap, cap] on each arc ``(a, b, cap)`` (from a
+    to b; the arcs are undirected) exists with net outflow in
+    [lo[v], hi[v]] at every node v < n, given lo <= hi. Exact on Python ints.
+
+    Lower-bound reduction: a root node r feeds each v through an arc with
+    flow in [lo_v, hi_v]; sending lo_v up front leaves supply lo_v at v and
+    -sum(lo) at r, and a flow is feasible iff a max flow from the positive
+    to the negative supplies (BFS augmenting paths) carries all of it.
+    """
+    r, s, t = n, n + 1, n + 2
+    res: list[dict[int, int]] = [{} for _ in range(n + 3)]
+
+    def arc(a: int, b: int, cap: int) -> None:
+        res[a][b] = res[a].get(b, 0) + cap
+        res[b].setdefault(a, 0)
+
+    for a, b, cap in arcs:
+        arc(a, b, cap)
+        arc(b, a, cap)
+    supply = [*lo, -sum(lo)]
+    for v in range(n):
+        if hi[v] > lo[v]:
+            arc(r, v, hi[v] - lo[v])
+    need = 0
+    for v, sup in enumerate(supply):
+        if sup > 0:
+            arc(s, v, sup)
+            need += sup
+        elif sup < 0:
+            arc(v, t, -sup)
+    while need:
+        prev = {s: s}
+        queue = [s]
+        for a in queue:
+            for b, cap in res[a].items():
+                if cap and b not in prev:
+                    prev[b] = a
+                    queue.append(b)
+            if t in prev:
+                break
+        else:
+            return False
+        push, b = need, t
+        while b != s:
+            push = min(push, res[prev[b]][b])
+            b = prev[b]
+        b = t
+        while b != s:
+            a = prev[b]
+            res[a][b] -= push
+            res[b][a] += push
+            b = a
+        need -= push
+    return True
+
+
+def _pattern_lambda(g: SignedGraph, f: list[float]) -> Fraction | None:
+    """The one lambda for which (lambda, f) satisfies the 1-Laplacian
+    inclusion, or None; see ``one_lap_lambda_range``."""
+    mu, kappa, edges, _ = g.scaled_ints
+    n = len(mu)
+    sgn = [(x > 0) - (x < 0) for x in f]
+    flux = [k * sx for k, sx in zip(kappa, sgn)]  # determined flux c_x
+    root = list(range(n))  # union-find over free support edges
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    support_arcs, zero_edges = [], []
+    for u, v, w, s in edges:
+        fu, fv = f[u], s * f[v]
+        if fu != fv:
+            z = w if fu > fv else -w
+            flux[u] += z
+            flux[v] -= s * z
+        elif sgn[u]:
+            # sgn_v = sigma sgn_u, so y = sgn_u z_uv is a flow u -> v
+            support_arcs.append((u, v, w))
+            root[find(u)] = find(v)
+        else:
+            zero_edges.append((u, v, w, s))
+
+    # each component C of free support edges pins lambda mu(C) = sum sgn_x c_x
+    pins: dict[int, list[int]] = {}
+    for x in range(n):
+        if sgn[x]:
+            pin = pins.setdefault(find(x), [0, 0])
+            pin[0] += sgn[x] * flux[x]
+            pin[1] += mu[x]
+    (num, den), *rest = pins.values()
+    if any(a * den != num * b for a, b in rest):
+        return None
+    lam = Fraction(num, den)
+    p, q = lam.numerator, lam.denominator  # everything below is scaled by q
+
+    if support_arcs:
+        demand = [p * mu[x] - q * sgn[x] * flux[x] if sgn[x] else 0 for x in range(n)]
+        if not _feasible_flow(n, [(u, v, q * w) for u, v, w in support_arcs], demand, demand):
+            return None
+
+    # zero vertex y: the net flux of its zero-zero edges lies in
+    # [-|lam| mu_y - |kappa_y| - c_y, |lam| mu_y + |kappa_y| - c_y]
+    cover = {y: 2 * i for i, y in enumerate(sorted({x for e in zero_edges for x in e[:2]}))}
+    lo, hi = [0] * (2 * len(cover)), [0] * (2 * len(cover))
+    for y in range(n):
+        if sgn[y]:
+            continue
+        slack = abs(p) * mu[y] + q * abs(kappa[y])
+        if y in cover:
+            i = cover[y]
+            lo[i], hi[i] = -slack - q * flux[y], slack - q * flux[y]
+            lo[i + 1], hi[i + 1] = -hi[i], -lo[i]
+        elif q * abs(flux[y]) > slack:
+            return None
+    if zero_edges:
+        # Negative edges are not conservative, so decide the block on the
+        # signed double cover: y+ carries the interval, y- its negation; a
+        # positive edge joins u+v+ and u-v-, a negative one u+v- and u-v+.
+        # Averaging a cover flow with its mirror gives a solution here.
+        arcs = []
+        for u, v, w, s in zero_edges:
+            a, b = cover[u], cover[v] + (s < 0)
+            arcs += [(a, b, q * w), (a + 1, b ^ 1, q * w)]
+        if not _feasible_flow(len(lo), arcs, lo, hi):
+            return None
+    return lam
+
+
+def one_lap_lambda_range(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]]:
+    """All lambda for which (lambda, f) satisfies the 1-Laplacian inclusion,
+    as a list of exact closed intervals: one point ``[(lam, lam)]`` or ``[]``.
+
+    Only the signs of f and of the f_u - sigma f_v matter. The system splits
+    into two blocks that share only lambda:
+
+    * Support block. On a free support edge (f_u = sigma f_v != 0)
+      y = sgn(f_u) z_uv is a conservative flow of capacity w. Each
+      component C of such edges therefore pins lambda mu(C) to the sum of
+      sgn_x c_x over C, where c_x is the determined flux at x; all
+      components must agree, and then a flow with demands
+      lambda mu_x - sgn_x c_x must exist. So the range is a point or empty.
+    * Zero block. Feasibility is monotone in |lambda|, and is decided at
+      |lambda| by a flow on the signed double cover of the zero-zero edges.
+
+    Both blocks are exact max-flows in Python ints over ``g.scaled_ints``;
+    only lambda itself is a Fraction. ``check_eigenpair_1lap`` re-verifies
+    a pair by an independent path, the exact simplex.
     """
     f = np.asarray(f, dtype=float)
+    if f.shape != (g.n,):
+        raise GraphError(f"eigenfunction has shape {f.shape}, expected ({g.n},)")
+    if not np.all(np.isfinite(f)):
+        raise GraphError("eigenfunction must be finite")
     if not np.any(f):
         raise GraphError("eigenfunction must be nonzero")
-    n = g.n
-    fr = [Fraction(float(v)) for v in f]
-    mu = [Fraction(m) for m in g.mu]
-    kap = [Fraction(k) for k in g.kappa]
-    sgn = [0 if v == 0 else (1 if v > 0 else -1) for v in fr]
-    support = [x for x in range(n) if sgn[x] != 0]
-    zeros = [x for x in range(n) if sgn[x] == 0]
-
-    # Classify edges: determined z (d != 0), free support-support (d == 0)
-    # and free zero-zero. const[x] accumulates determined flux at x.
-    const = [kap[x] * sgn[x] for x in range(n)]
-    s_edges: list[tuple[int, int, Fraction, int]] = []
-    z_edges: list[tuple[int, int, Fraction, int]] = []
-    for u, v, w, s in g.edges:
-        wq = Fraction(w)
-        d = fr[u] - s * fr[v]
-        if d != 0:
-            z = 1 if d > 0 else -1
-            const[u] += wq * z
-            const[v] += -s * wq * z
-        elif sgn[u] != 0:
-            s_edges.append((u, v, wq, s))
-        else:
-            z_edges.append((u, v, wq, s))
-
-    lam_bound = min(
-        (sum((Fraction(w) for a, b, w, _ in g.edges if x in (a, b)), Fraction(0))
-         + abs(kap[x])) / mu[x]
-        for x in support
-    )
-
-    # Support block: const_x + sum coeff z = lambda mu_x sgn_x.
-    ns = len(s_edges)
-    rows, rhs = [], []
-    for x in support:
-        row = [Fraction(0)] * (ns + 1)
-        for e, (u, v, w, s) in enumerate(s_edges):
-            if u == x:
-                row[e] += w
-            elif v == x:
-                row[e] += -s * w
-        row[ns] = -mu[x] * sgn[x]
-        rows.append(row)
-        rhs.append(-const[x])
-    lo = [Fraction(-1)] * ns + [-lam_bound]
-    hi = [Fraction(1)] * ns + [lam_bound]
-    cmin = [Fraction(0)] * ns + [Fraction(1)]
-    res_min = simplex.solve_lp(rows, rhs, cmin, lo, hi)
-    if res_min.status != "optimal":
-        return []
-    res_max = simplex.solve_lp(rows, rhs, [-v for v in cmin], lo, hi)
-    a, b = res_min.objective, -res_max.objective
-
-    # Zero block: |const_y + sum coeff z + kappa_y z_y| <= t mu_y, min t.
-    t_star = Fraction(0)
-    if zeros:
-        nz = len(z_edges)
-        zpos = {y: i for i, y in enumerate(zeros)}
-        nv = nz + len(zeros) + 1  # z_edges, z_y, t
-        idx_t = nv - 1
-        rows2, rhs2, lo2, hi2 = [], [], [], []
-        lo2 = [Fraction(-1)] * (nz + len(zeros)) + [Fraction(0)]
-        hi2 = [Fraction(1)] * (nz + len(zeros)) + [lam_bound + 1]
-        for y in zeros:
-            base = [Fraction(0)] * nv
-            cap = abs(const[y]) + abs(kap[y]) + (lam_bound + 1) * mu[y]
-            for e, (u, v, w, s) in enumerate(z_edges):
-                if u == y:
-                    base[e] += w
-                elif v == y:
-                    base[e] += -s * w
-                cap += w
-            base[nz + zpos[y]] = kap[y]
-            # expr + t mu - s1 = 0 and expr - t mu + s2 = 0, slacks >= 0
-            r1 = base[:] + [Fraction(0)] * (2 * len(zeros))
-            r2 = base[:] + [Fraction(0)] * (2 * len(zeros))
-            r1[idx_t] = mu[y]
-            r2[idx_t] = -mu[y]
-            k = 2 * zpos[y]
-            r1[nv + k] = Fraction(-1)
-            r2[nv + k + 1] = Fraction(1)
-            rows2.append(r1)
-            rhs2.append(-const[y])
-            rows2.append(r2)
-            rhs2.append(-const[y])
-            lo2.extend([Fraction(0), Fraction(0)])
-            hi2.extend([2 * cap, 2 * cap])
-        width = nv + 2 * len(zeros)
-        c2 = [Fraction(0)] * width
-        c2[idx_t] = Fraction(1)
-        res_t = simplex.solve_lp(rows2, rhs2, c2, lo2, hi2)
-        if res_t.status != "optimal":
-            return []
-        t_star = res_t.objective
-
-    intervals = []
-    if t_star == 0:
-        if a <= b:
-            intervals.append((a, b))
-    else:
-        if a <= -t_star:
-            intervals.append((a, min(b, -t_star)))
-        if b >= t_star:
-            intervals.append((max(a, t_star), b))
-    return intervals
+    lam = _pattern_lambda(g, f.tolist())
+    return [] if lam is None else [(lam, lam)]

@@ -6,12 +6,12 @@ The p=2 case reduces to a symmetric matrix pencil and is solved by
 p > 1 only the extremes of the Rayleigh quotient are computed (projected
 gradient with restarts, then a Newton polish); every reported pair is
 re-certified by its eigen-residual. For p = 1 candidates are the +-1/0
-patterns, each decided exactly.
+patterns, each decided by an exact integer max-flow and re-verifiable on the
+exact simplex.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -21,7 +21,8 @@ import numpy as np
 from . import cheeger as _cheeger
 from .graph import BalanceState, GraphError, SignedGraph, balance_state, components, induced_subgraph
 from .operators import (
-    apply_p_laplacian, eigen_residual, one_lap_lambda_range, phi_p, rayleigh,
+    _prefilter_lambda_box, apply_p_laplacian, eigen_residual, one_lap_lambda_range, phi_p,
+    rayleigh,
 )
 
 __all__ = [
@@ -82,17 +83,13 @@ def spectrum_p2(g: SignedGraph) -> SpectrumP2:
     vals, vecs = np.linalg.eigh(dinv[:, None] * form_matrix(g) * dinv[None, :])
     vecs = dinv[:, None] * vecs
 
-    groups: list[tuple[int, ...]] = []
-    cur = [0]
-    for i in range(1, len(vals)):
-        if abs(vals[i] - vals[i - 1]) < GROUP_RTOL * max(1.0, abs(vals[i])):
-            cur.append(i)
+    groups: list[list[int]] = []
+    for i, val in enumerate(vals):
+        if groups and abs(val - vals[i - 1]) < GROUP_RTOL * max(1.0, abs(val)):
+            groups[-1].append(i)
         else:
-            groups.append(tuple(cur))
-            cur = [i]
-    if cur:
-        groups.append(tuple(cur))
-    return SpectrumP2(values=vals, vectors=vecs, groups=tuple(groups))
+            groups.append([i])
+    return SpectrumP2(values=vals, vectors=vecs, groups=tuple(map(tuple, groups)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,59 +291,13 @@ class OneLapEigenSet:
     patterns_solved: int
 
 
-def _screen_data(g: SignedGraph):
-    """mu, kappa and the weighted adjacency with every value an int, all
-    scaled by one common denominator (a power of two for float data)."""
-    weights = (w for _, _, w, _ in g.edges)
-    den = math.lcm(*(Fraction(x).denominator for x in (*g.mu, *g.kappa, *weights)))
-
-    def scaled(x) -> int:
-        q = Fraction(x)
-        return q.numerator * (den // q.denominator)
-
-    adj = [[(y, scaled(w), s) for y, w, s in nbrs] for nbrs in g.adjacency()]
-    return [scaled(m) for m in g.mu], [scaled(k) for k in g.kappa], adj
-
-
-def _prefilter_lambda_box(data, f) -> bool:
-    """Exact per-vertex necessary condition on lambda for a {-1, 0, +1}
-    pattern ``f``; False means infeasible.
-
-    For each support vertex x the inclusion pins lambda to an interval
-    [lo_x / mu_x, hi_x / mu_x] of achievable normalized flux; the intervals
-    must intersect. ``data`` is ``_screen_data(g)``, so the bounds are
-    compared exactly by cross-multiplication (mu > 0).
-    """
-    mu, kappa, adj = data
-    lo_max = hi_min = None  # (flux, mu) of the largest lower / smallest upper end
-    for x, fx in enumerate(f):
-        if fx == 0:
-            continue
-        lo = hi = kappa[x] * fx  # z_x = sign(f_x) determined
-        for y, w, s in adj[x]:
-            # z_xy = sign(d) is determined unless d = 0, where it spans [-1, 1]
-            d = fx - s * f[y]
-            lo += w if d > 0 else -w
-            hi += w if d >= 0 else -w
-        # lambda * mu_x * sign(f_x) must equal the flux
-        if fx < 0:
-            lo, hi = -hi, -lo
-        if lo_max is None or lo * lo_max[1] > lo_max[0] * mu[x]:
-            lo_max = (lo, mu[x])
-        if hi_min is None or hi * hi_min[1] < hi_min[0] * mu[x]:
-            hi_min = (hi, mu[x])
-        if lo_max[0] * hi_min[1] > hi_min[0] * lo_max[1]:
-            return False
-    return True
-
-
 def one_lap_enumerate(g: SignedGraph, cap: int = ONE_LAP_CAP) -> OneLapEigenSet:
     """All verified 1-Laplacian eigenpairs with {-1,0,+1}-valued functions.
 
     Enumerates sign patterns up to global negation, prunes with an exact
-    integer necessary condition, then decides survivors exactly.
-    Interval-valued lambda ranges (possible at this combinatorial
-    granularity) are kept as closed rational intervals.
+    integer necessary condition, then decides each survivor by an exact
+    max-flow. A pattern admits at most one lambda, so every pair is a
+    point (``lam == lam_hi``).
     """
     if g.n > cap:
         raise GraphError(
@@ -354,16 +305,15 @@ def one_lap_enumerate(g: SignedGraph, cap: int = ONE_LAP_CAP) -> OneLapEigenSet:
         )
     pairs: list[OneLapPair] = []
     scanned = solved = 0
-    screen = _screen_data(g)
     for pattern in product((0, 1, -1), repeat=g.n):
         first = next((t for t in pattern if t != 0), 0)
         if first != 1:  # dedup f ~ -f and skip the zero pattern
             continue
         scanned += 1
-        if not _prefilter_lambda_box(screen, pattern):
+        if not _prefilter_lambda_box(g, pattern):
             continue
         solved += 1
-        for lo, hi in one_lap_lambda_range(g, np.array(pattern, dtype=float)):
+        for lo, hi in one_lap_lambda_range(g, pattern):
             pairs.append(OneLapPair(lam=lo, lam_hi=hi, f=pattern))
     pairs.sort(key=lambda pr: (pr.lam, pr.lam_hi, pr.f))
     values = sorted({pt for pr in pairs for pt in (pr.lam, pr.lam_hi)})

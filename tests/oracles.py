@@ -13,7 +13,8 @@ from itertools import product
 
 import numpy as np
 
-from sgspec.graph import SignedGraph
+from sgspec import simplex
+from sgspec.graph import GraphError, SignedGraph
 
 
 def balance_oracle(g: SignedGraph) -> tuple[bool, bool]:
@@ -220,3 +221,124 @@ def cheeger_h1_oracle(g: SignedGraph) -> Fraction:
         if best is None or val < best:
             best = val
     return best
+
+
+def one_lap_lambda_range_lp(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]]:
+    """All lambda for which (lambda, f) satisfies the 1-Laplacian inclusion,
+    by three exact LPs on ``sgspec.simplex`` (the library decides this by
+    max-flow instead).
+
+    Returned as a list of disjoint exact closed intervals (usually single
+    points). The system splits into two blocks sharing no z variables:
+    support-vertex equalities constrain lambda to an interval [a, b], and
+    zero-vertex interval constraints are monotone in |lambda| with a
+    threshold t. The answer is [a, b] minus the open band (-t, t).
+    """
+    f = np.asarray(f, dtype=float)
+    if not np.any(f):
+        raise GraphError("eigenfunction must be nonzero")
+    n = g.n
+    fr = [Fraction(float(v)) for v in f]
+    mu = [Fraction(m) for m in g.mu]
+    kap = [Fraction(k) for k in g.kappa]
+    sgn = [0 if v == 0 else (1 if v > 0 else -1) for v in fr]
+    support = [x for x in range(n) if sgn[x] != 0]
+    zeros = [x for x in range(n) if sgn[x] == 0]
+
+    # Classify edges: determined z (d != 0), free support-support (d == 0)
+    # and free zero-zero. const[x] accumulates determined flux at x.
+    const = [kap[x] * sgn[x] for x in range(n)]
+    s_edges: list[tuple[int, int, Fraction, int]] = []
+    z_edges: list[tuple[int, int, Fraction, int]] = []
+    for u, v, w, s in g.edges:
+        wq = Fraction(w)
+        d = fr[u] - s * fr[v]
+        if d != 0:
+            z = 1 if d > 0 else -1
+            const[u] += wq * z
+            const[v] += -s * wq * z
+        elif sgn[u] != 0:
+            s_edges.append((u, v, wq, s))
+        else:
+            z_edges.append((u, v, wq, s))
+
+    lam_bound = min(
+        (sum((Fraction(w) for a, b, w, _ in g.edges if x in (a, b)), Fraction(0))
+         + abs(kap[x])) / mu[x]
+        for x in support
+    )
+
+    # Support block: const_x + sum coeff z = lambda mu_x sgn_x.
+    ns = len(s_edges)
+    rows, rhs = [], []
+    for x in support:
+        row = [Fraction(0)] * (ns + 1)
+        for e, (u, v, w, s) in enumerate(s_edges):
+            if u == x:
+                row[e] += w
+            elif v == x:
+                row[e] += -s * w
+        row[ns] = -mu[x] * sgn[x]
+        rows.append(row)
+        rhs.append(-const[x])
+    lo = [Fraction(-1)] * ns + [-lam_bound]
+    hi = [Fraction(1)] * ns + [lam_bound]
+    cmin = [Fraction(0)] * ns + [Fraction(1)]
+    res_min = simplex.solve_lp(rows, rhs, cmin, lo, hi)
+    if res_min.status != "optimal":
+        return []
+    res_max = simplex.solve_lp(rows, rhs, [-v for v in cmin], lo, hi)
+    a, b = res_min.objective, -res_max.objective
+
+    # Zero block: |const_y + sum coeff z + kappa_y z_y| <= t mu_y, min t.
+    t_star = Fraction(0)
+    if zeros:
+        nz = len(z_edges)
+        zpos = {y: i for i, y in enumerate(zeros)}
+        nv = nz + len(zeros) + 1  # z_edges, z_y, t
+        idx_t = nv - 1
+        rows2, rhs2, lo2, hi2 = [], [], [], []
+        lo2 = [Fraction(-1)] * (nz + len(zeros)) + [Fraction(0)]
+        hi2 = [Fraction(1)] * (nz + len(zeros)) + [lam_bound + 1]
+        for y in zeros:
+            base = [Fraction(0)] * nv
+            cap = abs(const[y]) + abs(kap[y]) + (lam_bound + 1) * mu[y]
+            for e, (u, v, w, s) in enumerate(z_edges):
+                if u == y:
+                    base[e] += w
+                elif v == y:
+                    base[e] += -s * w
+                cap += w
+            base[nz + zpos[y]] = kap[y]
+            # expr + t mu - s1 = 0 and expr - t mu + s2 = 0, slacks >= 0
+            r1 = base[:] + [Fraction(0)] * (2 * len(zeros))
+            r2 = base[:] + [Fraction(0)] * (2 * len(zeros))
+            r1[idx_t] = mu[y]
+            r2[idx_t] = -mu[y]
+            k = 2 * zpos[y]
+            r1[nv + k] = Fraction(-1)
+            r2[nv + k + 1] = Fraction(1)
+            rows2.append(r1)
+            rhs2.append(-const[y])
+            rows2.append(r2)
+            rhs2.append(-const[y])
+            lo2.extend([Fraction(0), Fraction(0)])
+            hi2.extend([2 * cap, 2 * cap])
+        width = nv + 2 * len(zeros)
+        c2 = [Fraction(0)] * width
+        c2[idx_t] = Fraction(1)
+        res_t = simplex.solve_lp(rows2, rhs2, c2, lo2, hi2)
+        if res_t.status != "optimal":
+            return []
+        t_star = res_t.objective
+
+    intervals = []
+    if t_star == 0:
+        if a <= b:
+            intervals.append((a, b))
+    else:
+        if a <= -t_star:
+            intervals.append((a, min(b, -t_star)))
+        if b >= t_star:
+            intervals.append((max(a, t_star), b))
+    return intervals

@@ -29,6 +29,14 @@ def run(capsys, *argv):
 
 
 class TestSpectrum:
+    def test_empty_graph(self, capsys, tmp_path):
+        gfile = tmp_path / "empty.json"
+        gfile.write_text('{"vertices": [], "edges": []}')
+        code, out, _ = run(capsys, "spectrum", "--graph", str(gfile), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["eigenvalues"] == [] and doc["multiplicities"] == []
+
     def test_p2_json(self, capsys, p3_file):
         code, out, _ = run(capsys, "spectrum", "--graph", p3_file)
         assert code == 0
@@ -84,6 +92,15 @@ class TestOnelap:
         assert code == 0
         doc = json.loads(out)
         assert doc["lambda_2"] is None  # unbalanced
+
+    def test_reports_screen_survivors(self, capsys, p3_file):
+        code, out, _ = run(capsys, "onelap", "--graph", p3_file)
+        assert code == 0
+        doc = json.loads(out)
+        # 3^3 patterns up to negation; the screen drops 3 of them, among
+        # them (1, -1, 1): its ends pin lambda = 1 and its middle lambda = 2
+        assert (doc["patterns_scanned"], doc["patterns_solved"]) == (13, 10)
+        assert doc["pairs"] and all(p["lambda_hi"] == p["lambda"] for p in doc["pairs"])
 
 
 class TestTransform:

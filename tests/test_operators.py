@@ -16,8 +16,14 @@ from sgspec.operators import (
     rayleigh,
 )
 
-from oracles import p_laplacian_oracle, rayleigh_p2_oracle
+from sgspec import simplex
+from sgspec.harness import random_signed_graph
+
+from oracles import (
+    nonzero_patterns, one_lap_lambda_range_lp, p_laplacian_oracle, rayleigh_p2_oracle,
+)
 from test_graph import complete, path, random_graph, triangle
+from test_spectra import repro_graph
 
 
 class TestPhi:
@@ -254,3 +260,73 @@ class TestLambdaRange:
     def test_zero_function_rejected(self):
         with pytest.raises(GraphError):
             one_lap_lambda_range(path(2), [0, 0])
+
+    @pytest.mark.parametrize("f", [[1.0], [1.0, 0.0, 1.0], [1.0, float("nan")],
+                                   [float("inf"), 1.0]])
+    def test_bad_function_rejected(self, f):
+        with pytest.raises(GraphError):
+            one_lap_lambda_range(path(2), f)
+
+    @staticmethod
+    def _corpus():
+        """Seeded n <= 6 graphs of three signature models with dyadic
+        non-unit mu and some nonzero kappa."""
+        rng = np.random.default_rng(23)
+        for seed in range(12):
+            n = 3 + seed % 4
+            g = random_signed_graph(n, 0.7, model=("uniform", "balanced", "antibalanced")[seed % 3],
+                                    seed=seed)
+            yield SignedGraph(ids=g.ids, edges=g.edges,
+                              mu=tuple(float(m) for m in rng.choice((0.25, 0.5, 1.5, 2.0, 3.0), n)),
+                              kappa=tuple(float(k) for k in rng.choice((0.0, 0.0, 0.5, -1.25), n)))
+
+    def test_equals_lp_oracle_on_every_sign_pattern(self):
+        # max-flow against the three-LP simplex solve, on every pattern;
+        # cover_cases counts feasible patterns with a negative edge between
+        # two zero vertices, the case only the signed double cover decides
+        found = cover_cases = 0
+        for g in self._corpus():
+            for pattern in nonzero_patterns(g.n):
+                got = one_lap_lambda_range(g, pattern)
+                assert got == one_lap_lambda_range_lp(g, pattern), (g, pattern)
+                found += bool(got)
+                cover_cases += bool(got) and any(s < 0 and pattern[u] == pattern[v] == 0
+                                                 for u, v, _, s in g.edges)
+        assert found >= 150 and cover_cases >= 50
+
+    def test_equals_lp_oracle_on_repro_graph(self):
+        g, lam = repro_graph()
+        for pattern in nonzero_patterns(g.n):
+            assert one_lap_lambda_range(g, pattern) == one_lap_lambda_range_lp(g, pattern)
+        assert one_lap_lambda_range(g, [1, 1, 0, 0, 0]) == [(lam, lam)]
+
+    def test_equals_lp_oracle_off_the_unit_grid(self):
+        # only the signs of f and of f_u - sigma f_v matter
+        rng = np.random.default_rng(29)
+        for g in list(self._corpus())[:6]:
+            for _ in range(60):
+                f = rng.choice((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0), size=g.n)
+                if np.any(f):
+                    assert one_lap_lambda_range(g, f) == one_lap_lambda_range_lp(g, f)
+
+    def test_components_pinning_different_lambdas_give_empty(self):
+        # x1-x2 and y1-y2 are free support edges (f_u = sigma f_v); the
+        # negative edge x2-y1 is determined. The components pin
+        # lambda = (1 + 1 + 1) / 2 and (2 + 2 + 1) / 2.
+        g = SignedGraph.build(["x1", "x2", "y1", "y2"],
+                              [("x1", "x2", 1.0, 1), ("y1", "y2", 1.0, 1), ("x2", "y1", 1.0, -1)],
+                              kappa=[1.0, 1.0, 2.0, 2.0])
+        f = [1.0, 1.0, 1.0, 1.0]
+        assert one_lap_lambda_range(g, f) == one_lap_lambda_range_lp(g, f) == []
+        g2 = SignedGraph(ids=g.ids, mu=g.mu, edges=g.edges, kappa=(1.0, 1.0, 1.0, 1.0))
+        assert one_lap_lambda_range(g2, f) == [(Fraction(3, 2), Fraction(3, 2))]
+
+    def test_decided_without_the_simplex(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("one_lap_lambda_range must not solve an LP")
+
+        monkeypatch.setattr(simplex, "solve_lp", no_lp)
+        monkeypatch.setattr(simplex, "feasible", no_lp)
+        g = complete(4)
+        for pattern in nonzero_patterns(g.n):
+            one_lap_lambda_range(g, pattern)

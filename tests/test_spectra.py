@@ -38,6 +38,11 @@ class TestSpectrumP2:
         assert [len(grp) for grp in spec.groups] == [1, 4]
         assert spec.multiplicity(2) == 4
 
+    def test_empty_graph_has_no_groups(self):
+        spec = spectrum_p2(SignedGraph((), (), (), ()))
+        assert spec.values.shape == (0,)
+        assert spec.groups == ()
+
     def test_mu_orthonormal_vectors(self):
         rng = np.random.default_rng(2)
         for _ in range(15):
