@@ -1,10 +1,14 @@
 """Frustration index, sub-bipartition functional and exact k-way Cheeger constants.
 
-All values are computed in exact rational arithmetic (floats convert to
-Fractions losslessly). The k-way constant is found by minimizing, over all
-families of k disjoint nonempty vertex sets, the maximum of the per-set
-quantity (frustration + boundary) / volume; per-set optima come from
-enumerating bipartitions, the family optimum from a bitmask packing DP.
+Every quantity here is a 1-Rayleigh quotient: a sub-bipartition (V1, V2)
+scores the quotient of t = 1_V1 - 1_V2, sum_e w_e |t_u - sigma_e t_v| over
+sum_x mu_x |t_x|. Scores are exact integers on ``SignedGraph.scaled_ints``,
+whose one common denominator cancels in every quotient; a Fraction is
+built only for a returned value. The k-way constant is found by minimizing,
+over all families of k disjoint nonempty vertex sets, the maximum of the
+per-set minimum (frustration + boundary) / volume; per-set optima come from
+one numpy pass over the bipartitions of each set, the family optimum from
+a bitmask packing DP on the exact ranks of those scores.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
 
 DEFAULT_CAPS = {1: 14, 2: 10, 3: 8}
 FRUSTRATION_ENUM_CAP = 24
+_BLOCK = 1 << 12
 
 
 def _require_zero_kappa(g: SignedGraph, what: str):
@@ -34,16 +39,33 @@ def _require_zero_kappa(g: SignedGraph, what: str):
         raise GraphError(f"{what} requires kappa == 0 everywhere")
 
 
-def _volume(g: SignedGraph, omega) -> Fraction:
-    return sum((Fraction(g.mu[x]) for x in omega), Fraction(0))
+def _int_arrays(g: SignedGraph):
+    """``g.scaled_ints`` as arrays ``(eu, ev, sigma, w, mu)``. ``w`` and
+    ``mu`` are int64 when every score fits (2 * sum(w) and sum(mu) below
+    2**63), else Python ints (dtype object); the code is the same."""
+    mu, _, edges, _ = g.scaled_ints
+    w = [e[2] for e in edges]
+    dtype = np.int64 if max(2 * sum(w), sum(mu)) < 2**63 else object
+    return g.eu, g.ev, g.es.astype(np.int8), np.array(w, dtype), np.array(mu, dtype)
 
 
-def _boundary(g: SignedGraph, omega: set[int]) -> Fraction:
-    out = Fraction(0)
-    for u, v, w, _ in g.edges:
-        if (u in omega) != (v in omega):
-            out += Fraction(w)
-    return out
+def _numerators(t, eu, ev, sigma, w):
+    """The 1-Rayleigh numerators sum_e w_e |t_u - sigma_e t_v| of the rows
+    of ``t`` (labelings in {-1, 0, +1}, int8 to keep the gathers small)
+    over the edges ``(eu, ev)``."""
+    return np.abs(t[:, eu] - sigma * t[:, ev]) @ w
+
+
+def _quotients(d, t):
+    """Exact 1-Rayleigh quotients of the rows of ``t`` as integer arrays
+    (numerators, denominators) in ``scaled_ints`` units."""
+    eu, ev, sigma, w, mu = d
+    return _numerators(t, eu, ev, sigma, w), np.abs(t) @ mu
+
+
+def _less(a, b) -> bool:
+    """Whether the quotient a[0] / a[1] is below b[0] / b[1] (positive denominators)."""
+    return a[0] * b[1] < b[0] * a[1]
 
 
 def beta(g: SignedGraph, v1, v2) -> Fraction:
@@ -57,33 +79,49 @@ def beta(g: SignedGraph, v1, v2) -> Fraction:
     v1, v2 = set(v1), set(v2)
     if v1 & v2:
         raise GraphError("sub-bipartition sides must be disjoint")
-    omega = v1 | v2
-    if not omega:
+    if not v1 | v2:
         raise GraphError("sub-bipartition must be nonempty")
-    num = Fraction(0)
-    for u, v, w, s in g.edges:
-        w = Fraction(w)
-        if s == 1:
-            # counted once per ordered direction
-            if (u in v1 and v in v2) or (u in v2 and v in v1):
-                num += 2 * w
-        else:
-            if (u in v1 and v in v1) or (u in v2 and v in v2):
-                num += 2 * w
-        if (u in omega) != (v in omega):
-            num += w
-    return num / _volume(g, omega)
+    t = np.zeros((1, g.n), np.int8)
+    t[0, list(v1)] = 1
+    t[0, list(v2)] = -1
+    num, den = _quotients(_int_arrays(g), t)
+    return Fraction(int(num[0]), int(den[0]))
 
 
-def _pinned_cut(g: SignedGraph, omega: set[int], side: set[int]) -> Fraction:
-    """Total weight of edges inside omega violated by the labeling tau=+1 on side."""
-    bad = Fraction(0)
-    for u, v, w, s in g.edges:
-        if u in omega and v in omega:
-            crossing = (u in side) != (v in side)
-            if (s == 1 and crossing) or (s == -1 and not crossing):
-                bad += Fraction(w)
-    return bad
+def _induced(d, omega):
+    """The edges of ``d`` inside the sorted vertex array ``omega`` as
+    ``(pu, pv, sigma, w)``, with endpoints indexed into omega."""
+    eu, ev, sigma, w, mu = d
+    local = np.full(len(mu), -1)
+    local[omega] = np.arange(len(omega))
+    pu, pv = local[eu], local[ev]
+    inside = (pu >= 0) & (pv >= 0)
+    return pu[inside], pv[inside], sigma[inside], w[inside]
+
+
+def _best_bipartition(d, omega) -> tuple[int, int]:
+    """``(code, iota)`` of the first least-violated bipartition of omega:
+    bit i of code puts omega[i + 1] into V2 (omega[0] is pinned to V1), and
+    iota is twice the violated weight, the numerator of the +-1 labeling
+    over the edges inside omega. One numpy pass scores up to ``_BLOCK``
+    labelings, which bounds the memory on large sets."""
+    edges = _induced(d, omega)
+    total = 1 << (len(omega) - 1)
+    best = None
+    for start in range(0, total, _BLOCK):
+        codes = np.arange(start, min(start + _BLOCK, total))
+        t = (1 - 2 * (((codes << 1)[:, None] >> np.arange(len(omega))) & 1)).astype(np.int8)
+        iota = _numerators(t, *edges)
+        i = int(np.argmin(iota))
+        if best is None or iota[i] < best[1]:
+            best = (start + i, iota[i])
+    return best
+
+
+def _sides(omega, code: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(V1, V2) of the bipartition ``code`` of omega (see ``_best_bipartition``)."""
+    return (tuple(int(x) for i, x in enumerate(omega) if not (code << 1) >> i & 1),
+            tuple(int(x) for i, x in enumerate(omega) if (code << 1) >> i & 1))
 
 
 def frustration_index(g: SignedGraph, omega, heuristic: bool = False):
@@ -93,69 +131,32 @@ def frustration_index(g: SignedGraph, omega, heuristic: bool = False):
     weight (a Fraction), tau maps vertex index -> +-1 and ``exact`` is False
     only for the local-search fallback on large sets.
     """
-    omega = sorted(set(omega))
-    if not omega:
+    omega = np.array(sorted(set(omega)), np.intp)
+    if not len(omega):
         raise GraphError("frustration index of the empty set is undefined")
-    if len(omega) > FRUSTRATION_ENUM_CAP:
-        if not heuristic:
-            raise GraphError(
-                f"frustration enumeration capped at {FRUSTRATION_ENUM_CAP} vertices; "
-                "pass heuristic=True for a flagged local search"
-            )
-        side = _frustration_local_search(g, omega)
-        val = 2 * _pinned_cut(g, set(omega), side)
-        tau = {x: (1 if x in side else -1) for x in omega}
-        return val, tau, False
-    side, _ = _best_bipartition(g, omega)
-    val = 2 * _pinned_cut(g, set(omega), side)
-    tau = {x: (1 if x in side else -1) for x in omega}
-    return val, tau, True
+    d = _int_arrays(g)
+    exact = len(omega) <= FRUSTRATION_ENUM_CAP
+    if not exact and not heuristic:
+        raise GraphError(
+            f"frustration enumeration capped at {FRUSTRATION_ENUM_CAP} vertices; "
+            "pass heuristic=True for a flagged local search"
+        )
+    if exact:
+        side = _sides(omega, _best_bipartition(d, omega)[0])[0]
+    else:
+        side = _frustration_local_search(d, omega)
+    t = np.array([[1 if x in side else -1 for x in omega]], np.int8)
+    iota = _numerators(t, *_induced(d, omega))[0]
+    # back from scaled_ints units: mu_0 scales to scaled_ints[0][0]
+    value = int(iota) * Fraction(g.mu[0]) / g.scaled_ints[0][0]
+    return value, {int(x): int(s) for x, s in zip(omega, t[0])}, exact
 
 
-def _internal_edges(g: SignedGraph, omega: list[int]):
-    pos = {x: i for i, x in enumerate(omega)}
-    out = []
-    oset = set(omega)
-    for u, v, w, s in g.edges:
-        if u in oset and v in oset:
-            out.append((pos[u], pos[v], w, s))
-    return out
-
-
-def _best_bipartition(g: SignedGraph, omega: list[int]) -> tuple[set[int], Fraction]:
-    """Exact min-violation bipartition of omega; first vertex pinned to side +1.
-
-    Float vectorized search; candidates within 1e-9 of the float minimum
-    are re-scored in exact rationals.
-    """
-    m = len(omega)
-    edges = _internal_edges(g, omega)
-    if not edges:
-        return set(omega), Fraction(0)
-    codes = np.arange(1 << (m - 1), dtype=np.int64)
-    viol = np.zeros(len(codes))
-    for pu, pv, w, s in edges:
-        su = (codes >> (pu - 1)) & 1 if pu > 0 else np.zeros_like(codes)
-        sv = (codes >> (pv - 1)) & 1 if pv > 0 else np.zeros_like(codes)
-        crossing = (su ^ sv).astype(bool)
-        viol += np.where(crossing if s == 1 else ~crossing, w, 0.0)
-    fmin = viol.min()
-    cand = np.nonzero(viol <= fmin + 1e-9 * (1.0 + abs(fmin)))[0]
-    best_val, best_side = None, None
-    oset = set(omega)
-    for code in cand:
-        # label 0 is the pinned side of omega[0]
-        side = {omega[0]} | {omega[i + 1] for i in range(m - 1) if not (int(code) >> i) & 1}
-        # tau = +1 exactly on `side` within omega
-        val = _pinned_cut(g, oset, side)
-        if best_val is None or val < best_val:
-            best_val, best_side = val, side
-    return best_side, best_val
-
-
-def _frustration_local_search(g: SignedGraph, omega: list[int], restarts: int = 16) -> set[int]:
+def _frustration_local_search(d, omega, restarts: int = 16) -> set[int]:
+    """Side +1 of omega after flip-improving local search from random
+    labelings; gains are exact integers."""
     rng = np.random.default_rng(0)
-    edges = _internal_edges(g, omega)
+    edges = list(zip(*(a.tolist() for a in _induced(d, omega))))
     best_side, best = None, None
     for _ in range(restarts):
         lab = rng.integers(0, 2, size=len(omega))
@@ -163,21 +164,17 @@ def _frustration_local_search(g: SignedGraph, omega: list[int], restarts: int = 
         while improved:
             improved = False
             for i in range(len(omega)):
-                gain = 0.0
-                for pu, pv, w, s in edges:
-                    if i not in (pu, pv):
-                        continue
-                    crossing = lab[pu] != lab[pv]
-                    bad_now = (s == 1) == crossing
-                    bad_flip = (s == 1) == (not crossing)
-                    gain += (1 if bad_now else 0) * w - (1 if bad_flip else 0) * w
-                if gain > 1e-12:
+                gain = 0
+                for pu, pv, s, w in edges:
+                    if i in (pu, pv):
+                        # a flip fixes a violated edge and breaks a satisfied one
+                        gain += w if (lab[pu] != lab[pv]) == (s == 1) else -w
+                if gain > 0:
                     lab[i] ^= 1
                     improved = True
-        side = {omega[i] for i in range(len(omega)) if lab[i] == 1}
-        val = _pinned_cut(g, set(omega), side)
+        val = _numerators((1 - 2 * lab)[None], *_induced(d, omega))[0]
         if best is None or val < best:
-            best, best_side = val, side
+            best, best_side = val, {int(omega[i]) for i in range(len(omega)) if lab[i] == 1}
     return best_side
 
 
@@ -193,32 +190,13 @@ class CheegerResult:
         return float(self.value)
 
 
-def _subset_scores(g: SignedGraph, n: int):
-    """b[mask] = min over bipartitions of mask of beta, with witness side."""
-    b: list[Fraction | None] = [None] * (1 << n)
-    side_of: list[set[int] | None] = [None] * (1 << n)
-    for mask in range(1, 1 << n):
-        omega = [i for i in range(n) if mask >> i & 1]
-        side, cut = _best_bipartition(g, omega)
-        val = (2 * cut + _boundary(g, set(omega))) / _volume(g, omega)
-        b[mask] = val
-        side_of[mask] = side
-    return b, side_of
-
-
-def cheeger_k(
-    g: SignedGraph,
-    k: int,
-    caps: dict[int, int] | None = None,
-    heuristic: bool = False,
-) -> CheegerResult:
+def cheeger_k(g: SignedGraph, k: int, heuristic: bool = False) -> CheegerResult:
     """Exact k-way signed Cheeger constant by subset enumeration + packing DP."""
     _require_zero_kappa(g, "cheeger_k")
     n = g.n
     if not 1 <= k <= n:
         raise GraphError(f"k must be between 1 and n={n}")
-    caps = {**DEFAULT_CAPS, **(caps or {})}
-    cap = caps.get(k, caps.get(3, 8))
+    cap = DEFAULT_CAPS.get(k, DEFAULT_CAPS[3])
     if n > cap:
         if not heuristic:
             raise GraphError(
@@ -226,75 +204,71 @@ def cheeger_k(
                 f"(graph has n={n}); pass heuristic=True for a flagged local search"
             )
         return _cheeger_k_heuristic(g, k)
-    b, side_of = _subset_scores(g, n)
-    full = (1 << n) - 1
+    d = eu, ev, _, w, mu = _int_arrays(g)
+    size = 1 << n
+    full = size - 1
+    # Per mask: its boundary (the numerator of 1_mask on the all-positive
+    # signature) and volume, then plus the least iota over its bipartitions.
+    bits = ((np.arange(size)[:, None] >> np.arange(n)) & 1).astype(np.int8)
+    num, vol = _numerators(bits, eu, ev, 1, w), bits @ mu
+    codes = [0] * size
+    for mask in range(1, size):
+        codes[mask], iota = _best_bipartition(d, np.flatnonzero(bits[mask]))
+        num[mask] += iota
 
-    # d[j][mask]: minimal max-beta over j disjoint nonempty groups inside mask.
-    d_prev = [None] * (1 << n)
-    choice: list[list[int | None]] = []
-    # j = 1: min over nonempty submasks, via subset-min transform with witnesses.
-    d1 = list(b)
-    c1: list[int | None] = list(range(1 << n))
-    c1[0] = None
+    # Rank the scores num / vol exactly: two different ones, both with a
+    # denominator at most V = vol[full], differ by at least 1 / V**2, so
+    # floor(score * V**2) keeps their order and their ties.
+    scale = int(vol[full]) ** 2
+    keys = [a * scale // b for a, b in zip(num[1:].tolist(), vol[1:].tolist())]
+    _, rank = np.unique(np.array(keys, dtype=object), return_inverse=True)
+    inf = size  # above every rank; stands for "no family fits"
+    b = np.concatenate(([inf], rank.ravel()))
+
+    # D_j[mask]: minimal max-rank over j disjoint nonempty groups inside mask.
+    # j = 1: min over nonempty submasks, via subset-min transform with
+    # witnesses; per bit, masks with the bit take the strictly smaller value
+    # of the mask without it.
+    d1, c1 = b.copy(), np.arange(size)
     for bit in range(n):
-        step = 1 << bit
-        for mask in range(1 << n):
-            if mask & step:
-                o = mask ^ step
-                if o and d1[o] is not None and (d1[mask] is None or d1[o] < d1[mask]):
-                    d1[mask] = d1[o]
-                    c1[mask] = c1[o]
-    d_prev, choice_layers = d1, [c1]
+        dv, cv = d1.reshape(-1, 2, 1 << bit), c1.reshape(-1, 2, 1 << bit)
+        better = dv[:, 0] < dv[:, 1]
+        dv[:, 1] = np.where(better, dv[:, 0], dv[:, 1])
+        cv[:, 1] = np.where(better, cv[:, 0], cv[:, 1])
+    b, d_prev, choice_layers = b.tolist(), d1.tolist(), [c1.tolist()]
 
     for _j in range(2, k + 1):
-        d_cur: list[Fraction | None] = [None] * (1 << n)
-        c_cur: list[int | None] = [None] * (1 << n)
-        for mask in range(1, 1 << n):
+        d_cur, c_cur = [inf] * size, [0] * size
+        for mask in range(1, size):
             sub = mask
             while sub:
-                rest = mask ^ sub
-                if d_prev[rest] is not None:
-                    cand = max(b[sub], d_prev[rest])
-                    if d_cur[mask] is None or cand < d_cur[mask]:
-                        d_cur[mask] = cand
-                        c_cur[mask] = sub
+                cand = max(b[sub], d_prev[mask ^ sub])
+                if cand < d_cur[mask]:
+                    d_cur[mask] = cand
+                    c_cur[mask] = sub
                 sub = (sub - 1) & mask
         d_prev = d_cur
         choice_layers.append(c_cur)
 
-    value = d_prev[full]
-    if value is None:
-        raise GraphError(f"no {k}-sub-bipartition exists")
-
     # Reconstruct the optimal family.
-    pairs = []
-    pair_values = []
-    mask = full
-    for j in range(k, 0, -1):
-        if j == 1:
-            sub = choice_layers[0][mask]
-        else:
-            sub = choice_layers[j - 1][mask]
-            mask ^= sub
-        omega = {i for i in range(n) if sub >> i & 1}
-        side = side_of[sub]
-        v1 = tuple(sorted(side))
-        v2 = tuple(sorted(omega - side))
-        pairs.append((v1, v2))
-        pair_values.append(b[sub])
-    pairs.reverse()
-    pair_values.reverse()
+    family, mask = [], full
+    for layer in reversed(choice_layers):
+        family.append(layer[mask])
+        mask ^= family[-1]
+    family.reverse()
+    pair_values = tuple(Fraction(int(num[sub]), int(vol[sub])) for sub in family)
     return CheegerResult(
-        value=value,
-        pairs=tuple(pairs),
-        pair_values=tuple(pair_values),
-        subsets_scored=(1 << n) - 1,
+        value=max(pair_values),
+        pairs=tuple(_sides(np.flatnonzero(bits[sub]), codes[sub]) for sub in family),
+        pair_values=pair_values,
+        subsets_scored=full,
     )
 
 
 def _cheeger_k_heuristic(g: SignedGraph, k: int, restarts: int = 32) -> CheegerResult:
     """Local search over vertex assignments; result flagged inexact."""
     rng = np.random.default_rng(1)
+    d = _int_arrays(g)
     n = g.n
     best_val, best_assign = None, None
     for _ in range(restarts):
@@ -306,7 +280,7 @@ def _cheeger_k_heuristic(g: SignedGraph, k: int, restarts: int = 32) -> CheegerR
         improved = True
         while improved:
             improved = False
-            cur = _assignment_value(g, assign, k)
+            cur = _assignment_value(d, assign, k)
             if cur is None:
                 break
             for x in range(n):
@@ -315,14 +289,14 @@ def _cheeger_k_heuristic(g: SignedGraph, k: int, restarts: int = 32) -> CheegerR
                     if new == old:
                         continue
                     assign[x] = new
-                    val = _assignment_value(g, assign, k)
-                    if val is not None and val < cur:
+                    val = _assignment_value(d, assign, k)
+                    if val is not None and _less(val, cur):
                         cur = val
                         improved = True
                         break
                     assign[x] = old
-        val = _assignment_value(g, assign, k)
-        if val is not None and (best_val is None or val < best_val):
+        val = _assignment_value(d, assign, k)
+        if val is not None and (best_val is None or _less(val, best_val)):
             best_val, best_assign = val, assign.copy()
     pairs = []
     vals = []
@@ -332,7 +306,7 @@ def _cheeger_k_heuristic(g: SignedGraph, k: int, restarts: int = 32) -> CheegerR
         pairs.append((v1, v2))
         vals.append(beta(g, v1, v2))
     return CheegerResult(
-        value=best_val,
+        value=Fraction(*best_val),
         pairs=tuple(pairs),
         pair_values=tuple(vals),
         subsets_scored=0,
@@ -340,19 +314,22 @@ def _cheeger_k_heuristic(g: SignedGraph, k: int, restarts: int = 32) -> CheegerR
     )
 
 
-def _assignment_value(g: SignedGraph, assign, k: int) -> Fraction | None:
-    vals = []
-    for i in range(k):
-        v1 = [int(x) for x in np.nonzero(assign == 2 * i + 1)[0]]
-        v2 = [int(x) for x in np.nonzero(assign == 2 * i + 2)[0]]
-        if not v1 and not v2:
-            return None
-        vals.append(beta(g, v1, v2))
-    return max(vals)
+def _assignment_value(d, assign, k: int) -> tuple[int, int] | None:
+    """The largest group quotient (numerator, denominator) of an
+    assignment, or None when a group is empty."""
+    group = (assign + 1) // 2  # 0 unused, i + 1 for group i
+    sides = np.where(assign % 2, 1, -1).astype(np.int8)
+    t = np.where(group == np.arange(1, k + 1)[:, None], sides, 0)
+    if not t.any(axis=1).all():
+        return None
+    best = (0, 1)
+    for q in zip(*(a.tolist() for a in _quotients(d, t))):
+        if _less(best, q):
+            best = q
+    return best
 
 
-def check_theorem41(g: SignedGraph, p: float, k: int, lambda_k: float, m: int,
-                    caps: dict[int, int] | None = None) -> dict:
+def check_theorem41(g: SignedGraph, p: float, k: int, lambda_k: float, m: int) -> dict:
     """Two-sided Cheeger bound check for a certified variational eigenvalue.
 
     Evaluates (2^(p-1) / (C^(p-1) p^p)) h_m^p <= lambda_k <= 2^(p-1) h_k
@@ -361,8 +338,8 @@ def check_theorem41(g: SignedGraph, p: float, k: int, lambda_k: float, m: int,
     _require_zero_kappa(g, "check_theorem41")
     deg = g.weighted_degrees()
     c_const = float(np.max(deg / g.mu_array()))
-    h_m = float(cheeger_k(g, m, caps).value)
-    h_k = float(cheeger_k(g, k, caps).value)
+    h_m = float(cheeger_k(g, m).value)
+    h_k = float(cheeger_k(g, k).value)
     lower = 2.0 ** (p - 1) / (c_const ** (p - 1) * p ** p) * h_m ** p
     upper = 2.0 ** (p - 1) * h_k
     return {

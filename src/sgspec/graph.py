@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -52,6 +52,15 @@ def _is(x, kind) -> bool:
         t is not bool and isinstance(x, kind))
 
 
+def _cached_array(values, dtype) -> cached_property:
+    """A read-only ``dtype`` array of ``values(graph)``, built on first use."""
+    def build(g):
+        arr = np.array(values(g), dtype)
+        arr.flags.writeable = False
+        return arr
+    return cached_property(build)
+
+
 @dataclass(frozen=True)
 class SignedGraph:
     """Immutable vertex- and edge-weighted graph with a +-1 signature.
@@ -59,25 +68,16 @@ class SignedGraph:
     ``edges`` is a tuple of ``(u, v, w, sigma)`` with dense indices
     ``u < v``, finite weight ``w > 0`` and ``sigma in {-1, +1}`` an int;
     ``mu`` is finite and positive, ``kappa`` finite. The constructor is the
-    one validator of these rules. It also caches read-only numeric views:
-    the edge columns ``eu``, ``ev`` (intp), ``ew``, ``es`` (float), mu,
-    kappa and the adjacency lists; ``scaled_ints``, the exact integer
-    view, is built on first use.
+    one validator of these rules. Its numeric views are read-only and built
+    on first use: the edge columns ``eu``, ``ev`` (intp), ``ew``, ``es``
+    (float), mu, kappa, the adjacency lists and ``scaled_ints``, the exact
+    integer view.
     """
 
     ids: tuple[str, ...]
     mu: tuple[float, ...]
     kappa: tuple[float, ...]
     edges: tuple[tuple[int, int, float, int], ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _adj: tuple[tuple[tuple[int, float, int], ...], ...] = field(init=False, repr=False,
-                                                                 compare=False)
-    _mu: np.ndarray = field(init=False, repr=False, compare=False)
-    _kappa: np.ndarray = field(init=False, repr=False, compare=False)
-    eu: np.ndarray = field(init=False, repr=False, compare=False)
-    ev: np.ndarray = field(init=False, repr=False, compare=False)
-    ew: np.ndarray = field(init=False, repr=False, compare=False)
-    es: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.ids)
@@ -93,7 +93,6 @@ class SignedGraph:
         def edge_error(u, v, what):
             return GraphError(f"edge {{{self.ids[u]},{self.ids[v]}}}: {what}")
 
-        adj: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
         seen = set()
         for u, v, w, s in self.edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -109,17 +108,23 @@ class SignedGraph:
                 raise edge_error(u, v, f"weight must be positive and finite, got {w}")
             if not (_is(s, numbers.Integral) and s in (-1, 1)):
                 raise edge_error(u, v, f"signature must be the integer -1 or +1, got {s!r}")
+
+    # Numeric views, each built on first use and then kept.
+    eu = _cached_array(lambda g: [e[0] for e in g.edges], np.intp)
+    ev = _cached_array(lambda g: [e[1] for e in g.edges], np.intp)
+    ew = _cached_array(lambda g: [e[2] for e in g.edges], float)
+    es = _cached_array(lambda g: [e[3] for e in g.edges], float)
+    _mu = _cached_array(lambda g: g.mu, float)
+    _kappa = _cached_array(lambda g: g.kappa, float)
+    _index = cached_property(lambda g: {vid: i for i, vid in enumerate(g.ids)})
+
+    @cached_property
+    def _adj(self) -> tuple[tuple[tuple[int, float, int], ...], ...]:
+        adj: list[list[tuple[int, float, int]]] = [[] for _ in range(self.n)]
+        for u, v, w, s in self.edges:
             adj[u].append((v, w, s))
             adj[v].append((u, w, s))
-        object.__setattr__(self, "_index", {vid: i for i, vid in enumerate(self.ids)})
-        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
-        u, v, w, s = zip(*self.edges) if self.edges else ((),) * 4
-        for attr, col, dtype in (("eu", u, np.intp), ("ev", v, np.intp), ("ew", w, float),
-                                 ("es", s, float), ("_mu", self.mu, float),
-                                 ("_kappa", self.kappa, float)):
-            arr = np.fromiter(col, dtype, len(col))
-            arr.flags.writeable = False
-            object.__setattr__(self, attr, arr)
+        return tuple(map(tuple, adj))
 
     @property
     def n(self) -> int:
@@ -157,7 +162,7 @@ class SignedGraph:
         """Exact integer view ``(mu, kappa, edges, adjacency)``: every mu,
         kappa and edge weight times one common denominator (a power of two
         for float data), so sums and ratios of them compare exactly in
-        Python ints. Built on first use, then kept."""
+        Python ints."""
         weights = [w for _, _, w, _ in self.edges]
         ratios = [Fraction(x).as_integer_ratio() for x in (*self.mu, *self.kappa, *weights)]
         den = math.lcm(*(d for _, d in ratios))

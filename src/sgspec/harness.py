@@ -357,8 +357,7 @@ def _run_trial(cfg: SuiteConfig, trial: int, agg, failures):
             lam_k = float(spec.values[k - 1])
             f = _clean_zeros(spec.vectors[:, k - 1])
             m = strong_domains(g, f)[0]
-            rec = _cheeger.check_theorem41(g, 2.0, k, lam_k, m,
-                                           caps={1: 8, 2: 8, 3: 8})
+            rec = _cheeger.check_theorem41(g, 2.0, k, lam_k, m)
             _record(agg, failures, "cheeger-bounds", rec["pass"],
                     _bundle("cheeger-bounds", cfg, trial, g, {"record": rec}))
 
@@ -368,7 +367,7 @@ def _run_trial(cfg: SuiteConfig, trial: int, agg, failures):
                     skip_reason="n over 1-Laplacian enumeration budget")
         else:
             ols = one_lap_enumerate(g)
-            h1 = _cheeger.cheeger_k(g, 1, caps={1: 8}).value
+            h1 = _cheeger.cheeger_k(g, 1).value
             _record(agg, failures, "onelap-h1", ols.lambda_1 == h1,
                     _bundle("onelap-h1", cfg, trial, g,
                             {"lambda_1": str(ols.lambda_1), "h_1": str(h1)}))

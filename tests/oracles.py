@@ -203,23 +203,45 @@ def nonzero_patterns(n: int):
 
 
 def cheeger_h1_oracle(g: SignedGraph) -> Fraction:
-    """h_1 by direct minimization of (iota + boundary) / volume over subsets."""
-    from sgspec.cheeger import frustration_index
-
+    """h_1 by direct minimization over nonempty subsets Omega and all
+    switchings tau on Omega of (2 * violated weight inside Omega + boundary
+    weight) / mu(Omega), in Fractions; an edge uv inside Omega is violated
+    when tau_u sigma_uv tau_v = -1."""
+    edges = [(u, v, Fraction(w), s) for u, v, w, s in g.edges]
     best = None
-    n = g.n
-    for mask in range(1, 1 << n):
-        omega = [x for x in range(n) if mask >> x & 1]
-        iota, _, _ = frustration_index(g, omega)
-        bound = sum(
-            Fraction(w)
-            for u, v, w, _ in g.edges
-            if (u in omega) != (v in omega)
-        )
+    for mask in range(1, 1 << g.n):
+        omega = [x for x in range(g.n) if mask >> x & 1]
+        bound = sum(w for u, v, w, _ in edges if (u in omega) != (v in omega))
         vol = sum(Fraction(g.mu[x]) for x in omega)
-        val = (iota + bound) / vol
-        if best is None or val < best:
-            best = val
+        inside = [(u, v, w, s) for u, v, w, s in edges if u in omega and v in omega]
+        for signs in product((1, -1), repeat=len(omega)):
+            tau = dict(zip(omega, signs))
+            iota = sum(2 * w for u, v, w, s in inside if tau[u] * s * tau[v] == -1)
+            val = (iota + bound) / vol
+            if best is None or val < best:
+                best = val
+    return best
+
+
+def cheeger_k_oracle(g: SignedGraph, k: int) -> Fraction:
+    """h_k by brute force over all assignments of the vertices to unused,
+    V1_i or V2_i (i < k) with every V1_i + V2_i nonempty: the minimum over
+    them of the largest beta(V1_i, V2_i), each the 1-Rayleigh quotient
+    sum_e w_e |t_u - sigma_e t_v| / sum_x mu_x |t_x| of t = 1_V1_i - 1_V2_i
+    in Fractions. Meant for n <= 5 and k <= 3."""
+    beta_of = {}
+    for t in product((0, 1, -1), repeat=g.n):
+        if any(t):
+            num = sum(Fraction(w) * abs(t[u] - s * t[v]) for u, v, w, s in g.edges)
+            beta_of[t] = num / sum(Fraction(m) * abs(x) for m, x in zip(g.mu, t))
+    best = None
+    for assign in product(range(2 * k + 1), repeat=g.n):
+        groups = [tuple(1 if a == 2 * i + 1 else -1 if a == 2 * i + 2 else 0 for a in assign)
+                  for i in range(k)]
+        if all(any(t) for t in groups):
+            val = max(beta_of[t] for t in groups)
+            if best is None or val < best:
+                best = val
     return best
 
 

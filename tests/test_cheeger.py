@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgspec.cheeger import beta, cheeger_k, check_theorem41, frustration_index
+from sgspec.cheeger import _int_arrays, beta, cheeger_k, check_theorem41, frustration_index
 from sgspec.graph import GraphError, SignedGraph, balance_state, components, switch
-from sgspec.graph import BalanceState, induced_subgraph
+from sgspec.graph import BalanceState, induced_subgraph, with_degree_measure
 from sgspec.operators import rayleigh
 
-from oracles import cheeger_h1_oracle
+from oracles import cheeger_h1_oracle, cheeger_k_oracle
 from test_graph import complete, path, random_graph, triangle
+from test_spectra import repro_graph
 
 F = Fraction
 
@@ -208,6 +209,48 @@ class TestCheegerK:
     def test_k_out_of_range(self):
         with pytest.raises(GraphError):
             cheeger_k(complete(3), 4)
+
+
+def oracle_corpus():
+    """Seeded zero-kappa graphs for the brute-force oracles, n 3-5, as
+    (kind, graph): dyadic non-unit mu, degree mu, the repro graph and an
+    unbalanced copy (one edge negated; mu = 1e9 on three vertices), and
+    weights spread over 1e-9 .. 1e9. The last three need scores beyond
+    int64."""
+    rng = np.random.default_rng(47)
+    corpus = []
+    for n in (3, 4, 5, 5):
+        g = random_zero_kappa(rng, n, density=0.9)
+        mu = tuple(float(rng.choice((0.25, 0.5, 1.5, 2.0, 3.0))) for _ in range(n))
+        corpus.append(("dyadic-mu", SignedGraph(g.ids, mu, g.kappa, g.edges)))
+    for n in (4, 5):
+        corpus.append(("degree-mu", with_degree_measure(random_zero_kappa(rng, n, 0.9))))
+    repro, _ = repro_graph()
+    (u, v, w, _), *rest = repro.edges
+    negated = SignedGraph(repro.ids, repro.mu, repro.kappa, ((u, v, w, -1), *rest))
+    corpus += [("repro", repro), ("repro", negated)]
+    for n in (4, 5):
+        g = random_zero_kappa(rng, n, density=0.9)
+        scales = rng.permutation(np.logspace(-9, 9, len(g.edges)))
+        edges = tuple((u, v, float(rng.uniform(1, 2) * x), s)
+                      for (u, v, _, s), x in zip(g.edges, scales))
+        corpus.append(("wide-weights", SignedGraph(g.ids, g.mu, g.kappa, edges)))
+    return corpus
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("kind, g", oracle_corpus(),
+                             ids=lambda x: x if isinstance(x, str) else "")
+    def test_cheeger_k_equals_brute_force(self, kind, g):
+        # the exact integer scores run in int64 or, when they may not fit, in Python ints
+        wide = kind in ("repro", "wide-weights")
+        assert _int_arrays(g)[3].dtype == (object if wide else np.int64)
+        assert cheeger_k_oracle(g, 1) == cheeger_h1_oracle(g)
+        for k in range(1, min(3, g.n) + 1):
+            res = cheeger_k(g, k)
+            assert res.value == cheeger_k_oracle(g, k)
+            for (v1, v2), val in zip(res.pairs, res.pair_values):
+                assert beta(g, v1, v2) == val
 
 
 class TestTheoremCheck:

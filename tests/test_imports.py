@@ -1,6 +1,7 @@
 """Every import in the package modules is used (a stdlib stand-in for a
-linter's unused-import rule). ``__init__.py`` is exempt: its imports are
-re-exports."""
+linter's unused-import rule; ``__init__.py`` is exempt, its imports are
+re-exports), and every private module-level helper is read somewhere in
+the package."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,50 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom math import pi, tau\nprint(pi)\n") == [
         "os (line 1)", "tau (line 2)"]
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level private functions, classes and constants; dunders are exempt."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                out[name] = node.lineno
+    return out
+
+
+def dead_private_helpers(sources: dict[str, str]) -> list[str]:
+    """Private module-level definitions that no module of ``sources``
+    ({file name: source}) reads, as a name, an attribute or an import."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(f"{mod}: {name} (line {line})" for mod, tree in trees.items()
+                  for name, line in private_definitions(tree).items() if name not in used)
+
+
+def test_no_dead_private_helpers():
+    assert dead_private_helpers({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_detects_a_dead_private_helper():
+    sources = {
+        "a.py": "def _used(): pass\ndef _dead(): pass\n_CAP = 3\n__all__ = []\n"
+                "class _Gone: pass\n_used()\n",
+        "b.py": "from a import _CAP\n",
+    }
+    assert dead_private_helpers(sources) == ["a.py: _Gone (line 5)", "a.py: _dead (line 2)"]
