@@ -1,16 +1,19 @@
 """Random instances, symmetric-matrix import and the empirical check suite.
 
-The suite generates seeded random signed graphs and runs the certified
-checks from the other modules (nodal bounds, interlacing, Cheeger bounds,
-extremal positivity, surgery preservation). Every failing trial is emitted
-as a replayable bundle; per-trial RNG is derived from (seed, trial) so
-results never depend on execution order.
+The suite draws seeded random signed graphs and runs the certified checks
+of the other modules on them. The checks are functions in one table,
+``_CHECKS``, which also fixes the order they run in; one driver records
+their outcomes. In every trial each enabled check records a verdict or a
+named skip, and each failing verdict becomes a replayable (seed, trial,
+graph, inputs) bundle. The RNG of a trial is seeded from (seed, trial), so
+no trial depends on the trials before it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,23 +120,187 @@ def import_symmetric_matrix(m) -> tuple[SignedGraph, dict]:
     return g, {"diagonal_shift": {ids[i]: -shifts[i] for i in range(n)}}
 
 
-def _clean_zeros(f: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+_ZERO_RTOL = 1e-9
+
+
+def _clean_zeros(f: np.ndarray) -> np.ndarray:
     out = f.copy()
-    out[np.abs(out) <= rtol * np.max(np.abs(out))] = 0.0
+    out[np.abs(out) <= _ZERO_RTOL * np.max(np.abs(out))] = 0.0
     return out
 
 
-ALL_CHECKS = (
-    "nodal-bounds",
-    "interlacing-edge",
-    "interlacing-node",
-    "count-identity",
-    "surgery-preservation",
-    "perron-frobenius",
-    "cheeger-bounds",
-    "onelap-h1",
-    "weak-balanced-two",
-)
+def _solid_edge(g: SignedGraph, f: np.ndarray):
+    """First edge whose endpoints are both solidly nonzero in f, or None.
+
+    Near-zero endpoints would let the kappa compensation of edge surgery
+    amplify eigensolver rounding through the value ratio.
+    """
+    floor = 1e-2 * np.max(np.abs(f))
+    return next(((u, v) for u, v, _, _ in g.edges
+                 if abs(f[u]) > floor and abs(f[v]) > floor), None)
+
+
+_NO_SOLID_EDGE = "no edge with both endpoints nonzero"
+
+
+class _Verdict(NamedTuple):
+    ok: bool
+    extra: dict  # the failure bundle's inputs
+    graph: SignedGraph | None = None  # the bundled graph, when not the trial's
+
+
+class _Trial:
+    """What the checks of one trial share.
+
+    The trial rng is seeded from (seed, trial). It draws n, then the main
+    graph g; ``spec`` is g's p = 2 spectrum and c its number of
+    components. Checks draw from the same rng in table order.
+    """
+
+    def __init__(self, cfg: SuiteConfig, trial: int):
+        self.cfg = cfg
+        self.rng = np.random.default_rng((cfg.seed, trial))
+        self.n = int(self.rng.integers(cfg.n_min, cfg.n_max + 1))
+        self.g = self.draw(cfg.models[trial % len(cfg.models)])
+        self.spec = spectrum_p2(self.g)
+        self.c = len(components(self.g))
+
+    def draw(self, model: str) -> SignedGraph:
+        """A connected graph on n vertices, seeded by the next trial draw."""
+        return random_signed_graph(self.n, self.cfg.density, model,
+                                   seed=int(self.rng.integers(0, 2**31)),
+                                   mu_mode=self.cfg.mu_mode, connected=True)
+
+
+# Each check yields, per trial, at least one outcome: a _Verdict or a skip
+# reason (a str).
+
+def _uncertified(t: _Trial):
+    # Eigenvalue-position checks need certified placements, i.e. p = 2.
+    for p in t.cfg.p_list:
+        if p != 2.0:
+            yield f"interior eigenvalues uncertified for p={p}"
+
+
+def _nodal_bounds(t: _Trial):
+    yield from _uncertified(t)
+    if 2.0 not in t.cfg.p_list:
+        return
+    for grp in t.spec.groups:
+        f = _clean_zeros(t.spec.vectors[:, grp[0]])
+        ctx = SpectrumContext(k=grp[0] + 1, r=len(grp), c=t.c,
+                              lam=float(t.spec.values[grp[0]]), p=2.0)
+        rep = bound_report(t.g, f, ctx)
+        yield _Verdict(rep["all_pass"], {"function": list(map(float, f)), "report": rep})
+
+
+def _count_identity(t: _Trial):
+    f = t.rng.standard_normal(t.n)
+    f[t.rng.random(t.n) < 0.4] = 0.0
+    if not np.any(f):
+        yield "drawn function is zero"
+        return
+    yield _Verdict(nodal_quantities(t.g, f).identity_ok, {"function": list(map(float, f))})
+
+
+def _interlacing_edge(t: _Trial):
+    f = t.spec.vectors[:, -1]
+    edge = _solid_edge(t.g, f)
+    if edge is None:
+        yield _NO_SOLID_EDGE
+        return
+    rep = interlacing_check_p2(t.g, [{"kind": "remove_edge", "edge": edge, "f": f}],
+                               tol=t.cfg.tol)
+    yield _Verdict(rep["all_pass"], {"edge": list(edge), "function": list(map(float, f))})
+
+
+def _interlacing_node(t: _Trial):
+    x = int(t.rng.integers(0, t.n))
+    rep = interlacing_check_p2(t.g, [{"kind": "remove_node", "node": x}], tol=t.cfg.tol)
+    yield _Verdict(rep["all_pass"], {"node": x})
+
+
+def _surgery_preservation(t: _Trial):
+    k = int(t.rng.integers(0, t.n))
+    lam, f = float(t.spec.values[k]), t.spec.vectors[:, k]
+    edge = _solid_edge(t.g, f)
+    if edge is None:
+        yield _NO_SOLID_EDGE
+        return
+    res = remove_edge(t.g, 2.0, f, edge)
+    cert = check_eigenpair(res.graph, EigenPair(lam, res.f, 2.0), tol=t.cfg.tol)
+    yield _Verdict(cert.verdict, {"edge": list(edge), "lambda": lam,
+                                  "residual": cert.max_residual})
+
+
+def _perron_frobenius(t: _Trial):
+    ganti = t.draw("antibalanced")
+    anti_tau = balance_state(ganti).antibalancing_tau
+    for p in t.cfg.p_list:
+        if p <= 1:
+            yield "extremal solver requires p > 1"
+            continue
+        ext = extremal_p(ganti, p, seed=int(t.rng.integers(0, 2**31)))
+        fmax = ext.f_max / np.max(np.abs(ext.f_max))
+        switched = np.array(anti_tau) * fmax
+        positive = bool(np.min(switched * np.sign(switched[np.argmax(np.abs(switched))]))
+                        > 1e-8)
+        ok = ext.converged_max and ext.residual_max <= 1e-8 and positive
+        if p == 2.0:
+            sa = spectrum_p2(ganti)
+            ok = ok and (sa.values[-1] - sa.values[-2] > 0)
+        yield _Verdict(ok, {"p": p, "lambda_max": ext.lambda_max,
+                            "residual": ext.residual_max}, ganti)
+
+
+def _cheeger_bounds(t: _Trial):
+    yield from _uncertified(t)
+    if 2.0 not in t.cfg.p_list:
+        return
+    if t.n > 8:
+        yield "n over exact Cheeger cap"
+        return
+    k = int(t.rng.integers(1, t.n + 1))
+    f = _clean_zeros(t.spec.vectors[:, k - 1])
+    rec = _cheeger.check_theorem41(t.g, 2.0, k, float(t.spec.values[k - 1]),
+                                   strong_domains(t.g, f)[0])
+    yield _Verdict(rec["pass"], {"record": rec})
+
+
+def _onelap_h1(t: _Trial):
+    if t.n > 8:
+        yield "n over 1-Laplacian enumeration budget"
+        return
+    lam1 = one_lap_enumerate(t.g).lambda_1
+    h1 = _cheeger.cheeger_k(t.g, 1).value
+    yield _Verdict(lam1 == h1, {"lambda_1": str(lam1), "h_1": str(h1)})
+
+
+def _weak_balanced_two(t: _Trial):
+    gbal = t.draw("balanced")
+    sb = spectrum_p2(gbal)
+    if sb.values[1] - sb.values[0] < 1e-9:
+        yield "second eigenvalue not separated from the first"
+        return
+    f = _clean_zeros(sb.vectors[:, 1])
+    wc = weak_domains(gbal, f)[0]
+    yield _Verdict(wc == 2, {"weak_count": wc, "function": list(map(float, f))}, gbal)
+
+
+# The only list of check names, in execution order: checks that draw from
+# the trial rng must keep their places, or every later draw changes.
+_CHECKS = {
+    "nodal-bounds": _nodal_bounds,
+    "count-identity": _count_identity,
+    "interlacing-edge": _interlacing_edge,
+    "interlacing-node": _interlacing_node,
+    "surgery-preservation": _surgery_preservation,
+    "perron-frobenius": _perron_frobenius,
+    "cheeger-bounds": _cheeger_bounds,
+    "onelap-h1": _onelap_h1,
+    "weak-balanced-two": _weak_balanced_two,
+}
+ALL_CHECKS = tuple(_CHECKS)
 
 
 @dataclass(frozen=True)
@@ -213,179 +380,23 @@ class SuiteReport:
         return json.dumps(doc, sort_keys=True, indent=2, default=str)
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng((seed, trial))
-
-
-def _record(agg, failures, check, ok, bundle=None, skip_reason=None):
-    a = agg.setdefault(
-        check, {"checked": 0, "passed": 0, "failed": 0, "skipped": 0, "skip_reasons": {}}
-    )
-    if skip_reason is not None:
-        a["skipped"] += 1
-        a["skip_reasons"][skip_reason] = a["skip_reasons"].get(skip_reason, 0) + 1
-        return
-    a["checked"] += 1
-    if ok:
-        a["passed"] += 1
-    else:
-        a["failed"] += 1
-        if bundle is not None:
-            failures.append(bundle)
-
-
-def _bundle(check, cfg, trial, g, extra=None):
-    doc = {
-        "check": check,
-        "seed": cfg.seed,
-        "trial": trial,
-        "graph": serialize_graph(g).decode(),
-    }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def _run_trial(cfg: SuiteConfig, trial: int, agg, failures):
-    rng = _trial_rng(cfg.seed, trial)
-    model = cfg.models[trial % len(cfg.models)]
-    n = int(rng.integers(cfg.n_min, cfg.n_max + 1))
-    g = random_signed_graph(
-        n, cfg.density, model, seed=int(rng.integers(0, 2**31)),
-        mu_mode=cfg.mu_mode, connected=True,
-    )
-    spec = spectrum_p2(g)
-    c = len(components(g))
-
-    # Eigenvalue-position checks need certified placements, i.e. p = 2 here.
-    exact_p2 = 2.0 in cfg.p_list
-    for p in cfg.p_list:
-        if p not in (1.0, 2.0):
-            for check in ("nodal-bounds", "cheeger-bounds"):
-                if check in cfg.checks:
-                    _record(agg, failures, check, None,
-                            skip_reason=f"interior eigenvalues uncertified for p={p}")
-
-    if "nodal-bounds" in cfg.checks and exact_p2:
-        for grp in spec.groups:
-            k_first, r = grp[0] + 1, len(grp)
-            f = _clean_zeros(spec.vectors[:, grp[0]])
-            rep = bound_report(g, f, SpectrumContext(k=k_first, r=r, c=c,
-                                                     lam=float(spec.values[grp[0]]), p=2.0))
-            _record(agg, failures, "nodal-bounds", rep["all_pass"],
-                    _bundle("nodal-bounds", cfg, trial, g,
-                            {"function": list(map(float, f)), "report": rep}))
-
-    if "count-identity" in cfg.checks:
-        f = rng.standard_normal(g.n)
-        f[rng.random(g.n) < 0.4] = 0.0
-        if np.any(f):
-            q = nodal_quantities(g, f)
-            _record(agg, failures, "count-identity", q.identity_ok,
-                    _bundle("count-identity", cfg, trial, g, {"function": list(map(float, f))}))
-
-    if "interlacing-edge" in cfg.checks:
-        f = spec.vectors[:, -1]
-        # endpoints must be solidly nonzero or the kappa compensation
-        # amplifies eigensolver rounding through the value ratio
-        floor = 1e-2 * np.max(np.abs(f))
-        edge = next(((u, v) for u, v, _, _ in g.edges
-                     if abs(f[u]) > floor and abs(f[v]) > floor), None)
-        if edge is None:
-            _record(agg, failures, "interlacing-edge", None,
-                    skip_reason="no edge with both endpoints nonzero")
-        else:
-            rep = interlacing_check_p2(g, [{"kind": "remove_edge", "edge": edge, "f": f}],
-                                       tol=cfg.tol)
-            _record(agg, failures, "interlacing-edge", rep["all_pass"],
-                    _bundle("interlacing-edge", cfg, trial, g,
-                            {"edge": list(edge), "function": list(map(float, f))}))
-
-    if "interlacing-node" in cfg.checks:
-        x = int(rng.integers(0, g.n))
-        rep = interlacing_check_p2(g, [{"kind": "remove_node", "node": x}], tol=cfg.tol)
-        _record(agg, failures, "interlacing-node", rep["all_pass"],
-                _bundle("interlacing-node", cfg, trial, g, {"node": x}))
-
-    if "surgery-preservation" in cfg.checks:
-        k = int(rng.integers(0, g.n))
-        lam, f = float(spec.values[k]), spec.vectors[:, k]
-        floor = 1e-2 * np.max(np.abs(f))
-        edge = next(((u, v) for u, v, _, _ in g.edges
-                     if abs(f[u]) > floor and abs(f[v]) > floor), None)
-        if edge is None:
-            _record(agg, failures, "surgery-preservation", None,
-                    skip_reason="no edge with both endpoints nonzero")
-        else:
-            res = remove_edge(g, 2.0, f, edge)
-            cert = check_eigenpair(res.graph, EigenPair(lam, res.f, 2.0), tol=cfg.tol)
-            _record(agg, failures, "surgery-preservation", cert.verdict,
-                    _bundle("surgery-preservation", cfg, trial, g,
-                            {"edge": list(edge), "lambda": lam,
-                             "residual": cert.max_residual}))
-
-    if "perron-frobenius" in cfg.checks:
-        ganti = random_signed_graph(n, cfg.density, "antibalanced",
-                                    seed=int(rng.integers(0, 2**31)),
-                                    mu_mode=cfg.mu_mode, connected=True)
-        anti_tau = balance_state(ganti).antibalancing_tau
-        for p in cfg.p_list:
-            if p <= 1:
-                _record(agg, failures, "perron-frobenius", None,
-                        skip_reason="extremal solver requires p > 1")
+def _run_trial(cfg: SuiteConfig, trial: int, agg: dict, failures: list):
+    t = _Trial(cfg, trial)
+    for name, check in _CHECKS.items():
+        if name not in cfg.checks:
+            continue
+        a = agg[name]
+        for out in check(t):
+            if isinstance(out, str):
+                a["skipped"] += 1
+                a["skip_reasons"][out] = a["skip_reasons"].get(out, 0) + 1
                 continue
-            ext = extremal_p(ganti, p, seed=int(rng.integers(0, 2**31)))
-            fmax = ext.f_max / np.max(np.abs(ext.f_max))
-            switched = np.array(anti_tau) * fmax
-            positive = bool(np.min(switched * np.sign(switched[np.argmax(np.abs(switched))]))
-                            > 1e-8)
-            ok = ext.converged_max and ext.residual_max <= 1e-8 and positive
-            if p == 2.0:
-                sa = spectrum_p2(ganti)
-                ok = ok and (sa.values[-1] - sa.values[-2] > 0)
-            _record(agg, failures, "perron-frobenius", ok,
-                    _bundle("perron-frobenius", cfg, trial, ganti,
-                            {"p": p, "lambda_max": ext.lambda_max,
-                             "residual": ext.residual_max}))
-
-    if "cheeger-bounds" in cfg.checks and exact_p2:
-        if g.n > 8:
-            _record(agg, failures, "cheeger-bounds", None,
-                    skip_reason="n over exact Cheeger cap")
-        else:
-            k = int(rng.integers(1, g.n + 1))
-            lam_k = float(spec.values[k - 1])
-            f = _clean_zeros(spec.vectors[:, k - 1])
-            m = strong_domains(g, f)[0]
-            rec = _cheeger.check_theorem41(g, 2.0, k, lam_k, m)
-            _record(agg, failures, "cheeger-bounds", rec["pass"],
-                    _bundle("cheeger-bounds", cfg, trial, g, {"record": rec}))
-
-    if "onelap-h1" in cfg.checks:
-        if g.n > 8:
-            _record(agg, failures, "onelap-h1", None,
-                    skip_reason="n over 1-Laplacian enumeration budget")
-        else:
-            ols = one_lap_enumerate(g)
-            h1 = _cheeger.cheeger_k(g, 1).value
-            _record(agg, failures, "onelap-h1", ols.lambda_1 == h1,
-                    _bundle("onelap-h1", cfg, trial, g,
-                            {"lambda_1": str(ols.lambda_1), "h_1": str(h1)}))
-
-    if "weak-balanced-two" in cfg.checks:
-        gbal = random_signed_graph(n, cfg.density, "balanced",
-                                   seed=int(rng.integers(0, 2**31)),
-                                   mu_mode=cfg.mu_mode, connected=True)
-        sb = spectrum_p2(gbal)
-        if sb.values[1] - sb.values[0] < 1e-9:
-            _record(agg, failures, "weak-balanced-two", None,
-                    skip_reason="second eigenvalue not separated from the first")
-        else:
-            f = _clean_zeros(sb.vectors[:, 1])
-            wc = weak_domains(gbal, f)[0]
-            _record(agg, failures, "weak-balanced-two", wc == 2,
-                    _bundle("weak-balanced-two", cfg, trial, gbal,
-                            {"weak_count": wc, "function": list(map(float, f))}))
+            a["checked"] += 1
+            a["passed" if out.ok else "failed"] += 1
+            if not out.ok:
+                graph = t.g if out.graph is None else out.graph
+                failures.append({"check": name, "seed": cfg.seed, "trial": trial,
+                                 "graph": serialize_graph(graph).decode(), **out.extra})
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -394,11 +405,9 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     Deterministic for a given config; failures are returned as replayable
     (seed, trial, graph, inputs) bundles.
     """
-    agg: dict = {}
+    agg = {check: {"checked": 0, "passed": 0, "failed": 0, "skipped": 0, "skip_reasons": {}}
+           for check in cfg.checks}
     failures: list = []
-    for check in cfg.checks:
-        agg.setdefault(check, {"checked": 0, "passed": 0, "failed": 0,
-                               "skipped": 0, "skip_reasons": {}})
     for trial in range(cfg.trials):
         _run_trial(cfg, trial, agg, failures)
     return SuiteReport(config=cfg, aggregates=agg, failures=failures)
@@ -413,31 +422,19 @@ def example_3_1_check() -> dict:
     eigenfunction's count is reported instead.
     """
     n = 7
-    a = np.ones((n, n))
-    np.fill_diagonal(a, np.arange(1, n + 1))
-    g, _ = import_symmetric_matrix(a)
-    spec = spectrum_p2(g)
-    grp = next(grp for grp in spec.groups if 1 in grp)
-    counts = []
-    for idx in grp:
-        f = _clean_zeros(spec.vectors[:, idx])
-        counts.append(weak_domains(g, f)[0])
-
-    b = -np.ones((n, n))
-    np.fill_diagonal(b, np.arange(1, n + 1))
-    gb, _ = import_symmetric_matrix(b)
-    specb = spectrum_p2(gb)
-    grpb = next(grp for grp in specb.groups if 1 in grp)
-    counts_control = []
-    for idx in grpb:
-        f = _clean_zeros(specb.vectors[:, idx])
-        counts_control.append(weak_domains(gb, f)[0])
-
+    counts = {}
+    for sign in (1, -1):
+        a = sign * np.ones((n, n))
+        np.fill_diagonal(a, np.arange(1, n + 1))
+        g, _ = import_symmetric_matrix(a)
+        spec = spectrum_p2(g)
+        grp = next(grp for grp in spec.groups if 1 in grp)
+        counts[sign] = [weak_domains(g, _clean_zeros(spec.vectors[:, i]))[0] for i in grp]
     return {
-        "weak_counts": counts,
-        "degenerate": len(grp) > 1,
-        "control_weak_counts": counts_control,
+        "weak_counts": counts[1],
+        "degenerate": len(counts[1]) > 1,
+        "control_weak_counts": counts[-1],
         "expected": 1,
         "control_expected": 2,
-        "pass": counts == [1] and counts_control == [2],
+        "pass": counts[1] == [1] and counts[-1] == [2],
     }

@@ -210,24 +210,17 @@ def extremal_p(
         ("max", -1, spec2.vectors[:, -1]),
     ):
         starts = [warm] + [rng.standard_normal(g.n) for _ in range(restarts)]
-        best = None  # (certified, key, lam, f, res)
+        cands = []  # (certified, lam, f, res)
         for f0 in starts:
             f, r = _gradient_run(g, p, f0, sign, max_iter, step, rng)
             f, lam, res = _newton_polish(g, p, f, r)
             trace.append({"which": which, "lambda": lam, "residual": res})
-            certified = res <= tol
-            key = sign * lam
-            cand = (certified, key, lam, f, res)
-            if best is None:
-                best = cand
-            elif certified and not best[0]:
-                best = cand
-            elif certified == best[0]:
-                if (certified and key < best[1]) or (not certified and res < best[4]):
-                    best = cand
-        results[which] = best
-    cmin, _, lam_min, f_min, res_min = results["min"]
-    cmax, _, lam_max, f_max, res_max = results["max"]
+            cands.append((res <= tol, lam, f, res))
+        # certified first, then the extreme lambda, else the smallest
+        # residual; min keeps the first of equal keys
+        results[which] = min(cands, key=lambda c: (not c[0], sign * c[1] if c[0] else c[3]))
+    cmin, lam_min, f_min, res_min = results["min"]
+    cmax, lam_max, f_max, res_max = results["max"]
     return ExtremalResult(
         p=p,
         lambda_min=lam_min,

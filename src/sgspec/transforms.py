@@ -104,18 +104,11 @@ def remove_node(g: SignedGraph, x0: int, f=None) -> SurgeryResult:
     return SurgeryResult(graph=gq, f=f_new, kind="remove_node", kappa_changes=changes)
 
 
-def _interlace_edge(lam: np.ndarray, eta: np.ndarray, shift: int, tol: float):
-    """Check eta_{k+shift-1} <= lam_k <= eta_{k+shift} with +-inf padding."""
-    n = len(lam)
-    checks = []
-    for k in range(1, n + 1):
-        lo_i = k + shift - 1
-        hi_i = k + shift
-        lo = eta[lo_i - 1] if 1 <= lo_i <= n else -np.inf
-        hi = eta[hi_i - 1] if 1 <= hi_i <= n else np.inf
-        ok = (lo <= lam[k - 1] + tol) and (lam[k - 1] <= hi + tol)
-        checks.append({"k": k, "lower": lo, "value": lam[k - 1], "upper": hi, "pass": bool(ok)})
-    return checks
+def _bracket(lower, value, upper, tol: float) -> list[dict]:
+    """Rows checking lower_k <= value_k <= upper_k (up to tol), k from 1."""
+    return [{"k": k, "lower": lo, "value": v, "upper": hi,
+             "pass": bool(lo <= v + tol and v <= hi + tol)}
+            for k, (lo, v, hi) in enumerate(zip(lower, value, upper), 1)]
 
 
 def interlacing_check_p2(g: SignedGraph, surgery_sequence, tol: float = 1e-9) -> dict:
@@ -146,20 +139,16 @@ def interlacing_check_p2(g: SignedGraph, surgery_sequence, tol: float = 1e-9) ->
                 raise GraphError("interlacing edge case needs f nonzero at both endpoints")
             res = remove_edge(cur, 2.0, f, (x0, y0))
             eta = spectrum_p2(res.graph).values
+            # eta_{k+shift-1} <= lam_k <= eta_{k+shift}, padded with -inf, +inf
             shift = 0 if prod < 0 else 1
-            checks = _interlace_edge(lam, eta, shift, tol)
+            padded = np.concatenate(([-np.inf], eta, [np.inf]))
+            checks = _bracket(padded[shift:], lam, padded[shift + 1:], tol)
             case = "negative-product" if prod < 0 else "positive-product"
         elif step["kind"] == "remove_node":
             nodes_removed += 1
             res = remove_node(cur, step["node"], step.get("f"))
             eta = spectrum_p2(res.graph).values
-            checks = []
-            for k in range(1, len(eta) + 1):
-                ok = (lam[k - 1] <= eta[k - 1] + tol) and (eta[k - 1] <= lam[k] + tol)
-                checks.append(
-                    {"k": k, "lower": lam[k - 1], "value": eta[k - 1],
-                     "upper": lam[k], "pass": bool(ok)}
-                )
+            checks = _bracket(lam, eta, lam[1:], tol)
             case = "node"
         else:
             raise GraphError(f"unknown surgery kind {step['kind']!r}")
@@ -173,13 +162,7 @@ def interlacing_check_p2(g: SignedGraph, surgery_sequence, tol: float = 1e-9) ->
     if all_nodes and nodes_removed > 0 and cur.n > 0:
         eta = spectrum_p2(cur).values
         m = nodes_removed
-        cum = []
-        for k in range(1, len(eta) + 1):
-            ok = (lam0[k - 1] <= eta[k - 1] + tol) and (eta[k - 1] <= lam0[k + m - 1] + tol)
-            cum.append(
-                {"k": k, "lower": lam0[k - 1], "value": eta[k - 1],
-                 "upper": lam0[k + m - 1], "pass": bool(ok)}
-            )
+        cum = _bracket(lam0, eta, lam0[m:], tol)
         report["cumulative_node_check"] = {"m": m, "checks": cum,
                                            "all_pass": all(c["pass"] for c in cum)}
         report["all_pass"] = report["all_pass"] and report["cumulative_node_check"]["all_pass"]

@@ -128,6 +128,17 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["ok"]
 
+    def test_p1_is_not_a_vacuous_pass(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 3, "p_list": [1.0],
+                                   "checks": ["nodal-bounds", "cheeger-bounds"]}))
+        code, out, _ = run(capsys, "verify", "--config", str(cfg))
+        doc = json.loads(out)
+        assert code == 0 and doc["ok"]
+        for a in doc["aggregates"].values():
+            assert a["checked"] + a["skipped"] == 3
+            assert list(a["skip_reasons"]) == ["interior eigenvalues uncertified for p=1.0"]
+
     @pytest.mark.parametrize("text", [
         "{not json",
         "[1, 2]",

@@ -2,7 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import sgspec.cheeger
+import sgspec.harness
 from sgspec.graph import BalanceState, GraphError, balance_state, components
 from sgspec.harness import (
     ALL_CHECKS,
@@ -162,3 +166,115 @@ class TestRunSuite:
         agg = rep.aggregates["nodal-bounds"]
         assert agg["skipped"] == 4 and agg["checked"] == 0
         assert rep.aggregates["perron-frobenius"]["checked"] == 4
+
+    def test_p1_records_skips(self):
+        # p = 1 used to record nothing for these two checks: a vacuous pass
+        rep = run_suite(SuiteConfig(trials=3, p_list=(1.0,),
+                                    checks=("nodal-bounds", "cheeger-bounds")))
+        for a in rep.aggregates.values():
+            assert (a["checked"], a["skipped"]) == (0, 3)
+            assert a["skip_reasons"] == {"interior eigenvalues uncertified for p=1.0": 3}
+
+    def test_zero_count_function_is_skipped(self):
+        # trial 6 draws an all-zero function, which used to drop the trial
+        rep = run_suite(SuiteConfig(seed=1, trials=50, n_min=4, n_max=4,
+                                    checks=("count-identity",)))
+        assert rep.aggregates["count-identity"] == {
+            "checked": 49, "passed": 49, "failed": 0, "skipped": 1,
+            "skip_reasons": {"drawn function is zero": 1}}
+
+
+CHEAP_CHECKS = tuple(c for c in ALL_CHECKS if c != "perron-frobenius")
+
+
+_P3_SKIP = {"interior eigenvalues uncertified for p=3.0": 6}
+PINNED_AGGREGATES = {
+    "nodal-bounds": {"checked": 30, "passed": 30, "failed": 0, "skipped": 6,
+                     "skip_reasons": _P3_SKIP},
+    "interlacing-edge": {"checked": 6, "passed": 6, "failed": 0, "skipped": 0,
+                         "skip_reasons": {}},
+    "interlacing-node": {"checked": 6, "passed": 6, "failed": 0, "skipped": 0,
+                         "skip_reasons": {}},
+    "count-identity": {"checked": 6, "passed": 6, "failed": 0, "skipped": 0,
+                       "skip_reasons": {}},
+    "surgery-preservation": {"checked": 6, "passed": 6, "failed": 0, "skipped": 0,
+                             "skip_reasons": {}},
+    "perron-frobenius": {"checked": 12, "passed": 12, "failed": 0, "skipped": 0,
+                         "skip_reasons": {}},
+    "cheeger-bounds": {"checked": 6, "passed": 6, "failed": 0, "skipped": 6,
+                       "skip_reasons": _P3_SKIP},
+    "onelap-h1": {"checked": 6, "passed": 6, "failed": 0, "skipped": 0, "skip_reasons": {}},
+    "weak-balanced-two": {"checked": 6, "passed": 6, "failed": 0, "skipped": 0,
+                          "skip_reasons": {}},
+}
+PINNED_DRAWS = [
+    # trial 0
+    ("graph", 6, "uniform", 183930185), ("count", 3), ("interlace", (0, 2)), ("interlace", 3),
+    ("surgery", (0, 2)), ("graph", 6, "antibalanced", 371155109), ("extremal", 2.0, 1584494583),
+    ("extremal", 3.0, 1625089671), ("cheeger", 6), ("graph", 6, "balanced", 1688352592),
+    # trial 1
+    ("graph", 6, "balanced", 543856843), ("count", 4), ("interlace", (0, 4)), ("interlace", 3),
+    ("surgery", (0, 4)), ("graph", 6, "antibalanced", 1185222631), ("extremal", 2.0, 588994554),
+    ("extremal", 3.0, 1248431236), ("cheeger", 5), ("graph", 6, "balanced", 1892879598),
+    # trial 2
+    ("graph", 6, "uniform", 54847055), ("count", 1), ("interlace", (0, 1)), ("interlace", 4),
+    ("surgery", (0, 1)), ("graph", 6, "antibalanced", 164051112), ("extremal", 2.0, 1647019342),
+    ("extremal", 3.0, 1466401919), ("cheeger", 1), ("graph", 6, "balanced", 1800229460),
+    # trial 3
+    ("graph", 4, "balanced", 220760492), ("count", 1), ("interlace", (0, 2)), ("interlace", 3),
+    ("surgery", (0, 2)), ("graph", 4, "antibalanced", 405692993), ("extremal", 2.0, 343014290),
+    ("extremal", 3.0, 1252158849), ("cheeger", 2), ("graph", 4, "balanced", 82170596),
+    # trial 4
+    ("graph", 4, "uniform", 1929272336), ("count", 3), ("interlace", (0, 3)), ("interlace", 1),
+    ("surgery", (0, 3)), ("graph", 4, "antibalanced", 162628381), ("extremal", 2.0, 1461222060),
+    ("extremal", 3.0, 625091484), ("cheeger", 2), ("graph", 4, "balanced", 190909109),
+    # trial 5
+    ("graph", 4, "balanced", 293503925), ("count", 1), ("interlace", (0, 1)), ("interlace", 3),
+    ("surgery", (0, 1)), ("graph", 4, "antibalanced", 1697762437), ("extremal", 2.0, 1318449709),
+    ("extremal", 3.0, 1233817519), ("cheeger", 2), ("graph", 4, "balanced", 400118259),
+]
+
+
+class TestCheckTable:
+    @given(seed=st.integers(0, 200), n_max=st.sampled_from((4, 5)), trials=st.integers(1, 3),
+           checks=st.sets(st.sampled_from(CHEAP_CHECKS), min_size=1),
+           p_list=st.sets(st.sampled_from((1.0, 2.0, 3.0)), min_size=1))
+    @settings(max_examples=30, deadline=None)
+    @example(seed=65, n_max=5, trials=1, checks={"count-identity"}, p_list={2.0})
+    def test_every_check_records_every_trial(self, seed, n_max, trials, checks, p_list):
+        cfg = SuiteConfig(seed=seed, trials=trials, n_min=4, n_max=n_max,
+                          models=("uniform", "balanced"), p_list=tuple(sorted(p_list)),
+                          checks=tuple(sorted(checks)))
+        for name, a in run_suite(cfg).aggregates.items():
+            assert a["checked"] + a["skipped"] >= trials, (name, a)
+
+    def test_pinned_aggregates_and_draws(self, monkeypatch):
+        """Aggregates and the draws of every check, recorded with the former
+        if-chain driver. The aggregates alone do not see a check that runs
+        out of order; the draws it shifts do."""
+        draws = []
+
+        def spy(module, name, entry):
+            real = getattr(module, name)
+
+            def call(*args, **kwargs):
+                draws.append(entry(*args, **kwargs))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+
+        h = sgspec.harness
+        spy(h, "random_signed_graph", lambda n, d, model, seed, **_: ("graph", n, model, seed))
+        spy(h, "nodal_quantities", lambda g, f: ("count", int(np.count_nonzero(f))))
+        spy(h, "interlacing_check_p2",
+            lambda g, steps, tol: ("interlace", steps[0].get("node", steps[0].get("edge"))))
+        spy(h, "remove_edge", lambda g, p, f, e: ("surgery", tuple(e)))
+        spy(h, "extremal_p", lambda g, p, seed: ("extremal", p, seed))
+        spy(sgspec.cheeger, "check_theorem41", lambda g, p, k, lam, m: ("cheeger", k))
+        checks = ("nodal-bounds", "interlacing-edge", "interlacing-node", "count-identity",
+                  "surgery-preservation", "perron-frobenius", "cheeger-bounds", "onelap-h1",
+                  "weak-balanced-two")
+        rep = run_suite(SuiteConfig(seed=3, trials=6, n_min=4, n_max=6,
+                                    models=("uniform", "balanced"), p_list=(2.0, 3.0),
+                                    checks=checks))
+        assert rep.aggregates == PINNED_AGGREGATES
+        assert draws == PINNED_DRAWS
