@@ -20,6 +20,7 @@ from .operators import (
     EigenPair,
     ResidualCertificate,
     apply_p_laplacian,
+    check_certificate_1lap,
     check_eigenpair,
     check_eigenpair_1lap,
     one_lap_lambda_range,

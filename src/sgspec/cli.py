@@ -20,7 +20,7 @@ from .graph import (
 )
 from .harness import SuiteConfig, random_signed_graph, run_suite
 from .nodal import dual_counts, nodal_quantities
-from .operators import check_eigenpair_1lap
+from .operators import check_certificate_1lap
 from .spectra import extremal_p, one_lap_enumerate, spectrum_p2
 from .transforms import remove_edge, remove_node
 
@@ -150,9 +150,23 @@ def _cmd_onelap(args) -> int:
     }
     if args.verify:
         for p in ols.pairs:
-            if p.is_point and not check_eigenpair_1lap(g, p.lam, list(p.f)).verdict:
+            if p.witness.lam != p.lam or not check_certificate_1lap(g, p.f, p.witness):
                 print(f"re-verification failed for lambda={p.lam}", file=sys.stderr)
                 return 1
+        for f, cert in ols.rejections:
+            if not check_certificate_1lap(g, f, cert):
+                print(f"rejection of pattern {f} failed its check", file=sys.stderr)
+                return 1
+        # distinct patterns, each with first nonzero entry +1, as many as
+        # there are such patterns: every pattern is accounted for
+        patterns = {p.f for p in ols.pairs} | {f for f, _ in ols.rejections}
+        if (len(patterns) != len(ols.pairs) + len(ols.rejections)
+                or len(patterns) != (3 ** g.n - 1) // 2
+                or any(len(f) != g.n or not set(f) <= {-1, 0, 1}
+                       or next((t for t in f if t), 0) != 1 for f in patterns)):
+            print("the certificates do not cover every sign pattern", file=sys.stderr)
+            return 1
+        doc["verified"] = {"pairs": len(ols.pairs), "rejections": len(ols.rejections)}
     _emit(doc, args.format)
     return 0
 

@@ -230,8 +230,14 @@ def bound_report(g: SignedGraph, f, ctx: SpectrumContext) -> dict:
     """Evaluate the nodal-count bounds attached to an eigenvalue position.
 
     Returns {"partial": bool, "checks": [{check, inputs, lhs, rhs, pass}]}.
-    Upper bounds use k + r - 1 (the last index of the eigenvalue), the
-    dual-strong bound uses the first index.
+    ``ctx`` places f's eigenvalue at positions k .. k + r - 1. Strong counts
+    are bounded through the last of these indices, weak counts through the
+    first plus c - 1 (Davies, Gladwell, Leydold & Stadler, "Discrete nodal
+    domain theorems", Linear Algebra Appl. 336, 2001; for signed graphs and
+    p-Laplacians, arXiv:2209.09080). The dual rows negate the signature:
+    -L_sigma is the signed Laplacian of -sigma with potential
+    -2 deg_w - kappa, and f is its eigenfunction at positions
+    n - k - r + 2 .. n - k + 1.
     """
     n = g.n
     c = ctx.c if ctx.c is not None else len(components(g))
@@ -253,19 +259,18 @@ def bound_report(g: SignedGraph, f, ctx: SpectrumContext) -> dict:
         )
 
     k_last = ctx.k + ctx.r - 1
+    # every strong domain lies in one weak domain, and every weak domain
+    # contains a strong one (Davies et al. 2001)
     add("weak-le-strong", q.weak_count, q.strong_count, "<=")
+    # strong nodal domain theorem: S(f) <= k + r - 1 (Davies et al. 2001)
     add("strong-upper", q.strong_count, k_last, "<=", k=ctx.k, r=ctx.r)
+    # the same theorem for the dual, whose last index is n - k + 1
     add("dual-strong-upper", q.dual_strong_count, n - ctx.k + 1, "<=", k=ctx.k)
-    add(
-        "dual-strong-upper-mult",
-        q.dual_strong_count,
-        n - ctx.k - ctx.r + 2,
-        "<=",
-        k=ctx.k,
-        r=ctx.r,
-    )
     if ctx.p > 1:
+        # weak nodal domain theorem: W(f) <= k + c - 1 (Davies et al. 2001
+        # for c = 1; arXiv:2209.09080 for signed graphs and p > 1)
         add("weak-upper", q.weak_count, ctx.k + c - 1, "<=", k=ctx.k, c=c)
+        # the same theorem for the dual, whose first index is n - k - r + 2
         add(
             "dual-weak-upper",
             q.dual_weak_count,
@@ -275,6 +280,9 @@ def bound_report(g: SignedGraph, f, ctx: SpectrumContext) -> dict:
             r=ctx.r,
             c=c,
         )
+    # lower bound through the cycle surplus of the support, after
+    # Berkolaiko, "A lower bound for nodal count on discrete and metric
+    # graphs", Comm. Math. Phys. 278, 2008
     add(
         "strong-lower-surplus",
         q.strong_count,

@@ -6,15 +6,22 @@ inclusion with Sgn intervals. Given a sign pattern f, the lambda it admits
 is a single point or nothing: each component of support edges with
 f_u = sigma f_v pins lambda, and the rest is a network feasibility
 question, decided by an exact integer max-flow (``one_lap_lambda_range``).
-``check_eigenpair_1lap`` decides one (lambda, f) as a rational linear
-feasibility problem on the exact simplex (:mod:`sgspec.simplex`), the
-independent re-verifier of every reported pair.
+Each decision leaves a certificate: the flow, as a witness, when f admits
+lambda, and otherwise the inequality that rules f out (a screen pair, two
+conflicting pins, or a cut from Hoffman's circulation theorem).
+``check_certificate_1lap`` checks one in linear time and in integers,
+independently of the flow (certifying algorithms: McConnell, Mehlhorn,
+Naeher & Schweitzer, Comput. Sci. Rev. 5(2), 2011). ``check_eigenpair_1lap``
+decides an arbitrary (lambda, f) as a rational linear feasibility problem on
+the exact simplex (:mod:`sgspec.simplex`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +38,8 @@ __all__ = [
     "check_eigenpair",
     "check_eigenpair_1lap",
     "one_lap_lambda_range",
+    "OneLapWitness",
+    "check_certificate_1lap",
 ]
 
 _TINY = 1e-300
@@ -212,9 +221,38 @@ def check_eigenpair_1lap(g: SignedGraph, lam, f) -> ResidualCertificate:
     return ResidualCertificate(verdict=True, witness=witness)
 
 
-def _prefilter_lambda_box(g: SignedGraph, f) -> bool:
+# ---------------------------------------------------------------------------
+# 1-Laplacian certificates
+#
+# Every decision on a sign pattern f carries evidence that
+# ``check_certificate_1lap`` re-checks from g and f alone. In what follows
+# c_x is the determined flux at x: kappa_x sgn(f_x) plus w z_xy over the
+# edges at x whose z_xy is fixed because f_x != sigma f_y. A *pin* is a
+# nonempty set C of support vertices that no free support edge
+# (f_u = sigma f_v != 0) leaves; summing sgn(f_x) times the inclusion over C
+# cancels the free edges inside C, so lambda mu(C) = sum over C of sgn_x c_x.
+# A rejection is a plain tuple (kind, first, second), described in
+# ``check_certificate_1lap``. one_lap_enumerate keeps one for nearly every
+# pattern, and the garbage collector stops tracking a plain tuple of ints
+# and strings, but never a class instance or a NamedTuple; at n = 11 the
+# tracked ones cost it 10% in collections.
+
+
+class OneLapWitness(NamedTuple):
+    """A solution of the inclusion at ``lam`` on ``g.scaled_ints``, times
+    ``den``: ``z_edge[e] = (den w z_uv, den w z_vu)`` for the edge
+    e = (u, v, w, sigma) of ``g.edges`` and ``z_vertex[x] = den kappa_x z_x``."""
+
+    lam: Fraction
+    den: int
+    z_edge: tuple[tuple[int, int], ...]
+    z_vertex: tuple[int, ...]
+
+
+def _prefilter_lambda_box(g: SignedGraph, f) -> tuple | None:
     """Exact per-vertex necessary condition on lambda for a {-1, 0, +1}
-    pattern ``f``; False means infeasible.
+    pattern ``f``: the rejection ``("screen", x, y)`` naming a violating
+    pair of vertices, or None if it holds.
 
     For each support vertex x the inclusion pins lambda to an interval
     [lo_x / mu_x, hi_x / mu_x] of achievable normalized flux; the intervals
@@ -222,7 +260,7 @@ def _prefilter_lambda_box(g: SignedGraph, f) -> bool:
     by cross-multiplication (mu > 0).
     """
     mu, kappa, _, adj = g.scaled_ints
-    lo_max = hi_min = None  # (flux, mu) of the largest lower / smallest upper end
+    lo_max = hi_min = None  # (flux, mu, x) of the largest lower / smallest upper end
     for x, fx in enumerate(f):
         if fx == 0:
             continue
@@ -236,45 +274,48 @@ def _prefilter_lambda_box(g: SignedGraph, f) -> bool:
         if fx < 0:
             lo, hi = -hi, -lo
         if lo_max is None or lo * lo_max[1] > lo_max[0] * mu[x]:
-            lo_max = (lo, mu[x])
+            lo_max = (lo, mu[x], x)
         if hi_min is None or hi * hi_min[1] < hi_min[0] * mu[x]:
-            hi_min = (hi, mu[x])
+            hi_min = (hi, mu[x], x)
         if lo_max[0] * hi_min[1] > hi_min[0] * lo_max[1]:
-            return False
-    return True
+            return "screen", lo_max[2], hi_min[2]
+    return None
 
 
-def _feasible_flow(n: int, arcs, lo, hi) -> bool:
-    """Whether a flow x_e in [-cap, cap] on each arc ``(a, b, cap)`` (from a
-    to b; the arcs are undirected) exists with net outflow in
-    [lo[v], hi[v]] at every node v < n, given lo <= hi. Exact on Python ints.
+def _feasible_flow(n: int, arcs, lo, hi) -> tuple[list[int] | None, list[int] | None]:
+    """A flow x_e in [-cap, cap] on each arc ``(a, b, cap)`` (from a to b;
+    the arcs are undirected and join distinct pairs of nodes) with net
+    outflow in [lo[v], hi[v]] at every node v < n, given lo <= hi:
+    ``(flows, None)`` with one flow per arc, or ``(None, side)`` if there is
+    none. Exact on Python ints.
 
     Lower-bound reduction: a root node r feeds each v through an arc with
     flow in [lo_v, hi_v]; sending lo_v up front leaves supply lo_v at v and
     -sum(lo) at r, and a flow is feasible iff a max flow from the positive
-    to the negative supplies (BFS augmenting paths) carries all of it.
+    to the negative supplies (BFS augmenting paths) carries all of it. If it
+    cannot, the nodes v < n that the last search reaches are ``side``, the
+    source side of a cut whose capacity is below the supply. By Hoffman's
+    circulation theorem, either sum(lo) over ``side`` exceeds the capacity
+    of the arcs leaving it, or sum(hi) over the other nodes falls below
+    minus that capacity.
     """
     r, s, t = n, n + 1, n + 2
+    # residual capacities; the root, source and sink arcs are distinct
+    # pairs too, so no capacity adds to another
     res: list[dict[int, int]] = [{} for _ in range(n + 3)]
-
-    def arc(a: int, b: int, cap: int) -> None:
-        res[a][b] = res[a].get(b, 0) + cap
-        res[b].setdefault(a, 0)
-
     for a, b, cap in arcs:
-        arc(a, b, cap)
-        arc(b, a, cap)
+        res[a][b] = res[b][a] = cap
     supply = [*lo, -sum(lo)]
     for v in range(n):
         if hi[v] > lo[v]:
-            arc(r, v, hi[v] - lo[v])
+            res[r][v], res[v][r] = hi[v] - lo[v], 0
     need = 0
     for v, sup in enumerate(supply):
         if sup > 0:
-            arc(s, v, sup)
+            res[s][v], res[v][s] = sup, 0
             need += sup
         elif sup < 0:
-            arc(v, t, -sup)
+            res[v][t], res[t][v] = -sup, 0
     while need:
         prev = {s: s}
         queue = [s]
@@ -286,7 +327,7 @@ def _feasible_flow(n: int, arcs, lo, hi) -> bool:
             if t in prev:
                 break
         else:
-            return False
+            return None, [v for v in prev if v < n]
         push, b = need, t
         while b != s:
             push = min(push, res[prev[b]][b])
@@ -298,12 +339,13 @@ def _feasible_flow(n: int, arcs, lo, hi) -> bool:
             res[b][a] += push
             b = a
         need -= push
-    return True
+    return [cap - res[a][b] for a, b, cap in arcs], None
 
 
-def _pattern_lambda(g: SignedGraph, f: list[float]) -> Fraction | None:
-    """The one lambda for which (lambda, f) satisfies the 1-Laplacian
-    inclusion, or None; see ``one_lap_lambda_range``."""
+def _pattern_lambda(g: SignedGraph, f) -> OneLapWitness | tuple:
+    """Decide a pattern: the witness for the one lambda at which (lambda, f)
+    satisfies the 1-Laplacian inclusion, or the reason that no lambda does;
+    see ``one_lap_lambda_range``."""
     mu, kappa, edges, _ = g.scaled_ints
     n = len(mu)
     sgn = [(x > 0) - (x < 0) for x in f]
@@ -316,19 +358,20 @@ def _pattern_lambda(g: SignedGraph, f: list[float]) -> Fraction | None:
             x = root[x]
         return x
 
+    fixed = [0] * len(edges)  # w z_uv where f fixes z_uv
     support_arcs, zero_edges = [], []
-    for u, v, w, s in edges:
+    for e, (u, v, w, s) in enumerate(edges):
         fu, fv = f[u], s * f[v]
         if fu != fv:
-            z = w if fu > fv else -w
+            fixed[e] = z = w if fu > fv else -w
             flux[u] += z
             flux[v] -= s * z
         elif sgn[u]:
             # sgn_v = sigma sgn_u, so y = sgn_u z_uv is a flow u -> v
-            support_arcs.append((u, v, w))
+            support_arcs.append((e, u, v, w))
             root[find(u)] = find(v)
         else:
-            zero_edges.append((u, v, w, s))
+            zero_edges.append((e, u, v, w, s))
 
     # each component C of free support edges pins lambda mu(C) = sum sgn_x c_x
     pins: dict[int, list[int]] = {}
@@ -337,20 +380,29 @@ def _pattern_lambda(g: SignedGraph, f: list[float]) -> Fraction | None:
             pin = pins.setdefault(find(x), [0, 0])
             pin[0] += sgn[x] * flux[x]
             pin[1] += mu[x]
-    (num, den), *rest = pins.values()
-    if any(a * den != num * b for a, b in rest):
-        return None
+
+    def members(comp: int) -> tuple[int, ...]:
+        return tuple(x for x in range(n) if sgn[x] and find(x) == comp)
+
+    (first, (num, den)), *rest = pins.items()
+    for comp, (a, b) in rest:
+        if a * den != num * b:
+            return "pins", members(first), members(comp)
     lam = Fraction(num, den)
     p, q = lam.numerator, lam.denominator  # everything below is scaled by q
 
+    support_flows = []
     if support_arcs:
         demand = [p * mu[x] - q * sgn[x] * flux[x] if sgn[x] else 0 for x in range(n)]
-        if not _feasible_flow(n, [(u, v, q * w) for u, v, w in support_arcs], demand, demand):
-            return None
+        support_flows, side = _feasible_flow(
+            n, [(u, v, q * w) for _, u, v, w in support_arcs], demand, demand)
+        if support_flows is None:
+            return "support-cut", members(first), tuple(sorted(side))
 
     # zero vertex y: the net flux of its zero-zero edges lies in
     # [-|lam| mu_y - |kappa_y| - c_y, |lam| mu_y + |kappa_y| - c_y]
-    cover = {y: 2 * i for i, y in enumerate(sorted({x for e in zero_edges for x in e[:2]}))}
+    covered = sorted({x for e in zero_edges for x in e[1:3]})
+    cover = {y: 2 * i for i, y in enumerate(covered)}
     lo, hi = [0] * (2 * len(cover)), [0] * (2 * len(cover))
     for y in range(n):
         if sgn[y]:
@@ -361,19 +413,166 @@ def _pattern_lambda(g: SignedGraph, f: list[float]) -> Fraction | None:
             lo[i], hi[i] = -slack - q * flux[y], slack - q * flux[y]
             lo[i + 1], hi[i + 1] = -hi[i], -lo[i]
         elif q * abs(flux[y]) > slack:
-            return None
+            pi = [0] * n
+            pi[y] = 1 if flux[y] > 0 else -1
+            return "zero-cut", members(first), tuple(pi)
+    zero_flows = []
     if zero_edges:
         # Negative edges are not conservative, so decide the block on the
         # signed double cover: y+ carries the interval, y- its negation; a
         # positive edge joins u+v+ and u-v-, a negative one u+v- and u-v+.
         # Averaging a cover flow with its mirror gives a solution here.
         arcs = []
-        for u, v, w, s in zero_edges:
+        for _, u, v, w, s in zero_edges:
             a, b = cover[u], cover[v] + (s < 0)
             arcs += [(a, b, q * w), (a + 1, b ^ 1, q * w)]
-        if not _feasible_flow(len(lo), arcs, lo, hi):
+        zero_flows, side = _feasible_flow(len(lo), arcs, lo, hi)
+        if zero_flows is None:
+            # pi_y = [y- on the source side] - [y+ on it], whichever side of
+            # Hoffman's condition the cut violates
+            pi = [0] * n
+            for node in side:
+                pi[covered[node // 2]] += 1 if node % 2 else -1
+            return "zero-cut", members(first), tuple(pi)
+
+    # The witness, over the common denominator 2q: a support flow x on u -> v
+    # is 2 sgn_u x, and a zero-zero edge takes the mirror average (x+ - x-).
+    d = 2 * q
+    t = [d * z for z in fixed]
+    for (e, u, _, _), x in zip(support_arcs, support_flows):
+        t[e] = 2 * sgn[u] * x
+    excess = [d * c for c in flux]  # edge flux; read at zero vertices only
+    for (e, u, v, _, s), x_plus, x_minus in zip(zero_edges, zero_flows[::2], zero_flows[1::2]):
+        t[e] = a = x_plus - x_minus
+        excess[u] += a
+        excess[v] -= s * a
+    # z_y of a zero vertex absorbs what it can of its edge flux
+    z_vertex = [sx * k * d if sx else max(-abs(k) * d, min(abs(k) * d, -ex))
+                for sx, k, ex in zip(sgn, kappa, excess)]
+    return OneLapWitness(lam, d, tuple(zip(t, [-e[3] * a for e, a in zip(edges, t)])),
+                         tuple(z_vertex))
+
+
+def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
+    """Check the evidence that ``one_lap_enumerate`` keeps for the sign
+    pattern of ``f``, in linear time and in Python ints on
+    ``g.scaled_ints``, from g and f alone: it shares no code or state with
+    the max-flow that produced ``cert``. Vertices are indices into
+    ``g.ids``; c_x and pins are defined above ``OneLapWitness``.
+
+    * ``OneLapWitness``: passes when every z lies in its Sgn interval,
+      z_vu = -sigma z_uv, and every vertex balances to lambda mu_x Sgn(f_x).
+      Then (lambda, f) is an eigenpair.
+
+    A rejection passes when the inequality it states holds; then no lambda
+    makes f an eigenfunction.
+
+    * ``("screen", x, y)``: support vertices with lo_x / mu_x > hi_y / mu_y,
+      where [lo_v, hi_v] holds sgn(f_v) times every flux that Sgn allows at
+      v. Lambda would have to be at least the one and at most the other.
+    * ``("pins", first, second)``: two pins that give different lambda.
+    * ``("support-cut", pin, side)``: a pin and a set X of support vertices
+      whose demand |sum over X of (lambda mu_x - sgn_x c_x)| exceeds the
+      weight of the free support edges leaving X, the capacity of its cut
+      (Hoffman's circulation theorem).
+    * ``("zero-cut", pin, pi)``: a pin and signs pi in {-1, 0, 1} on the
+      zero vertices with sum pi_y c_y - sum |pi_y| (|lambda| mu_y + |kappa_y|)
+      greater than the sum over zero-zero edges of w |pi_u - sigma pi_v|.
+      Each zero vertex needs |c_y + its zero-zero flux| <= |lambda| mu_y +
+      |kappa_y|; weighted by pi and summed, these cannot all hold. A zero
+      vertex without zero-zero edges whose |c_y| exceeds that slack is the
+      case of one nonzero pi_y.
+    """
+    mu, kappa, edges, adj = g.scaled_ints
+    n = len(mu)
+    f = np.asarray(f, dtype=float)
+    if f.shape != (n,):
+        raise GraphError(f"eigenfunction has shape {f.shape}, expected ({n},)")
+    f = f.tolist()
+    if not all(map(math.isfinite, f)) or not any(f):
+        raise GraphError("eigenfunction must be finite and nonzero")
+    witness = isinstance(cert, OneLapWitness)
+
+    if not witness and cert[0] == "screen":
+        def box(v: int) -> tuple[int, int]:
+            # sgn(f_v) times the flux that Sgn allows at v
+            fixed, free = kappa[v], 0
+            for y, w, s in adj[v]:
+                if f[v] == s * f[y]:
+                    free += w
+                else:
+                    fixed += w if (f[v] > s * f[y]) == (f[v] > 0) else -w
+            return fixed - free, fixed + free
+
+        _, x, y = cert
+        return (0 <= x < n and 0 <= y < n and f[x] != 0 and f[y] != 0
+                and box(x)[0] * mu[y] > box(y)[1] * mu[x])
+
+    sgn = [(x > 0) - (x < 0) for x in f]
+    # the sign of f_u - sigma f_v on each edge: z_uv, or 0 where z_uv is free
+    dirs = [(f[u] > s * f[v]) - (f[u] < s * f[v]) for u, v, _, s in edges]
+    if witness:
+        lam, den, z_edge, z_vertex = cert
+        if den < 1 or len(z_edge) != len(edges) or len(z_vertex) != n:
+            return False
+        total = [0] * n
+        for (u, v, w, s), dz, (a, b) in zip(edges, dirs, z_edge):
+            if b != -s * a or (a != dz * w * den if dz else abs(a) > w * den):
+                return False
+            total[u] += a
+            total[v] += b
+        p, q = lam.numerator, lam.denominator
+        for sx, m, k, tot, zx in zip(sgn, mu, kappa, total, z_vertex):
+            if sx:
+                ok = zx == sx * k * den and q * (tot + zx) == sx * p * m * den
+            else:
+                ok = abs(zx) <= abs(k) * den and abs(q * (tot + zx)) <= abs(p) * m * den
+            if not ok:
+                return False
+        return True
+
+    c = [k * sx for k, sx in zip(kappa, sgn)]
+    for (u, v, w, s), dz in zip(edges, dirs):
+        c[u] += dz * w
+        c[v] -= s * dz * w
+    free_support = [(u, v, w) for (u, v, w, _), dz in zip(edges, dirs) if not dz and sgn[u]]
+
+    def support_set(xs) -> set[int] | None:
+        xs = set(xs)
+        return xs if all(0 <= x < n and sgn[x] for x in xs) else None
+
+    def pinned(xs) -> tuple[int, int] | None:
+        # (a, b) with lambda = a / b if xs is a pin
+        xs = support_set(xs)
+        if not xs or any((u in xs) != (v in xs) for u, v, _ in free_support):
             return None
-    return lam
+        return sum(sgn[x] * c[x] for x in xs), sum(mu[x] for x in xs)
+
+    kind, first, second = cert
+    if kind == "pins":
+        one, two = pinned(first), pinned(second)
+        return one is not None and two is not None and one[0] * two[1] != two[0] * one[1]
+    lam = pinned(first)
+    if lam is None:
+        return False
+    a, b = lam
+    if kind == "support-cut":
+        side = support_set(second)
+        if side is None:
+            return False
+        demand = sum(a * mu[x] - b * sgn[x] * c[x] for x in side)
+        capacity = sum(w for u, v, w in free_support if (u in side) != (v in side))
+        return abs(demand) > b * capacity
+    if kind == "zero-cut":
+        pi = second
+        if len(pi) != n or any(t not in (-1, 0, 1) or (t and sgn[y]) for y, t in enumerate(pi)):
+            return False
+        excess = sum(t * b * c[y] - abs(t) * (abs(a) * mu[y] + b * abs(kappa[y]))
+                     for y, t in enumerate(pi))
+        capacity = sum(w * abs(pi[u] - s * pi[v]) for u, v, w, s in edges
+                       if not (sgn[u] or sgn[v]))
+        return excess > b * capacity
+    return False
 
 
 def one_lap_lambda_range(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]]:
@@ -393,8 +592,9 @@ def one_lap_lambda_range(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]]:
       |lambda| by a flow on the signed double cover of the zero-zero edges.
 
     Both blocks are exact max-flows in Python ints over ``g.scaled_ints``;
-    only lambda itself is a Fraction. ``check_eigenpair_1lap`` re-verifies
-    a pair by an independent path, the exact simplex.
+    only lambda itself is a Fraction. Each decision has a certificate, which
+    ``one_lap_enumerate`` keeps and ``check_certificate_1lap`` checks;
+    ``check_eigenpair_1lap`` decides a given (lambda, f) on the exact simplex.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (g.n,):
@@ -403,5 +603,5 @@ def one_lap_lambda_range(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]]:
         raise GraphError("eigenfunction must be finite")
     if not np.any(f):
         raise GraphError("eigenfunction must be nonzero")
-    lam = _pattern_lambda(g, f.tolist())
-    return [] if lam is None else [(lam, lam)]
+    cert = _pattern_lambda(g, f.tolist())
+    return [(cert.lam, cert.lam)] if isinstance(cert, OneLapWitness) else []

@@ -6,8 +6,9 @@ The p=2 case reduces to a symmetric matrix pencil and is solved by
 p > 1 only the extremes of the Rayleigh quotient are computed (projected
 gradient with restarts, then a Newton polish); every reported pair is
 re-certified by its eigen-residual. For p = 1 candidates are the +-1/0
-patterns, each decided by an exact integer max-flow and re-verifiable on the
-exact simplex.
+patterns, each decided by an exact integer max-flow that leaves a
+certificate: a witness for each pair, a reason for each rejected pattern,
+both checked in linear time by ``check_certificate_1lap``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 from . import cheeger as _cheeger
 from .graph import BalanceState, GraphError, SignedGraph, balance_state, components, induced_subgraph
 from .operators import (
-    _prefilter_lambda_box, apply_p_laplacian, eigen_residual, one_lap_lambda_range, phi_p,
-    rayleigh,
+    OneLapWitness, _pattern_lambda, _prefilter_lambda_box, apply_p_laplacian,
+    eigen_residual, phi_p, rayleigh,
 )
 
 __all__ = [
@@ -267,6 +268,7 @@ class OneLapPair:
     lam: Fraction
     lam_hi: Fraction
     f: tuple[int, ...]
+    witness: OneLapWitness = field(compare=False, repr=False)
 
     @property
     def is_point(self) -> bool:
@@ -282,6 +284,9 @@ class OneLapEigenSet:
     smallest_positive: Fraction | None
     patterns_scanned: int
     patterns_solved: int
+    # every scanned pattern that is not a pair, with the reason (a rejection
+    # tuple; see check_certificate_1lap)
+    rejections: tuple[tuple[tuple[int, ...], tuple], ...] = field(compare=False, repr=False)
 
 
 def one_lap_enumerate(g: SignedGraph, cap: int = ONE_LAP_CAP) -> OneLapEigenSet:
@@ -290,24 +295,31 @@ def one_lap_enumerate(g: SignedGraph, cap: int = ONE_LAP_CAP) -> OneLapEigenSet:
     Enumerates sign patterns up to global negation, prunes with an exact
     integer necessary condition, then decides each survivor by an exact
     max-flow. A pattern admits at most one lambda, so every pair is a
-    point (``lam == lam_hi``).
+    point (``lam == lam_hi``). Each scanned pattern keeps its certificate,
+    which ``check_certificate_1lap`` checks: a pair its witness, any other
+    pattern the reason it was rejected.
     """
     if g.n > cap:
         raise GraphError(
             f"one_lap_enumerate is capped at n = {cap} vertices (graph has {g.n})"
         )
     pairs: list[OneLapPair] = []
+    rejections = []
     scanned = solved = 0
-    for pattern in product((0, 1, -1), repeat=g.n):
-        first = next((t for t in pattern if t != 0), 0)
-        if first != 1:  # dedup f ~ -f and skip the zero pattern
-            continue
+    # one pattern of each pair f ~ -f, the one whose first nonzero entry is
+    # +1; the zero pattern is skipped
+    patterns = ((0,) * lead + (1,) + tail for lead in range(g.n)
+                for tail in product((0, 1, -1), repeat=g.n - lead - 1))
+    for pattern in patterns:
         scanned += 1
-        if not _prefilter_lambda_box(g, pattern):
-            continue
-        solved += 1
-        for lo, hi in one_lap_lambda_range(g, pattern):
-            pairs.append(OneLapPair(lam=lo, lam_hi=hi, f=pattern))
+        cert = _prefilter_lambda_box(g, pattern)
+        if cert is None:
+            solved += 1
+            cert = _pattern_lambda(g, pattern)
+        if isinstance(cert, OneLapWitness):
+            pairs.append(OneLapPair(lam=cert.lam, lam_hi=cert.lam, f=pattern, witness=cert))
+        else:
+            rejections.append((pattern, cert))
     pairs.sort(key=lambda pr: (pr.lam, pr.lam_hi, pr.f))
     values = sorted({pt for pr in pairs for pt in (pr.lam, pr.lam_hi)})
     if not values:
@@ -325,6 +337,7 @@ def one_lap_enumerate(g: SignedGraph, cap: int = ONE_LAP_CAP) -> OneLapEigenSet:
         smallest_positive=smallest_pos,
         patterns_scanned=scanned,
         patterns_solved=solved,
+        rejections=tuple(rejections),
     )
 
 

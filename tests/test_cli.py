@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from sgspec import cli, operators, spectra
 from sgspec.cli import main
 from sgspec.graph import parse_graph, serialize_function, serialize_graph
 
@@ -92,11 +94,80 @@ class TestOnelap:
         assert code == 0
         doc = json.loads(out)
         assert doc["lambda_2"] is None  # unbalanced
+        # one certificate per scanned pattern: 3^3 patterns up to negation
+        assert doc["verified"] == {"pairs": len(doc["pairs"]),
+                                   "rejections": 13 - len(doc["pairs"])}
+        assert doc["patterns_scanned"] == 13
+
+    def test_verify_adds_only_the_verified_key(self, capsys, p3_file):
+        _, plain, _ = run(capsys, "onelap", "--graph", p3_file)
+        code, verified, _ = run(capsys, "onelap", "--graph", p3_file, "--verify")
+        assert code == 0
+        doc = json.loads(verified)
+        assert doc.pop("verified") == {"pairs": 5, "rejections": 8}
+        assert doc == json.loads(plain)
+
+    def test_verify_catches_a_wrongly_rejected_pattern(self, capsys, p3_file, monkeypatch):
+        # a max-flow that finds no flow where there is one: the pattern goes
+        # missing from the pairs, and its rejection does not check
+        real = operators._feasible_flow
+
+        def no_flow(*args):
+            flows, side = real(*args)
+            return (None, []) if side is None else (flows, side)
+
+        monkeypatch.setattr(operators, "_feasible_flow", no_flow)
+        assert run(capsys, "onelap", "--graph", p3_file)[0] == 0  # unnoticed without --verify
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
+        assert code == 1 and out == ""
+        assert "rejection of pattern" in err
+
+    def test_verify_catches_a_corrupted_witness(self, capsys, p3_file, monkeypatch):
+        real = spectra._pattern_lambda
+
+        def corrupted(g, f):
+            cert = real(g, f)
+            if isinstance(cert, spectra.OneLapWitness):
+                (a, b), *rest = cert.z_edge
+                cert = cert._replace(z_edge=((a + 1, b - g.edges[0][3]), *rest))
+            return cert
+
+        monkeypatch.setattr(spectra, "_pattern_lambda", corrupted)
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
+        assert code == 1 and out == ""
+        assert "re-verification failed" in err
+
+    def test_verify_matches_each_pair_with_its_witness(self, capsys, p3_file, monkeypatch):
+        real = cli.one_lap_enumerate
+
+        def shifted(g):
+            ols = real(g)
+            first, *rest = ols.pairs
+            wrong = dataclasses.replace(first, lam=first.lam + 1, lam_hi=first.lam + 1)
+            return dataclasses.replace(ols, pairs=(wrong, *rest))
+
+        monkeypatch.setattr(cli, "one_lap_enumerate", shifted)
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
+        assert code == 1 and out == ""
+        assert "re-verification failed" in err
+
+    def test_verify_catches_a_missing_pattern(self, capsys, p3_file, monkeypatch):
+        real = cli.one_lap_enumerate
+
+        def one_dropped(g):
+            ols = real(g)
+            return dataclasses.replace(ols, rejections=ols.rejections[1:])
+
+        monkeypatch.setattr(cli, "one_lap_enumerate", one_dropped)
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
+        assert code == 1 and out == ""
+        assert "do not cover every sign pattern" in err
 
     def test_reports_screen_survivors(self, capsys, p3_file):
         code, out, _ = run(capsys, "onelap", "--graph", p3_file)
         assert code == 0
         doc = json.loads(out)
+        assert "verified" not in doc
         # 3^3 patterns up to negation; the screen drops 3 of them, among
         # them (1, -1, 1): its ends pin lambda = 1 and its middle lambda = 2
         assert (doc["patterns_scanned"], doc["patterns_solved"]) == (13, 10)
@@ -138,6 +209,22 @@ class TestVerify:
         for a in doc["aggregates"].values():
             assert a["checked"] + a["skipped"] == 3
             assert list(a["skip_reasons"]) == ["interior eigenvalues uncertified for p=1.0"]
+
+    @pytest.mark.parametrize("cfg", [
+        # degenerate eigenvalues (r = 2) with a zero entry in the basis
+        # eigenvector, where "dual-strong-upper-mult" used to fail
+        {"seed": 15, "trials": 3, "n_min": 4, "n_max": 7, "density": 0.4,
+         "models": ["all-negative", "all-positive"], "p_list": [2.0], "mu_mode": "degree"},
+        {"seed": 17, "trials": 3, "n_min": 4, "n_max": 7, "density": 0.9,
+         "models": ["uniform", "balanced"], "p_list": [2.0, 3.0], "mu_mode": "degree"},
+    ])
+    def test_nodal_bounds_on_degenerate_eigenvalues(self, capsys, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "checks": ["nodal-bounds"]}))
+        code, out, _ = run(capsys, "verify", "--config", str(path))
+        agg = json.loads(out)["aggregates"]["nodal-bounds"]
+        assert code == 0
+        assert agg["checked"] > 0 and agg["failed"] == 0
 
     @pytest.mark.parametrize("text", [
         "{not json",

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,7 +10,11 @@ from hypothesis import strategies as st
 from sgspec.graph import GraphError, SignedGraph, switch
 from sgspec.operators import (
     EigenPair,
+    OneLapWitness,
+    _pattern_lambda,
+    _prefilter_lambda_box,
     apply_p_laplacian,
+    check_certificate_1lap,
     check_eigenpair,
     check_eigenpair_1lap,
     one_lap_lambda_range,
@@ -280,24 +286,53 @@ class TestLambdaRange:
                               mu=tuple(float(m) for m in rng.choice((0.25, 0.5, 1.5, 2.0, 3.0), n)),
                               kappa=tuple(float(k) for k in rng.choice((0.0, 0.0, 0.5, -1.25), n)))
 
+    @staticmethod
+    def _certified(g, pattern, lp) -> list[str]:
+        """Assert that each certificate for ``pattern`` checks and agrees
+        with the LP answer ``lp``; return the kinds seen. A witness must
+        also pass the simplex decider."""
+        kinds = []
+        for cert in (_prefilter_lambda_box(g, pattern), _pattern_lambda(g, pattern)):
+            if cert is None:
+                continue
+            assert check_certificate_1lap(g, pattern, cert), (g, pattern, cert)
+            if isinstance(cert, OneLapWitness):
+                assert lp == [(cert.lam, cert.lam)], (g, pattern)
+                assert check_eigenpair_1lap(g, cert.lam, pattern).verdict
+            else:
+                assert lp == [], (g, pattern, cert)
+            kind = "witness" if isinstance(cert, OneLapWitness) else cert[0]
+            kinds.append(kind + ("-wide" if kind == "zero-cut" and sum(map(abs, cert[2])) > 1
+                                 else ""))
+        return kinds
+
     def test_equals_lp_oracle_on_every_sign_pattern(self):
         # max-flow against the three-LP simplex solve, on every pattern;
         # cover_cases counts feasible patterns with a negative edge between
-        # two zero vertices, the case only the signed double cover decides
+        # two zero vertices, the case only the signed double cover decides.
+        # Both directions of each certificate are checked against the LP.
         found = cover_cases = 0
+        kinds = Counter()
         for g in self._corpus():
             for pattern in nonzero_patterns(g.n):
                 got = one_lap_lambda_range(g, pattern)
-                assert got == one_lap_lambda_range_lp(g, pattern), (g, pattern)
+                lp = one_lap_lambda_range_lp(g, pattern)
+                assert got == lp, (g, pattern)
+                kinds.update(self._certified(g, pattern, lp))
                 found += bool(got)
                 cover_cases += bool(got) and any(s < 0 and pattern[u] == pattern[v] == 0
                                                  for u, v, _, s in g.edges)
         assert found >= 150 and cover_cases >= 50
+        # every kind of certificate occurs, zero-block cuts over several vertices too
+        assert min(kinds[k] for k in ("witness", "screen", "pins", "support-cut", "zero-cut",
+                                      "zero-cut-wide")) >= 10, kinds
 
     def test_equals_lp_oracle_on_repro_graph(self):
         g, lam = repro_graph()
         for pattern in nonzero_patterns(g.n):
-            assert one_lap_lambda_range(g, pattern) == one_lap_lambda_range_lp(g, pattern)
+            lp = one_lap_lambda_range_lp(g, pattern)
+            assert one_lap_lambda_range(g, pattern) == lp
+            self._certified(g, pattern, lp)
         assert one_lap_lambda_range(g, [1, 1, 0, 0, 0]) == [(lam, lam)]
 
     def test_equals_lp_oracle_off_the_unit_grid(self):
@@ -330,3 +365,154 @@ class TestLambdaRange:
         g = complete(4)
         for pattern in nonzero_patterns(g.n):
             one_lap_lambda_range(g, pattern)
+
+
+class TestCertificateTamper:
+    """A certificate changed in any of these ways no longer checks."""
+
+    @staticmethod
+    def _witnesses():
+        for g in list(TestLambdaRange._corpus())[:6]:
+            for pattern in nonzero_patterns(g.n):
+                cert = _pattern_lambda(g, pattern)
+                if isinstance(cert, OneLapWitness):
+                    yield g, pattern, cert
+
+    def test_perturbed_edge_value(self):
+        # a fixed z_uv leaves its Sgn point, a free support edge unbalances
+        # its ends; a zero-zero edge may have slack, so it is left out
+        tried = 0
+        for g, pattern, cert in self._witnesses():
+            for e, (u, v, _, s) in enumerate(g.edges):
+                if pattern[u] == pattern[v] == 0:
+                    continue
+                z_edge = list(cert.z_edge)
+                a, b = z_edge[e]
+                z_edge[e] = (a + 1, b - s)  # still antisymmetric
+                assert not check_certificate_1lap(g, pattern, cert._replace(z_edge=tuple(z_edge)))
+                tried += 1
+        assert tried >= 300
+
+    def test_broken_antisymmetry(self):
+        for g, pattern, cert in self._witnesses():
+            for e in range(len(g.edges)):
+                z_edge = list(cert.z_edge)
+                a, b = z_edge[e]
+                z_edge[e] = (a, b + 1)
+                assert not check_certificate_1lap(g, pattern, cert._replace(z_edge=tuple(z_edge)))
+
+    def test_lambda_shifted_by_one_scaled_unit(self):
+        for g, pattern, cert in self._witnesses():
+            p, q = cert.lam.numerator, cert.lam.denominator
+            for lam in (Fraction(p + 1, q), Fraction(p - 1, q)):
+                assert not check_certificate_1lap(g, pattern, cert._replace(lam=lam))
+
+    def test_circulation_beyond_the_sgn_interval(self):
+        # a circulation around a cycle of free edges keeps every vertex
+        # balanced; one of twice the weight puts each |z| at 2
+        g = triangle()
+        f = [1, 1, 1]
+        cert = _pattern_lambda(g, f)
+        assert check_certificate_1lap(g, f, cert)
+        w, c = g.scaled_ints[2][0][2], 2 * cert.den
+        assert all(e[2] == w for e in g.scaled_ints[2])
+        flows = {(0, 1): c, (1, 2): c, (0, 2): -c}  # 0 -> 1 -> 2 -> 0
+        z_edge = tuple((a + w * flows[u, v], b - w * flows[u, v])
+                       for (a, b), (u, v, _, _) in zip(cert.z_edge, g.edges))
+        assert not check_certificate_1lap(g, f, cert._replace(z_edge=z_edge))
+
+    def test_zero_vertex_unbalanced_inside_its_interval(self):
+        # y has flux -1 from its edge and slack |lambda| mu_y + kappa_y = 2;
+        # z_y = +1 absorbs the flux, z_y = -1 doubles it
+        g = SignedGraph.build(["x", "y"], [("x", "y", 1.0, 1)], kappa=[0.0, 1.0])
+        f = [1, 0]
+        cert = _pattern_lambda(g, f)
+        assert cert.lam == 1 and cert.z_vertex[1] == cert.den * g.scaled_ints[1][1]
+        assert check_certificate_1lap(g, f, cert)
+        tampered = cert._replace(z_vertex=(0, -cert.z_vertex[1]))
+        assert not check_certificate_1lap(g, f, tampered)
+
+    def test_no_rejection_of_a_feasible_pattern_checks(self):
+        # every screen pair, every pin against the whole support (always a
+        # pin), every support cut and every sign vector pi on a feasible
+        # pattern must fail, since each would prove it infeasible
+        tried = 0
+        for g in [g for g in TestLambdaRange._corpus() if g.n <= 5]:
+            for pattern in nonzero_patterns(g.n):
+                cert = _pattern_lambda(g, pattern)
+                if not isinstance(cert, OneLapWitness):
+                    continue
+                support = tuple(x for x in range(g.n) if pattern[x])
+                subsets = [tuple(x for i, x in enumerate(support) if m >> i & 1)
+                           for m in range(1, 1 << len(support))]
+                fakes = [("screen", x, y) for x in support for y in support]
+                fakes += [("pins", c, support) for c in subsets]
+                fakes += [("support-cut", support, c) for c in subsets]
+                fakes += [("zero-cut", support, pi) for pi in product((-1, 0, 1), repeat=g.n)]
+                for fake in fakes:
+                    assert not check_certificate_1lap(g, pattern, fake), (g, pattern, fake)
+                tried += len(fakes)
+        assert tried >= 10000
+
+    def test_vertex_dropped_from_a_support_cut(self):
+        # one component a-b-c with lambda = 0 (kappa sums to 0) and demands
+        # -3, 3/2, 3/2: {b, c} needs 3 across the edge a-b of weight 1, while
+        # {b} and {c} alone have boundary weight 3 and 2
+        g = SignedGraph.build(["a", "b", "c"], [("a", "b", 1.0, 1), ("b", "c", 2.0, 1)],
+                              kappa=[3.0, -1.5, -1.5])
+        f = [1, 1, 1]
+        cert = _pattern_lambda(g, f)
+        assert cert == ("support-cut", (0, 1, 2), (1, 2))
+        assert check_certificate_1lap(g, f, cert)
+        for side in ((1,), (2,), ()):
+            assert not check_certificate_1lap(g, f, ("support-cut", (0, 1, 2), side))
+        assert one_lap_lambda_range_lp(g, f) == []
+
+    def test_vertex_dropped_from_a_zero_cut(self):
+        # x pins lambda = 3/64; the zero vertices y1, y2 carry determined
+        # flux -3/2 and +3/2, which the negative edge y1-y2 of weight 2 can
+        # only cancel together: alone, each is within reach of it
+        g = SignedGraph.build(["x", "y1", "y2"],
+                              [("x", "y1", 1.5, 1), ("x", "y2", 1.5, -1), ("y1", "y2", 2.0, -1)],
+                              mu=[64.0, 1.0, 1.0])
+        f = [1, 0, 0]
+        cert = _pattern_lambda(g, f)
+        kind, pin, pi = cert
+        assert kind == "zero-cut" and sum(map(abs, pi)) == 2
+        assert check_certificate_1lap(g, f, cert)
+        for y in (1, 2):
+            dropped = list(pi)
+            dropped[y] = 0
+            assert not check_certificate_1lap(g, f, (kind, pin, tuple(dropped)))
+        assert one_lap_lambda_range_lp(g, f) == []
+
+    def test_wrong_screen_pair(self):
+        tried = 0
+        for g in list(TestLambdaRange._corpus())[:6]:
+            for pattern in nonzero_patterns(g.n):
+                cert = _prefilter_lambda_box(g, pattern)
+                if cert is None:
+                    continue
+                _, x, y = cert
+                assert check_certificate_1lap(g, pattern, cert)
+                for wrong in ((y, x), (x, x), (y, y)):
+                    assert not check_certificate_1lap(g, pattern, ("screen", *wrong))
+                tried += 1
+        assert tried >= 100
+
+    def test_pins_must_be_closed_and_differ(self):
+        g = SignedGraph.build(["x1", "x2", "y1", "y2"],
+                              [("x1", "x2", 1.0, 1), ("y1", "y2", 1.0, 1), ("x2", "y1", 1.0, -1)],
+                              kappa=[1.0, 1.0, 2.0, 2.0])
+        f = [1, 1, 1, 1]
+        cert = _pattern_lambda(g, f)
+        assert cert == ("pins", (0, 1), (2, 3))
+        assert check_certificate_1lap(g, f, cert)
+        # {x1} is left by the free edge x1-x2; a pin against itself agrees
+        assert not check_certificate_1lap(g, f, ("pins", (0,), (2, 3)))
+        assert not check_certificate_1lap(g, f, ("pins", (0, 1), (0, 1)))
+
+    @pytest.mark.parametrize("f", [[1.0], [0.0, 0.0], [1.0, float("nan")], [float("inf"), 1.0]])
+    def test_bad_function_rejected(self, f):
+        with pytest.raises(GraphError):
+            check_certificate_1lap(path(2), f, ("screen", 0, 1))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgspec.graph import GraphError, SignedGraph, switch
-from sgspec.operators import check_eigenpair_1lap
+from sgspec.operators import check_certificate_1lap, check_eigenpair_1lap
 from sgspec.spectra import (
     extremal_p,
     form_matrix,
@@ -217,6 +217,20 @@ class TestOneLapEnumerate:
             for pr in ols.pairs:
                 if pr.is_point:
                     assert check_eigenpair_1lap(g, pr.lam, list(map(float, pr.f))).verdict
+
+    def test_every_pattern_keeps_a_certificate_that_checks(self):
+        rng = np.random.default_rng(14)
+        for _ in range(6):
+            g = random_graph(rng, 5)
+            ols = one_lap_enumerate(g)
+            patterns = [pr.f for pr in ols.pairs] + [f for f, _ in ols.rejections]
+            assert sorted(patterns) == sorted(
+                p for p in product((0, 1, -1), repeat=g.n) if next((t for t in p if t), 0) == 1)
+            assert len(patterns) == ols.patterns_scanned
+            for pr in ols.pairs:
+                assert pr.witness.lam == pr.lam
+                assert check_certificate_1lap(g, pr.f, pr.witness)
+            assert all(check_certificate_1lap(g, f, cert) for f, cert in ols.rejections)
 
     def test_cap_enforced(self):
         g = SignedGraph.build([str(i) for i in range(13)], [])
