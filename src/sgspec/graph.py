@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -61,6 +62,9 @@ def _cached_array(values, dtype) -> cached_property:
     return cached_property(build)
 
 
+ColumnViews = namedtuple("ColumnViews", "eu ev ew es mu kappa bins col")
+
+
 @dataclass(frozen=True)
 class SignedGraph:
     """Immutable vertex- and edge-weighted graph with a +-1 signature.
@@ -70,8 +74,8 @@ class SignedGraph:
     ``mu`` is finite and positive, ``kappa`` finite. The constructor is the
     one validator of these rules. Its numeric views are read-only and built
     on first use: the edge columns ``eu``, ``ev`` (intp), ``ew``, ``es``
-    (float), mu, kappa, the adjacency lists and ``scaled_ints``, the exact
-    integer view.
+    (float), mu, kappa, the adjacency lists, the ``columns`` views and
+    ``scaled_ints``, the exact integer view.
     """
 
     ids: tuple[str, ...]
@@ -154,6 +158,25 @@ class SignedGraph:
 
     def weighted_degrees(self) -> np.ndarray:
         return self.incident_sums(self.ew)
+
+    _column_views = cached_property(lambda g: {})
+
+    def columns(self, m: int) -> ColumnViews:
+        """Read-only flat views for m functions held as the columns of an
+        (n, m) array f and read through ``f.ravel()``: the edge ends ``eu``,
+        ``ev`` as flat indices; ``ew``, ``es``, ``mu``, ``kappa`` repeated per
+        column; ``bins`` for ``np.bincount`` over the vertex entries, then the
+        edges' v ends, then their u ends; ``col``, the column of each vertex
+        entry, then of each edge entry. Built once per m."""
+        if m not in self._column_views:
+            eu, ev = ((e[:, None] * m + np.arange(m)).ravel() for e in (self.eu, self.ev))
+            rep = (np.repeat(a, m) for a in (self.ew, self.es, self._mu, self._kappa))
+            views = ColumnViews(eu, ev, *rep, np.concatenate((np.arange(self.n * m), ev, eu)),
+                                np.arange((self.n + len(self.edges)) * m) % m)
+            for a in views:
+                a.flags.writeable = False
+            self._column_views[m] = views
+        return self._column_views[m]
 
     @cached_property
     def scaled_ints(self) -> tuple[tuple[int, ...], tuple[int, ...],

@@ -327,8 +327,8 @@ class SuiteConfig:
             raise GraphError("density must be in (0, 1]")
         if not (self.models and self.p_list and self.checks):
             raise GraphError("models, p_list and checks must be non-empty")
-        if not all(p >= 1 for p in self.p_list):
-            raise GraphError(f"every p must be >= 1, got {list(self.p_list)}")
+        if not all(1 <= p < float("inf") for p in self.p_list):
+            raise GraphError(f"every p must be finite and >= 1, got {list(self.p_list)}")
         if self.mu_mode not in ("unit", "degree"):
             raise GraphError(f"mu_mode must be 'unit' or 'degree', got {self.mu_mode!r}")
         if not self.tol >= 0:

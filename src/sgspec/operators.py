@@ -52,43 +52,57 @@ def phi_p(t, p: float):
     |t|^(p-2) factor for p < 2.
     """
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    mask = np.abs(t) >= _TINY
-    out[mask] = np.sign(t[mask]) * np.abs(t[mask]) ** (p - 1)
+    a = np.abs(t)
+    out = np.where(a >= _TINY, np.sign(t) * a ** (p - 1), 0.0)
     return out if out.ndim else float(out)
+
+
+# Delta_p, the Rayleigh quotient and the residual take f of shape (n,) or
+# (n, m); column j of a 2-D result equals the 1-D call on f[:, j], bitwise:
+# sums run through bincount, which adds in input order (BLAS does not).
+
+def _columns(f) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    return f[:, None] if f.ndim == 1 else f
 
 
 def apply_p_laplacian(g: SignedGraph, p: float, f) -> np.ndarray:
     """Apply the signed p-Laplacian pointwise, p > 1."""
     if p <= 1:
         raise GraphError("apply_p_laplacian requires p > 1; use the inclusion checker for p = 1")
-    f = np.asarray(f, dtype=float)
-    t = g.ew * phi_p(f[g.eu] - g.es * f[g.ev], p)
+    fc = _columns(f)
+    x, c = fc.ravel(), g.columns(fc.shape[1])
+    t = c.ew * phi_p(x[c.eu] - c.es * x[c.ev], p)
     # Phi_p(f_v - sigma f_u) = -sigma Phi_p(f_u - sigma f_v), so one phi_p per
     # edge serves both endpoints. With sorted edges each vertex adds its terms
     # after the potential term in edge order, as a per-edge loop would.
-    return np.bincount(np.concatenate((np.arange(g.n), g.ev, g.eu)),
-                       np.concatenate((g.kappa_array() * phi_p(f, p), -g.es * t, t)), g.n)
+    lap = np.bincount(c.bins, np.concatenate((c.kappa * phi_p(x, p), -c.es * t, t)), x.size)
+    return lap.reshape(np.shape(f))
 
 
-def rayleigh(g: SignedGraph, p: float, f) -> float:
+def rayleigh(g: SignedGraph, p: float, f):
     """p-Rayleigh quotient of a nonzero function (scale invariant)."""
-    f = np.asarray(f, dtype=float)
-    if not np.any(f):
+    fc = _columns(f)
+    if not fc.any(axis=0).all():
         raise GraphError("Rayleigh quotient undefined for the zero function")
-    fp = np.abs(f) ** p
-    edge_terms = g.ew * np.abs(f[g.eu] - g.es * f[g.ev]) ** p
-    num = float(np.dot(g.kappa_array(), fp)) + float(np.sum(edge_terms))
-    return num / float(np.dot(g.mu_array(), fp))
+    m, x = fc.shape[1], fc.ravel()
+    c = g.columns(m)
+    fp = np.abs(x) ** p
+    edge_terms = c.ew * np.abs(x[c.eu] - c.es * x[c.ev]) ** p
+    q = (np.bincount(c.col, np.concatenate((c.kappa * fp, edge_terms)), m)
+         / np.bincount(c.col[:x.size], c.mu * fp, m))
+    return q if np.ndim(f) == 2 else float(q[0])
 
 
-def eigen_residual(g: SignedGraph, p: float, f, lam: float) -> float:
-    """Max over vertices of |Delta_p f - lam mu Phi_p f| / (1 + |lam| mu |f|^(p-1))."""
-    f = np.asarray(f, dtype=float)
-    mu = g.mu_array()
-    lap = apply_p_laplacian(g, p, f)
-    scale = 1.0 + abs(lam) * mu * np.abs(f) ** (p - 1)
-    return float(np.max(np.abs(lap - lam * mu * phi_p(f, p)) / scale))
+def eigen_residual(g: SignedGraph, p: float, f, lam):
+    """Max over vertices of |Delta_p f - lam mu Phi_p f| / (1 + |lam| mu |f|^(p-1));
+    lam is a scalar or, for 2-D f, one per column."""
+    fc = _columns(f)
+    mu = g.mu_array()[:, None]
+    lap = apply_p_laplacian(g, p, fc)
+    scale = 1.0 + np.abs(lam) * mu * np.abs(fc) ** (p - 1)
+    res = (np.abs(lap - lam * mu * phi_p(fc, p)) / scale).max(axis=0)
+    return res if np.ndim(f) == 2 else float(res[0])
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,18 @@ enumerated 1-Laplacian eigenpairs and Cheeger upper bounds.
 
 The p=2 case reduces to a symmetric matrix pencil and is solved by
 ``np.linalg.eigh`` on the symmetrically normalized matrix. For general
-p > 1 only the extremes of the Rayleigh quotient are computed (projected
-gradient with restarts, then a Newton polish); every reported pair is
-re-certified by its eigen-residual. For p = 1 candidates are the +-1/0
-patterns, each decided by an exact integer max-flow that leaves a
-certificate: a witness for each pair, a reason for each rejected pattern,
-both checked in linear time by ``check_certificate_1lap``.
+p > 1 only the extremes of the Rayleigh quotient are computed, every
+restart a column of one matrix run in lock step (projected gradient, then
+a Newton polish); every reported pair is re-certified by its
+eigen-residual. For p = 1 candidates are the +-1/0 patterns, each decided
+by an exact integer max-flow that leaves a certificate: a witness for each
+pair, a reason for each rejected pattern, both checked in linear time by
+``check_certificate_1lap``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -61,19 +63,11 @@ class SpectrumP2:
         raise IndexError(k)
 
 
-def _edge_matrix(g: SignedGraph, c: np.ndarray) -> np.ndarray:
-    """n x n matrix with -sigma_e c_e at both off-diagonal places of each
-    edge e and, on the diagonal, the sum of c over the vertex's edges."""
-    m = np.zeros((g.n, g.n))
-    m[g.eu, g.ev] = m[g.ev, g.eu] = -g.es * c
-    m[np.diag_indices(g.n)] = g.incident_sums(c)
-    return m
-
-
 def form_matrix(g: SignedGraph) -> np.ndarray:
     """Symmetric form matrix: L_xx = sum_y w_xy + kappa_x, L_xy = -sigma w_xy."""
-    lmat = _edge_matrix(g, g.ew)
-    lmat[np.diag_indices(g.n)] += g.kappa_array()
+    lmat = np.zeros((g.n, g.n))
+    lmat[g.eu, g.ev] = lmat[g.ev, g.eu] = -g.es * g.ew
+    lmat[np.diag_indices(g.n)] = g.incident_sums(g.ew) + g.kappa_array()
     return lmat
 
 
@@ -107,87 +101,96 @@ class ExtremalResult:
     residual_max: float
     converged_min: bool
     converged_max: bool
+    # per start, min starts first: which, lambda, residual, gradient_steps, newton_steps
     trace: tuple[dict, ...] = field(default=())
+    lockstep_steps: int = 0  # gradient iterations run in lock step (the slowest start's)
 
 
 def _normalize_p(g: SignedGraph, p: float, f: np.ndarray) -> np.ndarray:
-    scale = float(np.dot(g.mu_array(), np.abs(f) ** p)) ** (1.0 / p)
-    if scale == 0.0:
+    """Each column of f over its mu-weighted l^p norm."""
+    c = g.columns(f.shape[1])
+    scale = np.bincount(c.col[:f.size], c.mu * np.abs(f.ravel()) ** p, f.shape[1]) ** (1.0 / p)
+    if (scale == 0.0).any():
         raise GraphError("cannot normalize the zero function")
     return f / scale
 
 
-def _newton_polish(g: SignedGraph, p: float, f: np.ndarray, lam: float, iters: int = 50):
-    """Newton on (Delta_p f - lam mu Phi_p f, mu-p-norm - 1); keeps the best
-    iterate by residual. Second derivatives |t|^(p-2) are clipped away from
-    zero arguments for p < 2."""
-    n = g.n
-    mu = g.mu_array()
-    kap = g.kappa_array()
-    f = _normalize_p(g, p, f.copy())
-    best_f, best_lam = f.copy(), lam
-    best_res = eigen_residual(g, p, f, lam)
-    for _ in range(iters):
-        jac = np.zeros((n + 1, n + 1))
-        rhs = np.zeros(n + 1)
-        lap = apply_p_laplacian(g, p, f)
-        rhs[:n] = -(lap - lam * mu * phi_p(f, p))
-        rhs[n] = -(float(np.dot(mu, np.abs(f) ** p)) - 1.0)
-        dabs = np.maximum(np.abs(f), 1e-12) ** (p - 2)
-        d = f[g.eu] - g.es * f[g.ev]
-        jac[:n, :n] = _edge_matrix(g, (p - 1) * g.ew * np.maximum(np.abs(d), 1e-12) ** (p - 2))
-        diag = (p - 1) * (kap - lam * mu) * dabs
-        jac[np.arange(n), np.arange(n)] += diag
-        jac[:n, n] = -mu * phi_p(f, p)
-        jac[n, :n] = p * mu * phi_p(f, p)
-        try:
-            step = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        # Damped line search on the residual.
-        t = 1.0
-        accepted = False
-        for _ in range(30):
-            f_try = f + t * step[:n]
-            lam_try = lam + t * step[n]
-            if np.any(f_try != 0):
-                r = eigen_residual(g, p, f_try, lam_try)
-                if r < best_res:
-                    f, lam, best_res = f_try, lam_try, r
-                    best_f, best_lam = f.copy(), lam
-                    accepted = True
-                    break
-            t *= 0.5
-        if not accepted:
-            break
-    return best_f, best_lam, best_res
-
-
-def _gradient_run(g, p, f0, sign, max_iter, step0, rng):
-    """Projected gradient on the mu-weighted l^p sphere; sign=+1 minimizes."""
-    f = _normalize_p(g, p, f0)
-    mu = g.mu_array()
+def _lockstep_gradient(g, p, f, sign, max_iter, step0):
+    """Projected gradient on the mu-weighted l^p sphere, one start per column
+    of f; sign[j] = +1 minimizes column j. Each column keeps its own step,
+    acceptance and stopping test; a stopped column stays frozen."""
+    mu = g.mu_array()[:, None]
+    f = _normalize_p(g, p, f)
     r = rayleigh(g, p, f)
-    eta = step0
+    eta, steps = np.full(f.shape[1], step0), np.zeros(f.shape[1], dtype=int)
     for _ in range(max_iter):
         grad = p * (apply_p_laplacian(g, p, f) - r * mu * phi_p(f, p))
-        gnorm = float(np.max(np.abs(grad)))
-        if gnorm < 1e-14 or eta < 1e-15:
+        live = ~((np.abs(grad).max(axis=0) < 1e-14) | (eta < 1e-15))
+        if not live.any():
             break
+        steps += live
         f_try = f - sign * eta * grad
-        if not np.any(f_try):
-            eta *= 0.5
-            continue
-        f_try = _normalize_p(g, p, f_try)
+        nonzero = f_try.any(axis=0)  # a zero column is rejected; f stands in
+        f_try = _normalize_p(g, p, np.where(nonzero, f_try, f))
         r_try = rayleigh(g, p, f_try)
-        if sign * (r_try - r) < -1e-16:
-            f, r = f_try, r_try
-            eta *= 1.2
-        else:
-            eta *= 0.5
-    return f, r
+        better = live & nonzero & (sign * (r_try - r) < -1e-16)
+        f, r = np.where(better, f_try, f), np.where(better, r_try, r)
+        eta = np.where(better, eta * 1.2, np.where(live, eta * 0.5, eta))
+    return f, r, steps
+
+
+def _lockstep_newton(g, p, f, lam, iters: int = 50):
+    """Damped Newton on (Delta_p f - lam mu Phi_p f, mu-p-norm - 1), one
+    eigenpair per column, each keeping its best iterate by residual. Second
+    derivatives |t|^(p-2) are clipped away from zero arguments for p < 2."""
+    n, m = f.shape
+    mu, kap, diag = g.mu_array()[:, None], g.kappa_array()[:, None], np.arange(n)
+    f = _normalize_p(g, p, f)
+    res = eigen_residual(g, p, f, lam)
+    steps, live = np.zeros(m, dtype=int), np.arange(m)
+    for _ in range(iters):
+        if not live.size:
+            break
+        k, fl, ll = live.size, f[:, live], lam[live]
+        phi = phi_p(fl, p)
+        rhs = np.empty((k, n + 1))
+        rhs[:, :n] = -(apply_p_laplacian(g, p, fl) - ll * mu * phi).T
+        cv, x = g.columns(k), fl.ravel()
+        rhs[:, n] = -(np.bincount(cv.col[:x.size], cv.mu * np.abs(x) ** p, k) - 1.0)
+        c = (p - 1) * cv.ew * np.maximum(np.abs(x[cv.eu] - cv.es * x[cv.ev]), 1e-12) ** (p - 2)
+        jac = np.zeros((k, n + 1, n + 1))
+        jac[:, g.eu, g.ev] = jac[:, g.ev, g.eu] = (-cv.es * c).reshape(-1, k).T
+        incident = np.bincount(cv.bins, np.concatenate((np.zeros(x.size), c, c)),
+                               x.size).reshape(n, k)
+        dabs = np.maximum(np.abs(fl), 1e-12) ** (p - 2)
+        jac[:, diag, diag] = (incident + (p - 1) * (kap - ll * mu) * dabs).T
+        jac[:, :n, n], jac[:, n, :n] = (-mu * phi).T, (p * mu * phi).T
+        try:
+            step = np.linalg.solve(jac, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # solve one by one: a singular one stops its column
+            step = np.full((k, n + 1), np.nan)
+            for j in range(k):
+                try:
+                    step[j] = np.linalg.solve(jac[j], rhs[j])
+                except np.linalg.LinAlgError:
+                    pass
+        # damped line search on the residual, up to 30 halvings per column
+        searching = np.isfinite(step).all(axis=1)
+        accepted = np.zeros(k, dtype=bool)
+        t = np.ones(k)
+        for _ in range(30):
+            if not searching.any():
+                break
+            f_try, lam_try = fl + t * step[:, :n].T, ll + t * step[:, n]
+            r = eigen_residual(g, p, f_try, lam_try)
+            hit = searching & f_try.any(axis=0) & (r < res[live])
+            f[:, live[hit]], lam[live[hit]], res[live[hit]] = f_try[:, hit], lam_try[hit], r[hit]
+            accepted |= hit
+            searching &= ~hit
+            t = np.where(searching, t * 0.5, t)
+        live = live[accepted]
+        steps[live] += 1
+    return f, lam, res, steps
 
 
 def extremal_p(
@@ -199,41 +202,36 @@ def extremal_p(
     restarts: int = 8,
     seed: int = 0,
 ) -> ExtremalResult:
-    """Certified extremes of the p-Rayleigh quotient for p > 1."""
-    if p <= 1:
-        raise GraphError("extremal_p requires p > 1")
+    """Certified extremes of the p-Rayleigh quotient for p > 1. The starts,
+    each a column: the p = 2 extreme eigenvector and ``restarts`` random
+    ones, for the min and then for the max."""
+    if not (math.isfinite(p) and p > 1):
+        raise GraphError(f"extremal_p requires a finite p > 1, got {p}")
+    if restarts < 0:
+        raise GraphError(f"restarts must be >= 0, got {restarts}")
+    if g.n == 0:
+        raise GraphError("extremal_p needs at least one vertex")
     rng = np.random.default_rng(seed)
-    spec2 = spectrum_p2(g)
-    trace = []
-    results = {}
-    for which, sign, warm in (
-        ("min", +1, spec2.vectors[:, 0]),
-        ("max", -1, spec2.vectors[:, -1]),
-    ):
-        starts = [warm] + [rng.standard_normal(g.n) for _ in range(restarts)]
-        cands = []  # (certified, lam, f, res)
-        for f0 in starts:
-            f, r = _gradient_run(g, p, f0, sign, max_iter, step, rng)
-            f, lam, res = _newton_polish(g, p, f, r)
-            trace.append({"which": which, "lambda": lam, "residual": res})
-            cands.append((res <= tol, lam, f, res))
-        # certified first, then the extreme lambda, else the smallest
-        # residual; min keeps the first of equal keys
-        results[which] = min(cands, key=lambda c: (not c[0], sign * c[1] if c[0] else c[3]))
-    cmin, lam_min, f_min, res_min = results["min"]
-    cmax, lam_max, f_max, res_max = results["max"]
+    vecs = spectrum_p2(g).vectors
+    starts = []
+    for warm in (vecs[:, 0], vecs[:, -1]):
+        starts += [warm, *(rng.standard_normal(g.n) for _ in range(restarts))]
+    sign = np.repeat([1.0, -1.0], restarts + 1)
+    f, r, gsteps = _lockstep_gradient(g, p, np.column_stack(starts), sign, max_iter, step)
+    f, lam, res, nsteps = _lockstep_newton(g, p, f, r)
+    trace = tuple({"which": "min" if s > 0 else "max", "lambda": float(lam[j]),
+                   "residual": float(res[j]), "gradient_steps": int(gsteps[j]),
+                   "newton_steps": int(nsteps[j])} for j, s in enumerate(sign))
+    ok = res <= tol
+    # certified first, then the extreme lambda, else the smallest residual;
+    # min keeps the first of equal keys
+    jmin, jmax = (min(cols, key=lambda j: (not ok[j], s * lam[j] if ok[j] else res[j]))
+                  for s, cols in ((1, range(restarts + 1)), (-1, range(restarts + 1, sign.size))))
     return ExtremalResult(
-        p=p,
-        lambda_min=lam_min,
-        f_min=f_min,
-        residual_min=res_min,
-        lambda_max=lam_max,
-        f_max=f_max,
-        residual_max=res_max,
-        converged_min=cmin,
-        converged_max=cmax,
-        trace=tuple(trace),
-    )
+        p=p, lambda_min=float(lam[jmin]), f_min=f[:, jmin].copy(), residual_min=float(res[jmin]),
+        lambda_max=float(lam[jmax]), f_max=f[:, jmax].copy(), residual_max=float(res[jmax]),
+        converged_min=bool(ok[jmin]), converged_max=bool(ok[jmax]),
+        trace=trace, lockstep_steps=int(gsteps.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ import numpy as np
 
 from sgspec import simplex
 from sgspec.graph import GraphError, SignedGraph
+from sgspec.operators import apply_p_laplacian, eigen_residual, phi_p, rayleigh
+from sgspec.spectra import ExtremalResult, spectrum_p2
 
 
 def balance_oracle(g: SignedGraph) -> tuple[bool, bool]:
@@ -364,3 +366,115 @@ def one_lap_lambda_range_lp(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]
         if b >= t_star:
             intervals.append((max(a, t_star), b))
     return intervals
+
+
+def _normalize_p(g: SignedGraph, p: float, f: np.ndarray) -> np.ndarray:
+    scale = float(np.dot(g.mu_array(), np.abs(f) ** p)) ** (1.0 / p)
+    if scale == 0.0:
+        raise GraphError("cannot normalize the zero function")
+    return f / scale
+
+
+def _gradient_run(g, p, f0, sign, max_iter, step0):
+    """Projected gradient on the mu-weighted l^p sphere; sign=+1 minimizes."""
+    f = _normalize_p(g, p, f0)
+    mu = g.mu_array()
+    r = rayleigh(g, p, f)
+    eta = step0
+    steps = 0
+    for _ in range(max_iter):
+        grad = p * (apply_p_laplacian(g, p, f) - r * mu * phi_p(f, p))
+        gnorm = float(np.max(np.abs(grad)))
+        if gnorm < 1e-14 or eta < 1e-15:
+            break
+        steps += 1
+        f_try = f - sign * eta * grad
+        if not np.any(f_try):
+            eta *= 0.5
+            continue
+        f_try = _normalize_p(g, p, f_try)
+        r_try = rayleigh(g, p, f_try)
+        if sign * (r_try - r) < -1e-16:
+            f, r = f_try, r_try
+            eta *= 1.2
+        else:
+            eta *= 0.5
+    return f, r, steps
+
+
+def _newton_polish(g: SignedGraph, p: float, f: np.ndarray, lam: float, iters: int = 50):
+    """Newton on (Delta_p f - lam mu Phi_p f, mu-p-norm - 1), one dense
+    solve per step; keeps the best iterate by residual."""
+    n = g.n
+    mu = g.mu_array()
+    kap = g.kappa_array()
+    f = _normalize_p(g, p, f.copy())
+    best_f, best_lam = f.copy(), lam
+    best_res = eigen_residual(g, p, f, lam)
+    steps = 0
+    for _ in range(iters):
+        jac = np.zeros((n + 1, n + 1))
+        rhs = np.zeros(n + 1)
+        lap = apply_p_laplacian(g, p, f)
+        rhs[:n] = -(lap - lam * mu * phi_p(f, p))
+        rhs[n] = -(float(np.dot(mu, np.abs(f) ** p)) - 1.0)
+        dabs = np.maximum(np.abs(f), 1e-12) ** (p - 2)
+        d = f[g.eu] - g.es * f[g.ev]
+        c = (p - 1) * g.ew * np.maximum(np.abs(d), 1e-12) ** (p - 2)
+        jac[g.eu, g.ev] = jac[g.ev, g.eu] = -g.es * c
+        jac[np.arange(n), np.arange(n)] = g.incident_sums(c)
+        diag = (p - 1) * (kap - lam * mu) * dabs
+        jac[np.arange(n), np.arange(n)] += diag
+        jac[:n, n] = -mu * phi_p(f, p)
+        jac[n, :n] = p * mu * phi_p(f, p)
+        try:
+            step = np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(step)):
+            break
+        t = 1.0
+        accepted = False
+        for _ in range(30):
+            f_try = f + t * step[:n]
+            lam_try = lam + t * step[n]
+            if np.any(f_try != 0):
+                r = eigen_residual(g, p, f_try, lam_try)
+                if r < best_res:
+                    f, lam, best_res = f_try, lam_try, r
+                    best_f, best_lam = f.copy(), lam
+                    accepted = True
+                    break
+            t *= 0.5
+        if not accepted:
+            break
+        steps += 1
+    return best_f, best_lam, best_res, steps
+
+
+def extremal_p_sequential(g: SignedGraph, p: float, max_iter: int = 2000, step: float = 0.1,
+                          tol: float = 1e-9, restarts: int = 8, seed: int = 0) -> ExtremalResult:
+    """``extremal_p`` one start at a time: a projected-gradient run and a
+    Newton polish per start, each in its own Python loop, with the same
+    starts, selection and trace."""
+    rng = np.random.default_rng(seed)
+    spec2 = spectrum_p2(g)
+    trace = []
+    results = {}
+    for which, sign, warm in (("min", +1, spec2.vectors[:, 0]),
+                              ("max", -1, spec2.vectors[:, -1])):
+        starts = [warm] + [rng.standard_normal(g.n) for _ in range(restarts)]
+        cands = []
+        for f0 in starts:
+            f, r, gsteps = _gradient_run(g, p, f0, sign, max_iter, step)
+            f, lam, res, nsteps = _newton_polish(g, p, f, r)
+            trace.append({"which": which, "lambda": lam, "residual": res,
+                          "gradient_steps": gsteps, "newton_steps": nsteps})
+            cands.append((res <= tol, lam, f, res))
+        results[which] = min(cands, key=lambda c: (not c[0], sign * c[1] if c[0] else c[3]))
+    cmin, lam_min, f_min, res_min = results["min"]
+    cmax, lam_max, f_max, res_max = results["max"]
+    return ExtremalResult(p=p, lambda_min=lam_min, f_min=f_min, residual_min=res_min,
+                          lambda_max=lam_max, f_max=f_max, residual_max=res_max,
+                          converged_min=cmin, converged_max=cmax, trace=tuple(trace),
+                          lockstep_steps=max(t["gradient_steps"] for t in trace))

@@ -190,6 +190,31 @@ class TestTransform:
         assert "remove" in err
 
 
+class TestExtremal:
+    def test_certified_extremes(self, capsys, p3_file):
+        code, out, _ = run(capsys, "extremal", "--graph", p3_file, "--p", "3", "--restarts", "2")
+        doc = json.loads(out)
+        assert code == 0 and doc["converged_min"] and doc["converged_max"]
+        assert doc["lambda_min"] == pytest.approx(0.0, abs=1e-9)
+        assert sorted(doc) == ["converged_max", "converged_min", "f_max", "f_min", "lambda_max",
+                               "lambda_min", "p", "residual_max", "residual_min"]
+
+    @pytest.mark.parametrize("flags", [
+        ("--p", "inf"), ("--p=-inf",), ("--p", "nan"), ("--p", "1"),
+        ("--p", "2", "--restarts", "-1"),
+    ])
+    def test_bad_p_or_restarts_exit_2(self, capsys, p3_file, flags):
+        code, out, err = run(capsys, "extremal", "--graph", p3_file, *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_empty_graph_exits_2(self, capsys, tmp_path):
+        gfile = tmp_path / "empty.json"
+        gfile.write_text('{"vertices": [], "edges": []}')
+        code, out, err = run(capsys, "extremal", "--graph", str(gfile), "--p", "2")
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+
 class TestVerify:
     def test_small_suite(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -236,6 +261,8 @@ class TestVerify:
         json.dumps({"trials": 2, "mu_mode": "volume"}),
         json.dumps({"trials": "2"}),
         json.dumps({"models": 3}),
+        json.dumps({"trials": 2, "p_list": [2.0, float("inf")], "checks": ["perron-frobenius"]}),
+        json.dumps({"trials": 2, "p_list": [float("nan")], "checks": ["perron-frobenius"]}),
     ])
     def test_bad_config_exits_2(self, capsys, tmp_path, text):
         cfg = tmp_path / "cfg.json"

@@ -17,6 +17,7 @@ from sgspec.operators import (
     check_certificate_1lap,
     check_eigenpair,
     check_eigenpair_1lap,
+    eigen_residual,
     one_lap_lambda_range,
     phi_p,
     rayleigh,
@@ -45,6 +46,23 @@ class TestPhi:
     @given(st.floats(-10, 10), st.floats(1.0, 4.0))
     def test_odd(self, t, p):
         assert phi_p(-t, p) == pytest.approx(-phi_p(t, p), abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0])
+    def test_equals_masked_formula_bitwise(self, p):
+        def masked(t):
+            t = np.asarray(t, dtype=float)
+            out = np.zeros_like(t)
+            mask = np.abs(t) >= 1e-300
+            out[mask] = np.sign(t[mask]) * np.abs(t[mask]) ** (p - 1)
+            return out if out.ndim else float(out)
+
+        rng = np.random.default_rng(int(p * 100))
+        special = [0.0, -0.0, 1e-300, -1e-300, 9e-301, 1e-310, -5e-324, 1e-299, 1e100]
+        vec = np.concatenate((special, rng.standard_normal(40) * 10.0 ** rng.integers(-320, 5, 40)))
+        for t in [*special, 2.5, -0.75, vec, vec.reshape(7, 7)]:
+            got, want = phi_p(t, p), masked(t)
+            assert type(got) is type(want)
+            assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
 
 class TestApply:
@@ -103,6 +121,38 @@ class TestApply:
         for u, v, w, s in g.edges:
             num += w * abs(f[u] - s * f[v]) ** p
         assert lhs == pytest.approx(num, rel=1e-9, abs=1e-9)
+
+
+class TestColumns:
+    """Every operator on an (n, m) array gives, in column j, the 1-D result
+    for column j, bit for bit."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 6),
+           st.sampled_from([1.01, 1.5, 2.0, 2.5, 3.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_each_column_equals_the_1d_call(self, seed, n, m, p):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n, density=float(rng.choice((0.0, 0.6, 1.0))))
+        g = SignedGraph(ids=g.ids, mu=g.mu, edges=g.edges,
+                        kappa=tuple(float(k) for k in rng.uniform(-1.0, 1.0, n)))
+        if rng.random() < 0.5:  # a half-integer grid gives zeros and f_x = sigma f_y
+            f = rng.integers(-3, 4, size=(n, m)) / 2.0
+        else:
+            f = rng.standard_normal((n, m))
+        f[0] = np.where(f.any(axis=0), f[0], 1.0)  # no zero column
+        lam = rng.uniform(-2.0, 5.0, m)
+        lap, ray, res = (apply_p_laplacian(g, p, f), rayleigh(g, p, f),
+                         eigen_residual(g, p, f, lam))
+        assert lap.shape == (n, m) and ray.shape == res.shape == (m,)
+        for j in range(m):
+            assert np.array_equal(lap[:, j], apply_p_laplacian(g, p, f[:, j]))
+            assert ray[j] == rayleigh(g, p, f[:, j])
+            assert res[j] == eigen_residual(g, p, f[:, j], lam[j])
+            assert np.array_equal(phi_p(f, p)[:, j], phi_p(f[:, j], p))
+
+    def test_zero_column_rejected(self):
+        with pytest.raises(GraphError):
+            rayleigh(path(2), 2.0, np.array([[1.0, 0.0], [-1.0, 0.0]]))
 
 
 class TestRayleigh:

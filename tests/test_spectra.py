@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgspec.graph import GraphError, SignedGraph, switch
+from sgspec.harness import MODELS, random_signed_graph
 from sgspec.operators import check_certificate_1lap, check_eigenpair_1lap
 from sgspec.spectra import (
     extremal_p,
@@ -17,7 +18,7 @@ from sgspec.spectra import (
     upper_bound_lambda_k,
 )
 
-from oracles import sym2_eigs, sym3_eigs
+from oracles import extremal_p_sequential, sym2_eigs, sym3_eigs
 from test_graph import complete, path, random_graph, triangle
 
 F = Fraction
@@ -144,6 +145,63 @@ class TestExtremalP:
     def test_p_le_one_rejected(self):
         with pytest.raises(GraphError):
             extremal_p(path(2), 1.0)
+
+    @pytest.mark.parametrize("kwargs", [{"p": float("inf")}, {"p": float("nan")},
+                                        {"p": 2.0, "restarts": -1}])
+    def test_bad_p_or_restarts_rejected(self, kwargs):
+        with pytest.raises(GraphError):
+            extremal_p(path(3), **kwargs)
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(GraphError):
+            extremal_p(SignedGraph((), (), (), ()), 2.0)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_matches_sequential_oracle(self, model):
+        rng = np.random.default_rng(sum(map(ord, model)))
+        for p in (1.5, 2.0, 3.0):
+            g = random_signed_graph(int(rng.integers(3, 9)), 0.7, model,
+                                    seed=int(rng.integers(0, 2**31)), connected=True)
+            for restarts in (0, 8):
+                seed = int(rng.integers(0, 2**31))
+                got = extremal_p(g, p, restarts=restarts, seed=seed)
+                want = extremal_p_sequential(g, p, restarts=restarts, seed=seed)
+                for a, b in ((got.lambda_min, want.lambda_min), (got.lambda_max, want.lambda_max)):
+                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+                assert (got.converged_min, got.converged_max) == (want.converged_min,
+                                                                 want.converged_max)
+                assert [t["which"] for t in got.trace] == [t["which"] for t in want.trace]
+                assert len(got.trace) == 2 * (restarts + 1)
+
+    def test_trace_counts_steps_per_start(self):
+        res = extremal_p(random_signed_graph(6, 0.7, "uniform", seed=3, connected=True), 3.0,
+                         restarts=3, seed=5)
+        assert [t["which"] for t in res.trace] == ["min"] * 4 + ["max"] * 4
+        for t in res.trace:
+            assert type(t["gradient_steps"]) is int and type(t["newton_steps"]) is int
+            assert 0 <= t["gradient_steps"] <= 2000 and 0 <= t["newton_steps"] <= 50
+        assert res.lockstep_steps == max(t["gradient_steps"] for t in res.trace) > 0
+
+    def test_singular_solve_stops_only_its_column(self, monkeypatch):
+        g = random_signed_graph(6, 0.7, "antibalanced", seed=4, connected=True)
+        clean = extremal_p(g, 3.0, restarts=2, seed=1)
+        assert all(t["newton_steps"] > 0 for t in clean.trace)
+        solve, singles = np.linalg.solve, []
+
+        def solve_with_first_singular(a, b):
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError("a singular matrix in the stack")
+            singles.append(a)
+            if len(singles) == 1:  # column 0 in the first Newton step
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_with_first_singular)
+        res = extremal_p(g, 3.0, restarts=2, seed=1)
+        assert res.trace[0]["newton_steps"] == 0
+        assert res.trace[0]["residual"] > clean.trace[0]["residual"]
+        assert res.trace[1:] == clean.trace[1:]
+        assert res.converged_min and res.converged_max
 
 
 class TestUpperBound:
