@@ -6,19 +6,20 @@ sum_x mu_x |t_x|. Scores are exact integers on ``SignedGraph.scaled_ints``,
 whose one common denominator cancels in every quotient; a Fraction is
 built only for a returned value. The k-way constant is found by minimizing,
 over all families of k disjoint nonempty vertex sets, the maximum of the
-per-set minimum (frustration + boundary) / volume; per-set optima come from
-one numpy pass over the bipartitions of each set, the family optimum from
-a bitmask packing DP on the exact ranks of those scores.
+per-set minimum (frustration + boundary) / volume. One pass over the labelings
+up to sign, in int8 blocks, gives the per-set optima; each layer of a bitmask
+packing DP on their exact ranks reduces over the pairs (+1 set, -1 set).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph
+from .graph import GraphError, SignedGraph, _is
 
 __all__ = [
     "beta",
@@ -32,6 +33,7 @@ __all__ = [
 DEFAULT_CAPS = {1: 14, 2: 10, 3: 8}
 FRUSTRATION_ENUM_CAP = 24
 _BLOCK = 1 << 12
+_LOW = 6  # a block of labelings runs over the last _LOW entries: 3**6 <= _BLOCK
 
 
 def _require_zero_kappa(g: SignedGraph, what: str):
@@ -50,22 +52,30 @@ def _int_arrays(g: SignedGraph):
 
 
 def _numerators(t, eu, ev, sigma, w):
-    """The 1-Rayleigh numerators sum_e w_e |t_u - sigma_e t_v| of the rows
-    of ``t`` (labelings in {-1, 0, +1}, int8 to keep the gathers small)
-    over the edges ``(eu, ev)``."""
-    return np.abs(t[:, eu] - sigma * t[:, ev]) @ w
+    """The 1-Rayleigh numerators sum_e w_e |t_u - sigma_e t_v| of the
+    columns of ``t`` (labelings in {-1, 0, +1}, int8 to keep the gathers
+    small) over the edges ``(eu, ev)``."""
+    return w @ np.abs(t[eu] - sigma[:, None] * t[ev])
 
 
 def _quotients(d, t):
-    """Exact 1-Rayleigh quotients of the rows of ``t`` as integer arrays
+    """Exact 1-Rayleigh quotients of the columns of ``t`` as integer arrays
     (numerators, denominators) in ``scaled_ints`` units."""
     eu, ev, sigma, w, mu = d
-    return _numerators(t, eu, ev, sigma, w), np.abs(t) @ mu
+    return _numerators(t, eu, ev, sigma, w), mu @ np.abs(t)
 
 
 def _less(a, b) -> bool:
     """Whether the quotient a[0] / a[1] is below b[0] / b[1] (positive denominators)."""
     return a[0] * b[1] < b[0] * a[1]
+
+
+def _vertices(g: SignedGraph, xs) -> set[int]:
+    """The set of vertex indices ``xs``; GraphError unless each is an int in [0, n)."""
+    xs = set(xs)
+    if not all(_is(x, numbers.Integral) and 0 <= x < g.n for x in xs):
+        raise GraphError(f"vertex indices must be ints in [0, {g.n}), got {sorted(xs, key=repr)}")
+    return {int(x) for x in xs}
 
 
 def beta(g: SignedGraph, v1, v2) -> Fraction:
@@ -76,14 +86,12 @@ def beta(g: SignedGraph, v1, v2) -> Fraction:
     under which beta equals the 1-Rayleigh quotient of 1_V1 - 1_V2.
     """
     _require_zero_kappa(g, "beta")
-    v1, v2 = set(v1), set(v2)
+    v1, v2 = _vertices(g, v1), _vertices(g, v2)
     if v1 & v2:
         raise GraphError("sub-bipartition sides must be disjoint")
     if not v1 | v2:
         raise GraphError("sub-bipartition must be nonempty")
-    t = np.zeros((1, g.n), np.int8)
-    t[0, list(v1)] = 1
-    t[0, list(v2)] = -1
+    t = np.array([[(x in v1) - (x in v2)] for x in range(g.n)], np.int8)
     num, den = _quotients(_int_arrays(g), t)
     return Fraction(int(num[0]), int(den[0]))
 
@@ -110,18 +118,12 @@ def _best_bipartition(d, omega) -> tuple[int, int]:
     best = None
     for start in range(0, total, _BLOCK):
         codes = np.arange(start, min(start + _BLOCK, total))
-        t = (1 - 2 * (((codes << 1)[:, None] >> np.arange(len(omega))) & 1)).astype(np.int8)
+        t = (1 - 2 * (((codes << 1) >> np.arange(len(omega))[:, None]) & 1)).astype(np.int8)
         iota = _numerators(t, *edges)
         i = int(np.argmin(iota))
         if best is None or iota[i] < best[1]:
             best = (start + i, iota[i])
     return best
-
-
-def _sides(omega, code: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(V1, V2) of the bipartition ``code`` of omega (see ``_best_bipartition``)."""
-    return (tuple(int(x) for i, x in enumerate(omega) if not (code << 1) >> i & 1),
-            tuple(int(x) for i, x in enumerate(omega) if (code << 1) >> i & 1))
 
 
 def frustration_index(g: SignedGraph, omega, heuristic: bool = False):
@@ -131,7 +133,7 @@ def frustration_index(g: SignedGraph, omega, heuristic: bool = False):
     weight (a Fraction), tau maps vertex index -> +-1 and ``exact`` is False
     only for the local-search fallback on large sets.
     """
-    omega = np.array(sorted(set(omega)), np.intp)
+    omega = np.array(sorted(_vertices(g, omega)), np.intp)
     if not len(omega):
         raise GraphError("frustration index of the empty set is undefined")
     d = _int_arrays(g)
@@ -141,23 +143,21 @@ def frustration_index(g: SignedGraph, omega, heuristic: bool = False):
             f"frustration enumeration capped at {FRUSTRATION_ENUM_CAP} vertices; "
             "pass heuristic=True for a flagged local search"
         )
-    if exact:
-        side = _sides(omega, _best_bipartition(d, omega)[0])[0]
-    else:
-        side = _frustration_local_search(d, omega)
-    t = np.array([[1 if x in side else -1 for x in omega]], np.int8)
-    iota = _numerators(t, *_induced(d, omega))[0]
+    # +1 on V1 of the best code (see _best_bipartition), or the local search's labeling
+    t = (1 - 2 * (_best_bipartition(d, omega)[0] << 1 >> np.arange(len(omega)) & 1) if exact
+         else _frustration_local_search(d, omega))
+    iota = _numerators(t[:, None], *_induced(d, omega))[0]
     # back from scaled_ints units: mu_0 scales to scaled_ints[0][0]
     value = int(iota) * Fraction(g.mu[0]) / g.scaled_ints[0][0]
-    return value, {int(x): int(s) for x, s in zip(omega, t[0])}, exact
+    return value, {int(x): int(s) for x, s in zip(omega, t)}, exact
 
 
-def _frustration_local_search(d, omega, restarts: int = 16) -> set[int]:
-    """Side +1 of omega after flip-improving local search from random
+def _frustration_local_search(d, omega, restarts: int = 16):
+    """A +-1 labeling of omega after flip-improving local search from random
     labelings; gains are exact integers."""
     rng = np.random.default_rng(0)
     edges = list(zip(*(a.tolist() for a in _induced(d, omega))))
-    best_side, best = None, None
+    best_t, best = None, None
     for _ in range(restarts):
         lab = rng.integers(0, 2, size=len(omega))
         improved = True
@@ -172,10 +172,10 @@ def _frustration_local_search(d, omega, restarts: int = 16) -> set[int]:
                 if gain > 0:
                     lab[i] ^= 1
                     improved = True
-        val = _numerators((1 - 2 * lab)[None], *_induced(d, omega))[0]
+        val = _numerators((1 - 2 * lab)[:, None], *_induced(d, omega))[0]
         if best is None or val < best:
-            best, best_side = val, {int(omega[i]) for i in range(len(omega)) if lab[i] == 1}
-    return best_side
+            best, best_t = val, 2 * lab - 1
+    return best_t
 
 
 @dataclass(frozen=True)
@@ -190,31 +190,45 @@ class CheegerResult:
         return float(self.value)
 
 
-def cheeger_k(g: SignedGraph, k: int, heuristic: bool = False) -> CheegerResult:
-    """Exact k-way signed Cheeger constant by subset enumeration + packing DP."""
-    _require_zero_kappa(g, "cheeger_k")
+def _labelings(n: int):
+    """The (3**n - 1) / 2 labelings in {-1, 0, +1}^n led by +1 (first nonzero entry),
+    in ``one_lap_enumerate``'s order, as blocks ``(t, pos, neg)``: int8 columns t and the
+    bitmasks of their +1 and -1 entries. A block runs over the last min(n, _LOW) entries
+    under one such labeling of the first h, or under zeros."""
+    h = max(n - _LOW, 0)
+    low, pos, neg = np.zeros((0, 1), np.int8), np.zeros(1, np.int64), np.zeros(1, np.int64)
+    for i in reversed(range(h, n)):  # entry i leads: 0, +1, -1 in turn
+        low = np.vstack((np.repeat(np.int8((0, 1, -1)), low.shape[1]), np.tile(low, 3)))
+        pos, neg = np.r_[pos, pos | 1 << i, pos], np.r_[neg, neg, neg | 1 << i]
+    for t, p, q in _labelings(h) if h else ():
+        for i in range(t.shape[1]):
+            yield np.vstack((np.repeat(t[:, [i]], low.shape[1], 1), low)), pos | p[i], neg | q[i]
+    lead = (pos & (pos | neg) & -(pos | neg)) != 0  # the lowest nonzero entry is +1
+    yield np.vstack((np.zeros((h, lead.sum()), np.int8), low[:, lead])), pos[lead], neg[lead]
+
+
+def _cheeger_exact(g: SignedGraph, ks) -> list[CheegerResult]:
+    """Exact h_k for each k in ``ks``: one table of sets, packing layers up to max(ks)."""
     n = g.n
-    if not 1 <= k <= n:
-        raise GraphError(f"k must be between 1 and n={n}")
-    cap = DEFAULT_CAPS.get(k, DEFAULT_CAPS[3])
-    if n > cap:
-        if not heuristic:
-            raise GraphError(
-                f"cheeger_k exact enumeration capped at n={cap} for k={k} "
-                f"(graph has n={n}); pass heuristic=True for a flagged local search"
-            )
-        return _cheeger_k_heuristic(g, k)
-    d = eu, ev, _, w, mu = _int_arrays(g)
-    size = 1 << n
-    full = size - 1
-    # Per mask: its boundary (the numerator of 1_mask on the all-positive
-    # signature) and volume, then plus the least iota over its bipartitions.
-    bits = ((np.arange(size)[:, None] >> np.arange(n)) & 1).astype(np.int8)
-    num, vol = _numerators(bits, eu, ev, 1, w), bits @ mu
-    codes = [0] * size
-    for mask in range(1, size):
-        codes[mask], iota = _best_bipartition(d, np.flatnonzero(bits[mask]))
-        num[mask] += iota
+    for k in ks:
+        if not 1 <= k <= n:
+            raise GraphError(f"k must be between 1 and n={n}")
+        if n > (cap := DEFAULT_CAPS.get(k, DEFAULT_CAPS[3])):
+            raise GraphError(f"cheeger_k exact enumeration capped at n={cap} for k={k} (graph "
+                             f"has n={n}); pass heuristic=True for a flagged local search")
+    eu, ev, sigma, w, mu = _int_arrays(g)
+    size, full = 1 << n, (1 << n) - 1
+    # Per mask S: num[S], the least numerator with support S (boundary + iota),
+    # and v2[S], the least -1 set among its ties (_best_bipartition's choice).
+    num, v2 = np.full(size, 2 * w.sum() + 1, w.dtype), np.zeros(size, np.int64)
+    for t, pos, neg in _labelings(n):
+        s, a = pos | neg, _numerators(t, eu, ev, sigma, w)
+        old = num[s]
+        np.minimum.at(num, s, a)
+        v2[s[num[s] < old]] = size  # a smaller numerator voids an earlier block's witness
+        hit = a == num[s]
+        np.minimum.at(v2, s[hit], neg[hit])
+    vol = mu @ (np.arange(size) >> np.arange(n)[:, None] & 1)
 
     # Rank the scores num / vol exactly: two different ones, both with a
     # denominator at most V = vol[full], differ by at least 1 / V**2, so
@@ -226,43 +240,45 @@ def cheeger_k(g: SignedGraph, k: int, heuristic: bool = False) -> CheegerResult:
     b = np.concatenate(([inf], rank.ravel()))
 
     # D_j[mask]: minimal max-rank over j disjoint nonempty groups inside mask.
-    # j = 1: min over nonempty submasks, via subset-min transform with
-    # witnesses; per bit, masks with the bit take the strictly smaller value
-    # of the mask without it.
+    # j = 1: subset-min transform; per bit, masks with the bit take the
+    # strictly smaller value of the mask without it.
     d1, c1 = b.copy(), np.arange(size)
     for bit in range(n):
         dv, cv = d1.reshape(-1, 2, 1 << bit), c1.reshape(-1, 2, 1 << bit)
         better = dv[:, 0] < dv[:, 1]
         dv[:, 1] = np.where(better, dv[:, 0], dv[:, 1])
         cv[:, 1] = np.where(better, cv[:, 0], cv[:, 1])
-    b, d_prev, choice_layers = b.tolist(), d1.tolist(), [c1.tolist()]
+    # j >= 2: the least max(b[sub], D_{j-1}[rest]) over the disjoint pairs, a
+    # labeling's +1 and -1 entries in either order, keyed so that ties go to
+    # the largest sub, as a descending submask scan with strict < finds.
+    layers = [(d1, c1)]
+    for _j in range(2, max(ks) + 1):
+        key = np.full(size, inf << n | full)  # no family: D = inf, choice 0
+        for _, pos, neg in _labelings(n):
+            for sub, rest in ((pos, neg), (neg, pos)):
+                cand = np.maximum(b[sub], layers[-1][0][rest])
+                np.minimum.at(key, sub | rest, cand << n | full ^ sub)
+        layers.append((key >> n, full ^ (key & full)))
 
-    for _j in range(2, k + 1):
-        d_cur, c_cur = [inf] * size, [0] * size
-        for mask in range(1, size):
-            sub = mask
-            while sub:
-                cand = max(b[sub], d_prev[mask ^ sub])
-                if cand < d_cur[mask]:
-                    d_cur[mask] = cand
-                    c_cur[mask] = sub
-                sub = (sub - 1) & mask
-        d_prev = d_cur
-        choice_layers.append(c_cur)
+    results = []
+    for k in ks:  # reconstruct the optimal family
+        family, mask = [], full
+        for _, choice in reversed(layers[:k]):
+            family.insert(0, int(choice[mask]))
+            mask ^= family[0]
+        pair_values = tuple(Fraction(int(num[sub]), int(vol[sub])) for sub in family)
+        sides = [(sub ^ v, v) for sub, v in zip(family, v2[family].tolist())]
+        pairs = tuple(tuple(tuple(i for i in range(n) if x >> i & 1) for x in pr) for pr in sides)
+        results.append(CheegerResult(max(pair_values), pairs, pair_values, subsets_scored=full))
+    return results
 
-    # Reconstruct the optimal family.
-    family, mask = [], full
-    for layer in reversed(choice_layers):
-        family.append(layer[mask])
-        mask ^= family[-1]
-    family.reverse()
-    pair_values = tuple(Fraction(int(num[sub]), int(vol[sub])) for sub in family)
-    return CheegerResult(
-        value=max(pair_values),
-        pairs=tuple(_sides(np.flatnonzero(bits[sub]), codes[sub]) for sub in family),
-        pair_values=pair_values,
-        subsets_scored=full,
-    )
+
+def cheeger_k(g: SignedGraph, k: int, heuristic: bool = False) -> CheegerResult:
+    """Exact k-way signed Cheeger constant by subset enumeration + packing DP."""
+    _require_zero_kappa(g, "cheeger_k")
+    if heuristic and 1 <= k <= g.n and g.n > DEFAULT_CAPS.get(k, DEFAULT_CAPS[3]):
+        return _cheeger_k_heuristic(g, k)
+    return _cheeger_exact(g, (k,))[0]
 
 
 def _cheeger_k_heuristic(g: SignedGraph, k: int, restarts: int = 32) -> CheegerResult:
@@ -298,17 +314,12 @@ def _cheeger_k_heuristic(g: SignedGraph, k: int, restarts: int = 32) -> CheegerR
         val = _assignment_value(d, assign, k)
         if val is not None and (best_val is None or _less(val, best_val)):
             best_val, best_assign = val, assign.copy()
-    pairs = []
-    vals = []
-    for i in range(k):
-        v1 = tuple(int(x) for x in np.nonzero(best_assign == 2 * i + 1)[0])
-        v2 = tuple(int(x) for x in np.nonzero(best_assign == 2 * i + 2)[0])
-        pairs.append((v1, v2))
-        vals.append(beta(g, v1, v2))
+    pairs = tuple(tuple(tuple(int(x) for x in np.flatnonzero(best_assign == 2 * i + j))
+                        for j in (1, 2)) for i in range(k))
     return CheegerResult(
         value=Fraction(*best_val),
-        pairs=tuple(pairs),
-        pair_values=tuple(vals),
+        pairs=pairs,
+        pair_values=tuple(beta(g, *pr) for pr in pairs),
         subsets_scored=0,
         exact=False,
     )
@@ -319,8 +330,8 @@ def _assignment_value(d, assign, k: int) -> tuple[int, int] | None:
     assignment, or None when a group is empty."""
     group = (assign + 1) // 2  # 0 unused, i + 1 for group i
     sides = np.where(assign % 2, 1, -1).astype(np.int8)
-    t = np.where(group == np.arange(1, k + 1)[:, None], sides, 0)
-    if not t.any(axis=1).all():
+    t = np.where(group[:, None] == np.arange(1, k + 1), sides[:, None], 0)
+    if not t.any(axis=0).all():
         return None
     best = (0, 1)
     for q in zip(*(a.tolist() for a in _quotients(d, t))):
@@ -338,8 +349,7 @@ def check_theorem41(g: SignedGraph, p: float, k: int, lambda_k: float, m: int) -
     _require_zero_kappa(g, "check_theorem41")
     deg = g.weighted_degrees()
     c_const = float(np.max(deg / g.mu_array()))
-    h_m = float(cheeger_k(g, m).value)
-    h_k = float(cheeger_k(g, k).value)
+    h_m, h_k = (float(r.value) for r in _cheeger_exact(g, (m, k)))
     lower = 2.0 ** (p - 1) / (c_const ** (p - 1) * p ** p) * h_m ** p
     upper = 2.0 ** (p - 1) * h_k
     return {

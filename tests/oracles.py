@@ -14,6 +14,7 @@ from itertools import product
 import numpy as np
 
 from sgspec import simplex
+from sgspec.cheeger import DEFAULT_CAPS, CheegerResult, _best_bipartition, _int_arrays
 from sgspec.graph import GraphError, SignedGraph
 from sgspec.operators import apply_p_laplacian, eigen_residual, phi_p, rayleigh
 from sgspec.spectra import ExtremalResult, spectrum_p2
@@ -245,6 +246,75 @@ def cheeger_k_oracle(g: SignedGraph, k: int) -> Fraction:
             if best is None or val < best:
                 best = val
     return best
+
+
+def _sides(omega, code: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(V1, V2) of the bipartition ``code`` of omega (see ``_best_bipartition``)."""
+    return (tuple(int(x) for i, x in enumerate(omega) if not (code << 1) >> i & 1),
+            tuple(int(x) for i, x in enumerate(omega) if (code << 1) >> i & 1))
+
+
+def cheeger_k_sequential(g: SignedGraph, k: int) -> CheegerResult:
+    """``cheeger_k`` one vertex set at a time: a ``_best_bipartition`` call
+    per mask for the per-set optima, then the packing DP with a pure-Python
+    descending submask loop per layer j >= 2. Same ranks, ties and family
+    as the library; exact enumeration only, under the same caps."""
+    n = g.n
+    if not 1 <= k <= n or n > DEFAULT_CAPS.get(k, DEFAULT_CAPS[3]):
+        raise GraphError(f"k={k} out of range or above the cap for n={n}")
+    d = eu, ev, _, w, mu = _int_arrays(g)
+    size = 1 << n
+    full = size - 1
+    # per mask: its boundary and volume, plus the least iota over its bipartitions
+    bits = ((np.arange(size)[:, None] >> np.arange(n)) & 1).astype(np.int8)
+    num, vol = np.abs(bits[:, eu] - bits[:, ev]) @ w, bits @ mu
+    codes = [0] * size
+    for mask in range(1, size):
+        codes[mask], iota = _best_bipartition(d, np.flatnonzero(bits[mask]))
+        num[mask] += iota
+
+    # exact ranks: two different scores with denominators <= V differ by >= 1 / V**2
+    scale = int(vol[full]) ** 2
+    keys = [a * scale // b for a, b in zip(num[1:].tolist(), vol[1:].tolist())]
+    _, rank = np.unique(np.array(keys, dtype=object), return_inverse=True)
+    inf = size
+    b = np.concatenate(([inf], rank.ravel()))
+
+    # j = 1: subset-min transform; masks with a bit take the strictly smaller
+    # value of the mask without it
+    d1, c1 = b.copy(), np.arange(size)
+    for bit in range(n):
+        dv, cv = d1.reshape(-1, 2, 1 << bit), c1.reshape(-1, 2, 1 << bit)
+        better = dv[:, 0] < dv[:, 1]
+        dv[:, 1] = np.where(better, dv[:, 0], dv[:, 1])
+        cv[:, 1] = np.where(better, cv[:, 0], cv[:, 1])
+    b, d_prev, choice_layers = b.tolist(), d1.tolist(), [c1.tolist()]
+
+    for _j in range(2, k + 1):
+        d_cur, c_cur = [inf] * size, [0] * size
+        for mask in range(1, size):
+            sub = mask
+            while sub:
+                cand = max(b[sub], d_prev[mask ^ sub])
+                if cand < d_cur[mask]:
+                    d_cur[mask] = cand
+                    c_cur[mask] = sub
+                sub = (sub - 1) & mask
+        d_prev = d_cur
+        choice_layers.append(c_cur)
+
+    family, mask = [], full
+    for layer in reversed(choice_layers):
+        family.append(layer[mask])
+        mask ^= family[-1]
+    family.reverse()
+    pair_values = tuple(Fraction(int(num[sub]), int(vol[sub])) for sub in family)
+    return CheegerResult(
+        value=max(pair_values),
+        pairs=tuple(_sides(np.flatnonzero(bits[sub]), codes[sub]) for sub in family),
+        pair_values=pair_values,
+        subsets_scored=full,
+    )
 
 
 def one_lap_lambda_range_lp(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]]:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -5,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgspec.cheeger import _int_arrays, beta, cheeger_k, check_theorem41, frustration_index
+from sgspec import cheeger as cheeger_mod
+from sgspec.cheeger import DEFAULT_CAPS, _int_arrays, beta, cheeger_k, check_theorem41
+from sgspec.cheeger import frustration_index
 from sgspec.graph import GraphError, SignedGraph, balance_state, components, switch
 from sgspec.graph import BalanceState, induced_subgraph, with_degree_measure
+from sgspec.harness import MODELS, random_signed_graph
 from sgspec.operators import rayleigh
 
-from oracles import cheeger_h1_oracle, cheeger_k_oracle
+from oracles import cheeger_h1_oracle, cheeger_k_oracle, cheeger_k_sequential
 from test_graph import complete, path, random_graph, triangle
 from test_spectra import repro_graph
 
@@ -50,6 +54,16 @@ class TestBeta:
         g = SignedGraph.build("ab", [("a", "b", 1, 1)], kappa=[1.0, 0.0])
         with pytest.raises(GraphError):
             beta(g, [0], [1])
+
+    @pytest.mark.parametrize("v1, v2", [([-1], [0]), ([0], [-3]), ([3], []), ([0], [7]),
+                                        ([1.0], []), (["a"], []), ([True], [0])])
+    def test_bad_vertex_index_rejected(self, v1, v2):
+        # -1 used to wrap to vertex n - 1 and 3 to raise a bare IndexError
+        with pytest.raises(GraphError, match="vertex indices"):
+            beta(complete(3), v1, v2)
+
+    def test_numpy_int_indices_accepted(self):
+        assert beta(complete(3), np.array([0, 1]), [np.int64(2)]) == beta(complete(3), [0, 1], [2])
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=80, deadline=None)
@@ -91,6 +105,16 @@ class TestFrustration:
     def test_empty_rejected(self):
         with pytest.raises(GraphError):
             frustration_index(complete(3), [])
+
+    @pytest.mark.parametrize("omega", [[-1], [0, -2], [3], [0, 9], [0.0], ["0"], [False]])
+    def test_bad_vertex_index_rejected(self, omega):
+        # [-1] used to score vertex n - 1 and return tau keyed by -1
+        with pytest.raises(GraphError, match="vertex indices"):
+            frustration_index(complete(3), omega)
+
+    def test_numpy_int_indices_accepted(self):
+        g = triangle((-1, 1, 1))
+        assert frustration_index(g, np.arange(3)) == frustration_index(g, [0, 1, 2])
 
     def test_heuristic_flagged(self):
         rng = np.random.default_rng(33)
@@ -210,6 +234,86 @@ class TestCheegerK:
         with pytest.raises(GraphError):
             cheeger_k(complete(3), 4)
 
+    def test_blocks_bound_memory(self):
+        # one block of labelings at a time: 0.3 MB here, 8 MB for the whole table at once
+        g = random_signed_graph(10, 0.6, seed=0, connected=True)
+        tracemalloc.start()
+        try:
+            cheeger_k(g, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+def exact_ks(n):
+    """Every k that ``cheeger_k`` enumerates exactly on n vertices."""
+    return [k for k in range(1, n + 1) if n <= DEFAULT_CAPS.get(k, DEFAULT_CAPS[3])]
+
+
+def with_mu(g, kind, rng):
+    """g with unit (as drawn), weighted-degree or dyadic non-unit mu."""
+    if kind == "degree":
+        return with_degree_measure(g)
+    if kind == "dyadic":
+        mu = tuple(float(rng.choice((0.25, 0.5, 1.5, 2.0, 3.0))) for _ in range(g.n))
+        return SignedGraph(g.ids, mu, g.kappa, g.edges)
+    return g
+
+
+def cycle(n, negative=0):
+    """Unit-weight cycle with its first ``negative`` edges negative."""
+    ids = [f"v{i}" for i in range(n)]
+    return SignedGraph.build(ids, [(ids[i], ids[(i + 1) % n], 1.0, -1 if i < negative else 1)
+                                   for i in range(n)])
+
+
+def sequential_corpus():
+    """(name, graph) for the table-against-sequential check: n = 1..10 over
+    the five signature models with unit, degree and dyadic mu; tie-heavy
+    unit-weight complete graphs and cycles; the repro graph and its
+    unbalanced copy, both scored in Python ints. n >= 8 spreads a support
+    over several blocks of labelings."""
+    rng = np.random.default_rng(53)
+    corpus = []
+    for n in range(1, 11):
+        for model in MODELS:
+            g = random_signed_graph(n, 0.6, model, seed=n, connected=n > 1)
+            for kind in ("unit", "degree", "dyadic"):
+                corpus.append((f"n{n}-{model}-{kind}", with_mu(g, kind, rng)))
+    for n in range(3, 10):
+        corpus += [(f"K{n}+", complete(n, 1, "unit")), (f"K{n}-", complete(n, -1, "unit"))]
+    for n in range(3, 11):
+        corpus += [(f"C{n}", cycle(n)), (f"C{n}-1", cycle(n, 1))]
+    repro, _ = repro_graph()
+    (u, v, w, _), *rest = repro.edges
+    corpus += [("repro", repro),
+               ("repro-negated", SignedGraph(repro.ids, repro.mu, repro.kappa, ((u, v, w, -1), *rest)))]
+    return corpus
+
+
+class TestAgainstSequential:
+    """The labeling table and vectorized packing layers against the per-set
+    ``_best_bipartition`` loop and the pure-Python submask DP: the same
+    value, pairs (witness ties included), pair values and subset count."""
+
+    @pytest.mark.parametrize("name, g", sequential_corpus(),
+                             ids=lambda x: x if isinstance(x, str) else "")
+    def test_identical_results(self, name, g):
+        if name.startswith("repro"):
+            assert _int_arrays(g)[3].dtype == object
+        for k in exact_ks(g.n):
+            assert cheeger_k(g, k) == cheeger_k_sequential(g, k), k
+
+    @given(st.integers(1, 8), st.sampled_from(MODELS), st.sampled_from(("unit", "degree", "dyadic")),
+           st.integers(0, 10**6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_identical_results_property(self, n, model, kind, seed, data):
+        rng = np.random.default_rng(seed)
+        g = with_mu(random_signed_graph(n, float(rng.uniform(0.2, 1.0)), model, seed=seed), kind, rng)
+        k = data.draw(st.sampled_from(exact_ks(n)))
+        assert cheeger_k(g, k) == cheeger_k_sequential(g, k)
+
 
 def oracle_corpus():
     """Seeded zero-kappa graphs for the brute-force oracles, n 3-5, as
@@ -272,6 +376,24 @@ class TestTheoremCheck:
         rec = check_theorem41(triangle(), 2.0, 1, 0.0, 1)
         assert rec["pass"]
         assert rec["lower"] == 0.0 and rec["upper"] == 0.0
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (1, 3), (3, 2), (2, 2)])
+    def test_one_table_for_h_m_and_h_k(self, monkeypatch, m, k):
+        g = random_signed_graph(7, 0.6, "uniform", seed=3, connected=True)
+        want = [float(cheeger_k(g, j).value) for j in (m, k)]
+        passes = []
+        labelings = cheeger_mod._labelings
+        monkeypatch.setattr(cheeger_mod, "_labelings", lambda n: passes.append(n) or labelings(n))
+        rec = check_theorem41(g, 2.0, k, 1.0, m)
+        assert [rec["h_m"], rec["h_k"]] == want
+        # one pass for the table, one per packing layer j = 2..max(m, k)
+        assert passes.count(g.n) == max(m, k)
+
+    @pytest.mark.parametrize("m, k, match", [(3, 1, "capped at n=8 for k=3"),
+                                             (1, 11, "between 1 and n=10")])
+    def test_caps_apply_to_both(self, m, k, match):
+        with pytest.raises(GraphError, match=match):
+            check_theorem41(random_signed_graph(10, 0.6, seed=0), 2.0, k, 1.0, m)
 
 
 class TestConvexityInequality:
