@@ -4,12 +4,14 @@ enumerated 1-Laplacian eigenpairs and Cheeger upper bounds.
 The p=2 case reduces to a symmetric matrix pencil and is solved by
 ``np.linalg.eigh`` on the symmetrically normalized matrix. For general
 p > 1 only the extremes of the Rayleigh quotient are computed, every
-restart a column of one matrix run in lock step (projected gradient, then
-a Newton polish); every reported pair is re-certified by its
-eigen-residual. For p = 1 candidates are the +-1/0 patterns, each decided
-by an exact integer max-flow that leaves a certificate: a witness for each
-pair, a reason for each rejected pattern, both checked in linear time by
-``check_certificate_1lap``.
+restart a column of one matrix run in lock step: projected gradient until
+the column's eigen-residual is below HANDOFF, then a Newton polish that
+stops at the rounding floor; a column the polish leaves uncertified
+resumes its gradient and is polished again. Every reported pair is
+re-certified by its eigen-residual. For p = 1 candidates are the +-1/0
+patterns, each decided by an exact integer max-flow that leaves a
+certificate: a witness for each pair, a reason for each rejected pattern,
+both checked in linear time by ``check_certificate_1lap``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ __all__ = [
 
 GROUP_RTOL = 1e-8
 ONE_LAP_CAP = 12
+HANDOFF = 1e-4  # eigen-residual at which a gradient column hands off to Newton
+NEWTON_FLOOR = 1e-15  # residual at which a Newton column stops: rounding is all that is left
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +105,10 @@ class ExtremalResult:
     residual_max: float
     converged_min: bool
     converged_max: bool
-    # per start, min starts first: which, lambda, residual, gradient_steps, newton_steps
+    # per start, min starts first: which, lambda, residual, gradient_steps,
+    # newton_steps (resumed runs included) and whether it resumed
     trace: tuple[dict, ...] = field(default=())
-    lockstep_steps: int = 0  # gradient iterations run in lock step (the slowest start's)
+    lockstep_steps: int = 0  # the most gradient steps of any start
 
 
 def _normalize_p(g: SignedGraph, p: float, f: np.ndarray) -> np.ndarray:
@@ -115,19 +120,24 @@ def _normalize_p(g: SignedGraph, p: float, f: np.ndarray) -> np.ndarray:
     return f / scale
 
 
-def _lockstep_gradient(g, p, f, sign, max_iter, step0):
+def _lockstep_gradient(g, p, f, r, eta, steps, sign, max_iter, handoff):
     """Projected gradient on the mu-weighted l^p sphere, one start per column
-    of f; sign[j] = +1 minimizes column j. Each column keeps its own step,
-    acceptance and stopping test; a stopped column stays frozen."""
+    of the normalized f, from the state (Rayleigh quotients r, step sizes
+    eta, step counts); sign[j] = +1 minimizes column j. Each column keeps its
+    own step, acceptance and stopping test, and a stopped column stays
+    frozen. A column stalls on |grad| < 1e-14, eta < 1e-15 or max_iter steps
+    in all; it hands off once its eigen-residual is below ``handoff``.
+    Returns the state and which columns handed off without stalling."""
     mu = g.mu_array()[:, None]
-    f = _normalize_p(g, p, f)
-    r = rayleigh(g, p, f)
-    eta, steps = np.full(f.shape[1], step0), np.zeros(f.shape[1], dtype=int)
-    for _ in range(max_iter):
-        grad = p * (apply_p_laplacian(g, p, f) - r * mu * phi_p(f, p))
-        live = ~((np.abs(grad).max(axis=0) < 1e-14) | (eta < 1e-15))
+    while True:
+        eq = apply_p_laplacian(g, p, f) - r * mu * phi_p(f, p)
+        grad = p * eq
+        stalled = (np.abs(grad).max(axis=0) < 1e-14) | (eta < 1e-15) | (steps >= max_iter)
+        # eigen_residual(g, p, f, r), read off the gradient
+        res = (np.abs(eq) / (1.0 + np.abs(r) * mu * np.abs(f) ** (p - 1))).max(axis=0)
+        live = ~(stalled | (res < handoff))
         if not live.any():
-            break
+            return f, r, eta, steps, ~stalled
         steps += live
         f_try = f - sign * eta * grad
         nonzero = f_try.any(axis=0)  # a zero column is rejected; f stands in
@@ -136,18 +146,18 @@ def _lockstep_gradient(g, p, f, sign, max_iter, step0):
         better = live & nonzero & (sign * (r_try - r) < -1e-16)
         f, r = np.where(better, f_try, f), np.where(better, r_try, r)
         eta = np.where(better, eta * 1.2, np.where(live, eta * 0.5, eta))
-    return f, r, steps
 
 
 def _lockstep_newton(g, p, f, lam, iters: int = 50):
     """Damped Newton on (Delta_p f - lam mu Phi_p f, mu-p-norm - 1), one
-    eigenpair per column, each keeping its best iterate by residual. Second
-    derivatives |t|^(p-2) are clipped away from zero arguments for p < 2."""
+    eigenpair per column, each keeping its best iterate by residual and
+    stopping once that is at most NEWTON_FLOOR. Second derivatives
+    |t|^(p-2) are clipped away from zero arguments for p < 2."""
     n, m = f.shape
     mu, kap, diag = g.mu_array()[:, None], g.kappa_array()[:, None], np.arange(n)
-    f = _normalize_p(g, p, f)
+    f, lam = _normalize_p(g, p, f), lam.copy()
     res = eigen_residual(g, p, f, lam)
-    steps, live = np.zeros(m, dtype=int), np.arange(m)
+    steps, live = np.zeros(m, dtype=int), np.flatnonzero(res > NEWTON_FLOOR)
     for _ in range(iters):
         if not live.size:
             break
@@ -188,8 +198,8 @@ def _lockstep_newton(g, p, f, lam, iters: int = 50):
             accepted |= hit
             searching &= ~hit
             t = np.where(searching, t * 0.5, t)
-        live = live[accepted]
-        steps[live] += 1
+        steps[live[accepted]] += 1
+        live = live[accepted & (res[live] > NEWTON_FLOOR)]
     return f, lam, res, steps
 
 
@@ -204,11 +214,18 @@ def extremal_p(
 ) -> ExtremalResult:
     """Certified extremes of the p-Rayleigh quotient for p > 1. The starts,
     each a column: the p = 2 extreme eigenvector and ``restarts`` random
-    ones, for the min and then for the max."""
+    ones, for the min and then for the max. Each column runs the projected
+    gradient until its eigen-residual is below HANDOFF, then Newton; a
+    column that Newton leaves above ``tol`` resumes its gradient where it
+    handed off, runs it until it stalls, and is polished again."""
     if not (math.isfinite(p) and p > 1):
         raise GraphError(f"extremal_p requires a finite p > 1, got {p}")
     if restarts < 0:
         raise GraphError(f"restarts must be >= 0, got {restarts}")
+    if not (math.isfinite(step) and step > 0 and math.isfinite(tol) and tol > 0):
+        raise GraphError(f"step and tol must be finite and > 0, got {step} and {tol}")
+    if not max_iter >= 1:
+        raise GraphError(f"max_iter must be >= 1, got {max_iter}")
     if g.n == 0:
         raise GraphError("extremal_p needs at least one vertex")
     rng = np.random.default_rng(seed)
@@ -217,11 +234,22 @@ def extremal_p(
     for warm in (vecs[:, 0], vecs[:, -1]):
         starts += [warm, *(rng.standard_normal(g.n) for _ in range(restarts))]
     sign = np.repeat([1.0, -1.0], restarts + 1)
-    f, r, gsteps = _lockstep_gradient(g, p, np.column_stack(starts), sign, max_iter, step)
-    f, lam, res, nsteps = _lockstep_newton(g, p, f, r)
+    f0 = _normalize_p(g, p, np.column_stack(starts))
+    fg, r, eta, gsteps, handed = _lockstep_gradient(
+        g, p, f0, rayleigh(g, p, f0), np.full(sign.size, step), np.zeros(sign.size, dtype=int),
+        sign, max_iter, HANDOFF)
+    f, lam, res, nsteps = _lockstep_newton(g, p, fg, r)
+    resumed = handed & ~(res <= tol)
+    if resumed.any():
+        j = np.flatnonzero(resumed)
+        fj, rj, _, gsteps[j], _ = _lockstep_gradient(g, p, fg[:, j], r[j], eta[j], gsteps[j],
+                                                     sign[j], max_iter, 0.0)
+        f[:, j], lam[j], res[j], more = _lockstep_newton(g, p, fj, rj)
+        nsteps[j] += more
     trace = tuple({"which": "min" if s > 0 else "max", "lambda": float(lam[j]),
                    "residual": float(res[j]), "gradient_steps": int(gsteps[j]),
-                   "newton_steps": int(nsteps[j])} for j, s in enumerate(sign))
+                   "newton_steps": int(nsteps[j]), "resumed": bool(resumed[j])}
+                  for j, s in enumerate(sign))
     ok = res <= tol
     # certified first, then the extreme lambda, else the smallest residual;
     # min keeps the first of equal keys

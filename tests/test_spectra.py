@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgspec import spectra
 from sgspec.graph import GraphError, SignedGraph, switch
 from sgspec.harness import MODELS, random_signed_graph
 from sgspec.operators import check_certificate_1lap, check_eigenpair_1lap
@@ -146,8 +147,11 @@ class TestExtremalP:
         with pytest.raises(GraphError):
             extremal_p(path(2), 1.0)
 
-    @pytest.mark.parametrize("kwargs", [{"p": float("inf")}, {"p": float("nan")},
-                                        {"p": 2.0, "restarts": -1}])
+    @pytest.mark.parametrize("kwargs", [
+        {"p": float("inf")}, {"p": float("nan")}, {"p": 2.0, "restarts": -1},
+        *({"p": 1.5, "step": v} for v in (0.0, -0.1, float("nan"), float("inf"))),
+        *({"p": 1.5, "tol": v} for v in (0.0, -1e-9, float("nan"), float("inf"))),
+        {"p": 1.5, "max_iter": 0}, {"p": 1.5, "max_iter": -3}])
     def test_bad_p_or_restarts_rejected(self, kwargs):
         with pytest.raises(GraphError):
             extremal_p(path(3), **kwargs)
@@ -182,10 +186,10 @@ class TestExtremalP:
             assert 0 <= t["gradient_steps"] <= 2000 and 0 <= t["newton_steps"] <= 50
         assert res.lockstep_steps == max(t["gradient_steps"] for t in res.trace) > 0
 
-    def test_singular_solve_stops_only_its_column(self, monkeypatch):
+    def test_singular_newton_column_resumes(self, monkeypatch):
         g = random_signed_graph(6, 0.7, "antibalanced", seed=4, connected=True)
         clean = extremal_p(g, 3.0, restarts=2, seed=1)
-        assert all(t["newton_steps"] > 0 for t in clean.trace)
+        assert all(t["newton_steps"] > 0 and not t["resumed"] for t in clean.trace)
         solve, singles = np.linalg.solve, []
 
         def solve_with_first_singular(a, b):
@@ -198,10 +202,64 @@ class TestExtremalP:
 
         monkeypatch.setattr(np.linalg, "solve", solve_with_first_singular)
         res = extremal_p(g, 3.0, restarts=2, seed=1)
-        assert res.trace[0]["newton_steps"] == 0
-        assert res.trace[0]["residual"] > clean.trace[0]["residual"]
+        got, want = res.trace[0], clean.trace[0]
+        assert got["resumed"] and got["residual"] <= 1e-9
+        assert got["gradient_steps"] > want["gradient_steps"]
+        assert abs(got["lambda"] - want["lambda"]) <= 1e-12 * abs(want["lambda"])
         assert res.trace[1:] == clean.trace[1:]
         assert res.converged_min and res.converged_max
+
+    def test_resumed_column_equals_run_without_handoff(self, monkeypatch):
+        g = random_signed_graph(7, 0.6, "uniform", seed=11, connected=True)
+        newton, col = spectra._lockstep_newton, 5  # a random max start
+        polished = []  # (f, lam) out of every Newton call
+
+        def newton_failing_first_call(g, p, f, lam):
+            out = newton(g, p, f, lam)
+            polished.append(out[:2])
+            if len(polished) == 2:  # the hand-off run's first call: leave col uncertified
+                out[2][col], out[3][col] = np.inf, 0
+            return out
+
+        monkeypatch.setattr(spectra, "_lockstep_newton", newton_failing_first_call)
+        monkeypatch.setattr(spectra, "HANDOFF", 0.0)
+        plain = extremal_p(g, 1.5, restarts=3, seed=2)
+        (f_plain, lam_plain), = polished
+        monkeypatch.setattr(spectra, "HANDOFF", 1e-4)
+        res = extremal_p(g, 1.5, restarts=3, seed=2)
+        assert [f.shape[1] for f, _ in polished] == [8, 8, 1]
+        assert [t["resumed"] for t in res.trace] == [j == col for j in range(8)]
+        got, want = res.trace[col], plain.trace[col]
+        for key in ("lambda", "residual", "gradient_steps"):
+            assert got[key] == want[key]
+        f_resumed, lam_resumed = polished[2]
+        assert np.array_equal(f_resumed[:, 0], f_plain[:, col])
+        assert lam_resumed[0] == lam_plain[col]
+        assert got["residual"] <= 1e-9 and res.converged_min and res.converged_max
+
+    def test_newton_stops_at_the_rounding_floor(self):
+        # lambda_min = 0: Newton used to run every random min start to the
+        # 50-step cap with residuals near 1e-27
+        g = random_signed_graph(4, 0.7, "antibalanced", seed=0, connected=True)
+        res = extremal_p(g, 3.0)
+        assert all(t["newton_steps"] < 50 for t in res.trace)
+        assert abs(res.lambda_min) <= 1e-12 and res.converged_min and res.converged_max
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_handoff_matches_full_gradient(self, model, monkeypatch):
+        rng = np.random.default_rng(sum(map(ord, model)) + 9)
+        cases = [(random_signed_graph(int(rng.integers(3, 9)), 0.6, model,
+                                      seed=int(rng.integers(0, 2**31)), connected=True),
+                  p, int(rng.integers(0, 2**31))) for p in (1.3, 1.8, 2.5, 4.0)]
+        runs = []
+        for handoff in (spectra.HANDOFF, 0.0):
+            monkeypatch.setattr(spectra, "HANDOFF", handoff)
+            runs.append([extremal_p(g, p, restarts=2, seed=seed) for g, p, seed in cases])
+        for got, want in zip(*runs):
+            for a, b in ((got.lambda_min, want.lambda_min), (got.lambda_max, want.lambda_max)):
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+            assert (got.converged_min, got.converged_max) == (want.converged_min,
+                                                             want.converged_max)
 
 
 class TestUpperBound:
