@@ -19,7 +19,7 @@ from .graph import (
     with_degree_measure,
 )
 from .harness import SuiteConfig, random_signed_graph, run_suite
-from .nodal import dual_counts, nodal_quantities
+from .nodal import nodal_quantities
 from .operators import check_certificate_1lap
 from .spectra import extremal_p, one_lap_enumerate, spectrum_p2
 from .transforms import remove_edge, remove_node
@@ -106,7 +106,7 @@ def _cmd_nodal(args) -> int:
         "weak_closures": [sorted(g.ids[i] for i in s) for s in q.weak_closures],
     }
     if args.dual:
-        doc["dual_strong"], doc["dual_weak"] = dual_counts(g, f)
+        doc["dual_strong"], doc["dual_weak"] = q.dual_strong_count, q.dual_weak_count
     _emit(doc, args.format)
     return 0 if q.identity_ok else 1
 

@@ -1,5 +1,11 @@
 """Signed graph data model: switching, balance, components, JSON I/O.
 
+Every connectivity question of the package is one labeling by ``_labels``,
+a union-find whose root is the least node of its class: components over the
+edges, balance over the signed double cover, whose nodes 2x and 2x + 1 are
+x with sign +1 and -1, and the nodal domains and 1-Laplacian pins of
+``nodal`` and ``operators``.
+
 A signed graph carries a positive vertex measure ``mu``, a real vertex
 potential ``kappa``, positive edge weights and an edge signature in {-1,+1}.
 Vertices have string ids at the boundary and dense indices 0..n-1 internally.
@@ -259,29 +265,47 @@ def switch(g: SignedGraph, tau: Sequence[int]) -> SignedGraph:
     return SignedGraph(ids=g.ids, mu=g.mu, kappa=g.kappa, edges=new_edges)
 
 
-def _spanning_tree_tau(g: SignedGraph, target_sign: int) -> tuple[int, ...] | None:
-    """tau making every edge sign equal to ``target_sign``, or None.
+def _labels(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Union-find over nodes 0..n-1 joined by ``pairs``: per node, the least
+    node of its class. Every parent is at most its child, so one ascending
+    pass turns parents into roots."""
+    root = list(range(n))
+    for u, v in pairs:
+        while (r := root[u]) != u:
+            root[u] = u = root[r]  # path halving
+        while (r := root[v]) != v:
+            root[v] = v = root[r]
+        if u < v:
+            root[v] = u
+        elif v < u:
+            root[u] = v
+    for x in range(n):
+        root[x] = root[root[x]]
+    return root
 
-    Signed BFS: fix tau on a spanning tree per component, then verify
-    every non-tree edge.
-    """
-    tau = [0] * g.n
-    adj = g.adjacency()
-    for root in range(g.n):
-        if tau[root] != 0:
-            continue
-        tau[root] = 1
-        queue = [root]
-        while queue:
-            x = queue.pop()
-            for y, _, s in adj[x]:
-                want = tau[x] if s == target_sign else -tau[x]
-                if tau[y] == 0:
-                    tau[y] = want
-                    queue.append(y)
-                elif tau[y] != want:
-                    return None
-    return tuple(tau)
+
+def _groups(lab: Sequence[int], nodes: Iterable[int]) -> dict[int, list[int]]:
+    """``nodes`` grouped by label, in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for x in nodes:
+        groups.setdefault(lab[x], []).append(x)
+    return groups
+
+
+def _surplus(n: int, pairs: Sequence[tuple[int, int]]) -> int:
+    """|pairs| - n + #classes: the cycle surplus of the graph on n vertices
+    with these edges."""
+    return len(pairs) - n + len(set(_labels(n, pairs)))
+
+
+def _cover_pairs(edges, flip: int) -> Iterable[tuple[int, int]]:
+    """Edges of the signed double cover, whose node 2x + 1 is x with sign -1
+    and 2x is x with sign +1: an edge (u, v, sigma) joins (u, e) to
+    (v, e sigma flip)."""
+    for u, v, _, s in edges:
+        neg = s * flip < 0
+        yield 2 * u, 2 * v + neg
+        yield 2 * u + 1, 2 * v + 1 - neg
 
 
 def balance_state(g: SignedGraph) -> BalanceResult:
@@ -289,10 +313,18 @@ def balance_state(g: SignedGraph) -> BalanceResult:
 
     Balanced means some tau switches every edge positive; antibalanced
     means the negated signature is balanced. Both can hold at once
-    (e.g. bipartite all-positive graphs).
+    (e.g. bipartite all-positive graphs). A tau making every edge sign t
+    exists iff no x has both its nodes in one class of the double cover
+    under t sigma (Zaslavsky, "Signed graphs", Discrete Appl. Math. 4,
+    1982); it is +1 at the least vertex of each component.
     """
-    bal = _spanning_tree_tau(g, +1)
-    anti = _spanning_tree_tau(g, -1)
+    def tau(t: int) -> tuple[int, ...] | None:
+        lab = _labels(2 * g.n, _cover_pairs(g.edges, t))
+        if any(lab[2 * x] == lab[2 * x + 1] for x in range(g.n)):
+            return None
+        return tuple(1 if lab[2 * x] % 2 == 0 else -1 for x in range(g.n))
+
+    bal, anti = tau(+1), tau(-1)
     if bal is not None and anti is not None:
         state = BalanceState.BOTH
     elif bal is not None:
@@ -306,29 +338,13 @@ def balance_state(g: SignedGraph) -> BalanceResult:
 
 def components(g: SignedGraph) -> list[list[int]]:
     """Connected components (sign-blind), each as a sorted index list."""
-    adj = g.adjacency()
-    seen = [False] * g.n
-    comps = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        queue = [root]
-        while queue:
-            x = queue.pop()
-            for y, _, _ in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(sorted(comp))
-    return comps
+    lab = _labels(g.n, ((u, v) for u, v, _, _ in g.edges))
+    return list(_groups(lab, range(g.n)).values())
 
 
 def cycle_surplus(g: SignedGraph) -> int:
     """l(G) = |E| - |V| + c(G); zero exactly on forests."""
-    return len(g.edges) - g.n + len(components(g))
+    return _surplus(g.n, [(u, v) for u, v, _, _ in g.edges])
 
 
 def with_degree_measure(g: SignedGraph) -> SignedGraph:

@@ -1,10 +1,13 @@
 """Nodal domain counting on signed graphs and the associated combinatorial
 identities and eigenvalue-position bounds.
 
-Strong domains are components of the support under edges whose endpoint
-product (through the signature) is positive. Weak domains coarsen this by
-allowing walks through zero vertices, with the sign accumulated along the
-walk. Dual counts use the negated signature.
+Every count is one labeling by ``graph._labels``. Strong domains are the
+classes of the support under edges whose endpoint product (through the
+signature) is positive. Weak domains coarsen this by allowing walks through
+zero vertices, with the sign accumulated along the walk: they are the
+classes of the signed double cover in which each support vertex keeps only
+its node of its own sign and each zero keeps both. Dual counts flip every
+signature. Each public function checks f once, in ``_signs``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph, components, cycle_surplus, induced_subgraph
+from .graph import GraphError, SignedGraph, _cover_pairs, _groups, _labels, _surplus, components
 
 __all__ = [
     "strong_domains",
@@ -26,58 +29,55 @@ __all__ = [
 ]
 
 
-def _support_sign(f) -> np.ndarray:
-    return np.sign(np.asarray(f, dtype=float)).astype(int)
-
-
-def _require_nonzero(f):
+def _signs(g: SignedGraph, f) -> list[int]:
+    """sgn f, once f is checked to be a finite, nonzero vector on g."""
     f = np.asarray(f, dtype=float)
-    if not np.any(f):
+    if f.shape != (g.n,):
+        raise GraphError(f"function has shape {f.shape}, expected ({g.n},)")
+    if not np.isfinite(f).all():
+        raise GraphError("function must be finite")
+    sgn = np.sign(f).astype(int).tolist()
+    if not any(sgn):
         raise GraphError("nodal domains are undefined for the zero function")
-    return f
+    return sgn
+
+
+def _split(g: SignedGraph, sgn: list[int]) -> tuple[list, list]:
+    """The support edges whose product sgn(u) sigma sgn(v) is positive, and
+    those whose product is negative, as (u, v) pairs."""
+    plus, minus = [], []
+    for u, v, _, s in g.edges:
+        prod = sgn[u] * s * sgn[v]
+        if prod:
+            (plus if prod > 0 else minus).append((u, v))
+    return plus, minus
+
+
+def _domains(sgn: list[int], pairs) -> list[set[int]]:
+    """Classes of the support under ``pairs``, in order of least member."""
+    lab = _labels(len(sgn), pairs)
+    return [set(d) for d in _groups(lab, (x for x, s in enumerate(sgn) if s)).values()]
+
+
+def _weak(g: SignedGraph, sgn: list[int], flip: int) -> tuple[list[set[int]], list[set[int]]]:
+    """Weak classes under the signature times ``flip``, and their closures;
+    see ``weak_domains``. Node 2x + 1 of the cover is x with sign -1."""
+    keep = [s == 0 or i == (s < 0) for s in sgn for i in (0, 1)]
+    lab = _labels(2 * len(sgn), [(a, b) for a, b in _cover_pairs(g.edges, flip)
+                                 if keep[a] and keep[b]])
+    own = [lab[2 * x + (s < 0)] for x, s in enumerate(sgn)]
+    classes = _groups(own, (x for x, s in enumerate(sgn) if s))
+    zero_nodes = _groups(lab, (i for i in range(2 * len(sgn)) if not sgn[i // 2]))
+    return ([set(c) for c in classes.values()],
+            [set(c).union(i // 2 for i in zero_nodes.get(label, ()))
+             for label, c in classes.items()])
 
 
 def strong_domains(g: SignedGraph, f) -> tuple[int, list[set[int]]]:
     """Connected components of support(f) under edges with f(x) sigma f(y) > 0."""
-    f = _require_nonzero(f)
-    sgn = _support_sign(f)
-    adj = [[y for y, _, s in nbrs if sgn[x] * s * sgn[y] > 0]
-           for x, nbrs in enumerate(g.adjacency())]
-    seen = [False] * g.n
-    domains = []
-    for root in range(g.n):
-        if sgn[root] == 0 or seen[root]:
-            continue
-        seen[root] = True
-        comp = {root}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.add(y)
-                    stack.append(y)
-        domains.append(comp)
+    sgn = _signs(g, f)
+    domains = _domains(sgn, _split(g, sgn)[0])
     return len(domains), domains
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        """Merge the classes of a and b; True if they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-        return ra != rb
 
 
 def weak_domains(g: SignedGraph, f) -> tuple[int, list[set[int]], list[set[int]]]:
@@ -85,60 +85,22 @@ def weak_domains(g: SignedGraph, f) -> tuple[int, list[set[int]], list[set[int]]
 
     Two support vertices merge when a walk between them, with every interior
     vertex a zero of f, has positive total sign (endpoint signs times the
-    product of edge signatures). The search carries (vertex, accumulated
-    sign) states so a zero region may be crossed with either sign.
+    product of edge signatures). The classes are one labeling of the signed
+    double cover, with nodes (x, +1) and (x, -1), in which each support
+    vertex keeps only its node of its own sign and each zero keeps both: a
+    cover path between kept support nodes is such a walk, and a zero region
+    may be crossed with either sign. A class's closure adds every zero
+    either of whose nodes lies in the class.
     """
-    f = _require_nonzero(f)
-    sgn = _support_sign(f)
-    adj = g.adjacency()
-    support = [x for x in range(g.n) if sgn[x] != 0]
-    uf = _UnionFind(support)
-    reached_zeros: dict[int, set[int]] = {x: set() for x in support}
-
-    for u in support:
-        # states: (vertex, sign accumulated from u up to and including the
-        # edge into that vertex); start covers direct edges out of u.
-        visited = set()
-        stack = []
-        for y, _, s in adj[u]:
-            state = (y, sgn[u] * s)
-            if state not in visited:
-                visited.add(state)
-                stack.append(state)
-        while stack:
-            x, acc = stack.pop()
-            if sgn[x] != 0:
-                if acc * sgn[x] > 0:
-                    uf.union(u, x)
-                continue
-            reached_zeros[u].add(x)
-            for y, _, s in adj[x]:
-                state = (y, acc * s)
-                if state not in visited:
-                    visited.add(state)
-                    stack.append(state)
-
-    classes: dict[int, set[int]] = {}
-    for x in support:
-        classes.setdefault(uf.find(x), set()).add(x)
-    class_list = sorted(classes.values(), key=min)
-    closures = [cls | set().union(*(reached_zeros[x] for x in cls)) for cls in class_list]
-    return len(class_list), class_list, closures
-
-
-def _negate(g: SignedGraph) -> SignedGraph:
-    return SignedGraph(
-        ids=g.ids,
-        mu=g.mu,
-        kappa=g.kappa,
-        edges=tuple((u, v, w, -s) for u, v, w, s in g.edges),
-    )
+    classes, closures = _weak(g, _signs(g, f), 1)
+    return len(classes), classes, closures
 
 
 def dual_counts(g: SignedGraph, f) -> tuple[int, int]:
     """Strong and weak counts with respect to the negated signature."""
-    gd = _negate(g)
-    return strong_domains(gd, f)[0], weak_domains(gd, f)[0]
+    sgn = _signs(g, f)
+    # under -sigma the positive-product support edges are the negative-product ones
+    return len(_domains(sgn, _split(g, sgn)[1])), len(_weak(g, sgn, -1)[0])
 
 
 @dataclass(frozen=True)
@@ -159,52 +121,34 @@ class NodalSummary:
     identity_ok: bool
 
 
-def _surplus_of_edge_set(n: int, edge_pairs: list[tuple[int, int]]) -> int:
-    """l of the graph (full vertex set, given edges): |E| - n + #components,
-    where each merging edge removes one component."""
-    uf = _UnionFind(range(n))
-    return len(edge_pairs) - sum(uf.union(u, v) for u, v in edge_pairs)
-
-
 def nodal_quantities(g: SignedGraph, f) -> NodalSummary:
     """All nodal counts, edge splits and cycle surpluses, with the
     combinatorial identity |E_-| = |E| - |E_z| + z - |V| - l+ + strong
     verified on the way out."""
-    f = _require_nonzero(f)
-    sgn = _support_sign(f)
-    sc, sdoms = strong_domains(g, f)
-    wc, wcls, wclo = weak_domains(g, f)
-    dsc, dwc = dual_counts(g, f)
-    zeros = int(np.sum(sgn == 0))
-
-    e_plus_pairs, e_minus_pairs, e_zero = [], [], 0
-    for u, v, _, s in g.edges:
-        prod = sgn[u] * s * sgn[v]
-        if sgn[u] == 0 or sgn[v] == 0:
-            e_zero += 1
-        elif prod > 0:
-            e_plus_pairs.append((u, v))
-        else:
-            e_minus_pairs.append((u, v))
-    l_plus = _surplus_of_edge_set(g.n, e_plus_pairs)
-    l_minus = _surplus_of_edge_set(g.n, e_minus_pairs)
-    identity_ok = len(e_minus_pairs) == (
-        len(g.edges) - e_zero + zeros - g.n - l_plus + sc
+    sgn = _signs(g, f)
+    plus, minus = _split(g, sgn)
+    sdoms = _domains(sgn, plus)
+    wcls, wclo = _weak(g, sgn, 1)
+    zeros = sgn.count(0)
+    e_zero = len(g.edges) - len(plus) - len(minus)
+    l_plus = _surplus(g.n, plus)
+    identity_ok = len(minus) == (
+        len(g.edges) - e_zero + zeros - g.n - l_plus + len(sdoms)
     )
     return NodalSummary(
-        strong_count=sc,
+        strong_count=len(sdoms),
         strong_sets=tuple(frozenset(d) for d in sdoms),
-        weak_count=wc,
+        weak_count=len(wcls),
         weak_classes=tuple(frozenset(c) for c in wcls),
         weak_closures=tuple(frozenset(c) for c in wclo),
-        dual_strong_count=dsc,
-        dual_weak_count=dwc,
+        dual_strong_count=len(_domains(sgn, minus)),
+        dual_weak_count=len(_weak(g, sgn, -1)[0]),
         zeros=zeros,
-        e_plus=len(e_plus_pairs),
-        e_minus=len(e_minus_pairs),
+        e_plus=len(plus),
+        e_minus=len(minus),
         e_zero=e_zero,
         l_plus=l_plus,
-        l_minus=l_minus,
+        l_minus=_surplus(g.n, minus),
         identity_ok=identity_ok,
     )
 
@@ -246,8 +190,9 @@ def bound_report(g: SignedGraph, f, ctx: SpectrumContext) -> dict:
             f"inconsistent spectrum context: k={ctx.k}, r={ctx.r}, n={n}"
         )
     q = nodal_quantities(g, f)
-    support = [x for x in range(n) if f[x] != 0]
-    l_sub = cycle_surplus(induced_subgraph(g, support))
+    # the support's surplus: each zero adds one class and one vertex
+    plus, minus = _split(g, _signs(g, f))
+    l_sub = _surplus(n, plus + minus)
 
     checks = []
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph
+from .graph import GraphError, SignedGraph, _groups, _labels
 from . import simplex
 
 __all__ = [
@@ -364,14 +364,6 @@ def _pattern_lambda(g: SignedGraph, f) -> OneLapWitness | tuple:
     n = len(mu)
     sgn = [(x > 0) - (x < 0) for x in f]
     flux = [k * sx for k, sx in zip(kappa, sgn)]  # determined flux c_x
-    root = list(range(n))  # union-find over free support edges
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
     fixed = [0] * len(edges)  # w z_uv where f fixes z_uv
     support_arcs, zero_edges = [], []
     for e, (u, v, w, s) in enumerate(edges):
@@ -383,25 +375,20 @@ def _pattern_lambda(g: SignedGraph, f) -> OneLapWitness | tuple:
         elif sgn[u]:
             # sgn_v = sigma sgn_u, so y = sgn_u z_uv is a flow u -> v
             support_arcs.append((e, u, v, w))
-            root[find(u)] = find(v)
         else:
             zero_edges.append((e, u, v, w, s))
 
     # each component C of free support edges pins lambda mu(C) = sum sgn_x c_x
-    pins: dict[int, list[int]] = {}
-    for x in range(n):
-        if sgn[x]:
-            pin = pins.setdefault(find(x), [0, 0])
-            pin[0] += sgn[x] * flux[x]
-            pin[1] += mu[x]
+    def pin(comp: tuple[int, ...]) -> tuple[int, int]:
+        return sum(sgn[x] * flux[x] for x in comp), sum(mu[x] for x in comp)
 
-    def members(comp: int) -> tuple[int, ...]:
-        return tuple(x for x in range(n) if sgn[x] and find(x) == comp)
-
-    (first, (num, den)), *rest = pins.items()
-    for comp, (a, b) in rest:
+    lab = _labels(n, [(u, v) for _, u, v, _ in support_arcs])
+    first, *rest = map(tuple, _groups(lab, (x for x in range(n) if sgn[x])).values())
+    num, den = pin(first)
+    for comp in rest:
+        a, b = pin(comp)
         if a * den != num * b:
-            return "pins", members(first), members(comp)
+            return "pins", first, comp
     lam = Fraction(num, den)
     p, q = lam.numerator, lam.denominator  # everything below is scaled by q
 
@@ -411,7 +398,7 @@ def _pattern_lambda(g: SignedGraph, f) -> OneLapWitness | tuple:
         support_flows, side = _feasible_flow(
             n, [(u, v, q * w) for _, u, v, w in support_arcs], demand, demand)
         if support_flows is None:
-            return "support-cut", members(first), tuple(sorted(side))
+            return "support-cut", first, tuple(sorted(side))
 
     # zero vertex y: the net flux of its zero-zero edges lies in
     # [-|lam| mu_y - |kappa_y| - c_y, |lam| mu_y + |kappa_y| - c_y]
@@ -429,7 +416,7 @@ def _pattern_lambda(g: SignedGraph, f) -> OneLapWitness | tuple:
         elif q * abs(flux[y]) > slack:
             pi = [0] * n
             pi[y] = 1 if flux[y] > 0 else -1
-            return "zero-cut", members(first), tuple(pi)
+            return "zero-cut", first, tuple(pi)
     zero_flows = []
     if zero_edges:
         # Negative edges are not conservative, so decide the block on the
@@ -447,7 +434,7 @@ def _pattern_lambda(g: SignedGraph, f) -> OneLapWitness | tuple:
             pi = [0] * n
             for node in side:
                 pi[covered[node // 2]] += 1 if node % 2 else -1
-            return "zero-cut", members(first), tuple(pi)
+            return "zero-cut", first, tuple(pi)
 
     # The witness, over the common denominator 2q: a support flow x on u -> v
     # is 2 sgn_u x, and a zero-zero edge takes the mirror average (x+ - x-).

@@ -230,6 +230,28 @@ class TestBalance:
         assert balance_state(switch(g, tau)).state is balance_state(g).state
 
 
+    @given(st.integers(0, 10**6), st.sampled_from((0, 1, -1)))
+    @settings(max_examples=150, deadline=None)
+    def test_tau_is_a_certificate(self, seed, base):
+        """Each tau switches every sign to its target and is +1 at the least
+        vertex of each component. base 0 keeps random signs; base +1 or -1
+        switches an all-positive or all-negative graph, so the balancing or
+        the antibalancing tau must exist. Sparse draws are often
+        disconnected."""
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, int(rng.integers(1, 11)), float(rng.uniform(0.1, 0.7)))
+        if base:
+            g = dataclasses.replace(g, edges=tuple((u, v, w, base) for u, v, w, _ in g.edges))
+            g = switch(g, [int(t) for t in rng.choice((-1, 1), size=g.n)])
+        res = balance_state(g)
+        assert base != 1 or res.balancing_tau is not None
+        assert base != -1 or res.antibalancing_tau is not None
+        for tau, target in ((res.balancing_tau, 1), (res.antibalancing_tau, -1)):
+            if tau is not None:
+                assert all(s == target for _, _, _, s in switch(g, tau).edges)
+                assert all(tau[min(comp)] == 1 for comp in components(g))
+
+
 class TestComponentsSurplus:
     def test_tree(self):
         g = path(5)

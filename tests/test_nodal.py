@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgspec.graph import GraphError, SignedGraph, switch
+from sgspec.harness import random_signed_graph
 from sgspec.nodal import (
     SpectrumContext,
     bound_report,
@@ -14,6 +17,7 @@ from sgspec.nodal import (
 )
 
 from oracles import (
+    _closure,
     all_signed_graphs,
     nonzero_patterns,
     strong_count_oracle,
@@ -26,6 +30,45 @@ def random_pattern(rng, n):
     f = rng.standard_normal(n)
     f[rng.random(n) < 0.4] = 0.0
     return f if np.any(f) else random_pattern(rng, n)
+
+
+def closure_sets(g, f):
+    """Strong sets and weak closures from boolean transitive closures.
+
+    A weak class is a class of the relation "some walk through zeros joins
+    (u, sgn u) to (v, sgn v) on the (vertex, sign) states"; its closure adds
+    every zero that such a walk from one of its members reaches.
+    """
+    sgn = np.sign(f)
+    n = g.n
+    support = [x for x in range(n) if sgn[x]]
+    plus = np.eye(n, dtype=bool)
+    step = np.zeros((2 * n, 2 * n), dtype=bool)  # state 2x: sign +1, 2x + 1: sign -1
+    for u, v, _, s in g.edges:
+        if sgn[u] * s * sgn[v] > 0:
+            plus[u, v] = plus[v, u] = True
+        for a, b in ((u, v), (v, u)):
+            for i in (0, 1):
+                step[2 * a + i, 2 * b + (i if s == 1 else 1 - i)] = True
+    plus = _closure(plus)
+    strong = {frozenset(y for y in support if plus[x, y]) for x in support}
+
+    interior = step.copy()
+    interior[[2 * x + i for x in support for i in (0, 1)], :] = False
+    full = step @ _closure(np.eye(2 * n, dtype=bool) | interior)
+    own = {x: 2 * x + int(sgn[x] < 0) for x in support}
+    rel = np.eye(n, dtype=bool)
+    for u in support:
+        for v in support:
+            rel[u, v] |= full[own[u], own[v]]
+    rel = _closure(rel | rel.T)
+    closures = set()
+    for u in support:
+        cls = {v for v in support if rel[u, v]}
+        zeros = {z for z in range(n) if not sgn[z]
+                 and any(full[own[v], 2 * z] or full[own[v], 2 * z + 1] for v in cls)}
+        closures.add(frozenset(cls | zeros))
+    return strong, closures
 
 
 class TestStrong:
@@ -44,6 +87,33 @@ class TestStrong:
     def test_zero_function_rejected(self):
         with pytest.raises(GraphError):
             strong_domains(path(2), [0, 0])
+
+
+class TestMalformedFunction:
+    """f must be a finite, nonzero vector with one entry per vertex."""
+
+    G = random_signed_graph(4, 0.9, seed=1, connected=True)
+    BAD = {
+        "long": [1.0, -1.0, 1.0, -1.0, 1.0],
+        "short": [1.0, -1.0, 1.0],
+        "nan": [1.0, float("nan"), -1.0, 1.0],
+        "inf": [1.0, -1.0, float("inf"), 1.0],
+        "matrix": [[1.0, -1.0, 1.0, -1.0]],
+        "zero": [0.0, 0.0, 0.0, 0.0],
+    }
+
+    @pytest.mark.parametrize("kind", BAD)
+    @pytest.mark.parametrize(
+        "fn",
+        (strong_domains, weak_domains, dual_counts, nodal_quantities,
+         functools.partial(bound_report, ctx=SpectrumContext(k=1))),
+        ids=("strong_domains", "weak_domains", "dual_counts", "nodal_quantities", "bound_report"))
+    def test_rejected(self, fn, kind):
+        with pytest.raises(GraphError):
+            fn(self.G, self.BAD[kind])
+
+    def test_good_function_accepted(self):
+        assert nodal_quantities(self.G, [1.0, -1.0, 0.0, 1.0]).identity_ok
 
 
 class TestWeak:
@@ -176,6 +246,8 @@ class TestAgainstClosureOracle:
                 continue
             assert strong_domains(g, f)[0] == strong_count_oracle(g, f)
             assert weak_domains(g, f)[0] == weak_count_oracle(g, f)
+            q = nodal_quantities(g, f)
+            assert (set(q.strong_sets), set(q.weak_closures)) == closure_sets(g, f)
 
 
 class TestBoundReport:
