@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 a verification/check failed, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -218,7 +219,10 @@ def _cmd_random(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: parsing
+    leaves it unchanged, and building it costs more than a small job."""
     ap = argparse.ArgumentParser(
         prog="sgspec",
         description="Spectral toolkit for generalized p-Laplacians on signed graphs",

@@ -68,7 +68,7 @@ def _cached_array(values, dtype) -> cached_property:
     return cached_property(build)
 
 
-ColumnViews = namedtuple("ColumnViews", "eu ev ew es mu kappa bins col")
+ColumnViews = namedtuple("ColumnViews", "eu ev ew es mu kappa bins col inc")
 
 
 @dataclass(frozen=True)
@@ -171,16 +171,21 @@ class SignedGraph:
         """Read-only flat views for m functions held as the columns of an
         (n, m) array f and read through ``f.ravel()``: the edge ends ``eu``,
         ``ev`` as flat indices; ``ew``, ``es``, ``mu``, ``kappa`` repeated per
-        column; ``bins`` for ``np.bincount`` over the vertex entries, then the
-        edges' v ends, then their u ends; ``col``, the column of each vertex
-        entry, then of each edge entry. Built once per m."""
+        column, ``kappa`` None when it is zero everywhere; ``bins`` for
+        ``np.bincount`` over the vertex entries, then the edges' v ends, then
+        their u ends; ``col``, the column of each vertex entry, then of each
+        edge entry; ``inc``, the (2, |E| m) signed incidence weights
+        (-sigma w, w) of the v and u ends. Built once per m."""
         if m not in self._column_views:
             eu, ev = ((e[:, None] * m + np.arange(m)).ravel() for e in (self.eu, self.ev))
-            rep = (np.repeat(a, m) for a in (self.ew, self.es, self._mu, self._kappa))
-            views = ColumnViews(eu, ev, *rep, np.concatenate((np.arange(self.n * m), ev, eu)),
-                                np.arange((self.n + len(self.edges)) * m) % m)
+            ew, es, mu, kappa = (np.repeat(a, m) for a in (self.ew, self.es, self._mu, self._kappa))
+            views = ColumnViews(eu, ev, ew, es, mu, kappa if any(self.kappa) else None,
+                                np.concatenate((np.arange(self.n * m), ev, eu)),
+                                np.arange((self.n + len(self.edges)) * m) % m,
+                                np.stack((-es * ew, ew)))
             for a in views:
-                a.flags.writeable = False
+                if a is not None:
+                    a.flags.writeable = False
             self._column_views[m] = views
         return self._column_views[m]
 
@@ -265,20 +270,32 @@ def switch(g: SignedGraph, tau: Sequence[int]) -> SignedGraph:
     return SignedGraph(ids=g.ids, mu=g.mu, kappa=g.kappa, edges=new_edges)
 
 
-def _labels(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+def _labels(n: int, pairs: Iterable[tuple[int, int]], mirrored: bool = False) -> list[int] | None:
     """Union-find over nodes 0..n-1 joined by ``pairs``: per node, the least
     node of its class. Every parent is at most its child, so one ascending
-    pass turns parents into roots."""
+    pass turns parents into roots.
+
+    ``mirrored``: each pair (a, b) also joins its mirror (a ^ 1, b ^ 1), and
+    the labeling stops, returning None, at the first pair that would put a
+    node and its mirror in one class. Until then the classes are closed
+    under the mirror and hold no such two nodes, so the root of the mirror
+    of a's class is a's root ^ 1: the test is one comparison of roots, and
+    the mirror union needs no search."""
     root = list(range(n))
     for u, v in pairs:
         while (r := root[u]) != u:
             root[u] = u = root[r]  # path halving
         while (r := root[v]) != v:
             root[v] = v = root[r]
-        if u < v:
-            root[v] = u
-        elif v < u:
-            root[u] = v
+        if u == v:
+            continue
+        if mirrored and u == v ^ 1:
+            return None
+        if v < u:
+            u, v = v, u
+        root[v] = u
+        if mirrored:
+            root[v ^ 1] = u ^ 1
     for x in range(n):
         root[x] = root[root[x]]
     return root
@@ -300,12 +317,11 @@ def _surplus(n: int, pairs: Sequence[tuple[int, int]]) -> int:
 
 def _cover_pairs(edges, flip: int) -> Iterable[tuple[int, int]]:
     """Edges of the signed double cover, whose node 2x + 1 is x with sign -1
-    and 2x is x with sign +1: an edge (u, v, sigma) joins (u, e) to
-    (v, e sigma flip)."""
+    and 2x is x with sign +1, one of each mirror pair: an edge (u, v, sigma)
+    joins (u, +1) to (v, sigma flip), and its mirror (a ^ 1, b ^ 1) joins
+    (u, -1) to (v, -sigma flip)."""
     for u, v, _, s in edges:
-        neg = s * flip < 0
-        yield 2 * u, 2 * v + neg
-        yield 2 * u + 1, 2 * v + 1 - neg
+        yield 2 * u, 2 * v + (s * flip < 0)
 
 
 def balance_state(g: SignedGraph) -> BalanceResult:
@@ -316,11 +332,12 @@ def balance_state(g: SignedGraph) -> BalanceResult:
     (e.g. bipartite all-positive graphs). A tau making every edge sign t
     exists iff no x has both its nodes in one class of the double cover
     under t sigma (Zaslavsky, "Signed graphs", Discrete Appl. Math. 4,
-    1982); it is +1 at the least vertex of each component.
+    1982); it is +1 at the least vertex of each component. The labeling
+    for t stops at the first cover edge that joins such two nodes.
     """
     def tau(t: int) -> tuple[int, ...] | None:
-        lab = _labels(2 * g.n, _cover_pairs(g.edges, t))
-        if any(lab[2 * x] == lab[2 * x + 1] for x in range(g.n)):
+        lab = _labels(2 * g.n, _cover_pairs(g.edges, t), mirrored=True)
+        if lab is None:
             return None
         return tuple(1 if lab[2 * x] % 2 == 0 else -1 for x in range(g.n))
 

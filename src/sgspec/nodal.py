@@ -63,7 +63,8 @@ def _weak(g: SignedGraph, sgn: list[int], flip: int) -> tuple[list[set[int]], li
     """Weak classes under the signature times ``flip``, and their closures;
     see ``weak_domains``. Node 2x + 1 of the cover is x with sign -1."""
     keep = [s == 0 or i == (s < 0) for s in sgn for i in (0, 1)]
-    lab = _labels(2 * len(sgn), [(a, b) for a, b in _cover_pairs(g.edges, flip)
+    lab = _labels(2 * len(sgn), [(a, b) for pair in _cover_pairs(g.edges, flip)
+                                 for a, b in (pair, (pair[0] ^ 1, pair[1] ^ 1))
                                  if keep[a] and keep[b]])
     own = [lab[2 * x + (s < 0)] for x, s in enumerate(sgn)]
     classes = _groups(own, (x for x, s in enumerate(sgn) if s))

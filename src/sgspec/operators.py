@@ -1,7 +1,10 @@
 """Signed p-Laplacian application, Rayleigh quotients, eigenpair verification.
 
 For p > 1 the operator is single-valued and residuals are checked in a
-scale-free relative form. For p = 1 the eigen-condition is a differential
+scale-free relative form. Delta_p, the Rayleigh quotient and the residual
+are written once, as private kernels on flat column views and edge
+differences, which the public functions and the fused gradient step of
+:mod:`sgspec.spectra` share. For p = 1 the eigen-condition is a differential
 inclusion with Sgn intervals. Given a sign pattern f, the lambda it admits
 is a single point or nothing: each component of support edges with
 f_u = sigma f_v pins lambda, and the rest is a network feasibility
@@ -53,17 +56,70 @@ def phi_p(t, p: float):
     """
     t = np.asarray(t, dtype=float)
     a = np.abs(t)
-    out = np.where(a >= _TINY, np.sign(t) * a ** (p - 1), 0.0)
+    out = _phi(t, a, a ** (p - 1))
     return out if out.ndim else float(out)
+
+
+def _phi(t, a, pw):
+    """Phi_p(t) from a = |t| and pw = |t|^(p-1): the one formula of phi_p."""
+    return np.where(a >= _TINY, np.sign(t) * pw, 0.0)
 
 
 # Delta_p, the Rayleigh quotient and the residual take f of shape (n,) or
 # (n, m); column j of a 2-D result equals the 1-D call on f[:, j], bitwise:
 # sums run through bincount, which adds in input order (BLAS does not).
+# The private kernels below work on the flat x = f.ravel() of an (n, m) f
+# and on its edge differences d = x_u - sigma x_v (``_edge_diffs``), in the
+# layout of ``g.columns(m)``; the projected gradient of ``spectra`` keeps d
+# across steps and calls them directly. They skip a potential that is zero
+# everywhere (its view is None): each bincount sum starts at +0.0, and
+# +0.0 + (+-0.0) = +0.0, so the skip changes no bit.
 
 def _columns(f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     return f[:, None] if f.ndim == 1 else f
+
+
+def _edge_diffs(c, x) -> np.ndarray:
+    """x_u - sigma x_v for every edge entry of the flat x."""
+    return x[c.eu] - c.es * x[c.ev]
+
+
+def _delta(c, p, d, phi_x) -> np.ndarray:
+    """Flat Delta_p of the x with edge differences d and Phi_p(x) = phi_x
+    (read only for a nonzero potential, in any shape). Phi_p(x_v - sigma x_u) =
+    -sigma Phi_p(x_u - sigma x_v), so one Phi_p per edge serves both ends;
+    with sorted edges each vertex adds its terms after the potential term
+    in edge order, as a per-edge loop would."""
+    a = np.abs(d)
+    t = (c.inc * _phi(d, a, a ** (p - 1))).ravel()
+    size = c.mu.size
+    if c.kappa is None:
+        return np.bincount(c.bins[size:], t, size)
+    return np.bincount(c.bins, np.concatenate((c.kappa * phi_x.ravel(), t)), size)
+
+
+def _quotient(c, p, x, d, m) -> np.ndarray:
+    """p-Rayleigh quotient of each of the m columns of the flat x with edge
+    differences d."""
+    fp = np.abs(x) ** p
+    edge_terms = c.ew * np.abs(d) ** p
+    num = (np.bincount(c.col[x.size:], edge_terms, m) if c.kappa is None
+           else np.bincount(c.col, np.concatenate((c.kappa * fp, edge_terms)), m))
+    return num / np.bincount(c.col[:x.size], c.mu * fp, m)
+
+
+def _eigen_terms(c, p, f, d, lam, mu):
+    """For the (n, m) f with edge differences d, lam one per column (or a
+    scalar) and mu the (n, 1) measure: eq = Delta_p f - lam mu Phi_p f, |eq|,
+    and the eigen-residual max |eq| / (1 + |lam| mu |f|^(p-1)) per column.
+    |f|^(p-1) is taken once, for Phi_p f and for the scale."""
+    a = np.abs(f)
+    pw = a ** (p - 1)
+    phi = _phi(f, a, pw)
+    eq = _delta(c, p, d, phi).reshape(f.shape) - lam * mu * phi
+    aeq = np.abs(eq)
+    return eq, aeq, (aeq / (1.0 + np.abs(lam) * mu * pw)).max(axis=0)
 
 
 def apply_p_laplacian(g: SignedGraph, p: float, f) -> np.ndarray:
@@ -72,12 +128,8 @@ def apply_p_laplacian(g: SignedGraph, p: float, f) -> np.ndarray:
         raise GraphError("apply_p_laplacian requires p > 1; use the inclusion checker for p = 1")
     fc = _columns(f)
     x, c = fc.ravel(), g.columns(fc.shape[1])
-    t = c.ew * phi_p(x[c.eu] - c.es * x[c.ev], p)
-    # Phi_p(f_v - sigma f_u) = -sigma Phi_p(f_u - sigma f_v), so one phi_p per
-    # edge serves both endpoints. With sorted edges each vertex adds its terms
-    # after the potential term in edge order, as a per-edge loop would.
-    lap = np.bincount(c.bins, np.concatenate((c.kappa * phi_p(x, p), -c.es * t, t)), x.size)
-    return lap.reshape(np.shape(f))
+    phi_x = None if c.kappa is None else phi_p(x, p)
+    return _delta(c, p, _edge_diffs(c, x), phi_x).reshape(np.shape(f))
 
 
 def rayleigh(g: SignedGraph, p: float, f):
@@ -87,10 +139,7 @@ def rayleigh(g: SignedGraph, p: float, f):
         raise GraphError("Rayleigh quotient undefined for the zero function")
     m, x = fc.shape[1], fc.ravel()
     c = g.columns(m)
-    fp = np.abs(x) ** p
-    edge_terms = c.ew * np.abs(x[c.eu] - c.es * x[c.ev]) ** p
-    q = (np.bincount(c.col, np.concatenate((c.kappa * fp, edge_terms)), m)
-         / np.bincount(c.col[:x.size], c.mu * fp, m))
+    q = _quotient(c, p, x, _edge_diffs(c, x), m)
     return q if np.ndim(f) == 2 else float(q[0])
 
 
@@ -98,10 +147,8 @@ def eigen_residual(g: SignedGraph, p: float, f, lam):
     """Max over vertices of |Delta_p f - lam mu Phi_p f| / (1 + |lam| mu |f|^(p-1));
     lam is a scalar or, for 2-D f, one per column."""
     fc = _columns(f)
-    mu = g.mu_array()[:, None]
-    lap = apply_p_laplacian(g, p, fc)
-    scale = 1.0 + np.abs(lam) * mu * np.abs(fc) ** (p - 1)
-    res = (np.abs(lap - lam * mu * phi_p(fc, p)) / scale).max(axis=0)
+    c = g.columns(fc.shape[1])
+    res = _eigen_terms(c, p, fc, _edge_diffs(c, fc.ravel()), lam, g.mu_array()[:, None])[2]
     return res if np.ndim(f) == 2 else float(res[0])
 
 

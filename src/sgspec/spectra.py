@@ -7,9 +7,11 @@ p > 1 only the extremes of the Rayleigh quotient are computed, every
 restart a column of one matrix run in lock step: projected gradient until
 the column's eigen-residual is below HANDOFF, then a Newton polish that
 stops at the rounding floor; a column the polish leaves uncertified
-resumes its gradient and is polished again. Every reported pair is
-re-certified by its eigen-residual. For p = 1 candidates are the +-1/0
-patterns, each decided by an exact integer max-flow that leaves a
+resumes its gradient and is polished again. Each gradient step is one
+fused pass over the operator kernels of :mod:`sgspec.operators`, carrying
+the edge differences of f from the step that accepted f. Every reported
+pair is re-certified by its eigen-residual. For p = 1 candidates are the
++-1/0 patterns, each decided by an exact integer max-flow that leaves a
 certificate: a witness for each pair, a reason for each rejected pattern,
 both checked in linear time by ``check_certificate_1lap``.
 """
@@ -26,8 +28,8 @@ import numpy as np
 from . import cheeger as _cheeger
 from .graph import BalanceState, GraphError, SignedGraph, balance_state, components, induced_subgraph
 from .operators import (
-    OneLapWitness, _pattern_lambda, _prefilter_lambda_box, apply_p_laplacian,
-    eigen_residual, phi_p, rayleigh,
+    OneLapWitness, _edge_diffs, _eigen_terms, _pattern_lambda, _prefilter_lambda_box,
+    _quotient, apply_p_laplacian, eigen_residual, phi_p, rayleigh,
 )
 
 __all__ = [
@@ -127,24 +129,31 @@ def _lockstep_gradient(g, p, f, r, eta, steps, sign, max_iter, handoff):
     own step, acceptance and stopping test, and a stopped column stays
     frozen. A column stalls on |grad| < 1e-14, eta < 1e-15 or max_iter steps
     in all; it hands off once its eigen-residual is below ``handoff``.
-    Returns the state and which columns handed off without stalling."""
-    mu = g.mu_array()[:, None]
+    Returns the state and which columns handed off without stalling.
+
+    One fused step on the operators' kernels: the edge differences d of f
+    are carried from the Rayleigh quotient that accepted f, |f|^(p-1) is
+    taken once, and one |eq| serves the stall test (max |p eq| = p max |eq|,
+    rounding being monotone) and the eigen-residual."""
+    m = f.shape[1]
+    c, mu = g.columns(m), g.mu_array()[:, None]
+    d = _edge_diffs(c, f.ravel()).reshape(-1, m)  # edge-major, as in c
     while True:
-        eq = apply_p_laplacian(g, p, f) - r * mu * phi_p(f, p)
-        grad = p * eq
-        stalled = (np.abs(grad).max(axis=0) < 1e-14) | (eta < 1e-15) | (steps >= max_iter)
-        # eigen_residual(g, p, f, r), read off the gradient
-        res = (np.abs(eq) / (1.0 + np.abs(r) * mu * np.abs(f) ** (p - 1))).max(axis=0)
+        eq, aeq, res = _eigen_terms(c, p, f, d.ravel(), r, mu)
+        stalled = (p * aeq.max(axis=0) < 1e-14) | (eta < 1e-15) | (steps >= max_iter)
         live = ~(stalled | (res < handoff))
         if not live.any():
             return f, r, eta, steps, ~stalled
         steps += live
-        f_try = f - sign * eta * grad
+        f_try = f - sign * eta * (p * eq)
         nonzero = f_try.any(axis=0)  # a zero column is rejected; f stands in
         f_try = _normalize_p(g, p, np.where(nonzero, f_try, f))
-        r_try = rayleigh(g, p, f_try)
+        x_try = f_try.ravel()
+        d_try = _edge_diffs(c, x_try)
+        r_try = _quotient(c, p, x_try, d_try, m)
         better = live & nonzero & (sign * (r_try - r) < -1e-16)
         f, r = np.where(better, f_try, f), np.where(better, r_try, r)
+        d = np.where(better, d_try.reshape(-1, m), d)
         eta = np.where(better, eta * 1.2, np.where(live, eta * 0.5, eta))
 
 

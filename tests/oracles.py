@@ -17,7 +17,7 @@ from sgspec import simplex
 from sgspec.cheeger import DEFAULT_CAPS, CheegerResult, _best_bipartition, _int_arrays
 from sgspec.graph import GraphError, SignedGraph
 from sgspec.operators import apply_p_laplacian, eigen_residual, phi_p, rayleigh
-from sgspec.spectra import ExtremalResult, spectrum_p2
+from sgspec.spectra import ExtremalResult, _normalize_p as _normalize_columns, spectrum_p2
 
 
 def balance_oracle(g: SignedGraph) -> tuple[bool, bool]:
@@ -436,6 +436,30 @@ def one_lap_lambda_range_lp(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]
         if b >= t_star:
             intervals.append((max(a, t_star), b))
     return intervals
+
+
+def lockstep_gradient_reference(g, p, f, r, eta, steps, sign, max_iter, handoff):
+    """``spectra._lockstep_gradient`` before its fused step, on the public
+    operators: every step applies Delta_p and gathers the edge differences
+    anew. The fused step must give the same iterates, bit for bit."""
+    mu = g.mu_array()[:, None]
+    while True:
+        eq = apply_p_laplacian(g, p, f) - r * mu * phi_p(f, p)
+        grad = p * eq
+        stalled = (np.abs(grad).max(axis=0) < 1e-14) | (eta < 1e-15) | (steps >= max_iter)
+        # eigen_residual(g, p, f, r), read off the gradient
+        res = (np.abs(eq) / (1.0 + np.abs(r) * mu * np.abs(f) ** (p - 1))).max(axis=0)
+        live = ~(stalled | (res < handoff))
+        if not live.any():
+            return f, r, eta, steps, ~stalled
+        steps += live
+        f_try = f - sign * eta * grad
+        nonzero = f_try.any(axis=0)  # a zero column is rejected; f stands in
+        f_try = _normalize_columns(g, p, np.where(nonzero, f_try, f))
+        r_try = rayleigh(g, p, f_try)
+        better = live & nonzero & (sign * (r_try - r) < -1e-16)
+        f, r = np.where(better, f_try, f), np.where(better, r_try, r)
+        eta = np.where(better, eta * 1.2, np.where(live, eta * 0.5, eta))
 
 
 def _normalize_p(g: SignedGraph, p: float, f: np.ndarray) -> np.ndarray:

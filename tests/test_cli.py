@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -309,3 +313,26 @@ class TestRandomAndErrors:
 
     def test_bad_usage(self, capsys):
         assert run(capsys, "spectrum")[0] == 2
+
+
+class TestParserBuiltOnce:
+    def test_reused_parser_answers_as_fresh_ones(self, capsys, p3_file):
+        calls = [("spectrum", "--graph", p3_file), ("spectrum", "--bogus", "1"), ("--help",),
+                 ("spectrum", "--graph", p3_file, "--format", "text")]
+        cli.build_parser.cache_clear()
+        reused = [run(capsys, *argv) for argv in calls]
+        assert cli.build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert [code for code, _, _ in reused] == [0, 2, 0, 0]
+        assert reused == fresh
+        assert reused[0][1] and reused[2][1].startswith("usage: sgspec")
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = "import sgspec.cli as c; print(c.build_parser.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "0"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgspec import graph as graph_module
 from sgspec.graph import (
     BalanceState,
     GraphError,
@@ -23,7 +24,7 @@ from sgspec.graph import (
     switch,
 )
 
-from oracles import balance_oracle
+from oracles import all_signed_graphs, balance_oracle
 
 
 def path(n, sigma=1, w=1.0):
@@ -220,6 +221,33 @@ class TestBalance:
             res = balance_state(g)
             assert (res.balancing_tau is not None) == bal
             assert (res.antibalancing_tau is not None) == anti
+
+    def test_every_signed_graph_up_to_four_vertices(self):
+        for n in range(1, 5):
+            for g in all_signed_graphs(n):
+                res = balance_state(g)
+                assert ((res.balancing_tau is not None),
+                        (res.antibalancing_tau is not None)) == balance_oracle(g)
+
+    def test_stops_at_the_first_conflicting_edge(self, monkeypatch):
+        """A triangle with one negative edge, then a positive path: the
+        balance labeling reads the triangle's three edges and stops; the
+        antibalance labeling reads them all."""
+        read = []
+
+        def counted(edges, flip):
+            read.append(0)
+            for pair in cover_pairs(edges, flip):
+                read[-1] += 1
+                yield pair
+
+        cover_pairs = graph_module._cover_pairs
+        monkeypatch.setattr(graph_module, "_cover_pairs", counted)
+        g = SignedGraph.build([f"v{i}" for i in range(12)],
+                              [("v0", "v1", 1.0, -1), ("v0", "v2", 1.0, 1), ("v1", "v2", 1.0, 1)]
+                              + [(f"v{i}", f"v{i + 1}", 1.0, 1) for i in range(2, 11)])
+        assert balance_state(g).state is BalanceState.ANTIBALANCED
+        assert read == [3, len(g.edges)]
 
     @given(st.integers(0, 2**12 - 1), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)

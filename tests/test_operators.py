@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgspec import operators
 from sgspec.graph import GraphError, SignedGraph, switch
 from sgspec.operators import (
     EigenPair,
@@ -153,6 +154,59 @@ class TestColumns:
     def test_zero_column_rejected(self):
         with pytest.raises(GraphError):
             rayleigh(path(2), 2.0, np.array([[1.0, 0.0], [-1.0, 0.0]]))
+
+
+class TestKernels:
+    """The private kernels that the projected gradient calls directly give,
+    bit for bit, the formulas on ``phi_p`` that the operators had before
+    them, with and without a potential, also on subnormal entries of f
+    and of its edge differences (|t| < 1e-300 maps to 0)."""
+
+    @staticmethod
+    def reference(g, p, f, lam):
+        """Delta_p f, the Rayleigh quotients and the eigen-residuals of the
+        (n, m) f, each potential term included even when it is zero."""
+        n, m = f.shape
+        x, c = f.ravel(), g.columns(m)
+        kappa, mu = np.repeat(g.kappa_array(), m), g.mu_array()[:, None]
+        bins = np.concatenate((np.arange(n * m), c.ev, c.eu))
+        col = np.arange((n + len(g.edges)) * m) % m
+        t = c.ew * phi_p(x[c.eu] - c.es * x[c.ev], p)
+        lap = np.bincount(bins, np.concatenate((kappa * phi_p(x, p), -c.es * t, t)), x.size)
+        lap = lap.reshape(n, m)
+        fp = np.abs(x) ** p
+        edge_terms = c.ew * np.abs(x[c.eu] - c.es * x[c.ev]) ** p
+        q = (np.bincount(col, np.concatenate((kappa * fp, edge_terms)), m)
+             / np.bincount(col[:x.size], c.mu * fp, m))
+        eq = lap - lam * mu * phi_p(f, p)
+        res = (np.abs(eq) / (1.0 + np.abs(lam) * mu * np.abs(f) ** (p - 1))).max(axis=0)
+        return lap, q, eq, res
+
+    @pytest.mark.parametrize("p", [1.01, 1.3, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("potential", [False, True])
+    def test_equal_the_phi_p_formulas_bitwise(self, p, potential):
+        rng = np.random.default_rng(int(p * 100) + potential)
+        for n in range(2, 9):
+            g = random_graph(rng, n, density=0.7)
+            kappa = rng.uniform(-1.0, 1.0, n) if potential else np.zeros(n)
+            g = SignedGraph(ids=g.ids, mu=g.mu, edges=g.edges, kappa=tuple(map(float, kappa)))
+            f = rng.standard_normal((n, 4))
+            # a subnormal column: entries and edge differences below 1e-300
+            f[:, 1] = rng.choice((0.0, 1e-310, -1e-310, 3e-310), n)
+            f[0, 1] = 1.0
+            f[:, 2] = rng.integers(-2, 3, n) / 2.0  # exact zeros and f_x = sigma f_y
+            f[0, 2] = 0.5
+            lam = rng.uniform(-2.0, 5.0, 4)
+            c, x = g.columns(4), f.ravel()
+            d = operators._edge_diffs(c, x)
+            lap, q, eq, res = self.reference(g, p, f, lam)
+            got = (operators._delta(c, p, d, phi_p(x, p)).reshape(n, 4),
+                   operators._quotient(c, p, x, d, 4),
+                   *operators._eigen_terms(c, p, f, d, lam, g.mu_array()[:, None])[::2])
+            for a, b in zip(got, (lap, q, eq, res)):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+            assert np.array_equal(apply_p_laplacian(g, p, f).view(np.int64), lap.view(np.int64))
+            assert (c.kappa is None) is not potential
 
 
 class TestRayleigh:

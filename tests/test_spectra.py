@@ -1,5 +1,7 @@
+import json
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgspec import spectra
-from sgspec.graph import GraphError, SignedGraph, switch
+from sgspec.graph import GraphError, SignedGraph, parse_graph, switch
 from sgspec.harness import MODELS, random_signed_graph
 from sgspec.operators import check_certificate_1lap, check_eigenpair_1lap
 from sgspec.spectra import (
@@ -19,7 +21,7 @@ from sgspec.spectra import (
     upper_bound_lambda_k,
 )
 
-from oracles import extremal_p_sequential, sym2_eigs, sym3_eigs
+from oracles import extremal_p_sequential, lockstep_gradient_reference, sym2_eigs, sym3_eigs
 from test_graph import complete, path, random_graph, triangle
 
 F = Fraction
@@ -260,6 +262,44 @@ class TestExtremalP:
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
             assert (got.converged_min, got.converged_max) == (want.converged_min,
                                                              want.converged_max)
+
+
+def _bench_pool():
+    """The graphs of the ``extremal-p`` benchmark pool, read only."""
+    pool = Path(__file__).resolve().parents[1] / "bench" / "refs" / "extremal-p.json"
+    return [parse_graph(json.dumps(e["graph"])) for e in json.loads(pool.read_text())["graphs"]]
+
+
+def _fused_corpus(group):
+    """(graph, p, restarts, seed) cases: n from 3 to 10, the five signature
+    models, unit and degree mu, p in {1.3, 1.5, 2, 3, 4}, restarts 0 and 8;
+    a graph with a nonzero potential; the benchmark pool."""
+    ps = (1.3, 1.5, 2.0, 3.0, 4.0)
+    if group == "potential":
+        g = random_signed_graph(7, 0.6, "uniform", seed=5, connected=True)
+        g = SignedGraph(g.ids, g.mu, (0.5, -0.3, 0.0, 1.2, -0.0, 0.25, -1.0), g.edges)
+        return [(g, p, restarts, 3) for p in ps for restarts in (0, 8)]
+    if group == "pool":
+        return [(g, p, 0, 0) for g in _bench_pool() for p in (1.5, 3.0)]
+    k = MODELS.index(group)
+    return [(random_signed_graph(3 + (i + k) % 8, 0.6, group, seed=100 * k + i,
+                                 mu_mode=("unit", "degree")[i % 2], connected=True),
+             ps[(i + k) % 5], (0, 8)[i // 2 % 2], i) for i in range(10)]
+
+
+class TestFusedGradient:
+    @pytest.mark.parametrize("group", (*MODELS, "potential", "pool"))
+    def test_equals_the_reference_loop_bitwise(self, group, monkeypatch):
+        def key(res):
+            return (res.p, res.lambda_min, res.residual_min, res.lambda_max, res.residual_max,
+                    res.converged_min, res.converged_max, res.trace, res.lockstep_steps,
+                    res.f_min.tobytes(), res.f_max.tobytes())
+
+        cases = _fused_corpus(group)
+        fused = [key(extremal_p(g, p, restarts=r, seed=s)) for g, p, r, s in cases]
+        monkeypatch.setattr(spectra, "_lockstep_gradient", lockstep_gradient_reference)
+        for (g, p, r, s), got in zip(cases, fused):
+            assert got == key(extremal_p(g, p, restarts=r, seed=s)), (g.n, p, r, s)
 
 
 class TestUpperBound:
