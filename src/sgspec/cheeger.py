@@ -32,6 +32,8 @@ __all__ = [
 
 DEFAULT_CAPS = {1: 14, 2: 10, 3: 8}
 FRUSTRATION_ENUM_CAP = 24
+FRUSTRATION_RESTARTS = 16  # random starts of the local search above FRUSTRATION_ENUM_CAP
+HEURISTIC_RESTARTS = 32  # random starts of cheeger_k's heuristic
 _BLOCK = 1 << 12
 _LOW = 6  # a block of labelings runs over the last _LOW entries: 3**6 <= _BLOCK
 
@@ -152,13 +154,13 @@ def frustration_index(g: SignedGraph, omega, heuristic: bool = False):
     return value, {int(x): int(s) for x, s in zip(omega, t)}, exact
 
 
-def _frustration_local_search(d, omega, restarts: int = 16):
+def _frustration_local_search(d, omega):
     """A +-1 labeling of omega after flip-improving local search from random
     labelings; gains are exact integers."""
     rng = np.random.default_rng(0)
     edges = list(zip(*(a.tolist() for a in _induced(d, omega))))
     best_t, best = None, None
-    for _ in range(restarts):
+    for _ in range(FRUSTRATION_RESTARTS):
         lab = rng.integers(0, 2, size=len(omega))
         improved = True
         while improved:
@@ -185,9 +187,6 @@ class CheegerResult:
     pair_values: tuple[Fraction, ...]
     subsets_scored: int
     exact: bool = True
-
-    def value_float(self) -> float:
-        return float(self.value)
 
 
 def _labelings(n: int):
@@ -281,13 +280,13 @@ def cheeger_k(g: SignedGraph, k: int, heuristic: bool = False) -> CheegerResult:
     return _cheeger_exact(g, (k,))[0]
 
 
-def _cheeger_k_heuristic(g: SignedGraph, k: int, restarts: int = 32) -> CheegerResult:
+def _cheeger_k_heuristic(g: SignedGraph, k: int) -> CheegerResult:
     """Local search over vertex assignments; result flagged inexact."""
     rng = np.random.default_rng(1)
     d = _int_arrays(g)
     n = g.n
     best_val, best_assign = None, None
-    for _ in range(restarts):
+    for _ in range(HEURISTIC_RESTARTS):
         # assignment: 0 unused, 2i-1 / 2i the two sides of group i
         assign = rng.integers(0, 2 * k + 1, size=n)
         for i in range(k):  # ensure nonempty groups

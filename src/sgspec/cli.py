@@ -144,7 +144,8 @@ def _cmd_onelap(args) -> int:
         "patterns_scanned": ols.patterns_scanned,
         "patterns_solved": ols.patterns_solved,
         "pairs": [
-            {"lambda": str(p.lam), "lambda_hi": str(p.lam_hi),
+            # every pair is a point; "lambda_hi" stays in the output schema
+            {"lambda": str(p.lam), "lambda_hi": str(p.lam),
              "f": {g.ids[i]: p.f[i] for i in range(g.n)}}
             for p in ols.pairs
         ],

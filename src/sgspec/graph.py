@@ -78,10 +78,10 @@ class SignedGraph:
     ``edges`` is a tuple of ``(u, v, w, sigma)`` with dense indices
     ``u < v``, finite weight ``w > 0`` and ``sigma in {-1, +1}`` an int;
     ``mu`` is finite and positive, ``kappa`` finite. The constructor is the
-    one validator of these rules. Its numeric views are read-only and built
-    on first use: the edge columns ``eu``, ``ev`` (intp), ``ew``, ``es``
-    (float), mu, kappa, the adjacency lists, the ``columns`` views and
-    ``scaled_ints``, the exact integer view.
+    one validator of these rules, as ``_function`` is of a function on the
+    vertices. Its numeric views are read-only and built on first use: the
+    edge columns ``eu``, ``ev`` (intp), ``ew``, ``es`` (float), mu, kappa,
+    the ``columns`` views and ``scaled_ints``, the exact integer view.
     """
 
     ids: tuple[str, ...]
@@ -128,14 +128,6 @@ class SignedGraph:
     _kappa = _cached_array(lambda g: g.kappa, float)
     _index = cached_property(lambda g: {vid: i for i, vid in enumerate(g.ids)})
 
-    @cached_property
-    def _adj(self) -> tuple[tuple[tuple[int, float, int], ...], ...]:
-        adj: list[list[tuple[int, float, int]]] = [[] for _ in range(self.n)]
-        for u, v, w, s in self.edges:
-            adj[u].append((v, w, s))
-            adj[v].append((u, w, s))
-        return tuple(map(tuple, adj))
-
     @property
     def n(self) -> int:
         return len(self.ids)
@@ -145,10 +137,6 @@ class SignedGraph:
             return self._index[vid]
         except KeyError:
             raise GraphError(f"unknown vertex id {vid!r}") from None
-
-    def adjacency(self) -> tuple[tuple[tuple[int, float, int], ...], ...]:
-        """Per vertex, its ``(y, w, sigma)`` neighbours in edge order."""
-        return self._adj
 
     def mu_array(self) -> np.ndarray:
         return self._mu
@@ -243,6 +231,24 @@ class SignedGraph:
             kappa=per_vertex(kappa, "kappa"),
             edges=tuple(sorted(edge_list)),
         )
+
+
+def _function(g: SignedGraph, f, columns: bool = False, nonzero: bool = True) -> np.ndarray:
+    """The one check of a function argument: f as a float array of shape
+    (n,), or (n, m) with m >= 1 when the caller takes ``columns``; finite;
+    and, with ``nonzero``, not zero (in any column)."""
+    try:
+        f = np.asarray(f, dtype=float)
+    except (TypeError, ValueError):
+        raise GraphError("function must be an array of real numbers") from None
+    if f.shape != (g.n,) and not (columns and f.ndim == 2 and len(f) == g.n and f.shape[1]):
+        expected = f"({g.n},) or ({g.n}, m)" if columns else f"({g.n},)"
+        raise GraphError(f"function has shape {f.shape}, expected {expected}")
+    if not np.isfinite(f).all():
+        raise GraphError("function must be finite")
+    if nonzero and not f.any(axis=0).all():
+        raise GraphError("function must be nonzero")
+    return f
 
 
 class BalanceState(Enum):
@@ -474,7 +480,7 @@ def parse_function(data: bytes | str, g: SignedGraph) -> np.ndarray:
 
 def serialize_function(f: Sequence[float], g: SignedGraph) -> bytes:
     return json.dumps(
-        {"values": {vid: float(f[i]) for i, vid in enumerate(g.ids)}},
+        {"values": {vid: float(x) for vid, x in zip(g.ids, _function(g, f, nonzero=False))}},
         sort_keys=True,
         separators=(",", ":"),
     ).encode()

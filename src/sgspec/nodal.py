@@ -7,7 +7,8 @@ signature) is positive. Weak domains coarsen this by allowing walks through
 zero vertices, with the sign accumulated along the walk: they are the
 classes of the signed double cover in which each support vertex keeps only
 its node of its own sign and each zero keeps both. Dual counts flip every
-signature. Each public function checks f once, in ``_signs``.
+signature. Each public function checks f once, by ``graph._function``, in
+``_signs``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph, _cover_pairs, _groups, _labels, _surplus, components
+from .graph import (GraphError, SignedGraph, _cover_pairs, _function, _groups, _labels,
+                    _surplus, components)
 
 __all__ = [
     "strong_domains",
@@ -31,15 +33,7 @@ __all__ = [
 
 def _signs(g: SignedGraph, f) -> list[int]:
     """sgn f, once f is checked to be a finite, nonzero vector on g."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (g.n,):
-        raise GraphError(f"function has shape {f.shape}, expected ({g.n},)")
-    if not np.isfinite(f).all():
-        raise GraphError("function must be finite")
-    sgn = np.sign(f).astype(int).tolist()
-    if not any(sgn):
-        raise GraphError("nodal domains are undefined for the zero function")
-    return sgn
+    return np.sign(_function(g, f)).astype(int).tolist()
 
 
 def _split(g: SignedGraph, sgn: list[int]) -> tuple[list, list]:
@@ -126,7 +120,11 @@ def nodal_quantities(g: SignedGraph, f) -> NodalSummary:
     """All nodal counts, edge splits and cycle surpluses, with the
     combinatorial identity |E_-| = |E| - |E_z| + z - |V| - l+ + strong
     verified on the way out."""
-    sgn = _signs(g, f)
+    return _quantities(g, _signs(g, f))
+
+
+def _quantities(g: SignedGraph, sgn: list[int]) -> NodalSummary:
+    """``nodal_quantities`` from the signs of a checked f."""
     plus, minus = _split(g, sgn)
     sdoms = _domains(sgn, plus)
     wcls, wclo = _weak(g, sgn, 1)
@@ -190,9 +188,10 @@ def bound_report(g: SignedGraph, f, ctx: SpectrumContext) -> dict:
         raise GraphError(
             f"inconsistent spectrum context: k={ctx.k}, r={ctx.r}, n={n}"
         )
-    q = nodal_quantities(g, f)
+    sgn = _signs(g, f)
+    q = _quantities(g, sgn)
     # the support's surplus: each zero adds one class and one vertex
-    plus, minus = _split(g, _signs(g, f))
+    plus, minus = _split(g, sgn)
     l_sub = _surplus(n, plus + minus)
 
     checks = []

@@ -3,20 +3,21 @@
 For p > 1 the operator is single-valued and residuals are checked in a
 scale-free relative form. Delta_p, the Rayleigh quotient and the residual
 are written once, as private kernels on flat column views and edge
-differences, which the public functions and the fused gradient step of
-:mod:`sgspec.spectra` share. For p = 1 the eigen-condition is a differential
-inclusion with Sgn intervals. Given a sign pattern f, the lambda it admits
-is a single point or nothing: each component of support edges with
-f_u = sigma f_v pins lambda, and the rest is a network feasibility
-question, decided by an exact integer max-flow (``one_lap_lambda_range``).
-Each decision leaves a certificate: the flow, as a witness, when f admits
-lambda, and otherwise the inequality that rules f out (a screen pair, two
-conflicting pins, or a cut from Hoffman's circulation theorem).
-``check_certificate_1lap`` checks one in linear time and in integers,
-independently of the flow (certifying algorithms: McConnell, Mehlhorn,
-Naeher & Schweitzer, Comput. Sci. Rev. 5(2), 2011). ``check_eigenpair_1lap``
-decides an arbitrary (lambda, f) as a rational linear feasibility problem on
-the exact simplex (:mod:`sgspec.simplex`).
+differences, which the public functions and the fused gradient and Newton
+steps of :mod:`sgspec.spectra` share. Every public function checks its f
+once, by ``graph._function``; the kernels check nothing. For p = 1 the
+eigen-condition is a differential inclusion with Sgn intervals. Given a sign
+pattern f, the lambda it admits is a single point or nothing: each component
+of support edges with f_u = sigma f_v pins lambda, and the rest is a network
+feasibility question, decided by an exact integer max-flow
+(``one_lap_lambda_range``). Each decision leaves a certificate: the flow, as
+a witness, when f admits lambda, and otherwise the inequality that rules f
+out (a screen pair, two conflicting pins, or a cut from Hoffman's
+circulation theorem). ``check_certificate_1lap`` checks one in linear time
+and in integers, independently of the flow (certifying algorithms:
+McConnell, Mehlhorn, Naeher & Schweitzer, Comput. Sci. Rev. 5(2), 2011).
+``check_eigenpair_1lap`` decides an arbitrary (lambda, f) as a rational
+linear feasibility problem on the exact simplex (:mod:`sgspec.simplex`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph, _groups, _labels
+from .graph import GraphError, SignedGraph, _function, _groups, _labels
 from . import simplex
 
 __all__ = [
@@ -75,8 +76,9 @@ def _phi(t, a, pw):
 # everywhere (its view is None): each bincount sum starts at +0.0, and
 # +0.0 + (+-0.0) = +0.0, so the skip changes no bit.
 
-def _columns(f) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
+def _columns(g: SignedGraph, f, nonzero: bool = False) -> np.ndarray:
+    """f, checked by ``_function``, as the (n, m) array of its columns."""
+    f = _function(g, f, columns=True, nonzero=nonzero)
     return f[:, None] if f.ndim == 1 else f
 
 
@@ -122,11 +124,17 @@ def _eigen_terms(c, p, f, d, lam, mu):
     return eq, aeq, (aeq / (1.0 + np.abs(lam) * mu * pw)).max(axis=0)
 
 
+def _residual(g: SignedGraph, p, f, lam) -> np.ndarray:
+    """The eigen-residual of each column of the (n, m) f."""
+    c = g.columns(f.shape[1])
+    return _eigen_terms(c, p, f, _edge_diffs(c, f.ravel()), lam, g.mu_array()[:, None])[2]
+
+
 def apply_p_laplacian(g: SignedGraph, p: float, f) -> np.ndarray:
     """Apply the signed p-Laplacian pointwise, p > 1."""
     if p <= 1:
         raise GraphError("apply_p_laplacian requires p > 1; use the inclusion checker for p = 1")
-    fc = _columns(f)
+    fc = _columns(g, f)
     x, c = fc.ravel(), g.columns(fc.shape[1])
     phi_x = None if c.kappa is None else phi_p(x, p)
     return _delta(c, p, _edge_diffs(c, x), phi_x).reshape(np.shape(f))
@@ -134,9 +142,7 @@ def apply_p_laplacian(g: SignedGraph, p: float, f) -> np.ndarray:
 
 def rayleigh(g: SignedGraph, p: float, f):
     """p-Rayleigh quotient of a nonzero function (scale invariant)."""
-    fc = _columns(f)
-    if not fc.any(axis=0).all():
-        raise GraphError("Rayleigh quotient undefined for the zero function")
+    fc = _columns(g, f, nonzero=True)
     m, x = fc.shape[1], fc.ravel()
     c = g.columns(m)
     q = _quotient(c, p, x, _edge_diffs(c, x), m)
@@ -146,9 +152,7 @@ def rayleigh(g: SignedGraph, p: float, f):
 def eigen_residual(g: SignedGraph, p: float, f, lam):
     """Max over vertices of |Delta_p f - lam mu Phi_p f| / (1 + |lam| mu |f|^(p-1));
     lam is a scalar or, for 2-D f, one per column."""
-    fc = _columns(f)
-    c = g.columns(fc.shape[1])
-    res = _eigen_terms(c, p, fc, _edge_diffs(c, fc.ravel()), lam, g.mu_array()[:, None])[2]
+    res = _residual(g, p, _columns(g, f), lam)
     return res if np.ndim(f) == 2 else float(res[0])
 
 
@@ -171,23 +175,12 @@ class ResidualCertificate:
     max_residual: float | None = None
     witness: dict | None = None
 
-    def to_json(self) -> dict:
-        doc = {"verdict": self.verdict}
-        if self.max_residual is not None:
-            doc["max_residual"] = self.max_residual
-        if self.witness is not None:
-            doc["witness"] = {
-                k: {str(kk): float(vv) for kk, vv in v.items()}
-                for k, v in self.witness.items()
-            }
-        return doc
-
 
 def check_eigenpair(g: SignedGraph, pair: EigenPair, tol: float = 1e-9) -> ResidualCertificate:
     """Relative residual check of the eigen-equation for p > 1."""
     if pair.p <= 1:
         raise GraphError("check_eigenpair requires p > 1")
-    res = eigen_residual(g, pair.p, pair.f, pair.lam)
+    res = float(_residual(g, pair.p, _function(g, pair.f)[:, None], pair.lam)[0])
     return ResidualCertificate(verdict=res <= tol, max_residual=res)
 
 
@@ -266,9 +259,7 @@ def check_eigenpair_1lap(g: SignedGraph, lam, f) -> ResidualCertificate:
     sum_y w z_xy + kappa_x z_x in lam mu_x Sgn(f(x)) at every vertex.
     ``lam`` may be a float or an exact Fraction (floats convert losslessly).
     """
-    f = np.asarray(f, dtype=float)
-    if not np.any(f):
-        raise GraphError("eigenfunction must be nonzero")
+    f = _function(g, f)
     lam_q = lam if isinstance(lam, Fraction) else Fraction(float(lam))
     rows, rhs, lo, hi, idx_z, idx_zx = _inclusion_system(g, f, lam_q)
     res = simplex.feasible(rows, rhs, lo, hi)
@@ -533,6 +524,8 @@ def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
     """
     mu, kappa, edges, adj = g.scaled_ints
     n = len(mu)
+    # its own check of f, not graph._function: it shares no code with what
+    # it checks, and it runs once per pattern, where lists are cheaper
     f = np.asarray(f, dtype=float)
     if f.shape != (n,):
         raise GraphError(f"eigenfunction has shape {f.shape}, expected ({n},)")
@@ -644,12 +637,5 @@ def one_lap_lambda_range(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]]:
     ``one_lap_enumerate`` keeps and ``check_certificate_1lap`` checks;
     ``check_eigenpair_1lap`` decides a given (lambda, f) on the exact simplex.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (g.n,):
-        raise GraphError(f"eigenfunction has shape {f.shape}, expected ({g.n},)")
-    if not np.all(np.isfinite(f)):
-        raise GraphError("eigenfunction must be finite")
-    if not np.any(f):
-        raise GraphError("eigenfunction must be nonzero")
-    cert = _pattern_lambda(g, f.tolist())
+    cert = _pattern_lambda(g, _function(g, f).tolist())
     return [(cert.lam, cert.lam)] if isinstance(cert, OneLapWitness) else []

@@ -9,7 +9,9 @@ the column's eigen-residual is below HANDOFF, then a Newton polish that
 stops at the rounding floor; a column the polish leaves uncertified
 resumes its gradient and is polished again. Each gradient step is one
 fused pass over the operator kernels of :mod:`sgspec.operators`, carrying
-the edge differences of f from the step that accepted f. Every reported
+the edge differences of f from the step that accepted f; each Newton step
+takes the edge differences once, for its right-hand side and its
+Jacobian. Neither loop calls a public operator. Every reported
 pair is re-certified by its eigen-residual. For p = 1 candidates are the
 +-1/0 patterns, each decided by an exact integer max-flow that leaves a
 certificate: a witness for each pair, a reason for each rejected pattern,
@@ -28,8 +30,8 @@ import numpy as np
 from . import cheeger as _cheeger
 from .graph import BalanceState, GraphError, SignedGraph, balance_state, components, induced_subgraph
 from .operators import (
-    OneLapWitness, _edge_diffs, _eigen_terms, _pattern_lambda, _prefilter_lambda_box,
-    _quotient, apply_p_laplacian, eigen_residual, phi_p, rayleigh,
+    OneLapWitness, _delta, _edge_diffs, _eigen_terms, _pattern_lambda, _prefilter_lambda_box,
+    _quotient, _residual, phi_p, rayleigh,
 )
 
 __all__ = [
@@ -48,6 +50,10 @@ GROUP_RTOL = 1e-8
 ONE_LAP_CAP = 12
 HANDOFF = 1e-4  # eigen-residual at which a gradient column hands off to Newton
 NEWTON_FLOOR = 1e-15  # residual at which a Newton column stops: rounding is all that is left
+NEWTON_ITERS = 50  # Newton steps per polish
+MAX_ITER = 2000  # gradient steps per start, resumed runs included
+STEP = 0.1  # the first gradient step size
+TOL = 1e-9  # eigen-residual that certifies an extreme
 
 
 # ---------------------------------------------------------------------------
@@ -157,26 +163,29 @@ def _lockstep_gradient(g, p, f, r, eta, steps, sign, max_iter, handoff):
         eta = np.where(better, eta * 1.2, np.where(live, eta * 0.5, eta))
 
 
-def _lockstep_newton(g, p, f, lam, iters: int = 50):
+def _lockstep_newton(g, p, f, lam):
     """Damped Newton on (Delta_p f - lam mu Phi_p f, mu-p-norm - 1), one
     eigenpair per column, each keeping its best iterate by residual and
-    stopping once that is at most NEWTON_FLOOR. Second derivatives
-    |t|^(p-2) are clipped away from zero arguments for p < 2."""
+    stopping once that is at most NEWTON_FLOOR or after NEWTON_ITERS steps.
+    Second derivatives |t|^(p-2) are clipped away from zero arguments for
+    p < 2. A step takes the edge differences d once, for the right-hand side
+    and the Jacobian."""
     n, m = f.shape
     mu, kap, diag = g.mu_array()[:, None], g.kappa_array()[:, None], np.arange(n)
     f, lam = _normalize_p(g, p, f), lam.copy()
-    res = eigen_residual(g, p, f, lam)
+    res = _residual(g, p, f, lam)
     steps, live = np.zeros(m, dtype=int), np.flatnonzero(res > NEWTON_FLOOR)
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         if not live.size:
             break
         k, fl, ll = live.size, f[:, live], lam[live]
+        cv, x = g.columns(k), fl.ravel()
+        d = _edge_diffs(cv, x)
         phi = phi_p(fl, p)
         rhs = np.empty((k, n + 1))
-        rhs[:, :n] = -(apply_p_laplacian(g, p, fl) - ll * mu * phi).T
-        cv, x = g.columns(k), fl.ravel()
+        rhs[:, :n] = -(_delta(cv, p, d, phi).reshape(n, k) - ll * mu * phi).T
         rhs[:, n] = -(np.bincount(cv.col[:x.size], cv.mu * np.abs(x) ** p, k) - 1.0)
-        c = (p - 1) * cv.ew * np.maximum(np.abs(x[cv.eu] - cv.es * x[cv.ev]), 1e-12) ** (p - 2)
+        c = (p - 1) * cv.ew * np.maximum(np.abs(d), 1e-12) ** (p - 2)
         jac = np.zeros((k, n + 1, n + 1))
         jac[:, g.eu, g.ev] = jac[:, g.ev, g.eu] = (-cv.es * c).reshape(-1, k).T
         incident = np.bincount(cv.bins, np.concatenate((np.zeros(x.size), c, c)),
@@ -201,7 +210,7 @@ def _lockstep_newton(g, p, f, lam, iters: int = 50):
             if not searching.any():
                 break
             f_try, lam_try = fl + t * step[:, :n].T, ll + t * step[:, n]
-            r = eigen_residual(g, p, f_try, lam_try)
+            r = _residual(g, p, f_try, lam_try)
             hit = searching & f_try.any(axis=0) & (r < res[live])
             f[:, live[hit]], lam[live[hit]], res[live[hit]] = f_try[:, hit], lam_try[hit], r[hit]
             accepted |= hit
@@ -212,29 +221,17 @@ def _lockstep_newton(g, p, f, lam, iters: int = 50):
     return f, lam, res, steps
 
 
-def extremal_p(
-    g: SignedGraph,
-    p: float,
-    max_iter: int = 2000,
-    step: float = 0.1,
-    tol: float = 1e-9,
-    restarts: int = 8,
-    seed: int = 0,
-) -> ExtremalResult:
+def extremal_p(g: SignedGraph, p: float, restarts: int = 8, seed: int = 0) -> ExtremalResult:
     """Certified extremes of the p-Rayleigh quotient for p > 1. The starts,
     each a column: the p = 2 extreme eigenvector and ``restarts`` random
     ones, for the min and then for the max. Each column runs the projected
     gradient until its eigen-residual is below HANDOFF, then Newton; a
-    column that Newton leaves above ``tol`` resumes its gradient where it
+    column that Newton leaves above TOL resumes its gradient where it
     handed off, runs it until it stalls, and is polished again."""
     if not (math.isfinite(p) and p > 1):
         raise GraphError(f"extremal_p requires a finite p > 1, got {p}")
     if restarts < 0:
         raise GraphError(f"restarts must be >= 0, got {restarts}")
-    if not (math.isfinite(step) and step > 0 and math.isfinite(tol) and tol > 0):
-        raise GraphError(f"step and tol must be finite and > 0, got {step} and {tol}")
-    if not max_iter >= 1:
-        raise GraphError(f"max_iter must be >= 1, got {max_iter}")
     if g.n == 0:
         raise GraphError("extremal_p needs at least one vertex")
     rng = np.random.default_rng(seed)
@@ -245,21 +242,21 @@ def extremal_p(
     sign = np.repeat([1.0, -1.0], restarts + 1)
     f0 = _normalize_p(g, p, np.column_stack(starts))
     fg, r, eta, gsteps, handed = _lockstep_gradient(
-        g, p, f0, rayleigh(g, p, f0), np.full(sign.size, step), np.zeros(sign.size, dtype=int),
-        sign, max_iter, HANDOFF)
+        g, p, f0, rayleigh(g, p, f0), np.full(sign.size, STEP), np.zeros(sign.size, dtype=int),
+        sign, MAX_ITER, HANDOFF)
     f, lam, res, nsteps = _lockstep_newton(g, p, fg, r)
-    resumed = handed & ~(res <= tol)
+    resumed = handed & ~(res <= TOL)
     if resumed.any():
         j = np.flatnonzero(resumed)
         fj, rj, _, gsteps[j], _ = _lockstep_gradient(g, p, fg[:, j], r[j], eta[j], gsteps[j],
-                                                     sign[j], max_iter, 0.0)
+                                                     sign[j], MAX_ITER, 0.0)
         f[:, j], lam[j], res[j], more = _lockstep_newton(g, p, fj, rj)
         nsteps[j] += more
     trace = tuple({"which": "min" if s > 0 else "max", "lambda": float(lam[j]),
                    "residual": float(res[j]), "gradient_steps": int(gsteps[j]),
                    "newton_steps": int(nsteps[j]), "resumed": bool(resumed[j])}
                   for j, s in enumerate(sign))
-    ok = res <= tol
+    ok = res <= TOL
     # certified first, then the extreme lambda, else the smallest residual;
     # min keeps the first of equal keys
     jmin, jmax = (min(cols, key=lambda j: (not ok[j], s * lam[j] if ok[j] else res[j]))
@@ -301,13 +298,8 @@ def upper_bound_lambda_k(g: SignedGraph, p: float, k: int) -> float:
 @dataclass(frozen=True)
 class OneLapPair:
     lam: Fraction
-    lam_hi: Fraction
     f: tuple[int, ...]
     witness: OneLapWitness = field(compare=False, repr=False)
-
-    @property
-    def is_point(self) -> bool:
-        return self.lam == self.lam_hi
 
 
 @dataclass(frozen=True)
@@ -324,19 +316,20 @@ class OneLapEigenSet:
     rejections: tuple[tuple[tuple[int, ...], tuple], ...] = field(compare=False, repr=False)
 
 
-def one_lap_enumerate(g: SignedGraph, cap: int = ONE_LAP_CAP) -> OneLapEigenSet:
-    """All verified 1-Laplacian eigenpairs with {-1,0,+1}-valued functions.
+def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
+    """All verified 1-Laplacian eigenpairs with {-1,0,+1}-valued functions,
+    for n up to ONE_LAP_CAP.
 
     Enumerates sign patterns up to global negation, prunes with an exact
     integer necessary condition, then decides each survivor by an exact
-    max-flow. A pattern admits at most one lambda, so every pair is a
-    point (``lam == lam_hi``). Each scanned pattern keeps its certificate,
-    which ``check_certificate_1lap`` checks: a pair its witness, any other
+    max-flow. A pattern admits at most one lambda, so a pair is one
+    (lambda, pattern). Each scanned pattern keeps its certificate, which
+    ``check_certificate_1lap`` checks: a pair its witness, any other
     pattern the reason it was rejected.
     """
-    if g.n > cap:
+    if g.n > ONE_LAP_CAP:
         raise GraphError(
-            f"one_lap_enumerate is capped at n = {cap} vertices (graph has {g.n})"
+            f"one_lap_enumerate is capped at n = {ONE_LAP_CAP} vertices (graph has {g.n})"
         )
     pairs: list[OneLapPair] = []
     rejections = []
@@ -352,11 +345,11 @@ def one_lap_enumerate(g: SignedGraph, cap: int = ONE_LAP_CAP) -> OneLapEigenSet:
             solved += 1
             cert = _pattern_lambda(g, pattern)
         if isinstance(cert, OneLapWitness):
-            pairs.append(OneLapPair(lam=cert.lam, lam_hi=cert.lam, f=pattern, witness=cert))
+            pairs.append(OneLapPair(lam=cert.lam, f=pattern, witness=cert))
         else:
             rejections.append((pattern, cert))
-    pairs.sort(key=lambda pr: (pr.lam, pr.lam_hi, pr.f))
-    values = sorted({pt for pr in pairs for pt in (pr.lam, pr.lam_hi)})
+    pairs.sort(key=lambda pr: (pr.lam, pr.f))
+    values = sorted({pr.lam for pr in pairs})
     if not values:
         raise GraphError("no 1-Laplacian eigenpairs found (unexpected)")
     lam1 = values[0]

@@ -3,17 +3,18 @@
 Removing an edge whose endpoints carry nonzero values compensates the two
 endpoint potentials so the given eigenpair survives; removing a vertex where
 the function vanishes adds the lost edge weights to the neighbors'
-potentials. Both directions interlace the p = 2 spectra.
+potentials. Both directions interlace the p = 2 spectra. Each surgery checks
+its f once, by ``graph._function``, and an interlacing step checks it
+through the surgery it runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph, induced_subgraph
+from .graph import GraphError, SignedGraph, _function, induced_subgraph
 from .operators import phi_p
 from .spectra import spectrum_p2
 
@@ -33,24 +34,17 @@ class SurgeryResult:
     kappa_changes: dict[str, float]
 
 
-def remove_edge(
-    g: SignedGraph,
-    p: float,
-    f,
-    e: tuple[int, int],
-    exact: bool = False,
-) -> SurgeryResult:
+def remove_edge(g: SignedGraph, p: float, f, e: tuple[int, int]) -> SurgeryResult:
     """Delete edge e compensating the endpoint potentials.
 
     With d = w * Phi_p(1 - sigma f(y0)/f(x0)) added to kappa at x0 (and
     symmetrically at y0), any eigenpair (lambda, f) of the original graph
     remains one of the result. Requires p > 1 and f nonzero at both
-    endpoints. ``exact=True`` (p = 2 only) keeps the new potentials as
-    rationals so surgery chains don't accumulate rounding error.
+    endpoints.
     """
     if p <= 1:
         raise GraphError("remove_edge requires p > 1")
-    f = np.asarray(f, dtype=float)
+    f = _function(g, f)
     x0, y0 = sorted(e)
     hit = [ed for ed in g.edges if (ed[0], ed[1]) == (x0, y0)]
     if not hit:
@@ -58,17 +52,8 @@ def remove_edge(
     _, _, w, s = hit[0]
     if f[x0] == 0.0 or f[y0] == 0.0:
         raise GraphError("remove_edge requires f nonzero at both endpoints")
-    if exact:
-        if p != 2:
-            raise GraphError("exact surgery mode is only available for p = 2")
-        fx = Fraction(float(f[x0]))
-        fy = Fraction(float(f[y0]))
-        wq = Fraction(w)
-        dx = wq * (1 - s * fy / fx)
-        dy = wq * (1 - s * fx / fy)
-    else:
-        dx = w * phi_p(1.0 - s * f[y0] / f[x0], p)
-        dy = w * phi_p(1.0 - s * f[x0] / f[y0], p)
+    dx = w * phi_p(1.0 - s * f[y0] / f[x0], p)
+    dy = w * phi_p(1.0 - s * f[x0] / f[y0], p)
     kappa = list(g.kappa)
     kappa[x0] = kappa[x0] + dx
     kappa[y0] = kappa[y0] + dy
@@ -89,14 +74,16 @@ def remove_node(g: SignedGraph, x0: int, f=None) -> SurgeryResult:
     if not 0 <= x0 < g.n:
         raise GraphError(f"vertex index {x0} out of range")
     if f is not None:
-        f = np.asarray(f, dtype=float)
+        f = _function(g, f, nonzero=False)
         if f[x0] != 0.0:
             raise GraphError("remove_node transport requires f(x0) = 0")
     changes: dict[str, float] = {}
     kappa = list(g.kappa)
-    for y, w, _ in g.adjacency()[x0]:
-        kappa[y] = kappa[y] + w
-        changes[g.ids[y]] = changes.get(g.ids[y], 0.0) + w
+    for u, v, w, _ in g.edges:
+        if x0 in (u, v):
+            y = u + v - x0
+            kappa[y] = kappa[y] + w
+            changes[g.ids[y]] = changes.get(g.ids[y], 0.0) + w
     keep = [x for x in range(g.n) if x != x0]
     base = SignedGraph(ids=g.ids, mu=g.mu, kappa=tuple(kappa), edges=g.edges)
     gq = induced_subgraph(base, keep)
@@ -131,13 +118,11 @@ def interlacing_check_p2(g: SignedGraph, surgery_sequence, tol: float = 1e-9) ->
         lam = spectrum_p2(cur).values
         if step["kind"] == "remove_edge":
             all_nodes = False
-            f = np.asarray(step["f"], dtype=float)
+            # remove_edge checks f, and that it is nonzero at both ends
+            res = remove_edge(cur, 2.0, step["f"], step["edge"])
             x0, y0 = sorted(step["edge"])
             sig = next(s for u, v, _, s in cur.edges if (u, v) == (x0, y0))
-            prod = f[x0] * sig * f[y0]
-            if prod == 0.0:
-                raise GraphError("interlacing edge case needs f nonzero at both endpoints")
-            res = remove_edge(cur, 2.0, f, (x0, y0))
+            prod = res.f[x0] * sig * res.f[y0]
             eta = spectrum_p2(res.graph).values
             # eta_{k+shift-1} <= lam_k <= eta_{k+shift}, padded with -inf, +inf
             shift = 0 if prod < 0 else 1

@@ -144,8 +144,7 @@ class TestCheegerInequalities:
             if ols.lambda_2 is not None:
                 witnesses.append((2, ols.lambda_2))
             for k, lam in witnesses:
-                point = next((pr for pr in ols.pairs
-                              if pr.is_point and pr.lam == lam), None)
+                point = next((pr for pr in ols.pairs if pr.lam == lam), None)
                 if point is None:
                     continue
                 m = strong_domains(g, np.asarray(point.f, dtype=float))[0]

@@ -147,7 +147,7 @@ class TestOnelap:
         def shifted(g):
             ols = real(g)
             first, *rest = ols.pairs
-            wrong = dataclasses.replace(first, lam=first.lam + 1, lam_hi=first.lam + 1)
+            wrong = dataclasses.replace(first, lam=first.lam + 1)
             return dataclasses.replace(ols, pairs=(wrong, *rest))
 
         monkeypatch.setattr(cli, "one_lap_enumerate", shifted)
@@ -313,6 +313,30 @@ class TestRandomAndErrors:
 
     def test_bad_usage(self, capsys):
         assert run(capsys, "spectrum")[0] == 2
+
+
+class TestMalformedFunctionExit2:
+    """A function document that the command cannot take exits 2 with one
+    error line, no output and no traceback."""
+
+    @pytest.mark.parametrize("argv, values", [
+        (("nodal",), '{"v0": 0, "v1": 0, "v2": 0}'),
+        (("nodal",), '{"v0": 1, "v1": NaN, "v2": 1}'),
+        (("nodal",), '{"v0": 1, "v1": 0, "v2": 1, "zz": 1}'),
+        (("nodal",), '{"v0": 1, "v1": 0}'),
+        (("transform", "--remove-edge", "v0,v1"), '{"v0": 1, "v1": 0, "v2": -1}'),
+        (("transform", "--remove-edge", "v0,v1"), '{"v0": 1, "v1": Infinity, "v2": -1}'),
+        (("transform", "--remove-node", "v1"), '{"v0": 1, "v1": 0.5, "v2": -1}'),
+    ], ids=("nodal-zero", "nodal-nan", "nodal-unknown-vertex", "nodal-missing-vertex",
+            "edge-zero-endpoint", "edge-inf", "node-nonzero-at-vertex"))
+    def test_exit_2(self, capsys, p3_file, tmp_path, argv, values):
+        ffile = tmp_path / "f.json"
+        ffile.write_text('{"values": %s}' % values)
+        code, out, err = run(capsys, argv[0], "--graph", p3_file, "--function", str(ffile),
+                             *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith(("error: ", "parse error: ")) and "Traceback" not in err
+        assert err.count("\n") == 1
 
 
 class TestParserBuiltOnce:

@@ -110,12 +110,29 @@ class TestConstruction:
             SignedGraph(ids=("a", "b"), mu=mu, kappa=kappa, edges=(edge,))
 
 
+class TestFunctionCheck:
+    """``graph._function``, the one check of a function argument."""
+
+    @pytest.mark.parametrize("f", [[[1.0, 2.0], [3.0]], ["a", "b", "c"], [1j, 1.0, 1.0]],
+                             ids=("ragged", "text", "complex"))
+    def test_not_real_numbers(self, f):
+        with pytest.raises(GraphError, match="real numbers"):
+            graph_module._function(path(3), f)
+
+    def test_columns_only_where_taken(self):
+        g, f = path(3), np.ones((3, 2))
+        assert graph_module._function(g, f, columns=True).shape == (3, 2)
+        with pytest.raises(GraphError, match="shape"):
+            graph_module._function(g, f)
+        with pytest.raises(GraphError, match="shape"):
+            graph_module._function(g, np.ones((3, 0)), columns=True)
+
+
 class TestCachedArrays:
     def test_columns_match_edges(self):
         g = triangle((-1, 1, 1))
         assert g.eu.dtype == g.ev.dtype == np.intp
         assert list(zip(g.eu, g.ev, g.ew, g.es)) == list(g.edges)
-        assert g.adjacency()[0] == ((1, 1.0, -1), (2, 1.0, 1))
 
     def test_read_only(self):
         g = triangle((-1, 1, 1))

@@ -1,7 +1,8 @@
 """Every import in the package modules is used (a stdlib stand-in for a
 linter's unused-import rule; ``__init__.py`` is exempt, its imports are
-re-exports), and every private module-level helper is read somewhere in
-the package."""
+re-exports), every private module-level helper is read somewhere in the
+package, and every keyword default of a private function is overridden by
+some call in the package."""
 
 import ast
 from pathlib import Path
@@ -86,3 +87,56 @@ def test_detects_a_dead_private_helper():
         "b.py": "from a import _CAP\n",
     }
     assert dead_private_helpers(sources) == ["a.py: _Gone (line 5)", "a.py: _dead (line 2)"]
+
+
+def private_knobs(sources: dict[str, str]) -> list[str]:
+    """Keyword defaults of private functions in ``sources`` ({file name:
+    source}) that no call there overrides, by keyword or by position: a
+    knob that nothing turns. A call with ``*args`` or ``**kwargs`` counts as
+    overriding every default it could reach. Calls are matched by name."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    knobs = []  # (module, function, parameter, position or None, line)
+    calls: dict[str, list[ast.Call]] = {}
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name.startswith("_") and not node.name.endswith("__")):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+                first = len(positional) - len(args.defaults)
+                knobs += [(mod, node.name, a.arg, i - skip, node.lineno)
+                          for i, a in enumerate(positional[first:], first)]
+                knobs += [(mod, node.name, a.arg, None, node.lineno)
+                          for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+    def overrides(call: ast.Call, param: str, pos: int | None) -> bool:
+        if any(k.arg in (param, None) for k in call.keywords):  # None: **kwargs
+            return True
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+        return pos is not None and len(call.args) > pos
+
+    return sorted(f"{mod}: {fn}({param}) (line {line})" for mod, fn, param, pos, line in knobs
+                  if not any(overrides(c, param, pos) for c in calls.get(fn, ())))
+
+
+def test_no_private_knobs():
+    assert private_knobs({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_detects_a_private_knob():
+    sources = {
+        "a.py": "def _f(x, tries=3, step=0.1, *, tol=1e-9, mode=None): pass\n"
+                "def _g(x, y=1): pass\n"
+                "def _h(x, y=1): pass\n"
+                "class C:\n    def _m(self, k=2): pass\n",
+        "b.py": "from a import _f, _g, _h\n_f(1, 5)\n_f(1, mode='x')\n_g(*[1, 2])\n"
+                "_h(x=1)\nC()._m()\n",
+    }
+    assert private_knobs(sources) == ["a.py: _f(step) (line 1)", "a.py: _f(tol) (line 1)",
+                                      "a.py: _h(y) (line 3)", "a.py: _m(k) (line 5)"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgspec.graph import GraphError, SignedGraph, switch
+from sgspec.graph import GraphError, SignedGraph, serialize_function, switch
 from sgspec.harness import random_signed_graph
 from sgspec.nodal import (
     SpectrumContext,
@@ -15,6 +15,17 @@ from sgspec.nodal import (
     strong_domains,
     weak_domains,
 )
+from sgspec.operators import (
+    EigenPair,
+    apply_p_laplacian,
+    check_certificate_1lap,
+    check_eigenpair,
+    check_eigenpair_1lap,
+    eigen_residual,
+    one_lap_lambda_range,
+    rayleigh,
+)
+from sgspec.transforms import interlacing_check_p2, remove_edge, remove_node
 
 from oracles import (
     _closure,
@@ -89,28 +100,63 @@ class TestStrong:
             strong_domains(path(2), [0, 0])
 
 
+_G = random_signed_graph(4, 0.9, seed=1, connected=True)  # (0, 1) is an edge
+# Each malformed row is zero at vertex 2 and nonzero on the edge (0, 1), so
+# that its defect is the only reason for the surgeries to refuse it.
+_BAD = {
+    "long": [1.0, -1.0, 0.0, -1.0, 1.0],
+    "short": [1.0, -1.0, 0.0],
+    "nan": [1.0, float("nan"), 0.0, 1.0],
+    "inf": [1.0, -1.0, 0.0, float("inf")],
+    "matrix": [[1.0, -1.0, 0.0, -1.0]],
+    "zero": [0.0, 0.0, 0.0, 0.0],
+}
+# Every public entry point that takes a function f on the vertices, as
+# fn(g, f), and whether it rejects f = 0. The surgeries act on the edge
+# (0, 1) and the vertex 2.
+_TAKES_F = {
+    "strong_domains": (strong_domains, True),
+    "weak_domains": (weak_domains, True),
+    "dual_counts": (dual_counts, True),
+    "nodal_quantities": (nodal_quantities, True),
+    "bound_report": (functools.partial(bound_report, ctx=SpectrumContext(k=1)), True),
+    "apply_p_laplacian": (lambda g, f: apply_p_laplacian(g, 3.0, f), False),
+    "rayleigh": (lambda g, f: rayleigh(g, 3.0, f), True),
+    "eigen_residual": (lambda g, f: eigen_residual(g, 3.0, f, 1.0), False),
+    "check_eigenpair": (lambda g, f: check_eigenpair(g, EigenPair(1.0, f, 3.0)), True),
+    "check_eigenpair_1lap": (lambda g, f: check_eigenpair_1lap(g, 1.0, f), True),
+    "one_lap_lambda_range": (one_lap_lambda_range, True),
+    "check_certificate_1lap": (lambda g, f: check_certificate_1lap(g, f, ("screen", 0, 1)), True),
+    "remove_edge": (lambda g, f: remove_edge(g, 2.0, f, (0, 1)), True),
+    "remove_node": (lambda g, f: remove_node(g, 2, f), False),
+    "interlacing_edge": (lambda g, f: interlacing_check_p2(
+        g, [{"kind": "remove_edge", "edge": (0, 1), "f": f}]), True),
+    "interlacing_node": (lambda g, f: interlacing_check_p2(
+        g, [{"kind": "remove_node", "node": 2, "f": f}]), False),
+    "serialize_function": (lambda g, f: serialize_function(f, g), False),
+}
+
+
 class TestMalformedFunction:
-    """f must be a finite, nonzero vector with one entry per vertex."""
+    """f must be a finite vector with one entry per vertex, or (n, m) where
+    the entry point takes columns, and nonzero where the entry point needs
+    it; every public entry point that takes f raises GraphError otherwise."""
 
-    G = random_signed_graph(4, 0.9, seed=1, connected=True)
-    BAD = {
-        "long": [1.0, -1.0, 1.0, -1.0, 1.0],
-        "short": [1.0, -1.0, 1.0],
-        "nan": [1.0, float("nan"), -1.0, 1.0],
-        "inf": [1.0, -1.0, float("inf"), 1.0],
-        "matrix": [[1.0, -1.0, 1.0, -1.0]],
-        "zero": [0.0, 0.0, 0.0, 0.0],
-    }
+    G, BAD = _G, _BAD
 
-    @pytest.mark.parametrize("kind", BAD)
-    @pytest.mark.parametrize(
-        "fn",
-        (strong_domains, weak_domains, dual_counts, nodal_quantities,
-         functools.partial(bound_report, ctx=SpectrumContext(k=1))),
-        ids=("strong_domains", "weak_domains", "dual_counts", "nodal_quantities", "bound_report"))
+    @pytest.mark.parametrize("fn, kind", [
+        pytest.param(fn, kind, id=f"{name}-{kind}")
+        for name, (fn, rejects_zero) in _TAKES_F.items() for kind in _BAD
+        if kind != "zero" or rejects_zero])
     def test_rejected(self, fn, kind):
         with pytest.raises(GraphError):
             fn(self.G, self.BAD[kind])
+
+    @pytest.mark.parametrize("fn", [fn for fn, rejects_zero in _TAKES_F.values()
+                                    if not rejects_zero],
+                             ids=[name for name, (_, z) in _TAKES_F.items() if not z])
+    def test_zero_accepted_where_defined(self, fn):
+        fn(self.G, self.BAD["zero"])
 
     def test_good_function_accepted(self):
         assert nodal_quantities(self.G, [1.0, -1.0, 0.0, 1.0]).identity_ok

@@ -150,10 +150,7 @@ class TestExtremalP:
             extremal_p(path(2), 1.0)
 
     @pytest.mark.parametrize("kwargs", [
-        {"p": float("inf")}, {"p": float("nan")}, {"p": 2.0, "restarts": -1},
-        *({"p": 1.5, "step": v} for v in (0.0, -0.1, float("nan"), float("inf"))),
-        *({"p": 1.5, "tol": v} for v in (0.0, -1e-9, float("nan"), float("inf"))),
-        {"p": 1.5, "max_iter": 0}, {"p": 1.5, "max_iter": -3}])
+        {"p": float("inf")}, {"p": float("nan")}, {"p": 2.0, "restarts": -1}])
     def test_bad_p_or_restarts_rejected(self, kwargs):
         with pytest.raises(GraphError):
             extremal_p(path(3), **kwargs)
@@ -340,11 +337,11 @@ class TestOneLapEnumerate:
         pattern = (1, 1, 0, 0, 0)
         assert check_eigenpair_1lap(g, lam, list(pattern)).verdict
         ols = one_lap_enumerate(g)
-        assert any(pr.f == pattern and pr.lam == pr.lam_hi == lam for pr in ols.pairs)
+        assert any(pr.f == pattern and pr.lam == lam for pr in ols.pairs)
 
     def test_p2_plus_edge(self):
         ols = one_lap_enumerate(path(2))
-        found = {(pr.lam, pr.f) for pr in ols.pairs if pr.is_point}
+        found = {(pr.lam, pr.f) for pr in ols.pairs}
         assert (F(0), (1, 1)) in found
         assert (F(1), (1, -1)) in found
         assert ols.lambda_1 == 0
@@ -371,8 +368,7 @@ class TestOneLapEnumerate:
             g = random_graph(rng, 5)
             ols = one_lap_enumerate(g)
             for pr in ols.pairs:
-                if pr.is_point:
-                    assert check_eigenpair_1lap(g, pr.lam, list(map(float, pr.f))).verdict
+                assert check_eigenpair_1lap(g, pr.lam, list(map(float, pr.f))).verdict
 
     def test_every_pattern_keeps_a_certificate_that_checks(self):
         rng = np.random.default_rng(14)

@@ -45,16 +45,6 @@ class TestRemoveEdge:
         with pytest.raises(GraphError):
             remove_edge(path(2), 1.0, [1.0, -1.0], (0, 1))
 
-    def test_exact_mode_matches_float(self):
-        g = triangle((-1, 1, 1))
-        f = spectrum_p2(g).vectors[:, 2]
-        a = remove_edge(g, 2.0, f, (0, 1))
-        b = remove_edge(g, 2.0, f, (0, 1), exact=True)
-        assert np.allclose(a.graph.kappa, np.asarray(b.graph.kappa, dtype=float),
-                           rtol=1e-12)
-        with pytest.raises(GraphError):
-            remove_edge(g, 3.0, f, (0, 1), exact=True)
-
     def test_preservation_fuzz(self):
         rng = np.random.default_rng(51)
         done = 0
