@@ -13,13 +13,12 @@ packing DP on their exact ranks reduces over the pairs (+1 set, -1 set).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph, _is
+from .graph import GraphError, SignedGraph, _exponent, _vertices
 
 __all__ = [
     "beta",
@@ -70,14 +69,6 @@ def _quotients(d, t):
 def _less(a, b) -> bool:
     """Whether the quotient a[0] / a[1] is below b[0] / b[1] (positive denominators)."""
     return a[0] * b[1] < b[0] * a[1]
-
-
-def _vertices(g: SignedGraph, xs) -> set[int]:
-    """The set of vertex indices ``xs``; GraphError unless each is an int in [0, n)."""
-    xs = set(xs)
-    if not all(_is(x, numbers.Integral) and 0 <= x < g.n for x in xs):
-        raise GraphError(f"vertex indices must be ints in [0, {g.n}), got {sorted(xs, key=repr)}")
-    return {int(x) for x in xs}
 
 
 def beta(g: SignedGraph, v1, v2) -> Fraction:
@@ -191,9 +182,11 @@ class CheegerResult:
 
 def _labelings(n: int):
     """The (3**n - 1) / 2 labelings in {-1, 0, +1}^n led by +1 (first nonzero entry),
-    in ``one_lap_enumerate``'s order, as blocks ``(t, pos, neg)``: int8 columns t and the
-    bitmasks of their +1 and -1 entries. A block runs over the last min(n, _LOW) entries
-    under one such labeling of the first h, or under zeros."""
+    the patterns that ``one_lap_enumerate`` scans but not in its order, as blocks
+    ``(t, pos, neg)``: int8 columns t and the bitmasks of their +1 and -1 entries. A block
+    runs over the last min(n, _LOW) entries under one such labeling of the first h, or
+    under zeros; in it the earlier entries vary slower, each through 0, +1, -1, so zero-led
+    labelings come first: (0, 0, 1) before (1, 0, 0)."""
     h = max(n - _LOW, 0)
     low, pos, neg = np.zeros((0, 1), np.int8), np.zeros(1, np.int64), np.zeros(1, np.int64)
     for i in reversed(range(h, n)):  # entry i leads: 0, +1, -1 in turn
@@ -346,6 +339,7 @@ def check_theorem41(g: SignedGraph, p: float, k: int, lambda_k: float, m: int) -
     with C = max_x (sum_y w_xy) / mu_x, and reports slack on both sides.
     """
     _require_zero_kappa(g, "check_theorem41")
+    _exponent(p, single_valued=False)
     deg = g.weighted_degrees()
     c_const = float(np.max(deg / g.mu_array()))
     h_m, h_k = (float(r.value) for r in _cheeger_exact(g, (m, k)))

@@ -179,6 +179,9 @@ def _cmd_transform(args) -> int:
         if not args.function:
             print("--remove-edge requires --function", file=sys.stderr)
             return 2
+        if args.remove_edge.count(",") != 1:
+            print("--remove-edge takes two vertex ids, u,v", file=sys.stderr)
+            return 2
         f = _load_function(args.function, g)
         uid, vid = args.remove_edge.split(",")
         res = remove_edge(g, args.p, f, (g.index(uid), g.index(vid)))

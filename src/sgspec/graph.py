@@ -251,6 +251,21 @@ def _function(g: SignedGraph, f, columns: bool = False, nonzero: bool = True) ->
     return f
 
 
+def _exponent(p, single_valued: bool) -> None:
+    """The one check of an exponent p: a finite real number, p > 1 where
+    Delta_p must be ``single_valued``, else p >= 1."""
+    if not (_is(p, numbers.Real) and math.isfinite(p) and (p > 1 if single_valued else p >= 1)):
+        raise GraphError(f"p must be finite and {'> 1' if single_valued else '>= 1'}, got {p!r}")
+
+
+def _vertices(g: SignedGraph, xs) -> set[int]:
+    """The set of vertex indices ``xs``; GraphError unless each is an int in [0, n)."""
+    xs = set(xs)
+    if not all(_is(x, numbers.Integral) and 0 <= x < g.n for x in xs):
+        raise GraphError(f"vertex indices must be ints in [0, {g.n}), got {sorted(xs, key=repr)}")
+    return {int(x) for x in xs}
+
+
 class BalanceState(Enum):
     BALANCED = "balanced"
     ANTIBALANCED = "antibalanced"
@@ -378,7 +393,7 @@ def with_degree_measure(g: SignedGraph) -> SignedGraph:
 
 def induced_subgraph(g: SignedGraph, keep: Sequence[int]) -> SignedGraph:
     """Subgraph induced on the index set ``keep`` (mu, kappa carried over)."""
-    keep = sorted(set(keep))
+    keep = sorted(_vertices(g, keep))
     remap = {old: new for new, old in enumerate(keep)}
     edges = tuple(
         (remap[u], remap[v], w, s)

@@ -22,6 +22,7 @@ from .graph import (
     GraphError,
     ParseError,
     SignedGraph,
+    _exponent,
     balance_state,
     components,
     serialize_graph,
@@ -327,8 +328,8 @@ class SuiteConfig:
             raise GraphError("density must be in (0, 1]")
         if not (self.models and self.p_list and self.checks):
             raise GraphError("models, p_list and checks must be non-empty")
-        if not all(1 <= p < float("inf") for p in self.p_list):
-            raise GraphError(f"every p must be finite and >= 1, got {list(self.p_list)}")
+        for p in self.p_list:
+            _exponent(p, single_valued=False)
         if self.mu_mode not in ("unit", "degree"):
             raise GraphError(f"mu_mode must be 'unit' or 'degree', got {self.mu_mode!r}")
         if not self.tol >= 0:

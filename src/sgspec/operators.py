@@ -16,8 +16,9 @@ out (a screen pair, two conflicting pins, or a cut from Hoffman's
 circulation theorem). ``check_certificate_1lap`` checks one in linear time
 and in integers, independently of the flow (certifying algorithms:
 McConnell, Mehlhorn, Naeher & Schweitzer, Comput. Sci. Rev. 5(2), 2011).
-``check_eigenpair_1lap`` decides an arbitrary (lambda, f) as a rational
-linear feasibility problem on the exact simplex (:mod:`sgspec.simplex`).
+``check_eigenpair_1lap`` decides a given (lambda, f) by the same checked
+max-flow; :mod:`sgspec.simplex` decides nothing here, and remains only as
+the test oracles' independent LP and for the benchmark.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph, _function, _groups, _labels
-from . import simplex
+from .graph import GraphError, SignedGraph, _exponent, _function, _groups, _labels
 
 __all__ = [
     "phi_p",
@@ -131,9 +131,8 @@ def _residual(g: SignedGraph, p, f, lam) -> np.ndarray:
 
 
 def apply_p_laplacian(g: SignedGraph, p: float, f) -> np.ndarray:
-    """Apply the signed p-Laplacian pointwise, p > 1."""
-    if p <= 1:
-        raise GraphError("apply_p_laplacian requires p > 1; use the inclusion checker for p = 1")
+    """Apply the signed p-Laplacian pointwise, p > 1 (p = 1: ``check_eigenpair_1lap``)."""
+    _exponent(p, single_valued=True)
     fc = _columns(g, f)
     x, c = fc.ravel(), g.columns(fc.shape[1])
     phi_x = None if c.kappa is None else phi_p(x, p)
@@ -141,7 +140,8 @@ def apply_p_laplacian(g: SignedGraph, p: float, f) -> np.ndarray:
 
 
 def rayleigh(g: SignedGraph, p: float, f):
-    """p-Rayleigh quotient of a nonzero function (scale invariant)."""
+    """p-Rayleigh quotient of a nonzero function (scale invariant), p >= 1."""
+    _exponent(p, single_valued=False)
     fc = _columns(g, f, nonzero=True)
     m, x = fc.shape[1], fc.ravel()
     c = g.columns(m)
@@ -151,7 +151,8 @@ def rayleigh(g: SignedGraph, p: float, f):
 
 def eigen_residual(g: SignedGraph, p: float, f, lam):
     """Max over vertices of |Delta_p f - lam mu Phi_p f| / (1 + |lam| mu |f|^(p-1));
-    lam is a scalar or, for 2-D f, one per column."""
+    lam is a scalar or, for 2-D f, one per column; p > 1."""
+    _exponent(p, single_valued=True)
     res = _residual(g, p, _columns(g, f), lam)
     return res if np.ndim(f) == 2 else float(res[0])
 
@@ -163,8 +164,7 @@ class EigenPair:
     p: float
 
     def __post_init__(self):
-        if self.p < 1:
-            raise GraphError("p must be >= 1")
+        _exponent(self.p, single_valued=False)
         if not np.any(np.asarray(self.f)):
             raise GraphError("eigenfunction must be nonzero")
 
@@ -178,99 +178,9 @@ class ResidualCertificate:
 
 def check_eigenpair(g: SignedGraph, pair: EigenPair, tol: float = 1e-9) -> ResidualCertificate:
     """Relative residual check of the eigen-equation for p > 1."""
-    if pair.p <= 1:
-        raise GraphError("check_eigenpair requires p > 1")
+    _exponent(pair.p, single_valued=True)
     res = float(_residual(g, pair.p, _function(g, pair.f)[:, None], pair.lam)[0])
     return ResidualCertificate(verdict=res <= tol, max_residual=res)
-
-
-def _inclusion_system(g: SignedGraph, f, lam_fixed: Fraction):
-    """Assemble the rational feasibility system for the 1-Laplacian inclusion
-    at a fixed lambda.
-
-    Variables (in order): one z per edge (canonical orientation u -> v),
-    one z_x per vertex, one s_x per vertex for the right-hand Sgn interval.
-    Determined entries get collapsed bounds lo == hi.
-    """
-    n = len(g.ids)
-    fr = [Fraction(float(v)) for v in f]
-    w = [Fraction(we) for _, _, we, _ in g.edges]
-    mu = [Fraction(m) for m in g.mu]
-    kap = [Fraction(k) for k in g.kappa]
-
-    ne = len(g.edges)
-    idx_z = list(range(ne))
-    idx_zx = [ne + i for i in range(n)]
-    nv = ne + n
-
-    lo: list[Fraction] = []
-    hi: list[Fraction] = []
-    # Edge variables z_e = z_{uv}.
-    for (u, v, _, s), _w in zip(g.edges, w):
-        d = fr[u] - s * fr[v]
-        if d > 0:
-            lo.append(Fraction(1)); hi.append(Fraction(1))
-        elif d < 0:
-            lo.append(Fraction(-1)); hi.append(Fraction(-1))
-        else:
-            lo.append(Fraction(-1)); hi.append(Fraction(1))
-    # Vertex variables z_x in Sgn(f(x)).
-    for x in range(n):
-        if fr[x] > 0:
-            lo.append(Fraction(1)); hi.append(Fraction(1))
-        elif fr[x] < 0:
-            lo.append(Fraction(-1)); hi.append(Fraction(-1))
-        else:
-            lo.append(Fraction(-1)); hi.append(Fraction(1))
-    # Sgn slack s_x on the right-hand side.
-    for x in range(n):
-        if fr[x] > 0:
-            lo.append(Fraction(1)); hi.append(Fraction(1))
-        elif fr[x] < 0:
-            lo.append(Fraction(-1)); hi.append(Fraction(-1))
-        else:
-            lo.append(Fraction(-1)); hi.append(Fraction(1))
-    idx_sx = [nv + i for i in range(n)]
-    ncols = nv + n
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for x in range(n):
-        # sum_y w z_xy + kappa z_x - lam mu s_x = 0
-        r = [Fraction(0)] * ncols
-        for e, ((u, v, _, s), we) in enumerate(zip(g.edges, w)):
-            if u == x:
-                r[idx_z[e]] += we
-            elif v == x:
-                # z_{vu} = -sigma * z_{uv}
-                r[idx_z[e]] += -s * we
-        r[idx_zx[x]] += kap[x]
-        r[idx_sx[x]] = -lam_fixed * mu[x]
-        rows.append(r)
-        rhs.append(Fraction(0))
-    return rows, rhs, lo, hi, idx_z, idx_zx
-
-
-def check_eigenpair_1lap(g: SignedGraph, lam, f) -> ResidualCertificate:
-    """Decide the 1-Laplacian eigen-inclusion exactly; return a witness if feasible.
-
-    Existence of {z_xy}, {z_x} with z_xy in Sgn(f(x) - sigma f(y)),
-    z_xy = -sigma z_yx, z_x in Sgn(f(x)) and
-    sum_y w z_xy + kappa_x z_x in lam mu_x Sgn(f(x)) at every vertex.
-    ``lam`` may be a float or an exact Fraction (floats convert losslessly).
-    """
-    f = _function(g, f)
-    lam_q = lam if isinstance(lam, Fraction) else Fraction(float(lam))
-    rows, rhs, lo, hi, idx_z, idx_zx = _inclusion_system(g, f, lam_q)
-    res = simplex.feasible(rows, rhs, lo, hi)
-    if res.status != "optimal":
-        return ResidualCertificate(verdict=False)
-    x = res.x
-    witness = {
-        "z_edge": {f"{g.ids[u]},{g.ids[v]}": x[idx_z[e]] for e, (u, v, _, _) in enumerate(g.edges)},
-        "z_vertex": {g.ids[i]: x[idx_zx[i]] for i in range(g.n)},
-    }
-    return ResidualCertificate(verdict=True, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +544,41 @@ def one_lap_lambda_range(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]]:
 
     Both blocks are exact max-flows in Python ints over ``g.scaled_ints``;
     only lambda itself is a Fraction. Each decision has a certificate, which
-    ``one_lap_enumerate`` keeps and ``check_certificate_1lap`` checks;
-    ``check_eigenpair_1lap`` decides a given (lambda, f) on the exact simplex.
+    ``one_lap_enumerate`` keeps and ``check_certificate_1lap`` checks.
     """
     cert = _pattern_lambda(g, _function(g, f).tolist())
     return [(cert.lam, cert.lam)] if isinstance(cert, OneLapWitness) else []
+
+
+def check_eigenpair_1lap(g: SignedGraph, lam, f) -> ResidualCertificate:
+    """Decide the 1-Laplacian eigen-inclusion exactly; return a witness if it holds.
+
+    Existence of {z_xy}, {z_x} with z_xy in Sgn(f(x) - sigma f(y)),
+    z_xy = -sigma z_yx, z_x in Sgn(f(x)) and
+    sum_y w z_xy + kappa_x z_x in lam mu_x Sgn(f(x)) at every vertex.
+    ``lam`` may be a float or an exact Fraction (floats convert losslessly).
+    f admits one lambda or none (``one_lap_lambda_range``), and the verdict
+    is whether that lambda is ``lam``; a certificate that fails
+    ``check_certificate_1lap`` raises instead. The witness holds each z as a
+    Fraction: z_uv per edge "u,v", z_x per vertex.
+    """
+    f = _function(g, f).tolist()
+    try:
+        lam = lam if isinstance(lam, Fraction) else Fraction(float(lam))
+    except (TypeError, ValueError, OverflowError):
+        raise GraphError(f"lambda must be a finite real number, got {lam!r}") from None
+    cert = _pattern_lambda(g, f)
+    if not check_certificate_1lap(g, f, cert):
+        raise RuntimeError(f"the max-flow certificate {cert!r} fails its check")
+    if not isinstance(cert, OneLapWitness) or cert.lam != lam:
+        return ResidualCertificate(verdict=False)
+    # back from scaled_ints: z_uv = a / (den w), z_x = z / (den kappa_x),
+    # and where kappa_x = 0, z_x is sgn f_x (0 at a zero)
+    _, kappa, edges, _ = g.scaled_ints
+    witness = {
+        "z_edge": {f"{g.ids[u]},{g.ids[v]}": Fraction(a, cert.den * w)
+                   for (u, v, w, _), (a, _) in zip(edges, cert.z_edge)},
+        "z_vertex": {vid: Fraction(z, cert.den * k) if k else Fraction((fx > 0) - (fx < 0))
+                     for vid, fx, k, z in zip(g.ids, f, kappa, cert.z_vertex)},
+    }
+    return ResidualCertificate(verdict=True, witness=witness)

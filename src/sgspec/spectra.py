@@ -20,7 +20,6 @@ both checked in linear time by ``check_certificate_1lap``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -28,7 +27,8 @@ from itertools import product
 import numpy as np
 
 from . import cheeger as _cheeger
-from .graph import BalanceState, GraphError, SignedGraph, balance_state, components, induced_subgraph
+from .graph import (BalanceState, GraphError, SignedGraph, _exponent, balance_state, components,
+                    induced_subgraph)
 from .operators import (
     OneLapWitness, _delta, _edge_diffs, _eigen_terms, _pattern_lambda, _prefilter_lambda_box,
     _quotient, _residual, phi_p, rayleigh,
@@ -228,8 +228,7 @@ def extremal_p(g: SignedGraph, p: float, restarts: int = 8, seed: int = 0) -> Ex
     gradient until its eigen-residual is below HANDOFF, then Newton; a
     column that Newton leaves above TOL resumes its gradient where it
     handed off, runs it until it stalls, and is polished again."""
-    if not (math.isfinite(p) and p > 1):
-        raise GraphError(f"extremal_p requires a finite p > 1, got {p}")
+    _exponent(p, single_valued=True)
     if restarts < 0:
         raise GraphError(f"restarts must be >= 0, got {restarts}")
     if g.n == 0:
@@ -277,10 +276,8 @@ def upper_bound_lambda_k(g: SignedGraph, p: float, k: int) -> float:
     Requires kappa == 0. For p = 2 the exact spectrum is computed and the
     bound is asserted against lambda_k.
     """
-    if any(kv != 0 for kv in g.kappa):
-        raise GraphError("upper_bound_lambda_k requires kappa == 0 everywhere")
-    if p < 1:
-        raise GraphError("p must be >= 1")
+    _cheeger._require_zero_kappa(g, "upper_bound_lambda_k")
+    _exponent(p, single_valued=False)
     h_k = _cheeger.cheeger_k(g, k).value
     bound = 2.0 ** (p - 1) * float(h_k)
     if p == 2:
@@ -375,8 +372,7 @@ def smallest_positive_1lap(g: SignedGraph) -> Fraction:
     Equals the minimum of h_2 over balanced components and h_1 over
     unbalanced components.
     """
-    if any(kv != 0 for kv in g.kappa):
-        raise GraphError("smallest_positive_1lap requires kappa == 0 everywhere")
+    _cheeger._require_zero_kappa(g, "smallest_positive_1lap")
     cands: list[Fraction] = []
     for comp in components(g):
         sub = induced_subgraph(g, comp)

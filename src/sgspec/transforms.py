@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph, _function, induced_subgraph
+from .graph import GraphError, SignedGraph, _exponent, _function, _vertices, induced_subgraph
 from .operators import phi_p
 from .spectra import spectrum_p2
 
@@ -42,14 +42,13 @@ def remove_edge(g: SignedGraph, p: float, f, e: tuple[int, int]) -> SurgeryResul
     remains one of the result. Requires p > 1 and f nonzero at both
     endpoints.
     """
-    if p <= 1:
-        raise GraphError("remove_edge requires p > 1")
+    _exponent(p, single_valued=True)
     f = _function(g, f)
-    x0, y0 = sorted(e)
-    hit = [ed for ed in g.edges if (ed[0], ed[1]) == (x0, y0)]
+    ends = sorted(_vertices(g, e))
+    hit = [ed for ed in g.edges if [ed[0], ed[1]] == ends]
     if not hit:
-        raise GraphError(f"edge {{{g.ids[x0]},{g.ids[y0]}}} not in graph")
-    _, _, w, s = hit[0]
+        raise GraphError(f"edge {{{','.join(g.ids[x] for x in ends)}}} not in graph")
+    x0, y0, w, s = hit[0]
     if f[x0] == 0.0 or f[y0] == 0.0:
         raise GraphError("remove_edge requires f nonzero at both endpoints")
     dx = w * phi_p(1.0 - s * f[y0] / f[x0], p)
@@ -71,8 +70,7 @@ def remove_node(g: SignedGraph, x0: int, f=None) -> SurgeryResult:
     """Delete vertex x0, adding each lost edge weight to the neighbor's
     potential. If f is supplied it must vanish at x0; the restriction is
     then an eigenpair of the result whenever (lambda, f) was one."""
-    if not 0 <= x0 < g.n:
-        raise GraphError(f"vertex index {x0} out of range")
+    (x0,) = _vertices(g, [x0])
     if f is not None:
         f = _function(g, f, nonzero=False)
         if f[x0] != 0.0:
@@ -107,15 +105,15 @@ def interlacing_check_p2(g: SignedGraph, surgery_sequence, tol: float = 1e-9) ->
     eta_k <= lambda_k <= eta_{k+1} when positive; node steps check
     lambda_k <= eta_k <= lambda_{k+1}. A trailing cumulative check
     lambda_k <= eta_k <= lambda_{k+m} is added when the sequence removes
-    m nodes and nothing else.
+    m nodes and nothing else. Each graph's spectrum is computed once: a
+    step's eta is the next step's lambda.
     """
     cur = g
-    lam0 = spectrum_p2(g).values
+    lam0 = lam = spectrum_p2(g).values
     steps = []
     all_nodes = True
     nodes_removed = 0
     for step in surgery_sequence:
-        lam = spectrum_p2(cur).values
         if step["kind"] == "remove_edge":
             all_nodes = False
             # remove_edge checks f, and that it is nonzero at both ends
@@ -141,13 +139,12 @@ def interlacing_check_p2(g: SignedGraph, surgery_sequence, tol: float = 1e-9) ->
             {"kind": step["kind"], "case": case, "checks": checks,
              "all_pass": all(c["pass"] for c in checks)}
         )
-        cur = res.graph
+        cur, lam = res.graph, eta
 
     report = {"steps": steps, "all_pass": all(s["all_pass"] for s in steps)}
     if all_nodes and nodes_removed > 0 and cur.n > 0:
-        eta = spectrum_p2(cur).values
         m = nodes_removed
-        cum = _bracket(lam0, eta, lam0[m:], tol)
+        cum = _bracket(lam0, lam, lam0[m:], tol)
         report["cumulative_node_check"] = {"m": m, "checks": cum,
                                            "all_pass": all(c["pass"] for c in cum)}
         report["all_pass"] = report["all_pass"] and report["cumulative_node_check"]["all_pass"]

@@ -160,11 +160,42 @@ def sym3_eigs(a: np.ndarray) -> np.ndarray:
     return np.sort(np.array([e1, e2, e3]))
 
 
-def one_lap_grid_oracle(g: SignedGraph, f, lams) -> list[bool]:
-    """Membership verdicts for candidate eigenvalues, via the exact checker."""
-    from sgspec.operators import check_eigenpair_1lap
+def check_eigenpair_1lap_lp(g: SignedGraph, lam, f) -> bool:
+    """Whether (lam, f) satisfies the 1-Laplacian inclusion, by one exact
+    feasibility LP on ``sgspec.simplex`` at the fixed lambda (the library
+    decides this by max-flow instead).
 
-    return [check_eigenpair_1lap(g, lam, f).verdict for lam in lams]
+    Variables, in order: z_uv per edge (u < v), then z_x and s_x per vertex,
+    each in its Sgn interval: z_uv in Sgn(f_u - sigma f_v), z_x and s_x in
+    Sgn(f_x), collapsed to a point where the sign is determined. One row per
+    vertex: sum_y w z_xy + kappa_x z_x - lam mu_x s_x = 0, with
+    z_vu = -sigma z_uv."""
+    fr = [Fraction(float(v)) for v in f]
+    lam = Fraction(lam)
+
+    def sgn_box(d):
+        return (1, 1) if d > 0 else (-1, -1) if d < 0 else (-1, 1)
+
+    ne, n = len(g.edges), g.n
+    boxes = [sgn_box(fr[u] - s * fr[v]) for u, v, _, s in g.edges] + [sgn_box(x) for x in fr] * 2
+    rows = []
+    for x in range(n):
+        row = [Fraction(0)] * (ne + 2 * n)
+        for e, (u, v, w, s) in enumerate(g.edges):
+            if x == u:
+                row[e] += Fraction(w)
+            elif x == v:
+                row[e] -= s * Fraction(w)
+        row[ne + x] = Fraction(g.kappa[x])
+        row[ne + n + x] = -lam * Fraction(g.mu[x])
+        rows.append(row)
+    res = simplex.feasible(rows, [0] * n, [a for a, _ in boxes], [b for _, b in boxes])
+    return res.status == "optimal"
+
+
+def one_lap_grid_oracle(g: SignedGraph, f, lams) -> list[bool]:
+    """Membership verdicts for candidate eigenvalues, via the fixed-lambda LP."""
+    return [check_eigenpair_1lap_lp(g, lam, f) for lam in lams]
 
 
 def all_unsigned_graphs(n: int):

@@ -193,6 +193,15 @@ class TestTransform:
         assert code == 2
         assert "remove" in err
 
+    @pytest.mark.parametrize("edge", ["v0", "v0,v1,v2"])
+    def test_remove_edge_needs_two_ids(self, capsys, p3_file, tmp_path, edge):
+        ffile = tmp_path / "f.json"
+        ffile.write_text('{"values": {"v0": 1, "v1": -1, "v2": 1}}')
+        code, out, err = run(capsys, "transform", "--graph", p3_file, "--function", str(ffile),
+                             "--remove-edge", edge)
+        assert code == 2 and out == ""
+        assert "--remove-edge" in err and "Traceback" not in err
+
 
 class TestExtremal:
     def test_certified_extremes(self, capsys, p3_file):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgspec.graph import GraphError, SignedGraph, serialize_function, switch
+from sgspec.cheeger import check_theorem41
+from sgspec.graph import GraphError, SignedGraph, induced_subgraph, serialize_function, switch
 from sgspec.harness import random_signed_graph
 from sgspec.nodal import (
     SpectrumContext,
@@ -25,6 +26,7 @@ from sgspec.operators import (
     one_lap_lambda_range,
     rayleigh,
 )
+from sgspec.spectra import upper_bound_lambda_k
 from sgspec.transforms import interlacing_check_p2, remove_edge, remove_node
 
 from oracles import (
@@ -135,6 +137,44 @@ _TAKES_F = {
         g, [{"kind": "remove_node", "node": 2, "f": f}]), False),
     "serialize_function": (lambda g, f: serialize_function(f, g), False),
 }
+
+
+_NAN, _INF = float("nan"), float("inf")
+_F = np.array([1.0, -1.0, 0.0, 1.0])  # nonzero on the edge (0, 1)
+# Public entry points called with one bad scalar argument: an exponent p that
+# is not finite, or below 1 (or at 1 where Delta_p must be single-valued), a
+# lambda that is not finite, or a vertex index that is not an int in [0, n).
+_BAD_SCALAR = {
+    "check_eigenpair_1lap-nan-lambda": lambda g: check_eigenpair_1lap(g, _NAN, _F),
+    "check_eigenpair_1lap-inf-lambda": lambda g: check_eigenpair_1lap(g, _INF, _F),
+    "rayleigh-nan-p": lambda g: rayleigh(g, _NAN, _F),
+    "rayleigh-p-below-1": lambda g: rayleigh(g, 0.5, _F),
+    "apply_p_laplacian-inf-p": lambda g: apply_p_laplacian(g, _INF, _F),
+    "apply_p_laplacian-nan-p": lambda g: apply_p_laplacian(g, _NAN, _F),
+    "eigen_residual-nan-p": lambda g: eigen_residual(g, _NAN, _F, 1.0),
+    "EigenPair-nan-p": lambda g: EigenPair(1.0, _F, _NAN),
+    "check_eigenpair-p-1": lambda g: check_eigenpair(g, EigenPair(1.0, _F, 1.0)),
+    "upper_bound_lambda_k-nan-p": lambda g: upper_bound_lambda_k(g, _NAN, 1),
+    "check_theorem41-nan-p": lambda g: check_theorem41(g, _NAN, 1, 1.0, 1),
+    "remove_edge-inf-p": lambda g: remove_edge(g, _INF, _F, (0, 1)),
+    "remove_edge-float-index": lambda g: remove_edge(g, 2.0, _F, (0, 1.0)),
+    "remove_edge-index-out-of-range": lambda g: remove_edge(g, 2.0, _F, (0, 7)),
+    "remove_node-float-index": lambda g: remove_node(g, 1.5),
+    "remove_node-negative-index": lambda g: remove_node(g, -1),
+    "induced_subgraph-negative-index": lambda g: induced_subgraph(g, [-1]),
+    "induced_subgraph-index-out-of-range": lambda g: induced_subgraph(g, [5]),
+}
+
+
+class TestMalformedScalar:
+    """Each bad scalar argument is a GraphError, checked once by
+    ``graph._exponent``, ``graph._vertices`` or, for lambda, by
+    ``check_eigenpair_1lap`` itself."""
+
+    @pytest.mark.parametrize("call", _BAD_SCALAR.values(), ids=_BAD_SCALAR)
+    def test_rejected(self, call):
+        with pytest.raises(GraphError):
+            call(_G)
 
 
 class TestMalformedFunction:

@@ -28,7 +28,8 @@ from sgspec import simplex
 from sgspec.harness import random_signed_graph
 
 from oracles import (
-    nonzero_patterns, one_lap_lambda_range_lp, p_laplacian_oracle, rayleigh_p2_oracle,
+    check_eigenpair_1lap_lp, nonzero_patterns, one_lap_lambda_range_lp, p_laplacian_oracle,
+    rayleigh_p2_oracle,
 )
 from test_graph import complete, path, random_graph, triangle
 from test_spectra import repro_graph
@@ -308,6 +309,18 @@ class TestOneLapChecker:
                 assert cert.verdict
                 self._verify_witness(g, f, lo, cert.witness)
 
+    @pytest.mark.parametrize("tamper", [
+        lambda c: c._replace(lam=c.lam + 1),
+        lambda c: c._replace(z_edge=((c.z_edge[0][0] + 1, c.z_edge[0][1]),)),
+        lambda c: ("pins", (0,), (0,)),
+    ], ids=("witness-lambda", "witness-edge", "rejection"))
+    def test_certificate_that_fails_its_check_raises(self, monkeypatch, tamper):
+        g, f = path(2), [1.0, -1.0]
+        cert = operators._pattern_lambda(g, f)
+        monkeypatch.setattr(operators, "_pattern_lambda", lambda g, f: tamper(cert))
+        with pytest.raises(RuntimeError, match="fails its check"):
+            check_eigenpair_1lap(g, 1.0, f)
+
     @staticmethod
     def _verify_witness(g, f, lam, witness):
         ze = {tuple(k.split(",")): v for k, v in witness["z_edge"].items()}
@@ -342,25 +355,61 @@ class TestOneLapChecker:
             elif f[x] < 0:
                 assert flux == -target
             else:
-                assert abs(flux) <= target
+                assert abs(flux) <= abs(target)
 
 
 class TestLambdaRange:
-    def test_agrees_with_fixed_lambda_grid(self):
-        # two independent decision paths: the free-lambda interval solver
-        # versus the fixed-lambda feasibility checker on a rational grid
+    @staticmethod
+    def _grid_cases():
+        """(g, f, ranges) on seeded n = 4 graphs, with the rational lambda grid."""
         rng = np.random.default_rng(17)
         grid = [Fraction(k, 6) for k in range(-12, 25)]
         for _ in range(25):
             g = random_graph(rng, 4)
             f = np.array(rng.choice((-1.0, 0.0, 1.0), size=4))
-            if not np.any(f):
-                continue
-            ranges = one_lap_lambda_range(g, f)
+            if np.any(f):
+                yield g, f, one_lap_lambda_range(g, f), grid
+
+    def test_agrees_with_fixed_lambda_grid(self):
+        # two independent decision paths: the free-lambda interval solver
+        # versus the fixed-lambda LP on a rational grid
+        for g, f, ranges, grid in self._grid_cases():
             for lam in grid:
                 expected = any(lo <= lam <= hi for lo, hi in ranges)
-                got = check_eigenpair_1lap(g, lam, f).verdict
+                got = check_eigenpair_1lap_lp(g, lam, f)
                 assert got == expected, (g.edges, f, lam, ranges)
+
+    @staticmethod
+    def _check_against_lp(g, f, lams):
+        """check_eigenpair_1lap gives the fixed-lambda LP's verdict at each
+        lambda; a true verdict's witness satisfies the inclusion. Returns
+        the number of true verdicts."""
+        hits = 0
+        for lam in lams:
+            cert = check_eigenpair_1lap(g, lam, f)
+            assert cert.verdict == check_eigenpair_1lap_lp(g, lam, f), (g, f, lam)
+            if cert.verdict:
+                TestOneLapChecker._verify_witness(g, f, lam, cert.witness)
+                hits += 1
+        return hits
+
+    def test_checker_agrees_with_lp_on_the_grid(self):
+        # the grid, and f's own lambda, which the grid seldom holds
+        hits = sum(self._check_against_lp(g, f, grid + [lo for lo, _ in ranges])
+                   for g, f, ranges, grid in self._grid_cases())
+        assert hits >= 5
+
+    def test_checker_agrees_with_lp_on_the_corpus(self):
+        # per pattern: its lambda, when it has one, a neighbour of it, and
+        # a fixed negative one
+        hits = 0
+        for g in self._corpus():
+            for pattern in nonzero_patterns(g.n):
+                lams = {Fraction(-1, 2)}
+                for lo, _ in one_lap_lambda_range(g, pattern):
+                    lams |= {lo, lo + Fraction(1, 4)}
+                hits += self._check_against_lp(g, np.array(pattern, float), sorted(lams))
+        assert hits >= 100
 
     def test_constant_on_plus_edge_pinned_to_zero(self):
         # the antisymmetry z_vu = -z_uv forces lambda = -lambda here
@@ -394,7 +443,7 @@ class TestLambdaRange:
     def _certified(g, pattern, lp) -> list[str]:
         """Assert that each certificate for ``pattern`` checks and agrees
         with the LP answer ``lp``; return the kinds seen. A witness must
-        also pass the simplex decider."""
+        also pass the fixed-lambda LP."""
         kinds = []
         for cert in (_prefilter_lambda_box(g, pattern), _pattern_lambda(g, pattern)):
             if cert is None:
@@ -402,7 +451,7 @@ class TestLambdaRange:
             assert check_certificate_1lap(g, pattern, cert), (g, pattern, cert)
             if isinstance(cert, OneLapWitness):
                 assert lp == [(cert.lam, cert.lam)], (g, pattern)
-                assert check_eigenpair_1lap(g, cert.lam, pattern).verdict
+                assert check_eigenpair_1lap_lp(g, cert.lam, pattern)
             else:
                 assert lp == [], (g, pattern, cert)
             kind = "witness" if isinstance(cert, OneLapWitness) else cert[0]
@@ -462,13 +511,15 @@ class TestLambdaRange:
 
     def test_decided_without_the_simplex(self, monkeypatch):
         def no_lp(*args, **kwargs):
-            raise AssertionError("one_lap_lambda_range must not solve an LP")
+            raise AssertionError("the 1-Laplacian decisions must not solve an LP")
 
         monkeypatch.setattr(simplex, "solve_lp", no_lp)
         monkeypatch.setattr(simplex, "feasible", no_lp)
         g = complete(4)
         for pattern in nonzero_patterns(g.n):
-            one_lap_lambda_range(g, pattern)
+            lams = [lo for lo, _ in one_lap_lambda_range(g, pattern)]
+            assert all(check_eigenpair_1lap(g, lam, pattern).verdict for lam in lams)
+            assert not check_eigenpair_1lap(g, lams[0] + 1 if lams else 0, pattern).verdict
 
 
 class TestCertificateTamper:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sgspec import transforms
 from sgspec.graph import GraphError, SignedGraph
 from sgspec.operators import EigenPair, check_eigenpair, rayleigh
 from sgspec.spectra import spectrum_p2
@@ -163,6 +164,27 @@ class TestInterlacing:
         cum = rep["cumulative_node_check"]
         assert cum["m"] == 2
         assert cum["all_pass"]
+
+    @pytest.mark.parametrize("seq, calls", [
+        ([{"kind": "remove_node", "node": 2}], 2),
+        ([{"kind": "remove_node", "node": 2}, {"kind": "remove_node", "node": 0}], 3),
+        ([{"kind": "remove_edge", "edge": (0, 1), "f": None}], 2),
+    ], ids=("node", "two-nodes", "edge"))
+    def test_each_spectrum_once(self, monkeypatch, seq, calls):
+        # one spectrum per graph: the start and each surgery's result
+        g = path(6)
+        for step in seq:
+            if step["kind"] == "remove_edge":
+                step["f"] = spectrum_p2(g).vectors[:, 1]
+        seen = []
+
+        def counted(h):
+            seen.append(h)
+            return spectrum_p2(h)
+
+        monkeypatch.setattr(transforms, "spectrum_p2", counted)
+        assert interlacing_check_p2(g, seq)["all_pass"]
+        assert len(seen) == calls and len(set(seen)) == calls
 
     def test_unknown_kind(self):
         with pytest.raises(GraphError, match="unknown surgery"):
