@@ -181,9 +181,9 @@ class CheegerResult:
 
 
 def _labelings(n: int):
-    """The (3**n - 1) / 2 labelings in {-1, 0, +1}^n led by +1 (first nonzero entry),
-    the patterns that ``one_lap_enumerate`` scans but not in its order, as blocks
-    ``(t, pos, neg)``: int8 columns t and the bitmasks of their +1 and -1 entries. A block
+    """The (3**n - 1) / 2 labelings in {-1, 0, +1}^n led by +1 (first nonzero entry), as
+    blocks ``(t, pos, neg)``: int8 columns t and the bitmasks of their +1 and -1 entries.
+    One scan drives both the Cheeger table and ``one_lap_enumerate``'s sign patterns. A block
     runs over the last min(n, _LOW) entries under one such labeling of the first h, or
     under zeros; in it the earlier entries vary slower, each through 0, +1, -1, so zero-led
     labelings come first: (0, 0, 1) before (1, 0, 0)."""

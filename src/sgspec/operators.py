@@ -24,13 +24,14 @@ the test oracles' independent LP and for the benchmark.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph, _exponent, _function, _groups, _labels
+from .graph import GraphError, SignedGraph, _exponent, _function, _groups, _is, _labels
 
 __all__ = [
     "phi_p",
@@ -165,7 +166,15 @@ class EigenPair:
 
     def __post_init__(self):
         _exponent(self.p, single_valued=False)
-        if not np.any(np.asarray(self.f)):
+        if not (_is(self.lam, numbers.Real) and math.isfinite(self.lam)):
+            raise GraphError(f"eigenvalue must be a finite real number, got {self.lam!r}")
+        try:
+            f = np.asarray(self.f, dtype=float)
+        except (TypeError, ValueError):
+            f = None
+        if f is None or f.ndim != 1 or not np.isfinite(f).all():
+            raise GraphError("eigenfunction must be a finite real vector")
+        if not f.any():
             raise GraphError("eigenfunction must be nonzero")
 
 
@@ -402,6 +411,11 @@ def _pattern_lambda(g: SignedGraph, f) -> OneLapWitness | tuple:
                          tuple(z_vertex))
 
 
+def _ints(xs, length: int) -> bool:
+    """Whether xs is a tuple of ``length`` Python ints (not bools, not numpy ints)."""
+    return type(xs) is tuple and len(xs) == length and all(type(x) is int for x in xs)
+
+
 def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
     """Check the evidence that ``one_lap_enumerate`` keeps for the sign
     pattern of ``f``, in linear time and in Python ints on
@@ -431,6 +445,10 @@ def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
       |kappa_y|; weighted by pi and summed, these cannot all hold. A zero
       vertex without zero-zero edges whose |c_y| exceeds that slack is the
       case of one nonzero pi_y.
+
+    Anything else answers False, also a certificate of the wrong shape: a
+    vertex index, a count or a z must be a Python int, a vertex set or a pi
+    a tuple of them.
     """
     mu, kappa, edges, adj = g.scaled_ints
     n = len(mu)
@@ -443,6 +461,8 @@ def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
     if not all(map(math.isfinite, f)) or not any(f):
         raise GraphError("eigenfunction must be finite and nonzero")
     witness = isinstance(cert, OneLapWitness)
+    if not witness and not (type(cert) is tuple and len(cert) == 3 and type(cert[0]) is str):
+        return False
 
     if not witness and cert[0] == "screen":
         def box(v: int) -> tuple[int, int]:
@@ -456,15 +476,18 @@ def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
             return fixed - free, fixed + free
 
         _, x, y = cert
-        return (0 <= x < n and 0 <= y < n and f[x] != 0 and f[y] != 0
-                and box(x)[0] * mu[y] > box(y)[1] * mu[x])
+        return (type(x) is type(y) is int and 0 <= x < n and 0 <= y < n and f[x] != 0
+                and f[y] != 0 and box(x)[0] * mu[y] > box(y)[1] * mu[x])
 
     sgn = [(x > 0) - (x < 0) for x in f]
     # the sign of f_u - sigma f_v on each edge: z_uv, or 0 where z_uv is free
     dirs = [(f[u] > s * f[v]) - (f[u] < s * f[v]) for u, v, _, s in edges]
     if witness:
         lam, den, z_edge, z_vertex = cert
-        if den < 1 or len(z_edge) != len(edges) or len(z_vertex) != n:
+        if not (isinstance(lam, Fraction) and type(den) is int and den >= 1
+                and _ints(z_vertex, n) and type(z_edge) is tuple and len(z_edge) == len(edges)
+                and all(type(z) is tuple and len(z) == 2 and type(z[0]) is type(z[1]) is int
+                        for z in z_edge)):
             return False
         total = [0] * n
         for (u, v, w, s), dz, (a, b) in zip(edges, dirs, z_edge):
@@ -489,8 +512,8 @@ def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
     free_support = [(u, v, w) for (u, v, w, _), dz in zip(edges, dirs) if not dz and sgn[u]]
 
     def support_set(xs) -> set[int] | None:
-        xs = set(xs)
-        return xs if all(0 <= x < n and sgn[x] for x in xs) else None
+        ok = type(xs) is tuple and all(type(x) is int and 0 <= x < n and sgn[x] for x in xs)
+        return set(xs) if ok else None
 
     def pinned(xs) -> tuple[int, int] | None:
         # (a, b) with lambda = a / b if xs is a pin
@@ -516,7 +539,7 @@ def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
         return abs(demand) > b * capacity
     if kind == "zero-cut":
         pi = second
-        if len(pi) != n or any(t not in (-1, 0, 1) or (t and sgn[y]) for y, t in enumerate(pi)):
+        if not _ints(pi, n) or any(t not in (-1, 0, 1) or (t and sgn[y]) for y, t in enumerate(pi)):
             return False
         excess = sum(t * b * c[y] - abs(t) * (abs(a) * mu[y] + b * abs(kappa[y]))
                      for y, t in enumerate(pi))

@@ -193,11 +193,6 @@ def check_eigenpair_1lap_lp(g: SignedGraph, lam, f) -> bool:
     return res.status == "optimal"
 
 
-def one_lap_grid_oracle(g: SignedGraph, f, lams) -> list[bool]:
-    """Membership verdicts for candidate eigenvalues, via the fixed-lambda LP."""
-    return [check_eigenpair_1lap_lp(g, lam, f) for lam in lams]
-
-
 def all_unsigned_graphs(n: int):
     """Every labeled simple graph on n vertices, all-positive signature."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -167,6 +167,14 @@ class TestOnelap:
         assert code == 1 and out == ""
         assert "do not cover every sign pattern" in err
 
+    @pytest.mark.parametrize("argv", [("onelap",), ("onelap", "--verify"), ("spectrum", "--p", "1")])
+    def test_empty_graph(self, capsys, tmp_path, argv):
+        gfile = tmp_path / "empty.json"
+        gfile.write_text('{"vertices": [], "edges": []}')
+        code, out, err = run(capsys, *argv, "--graph", str(gfile))
+        assert (code, out) == (2, "")
+        assert "one_lap_enumerate needs at least one vertex" in err
+
     def test_reports_screen_survivors(self, capsys, p3_file):
         code, out, _ = run(capsys, "onelap", "--graph", p3_file)
         assert code == 0

@@ -143,7 +143,8 @@ _NAN, _INF = float("nan"), float("inf")
 _F = np.array([1.0, -1.0, 0.0, 1.0])  # nonzero on the edge (0, 1)
 # Public entry points called with one bad scalar argument: an exponent p that
 # is not finite, or below 1 (or at 1 where Delta_p must be single-valued), a
-# lambda that is not finite, or a vertex index that is not an int in [0, n).
+# lambda that is not a finite real, or a vertex index that is not an int in
+# [0, n); and an EigenPair whose f is not a finite real vector.
 _BAD_SCALAR = {
     "check_eigenpair_1lap-nan-lambda": lambda g: check_eigenpair_1lap(g, _NAN, _F),
     "check_eigenpair_1lap-inf-lambda": lambda g: check_eigenpair_1lap(g, _INF, _F),
@@ -153,6 +154,17 @@ _BAD_SCALAR = {
     "apply_p_laplacian-nan-p": lambda g: apply_p_laplacian(g, _NAN, _F),
     "eigen_residual-nan-p": lambda g: eigen_residual(g, _NAN, _F, 1.0),
     "EigenPair-nan-p": lambda g: EigenPair(1.0, _F, _NAN),
+    "EigenPair-nan-lambda": lambda g: EigenPair(_NAN, [1.0], 2.0),
+    "EigenPair-inf-lambda": lambda g: EigenPair(-_INF, _F, 2.0),
+    "EigenPair-str-lambda": lambda g: EigenPair("1", _F, 2.0),
+    "EigenPair-complex-lambda": lambda g: EigenPair(1j, _F, 2.0),
+    "EigenPair-str-f": lambda g: EigenPair(1.0, "ab", 2.0),
+    "EigenPair-nan-in-f": lambda g: EigenPair(1.0, np.array([_NAN, 1.0, 2.0]), 2.0),
+    "EigenPair-inf-in-f": lambda g: EigenPair(1.0, [1.0, _INF], 2.0),
+    "EigenPair-complex-f": lambda g: EigenPair(1.0, [1j, 1.0], 2.0),
+    "EigenPair-2d-f": lambda g: EigenPair(1.0, [[1.0, 2.0]], 2.0),
+    "EigenPair-scalar-f": lambda g: EigenPair(1.0, 1.0, 2.0),
+    "check_eigenpair-nan-lambda": lambda g: check_eigenpair(g, EigenPair(_NAN, _F, 2.0)),
     "check_eigenpair-p-1": lambda g: check_eigenpair(g, EigenPair(1.0, _F, 1.0)),
     "upper_bound_lambda_k-nan-p": lambda g: upper_bound_lambda_k(g, _NAN, 1),
     "check_theorem41-nan-p": lambda g: check_theorem41(g, _NAN, 1, 1.0, 1),
@@ -169,7 +181,8 @@ _BAD_SCALAR = {
 class TestMalformedScalar:
     """Each bad scalar argument is a GraphError, checked once by
     ``graph._exponent``, ``graph._vertices`` or, for lambda, by
-    ``check_eigenpair_1lap`` itself."""
+    ``check_eigenpair_1lap`` itself and by ``EigenPair``, which also checks
+    its f."""
 
     @pytest.mark.parametrize("call", _BAD_SCALAR.values(), ids=_BAD_SCALAR)
     def test_rejected(self, call):

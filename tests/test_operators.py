@@ -667,6 +667,52 @@ class TestCertificateTamper:
         assert not check_certificate_1lap(g, f, ("pins", (0,), (2, 3)))
         assert not check_certificate_1lap(g, f, ("pins", (0, 1), (0, 1)))
 
+    @staticmethod
+    def _good():
+        """One certificate of each shape that checks, by name: (g, f, cert)."""
+        zero_g = SignedGraph.build(["x", "y1", "y2"], [("x", "y1", 1.5, 1), ("x", "y2", 1.5, -1),
+                                                       ("y1", "y2", 2.0, -1)], mu=[64.0, 1.0, 1.0])
+        cases = {"screen": (path(3), (1, -1, 1), _prefilter_lambda_box(path(3), (1, -1, 1))),
+                 "pins": (path(3), (1, -1, 1), ("pins", (0,), (1,))),
+                 "witness": (path(3), (1, 1, 1), _pattern_lambda(path(3), (1, 1, 1))),
+                 "zero-cut": (zero_g, (1, 0, 0), _pattern_lambda(zero_g, (1, 0, 0)))}
+        for g, f, cert in cases.values():
+            assert check_certificate_1lap(g, f, cert)
+        return cases
+
+    # a certificate of the wrong shape, made from a good one of the named kind
+    _MALFORMED = {
+        "none": ("screen", lambda c: None),
+        "kind-only": ("screen", lambda c: ("bogus",)),
+        "screen-one-vertex": ("screen", lambda c: c[:2]),
+        "screen-extra-entry": ("screen", lambda c: (*c, 0)),
+        "screen-as-list": ("screen", list),
+        "screen-float-index": ("screen", lambda c: (c[0], float(c[1]), c[2])),
+        "screen-numpy-index": ("screen", lambda c: (c[0], np.int64(c[1]), c[2])),
+        "screen-str-index": ("screen", lambda c: (c[0], str(c[1]), c[2])),
+        "screen-bool-index": ("screen", lambda c: (c[0], c[1], True)),
+        "kind-not-a-string": ("screen", lambda c: (np.array([1, 2]), c[1], c[2])),
+        "pins-none": ("pins", lambda c: (c[0], None, None)),
+        "pins-as-list": ("pins", lambda c: (c[0], list(c[1]), c[2])),
+        "pins-numpy-vertex": ("pins", lambda c: (c[0], c[1], (np.int64(c[2][0]),))),
+        "zero-cut-pi-as-list": ("zero-cut", lambda c: (c[0], c[1], list(c[2]))),
+        "zero-cut-float-pi": ("zero-cut", lambda c: (c[0], c[1], tuple(map(float, c[2])))),
+        "zero-cut-short-pi": ("zero-cut", lambda c: (c[0], c[1], c[2][:-1])),
+        "witness-float-lambda": ("witness", lambda c: c._replace(lam=float(c.lam))),
+        "witness-numpy-den": ("witness", lambda c: c._replace(den=np.int64(c.den))),
+        "witness-none-den": ("witness", lambda c: c._replace(den=None)),
+        "witness-z-edge-triple": ("witness", lambda c: c._replace(
+            z_edge=((*c.z_edge[0], 0), *c.z_edge[1:]))),
+        "witness-z-vertex-as-list": ("witness", lambda c: c._replace(z_vertex=list(c.z_vertex))),
+        "witness-float-z": ("witness", lambda c: c._replace(
+            z_vertex=(float(c.z_vertex[0]), *c.z_vertex[1:]))),
+    }
+
+    @pytest.mark.parametrize("kind, malform", _MALFORMED.values(), ids=_MALFORMED)
+    def test_malformed_certificate_answers_false(self, kind, malform):
+        g, f, cert = self._good()[kind]
+        assert check_certificate_1lap(g, f, malform(cert)) is False
+
     @pytest.mark.parametrize("f", [[1.0], [0.0, 0.0], [1.0, float("nan")], [float("inf"), 1.0]])
     def test_bad_function_rejected(self, f):
         with pytest.raises(GraphError):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -9,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgspec import spectra
-from sgspec.graph import GraphError, SignedGraph, parse_graph, switch
+from sgspec.graph import GraphError, SignedGraph, parse_graph, switch, with_degree_measure
 from sgspec.harness import MODELS, random_signed_graph
-from sgspec.operators import check_certificate_1lap
+from sgspec.operators import (
+    OneLapWitness, _pattern_lambda, _prefilter_lambda_box, check_certificate_1lap,
+)
 from sgspec.spectra import (
     extremal_p,
     form_matrix,
@@ -391,6 +394,110 @@ class TestOneLapEnumerate:
         g = SignedGraph.build([str(i) for i in range(13)], [])
         with pytest.raises(GraphError, match="capped"):
             one_lap_enumerate(g)
+
+
+def _enumerate_per_pattern(g):
+    """The enumeration as one loop over the patterns in lead-first order, each
+    through the exact screen: the reference for the block scan. Returns the
+    pairs as (lambda, pattern), the values and the two counts."""
+    pairs, scanned, solved = [], 0, 0
+    patterns = ((0,) * lead + (1,) + tail for lead in range(g.n)
+                for tail in product((0, 1, -1), repeat=g.n - lead - 1))
+    for pattern in patterns:
+        scanned += 1
+        cert = _prefilter_lambda_box(g, pattern)
+        if cert is None:
+            solved += 1
+            cert = _pattern_lambda(g, pattern)
+        if isinstance(cert, OneLapWitness):
+            pairs.append((cert.lam, pattern))
+    return sorted(pairs), sorted({lam for lam, _ in pairs}), scanned, solved
+
+
+def _screen_corpus():
+    """Graphs on which the block screen's rounding margin is tight or its
+    float bounds overflow or underflow: weights at and next to 1, decimal
+    weights that do not add exactly, weights and mu near the ends of the
+    float range, nonzero kappa, degree mu, the benchmark's repro graph, and
+    two graphs built to defeat a screen without its finiteness guard or
+    without the margin's absolute term."""
+    rng = np.random.default_rng(2024)
+    families = [
+        ((1.0, 1 + 2.0**-52, 1 - 2.0**-52), (1.0,), (0.0,)),
+        ((0.1, 0.2, 0.3), (1.0, 1e9, 1e-9), (0.0, 0.1)),
+        ((1.0, 0.1, 0.2, 0.3, 1e300, 1e-300, 2.0**-1070), (1.0, 1e9, 1e-9, 1e300, 1e-300),
+         (0.0, 0.5, -0.3)),
+        ((1e300, 2.0**-1070, 1.0), (1e300, 1e-300), (0.0, 1e-300, -2.0)),
+        ((1.0, 2.0, 3.0), (1.0, 2.0), (0.0, 1.0, -1.0, 3.0)),
+    ]
+    for i in range(80):
+        weights, mus, kappas = families[i % len(families)]
+        n = int(rng.integers(3, 8))
+        edges = [(str(u), str(v), float(rng.choice(weights)), int(rng.choice((-1, 1))))
+                 for u in range(n) for v in range(u + 1, n) if rng.random() < 0.7]
+        g = SignedGraph.build([str(x) for x in range(n)], edges,
+                              mu=[float(rng.choice(mus)) for _ in range(n)],
+                              kappa=[float(rng.choice(kappas)) for _ in range(n)])
+        yield g
+        if np.isfinite(g.weighted_degrees()).all():
+            yield with_degree_measure(g)
+    yield repro_graph()[0]
+    # At (x, z, w, y) = (1, 1, 0, 1), 2 w_xz overflows, so the float a_lo of
+    # x is -inf while exactly lo_x / mu_x = -1e8 > hi_y / mu_y: only the
+    # finiteness guard keeps the pattern from passing in the block.
+    yield SignedGraph.build("xzwy", [("x", "z", 1e308, 1), ("y", "w", 1.0, 1)],
+                            mu=[1e300, 1e300, 1.0, 1.0], kappa=[0.0, 0.0, 0.0, -1e9])
+    # At the same pattern every bound of x, z and y underflows to 0, and so
+    # does every margin but for its absolute term, while exactly
+    # lo_x / mu_x > 0 = hi_y / mu_y: only that term keeps the pattern from
+    # passing in the block.
+    tiny = 2.0**-1070
+    yield SignedGraph.build("xzwy", [("x", "z", tiny, 1), ("x", "w", 2 * tiny, 1),
+                                     ("y", "w", tiny, 1)],
+                            mu=[1e300, 1e300, 1.0, 1e300], kappa=[0.0, 0.0, 0.0, -tiny])
+
+
+class TestBlockScreen:
+    def test_agrees_with_the_exact_screen(self):
+        # every block rejection is an exact one with a pair that checks,
+        # every block pass an exact pass; the rest meets the exact screen
+        outcomes = Counter()
+        for g in _screen_corpus():
+            for t, rejected, passed, x, y in spectra._screened_blocks(g):
+                cols = zip(zip(*t.tolist()), rejected.tolist(), passed.tolist(),
+                           x.tolist(), y.tolist())
+                for f, rej, ok, xf, yf in cols:
+                    exact = _prefilter_lambda_box(g, f)
+                    if rej:
+                        assert exact is not None, (g, f)
+                        assert check_certificate_1lap(g, f, ("screen", xf, yf)), (g, f)
+                    elif ok:
+                        assert exact is None, (g, f)
+                    outcomes["rejected" if rej else "passed" if ok else
+                             "exact rejects" if exact else "exact passes"] += 1
+        assert sum(outcomes.values()) >= 20000
+        assert min(outcomes.values()) >= 100, outcomes
+
+    def test_equals_the_per_pattern_loop(self):
+        rng = np.random.default_rng(7)
+        graphs = []
+        for n in range(1, 10):
+            g = random_signed_graph(n, 0.5, seed=n, connected=True)
+            graphs += [g, with_degree_measure(g)] if n < 9 else [g]
+            if n <= 7:
+                graphs.append(random_graph(rng, n))
+        for g in graphs:
+            ols = one_lap_enumerate(g)
+            pairs, values, scanned, solved = _enumerate_per_pattern(g)
+            assert sorted((pr.lam, pr.f) for pr in ols.pairs) == pairs
+            assert list(ols.values) == values
+            assert (ols.patterns_scanned, ols.patterns_solved) == (scanned, solved)
+            assert len(ols.rejections) == scanned - len(pairs)
+
+    def test_empty_graph_refused_before_the_scan(self, monkeypatch):
+        monkeypatch.setattr(spectra._cheeger, "_labelings", lambda n: pytest.fail("scanned"))
+        with pytest.raises(GraphError, match="one_lap_enumerate needs at least one vertex"):
+            one_lap_enumerate(SignedGraph.build([], []))
 
 
 class TestSmallestPositive:
