@@ -199,6 +199,15 @@ def _labelings(n: int):
     yield np.vstack((np.zeros((h, lead.sum()), np.int8), low[:, lead])), pos[lead], neg[lead]
 
 
+def _ranks(nums, dens, bound: int) -> np.ndarray:
+    """Dense ranks (from 0) of the fractions nums[i] / dens[i], Python ints
+    with 0 < dens[i] <= bound. Two different ones differ by at least
+    1 / bound**2, so floor(v * bound**2) keeps their order and their ties."""
+    scale = bound**2
+    keys = np.array([a * scale // b for a, b in zip(nums, dens)], dtype=object)
+    return np.unique(keys, return_inverse=True)[1].ravel()
+
+
 def _cheeger_exact(g: SignedGraph, ks) -> list[CheegerResult]:
     """Exact h_k for each k in ``ks``: one table of sets, packing layers up to max(ks)."""
     n = g.n
@@ -222,14 +231,8 @@ def _cheeger_exact(g: SignedGraph, ks) -> list[CheegerResult]:
         np.minimum.at(v2, s[hit], neg[hit])
     vol = mu @ (np.arange(size) >> np.arange(n)[:, None] & 1)
 
-    # Rank the scores num / vol exactly: two different ones, both with a
-    # denominator at most V = vol[full], differ by at least 1 / V**2, so
-    # floor(score * V**2) keeps their order and their ties.
-    scale = int(vol[full]) ** 2
-    keys = [a * scale // b for a, b in zip(num[1:].tolist(), vol[1:].tolist())]
-    _, rank = np.unique(np.array(keys, dtype=object), return_inverse=True)
     inf = size  # above every rank; stands for "no family fits"
-    b = np.concatenate(([inf], rank.ravel()))
+    b = np.concatenate(([inf], _ranks(num[1:].tolist(), vol[1:].tolist(), int(vol[full]))))
 
     # D_j[mask]: minimal max-rank over j disjoint nonempty groups inside mask.
     # j = 1: subset-min transform; per bit, masks with the bit take the

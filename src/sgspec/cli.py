@@ -44,6 +44,14 @@ def _emit(doc, fmt: str):
             print(f"{key}: {val}")
 
 
+def _one_lap_doc(ols) -> dict:
+    """The eigenvalue keys of ``onelap``, all but lambda_2 shared with
+    ``spectrum --p 1``: exact values as strings, a missing one as null."""
+    return {"eigenvalues": [str(v) for v in ols.values],
+            **{key: None if (v := getattr(ols, key)) is None else str(v)
+               for key in ("lambda_1", "lambda_2", "smallest_positive")}}
+
+
 def _cmd_spectrum(args) -> int:
     g = _load_graph(args.graph)
     if args.p == 2.0:
@@ -57,12 +65,8 @@ def _cmd_spectrum(args) -> int:
             },
         }
     elif args.p == 1.0:
-        ols = one_lap_enumerate(g)
-        doc = {
-            "eigenvalues": [str(v) for v in ols.values],
-            "lambda_1": str(ols.lambda_1),
-            "smallest_positive": str(ols.smallest_positive),
-        }
+        doc = _one_lap_doc(one_lap_enumerate(g))
+        del doc["lambda_2"]
     else:
         print("full spectra are only available for p in {1, 2}; "
               "use 'extremal' for other p", file=sys.stderr)
@@ -137,10 +141,7 @@ def _cmd_onelap(args) -> int:
     g = _load_graph(args.graph)
     ols = one_lap_enumerate(g)
     doc = {
-        "eigenvalues": [str(v) for v in ols.values],
-        "lambda_1": str(ols.lambda_1),
-        "lambda_2": None if ols.lambda_2 is None else str(ols.lambda_2),
-        "smallest_positive": None if ols.smallest_positive is None else str(ols.smallest_positive),
+        **_one_lap_doc(ols),
         "patterns_scanned": ols.patterns_scanned,
         "patterns_solved": ols.patterns_solved,
         "pairs": [

@@ -204,32 +204,44 @@ class SignedGraph:
         mu: Mapping[str, float] | Sequence[float] | float = 1.0,
         kappa: Mapping[str, float] | Sequence[float] | float = 0.0,
     ) -> "SignedGraph":
-        """Construct from string ids; edges as ``(u_id, v_id, w, sigma)``."""
+        """Construct from string ids; edges as ``(u_id, v_id, w, sigma)``. Malformed
+        input (not a 4-tuple, not a number, sigma not an int) raises GraphError."""
         ids = tuple(str(i) for i in ids)
         idx = {vid: i for i, vid in enumerate(ids)}
 
-        def per_vertex(spec, default_name):
+        def number(x, kind, what):
+            try:
+                return kind(x)
+            except (TypeError, ValueError, OverflowError):
+                raise GraphError(f"{what} must be a number, got {x!r}") from None
+
+        def per_vertex(spec, name, default):
             if isinstance(spec, Mapping):
-                return tuple(float(spec.get(vid, 1.0 if default_name == "mu" else 0.0)) for vid in ids)
-            if isinstance(spec, (int, float)):
-                return tuple(float(spec) for _ in ids)
-            vals = tuple(float(v) for v in spec)
+                spec = [spec.get(vid, default) for vid in ids]
+            elif isinstance(spec, numbers.Real):
+                spec = [spec] * len(ids)
+            vals = tuple(number(v, float, name) for v in number(spec, tuple, name))
             if len(vals) != len(ids):
-                raise GraphError(f"{default_name} length mismatch")
+                raise GraphError(f"{name} length mismatch")
             return vals
 
         edge_list = []
-        for a, b, w, s in edges:
+        for e in edges:
+            try:
+                a, b, w, s = e
+            except (TypeError, ValueError):
+                raise GraphError(f"edge {e!r} is not a (u_id, v_id, w, sigma) tuple") from None
             a, b = str(a), str(b)
             if a not in idx or b not in idx:
                 raise GraphError(f"edge references unknown vertex {a!r} or {b!r}")
             u, v = sorted((idx[a], idx[b]))
-            edge_list.append((u, v, float(w), int(s)))
+            edge_list.append((u, v, number(w, float, "edge weight"),
+                              int(s) if _is(s, numbers.Integral) else s))
         return SignedGraph(
             ids=ids,
-            mu=per_vertex(mu, "mu"),
-            kappa=per_vertex(kappa, "kappa"),
-            edges=tuple(sorted(edge_list)),
+            mu=per_vertex(mu, "mu", 1.0),
+            kappa=per_vertex(kappa, "kappa", 0.0),
+            edges=tuple(sorted(edge_list, key=lambda e: e[:2])),
         )
 
 

@@ -12,10 +12,11 @@ of support edges with f_u = sigma f_v pins lambda, and the rest is a network
 feasibility question, decided by an exact integer max-flow
 (``one_lap_lambda_range``). Each decision leaves a certificate: the flow, as
 a witness, when f admits lambda, and otherwise the inequality that rules f
-out (a screen pair, two conflicting pins, or a cut from Hoffman's
-circulation theorem). ``check_certificate_1lap`` checks one in linear time
-and in integers, independently of the flow (certifying algorithms:
-McConnell, Mehlhorn, Naeher & Schweitzer, Comput. Sci. Rev. 5(2), 2011).
+out (two conflicting pins, or a cut from Hoffman's circulation theorem; the
+block screen of ``spectra`` rejects by a screen pair before any flow runs).
+``check_certificate_1lap`` checks one in linear time and in integers,
+independently of the flow (certifying algorithms: McConnell, Mehlhorn,
+Naeher & Schweitzer, Comput. Sci. Rev. 5(2), 2011).
 ``check_eigenpair_1lap`` decides a given (lambda, f) by the same checked
 max-flow; :mod:`sgspec.simplex` decides nothing here, and remains only as
 the test oracles' independent LP and for the benchmark.
@@ -218,39 +219,6 @@ class OneLapWitness(NamedTuple):
     den: int
     z_edge: tuple[tuple[int, int], ...]
     z_vertex: tuple[int, ...]
-
-
-def _prefilter_lambda_box(g: SignedGraph, f) -> tuple | None:
-    """Exact per-vertex necessary condition on lambda for a {-1, 0, +1}
-    pattern ``f``: the rejection ``("screen", x, y)`` naming a violating
-    pair of vertices, or None if it holds.
-
-    For each support vertex x the inclusion pins lambda to an interval
-    [lo_x / mu_x, hi_x / mu_x] of achievable normalized flux; the intervals
-    must intersect. The bounds are ``g.scaled_ints`` sums, compared exactly
-    by cross-multiplication (mu > 0).
-    """
-    mu, kappa, _, adj = g.scaled_ints
-    lo_max = hi_min = None  # (flux, mu, x) of the largest lower / smallest upper end
-    for x, fx in enumerate(f):
-        if fx == 0:
-            continue
-        lo = hi = kappa[x] * fx  # z_x = sign(f_x) determined
-        for y, w, s in adj[x]:
-            # z_xy = sign(d) is determined unless d = 0, where it spans [-1, 1]
-            d = fx - s * f[y]
-            lo += w if d > 0 else -w
-            hi += w if d >= 0 else -w
-        # lambda * mu_x * sign(f_x) must equal the flux
-        if fx < 0:
-            lo, hi = -hi, -lo
-        if lo_max is None or lo * lo_max[1] > lo_max[0] * mu[x]:
-            lo_max = (lo, mu[x], x)
-        if hi_min is None or hi * hi_min[1] < hi_min[0] * mu[x]:
-            hi_min = (hi, mu[x], x)
-        if lo_max[0] * hi_min[1] > hi_min[0] * lo_max[1]:
-            return "screen", lo_max[2], hi_min[2]
-    return None
 
 
 def _feasible_flow(n: int, arcs, lo, hi) -> tuple[list[int] | None, list[int] | None]:

@@ -14,9 +14,9 @@ takes the edge differences once, for its right-hand side and its
 Jacobian. Neither loop calls a public operator. Every reported
 pair is re-certified by its eigen-residual. For p = 1 candidates are the
 +-1/0 patterns, scanned in the int8 blocks of the Cheeger table and screened
-per block in floats with a proven rounding margin; only a pattern inside the
-margin meets the exact integer screen, and each survivor is decided by an
-exact integer max-flow that leaves a certificate: a witness for each pair, a
+per block exactly, by integer ranks of the screen's bounds fixed once per
+graph; no float decides a pattern. Each survivor is decided by an exact
+integer max-flow that leaves a certificate: a witness for each pair, a
 reason for each rejected pattern, both checked in linear time by
 ``check_certificate_1lap``.
 """
@@ -33,8 +33,8 @@ from . import cheeger as _cheeger
 from .graph import (BalanceState, GraphError, SignedGraph, _exponent, balance_state, components,
                     induced_subgraph)
 from .operators import (
-    OneLapWitness, _delta, _edge_diffs, _eigen_terms, _pattern_lambda, _prefilter_lambda_box,
-    _quotient, _residual, phi_p, rayleigh,
+    OneLapWitness, _delta, _edge_diffs, _eigen_terms, _pattern_lambda, _quotient, _residual,
+    phi_p, rayleigh,
 )
 
 __all__ = [
@@ -316,86 +316,49 @@ class OneLapEigenSet:
     rejections: tuple[tuple[tuple[int, ...], tuple], ...] = field(compare=False, repr=False)
 
 
-def _column_max(where, vals, fill):
-    """Per column, the max of vals where ``where`` holds (fill elsewhere) and its row."""
-    v = np.where(where, vals, fill)
-    i = v.argmax(axis=0)
-    return v[i, np.arange(v.shape[1])], i
-
-
 def _screened_blocks(g: SignedGraph):
-    """Yields ``(t, rejected, passed, x, y)`` per block t of
-    ``cheeger._labelings(g.n)``: the screen of ``_prefilter_lambda_box`` in one
-    numpy pass. A rejected column fails it at ``("screen", x, y)``, a passed
-    one passes it, and any other is left to it.
+    """Yields ``(t, rejected, x, y)`` per block t of ``cheeger._labelings(g.n)``:
+    the lambda-box screen of every column, decided exactly. A column is
+    rejected, at ``("screen", x, y)``, when lo_x / mu_x > hi_y / mu_y for
+    support vertices x and y (see ``check_certificate_1lap``); x has the
+    largest lo_x / mu_x and y the least hi_y / mu_y.
 
-    At a support vertex x of degree d the screen's bounds are hi = kappa_x +
-    W_x and lo = hi - 2 F_x, with W_x and F_x the weight of the edges and of
-    the free edges at x. Where F_x = 0 (a float sum of positive weights is 0
-    only then), lo = hi and the exact rank of hi / mu_x decides. Elsewhere a
-    float bound a, lo / mu_x or hi / mu_x, decides with the margin
-    M = (4d + 8) u fl(S / mu_x) + 2^-1020, where S = |kappa_x| + W_x, u = 2^-53.
-    Proof, with gamma_k = k u / (1 - k u) and eta = 2^-1075 for an underflowed
-    product or quotient (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., SIAM 2002, ch. 3-4): hi and F are sums of at most
-    d + 1 terms of absolute sum S, so err by gamma_d S in any order, and lo
-    by gamma_(3d+1) S; a then errs by E = gamma_(3d+2) S / mu_x + eta, and
-    |a| <= (1 + gamma_(3d+2)) S / mu_x + eta. A test rounds a -+ M once more,
-    by u (|a| + M), and outward on overflow, so fl(a - M) <= a_exact <=
-    fl(a + M) once (1 - u) M >= E + u |a|, which is at most
-    gamma_(3d+3) S / mu_x + 2 eta. M, computed in that order, is at least
-    (1 - u)((4d + 8) u (1 - gamma_(d+2)) S / mu_x + 2^-1021), and
-    (1 - u)^2 (4d + 8)(1 - gamma_(d+2)) >= (3d + 3)(1 + gamma_(3d+3)). The
-    proof assumes no overflow: a column whose bound or margin is not finite
-    at a support vertex is not decided in floats. Sums are elementwise adds,
-    not a float matmul."""
+    On ``g.scaled_ints``, hi_x = kappa_x + W_x and lo_x = hi_x - 2 F_x, with
+    W_x and F_x the weight of the edges and of the free edges at x. F_x is
+    one of the subset sums of x's edge weights, so all bounds are ranked
+    once, in Python ints, by ``cheeger._ranks`` (their denominators are at
+    most max mu); a block looks up each lo_x by the bits of x's free edges,
+    and integer compares decide every column."""
     n = g.n
     # slot k of vertex x: its k-th edge, or the edge past the last, whose sigma 0 is never free
-    slots = [[] for _ in range(n)]
-    for e, (u, v, _, _) in enumerate(g.edges):
-        slots[u].append(e)
-        slots[v].append(e)
-    deg = [len(s) for s in slots]
-    slot = np.array([s + [len(g.edges)] * (max(deg) - len(s)) for s in slots],
+    slots = [[e for e, (u, v, _, _) in enumerate(g.edges) if x in (u, v)] for x in range(n)]
+    width = max(map(len, slots))
+    slot = np.array([s + [len(g.edges)] * (width - len(s)) for s in slots],
                     np.intp).reshape(n, -1)
     eu, ev = np.append(g.eu, 0), np.append(g.ev, 0)
-    sigma, w = np.append(g.es, 0).astype(np.int8)[:, None], np.append(g.ew, 0.0)[slot]
-    mu_i, kappa_i, _, adj = g.scaled_ints
-    ratios = [Fraction(k + sum(e[1] for e in a), m) for m, k, a in zip(mu_i, kappa_i, adj)]
-    order = sorted(set(ratios))
-    rank = np.array([order.index(r) for r in ratios], float)[:, None]  # of hi / mu, exactly
-    mu, kappa = g.mu_array()[:, None], g.kappa_array()[:, None]
-    total = g.weighted_degrees()[:, None]
-    hi = kappa + total
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_hi = hi / mu
-        margin = (4.0 * np.array(deg, float)[:, None] + 8.0) * 2.0**-53
-        margin *= (np.abs(kappa) + total) / mu
-        margin += 2.0**-1020
-        overflow = ~np.isfinite(a_hi + margin)
-        # negated, so that a column max finds the least a_hi + M and a_hi - M
-        neg_up, neg_down = -(a_hi + margin), margin - a_hi
+    sigma = np.append(g.es, 0).astype(np.int8)[:, None]
+    # lo_of[x << width | c]: the rank of lo_x / mu_x where the slots in the
+    # bits of c are free; lo_of[n << width] = -1, below every rank, is off
+    # the support; hi_of[x] is the rank at c = 0, hi_of[n] above every rank
+    mu, kappa, _, adj = g.scaled_ints
+    nums = []
+    for kap, a in zip(kappa, adj):
+        sums = [0]  # sums[c]: the weight of the slots in the bits of c (padding weighs 0)
+        for w in [w for _, w, _ in a] + [0] * (width - len(a)):
+            sums += [s + w for s in sums]
+        nums += [kap + sums[-1] - 2 * s for s in sums]
+    dens = [m for m in mu for _ in range(1 << width)]
+    lo_of = np.append(_cheeger._ranks(nums, dens, max(mu)), -1)
+    hi_of = np.append(lo_of[:-1:1 << width], len(nums))
+    start = (np.arange(n) << width)[:, None]
     for t, _, _ in _cheeger._labelings(n):
-        sup = t.astype(bool)
         # t_u sigma t_v is 1 exactly on a free edge, else 0 or -1: clipped at 0, a bool array
         free = np.maximum(t[eu] * sigma * t[ev], 0).view(bool)
-        a_lo = np.zeros(t.shape)  # F_x, then a_lo
-        for k in range(slot.shape[1]):
-            np.add(a_lo, w[:, k, None], out=a_lo, where=free[slot[:, k]])
-        tied = sup & (a_lo == 0)
-        (r_top, xr), (r_bottom, yr) = _column_max(tied, rank, -1.0), _column_max(sup, -rank, -n)
-        by_rank = r_top > -r_bottom
-        with np.errstate(over="ignore", invalid="ignore"):
-            a_lo *= -2
-            a_lo += hi
-            a_lo /= mu
-            finite = ~(sup & (overflow | ~np.isfinite(a_lo))).any(axis=0)
-            passed = ~by_rank & finite & (_column_max(sup & ~tied, a_lo + margin, -np.inf)[0]
-                                          <= -_column_max(sup, neg_down, -np.inf)[0])
-            lo_top, x = _column_max(sup, a_lo - margin, -np.inf)
-            hi_bottom, y = _column_max(sup, neg_up, -np.inf)
-            rejected = by_rank | finite & (lo_top > -hi_bottom)
-        yield t, rejected, passed, np.where(by_rank, xr, x), np.where(by_rank, yr, y)
+        code = np.where(t != 0, start, n << width)
+        for k in range(width):
+            np.add(code, 1 << k, out=code, where=free[slot[:, k]])
+        lo, hi = lo_of[code], hi_of[code >> width]
+        yield t, lo.max(axis=0) > hi.min(axis=0), lo.argmax(axis=0), hi.argmin(axis=0)
 
 
 def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
@@ -404,11 +367,9 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
 
     Scans the sign patterns up to global negation in the int8 blocks of
     ``cheeger._labelings``, which also drive the Cheeger table, and screens
-    each block in floats with a proven rounding margin (``_screened_blocks``):
-    a pattern outside the margin is rejected there by a screen pair, or
-    passed, and only one inside it meets the exact integer screen
-    ``_prefilter_lambda_box``. The survivors are thus those of the exact
-    screen, and only they loop in Python, each decided by an exact max-flow.
+    each block exactly by integer ranks of its bounds (``_screened_blocks``):
+    a pattern is rejected there by a screen pair, or survives. Only the
+    survivors loop in Python, each decided by an exact max-flow.
     A pattern admits at most one lambda, so a pair is one (lambda, pattern).
     Each scanned pattern keeps its certificate, which
     ``check_certificate_1lap`` checks: a pair its witness, any other pattern
@@ -423,16 +384,14 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
     pairs: list[OneLapPair] = []
     rejections = []
     scanned = solved = 0
-    for t, rejected, passed, x, y in _screened_blocks(g):
+    for t, rejected, x, y in _screened_blocks(g):
         scanned += t.shape[1]
         rejections += zip(zip(*t[:, rejected].tolist()),
                           zip(repeat("screen"), x[rejected].tolist(), y[rejected].tolist()))
-        rest = ~rejected
-        for pattern, ok in zip(zip(*t[:, rest].tolist()), passed[rest].tolist()):
-            cert = None if ok else _prefilter_lambda_box(g, pattern)
-            if cert is None:
-                solved += 1
-                cert = _pattern_lambda(g, pattern)
+        rest = t[:, ~rejected]
+        solved += rest.shape[1]
+        for pattern in zip(*rest.tolist()):
+            cert = _pattern_lambda(g, pattern)
             if isinstance(cert, OneLapWitness):
                 pairs.append(OneLapPair(lam=cert.lam, f=pattern, witness=cert))
             else:

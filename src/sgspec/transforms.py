@@ -10,6 +10,7 @@ through the surgery it runs.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,16 +107,24 @@ def interlacing_check_p2(g: SignedGraph, surgery_sequence, tol: float = 1e-9) ->
     lambda_k <= eta_k <= lambda_{k+1}. A trailing cumulative check
     lambda_k <= eta_k <= lambda_{k+m} is added when the sequence removes
     m nodes and nothing else. Each graph's spectrum is computed once: a
-    step's eta is the next step's lambda.
+    step's eta is the next step's lambda. A step of another shape raises
+    GraphError naming its index.
     """
     cur = g
     lam0 = lam = spectrum_p2(g).values
     steps = []
-    all_nodes = True
     nodes_removed = 0
-    for step in surgery_sequence:
-        if step["kind"] == "remove_edge":
-            all_nodes = False
+    for i, step in enumerate(surgery_sequence):
+        if not isinstance(step, Mapping):
+            raise GraphError(f"surgery step {i} must be a dict, got {step!r}")
+        kind = step.get("kind")
+        if kind not in ("remove_edge", "remove_node"):
+            raise GraphError(f"surgery step {i}: unknown surgery kind {kind!r}")
+        missing = [k for k in (("edge", "f") if kind == "remove_edge" else ("node",))
+                   if k not in step]
+        if missing:
+            raise GraphError(f"surgery step {i}: {kind} needs {' and '.join(missing)}")
+        if kind == "remove_edge":
             # remove_edge checks f, and that it is nonzero at both ends
             res = remove_edge(cur, 2.0, step["f"], step["edge"])
             x0, y0 = sorted(step["edge"])
@@ -127,22 +136,18 @@ def interlacing_check_p2(g: SignedGraph, surgery_sequence, tol: float = 1e-9) ->
             padded = np.concatenate(([-np.inf], eta, [np.inf]))
             checks = _bracket(padded[shift:], lam, padded[shift + 1:], tol)
             case = "negative-product" if prod < 0 else "positive-product"
-        elif step["kind"] == "remove_node":
+        else:
             nodes_removed += 1
             res = remove_node(cur, step["node"], step.get("f"))
             eta = spectrum_p2(res.graph).values
             checks = _bracket(lam, eta, lam[1:], tol)
             case = "node"
-        else:
-            raise GraphError(f"unknown surgery kind {step['kind']!r}")
-        steps.append(
-            {"kind": step["kind"], "case": case, "checks": checks,
-             "all_pass": all(c["pass"] for c in checks)}
-        )
+        steps.append({"kind": kind, "case": case, "checks": checks,
+                      "all_pass": all(c["pass"] for c in checks)})
         cur, lam = res.graph, eta
 
     report = {"steps": steps, "all_pass": all(s["all_pass"] for s in steps)}
-    if all_nodes and nodes_removed > 0 and cur.n > 0:
+    if nodes_removed == len(steps) > 0 and cur.n > 0:
         m = nodes_removed
         cum = _bracket(lam0, lam, lam0[m:], tol)
         report["cumulative_node_check"] = {"m": m, "checks": cum,

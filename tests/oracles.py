@@ -343,6 +343,40 @@ def cheeger_k_sequential(g: SignedGraph, k: int) -> CheegerResult:
     )
 
 
+def prefilter_lambda_box(g: SignedGraph, f) -> tuple | None:
+    """The lambda-box screen of a {-1, 0, +1} pattern ``f``, one pattern at a
+    time (the library screens whole blocks by exact ranks): the rejection
+    ``("screen", x, y)`` naming a violating pair of vertices, or None if it
+    holds.
+
+    For each support vertex x the inclusion pins lambda to an interval
+    [lo_x / mu_x, hi_x / mu_x] of achievable normalized flux; the intervals
+    must intersect. The bounds are ``g.scaled_ints`` sums, compared exactly
+    by cross-multiplication (mu > 0).
+    """
+    mu, kappa, _, adj = g.scaled_ints
+    lo_max = hi_min = None  # (flux, mu, x) of the largest lower / smallest upper end
+    for x, fx in enumerate(f):
+        if fx == 0:
+            continue
+        lo = hi = kappa[x] * fx  # z_x = sign(f_x) determined
+        for y, w, s in adj[x]:
+            # z_xy = sign(d) is determined unless d = 0, where it spans [-1, 1]
+            d = fx - s * f[y]
+            lo += w if d > 0 else -w
+            hi += w if d >= 0 else -w
+        # lambda * mu_x * sign(f_x) must equal the flux
+        if fx < 0:
+            lo, hi = -hi, -lo
+        if lo_max is None or lo * lo_max[1] > lo_max[0] * mu[x]:
+            lo_max = (lo, mu[x], x)
+        if hi_min is None or hi * hi_min[1] < hi_min[0] * mu[x]:
+            hi_min = (hi, mu[x], x)
+        if lo_max[0] * hi_min[1] > hi_min[0] * lo_max[1]:
+            return "screen", lo_max[2], hi_min[2]
+    return None
+
+
 def one_lap_lambda_range_lp(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]]:
     """All lambda for which (lambda, f) satisfies the 1-Laplacian inclusion,
     by three exact LPs on ``sgspec.simplex`` (the library decides this by

@@ -56,6 +56,22 @@ class TestSpectrum:
         doc = json.loads(out)
         assert doc["smallest_positive"] == "3/4"
 
+    @pytest.mark.parametrize("one_vertex", [True, False], ids=("one-vertex", "p3"))
+    def test_p1_keys_match_onelap(self, capsys, tmp_path, p3_file, one_vertex):
+        gfile = tmp_path / "one.json"
+        gfile.write_text('{"vertices": [{"id": "a"}], "edges": []}')
+        graph = str(gfile) if one_vertex else p3_file
+        code, out, _ = run(capsys, "spectrum", "--graph", graph, "--p", "1")
+        assert code == 0
+        spec = json.loads(out)
+        code, out, _ = run(capsys, "onelap", "--graph", graph)
+        assert code == 0
+        onelap = json.loads(out)
+        assert set(spec) == {"eigenvalues", "lambda_1", "smallest_positive"}
+        assert spec == {key: onelap[key] for key in spec}
+        if one_vertex:
+            assert spec["smallest_positive"] is None
+
     def test_other_p_rejected(self, capsys, p3_file):
         code, _, err = run(capsys, "spectrum", "--graph", p3_file, "--p", "2.5")
         assert code == 2

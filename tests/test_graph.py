@@ -87,6 +87,23 @@ class TestConstruction:
         with pytest.raises(GraphError, match="signature"):
             SignedGraph.build(["a", "b"], [("a", "b", 1.0, 0)])
 
+    @pytest.mark.parametrize("edges, mu, match", [
+        ([("a", "b", "x", 1)], 1.0, "edge weight"),
+        ([("a", "b", 1.0)], 1.0, "tuple"),
+        ([], ["q"], "mu"),
+        ([], {"a": None}, "mu"),
+        ([("a", "b", 1.0, 1.5)], 1.0, "signature"),
+        ([("a", "b", 1.0, "-1")], 1.0, "signature"),
+        ([("a", "b", 1.0, "x"), ("b", "a", 1.0, 1)], 1.0, "signature"),
+    ], ids=("text-weight", "three-tuple", "text-mu", "none-mu", "fractional-sigma", "text-sigma",
+            "parallel-text-sigma"))
+    def test_build_rejects_malformed_input(self, edges, mu, match):
+        with pytest.raises(GraphError, match=match):
+            SignedGraph.build(["a", "b"], edges, mu=mu)
+
+    def test_build_takes_any_real_scalar(self):
+        assert SignedGraph.build(["a", "b"], [], mu=np.int64(2)).mu == (2.0, 2.0)
+
     def test_index_lookup(self):
         g = path(3)
         assert g.index("v1") == 1

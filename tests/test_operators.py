@@ -13,7 +13,6 @@ from sgspec.operators import (
     EigenPair,
     OneLapWitness,
     _pattern_lambda,
-    _prefilter_lambda_box,
     apply_p_laplacian,
     check_certificate_1lap,
     check_eigenpair,
@@ -29,7 +28,7 @@ from sgspec.harness import random_signed_graph
 
 from oracles import (
     check_eigenpair_1lap_lp, nonzero_patterns, one_lap_lambda_range_lp, p_laplacian_oracle,
-    rayleigh_p2_oracle,
+    prefilter_lambda_box, rayleigh_p2_oracle,
 )
 from test_graph import complete, path, random_graph, triangle
 from test_spectra import repro_graph
@@ -445,7 +444,7 @@ class TestLambdaRange:
         with the LP answer ``lp``; return the kinds seen. A witness must
         also pass the fixed-lambda LP."""
         kinds = []
-        for cert in (_prefilter_lambda_box(g, pattern), _pattern_lambda(g, pattern)):
+        for cert in (prefilter_lambda_box(g, pattern), _pattern_lambda(g, pattern)):
             if cert is None:
                 continue
             assert check_certificate_1lap(g, pattern, cert), (g, pattern, cert)
@@ -645,7 +644,7 @@ class TestCertificateTamper:
         tried = 0
         for g in list(TestLambdaRange._corpus())[:6]:
             for pattern in nonzero_patterns(g.n):
-                cert = _prefilter_lambda_box(g, pattern)
+                cert = prefilter_lambda_box(g, pattern)
                 if cert is None:
                     continue
                 _, x, y = cert
@@ -672,7 +671,7 @@ class TestCertificateTamper:
         """One certificate of each shape that checks, by name: (g, f, cert)."""
         zero_g = SignedGraph.build(["x", "y1", "y2"], [("x", "y1", 1.5, 1), ("x", "y2", 1.5, -1),
                                                        ("y1", "y2", 2.0, -1)], mu=[64.0, 1.0, 1.0])
-        cases = {"screen": (path(3), (1, -1, 1), _prefilter_lambda_box(path(3), (1, -1, 1))),
+        cases = {"screen": (path(3), (1, -1, 1), prefilter_lambda_box(path(3), (1, -1, 1))),
                  "pins": (path(3), (1, -1, 1), ("pins", (0,), (1,))),
                  "witness": (path(3), (1, 1, 1), _pattern_lambda(path(3), (1, 1, 1))),
                  "zero-cut": (zero_g, (1, 0, 0), _pattern_lambda(zero_g, (1, 0, 0)))}

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from sgspec import spectra
 from sgspec.graph import GraphError, SignedGraph, parse_graph, switch, with_degree_measure
 from sgspec.harness import MODELS, random_signed_graph
-from sgspec.operators import (
-    OneLapWitness, _pattern_lambda, _prefilter_lambda_box, check_certificate_1lap,
-)
+from sgspec.operators import OneLapWitness, _pattern_lambda, check_certificate_1lap
 from sgspec.spectra import (
     extremal_p,
     form_matrix,
@@ -25,8 +23,8 @@ from sgspec.spectra import (
 )
 
 from oracles import (
-    check_eigenpair_1lap_lp, extremal_p_sequential, lockstep_gradient_reference, sym2_eigs,
-    sym3_eigs,
+    check_eigenpair_1lap_lp, extremal_p_sequential, lockstep_gradient_reference,
+    prefilter_lambda_box, sym2_eigs, sym3_eigs,
 )
 from test_graph import complete, path, random_graph, triangle
 
@@ -405,7 +403,7 @@ def _enumerate_per_pattern(g):
                 for tail in product((0, 1, -1), repeat=g.n - lead - 1))
     for pattern in patterns:
         scanned += 1
-        cert = _prefilter_lambda_box(g, pattern)
+        cert = prefilter_lambda_box(g, pattern)
         if cert is None:
             solved += 1
             cert = _pattern_lambda(g, pattern)
@@ -415,12 +413,12 @@ def _enumerate_per_pattern(g):
 
 
 def _screen_corpus():
-    """Graphs on which the block screen's rounding margin is tight or its
-    float bounds overflow or underflow: weights at and next to 1, decimal
-    weights that do not add exactly, weights and mu near the ends of the
-    float range, nonzero kappa, degree mu, the benchmark's repro graph, and
-    two graphs built to defeat a screen without its finiteness guard or
-    without the margin's absolute term."""
+    """Graphs on which a float screen's bounds round, overflow or underflow:
+    weights at and next to 1, decimal weights that do not add exactly,
+    weights and mu near the ends of the float range, nonzero kappa, degree
+    mu, the benchmark's repro graph, two graphs built to defeat a float
+    screen without a finiteness guard or without an absolute margin term,
+    and two whose bounds put the exact rank key at its bound."""
     rng = np.random.default_rng(2024)
     families = [
         ((1.0, 1 + 2.0**-52, 1 - 2.0**-52), (1.0,), (0.0,)),
@@ -455,26 +453,30 @@ def _screen_corpus():
     yield SignedGraph.build("xzwy", [("x", "z", tiny, 1), ("x", "w", 2 * tiny, 1),
                                      ("y", "w", tiny, 1)],
                             mu=[1e300, 1e300, 1.0, 1e300], kappa=[0.0, 0.0, 0.0, -tiny])
+    # mu = B and B - 1 with B = 2^40 the largest denominator, so the rank key
+    # is floor(v B^2). Where f_z = 0, the bounds (kappa + 1) / mu of x and y
+    # are equal in the first graph; in the second they are 1 / B and
+    # 1 / (B - 1), which differ by 1 / (B (B - 1)), just above 1 / B^2, and
+    # which floor(v B) would tie.
+    big = 2.0**40
+    for kappa in ([big - 1, big - 2], [0.0, 0.0]):
+        yield SignedGraph.build("xyz", [("x", "z", 1.0, 1), ("y", "z", 1.0, 1)],
+                                mu=[big, big - 1, 1.0], kappa=[*kappa, 0.0])
 
 
 class TestBlockScreen:
     def test_agrees_with_the_exact_screen(self):
-        # every block rejection is an exact one with a pair that checks,
-        # every block pass an exact pass; the rest meets the exact screen
+        # every column's block decision is the per-pattern screen's, and
+        # every block rejection names a pair that checks
         outcomes = Counter()
         for g in _screen_corpus():
-            for t, rejected, passed, x, y in spectra._screened_blocks(g):
-                cols = zip(zip(*t.tolist()), rejected.tolist(), passed.tolist(),
-                           x.tolist(), y.tolist())
-                for f, rej, ok, xf, yf in cols:
-                    exact = _prefilter_lambda_box(g, f)
+            for t, rejected, x, y in spectra._screened_blocks(g):
+                for f, rej, xf, yf in zip(zip(*t.tolist()), rejected.tolist(), x.tolist(),
+                                          y.tolist()):
+                    assert rej == (prefilter_lambda_box(g, f) is not None), (g, f)
                     if rej:
-                        assert exact is not None, (g, f)
                         assert check_certificate_1lap(g, f, ("screen", xf, yf)), (g, f)
-                    elif ok:
-                        assert exact is None, (g, f)
-                    outcomes["rejected" if rej else "passed" if ok else
-                             "exact rejects" if exact else "exact passes"] += 1
+                    outcomes["rejected" if rej else "passed"] += 1
         assert sum(outcomes.values()) >= 20000
         assert min(outcomes.values()) >= 100, outcomes
 

@@ -189,3 +189,14 @@ class TestInterlacing:
     def test_unknown_kind(self):
         with pytest.raises(GraphError, match="unknown surgery"):
             interlacing_check_p2(path(2), [{"kind": "shrink"}])
+
+    @pytest.mark.parametrize("step, match", [
+        ({"node": 0}, "surgery step 1: unknown surgery kind None"),
+        ({"kind": "remove_edge", "edge": (0, 1)}, "surgery step 1: remove_edge needs f"),
+        ({"kind": "remove_node"}, "surgery step 1: remove_node needs node"),
+        (("remove_node", 0), "surgery step 1 must be a dict"),
+        ("remove_node", "surgery step 1 must be a dict"),
+    ], ids=("no-kind", "edge-without-f", "node-without-node", "tuple", "str"))
+    def test_malformed_step(self, step, match):
+        with pytest.raises(GraphError, match=match):
+            interlacing_check_p2(path(4), [{"kind": "remove_node", "node": 3}, step])
