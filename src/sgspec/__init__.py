@@ -23,6 +23,7 @@ from .operators import (
     check_certificate_1lap,
     check_eigenpair,
     check_eigenpair_1lap,
+    check_screen_1lap,
     one_lap_lambda_range,
     phi_p,
     rayleigh,

@@ -10,6 +10,8 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from . import cheeger as _cheeger
 from .graph import (
     GraphError,
@@ -21,7 +23,7 @@ from .graph import (
 )
 from .harness import SuiteConfig, random_signed_graph, run_suite
 from .nodal import nodal_quantities
-from .operators import check_certificate_1lap
+from .operators import check_certificate_1lap, check_screen_1lap
 from .spectra import extremal_p, one_lap_enumerate, spectrum_p2
 from .transforms import remove_edge, remove_node
 
@@ -137,6 +139,17 @@ def _cmd_cheeger(args) -> int:
     return 0
 
 
+def _covers_every_pattern(n: int, blocks) -> bool:
+    """Whether the columns of the blocks are the (3**n - 1) / 2 sign patterns
+    led by +1, each once: entries in {-1, 0, 1}, the first nonzero one +1,
+    and distinct base-3 codes."""
+    if any(len(t) != n or not np.isin(t, (-1, 0, 1)).all()
+           or (t[(t != 0).argmax(axis=0), np.arange(t.shape[1])] != 1).any() for t in blocks):
+        return False
+    codes = np.concatenate([3 ** np.arange(n) @ (t + 1) for t in blocks])
+    return codes.size == (3**n - 1) // 2 == np.unique(codes).size
+
+
 def _cmd_onelap(args) -> int:
     g = _load_graph(args.graph)
     ols = one_lap_enumerate(g)
@@ -156,20 +169,19 @@ def _cmd_onelap(args) -> int:
             if p.witness.lam != p.lam or not check_certificate_1lap(g, p.f, p.witness):
                 print(f"re-verification failed for lambda={p.lam}", file=sys.stderr)
                 return 1
-        for f, cert in ols.rejections:
-            if not check_certificate_1lap(g, f, cert):
-                print(f"rejection of pattern {f} failed its check", file=sys.stderr)
-                return 1
-        # distinct patterns, each with first nonzero entry +1, as many as
-        # there are such patterns: every pattern is accounted for
-        patterns = {p.f for p in ols.pairs} | {f for f, _ in ols.rejections}
-        if (len(patterns) != len(ols.pairs) + len(ols.rejections)
-                or len(patterns) != (3 ** g.n - 1) // 2
-                or any(len(f) != g.n or not set(f) <= {-1, 0, 1}
-                       or next((t for t in f if t), 0) != 1 for f in patterns)):
+        bad = [f for f, cert in ols.rejections if not check_certificate_1lap(g, f, cert)]
+        for t, x, y in ols.screened:
+            bad += map(tuple, t[:, ~check_screen_1lap(g, t, x, y)].T.tolist())
+        if bad:
+            print(f"rejection of pattern {bad[0]} failed its check", file=sys.stderr)
+            return 1
+        blocks = [np.array([p.f for p in ols.pairs] + [f for f, _ in ols.rejections]).T,
+                  *(t for t, _, _ in ols.screened)]
+        if not _covers_every_pattern(g.n, blocks):
             print("the certificates do not cover every sign pattern", file=sys.stderr)
             return 1
-        doc["verified"] = {"pairs": len(ols.pairs), "rejections": len(ols.rejections)}
+        doc["verified"] = {"pairs": len(ols.pairs),
+                           "rejections": sum(t.shape[1] for t in blocks) - len(ols.pairs)}
     _emit(doc, args.format)
     return 0
 

@@ -217,6 +217,8 @@ class SignedGraph:
 
         def per_vertex(spec, name, default):
             if isinstance(spec, Mapping):
+                if unknown := [key for key in spec if key not in idx]:
+                    raise GraphError(f"{name} names {unknown[0]!r}, which is no vertex")
                 spec = [spec.get(vid, default) for vid in ids]
             elif isinstance(spec, numbers.Real):
                 spec = [spec] * len(ids)

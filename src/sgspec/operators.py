@@ -16,7 +16,8 @@ out (two conflicting pins, or a cut from Hoffman's circulation theorem; the
 block screen of ``spectra`` rejects by a screen pair before any flow runs).
 ``check_certificate_1lap`` checks one in linear time and in integers,
 independently of the flow (certifying algorithms: McConnell, Mehlhorn,
-Naeher & Schweitzer, Comput. Sci. Rev. 5(2), 2011).
+Naeher & Schweitzer, Comput. Sci. Rev. 5(2), 2011); ``check_screen_1lap``,
+which it calls for a screen pair, checks a whole block of them at once.
 ``check_eigenpair_1lap`` decides a given (lambda, f) by the same checked
 max-flow; :mod:`sgspec.simplex` decides nothing here, and remains only as
 the test oracles' independent LP and for the benchmark.
@@ -46,6 +47,7 @@ __all__ = [
     "one_lap_lambda_range",
     "OneLapWitness",
     "check_certificate_1lap",
+    "check_screen_1lap",
 ]
 
 _TINY = 1e-300
@@ -204,10 +206,10 @@ def check_eigenpair(g: SignedGraph, pair: EigenPair, tol: float = 1e-9) -> Resid
 # (f_u = sigma f_v != 0) leaves; summing sgn(f_x) times the inclusion over C
 # cancels the free edges inside C, so lambda mu(C) = sum over C of sgn_x c_x.
 # A rejection is a plain tuple (kind, first, second), described in
-# ``check_certificate_1lap``. one_lap_enumerate keeps one for nearly every
-# pattern, and the garbage collector stops tracking a plain tuple of ints
-# and strings, but never a class instance or a NamedTuple; at n = 11 the
-# tracked ones cost it 10% in collections.
+# ``check_certificate_1lap``. one_lap_enumerate keeps one for each pattern
+# that meets the max-flow (the screen's rejections stay int8 blocks), and
+# the garbage collector stops tracking a plain tuple of ints and strings,
+# but never a class instance or a NamedTuple.
 
 
 class OneLapWitness(NamedTuple):
@@ -418,7 +420,7 @@ def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
     vertex index, a count or a z must be a Python int, a vertex set or a pi
     a tuple of them.
     """
-    mu, kappa, edges, adj = g.scaled_ints
+    mu, kappa, edges, _ = g.scaled_ints
     n = len(mu)
     # its own check of f, not graph._function: it shares no code with what
     # it checks, and it runs once per pattern, where lists are cheaper
@@ -433,19 +435,9 @@ def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
         return False
 
     if not witness and cert[0] == "screen":
-        def box(v: int) -> tuple[int, int]:
-            # sgn(f_v) times the flux that Sgn allows at v
-            fixed, free = kappa[v], 0
-            for y, w, s in adj[v]:
-                if f[v] == s * f[y]:
-                    free += w
-                else:
-                    fixed += w if (f[v] > s * f[y]) == (f[v] > 0) else -w
-            return fixed - free, fixed + free
-
         _, x, y = cert
-        return (type(x) is type(y) is int and 0 <= x < n and 0 <= y < n and f[x] != 0
-                and f[y] != 0 and box(x)[0] * mu[y] > box(y)[1] * mu[x])
+        return (type(x) is type(y) is int and 0 <= x < n and 0 <= y < n
+                and bool(check_screen_1lap(g, np.array(f)[:, None], [x], [y])[0]))
 
     sgn = [(x > 0) - (x < 0) for x in f]
     # the sign of f_u - sigma f_v on each edge: z_uv, or 0 where z_uv is free
@@ -515,6 +507,40 @@ def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
                        if not (sgn[u] or sgn[v]))
         return excess > b * capacity
     return False
+
+
+def check_screen_1lap(g: SignedGraph, t, x, y) -> np.ndarray:
+    """Whether ``("screen", x[j], y[j])`` checks for each column j of the (n, m)
+    array t (see ``check_certificate_1lap``), read only through the signs of
+    t_x and t_u - sigma t_v. lo_x and hi_y are summed from ``g.scaled_ints``,
+    not from the ranks of ``spectra._screened_blocks``, and compared as
+    lo_x mu_y > hi_y mu_x, mu over its gcd and kappa and w over theirs: in
+    int64 when every product fits, else in Python ints (dtype object)."""
+    mu, kappa, edges, adj = g.scaled_ints
+    n, t = len(mu), np.asarray(t)
+    if t.ndim != 2 or len(t) != n:
+        raise GraphError(f"sign patterns have shape {t.shape}, expected ({n}, m)")
+    w = [e[2] for e in edges]
+    dm, dk = math.gcd(*mu), math.gcd(*kappa, *w) or 1  # 0 without edges and kappa
+    reach = max(abs(k) + sum(e[1] for e in a) for k, a in zip(kappa, adj)) // dk
+    dtype = np.int64 if reach * (max(mu) // dm) < 2**62 else object
+    mu, kappa, w = (np.array([v // d for v in vals], dtype)
+                    for vals, d in ((mu, dm), (kappa, dk), (w, dk)))
+    x, y, cols = np.asarray(x), np.asarray(y), np.arange(t.shape[1])
+    ok = (0 <= x) & (x < n) & (0 <= y) & (y < n)
+    x, y = np.where(ok, x, 0), np.where(ok, y, 0)
+    sgn, sigma = np.sign(t).astype(np.int8), g.es.astype(np.int8)[:, None]
+    ok &= (sgn[x, cols] != 0) & (sgn[y, cols] != 0)
+    tu, tv = t[g.eu], sigma * t[g.ev]
+    d = (tu > tv).astype(np.int8) - (tu < tv)  # z_uv, or 0 where it is free
+    # sgn(t) times z at each end of an edge (z_vu = -sigma z_uv), and the free edges
+    at_u, at_v, free = sgn[g.eu] * d, -sigma * sgn[g.ev] * d, d == 0
+
+    def bound(z, free_z: int):  # sgn(t_z) times the flux at z, each free z at free_z
+        on_u, on_v = g.eu[:, None] == z, g.ev[:, None] == z
+        return kappa[z] + w @ (on_u * at_u + on_v * at_v + free_z * ((on_u | on_v) & free))
+
+    return ok & (bound(x, -1) * mu[y] > bound(y, 1) * mu[x])
 
 
 def one_lap_lambda_range(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]]:

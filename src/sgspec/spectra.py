@@ -15,17 +15,16 @@ Jacobian. Neither loop calls a public operator. Every reported
 pair is re-certified by its eigen-residual. For p = 1 candidates are the
 +-1/0 patterns, scanned in the int8 blocks of the Cheeger table and screened
 per block exactly, by integer ranks of the screen's bounds fixed once per
-graph; no float decides a pattern. Each survivor is decided by an exact
-integer max-flow that leaves a certificate: a witness for each pair, a
-reason for each rejected pattern, both checked in linear time by
-``check_certificate_1lap``.
+graph; no float decides a pattern, and its rejections stay int8 blocks for
+``check_screen_1lap``. Each survivor is decided by an exact integer max-flow
+that leaves a certificate (a witness for a pair, else the reason), checked
+in linear time by ``check_certificate_1lap``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 
@@ -311,9 +310,12 @@ class OneLapEigenSet:
     smallest_positive: Fraction | None
     patterns_scanned: int
     patterns_solved: int
-    # every scanned pattern that is not a pair, with the reason (a rejection
+    # every solved pattern that is not a pair, with the reason (a rejection
     # tuple; see check_certificate_1lap)
     rejections: tuple[tuple[tuple[int, ...], tuple], ...] = field(compare=False, repr=False)
+    # the screen's rejections, one (t, x, y) per block: int8 columns t, and
+    # ("screen", x[j], y[j]) rejects column j (see check_screen_1lap)
+    screened: tuple[tuple[np.ndarray, ...], ...] = field(compare=False, repr=False)
 
 
 def _screened_blocks(g: SignedGraph):
@@ -371,9 +373,10 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
     a pattern is rejected there by a screen pair, or survives. Only the
     survivors loop in Python, each decided by an exact max-flow.
     A pattern admits at most one lambda, so a pair is one (lambda, pattern).
-    Each scanned pattern keeps its certificate, which
-    ``check_certificate_1lap`` checks: a pair its witness, any other pattern
-    the reason it was rejected.
+    Each scanned pattern keeps its certificate: the screen's rejections by
+    block in ``screened``, for ``check_screen_1lap``; every solved pattern
+    one for ``check_certificate_1lap``, a pair its witness, any other
+    pattern in ``rejections`` the reason it was rejected.
     """
     if g.n > ONE_LAP_CAP:
         raise GraphError(
@@ -382,12 +385,11 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
     if g.n == 0:
         raise GraphError("one_lap_enumerate needs at least one vertex")
     pairs: list[OneLapPair] = []
-    rejections = []
+    rejections, screened = [], []
     scanned = solved = 0
     for t, rejected, x, y in _screened_blocks(g):
         scanned += t.shape[1]
-        rejections += zip(zip(*t[:, rejected].tolist()),
-                          zip(repeat("screen"), x[rejected].tolist(), y[rejected].tolist()))
+        screened.append((t[:, rejected], x[rejected], y[rejected]))
         rest = t[:, ~rejected]
         solved += rest.shape[1]
         for pattern in zip(*rest.tolist()):
@@ -414,6 +416,7 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
         patterns_scanned=scanned,
         patterns_solved=solved,
         rejections=tuple(rejections),
+        screened=tuple(screened),
     )
 
 

@@ -61,11 +61,10 @@ def p_laplacian_oracle(g: SignedGraph, p: float, f) -> list[float]:
 
 
 def _closure(mat: np.ndarray) -> np.ndarray:
-    """Boolean transitive closure by Floyd-Warshall."""
-    m = mat.copy()
-    n = m.shape[0]
-    for k in range(n):
-        m |= np.outer(m[:, k], m[k, :])
+    """Boolean transitive closure of a reflexive matrix, by squaring until it is stable."""
+    m = mat
+    while not np.array_equal(m, m2 := m @ m):
+        m = m2
     return m
 
 

@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sgspec import cli, operators, spectra
 from sgspec.cli import main
+from sgspec.operators import check_screen_1lap
 from sgspec.graph import parse_graph, serialize_function, serialize_graph
 
 from test_graph import complete, path, triangle
@@ -179,6 +181,69 @@ class TestOnelap:
             return dataclasses.replace(ols, rejections=ols.rejections[1:])
 
         monkeypatch.setattr(cli, "one_lap_enumerate", one_dropped)
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
+        assert code == 1 and out == ""
+        assert "do not cover every sign pattern" in err
+
+    def test_verify_catches_a_missing_screened_pattern(self, capsys, p3_file, monkeypatch):
+        real = cli.one_lap_enumerate
+
+        def one_dropped(g):
+            ols = real(g)
+            (t, x, y), = ols.screened
+            return dataclasses.replace(ols, screened=((t[:, 1:], x[1:], y[1:]),))
+
+        monkeypatch.setattr(cli, "one_lap_enumerate", one_dropped)
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
+        assert code == 1 and out == ""
+        assert "do not cover every sign pattern" in err
+
+    def test_verify_catches_a_pair_screened_out_by_a_wrong_pair(self, capsys, p3_file,
+                                                                monkeypatch):
+        # (1, 1, 1) is a pair at lambda = 0; marked rejected at (0, 0), it
+        # goes missing from the pairs, and its screen pair does not check
+        real = spectra._screened_blocks
+
+        def forged(g):
+            for t, rejected, x, y in real(g):
+                j = (t.T == (1, 1, 1)).all(axis=1).argmax()
+                assert tuple(t[:, j]) == (1, 1, 1) and not rejected[j]
+                rejected[j], x[j], y[j] = True, 0, 0
+                yield t, rejected, x, y
+
+        monkeypatch.setattr(spectra, "_screened_blocks", forged)
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
+        assert code == 1 and out == ""
+        assert "rejection of pattern (1, 1, 1) failed its check" in err
+
+    @staticmethod
+    def _duplicated(t, x, y):
+        # the first column twice, in place of the last: as many columns as before
+        j = np.r_[0, :t.shape[1] - 1]
+        return t[:, j], x[j], y[j]
+
+    @staticmethod
+    def _entry_two(t, x, y):
+        # (1, -1, 2): z has no free edge in (1, -1, 1), so its screen pair still checks
+        t = t.copy()
+        t[2, (t.T == (1, -1, 1)).all(axis=1).argmax()] = 2
+        return t, x, y
+
+    @pytest.mark.parametrize("tamper", [
+        _duplicated, lambda t, x, y: (np.hstack((t[:, :1], -t[:, 1:])), x, y), _entry_two,
+    ], ids=("duplicated", "led-by-minus-one", "entry-two"))
+    def test_verify_catches_a_screened_column_off_the_patterns(self, capsys, p3_file,
+                                                               monkeypatch, tamper):
+        real = cli.one_lap_enumerate
+
+        def tampered(g):
+            ols = real(g)
+            (t, x, y), = ols.screened
+            t, x, y = tamper(t, x, y)
+            assert check_screen_1lap(g, t, x, y).all()  # so only the coverage check can fail
+            return dataclasses.replace(ols, screened=((t, x, y),))
+
+        monkeypatch.setattr(cli, "one_lap_enumerate", tampered)
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
         assert code == 1 and out == ""
         assert "do not cover every sign pattern" in err

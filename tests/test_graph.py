@@ -101,6 +101,14 @@ class TestConstruction:
         with pytest.raises(GraphError, match=match):
             SignedGraph.build(["a", "b"], edges, mu=mu)
 
+    @pytest.mark.parametrize("spec", [{"mu": {"b": 5.0}}, {"kappa": {"A": 2.0}}],
+                             ids=("mu", "kappa"))
+    def test_build_rejects_a_key_that_names_no_vertex(self, spec):
+        (name, mapping), = spec.items()
+        key, = mapping
+        with pytest.raises(GraphError, match=rf"{name} names {key!r}"):
+            SignedGraph.build(["a"], [], **spec)
+
     def test_build_takes_any_real_scalar(self):
         assert SignedGraph.build(["a", "b"], [], mu=np.int64(2)).mu == (2.0, 2.0)
 

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -17,6 +18,7 @@ from sgspec.operators import (
     check_certificate_1lap,
     check_eigenpair,
     check_eigenpair_1lap,
+    check_screen_1lap,
     eigen_residual,
     one_lap_lambda_range,
     phi_p,
@@ -24,6 +26,8 @@ from sgspec.operators import (
 )
 
 from sgspec import simplex
+from sgspec.cheeger import _labelings
+from sgspec.graph import with_degree_measure
 from sgspec.harness import random_signed_graph
 
 from oracles import (
@@ -716,3 +720,54 @@ class TestCertificateTamper:
     def test_bad_function_rejected(self, f):
         with pytest.raises(GraphError):
             check_certificate_1lap(path(2), f, ("screen", 0, 1))
+
+
+class TestScreenChecker:
+    """``check_screen_1lap`` on whole blocks against the per-pattern screen
+    of the oracles: for every column, some (x, y) checks exactly when the
+    oracle rejects, and the oracle's (x, y) checks."""
+
+    @staticmethod
+    def _wide(g) -> bool:
+        # whether the checker takes Python ints (dtype object) on g
+        mu, kappa, edges, adj = g.scaled_ints
+        dk = math.gcd(*kappa, *(e[2] for e in edges)) or 1
+        reach = max(abs(k) + sum(e[1] for e in a) for k, a in zip(kappa, adj)) // dk
+        return reach * (max(mu) // math.gcd(*mu)) >= 2**62
+
+    _GRAPHS = {
+        "int64": lambda: random_signed_graph(6, 0.5, seed=2, connected=True),
+        "int64-kappa-mu": lambda: SignedGraph.build(
+            "abcde", [("a", "b", 1.0, 1), ("b", "c", 2.0, -1), ("c", "d", 3.0, 1),
+                      ("d", "e", 1.0, -1), ("a", "e", 2.0, 1), ("b", "d", 1.0, 1)],
+            mu=[1.0, 2.0, 1.0, 3.0, 1.0], kappa=[1.0, 0.0, -2.0, 0.0, 0.5]),
+        "object-repro": lambda: repro_graph()[0],
+        "object-degree-mu": lambda: with_degree_measure(
+            random_signed_graph(6, 0.5, seed=2, connected=True)),
+        "edgeless-zero-kappa": lambda: SignedGraph.build("abc", []),
+    }
+
+    @pytest.mark.parametrize("name", _GRAPHS)
+    def test_agrees_with_the_per_pattern_screen(self, name):
+        g = self._GRAPHS[name]()
+        assert self._wide(g) == name.startswith("object")
+        rejected = 0
+        for t, _, _ in _labelings(g.n):
+            m = t.shape[1]
+            checks = {(x, y): check_screen_1lap(g, t, np.full(m, x), np.full(m, y))
+                      for x in range(g.n) for y in range(g.n)}
+            for j, f in enumerate(zip(*t.tolist())):
+                cert = prefilter_lambda_box(g, f)
+                assert any(c[j] for c in checks.values()) == (cert is not None), (name, f)
+                if cert is not None:
+                    assert checks[cert[1:]][j], (name, f)
+                    rejected += 1
+        assert rejected >= 10 or name == "edgeless-zero-kappa"
+
+    def test_vertex_off_the_graph_or_the_support(self):
+        # (1, -1, 1): the middle pins lambda = 2, the ends lambda = 1
+        t = np.array([[1, 1], [-1, 0], [1, 1]], np.int8)
+        assert check_screen_1lap(path(3), t, [1, 1], [0, 0]).tolist() == [True, False]
+        assert not check_screen_1lap(path(3), t, [1, 1], [-3, 3]).any()
+        with pytest.raises(GraphError, match="shape"):
+            check_screen_1lap(path(3), t[:2], [1, 1], [0, 0])

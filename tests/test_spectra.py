@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from sgspec import spectra
 from sgspec.graph import GraphError, SignedGraph, parse_graph, switch, with_degree_measure
 from sgspec.harness import MODELS, random_signed_graph
-from sgspec.operators import OneLapWitness, _pattern_lambda, check_certificate_1lap
+from sgspec.operators import (OneLapWitness, _pattern_lambda, check_certificate_1lap,
+                              check_screen_1lap)
 from sgspec.spectra import (
     extremal_p,
     form_matrix,
@@ -379,7 +380,8 @@ class TestOneLapEnumerate:
         for _ in range(6):
             g = random_graph(rng, 5)
             ols = one_lap_enumerate(g)
-            patterns = [pr.f for pr in ols.pairs] + [f for f, _ in ols.rejections]
+            screened = [f for t, _, _ in ols.screened for f in zip(*t.tolist())]
+            patterns = [pr.f for pr in ols.pairs] + [f for f, _ in ols.rejections] + screened
             assert sorted(patterns) == sorted(
                 p for p in product((0, 1, -1), repeat=g.n) if next((t for t in p if t), 0) == 1)
             assert len(patterns) == ols.patterns_scanned
@@ -387,6 +389,7 @@ class TestOneLapEnumerate:
                 assert pr.witness.lam == pr.lam
                 assert check_certificate_1lap(g, pr.f, pr.witness)
             assert all(check_certificate_1lap(g, f, cert) for f, cert in ols.rejections)
+            assert all(check_screen_1lap(g, t, x, y).all() for t, x, y in ols.screened)
 
     def test_cap_enforced(self):
         g = SignedGraph.build([str(i) for i in range(13)], [])
@@ -471,12 +474,10 @@ class TestBlockScreen:
         outcomes = Counter()
         for g in _screen_corpus():
             for t, rejected, x, y in spectra._screened_blocks(g):
-                for f, rej, xf, yf in zip(zip(*t.tolist()), rejected.tolist(), x.tolist(),
-                                          y.tolist()):
+                for f, rej in zip(zip(*t.tolist()), rejected.tolist()):
                     assert rej == (prefilter_lambda_box(g, f) is not None), (g, f)
-                    if rej:
-                        assert check_certificate_1lap(g, f, ("screen", xf, yf)), (g, f)
                     outcomes["rejected" if rej else "passed"] += 1
+                assert check_screen_1lap(g, t[:, rejected], x[rejected], y[rejected]).all(), g
         assert sum(outcomes.values()) >= 20000
         assert min(outcomes.values()) >= 100, outcomes
 
@@ -494,7 +495,9 @@ class TestBlockScreen:
             assert sorted((pr.lam, pr.f) for pr in ols.pairs) == pairs
             assert list(ols.values) == values
             assert (ols.patterns_scanned, ols.patterns_solved) == (scanned, solved)
-            assert len(ols.rejections) == scanned - len(pairs)
+            screened = sum(t.shape[1] for t, _, _ in ols.screened)
+            assert screened == scanned - solved
+            assert len(ols.rejections) + screened == scanned - len(pairs)
 
     def test_empty_graph_refused_before_the_scan(self, monkeypatch):
         monkeypatch.setattr(spectra._cheeger, "_labelings", lambda n: pytest.fail("scanned"))
