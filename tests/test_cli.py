@@ -10,8 +10,8 @@ import pytest
 
 from sgspec import cli, operators, spectra
 from sgspec.cli import main
-from sgspec.operators import check_screen_1lap
 from sgspec.graph import parse_graph, serialize_function, serialize_graph
+from sgspec.operators import check_screen_1lap
 
 from test_graph import complete, path, triangle
 
