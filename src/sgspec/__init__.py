@@ -23,7 +23,9 @@ from .operators import (
     check_certificate_1lap,
     check_eigenpair,
     check_eigenpair_1lap,
+    check_pins_1lap,
     check_screen_1lap,
+    check_zero_cut_1lap,
     one_lap_lambda_range,
     phi_p,
     rayleigh,

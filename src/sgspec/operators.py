@@ -13,11 +13,14 @@ feasibility question, decided by an exact integer max-flow
 (``one_lap_lambda_range``). Each decision leaves a certificate: the flow, as
 a witness, when f admits lambda, and otherwise the inequality that rules f
 out (two conflicting pins, or a cut from Hoffman's circulation theorem; the
-block screen of ``spectra`` rejects by a screen pair before any flow runs).
-``check_certificate_1lap`` checks one in linear time and in integers,
-independently of the flow (certifying algorithms: McConnell, Mehlhorn,
-Naeher & Schweitzer, Comput. Sci. Rev. 5(2), 2011); ``check_screen_1lap``,
-which it calls for a screen pair, checks a whole block of them at once.
+block screen of ``spectra`` rejects by a screen pair, and its pin stage by
+two pins or a one-vertex zero cut, before any flow runs).
+``check_certificate_1lap`` checks one in integers, independently of the
+flow (certifying algorithms: McConnell, Mehlhorn, Naeher & Schweitzer,
+Comput. Sci. Rev. 5(2), 2011). A screen pair, two pins and a zero cut each
+have one checker, which takes a whole block of patterns at once
+(``check_screen_1lap``, ``check_pins_1lap``, ``check_zero_cut_1lap``);
+``check_certificate_1lap`` calls it on a block of one column.
 ``check_eigenpair_1lap`` decides a given (lambda, f) by the same checked
 max-flow; :mod:`sgspec.simplex` decides nothing here, and remains only as
 the test oracles' independent LP and for the benchmark.
@@ -48,6 +51,8 @@ __all__ = [
     "OneLapWitness",
     "check_certificate_1lap",
     "check_screen_1lap",
+    "check_pins_1lap",
+    "check_zero_cut_1lap",
 ]
 
 _TINY = 1e-300
@@ -207,9 +212,10 @@ def check_eigenpair(g: SignedGraph, pair: EigenPair, tol: float = 1e-9) -> Resid
 # cancels the free edges inside C, so lambda mu(C) = sum over C of sgn_x c_x.
 # A rejection is a plain tuple (kind, first, second), described in
 # ``check_certificate_1lap``. one_lap_enumerate keeps one for each pattern
-# that meets the max-flow (the screen's rejections stay int8 blocks), and
-# the garbage collector stops tracking a plain tuple of ints and strings,
-# but never a class instance or a NamedTuple.
+# that meets the max-flow; the rejections of the screen and of the pin
+# stage stay int8 blocks, with vertex sets as bool masks. The garbage
+# collector stops tracking a plain tuple of ints and strings, but never a
+# class instance or a NamedTuple.
 
 
 class OneLapWitness(NamedTuple):
@@ -388,10 +394,11 @@ def _ints(xs, length: int) -> bool:
 
 def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
     """Check the evidence that ``one_lap_enumerate`` keeps for the sign
-    pattern of ``f``, in linear time and in Python ints on
-    ``g.scaled_ints``, from g and f alone: it shares no code or state with
-    the max-flow that produced ``cert``. Vertices are indices into
-    ``g.ids``; c_x and pins are defined above ``OneLapWitness``.
+    pattern of ``f``, in linear time and in integers on ``g.scaled_ints``,
+    from g and f alone: it shares no code or state with the max-flow or the
+    pin stage that produced ``cert``. Vertices are indices into ``g.ids``;
+    c_x and pins are defined above ``OneLapWitness``. A screen pair, two
+    pins or a zero cut is checked by its block checker on one column.
 
     * ``OneLapWitness``: passes when every z lies in its Sgn interval,
       z_vu = -sigma z_uv, and every vertex balances to lambda mu_x Sgn(f_x).
@@ -434,10 +441,25 @@ def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
     if not witness and not (type(cert) is tuple and len(cert) == 3 and type(cert[0]) is str):
         return False
 
-    if not witness and cert[0] == "screen":
-        _, x, y = cert
-        return (type(x) is type(y) is int and 0 <= x < n and 0 <= y < n
-                and bool(check_screen_1lap(g, np.array(f)[:, None], [x], [y])[0]))
+    if not witness and cert[0] in ("screen", "pins", "zero-cut"):
+        kind, first, second = cert
+        col = np.array(f)[:, None]
+
+        def mask(xs):  # a tuple of vertices as a one-column mask, else None
+            if type(xs) is tuple and all(type(x) is int and 0 <= x < n for x in xs):
+                out = np.zeros((n, 1), bool)
+                out[list(xs), 0] = True
+                return out
+
+        if kind == "screen":
+            return (type(first) is type(second) is int and 0 <= first < n and 0 <= second < n
+                    and bool(check_screen_1lap(g, col, [first], [second])[0]))
+        if kind == "pins":
+            one, two = mask(first), mask(second)
+            return one is not None and two is not None and bool(check_pins_1lap(g, col, one, two)[0])
+        one = mask(first)
+        return (one is not None and _ints(second, n) and all(abs(x) <= 1 for x in second)
+                and bool(check_zero_cut_1lap(g, col, one, np.array(second)[:, None])[0]))
 
     sgn = [(x > 0) - (x < 0) for x in f]
     # the sign of f_u - sigma f_v on each edge: z_uv, or 0 where z_uv is free
@@ -475,72 +497,108 @@ def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
         ok = type(xs) is tuple and all(type(x) is int and 0 <= x < n and sgn[x] for x in xs)
         return set(xs) if ok else None
 
-    def pinned(xs) -> tuple[int, int] | None:
-        # (a, b) with lambda = a / b if xs is a pin
-        xs = support_set(xs)
-        if not xs or any((u in xs) != (v in xs) for u, v, _ in free_support):
-            return None
-        return sum(sgn[x] * c[x] for x in xs), sum(mu[x] for x in xs)
-
-    kind, first, second = cert
-    if kind == "pins":
-        one, two = pinned(first), pinned(second)
-        return one is not None and two is not None and one[0] * two[1] != two[0] * one[1]
-    lam = pinned(first)
-    if lam is None:
+    kind, pin, side = cert
+    pin, side = support_set(pin), support_set(side)
+    if (kind != "support-cut" or not pin or side is None
+            or any((u in pin) != (v in pin) for u, v, _ in free_support)):
         return False
-    a, b = lam
-    if kind == "support-cut":
-        side = support_set(second)
-        if side is None:
-            return False
-        demand = sum(a * mu[x] - b * sgn[x] * c[x] for x in side)
-        capacity = sum(w for u, v, w in free_support if (u in side) != (v in side))
-        return abs(demand) > b * capacity
-    if kind == "zero-cut":
-        pi = second
-        if not _ints(pi, n) or any(t not in (-1, 0, 1) or (t and sgn[y]) for y, t in enumerate(pi)):
-            return False
-        excess = sum(t * b * c[y] - abs(t) * (abs(a) * mu[y] + b * abs(kappa[y]))
-                     for y, t in enumerate(pi))
-        capacity = sum(w * abs(pi[u] - s * pi[v]) for u, v, w, s in edges
-                       if not (sgn[u] or sgn[v]))
-        return excess > b * capacity
-    return False
+    a, b = sum(sgn[x] * c[x] for x in pin), sum(mu[x] for x in pin)  # lambda = a / b
+    demand = sum(a * mu[x] - b * sgn[x] * c[x] for x in side)
+    capacity = sum(w for u, v, w in free_support if (u in side) != (v in side))
+    return abs(demand) > b * capacity
+
+
+def _block(g: SignedGraph, t, *certs):
+    """The one boundary of the block checkers: t an (n, m) array of finite
+    reals and each certificate ``(array, kinds, ndim)`` an array of numpy
+    kind in ``kinds``, of shape (n, m) if ndim is 2, else (m,) (an empty one
+    of any kind); else GraphError. Returns sgn(t) and the sign d of
+    t_u - sigma t_v per edge (z_uv, or 0 where it is free), both int8, the
+    certificate arrays, mu over gcd(mu) and kappa and w over their gcd, and
+    the dtype of products. A |sum of fluxes| is at most A = sum |kappa| +
+    2 sum w and a sum of mu at most B = sum mu, so sums are exact in int64
+    when A, B < 2**62 and products of the two when A B < 2**62; else they
+    take Python ints (dtype object)."""
+    mu, kappa, edges, _ = g.scaled_ints
+    n, t = len(mu), np.asarray(t)
+    if t.ndim != 2 or len(t) != n or t.dtype.kind not in "iuf" or not np.isfinite(t).all():
+        raise GraphError(f"sign patterns must be an ({n}, m) array of finite reals, "
+                         f"got {t.dtype} of shape {t.shape}")
+    checked = []
+    for a, kinds, ndim in certs:
+        a, shape = np.asarray(a), t.shape[2 - ndim:]
+        if a.shape != shape or (a.size and a.dtype.kind not in kinds):
+            raise GraphError(f"a certificate array has shape {a.shape} and kind {a.dtype.kind!r}, "
+                             f"expected {shape} and one of {kinds!r}")
+        checked.append(a.astype(bool if kinds == "b" else np.intp) if not a.size else a)
+    w = [e[2] for e in edges]
+    dm, dk = math.gcd(*mu), math.gcd(*kappa, *w) or 1  # 0 without edges and kappa
+    span, total = (sum(map(abs, kappa)) + 2 * sum(w)) // dk, sum(mu) // dm
+    dtype = np.int64 if max(span, total) < 2**62 else object
+    tu, tv = t[g.eu], g.es.astype(np.int8)[:, None] * t[g.ev]
+    return (np.sign(t).astype(np.int8), (tu > tv).astype(np.int8) - (tu < tv), checked,
+            *(np.array([v // d for v in vals], dtype) for vals, d in ((mu, dm), (kappa, dk), (w, dk))),
+            dtype if span * total < 2**62 else object)
+
+
+def _pins(g: SignedGraph, sgn, d, mu, kappa, w, *masks):
+    """The flux c (n, m) and the zero-zero edges (E, m) of a checked block,
+    and per mask whether each column is a pin, with its (a, b): lambda = a / b."""
+    inc = np.zeros((g.n, len(g.edges)), np.int8)
+    inc[g.eu, np.arange(len(g.edges))], inc[g.ev, np.arange(len(g.edges))] = 1, -g.es
+    c = kappa[:, None] * sgn + inc @ (w[:, None] * d)
+    on_u, on_v = sgn[g.eu] != 0, sgn[g.ev] != 0
+    free = (d == 0) & on_u
+    return c, ~on_u & ~on_v, [(mask.any(axis=0) & ~(mask & (sgn == 0)).any(axis=0)
+                               & ~(free & (mask[g.eu] != mask[g.ev])).any(axis=0),
+                               (mask * sgn * c).sum(axis=0), (mask * mu[:, None]).sum(axis=0))
+                              for mask in masks]
 
 
 def check_screen_1lap(g: SignedGraph, t, x, y) -> np.ndarray:
     """Whether ``("screen", x[j], y[j])`` checks for each column j of the (n, m)
-    array t (see ``check_certificate_1lap``), read only through the signs of
-    t_x and t_u - sigma t_v. lo_x and hi_y are summed from ``g.scaled_ints``,
-    not from the ranks of ``spectra._screened_blocks``, and compared as
-    lo_x mu_y > hi_y mu_x, mu over its gcd and kappa and w over theirs: in
-    int64 when every product fits, else in Python ints (dtype object)."""
-    mu, kappa, edges, adj = g.scaled_ints
-    n, t = len(mu), np.asarray(t)
-    if t.ndim != 2 or len(t) != n:
-        raise GraphError(f"sign patterns have shape {t.shape}, expected ({n}, m)")
-    w = [e[2] for e in edges]
-    dm, dk = math.gcd(*mu), math.gcd(*kappa, *w) or 1  # 0 without edges and kappa
-    reach = max(abs(k) + sum(e[1] for e in a) for k, a in zip(kappa, adj)) // dk
-    dtype = np.int64 if reach * (max(mu) // dm) < 2**62 else object
-    mu, kappa, w = (np.array([v // d for v in vals], dtype)
-                    for vals, d in ((mu, dm), (kappa, dk), (w, dk)))
-    x, y, cols = np.asarray(x), np.asarray(y), np.arange(t.shape[1])
+    array t (see ``check_certificate_1lap``), the vertices as int arrays. lo_x
+    and hi_y are summed from ``g.scaled_ints``, not from the ranks of
+    ``spectra._screened_blocks``, and compared as lo_x mu_y > hi_y mu_x (see
+    ``_block`` for the arithmetic)."""
+    sgn, d, (x, y), mu, kappa, w, wide = _block(g, t, (x, "iu", 1), (y, "iu", 1))
+    cols, n = np.arange(sgn.shape[1]), g.n
     ok = (0 <= x) & (x < n) & (0 <= y) & (y < n)
     x, y = np.where(ok, x, 0), np.where(ok, y, 0)
-    sgn, sigma = np.sign(t).astype(np.int8), g.es.astype(np.int8)[:, None]
     ok &= (sgn[x, cols] != 0) & (sgn[y, cols] != 0)
-    tu, tv = t[g.eu], sigma * t[g.ev]
-    d = (tu > tv).astype(np.int8) - (tu < tv)  # z_uv, or 0 where it is free
     # sgn(t) times z at each end of an edge (z_vu = -sigma z_uv), and the free edges
-    at_u, at_v, free = sgn[g.eu] * d, -sigma * sgn[g.ev] * d, d == 0
+    at_u, at_v, free = sgn[g.eu] * d, -g.es.astype(np.int8)[:, None] * sgn[g.ev] * d, d == 0
 
     def bound(z, free_z: int):  # sgn(t_z) times the flux at z, each free z at free_z
         on_u, on_v = g.eu[:, None] == z, g.ev[:, None] == z
-        return kappa[z] + w @ (on_u * at_u + on_v * at_v + free_z * ((on_u | on_v) & free))
+        return (kappa[z] + w @ (on_u * at_u + on_v * at_v + free_z * ((on_u | on_v) & free))
+                ).astype(wide)
 
     return ok & (bound(x, -1) * mu[y] > bound(y, 1) * mu[x])
+
+
+def check_pins_1lap(g: SignedGraph, t, first, second) -> np.ndarray:
+    """Whether ``("pins", first[:, j], second[:, j])`` checks for each column j
+    of the (n, m) array t, the pins as bool (n, m) masks (see
+    ``check_certificate_1lap``). c and the free edges are recomputed from
+    ``g.scaled_ints``, not taken from ``spectra._pin_stage``."""
+    sgn, d, masks, mu, kappa, w, wide = _block(g, t, (first, "b", 2), (second, "b", 2))
+    _, _, ((ok1, a1, b1), (ok2, a2, b2)) = _pins(g, sgn, d, mu, kappa, w, *masks)
+    return ok1 & ok2 & (a1.astype(wide) * b2 != a2.astype(wide) * b1)
+
+
+def check_zero_cut_1lap(g: SignedGraph, t, first, pi) -> np.ndarray:
+    """Whether ``("zero-cut", first[:, j], pi[:, j])`` checks for each column j
+    of the (n, m) array t, the pin as a bool (n, m) mask and pi an int
+    (n, m) array (see ``check_certificate_1lap``): b (sum pi_y c_y -
+    sum |pi_y kappa_y| - the zero-zero capacity) > |a| sum |pi_y| mu_y."""
+    sgn, d, (first, pi), mu, kappa, w, wide = _block(g, t, (first, "b", 2), (pi, "iu", 2))
+    c, zero_zero, ((ok, a, b),) = _pins(g, sgn, d, mu, kappa, w, first)
+    # a column with pi off {-1, 0, 1} or on the support is zeroed: 0 > 0 fails
+    pi = np.where(((abs(pi) <= 1) & ((pi == 0) | (sgn == 0))).all(axis=0), pi, 0).astype(np.int8)
+    capacity = w @ (abs(pi[g.eu] - g.es.astype(np.int8)[:, None] * pi[g.ev]) * zero_zero)
+    excess = (pi * c - abs(pi) * abs(kappa)[:, None]).sum(axis=0) - capacity
+    return ok & (excess.astype(wide) * b > abs(a).astype(wide) * (abs(pi) * mu[:, None]).sum(axis=0))
 
 
 def one_lap_lambda_range(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]]:

@@ -16,13 +16,17 @@ pair is re-certified by its eigen-residual. For p = 1 candidates are the
 +-1/0 patterns, scanned in the int8 blocks of the Cheeger table and screened
 per block exactly, by integer ranks of the screen's bounds fixed once per
 graph; no float decides a pattern, and its rejections stay int8 blocks for
-``check_screen_1lap``. Each survivor is decided by an exact integer max-flow
-that leaves a certificate (a witness for a pair, else the reason), checked
-in linear time by ``check_certificate_1lap``.
+``check_screen_1lap``. The survivors meet one more exact integer pass per
+block, the pin stage: two pins that differ, or one zero vertex whose flux
+exceeds its slack, reject a column there, and those rejections stay blocks
+for ``check_pins_1lap`` and ``check_zero_cut_1lap``. Only the rest is
+decided by an exact integer max-flow that leaves a certificate (a witness
+for a pair, else the reason), checked by ``check_certificate_1lap``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -310,12 +314,18 @@ class OneLapEigenSet:
     smallest_positive: Fraction | None
     patterns_scanned: int
     patterns_solved: int
-    # every solved pattern that is not a pair, with the reason (a rejection
-    # tuple; see check_certificate_1lap)
+    # every pattern that met the max-flow and is not a pair, with the reason
+    # (a rejection tuple; see check_certificate_1lap)
     rejections: tuple[tuple[tuple[int, ...], tuple], ...] = field(compare=False, repr=False)
     # the screen's rejections, one (t, x, y) per block: int8 columns t, and
     # ("screen", x[j], y[j]) rejects column j (see check_screen_1lap)
     screened: tuple[tuple[np.ndarray, ...], ...] = field(compare=False, repr=False)
+    # the pin stage's, one (t, first, second) per block: ("pins", first[:, j],
+    # second[:, j]) rejects column j, the pins as bool masks (check_pins_1lap)
+    pins: tuple[tuple[np.ndarray, ...], ...] = field(compare=False, repr=False)
+    # and one (t, first, pi) per block: ("zero-cut", first[:, j], pi[:, j]),
+    # pi int8 (check_zero_cut_1lap)
+    zero_cuts: tuple[tuple[np.ndarray, ...], ...] = field(compare=False, repr=False)
 
 
 def _screened_blocks(g: SignedGraph):
@@ -363,6 +373,66 @@ def _screened_blocks(g: SignedGraph):
         yield t, lo.max(axis=0) > hi.min(axis=0), lo.argmax(axis=0), hi.argmin(axis=0)
 
 
+def _pin_stage(g: SignedGraph):
+    """The exact stage between the screen and ``_pattern_lambda``: a function
+    of an int8 block t of patterns giving ``(pins, cut, first, second, pi)``.
+    Column j is rejected at ``("pins", first[:, j], second[:, j])`` where
+    pins[j], two pins as masks, and at ``("zero-cut", first[:, j], pi[:, j])``
+    where cut[j]; first is the pin of the least support vertex, as in
+    ``_pattern_lambda``.
+
+    On ``g.scaled_ints``: the flux c and the free support edges of every
+    column, the components of those edges (each vertex labelled by the
+    least vertex of its component, one edge at a time across all columns),
+    and each component's pin (sum sgn_x c_x, sum mu_x). Pins that differ reject;
+    else, with lambda = a / b from first, so does a zero vertex y with
+    b (|c_y| - |kappa_y| - Z_y) > |a| mu_y, Z_y the weight of its zero-zero
+    edges: pi is sgn(c_y) at y alone. Each |sum of fluxes| is at most
+    A = sum |kappa| + 2 sum w and each sum of mu at most B = sum mu, so the
+    sums are int64 when A, B < 2**62 and the products when A B < 2**62;
+    else they take Python ints (dtype object)."""
+    mu, kappa, edges, _ = g.scaled_ints
+    n, e, w = g.n, np.arange(len(edges)), [x for _, _, x, _ in edges]
+    # lambda is unchanged by scaling mu, or kappa and w together
+    dm, dk = math.gcd(*mu), math.gcd(*kappa, *w) or 1
+    mu, kappa, w = [x // dm for x in mu], [x // dk for x in kappa], [x // dk for x in w]
+    span, total = sum(map(abs, kappa)) + 2 * sum(w), sum(mu)
+    dtype = np.int64 if max(span, total) < 2**62 else object
+    wide = dtype if span * total < 2**62 else object
+    inc, weight = np.zeros((n, e.size), dtype), np.zeros((n, e.size), dtype)
+    inc[g.eu, e] = weight[g.eu, e] = weight[g.ev, e] = w
+    inc[g.ev, e] = [-s * x for (_, _, _, s), x in zip(edges, w)]
+    mu, kappa = np.array(mu, dtype)[:, None], np.array(kappa, dtype)[:, None]
+    sigma, diag = g.es.astype(np.int8)[:, None], np.arange(n)
+    ends = list(zip(g.eu.tolist(), g.ev.tolist()))
+
+    def decide(t):
+        cols, on = np.arange(t.shape[1]), t != 0
+        d = np.sign(t[g.eu] - sigma * t[g.ev])  # z_uv, or 0 where it is free
+        c = kappa * t + inc @ d
+        # lab: the least vertex of each vertex's component; a free support
+        # edge relabels the larger of its ends' labels to the smaller
+        lab = np.repeat(diag[:, None], cols.size, axis=1)
+        for (u, v), free in zip(ends, (d == 0) & on[g.eu]):
+            lu, lv = lab[u], lab[v]
+            np.copyto(lab, np.minimum(lu, lv), where=lab == np.where(free, np.maximum(lu, lv), -1))
+        hit = lab == diag[:, None, None]  # [k, x, j]: x lies in component k of column j
+        num, den = (hit * (t * c)).sum(axis=1), (hit * mu).sum(axis=1)  # the pins, by k
+        lead = lab[on.argmax(axis=0), cols]
+        a, b = num[lead, cols], den[lead, cols]
+        differ = (hit & on).any(axis=1) & (num.astype(wide) * b != a.astype(wide) * den)
+        pins = differ.any(axis=0)
+        zeros = weight @ (~on[g.eu] & ~on[g.ev])
+        over = ~on & ~pins & (b.astype(wide) * (abs(c) - abs(kappa) - zeros)
+                              > abs(a).astype(wide) * mu)
+        cut, y = over.any(axis=0), over.argmax(axis=0)
+        pi = np.zeros(t.shape, np.int8)
+        pi[y[cut], cols[cut]] = np.sign(c[y[cut], cols[cut]])
+        return pins, cut, lab == lead, lab == differ.argmax(axis=0), pi
+
+    return decide
+
+
 def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
     """All verified 1-Laplacian eigenpairs with {-1,0,+1}-valued functions,
     for n up to ONE_LAP_CAP.
@@ -370,13 +440,17 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
     Scans the sign patterns up to global negation in the int8 blocks of
     ``cheeger._labelings``, which also drive the Cheeger table, and screens
     each block exactly by integer ranks of its bounds (``_screened_blocks``):
-    a pattern is rejected there by a screen pair, or survives. Only the
-    survivors loop in Python, each decided by an exact max-flow.
+    a pattern is rejected there by a screen pair, or survives
+    (``patterns_solved`` counts the survivors). The pin stage
+    (``_pin_stage``) decides the survivors that need no flow, a block at a
+    time; only the rest loop in Python, each decided by an exact max-flow.
     A pattern admits at most one lambda, so a pair is one (lambda, pattern).
     Each scanned pattern keeps its certificate: the screen's rejections by
-    block in ``screened``, for ``check_screen_1lap``; every solved pattern
-    one for ``check_certificate_1lap``, a pair its witness, any other
-    pattern in ``rejections`` the reason it was rejected.
+    block in ``screened``, for ``check_screen_1lap``; the pin stage's in
+    ``pins`` and ``zero_cuts``, for ``check_pins_1lap`` and
+    ``check_zero_cut_1lap``; every pattern that met the flow one for
+    ``check_certificate_1lap``, a pair its witness, any other pattern in
+    ``rejections`` the reason it was rejected.
     """
     if g.n > ONE_LAP_CAP:
         raise GraphError(
@@ -385,14 +459,18 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
     if g.n == 0:
         raise GraphError("one_lap_enumerate needs at least one vertex")
     pairs: list[OneLapPair] = []
-    rejections, screened = [], []
+    rejections, screened, pinned, zero_cuts = [], [], [], []
     scanned = solved = 0
+    decide = _pin_stage(g)
     for t, rejected, x, y in _screened_blocks(g):
         scanned += t.shape[1]
         screened.append((t[:, rejected], x[rejected], y[rejected]))
         rest = t[:, ~rejected]
         solved += rest.shape[1]
-        for pattern in zip(*rest.tolist()):
+        pins, cut, first, second, pi = decide(rest)
+        pinned.append((rest[:, pins], first[:, pins], second[:, pins]))
+        zero_cuts.append((rest[:, cut], first[:, cut], pi[:, cut]))
+        for pattern in zip(*rest[:, ~(pins | cut)].tolist()):
             cert = _pattern_lambda(g, pattern)
             if isinstance(cert, OneLapWitness):
                 pairs.append(OneLapPair(lam=cert.lam, f=pattern, witness=cert))
@@ -417,6 +495,8 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
         patterns_solved=solved,
         rejections=tuple(rejections),
         screened=tuple(screened),
+        pins=tuple(pinned),
+        zero_cuts=tuple(zero_cuts),
     )
 
 

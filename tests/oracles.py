@@ -7,6 +7,7 @@ closed-form polynomial roots) so agreement is meaningful.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import product
@@ -63,7 +64,7 @@ def p_laplacian_oracle(g: SignedGraph, p: float, f) -> list[float]:
 def _closure(mat: np.ndarray) -> np.ndarray:
     """Boolean transitive closure of a reflexive matrix, by squaring until it is stable."""
     m = mat
-    while not np.array_equal(m, m2 := m @ m):
+    while np.count_nonzero(m2 := m @ m) != np.count_nonzero(m):  # squaring only adds entries
         m = m2
     return m
 
@@ -85,53 +86,32 @@ def strong_count_oracle(g: SignedGraph, f) -> int:
     return len(reps)
 
 
+@functools.lru_cache(maxsize=1)  # the callers loop over f within one graph
+def _sign_steps(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The steps between (vertex, sign) states, state 2x being x with sign +1
+    and 2x + 1 x with sign -1: an edge steps both ways, flipping the sign
+    where sigma = -1. Also each state's sign."""
+    a, b = 2 * g.eu, 2 * g.ev + (g.es < 0)
+    step = np.zeros((2 * g.n, 2 * g.n), dtype=bool)
+    step[np.concatenate((a, a + 1, b, b ^ 1)), np.concatenate((b, b ^ 1, a, a + 1))] = True
+    return step, np.tile((1.0, -1.0), g.n)
+
+
 def weak_count_oracle(g: SignedGraph, f) -> int:
     """Weak classes via closure on (vertex, sign) states.
 
     A walk from support u may pass only through zeros; u ~ v when the
     accumulated edge-sign product times sgn(u) sgn(v) is positive.
     """
-    f = np.asarray(f, dtype=float)
-    sgn = np.sign(f)
-    n = g.n
-    # state index: 2 * x + (0 if sign +1 else 1)
-    step = np.zeros((2 * n, 2 * n), dtype=bool)
-    for u, v, _, s in g.edges:
-        for (a, b) in ((u, v), (v, u)):
-            for sa in (0, 1):
-                sb = sa if s == 1 else 1 - sa
-                step[2 * a + sa, 2 * b + sb] = True
-    # interior vertices must be zeros: kill outgoing steps from support
-    # states except as the very first move, handled by composing closures.
-    interior = step.copy()
-    for x in range(n):
-        if sgn[x] != 0:
-            interior[2 * x, :] = False
-            interior[2 * x + 1, :] = False
-    reach_zero = _closure(np.eye(2 * n, dtype=bool) | interior)
-    full = step @ reach_zero  # one edge out of u, then zero-interior walk
-
-    support = [x for x in range(n) if sgn[x] != 0]
-    related = {(u, u) for u in support}
-    for u in support:
-        su = 0 if sgn[u] > 0 else 1
-        for v in support:
-            sv = 0 if sgn[v] > 0 else 1
-            if full[2 * u + su, 2 * v + sv]:
-                related.add((u, v))
-                related.add((v, u))
-    # union-find from the relation
-    parent = {x: x for x in support}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in related:
-        parent[find(u)] = find(v)
-    return len({find(x) for x in support})
+    step, signs = _sign_steps(g)
+    sgn = np.repeat(np.sign(np.asarray(f, dtype=float)), 2)
+    # interior vertices must be zeros: a walk leaves a support state only by its first step
+    full = step @ _closure(step & (sgn == 0)[:, None] | np.eye(sgn.size, dtype=bool))
+    state = sgn == signs
+    related = full[state][:, state]
+    # the classes of the symmetric, reflexive relation, each counted at its least member
+    related = _closure(related | related.T | np.eye(len(related), dtype=bool))
+    return int((related.argmax(axis=1) == np.arange(len(related))).sum()) if related.size else 0
 
 
 def sym2_eigs(a: np.ndarray) -> np.ndarray:

@@ -173,15 +173,17 @@ class TestOnelap:
         assert code == 1 and out == ""
         assert "re-verification failed" in err
 
-    def test_verify_catches_a_missing_pattern(self, capsys, p3_file, monkeypatch):
+    def test_verify_catches_a_missing_pattern(self, capsys, k5_file, monkeypatch):
+        # on K5, unlike P3, some patterns meet the max-flow and are rejected there
         real = cli.one_lap_enumerate
 
         def one_dropped(g):
             ols = real(g)
+            assert ols.rejections
             return dataclasses.replace(ols, rejections=ols.rejections[1:])
 
         monkeypatch.setattr(cli, "one_lap_enumerate", one_dropped)
-        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
+        code, out, err = run(capsys, "onelap", "--graph", k5_file, "--verify")
         assert code == 1 and out == ""
         assert "do not cover every sign pattern" in err
 
@@ -215,6 +217,64 @@ class TestOnelap:
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
         assert code == 1 and out == ""
         assert "rejection of pattern (1, 1, 1) failed its check" in err
+
+    def test_verify_catches_a_pair_rejected_by_forged_pins(self, capsys, p3_file, monkeypatch):
+        # (1, 1, 1) is a pair at lambda = 0; marked rejected by two pins, the
+        # whole support twice, it goes missing from the pairs, and the pins
+        # do not check
+        real = spectra._pin_stage
+
+        def forged(g):
+            decide = real(g)
+
+            def forged_decide(t):
+                pins, cut, first, second, pi = decide(t)
+                j = (t.T == (1, 1, 1)).all(axis=1)
+                if j.any():
+                    assert not (pins[j] | cut[j]).any()
+                    pins, first[:, j], second[:, j] = pins | j, True, True
+                return pins, cut, first, second, pi
+
+            return forged_decide
+
+        monkeypatch.setattr(spectra, "_pin_stage", forged)
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
+        assert code == 1 and out == ""
+        assert "rejection of pattern (1, 1, 1) failed its check" in err
+
+    @pytest.mark.parametrize("kind", ["pins", "zero_cuts"])
+    def test_verify_catches_a_missing_staged_pattern(self, capsys, p3_file, monkeypatch, kind):
+        real = cli.one_lap_enumerate
+
+        def one_dropped(g):
+            ols = real(g)
+            blocks = [block for block in getattr(ols, kind) if block[0].shape[1]]
+            assert blocks
+            t, first, other = blocks[0]
+            dropped = (t[:, 1:], first[:, 1:], other[:, 1:])
+            return dataclasses.replace(ols, **{kind: (dropped, *blocks[1:])})
+
+        monkeypatch.setattr(cli, "one_lap_enumerate", one_dropped)
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
+        assert code == 1 and out == ""
+        assert "do not cover every sign pattern" in err
+
+    @pytest.mark.parametrize("kind", ["pins", "zero_cuts"])
+    def test_verify_catches_a_forged_staged_block(self, capsys, p3_file, monkeypatch, kind):
+        # the second certificate of every column of a block replaced by the
+        # first: a pin against itself, or pi from a mask on the support
+        real = cli.one_lap_enumerate
+
+        def forged(g):
+            ols = real(g)
+            blocks = [(t, first, first.astype(np.int8) if kind == "zero_cuts" else first)
+                      for t, first, _ in getattr(ols, kind)]
+            return dataclasses.replace(ols, **{kind: tuple(blocks)})
+
+        monkeypatch.setattr(cli, "one_lap_enumerate", forged)
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
+        assert code == 1 and out == ""
+        assert "failed its check" in err
 
     @staticmethod
     def _duplicated(t, x, y):

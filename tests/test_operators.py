@@ -1,4 +1,3 @@
-import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -18,7 +17,9 @@ from sgspec.operators import (
     check_certificate_1lap,
     check_eigenpair,
     check_eigenpair_1lap,
+    check_pins_1lap,
     check_screen_1lap,
+    check_zero_cut_1lap,
     eigen_residual,
     one_lap_lambda_range,
     phi_p,
@@ -35,7 +36,7 @@ from oracles import (
     prefilter_lambda_box, rayleigh_p2_oracle,
 )
 from test_graph import complete, path, random_graph, triangle
-from test_spectra import repro_graph
+from test_spectra import products_take_python_ints, repro_graph
 
 
 class TestPhi:
@@ -722,18 +723,20 @@ class TestCertificateTamper:
             check_certificate_1lap(path(2), f, ("screen", 0, 1))
 
 
+# each block checker with good arguments on an (n, m) block t: (check, *certs)
+_CHECKERS = {
+    "screen": lambda t: (check_screen_1lap, np.zeros(t.shape[1], int), np.zeros(t.shape[1], int)),
+    "pins": lambda t: (check_pins_1lap, t != 0, t != 0),
+    "zero-cut": lambda t: (check_zero_cut_1lap, t != 0, np.zeros(t.shape, np.int8)),
+}
+_T3 = np.array([[1, 1], [-1, 0], [1, 1]], np.int8)
+
+
 class TestScreenChecker:
     """``check_screen_1lap`` on whole blocks against the per-pattern screen
     of the oracles: for every column, some (x, y) checks exactly when the
-    oracle rejects, and the oracle's (x, y) checks."""
-
-    @staticmethod
-    def _wide(g) -> bool:
-        # whether the checker takes Python ints (dtype object) on g
-        mu, kappa, edges, adj = g.scaled_ints
-        dk = math.gcd(*kappa, *(e[2] for e in edges)) or 1
-        reach = max(abs(k) + sum(e[1] for e in a) for k, a in zip(kappa, adj)) // dk
-        return reach * (max(mu) // math.gcd(*mu)) >= 2**62
+    oracle rejects, and the oracle's (x, y) checks. Then the boundary that
+    every block checker shares."""
 
     _GRAPHS = {
         "int64": lambda: random_signed_graph(6, 0.5, seed=2, connected=True),
@@ -750,7 +753,7 @@ class TestScreenChecker:
     @pytest.mark.parametrize("name", _GRAPHS)
     def test_agrees_with_the_per_pattern_screen(self, name):
         g = self._GRAPHS[name]()
-        assert self._wide(g) == name.startswith("object")
+        assert products_take_python_ints(g) == name.startswith("object")
         rejected = 0
         for t, _, _ in _labelings(g.n):
             m = t.shape[1]
@@ -771,3 +774,91 @@ class TestScreenChecker:
         assert not check_screen_1lap(path(3), t, [1, 1], [-3, 3]).any()
         with pytest.raises(GraphError, match="shape"):
             check_screen_1lap(path(3), t[:2], [1, 1], [0, 0])
+
+    # the boundary of every block checker: a malformed block or certificate
+    # array raises GraphError, and an empty block answers an empty array
+    @pytest.mark.parametrize("name", _CHECKERS)
+    @pytest.mark.parametrize("tamper", [
+        lambda t, certs: (np.where(np.eye(3, 2, dtype=bool), np.nan, t), certs),
+        lambda t, certs: (np.where(np.eye(3, 2, dtype=bool), np.inf, t), certs),
+        lambda t, certs: (t[:2], certs),
+        lambda t, certs: (t[:, 0], certs),
+        lambda t, certs: (t.astype(bool), certs),
+        lambda t, certs: (t, [c[..., :1] for c in certs]),
+        lambda t, certs: (t, [c.astype(float) for c in certs]),
+        lambda t, certs: (t, [c.astype(str) for c in certs]),
+    ], ids=("nan", "inf", "short", "one-dimensional", "bool-t", "certificate-too-short",
+            "float-certificate", "str-certificate"))
+    def test_malformed_block_raises(self, name, tamper):
+        check, *certs = _CHECKERS[name](_T3)
+        t, certs = tamper(_T3, certs)
+        with pytest.raises(GraphError):
+            check(path(3), t, *certs)
+
+    @pytest.mark.parametrize("name", _CHECKERS)
+    def test_an_empty_block(self, name):
+        t = np.zeros((3, 0), np.int8)
+        check, *certs = _CHECKERS[name](t)
+        for args in (certs, [[]] * len(certs) if name == "screen" else certs):
+            out = check(path(3), t, *args)
+            assert out.dtype == bool and out.shape == (0,)
+
+    def test_good_arguments_pass_the_boundary(self):
+        for name, make in _CHECKERS.items():
+            check, *certs = make(_T3)
+            assert check(path(3), _T3, *certs).shape == (2,), name
+
+
+class TestBlockCheckers:
+    """Forged pins and zero cuts fail, each for the one reason it was forged."""
+
+    # path a - b - c, unit weights and mu; columns (1, -1, 1) and (1, 1, -1):
+    # in the first every edge is fixed and {a}, {b}, {c} pin 1, 2, 1; in the
+    # second a - b is free, and {a, b} pins 1/2 and {c} pins 1
+    _T = np.array([[1, 1], [-1, 1], [1, -1]], np.int8)
+
+    @staticmethod
+    def _masks(*sets):
+        out = np.zeros((3, len(sets)), bool)
+        for j, xs in enumerate(sets):
+            out[list(xs), j] = True
+        return out
+
+    def test_pins(self):
+        g, t, m = path(3), self._T, self._masks
+        assert check_pins_1lap(g, t, m((0,), (0, 1)), m((1,), (2,))).tolist() == [True, True]
+        # first == second, and two pins that agree
+        assert not check_pins_1lap(g, t, m((0,), (2,)), m((0,), (2,))).any()
+        assert not check_pins_1lap(g, t, m((0,), (0, 1)), m((2,), (0, 1))).any()
+        # {a} crosses the free edge a - b: it would "pin" 0, not 1/2
+        assert check_pins_1lap(g, t, m((0,), (0,)), m((1,), (2,))).tolist() == [True, False]
+        # an empty mask; a mask with the zero vertex b of (1, 0, -1)
+        assert not check_pins_1lap(g, t, m((), ()), m((1,), (2,))).any()
+        t0 = np.array([[1], [0], [-1]], np.int8)
+        assert check_pins_1lap(g, t0, m((0,)), m((2,))).tolist() == [False]  # both pin 1
+        assert check_pins_1lap(g, t0, m((0, 1)), m((2,))).tolist() == [False]
+
+    def test_zero_cuts(self):
+        # x - y of weight 2 at f = (1, 0): x pins lambda = 2 / mu_x, and y
+        # carries flux -2 against the slack lambda mu_y = 2 / mu_x
+        def graph(mu_x):
+            return SignedGraph.build("xy", [("x", "y", 2.0, 1)], mu=[mu_x, 1.0])
+
+        t, x_only, both = np.array([[1], [0]], np.int8), np.array([[True], [False]]), np.ones((2, 1), bool)
+
+        def check(g, first, *pi):
+            return bool(check_zero_cut_1lap(g, t, first, np.array(pi, np.int8)[:, None])[0])
+
+        assert check(graph(4.0), x_only, 0, -1)
+        assert not check(graph(4.0), x_only, 0, 1)  # the wrong sign
+        assert not check(graph(4.0), x_only, 1, -1)  # pi on the support
+        assert not check(graph(4.0), x_only, 0, -2)  # pi off {-1, 0, 1}
+        assert not check(graph(4.0), both, 0, -1)  # a mask with the zero vertex y
+        assert not check(graph(1.0), x_only, 0, -1)  # |c_y| = 2 = the slack: not exceeded
+        # a - b - y at (1, 1, 0), mu_a = mu_b = 4: {a, b} pins 1/4 and y's
+        # flux -2 exceeds its slack 1/4; {a} crosses the free edge a - b
+        g = SignedGraph.build("aby", [("a", "b", 1.0, 1), ("b", "y", 2.0, 1)], mu=[4.0, 4.0, 1.0])
+        t = np.array([[1], [1], [0]], np.int8)
+        pi = np.array([[0], [0], [-1]], np.int8)
+        assert check_zero_cut_1lap(g, t, np.array([[True], [True], [False]]), pi).tolist() == [True]
+        assert check_zero_cut_1lap(g, t, np.array([[True], [False], [False]]), pi).tolist() == [False]

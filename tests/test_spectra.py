@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -13,7 +14,7 @@ from sgspec import spectra
 from sgspec.graph import GraphError, SignedGraph, parse_graph, switch, with_degree_measure
 from sgspec.harness import MODELS, random_signed_graph
 from sgspec.operators import (OneLapWitness, _pattern_lambda, check_certificate_1lap,
-                              check_screen_1lap)
+                              check_pins_1lap, check_screen_1lap, check_zero_cut_1lap)
 from sgspec.spectra import (
     extremal_p,
     form_matrix,
@@ -380,8 +381,9 @@ class TestOneLapEnumerate:
         for _ in range(6):
             g = random_graph(rng, 5)
             ols = one_lap_enumerate(g)
-            screened = [f for t, _, _ in ols.screened for f in zip(*t.tolist())]
-            patterns = [pr.f for pr in ols.pairs] + [f for f, _ in ols.rejections] + screened
+            blocks = ols.screened + ols.pins + ols.zero_cuts
+            kept = [f for t, _, _ in blocks for f in zip(*t.tolist())]
+            patterns = [pr.f for pr in ols.pairs] + [f for f, _ in ols.rejections] + kept
             assert sorted(patterns) == sorted(
                 p for p in product((0, 1, -1), repeat=g.n) if next((t for t in p if t), 0) == 1)
             assert len(patterns) == ols.patterns_scanned
@@ -390,6 +392,8 @@ class TestOneLapEnumerate:
                 assert check_certificate_1lap(g, pr.f, pr.witness)
             assert all(check_certificate_1lap(g, f, cert) for f, cert in ols.rejections)
             assert all(check_screen_1lap(g, t, x, y).all() for t, x, y in ols.screened)
+            assert all(check_pins_1lap(g, *block).all() for block in ols.pins)
+            assert all(check_zero_cut_1lap(g, *block).all() for block in ols.zero_cuts)
 
     def test_cap_enforced(self):
         g = SignedGraph.build([str(i) for i in range(13)], [])
@@ -399,9 +403,10 @@ class TestOneLapEnumerate:
 
 def _enumerate_per_pattern(g):
     """The enumeration as one loop over the patterns in lead-first order, each
-    through the exact screen: the reference for the block scan. Returns the
-    pairs as (lambda, pattern), the values and the two counts."""
-    pairs, scanned, solved = [], 0, 0
+    through the exact screen, then ``_pattern_lambda``: the reference for the
+    block scan and the pin stage. Returns the pairs as (lambda, pattern), the
+    values, the two counts and the patterns that two pins reject."""
+    pairs, scanned, solved, pinned = [], 0, 0, 0
     patterns = ((0,) * lead + (1,) + tail for lead in range(g.n)
                 for tail in product((0, 1, -1), repeat=g.n - lead - 1))
     for pattern in patterns:
@@ -412,7 +417,9 @@ def _enumerate_per_pattern(g):
             cert = _pattern_lambda(g, pattern)
         if isinstance(cert, OneLapWitness):
             pairs.append((cert.lam, pattern))
-    return sorted(pairs), sorted({lam for lam, _ in pairs}), scanned, solved
+        else:
+            pinned += cert[0] == "pins"
+    return sorted(pairs), sorted({lam for lam, _ in pairs}), scanned, solved, pinned
 
 
 def _screen_corpus():
@@ -491,18 +498,96 @@ class TestBlockScreen:
                 graphs.append(random_graph(rng, n))
         for g in graphs:
             ols = one_lap_enumerate(g)
-            pairs, values, scanned, solved = _enumerate_per_pattern(g)
+            pairs, values, scanned, solved, pinned = _enumerate_per_pattern(g)
             assert sorted((pr.lam, pr.f) for pr in ols.pairs) == pairs
             assert list(ols.values) == values
             assert (ols.patterns_scanned, ols.patterns_solved) == (scanned, solved)
-            screened = sum(t.shape[1] for t, _, _ in ols.screened)
+            screened, pins, cuts = (sum(t.shape[1] for t, _, _ in blocks)
+                                    for blocks in (ols.screened, ols.pins, ols.zero_cuts))
             assert screened == scanned - solved
-            assert len(ols.rejections) + screened == scanned - len(pairs)
+            assert pins == pinned
+            assert len(ols.rejections) + screened + pins + cuts == scanned - len(pairs)
 
     def test_empty_graph_refused_before_the_scan(self, monkeypatch):
         monkeypatch.setattr(spectra._cheeger, "_labelings", lambda n: pytest.fail("scanned"))
         with pytest.raises(GraphError, match="one_lap_enumerate needs at least one vertex"):
             one_lap_enumerate(SignedGraph.build([], []))
+
+
+def products_take_python_ints(g) -> bool:
+    """Whether the pin stage and the block checkers compare products in
+    Python ints (dtype object) on g: A, B or A B reaches 2**62, with
+    A = sum |kappa| + 2 sum w and B = sum mu, mu over its gcd and kappa and
+    w over theirs."""
+    mu, kappa, edges, _ = g.scaled_ints
+    w = [e[2] for e in edges]
+    span = (sum(map(abs, kappa)) + 2 * sum(w)) // (math.gcd(*kappa, *w) or 1)
+    total = sum(mu) // math.gcd(*mu)
+    return max(span, total, span * total) >= 2**62
+
+
+def _staged(g):
+    """Yields ``(t, (pins, cut, first, second, pi))`` for the screen's
+    survivors t of each block, as ``one_lap_enumerate`` runs the pin stage."""
+    decide = spectra._pin_stage(g)
+    for t, rejected, _, _ in spectra._screened_blocks(g):
+        yield t[:, ~rejected], decide(t[:, ~rejected])
+
+
+class TestPinStage:
+    @staticmethod
+    def _corpus():
+        # the screen corpus (with its mu = 2**40 graphs), degree-mu graphs,
+        # whose products need 100 bits and more, and an edgeless graph whose
+        # sums of mu need Python ints while its fluxes are all 0
+        yield from _screen_corpus()
+        yield SignedGraph.build("ab", [], mu=[1.0, 2.0**70])
+        for n in range(3, 8):
+            yield with_degree_measure(random_signed_graph(n, 0.7, seed=n, connected=True))
+
+    def test_agrees_with_the_per_pattern_decider(self):
+        # a pins rejection exactly where _pattern_lambda finds two pins, no
+        # zero cut on a pair, and every rejection checks on its block
+        seen = Counter()
+        for g in self._corpus():
+            seen["object" if products_take_python_ints(g) else "int64"] += 1
+            for t, (pins, cut, first, second, pi) in _staged(g):
+                for j, f in enumerate(zip(*t.tolist())):
+                    cert = _pattern_lambda(g, f)
+                    pair = isinstance(cert, OneLapWitness)
+                    assert pins[j] == (not pair and cert[0] == "pins"), (g, f)
+                    assert not (cut[j] and (pins[j] or pair)), (g, f)
+                    seen["kept"] += not (pins[j] or cut[j])
+                assert check_pins_1lap(g, t[:, pins], first[:, pins], second[:, pins]).all(), g
+                assert check_zero_cut_1lap(g, t[:, cut], first[:, cut], pi[:, cut]).all(), g
+                assert (abs(pi[:, cut]).sum(axis=0) == 1).all() and not pi[:, ~cut].any()
+                seen["pins"] += pins.sum()
+                seen["zero-cut"] += cut.sum()
+        assert min(seen.values()) >= 20, seen
+
+    def test_block_checkers_agree_with_the_one_column_check(self):
+        # on the stage's blocks and on forgeries of them (a pin against
+        # itself, pi negated or taken at the second mask), column by column
+        outcomes = Counter()
+        for g in list(self._corpus())[::6]:
+            for t, (pins, cut, first, second, pi) in _staged(g):
+                cases = [(check_pins_1lap, "pins", first, second),
+                         (check_pins_1lap, "pins", first, first),
+                         (check_zero_cut_1lap, "zero-cut", first, pi),
+                         (check_zero_cut_1lap, "zero-cut", second, -pi)]
+                for check, kind, one, two in cases:
+                    block = check(g, t, one, two)
+                    for j, f in enumerate(zip(*t.tolist())):
+                        other = (np.flatnonzero(two[:, j]) if kind == "pins" else two[:, j]).tolist()
+                        cert = (kind, tuple(np.flatnonzero(one[:, j]).tolist()), tuple(other))
+                        assert block[j] == check_certificate_1lap(g, f, cert), (g, f, cert)
+                        outcomes[kind, bool(block[j])] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_an_empty_block(self):
+        pins, cut, first, second, pi = spectra._pin_stage(path(3))(np.zeros((3, 0), np.int8))
+        assert pins.shape == cut.shape == (0,)
+        assert first.shape == second.shape == pi.shape == (3, 0)
 
 
 class TestSmallestPositive:
