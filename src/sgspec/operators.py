@@ -512,7 +512,9 @@ def _block(g: SignedGraph, t, *certs):
     """The one boundary of the block checkers: t an (n, m) array of finite
     reals and each certificate ``(array, kinds, ndim)`` an array of numpy
     kind in ``kinds``, of shape (n, m) if ndim is 2, else (m,) (an empty one
-    of any kind); else GraphError. Returns sgn(t) and the sign d of
+    of any kind); else GraphError. Integer arrays are read exactly: t in
+    int64 (Python ints past 2**62), the certificates in intp (a uint past
+    2**63 - 1 as 2**63 - 1, out of range either way). Returns sgn(t) and the sign d of
     t_u - sigma t_v per edge (z_uv, or 0 where it is free), both int8, the
     certificate arrays, mu over gcd(mu) and kappa and w over their gcd, and
     the dtype of products. A |sum of fluxes| is at most A = sum |kappa| +
@@ -524,13 +526,18 @@ def _block(g: SignedGraph, t, *certs):
     if t.ndim != 2 or len(t) != n or t.dtype.kind not in "iuf" or not np.isfinite(t).all():
         raise GraphError(f"sign patterns must be an ({n}, m) array of finite reals, "
                          f"got {t.dtype} of shape {t.shape}")
+    if t.dtype.kind in "iu":  # sigma t_v exact: int64, or Python ints past 2**62
+        small = not t.size or -2**62 < int(t.min()) and int(t.max()) < 2**62
+        t = t.astype(np.int64 if small else object)
     checked = []
     for a, kinds, ndim in certs:
         a, shape = np.asarray(a), t.shape[2 - ndim:]
         if a.shape != shape or (a.size and a.dtype.kind not in kinds):
             raise GraphError(f"a certificate array has shape {a.shape} and kind {a.dtype.kind!r}, "
                              f"expected {shape} and one of {kinds!r}")
-        checked.append(a.astype(bool if kinds == "b" else np.intp) if not a.size else a)
+        if a.dtype.kind == "u":  # past 2**63 - 1 no vertex or pi, and none at 2**63 - 1
+            a = np.minimum(a.astype(np.uint64), 2**63 - 1)
+        checked.append(a.astype(bool if kinds == "b" else np.intp))
     w = [e[2] for e in edges]
     dm, dk = math.gcd(*mu), math.gcd(*kappa, *w) or 1  # 0 without edges and kappa
     span, total = (sum(map(abs, kappa)) + 2 * sum(w)) // dk, sum(mu) // dm
@@ -595,7 +602,8 @@ def check_zero_cut_1lap(g: SignedGraph, t, first, pi) -> np.ndarray:
     sgn, d, (first, pi), mu, kappa, w, wide = _block(g, t, (first, "b", 2), (pi, "iu", 2))
     c, zero_zero, ((ok, a, b),) = _pins(g, sgn, d, mu, kappa, w, first)
     # a column with pi off {-1, 0, 1} or on the support is zeroed: 0 > 0 fails
-    pi = np.where(((abs(pi) <= 1) & ((pi == 0) | (sgn == 0))).all(axis=0), pi, 0).astype(np.int8)
+    ok &= ((pi >= -1) & (pi <= 1) & ((pi == 0) | (sgn == 0))).all(axis=0)
+    pi = np.where(ok, pi, 0).astype(np.int8)
     capacity = w @ (abs(pi[g.eu] - g.es.astype(np.int8)[:, None] * pi[g.ev]) * zero_zero)
     excess = (pi * c - abs(pi) * abs(kappa)[:, None]).sum(axis=0) - capacity
     return ok & (excess.astype(wide) * b > abs(a).astype(wide) * (abs(pi) * mu[:, None]).sum(axis=0))

@@ -92,9 +92,10 @@ def _sign_steps(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
     and 2x + 1 x with sign -1: an edge steps both ways, flipping the sign
     where sigma = -1. Also each state's sign."""
     a, b = 2 * g.eu, 2 * g.ev + (g.es < 0)
-    step = np.zeros((2 * g.n, 2 * g.n), dtype=bool)
+    step, signs = np.zeros((2 * g.n, 2 * g.n), dtype=bool), np.tile((1.0, -1.0), g.n)
     step[np.concatenate((a, a + 1, b, b ^ 1)), np.concatenate((b, b ^ 1, a, a + 1))] = True
-    return step, np.tile((1.0, -1.0), g.n)
+    step.flags.writeable = signs.flags.writeable = False  # shared by every call on g
+    return step, signs
 
 
 def weak_count_oracle(g: SignedGraph, f) -> int:

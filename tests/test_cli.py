@@ -276,6 +276,23 @@ class TestOnelap:
         assert code == 1 and out == ""
         assert "failed its check" in err
 
+    def test_verify_catches_a_zero_cut_that_wraps_in_int8(self, capsys, p3_file, monkeypatch):
+        # pi = -128 where it was -1: abs(-128) is -128 in int8, so a check that
+        # took abs in the block's own dtype would pass every column
+        real = cli.one_lap_enumerate
+
+        def forged(g):
+            ols = real(g)
+            blocks = tuple((t, first, np.where(pi == -1, -128, pi).astype(np.int8))
+                           for t, first, pi in ols.zero_cuts)
+            assert any((pi == -128).any() for _, _, pi in blocks)
+            return dataclasses.replace(ols, zero_cuts=blocks)
+
+        monkeypatch.setattr(cli, "one_lap_enumerate", forged)
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
+        assert code == 1 and out == ""
+        assert "failed its check" in err
+
     @staticmethod
     def _duplicated(t, x, y):
         # the first column twice, in place of the last: as many columns as before

@@ -855,6 +855,11 @@ class TestBlockCheckers:
         assert not check(graph(4.0), x_only, 0, -2)  # pi off {-1, 0, 1}
         assert not check(graph(4.0), both, 0, -1)  # a mask with the zero vertex y
         assert not check(graph(1.0), x_only, 0, -1)  # |c_y| = 2 = the slack: not exceeded
+        # pi off {-1, 0, 1} that wraps: abs(-128) is -128 in int8, and the
+        # int64 and uint64 extremes read as themselves, not as -1
+        assert not check(graph(4.0), x_only, 0, -128)
+        for pi in (np.array([[0], [-2**63]]), np.array([[0], [2**64 - 1]], np.uint64)):
+            assert not check_zero_cut_1lap(graph(4.0), t, x_only, pi)[0]
         # a - b - y at (1, 1, 0), mu_a = mu_b = 4: {a, b} pins 1/4 and y's
         # flux -2 exceeds its slack 1/4; {a} crosses the free edge a - b
         g = SignedGraph.build("aby", [("a", "b", 1.0, 1), ("b", "y", 2.0, 1)], mu=[4.0, 4.0, 1.0])
@@ -862,3 +867,15 @@ class TestBlockCheckers:
         pi = np.array([[0], [0], [-1]], np.int8)
         assert check_zero_cut_1lap(g, t, np.array([[True], [True], [False]]), pi).tolist() == [True]
         assert check_zero_cut_1lap(g, t, np.array([[True], [False], [False]]), pi).tolist() == [False]
+
+    @pytest.mark.parametrize("t", [np.full((2, 1), -128, np.int8), np.full((2, 1), -1.0),
+                                   np.full((2, 1), -2**62), np.full((2, 1), -2**63)],
+                             ids=("int8-min", "float", "int64-past-2**62", "int64-min"))
+    def test_t_is_read_exactly(self, t):
+        # a - b of sign -1 at t_a = t_b < 0: t_a - sigma t_b < 0 fixes the edge
+        # (sigma t_b wrapped back to t_b would free it), so {a} and {b} pin 1
+        # and 1/2, and the screen pair (a, b) checks, lo_a = 1 > hi_b / 2
+        g = SignedGraph.build("ab", [("a", "b", 1.0, -1)], mu=[1.0, 2.0])
+        first, second = np.array([[True], [False]]), np.array([[False], [True]])
+        assert check_pins_1lap(g, t, first, second).tolist() == [True]
+        assert check_screen_1lap(g, t, [0], [1]).tolist() == [True]
