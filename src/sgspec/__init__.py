@@ -15,17 +15,18 @@ from .graph import (
     serialize_function,
     serialize_graph,
     switch,
+    with_degree_measure,
 )
 from .operators import (
     EigenPair,
+    OneLapWitness,
     ResidualCertificate,
     apply_p_laplacian,
     check_certificate_1lap,
     check_eigenpair,
     check_eigenpair_1lap,
-    check_pins_1lap,
-    check_screen_1lap,
-    check_zero_cut_1lap,
+    check_rejections_1lap,
+    eigen_residual,
     one_lap_lambda_range,
     phi_p,
     rayleigh,
@@ -33,6 +34,7 @@ from .operators import (
 from .spectra import (
     ExtremalResult,
     OneLapEigenSet,
+    OneLapPair,
     SpectrumP2,
     extremal_p,
     one_lap_enumerate,
@@ -51,6 +53,7 @@ from .nodal import (
 )
 from .cheeger import (
     CheegerResult,
+    DEFAULT_CAPS,
     beta,
     cheeger_k,
     check_theorem41,
@@ -63,6 +66,7 @@ from .transforms import (
     remove_node,
 )
 from .harness import (
+    ALL_CHECKS,
     SuiteConfig,
     SuiteReport,
     example_3_1_check,

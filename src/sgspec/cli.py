@@ -23,8 +23,7 @@ from .graph import (
 )
 from .harness import SuiteConfig, random_signed_graph, run_suite
 from .nodal import nodal_quantities
-from .operators import (check_certificate_1lap, check_pins_1lap, check_screen_1lap,
-                        check_zero_cut_1lap)
+from .operators import check_certificate_1lap, check_rejections_1lap
 from .spectra import extremal_p, one_lap_enumerate, spectrum_p2
 from .transforms import remove_edge, remove_node
 
@@ -170,13 +169,10 @@ def _cmd_onelap(args) -> int:
             if p.witness.lam != p.lam or not check_certificate_1lap(g, p.f, p.witness):
                 print(f"re-verification failed for lambda={p.lam}", file=sys.stderr)
                 return 1
-        bad = [f for f, cert in ols.rejections if not check_certificate_1lap(g, f, cert)]
-        blocks = [np.array([p.f for p in ols.pairs] + [f for f, _ in ols.rejections]).T]
-        for check, kept in ((check_screen_1lap, ols.screened), (check_pins_1lap, ols.pins),
-                            (check_zero_cut_1lap, ols.zero_cuts)):
-            for t, *cert in kept:
-                bad += map(tuple, t[:, ~check(g, t, *cert)].T.tolist())
-                blocks.append(t)
+        bad, blocks = [], [np.array([p.f for p in ols.pairs]).T]
+        for kind, t, first, second in ols.rejected:
+            bad += map(tuple, t[:, ~check_rejections_1lap(g, kind, t, first, second)].T.tolist())
+            blocks.append(t)
         if bad:
             print(f"rejection of pattern {bad[0]} failed its check", file=sys.stderr)
             return 1

@@ -35,6 +35,7 @@ __all__ = [
     "balance_state",
     "components",
     "cycle_surplus",
+    "induced_subgraph",
     "with_degree_measure",
     "parse_graph",
     "serialize_graph",

@@ -12,18 +12,17 @@ of support edges with f_u = sigma f_v pins lambda, and the rest is a network
 feasibility question, decided by an exact integer max-flow
 (``one_lap_lambda_range``). Each decision leaves a certificate: the flow, as
 a witness, when f admits lambda, and otherwise the inequality that rules f
-out (two conflicting pins, or a cut from Hoffman's circulation theorem; the
-block screen of ``spectra`` rejects by a screen pair, and its pin stage by
-two pins or a one-vertex zero cut, before any flow runs).
-``check_certificate_1lap`` checks one in integers, independently of the
-flow (certifying algorithms: McConnell, Mehlhorn, Naeher & Schweitzer,
-Comput. Sci. Rev. 5(2), 2011). A screen pair, two pins and a zero cut each
-have one checker, which takes a whole block of patterns at once
-(``check_screen_1lap``, ``check_pins_1lap``, ``check_zero_cut_1lap``);
-``check_certificate_1lap`` calls it on a block of one column.
-``check_eigenpair_1lap`` decides a given (lambda, f) by the same checked
-max-flow; :mod:`sgspec.simplex` decides nothing here, and remains only as
-the test oracles' independent LP and for the benchmark.
+out (a screen pair, two conflicting pins, a support cut or a zero cut from
+Hoffman's circulation theorem). ``check_certificate_1lap`` checks one in
+integers, independently of whatever produced it (certifying algorithms:
+McConnell, Mehlhorn, Naeher & Schweitzer, Comput. Sci. Rev. 5(2), 2011).
+Every rejection, of one pattern or of a whole block of patterns, is checked
+by the one block checker ``check_rejections_1lap``, which runs a private
+kernel per kind on one shared boundary; ``check_certificate_1lap`` calls it
+on a block of one column. ``check_eigenpair_1lap`` decides a given
+(lambda, f) by the same checked max-flow; :mod:`sgspec.simplex` decides
+nothing here, and remains only as the test oracles' independent LP and for
+the benchmark.
 """
 
 from __future__ import annotations
@@ -50,9 +49,7 @@ __all__ = [
     "one_lap_lambda_range",
     "OneLapWitness",
     "check_certificate_1lap",
-    "check_screen_1lap",
-    "check_pins_1lap",
-    "check_zero_cut_1lap",
+    "check_rejections_1lap",
 ]
 
 _TINY = 1e-300
@@ -210,12 +207,10 @@ def check_eigenpair(g: SignedGraph, pair: EigenPair, tol: float = 1e-9) -> Resid
 # nonempty set C of support vertices that no free support edge
 # (f_u = sigma f_v != 0) leaves; summing sgn(f_x) times the inclusion over C
 # cancels the free edges inside C, so lambda mu(C) = sum over C of sgn_x c_x.
-# A rejection is a plain tuple (kind, first, second), described in
-# ``check_certificate_1lap``. one_lap_enumerate keeps one for each pattern
-# that meets the max-flow; the rejections of the screen and of the pin
-# stage stay int8 blocks, with vertex sets as bool masks. The garbage
-# collector stops tracking a plain tuple of ints and strings, but never a
-# class instance or a NamedTuple.
+# A rejection of one pattern is a plain tuple (kind, first, second),
+# described in ``check_certificate_1lap``; one_lap_enumerate keeps every
+# rejection in int8 blocks of patterns, with vertex sets as bool masks, for
+# ``check_rejections_1lap``.
 
 
 class OneLapWitness(NamedTuple):
@@ -397,31 +392,14 @@ def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
     pattern of ``f``, in linear time and in integers on ``g.scaled_ints``,
     from g and f alone: it shares no code or state with the max-flow or the
     pin stage that produced ``cert``. Vertices are indices into ``g.ids``;
-    c_x and pins are defined above ``OneLapWitness``. A screen pair, two
-    pins or a zero cut is checked by its block checker on one column.
+    c_x and pins are defined above ``OneLapWitness``.
 
     * ``OneLapWitness``: passes when every z lies in its Sgn interval,
       z_vu = -sigma z_uv, and every vertex balances to lambda mu_x Sgn(f_x).
       Then (lambda, f) is an eigenpair.
-
-    A rejection passes when the inequality it states holds; then no lambda
-    makes f an eigenfunction.
-
-    * ``("screen", x, y)``: support vertices with lo_x / mu_x > hi_y / mu_y,
-      where [lo_v, hi_v] holds sgn(f_v) times every flux that Sgn allows at
-      v. Lambda would have to be at least the one and at most the other.
-    * ``("pins", first, second)``: two pins that give different lambda.
-    * ``("support-cut", pin, side)``: a pin and a set X of support vertices
-      whose demand |sum over X of (lambda mu_x - sgn_x c_x)| exceeds the
-      weight of the free support edges leaving X, the capacity of its cut
-      (Hoffman's circulation theorem).
-    * ``("zero-cut", pin, pi)``: a pin and signs pi in {-1, 0, 1} on the
-      zero vertices with sum pi_y c_y - sum |pi_y| (|lambda| mu_y + |kappa_y|)
-      greater than the sum over zero-zero edges of w |pi_u - sigma pi_v|.
-      Each zero vertex needs |c_y + its zero-zero flux| <= |lambda| mu_y +
-      |kappa_y|; weighted by pi and summed, these cannot all hold. A zero
-      vertex without zero-zero edges whose |c_y| exceeds that slack is the
-      case of one nonzero pi_y.
+    * A rejection ``(kind, first, second)``: passes when
+      ``check_rejections_1lap`` passes it on one column. Then no lambda
+      makes f an eigenfunction.
 
     Anything else answers False, also a certificate of the wrong shape: a
     vertex index, a count or a z must be a Python int, a vertex set or a pi
@@ -437,75 +415,53 @@ def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
     f = f.tolist()
     if not all(map(math.isfinite, f)) or not any(f):
         raise GraphError("eigenfunction must be finite and nonzero")
-    witness = isinstance(cert, OneLapWitness)
-    if not witness and not (type(cert) is tuple and len(cert) == 3 and type(cert[0]) is str):
-        return False
-
-    if not witness and cert[0] in ("screen", "pins", "zero-cut"):
+    if not isinstance(cert, OneLapWitness):
+        if not (type(cert) is tuple and len(cert) == 3 and type(cert[0]) is str
+                and cert[0] in _KERNELS):
+            return False
         kind, first, second = cert
         col = np.array(f)[:, None]
+        if kind == "screen":
+            return (type(first) is type(second) is int and 0 <= first < n and 0 <= second < n
+                    and bool(check_rejections_1lap(g, kind, col, [first], [second])[0]))
 
         def mask(xs):  # a tuple of vertices as a one-column mask, else None
             if type(xs) is tuple and all(type(x) is int and 0 <= x < n for x in xs):
-                out = np.zeros((n, 1), bool)
-                out[list(xs), 0] = True
-                return out
+                return np.array([x in xs for x in range(n)])[:, None]
 
-        if kind == "screen":
-            return (type(first) is type(second) is int and 0 <= first < n and 0 <= second < n
-                    and bool(check_screen_1lap(g, col, [first], [second])[0]))
-        if kind == "pins":
-            one, two = mask(first), mask(second)
-            return one is not None and two is not None and bool(check_pins_1lap(g, col, one, two)[0])
         one = mask(first)
-        return (one is not None and _ints(second, n) and all(abs(x) <= 1 for x in second)
-                and bool(check_zero_cut_1lap(g, col, one, np.array(second)[:, None])[0]))
+        if kind == "zero-cut":  # pi as a column, once checked to be n ints in {-1, 0, 1}
+            ok = _ints(second, n) and all(-1 <= x <= 1 for x in second)
+            two = np.array(second)[:, None] if ok else None
+        else:
+            two = mask(second)
+        return (one is not None and two is not None
+                and bool(check_rejections_1lap(g, kind, col, one, two)[0]))
 
+    lam, den, z_edge, z_vertex = cert
+    if not (isinstance(lam, Fraction) and type(den) is int and den >= 1
+            and _ints(z_vertex, n) and type(z_edge) is tuple and len(z_edge) == len(edges)
+            and all(type(z) is tuple and len(z) == 2 and type(z[0]) is type(z[1]) is int
+                    for z in z_edge)):
+        return False
     sgn = [(x > 0) - (x < 0) for x in f]
     # the sign of f_u - sigma f_v on each edge: z_uv, or 0 where z_uv is free
     dirs = [(f[u] > s * f[v]) - (f[u] < s * f[v]) for u, v, _, s in edges]
-    if witness:
-        lam, den, z_edge, z_vertex = cert
-        if not (isinstance(lam, Fraction) and type(den) is int and den >= 1
-                and _ints(z_vertex, n) and type(z_edge) is tuple and len(z_edge) == len(edges)
-                and all(type(z) is tuple and len(z) == 2 and type(z[0]) is type(z[1]) is int
-                        for z in z_edge)):
+    total = [0] * n
+    for (u, v, w, s), dz, (a, b) in zip(edges, dirs, z_edge):
+        if b != -s * a or (a != dz * w * den if dz else abs(a) > w * den):
             return False
-        total = [0] * n
-        for (u, v, w, s), dz, (a, b) in zip(edges, dirs, z_edge):
-            if b != -s * a or (a != dz * w * den if dz else abs(a) > w * den):
-                return False
-            total[u] += a
-            total[v] += b
-        p, q = lam.numerator, lam.denominator
-        for sx, m, k, tot, zx in zip(sgn, mu, kappa, total, z_vertex):
-            if sx:
-                ok = zx == sx * k * den and q * (tot + zx) == sx * p * m * den
-            else:
-                ok = abs(zx) <= abs(k) * den and abs(q * (tot + zx)) <= abs(p) * m * den
-            if not ok:
-                return False
-        return True
-
-    c = [k * sx for k, sx in zip(kappa, sgn)]
-    for (u, v, w, s), dz in zip(edges, dirs):
-        c[u] += dz * w
-        c[v] -= s * dz * w
-    free_support = [(u, v, w) for (u, v, w, _), dz in zip(edges, dirs) if not dz and sgn[u]]
-
-    def support_set(xs) -> set[int] | None:
-        ok = type(xs) is tuple and all(type(x) is int and 0 <= x < n and sgn[x] for x in xs)
-        return set(xs) if ok else None
-
-    kind, pin, side = cert
-    pin, side = support_set(pin), support_set(side)
-    if (kind != "support-cut" or not pin or side is None
-            or any((u in pin) != (v in pin) for u, v, _ in free_support)):
-        return False
-    a, b = sum(sgn[x] * c[x] for x in pin), sum(mu[x] for x in pin)  # lambda = a / b
-    demand = sum(a * mu[x] - b * sgn[x] * c[x] for x in side)
-    capacity = sum(w for u, v, w in free_support if (u in side) != (v in side))
-    return abs(demand) > b * capacity
+        total[u] += a
+        total[v] += b
+    p, q = lam.numerator, lam.denominator
+    for sx, m, k, tot, zx in zip(sgn, mu, kappa, total, z_vertex):
+        if sx:
+            ok = zx == sx * k * den and q * (tot + zx) == sx * p * m * den
+        else:
+            ok = abs(zx) <= abs(k) * den and abs(q * (tot + zx)) <= abs(p) * m * den
+        if not ok:
+            return False
+    return True
 
 
 def _block(g: SignedGraph, t, *certs):
@@ -520,7 +476,9 @@ def _block(g: SignedGraph, t, *certs):
     the dtype of products. A |sum of fluxes| is at most A = sum |kappa| +
     2 sum w and a sum of mu at most B = sum mu, so sums are exact in int64
     when A, B < 2**62 and products of the two when A B < 2**62; else they
-    take Python ints (dtype object)."""
+    take Python ints (dtype object). A support cut's demand a mu(X) - b
+    sum_X sgn_x c_x is a difference of two such products, below 2 A B < 2**63
+    in absolute value, and b times its capacity is at most A B."""
     mu, kappa, edges, _ = g.scaled_ints
     n, t = len(mu), np.asarray(t)
     if t.ndim != 2 or len(t) != n or t.dtype.kind not in "iuf" or not np.isfinite(t).all():
@@ -549,25 +507,23 @@ def _block(g: SignedGraph, t, *certs):
 
 
 def _pins(g: SignedGraph, sgn, d, mu, kappa, w, *masks):
-    """The flux c (n, m) and the zero-zero edges (E, m) of a checked block,
-    and per mask whether each column is a pin, with its (a, b): lambda = a / b."""
+    """The flux c (n, m), the free support edges and the zero-zero edges
+    (E, m) of a checked block, and per mask whether each column is a pin,
+    with its (a, b): lambda = a / b."""
     inc = np.zeros((g.n, len(g.edges)), np.int8)
     inc[g.eu, np.arange(len(g.edges))], inc[g.ev, np.arange(len(g.edges))] = 1, -g.es
     c = kappa[:, None] * sgn + inc @ (w[:, None] * d)
     on_u, on_v = sgn[g.eu] != 0, sgn[g.ev] != 0
     free = (d == 0) & on_u
-    return c, ~on_u & ~on_v, [(mask.any(axis=0) & ~(mask & (sgn == 0)).any(axis=0)
-                               & ~(free & (mask[g.eu] != mask[g.ev])).any(axis=0),
-                               (mask * sgn * c).sum(axis=0), (mask * mu[:, None]).sum(axis=0))
-                              for mask in masks]
+    return c, free, ~on_u & ~on_v, [(mask.any(axis=0) & ~(mask & (sgn == 0)).any(axis=0)
+                                     & ~(free & (mask[g.eu] != mask[g.ev])).any(axis=0),
+                                     (mask * sgn * c).sum(axis=0), (mask * mu[:, None]).sum(axis=0))
+                                    for mask in masks]
 
 
-def check_screen_1lap(g: SignedGraph, t, x, y) -> np.ndarray:
-    """Whether ``("screen", x[j], y[j])`` checks for each column j of the (n, m)
-    array t (see ``check_certificate_1lap``), the vertices as int arrays. lo_x
-    and hi_y are summed from ``g.scaled_ints``, not from the ranks of
-    ``spectra._screened_blocks``, and compared as lo_x mu_y > hi_y mu_x (see
-    ``_block`` for the arithmetic)."""
+def _screen(g: SignedGraph, t, x, y) -> np.ndarray:
+    """lo_x and hi_y are summed from ``g.scaled_ints``, not from the ranks of
+    ``spectra._screened_blocks``, and compared as lo_x mu_y > hi_y mu_x."""
     sgn, d, (x, y), mu, kappa, w, wide = _block(g, t, (x, "iu", 1), (y, "iu", 1))
     cols, n = np.arange(sgn.shape[1]), g.n
     ok = (0 <= x) & (x < n) & (0 <= y) & (y < n)
@@ -584,29 +540,72 @@ def check_screen_1lap(g: SignedGraph, t, x, y) -> np.ndarray:
     return ok & (bound(x, -1) * mu[y] > bound(y, 1) * mu[x])
 
 
-def check_pins_1lap(g: SignedGraph, t, first, second) -> np.ndarray:
-    """Whether ``("pins", first[:, j], second[:, j])`` checks for each column j
-    of the (n, m) array t, the pins as bool (n, m) masks (see
-    ``check_certificate_1lap``). c and the free edges are recomputed from
-    ``g.scaled_ints``, not taken from ``spectra._pin_stage``."""
+def _two_pins(g: SignedGraph, t, first, second) -> np.ndarray:
     sgn, d, masks, mu, kappa, w, wide = _block(g, t, (first, "b", 2), (second, "b", 2))
-    _, _, ((ok1, a1, b1), (ok2, a2, b2)) = _pins(g, sgn, d, mu, kappa, w, *masks)
+    _, _, _, ((ok1, a1, b1), (ok2, a2, b2)) = _pins(g, sgn, d, mu, kappa, w, *masks)
     return ok1 & ok2 & (a1.astype(wide) * b2 != a2.astype(wide) * b1)
 
 
-def check_zero_cut_1lap(g: SignedGraph, t, first, pi) -> np.ndarray:
-    """Whether ``("zero-cut", first[:, j], pi[:, j])`` checks for each column j
-    of the (n, m) array t, the pin as a bool (n, m) mask and pi an int
-    (n, m) array (see ``check_certificate_1lap``): b (sum pi_y c_y -
-    sum |pi_y kappa_y| - the zero-zero capacity) > |a| sum |pi_y| mu_y."""
+def _support_cut(g: SignedGraph, t, pin, side) -> np.ndarray:
+    """|a mu(X) - b sum over X of sgn_x c_x| > b (the weight of the free
+    support edges that cross X), for the side X on the support."""
+    sgn, d, (pin, side), mu, kappa, w, wide = _block(g, t, (pin, "b", 2), (side, "b", 2))
+    c, free, _, ((ok, a, b),) = _pins(g, sgn, d, mu, kappa, w, pin)
+    ok &= ~(side & (sgn == 0)).any(axis=0)
+    a, b = a.astype(wide), b.astype(wide)
+    demand = a * (side * mu[:, None]).sum(axis=0) - b * (side * sgn * c).sum(axis=0)
+    return ok & (abs(demand) > b * (w @ (free & (side[g.eu] != side[g.ev]))))
+
+
+def _zero_cut(g: SignedGraph, t, first, pi) -> np.ndarray:
+    """b (sum pi_y c_y - sum |pi_y kappa_y| - the zero-zero capacity) >
+    |a| sum |pi_y| mu_y."""
     sgn, d, (first, pi), mu, kappa, w, wide = _block(g, t, (first, "b", 2), (pi, "iu", 2))
-    c, zero_zero, ((ok, a, b),) = _pins(g, sgn, d, mu, kappa, w, first)
+    c, _, zero_zero, ((ok, a, b),) = _pins(g, sgn, d, mu, kappa, w, first)
     # a column with pi off {-1, 0, 1} or on the support is zeroed: 0 > 0 fails
     ok &= ((pi >= -1) & (pi <= 1) & ((pi == 0) | (sgn == 0))).all(axis=0)
     pi = np.where(ok, pi, 0).astype(np.int8)
     capacity = w @ (abs(pi[g.eu] - g.es.astype(np.int8)[:, None] * pi[g.ev]) * zero_zero)
     excess = (pi * c - abs(pi) * abs(kappa)[:, None]).sum(axis=0) - capacity
     return ok & (excess.astype(wide) * b > abs(a).astype(wide) * (abs(pi) * mu[:, None]).sum(axis=0))
+
+
+_KERNELS = {"screen": _screen, "pins": _two_pins, "support-cut": _support_cut,
+            "zero-cut": _zero_cut}
+
+
+def check_rejections_1lap(g: SignedGraph, kind: str, t, first, second) -> np.ndarray:
+    """Whether ``(kind, first[..., j], second[..., j])`` rejects column j of
+    the (n, m) array t, for each j: it does when the inequality it states
+    holds, and then no lambda makes t[:, j] an eigenfunction. By kind, with
+    c_x and pins defined above ``OneLapWitness``, a vertex set a bool (n, m)
+    mask and pi an int (n, m) array:
+
+    * ``"screen"``, x and y int arrays of shape (m,): support vertices with
+      lo_x / mu_x > hi_y / mu_y, where [lo_v, hi_v] holds sgn(t_v) times
+      every flux that Sgn allows at v. Lambda would have to be at least the
+      one and at most the other.
+    * ``"pins"``, two vertex sets: two pins that give different lambda.
+    * ``"support-cut"``, a pin and a set X of support vertices whose demand
+      |sum over X of (lambda mu_x - sgn_x c_x)| exceeds the weight of the
+      free support edges leaving X, the capacity of its cut (Hoffman's
+      circulation theorem).
+    * ``"zero-cut"``, a pin and signs pi in {-1, 0, 1} on the zero vertices
+      with sum pi_y c_y - sum |pi_y| (|lambda| mu_y + |kappa_y|) greater than
+      the sum over zero-zero edges of w |pi_u - sigma pi_v|. Each zero
+      vertex needs |c_y + its zero-zero flux| <= |lambda| mu_y + |kappa_y|;
+      weighted by pi and summed, these cannot all hold. A zero vertex
+      without zero-zero edges whose |c_y| exceeds that slack is the case of
+      one nonzero pi_y.
+
+    One integer pass per block, from g and t alone: sgn, c, the free edges,
+    the pins and the screen's bounds are recomputed from ``g.scaled_ints``,
+    not taken from the screen, the pin stage or the max-flow that produced
+    the block (see ``_block`` for the arithmetic). An unknown kind or a
+    malformed block raises GraphError."""
+    if type(kind) is not str or kind not in _KERNELS:
+        raise GraphError(f"unknown rejection kind {kind!r}, expected one of {sorted(_KERNELS)}")
+    return _KERNELS[kind](g, t, first, second)
 
 
 def one_lap_lambda_range(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]]:

@@ -15,13 +15,14 @@ Jacobian. Neither loop calls a public operator. Every reported
 pair is re-certified by its eigen-residual. For p = 1 candidates are the
 +-1/0 patterns, scanned in the int8 blocks of the Cheeger table and screened
 per block exactly, by integer ranks of the screen's bounds fixed once per
-graph; no float decides a pattern, and its rejections stay int8 blocks for
-``check_screen_1lap``. The survivors meet one more exact integer pass per
-block, the pin stage: two pins that differ, or one zero vertex whose flux
-exceeds its slack, reject a column there, and those rejections stay blocks
-for ``check_pins_1lap`` and ``check_zero_cut_1lap``. Only the rest is
-decided by an exact integer max-flow that leaves a certificate (a witness
-for a pair, else the reason), checked by ``check_certificate_1lap``.
+graph; no float decides a pattern. The survivors meet one more exact
+integer pass per block, the pin stage: two pins that differ, or one zero
+vertex whose flux exceeds its slack, reject a column there. Only the rest is
+decided by an exact integer max-flow that leaves a certificate: a witness
+for a pair, checked by ``check_certificate_1lap``, else the reason. Every
+rejection, of the screen, the pin stage or the flow, is kept in one field
+as int8 blocks of patterns with their certificates, for the one block
+checker ``check_rejections_1lap``.
 """
 
 from __future__ import annotations
@@ -314,18 +315,11 @@ class OneLapEigenSet:
     smallest_positive: Fraction | None
     patterns_scanned: int
     patterns_solved: int
-    # every pattern that met the max-flow and is not a pair, with the reason
-    # (a rejection tuple; see check_certificate_1lap)
-    rejections: tuple[tuple[tuple[int, ...], tuple], ...] = field(compare=False, repr=False)
-    # the screen's rejections, one (t, x, y) per block: int8 columns t, and
-    # ("screen", x[j], y[j]) rejects column j (see check_screen_1lap)
-    screened: tuple[tuple[np.ndarray, ...], ...] = field(compare=False, repr=False)
-    # the pin stage's, one (t, first, second) per block: ("pins", first[:, j],
-    # second[:, j]) rejects column j, the pins as bool masks (check_pins_1lap)
-    pins: tuple[tuple[np.ndarray, ...], ...] = field(compare=False, repr=False)
-    # and one (t, first, pi) per block: ("zero-cut", first[:, j], pi[:, j]),
-    # pi int8 (check_zero_cut_1lap)
-    zero_cuts: tuple[tuple[np.ndarray, ...], ...] = field(compare=False, repr=False)
+    # every scanned pattern that is not a pair, one (kind, t, first, second)
+    # per block and kind: (kind, first[..., j], second[..., j]) rejects column
+    # j of the int8 block t (see check_rejections_1lap)
+    rejected: tuple[tuple[str, np.ndarray, np.ndarray, np.ndarray], ...] = field(
+        compare=False, repr=False)
 
 
 def _screened_blocks(g: SignedGraph):
@@ -393,7 +387,8 @@ def _pin_stage(g: SignedGraph):
     else they take Python ints (dtype object)."""
     mu, kappa, edges, _ = g.scaled_ints
     n, e, w = g.n, np.arange(len(edges)), [x for _, _, x, _ in edges]
-    # lambda is unchanged by scaling mu, or kappa and w together
+    # mu over dm multiplies lambda by dm, and kappa and w over dk divide it by
+    # dk; every pin comparison and zero-cut inequality is unchanged
     dm, dk = math.gcd(*mu), math.gcd(*kappa, *w) or 1
     mu, kappa, w = [x // dm for x in mu], [x // dk for x in kappa], [x // dk for x in w]
     span, total = sum(map(abs, kappa)) + 2 * sum(w), sum(mu)
@@ -445,12 +440,11 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
     (``_pin_stage``) decides the survivors that need no flow, a block at a
     time; only the rest loop in Python, each decided by an exact max-flow.
     A pattern admits at most one lambda, so a pair is one (lambda, pattern).
-    Each scanned pattern keeps its certificate: the screen's rejections by
-    block in ``screened``, for ``check_screen_1lap``; the pin stage's in
-    ``pins`` and ``zero_cuts``, for ``check_pins_1lap`` and
-    ``check_zero_cut_1lap``; every pattern that met the flow one for
-    ``check_certificate_1lap``, a pair its witness, any other pattern in
-    ``rejections`` the reason it was rejected.
+    Each scanned pattern keeps its certificate: a pair its witness, for
+    ``check_certificate_1lap``, and every other pattern the reason it was
+    rejected, in ``rejected``, for ``check_rejections_1lap``. Per block there
+    is one entry per kind: the screen's pairs, the pin stage's two pins,
+    the flow's support cuts, and the zero cuts of the stage and the flow.
     """
     if g.n > ONE_LAP_CAP:
         raise GraphError(
@@ -459,23 +453,30 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
     if g.n == 0:
         raise GraphError("one_lap_enumerate needs at least one vertex")
     pairs: list[OneLapPair] = []
-    rejections, screened, pinned, zero_cuts = [], [], [], []
+    rejected = []
     scanned = solved = 0
     decide = _pin_stage(g)
-    for t, rejected, x, y in _screened_blocks(g):
+    for t, screened, x, y in _screened_blocks(g):
         scanned += t.shape[1]
-        screened.append((t[:, rejected], x[rejected], y[rejected]))
-        rest = t[:, ~rejected]
+        rest = t[:, ~screened]
         solved += rest.shape[1]
         pins, cut, first, second, pi = decide(rest)
-        pinned.append((rest[:, pins], first[:, pins], second[:, pins]))
-        zero_cuts.append((rest[:, cut], first[:, cut], pi[:, cut]))
-        for pattern in zip(*rest[:, ~(pins | cut)].tolist()):
+        # the flow decides the rest; a cut it finds joins the block's entries
+        # with the pin first of the stage, which all the pins agree with
+        side = np.zeros_like(cut)
+        flow = np.flatnonzero(~(pins | cut))
+        for j, pattern in zip(flow.tolist(), zip(*rest[:, flow].tolist())):
             cert = _pattern_lambda(g, pattern)
             if isinstance(cert, OneLapWitness):
                 pairs.append(OneLapPair(lam=cert.lam, f=pattern, witness=cert))
-            else:
-                rejections.append((pattern, cert))
+            elif cert[0] == "zero-cut":
+                cut[j], pi[:, j] = True, cert[2]
+            else:  # a support cut: the stage leaves the flow no two pins
+                side[j], second[:, j] = True, [x in cert[2] for x in range(g.n)]
+        rejected += [("screen", t[:, screened], x[screened], y[screened]),
+                     ("pins", rest[:, pins], first[:, pins], second[:, pins]),
+                     ("support-cut", rest[:, side], first[:, side], second[:, side]),
+                     ("zero-cut", rest[:, cut], first[:, cut], pi[:, cut])]
     pairs.sort(key=lambda pr: (pr.lam, pr.f))
     values = sorted({pr.lam for pr in pairs})
     if not values:
@@ -493,10 +494,7 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
         smallest_positive=smallest_pos,
         patterns_scanned=scanned,
         patterns_solved=solved,
-        rejections=tuple(rejections),
-        screened=tuple(screened),
-        pins=tuple(pinned),
-        zero_cuts=tuple(zero_cuts),
+        rejected=tuple(rejected),
     )
 
 

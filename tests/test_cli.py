@@ -10,8 +10,8 @@ import pytest
 
 from sgspec import cli, operators, spectra
 from sgspec.cli import main
-from sgspec.graph import parse_graph, serialize_function, serialize_graph
-from sgspec.operators import check_screen_1lap
+from sgspec.graph import SignedGraph, parse_graph, serialize_function, serialize_graph
+from sgspec.operators import check_rejections_1lap
 
 from test_graph import complete, path, triangle
 
@@ -27,6 +27,17 @@ def k5_file(tmp_path):
 def p3_file(tmp_path):
     p = tmp_path / "p3.json"
     p.write_bytes(serialize_graph(path(3)))
+    return str(p)
+
+
+@pytest.fixture
+def cut_file(tmp_path):
+    # triangle a-b-c with the negative edge b-c, and d pendant at a: its
+    # patterns are rejected by every kind, (1, 1, -1, 0) by the max-flow's
+    # support cut, with the side {b, c}
+    p = tmp_path / "cut.json"
+    p.write_bytes(serialize_graph(SignedGraph.build(
+        "abcd", [("a", "b", 1.0, 1), ("a", "c", 2.0, 1), ("a", "d", 2.0, 1), ("b", "c", 2.0, -1)])))
     return str(p)
 
 
@@ -108,6 +119,20 @@ class TestNodal:
         assert "dual_strong" in doc
 
 
+def _tampered(ols, kind, tamper):
+    """ols with ``tamper(t, first, second)`` in place of the first entry of
+    ``kind`` in ``rejected`` that has columns."""
+    hits = [i for i, (k, t, _, _) in enumerate(ols.rejected) if k == kind and t.shape[1]]
+    assert hits
+    rejected = list(ols.rejected)
+    rejected[hits[0]] = (kind, *tamper(*rejected[hits[0]][1:]))
+    return dataclasses.replace(ols, rejected=tuple(rejected))
+
+
+def _without_the_first_column(*block):
+    return tuple(a[..., 1:] for a in block)
+
+
 class TestOnelap:
     def test_verify_flag(self, capsys, tmp_path):
         gfile = tmp_path / "t.json"
@@ -174,13 +199,19 @@ class TestOnelap:
         assert "re-verification failed" in err
 
     def test_verify_catches_a_missing_pattern(self, capsys, k5_file, monkeypatch):
-        # on K5, unlike P3, some patterns meet the max-flow and are rejected there
+        # on K5, unlike P3, some patterns meet the max-flow and are rejected
+        # there, by zero cuts that join the pin stage's in their block
         real = cli.one_lap_enumerate
 
         def one_dropped(g):
-            ols = real(g)
-            assert ols.rejections
-            return dataclasses.replace(ols, rejections=ols.rejections[1:])
+            def flow_one_dropped(t, first, pi):
+                pins, cut, *_ = spectra._pin_stage(g)(t)
+                flow = np.flatnonzero(~(pins | cut))
+                assert flow.size
+                kept = np.arange(t.shape[1]) != flow[0]
+                return t[:, kept], first[:, kept], pi[:, kept]
+
+            return _tampered(real(g), "zero-cut", flow_one_dropped)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", one_dropped)
         code, out, err = run(capsys, "onelap", "--graph", k5_file, "--verify")
@@ -191,9 +222,7 @@ class TestOnelap:
         real = cli.one_lap_enumerate
 
         def one_dropped(g):
-            ols = real(g)
-            (t, x, y), = ols.screened
-            return dataclasses.replace(ols, screened=((t[:, 1:], x[1:], y[1:]),))
+            return _tampered(real(g), "screen", _without_the_first_column)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", one_dropped)
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
@@ -242,39 +271,57 @@ class TestOnelap:
         assert code == 1 and out == ""
         assert "rejection of pattern (1, 1, 1) failed its check" in err
 
-    @pytest.mark.parametrize("kind", ["pins", "zero_cuts"])
-    def test_verify_catches_a_missing_staged_pattern(self, capsys, p3_file, monkeypatch, kind):
+    @pytest.mark.parametrize("kind", ["screen", "pins", "support-cut", "zero-cut"])
+    def test_verify_catches_a_missing_staged_pattern(self, capsys, cut_file, monkeypatch, kind):
         real = cli.one_lap_enumerate
 
         def one_dropped(g):
-            ols = real(g)
-            blocks = [block for block in getattr(ols, kind) if block[0].shape[1]]
-            assert blocks
-            t, first, other = blocks[0]
-            dropped = (t[:, 1:], first[:, 1:], other[:, 1:])
-            return dataclasses.replace(ols, **{kind: (dropped, *blocks[1:])})
+            return _tampered(real(g), kind, _without_the_first_column)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", one_dropped)
-        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
+        code, out, err = run(capsys, "onelap", "--graph", cut_file, "--verify")
         assert code == 1 and out == ""
         assert "do not cover every sign pattern" in err
 
-    @pytest.mark.parametrize("kind", ["pins", "zero_cuts"])
-    def test_verify_catches_a_forged_staged_block(self, capsys, p3_file, monkeypatch, kind):
-        # the second certificate of every column of a block replaced by the
-        # first: a pin against itself, or pi from a mask on the support
+    @pytest.mark.parametrize("kind", ["screen", "pins", "support-cut", "zero-cut"])
+    def test_verify_catches_a_forged_staged_block(self, capsys, cut_file, monkeypatch, kind):
+        # the second certificate of every column of a kind replaced by the
+        # first: a screen pair (x, x), a pin against itself, the pin as the
+        # side of a support cut (its demand is 0), or pi from a mask on the
+        # support
         real = cli.one_lap_enumerate
 
         def forged(g):
             ols = real(g)
-            blocks = [(t, first, first.astype(np.int8) if kind == "zero_cuts" else first)
-                      for t, first, _ in getattr(ols, kind)]
-            return dataclasses.replace(ols, **{kind: tuple(blocks)})
+            assert any(k == kind and t.shape[1] for k, t, _, _ in ols.rejected)
+            rejected = tuple((k, t, first, first.astype(second.dtype) if k == kind else second)
+                             for k, t, first, second in ols.rejected)
+            return dataclasses.replace(ols, rejected=rejected)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", forged)
-        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
+        code, out, err = run(capsys, "onelap", "--graph", cut_file, "--verify")
         assert code == 1 and out == ""
         assert "failed its check" in err
+
+    @pytest.mark.parametrize("which", [0, -1], ids=("first", "last"))
+    def test_verify_catches_a_vertex_dropped_from_a_support_cut(self, capsys, cut_file,
+                                                                 monkeypatch, which):
+        # the side {b, c} of (1, 1, -1, 0) less b or less c: the demand of
+        # {b} or {c} alone is within the capacity of its cut
+        real = cli.one_lap_enumerate
+
+        def dropped(g):
+            def one_less(t, pin, side):
+                side, cols = side.copy(), np.arange(side.shape[1])
+                side[[np.flatnonzero(s)[which] for s in side.T], cols] = False
+                return t, pin, side
+
+            return _tampered(real(g), "support-cut", one_less)
+
+        monkeypatch.setattr(cli, "one_lap_enumerate", dropped)
+        code, out, err = run(capsys, "onelap", "--graph", cut_file, "--verify")
+        assert code == 1 and out == ""
+        assert "rejection of pattern (1, 1, -1, 0) failed its check" in err
 
     def test_verify_catches_a_zero_cut_that_wraps_in_int8(self, capsys, p3_file, monkeypatch):
         # pi = -128 where it was -1: abs(-128) is -128 in int8, so a check that
@@ -283,10 +330,10 @@ class TestOnelap:
 
         def forged(g):
             ols = real(g)
-            blocks = tuple((t, first, np.where(pi == -1, -128, pi).astype(np.int8))
-                           for t, first, pi in ols.zero_cuts)
-            assert any((pi == -128).any() for _, _, pi in blocks)
-            return dataclasses.replace(ols, zero_cuts=blocks)
+            rejected = tuple((k, t, first, np.where(pi == -1, -128, pi).astype(np.int8)
+                              if k == "zero-cut" else pi) for k, t, first, pi in ols.rejected)
+            assert any((pi == -128).any() for k, _, _, pi in rejected if k == "zero-cut")
+            return dataclasses.replace(ols, rejected=rejected)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", forged)
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
@@ -314,11 +361,13 @@ class TestOnelap:
         real = cli.one_lap_enumerate
 
         def tampered(g):
-            ols = real(g)
-            (t, x, y), = ols.screened
-            t, x, y = tamper(t, x, y)
-            assert check_screen_1lap(g, t, x, y).all()  # so only the coverage check can fail
-            return dataclasses.replace(ols, screened=((t, x, y),))
+            def checked(t, x, y):
+                t, x, y = tamper(t, x, y)
+                # so only the coverage check can fail
+                assert check_rejections_1lap(g, "screen", t, x, y).all()
+                return t, x, y
+
+            return _tampered(real(g), "screen", checked)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", tampered)
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")

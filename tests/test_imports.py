@@ -140,3 +140,21 @@ def test_detects_a_private_knob():
     }
     assert private_knobs(sources) == ["a.py: _f(step) (line 1)", "a.py: _f(tol) (line 1)",
                                       "a.py: _h(y) (line 3)", "a.py: _m(k) (line 5)"]
+
+
+def module_all(tree: ast.Module) -> set[str]:
+    """The names in a module's ``__all__``."""
+    return {elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in node.value.elts}
+
+
+def test_package_reexports_every_public_name():
+    # sgspec's names are exactly its modules' __all__; simplex is left out,
+    # since no module of the package uses it
+    init = ast.parse((SRC / "__init__.py").read_text())
+    reexported = {alias.asname or alias.name for node in init.body
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public = set().union(*(module_all(ast.parse(p.read_text())) for p in SRC.glob("*.py")
+                           if p.name not in ("__init__.py", "simplex.py")))
+    assert reexported == public

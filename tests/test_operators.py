@@ -17,9 +17,7 @@ from sgspec.operators import (
     check_certificate_1lap,
     check_eigenpair,
     check_eigenpair_1lap,
-    check_pins_1lap,
-    check_screen_1lap,
-    check_zero_cut_1lap,
+    check_rejections_1lap,
     eigen_residual,
     one_lap_lambda_range,
     phi_p,
@@ -723,20 +721,21 @@ class TestCertificateTamper:
             check_certificate_1lap(path(2), f, ("screen", 0, 1))
 
 
-# each block checker with good arguments on an (n, m) block t: (check, *certs)
+# good arguments of each kind's kernel on an (n, m) block t: (first, second)
 _CHECKERS = {
-    "screen": lambda t: (check_screen_1lap, np.zeros(t.shape[1], int), np.zeros(t.shape[1], int)),
-    "pins": lambda t: (check_pins_1lap, t != 0, t != 0),
-    "zero-cut": lambda t: (check_zero_cut_1lap, t != 0, np.zeros(t.shape, np.int8)),
+    "screen": lambda t: (np.zeros(t.shape[1], int), np.zeros(t.shape[1], int)),
+    "pins": lambda t: (t != 0, t != 0),
+    "support-cut": lambda t: (t != 0, t != 0),
+    "zero-cut": lambda t: (t != 0, np.zeros(t.shape, np.int8)),
 }
 _T3 = np.array([[1, 1], [-1, 0], [1, 1]], np.int8)
 
 
 class TestScreenChecker:
-    """``check_screen_1lap`` on whole blocks against the per-pattern screen
-    of the oracles: for every column, some (x, y) checks exactly when the
-    oracle rejects, and the oracle's (x, y) checks. Then the boundary that
-    every block checker shares."""
+    """``check_rejections_1lap`` on whole blocks of screen pairs against the
+    per-pattern screen of the oracles: for every column, some (x, y) checks
+    exactly when the oracle rejects, and the oracle's (x, y) checks. Then
+    the boundary that every kind shares."""
 
     _GRAPHS = {
         "int64": lambda: random_signed_graph(6, 0.5, seed=2, connected=True),
@@ -757,7 +756,7 @@ class TestScreenChecker:
         rejected = 0
         for t, _, _ in _labelings(g.n):
             m = t.shape[1]
-            checks = {(x, y): check_screen_1lap(g, t, np.full(m, x), np.full(m, y))
+            checks = {(x, y): check_rejections_1lap(g, "screen", t, np.full(m, x), np.full(m, y))
                       for x in range(g.n) for y in range(g.n)}
             for j, f in enumerate(zip(*t.tolist())):
                 cert = prefilter_lambda_box(g, f)
@@ -770,13 +769,19 @@ class TestScreenChecker:
     def test_vertex_off_the_graph_or_the_support(self):
         # (1, -1, 1): the middle pins lambda = 2, the ends lambda = 1
         t = np.array([[1, 1], [-1, 0], [1, 1]], np.int8)
-        assert check_screen_1lap(path(3), t, [1, 1], [0, 0]).tolist() == [True, False]
-        assert not check_screen_1lap(path(3), t, [1, 1], [-3, 3]).any()
+        assert check_rejections_1lap(path(3), "screen", t, [1, 1], [0, 0]).tolist() == [True, False]
+        assert not check_rejections_1lap(path(3), "screen", t, [1, 1], [-3, 3]).any()
         with pytest.raises(GraphError, match="shape"):
-            check_screen_1lap(path(3), t[:2], [1, 1], [0, 0])
+            check_rejections_1lap(path(3), "screen", t[:2], [1, 1], [0, 0])
 
-    # the boundary of every block checker: a malformed block or certificate
-    # array raises GraphError, and an empty block answers an empty array
+    # the boundary of every kind: an unknown kind or a malformed block or
+    # certificate array raises GraphError, and an empty block answers an
+    # empty array
+    @pytest.mark.parametrize("kind", ["bogus", "zero_cuts", "Screen", None, ("screen",)])
+    def test_unknown_kind_raises(self, kind):
+        with pytest.raises(GraphError, match="unknown rejection kind"):
+            check_rejections_1lap(path(3), kind, _T3, *_CHECKERS["pins"](_T3))
+
     @pytest.mark.parametrize("name", _CHECKERS)
     @pytest.mark.parametrize("tamper", [
         lambda t, certs: (np.where(np.eye(3, 2, dtype=bool), np.nan, t), certs),
@@ -790,27 +795,26 @@ class TestScreenChecker:
     ], ids=("nan", "inf", "short", "one-dimensional", "bool-t", "certificate-too-short",
             "float-certificate", "str-certificate"))
     def test_malformed_block_raises(self, name, tamper):
-        check, *certs = _CHECKERS[name](_T3)
-        t, certs = tamper(_T3, certs)
+        t, certs = tamper(_T3, _CHECKERS[name](_T3))
         with pytest.raises(GraphError):
-            check(path(3), t, *certs)
+            check_rejections_1lap(path(3), name, t, *certs)
 
     @pytest.mark.parametrize("name", _CHECKERS)
     def test_an_empty_block(self, name):
         t = np.zeros((3, 0), np.int8)
-        check, *certs = _CHECKERS[name](t)
+        certs = _CHECKERS[name](t)
         for args in (certs, [[]] * len(certs) if name == "screen" else certs):
-            out = check(path(3), t, *args)
+            out = check_rejections_1lap(path(3), name, t, *args)
             assert out.dtype == bool and out.shape == (0,)
 
     def test_good_arguments_pass_the_boundary(self):
         for name, make in _CHECKERS.items():
-            check, *certs = make(_T3)
-            assert check(path(3), _T3, *certs).shape == (2,), name
+            assert check_rejections_1lap(path(3), name, _T3, *make(_T3)).shape == (2,), name
 
 
 class TestBlockCheckers:
-    """Forged pins and zero cuts fail, each for the one reason it was forged."""
+    """Forged pins, support cuts and zero cuts fail, each for the one reason
+    it was forged."""
 
     # path a - b - c, unit weights and mu; columns (1, -1, 1) and (1, 1, -1):
     # in the first every edge is fixed and {a}, {b}, {c} pin 1, 2, 1; in the
@@ -826,17 +830,44 @@ class TestBlockCheckers:
 
     def test_pins(self):
         g, t, m = path(3), self._T, self._masks
-        assert check_pins_1lap(g, t, m((0,), (0, 1)), m((1,), (2,))).tolist() == [True, True]
+
+        def check(t, first, second):
+            return check_rejections_1lap(g, "pins", t, first, second).tolist()
+
+        assert check(t, m((0,), (0, 1)), m((1,), (2,))) == [True, True]
         # first == second, and two pins that agree
-        assert not check_pins_1lap(g, t, m((0,), (2,)), m((0,), (2,))).any()
-        assert not check_pins_1lap(g, t, m((0,), (0, 1)), m((2,), (0, 1))).any()
+        assert not any(check(t, m((0,), (2,)), m((0,), (2,))))
+        assert not any(check(t, m((0,), (0, 1)), m((2,), (0, 1))))
         # {a} crosses the free edge a - b: it would "pin" 0, not 1/2
-        assert check_pins_1lap(g, t, m((0,), (0,)), m((1,), (2,))).tolist() == [True, False]
+        assert check(t, m((0,), (0,)), m((1,), (2,))) == [True, False]
         # an empty mask; a mask with the zero vertex b of (1, 0, -1)
-        assert not check_pins_1lap(g, t, m((), ()), m((1,), (2,))).any()
+        assert not any(check(t, m((), ()), m((1,), (2,))))
         t0 = np.array([[1], [0], [-1]], np.int8)
-        assert check_pins_1lap(g, t0, m((0,)), m((2,))).tolist() == [False]  # both pin 1
-        assert check_pins_1lap(g, t0, m((0, 1)), m((2,))).tolist() == [False]
+        assert check(t0, m((0,)), m((2,))) == [False]  # both pin 1
+        assert check(t0, m((0, 1)), m((2,))) == [False]
+
+    @pytest.mark.parametrize("mu_a", [1.0, 2.0**70], ids=("int64", "object"))
+    def test_support_cuts(self, mu_a):
+        # a - b - c - d at (1, 1, 1, 0), w = 1, 2, 1 and kappa = (4, -3/2,
+        # -5/2, 0): the fixed edge c - d gives c_c = -3/2, {a, b, c} is the
+        # one pin, and {b, c} demands about 3 across a - b of weight 1, while
+        # {b} and {c} alone have cuts of weight 3 and 2
+        g = SignedGraph.build("abcd", [("a", "b", 1.0, 1), ("b", "c", 2.0, 1), ("c", "d", 1.0, 1)],
+                              mu=[mu_a, 1.0, 1.0, 1.0], kappa=[4.0, -1.5, -2.5, 0.0])
+        assert products_take_python_ints(g) == (mu_a > 1)
+        t = np.array([[1], [1], [1], [0]], np.int8)
+
+        def check(pin, side):
+            pin_mask, side_mask = np.zeros((4, 1), bool), np.zeros((4, 1), bool)
+            pin_mask[list(pin)], side_mask[list(side)] = True, True
+            return bool(check_rejections_1lap(g, "support-cut", t, pin_mask, side_mask)[0])
+
+        # a side and its complement on the support: the demands sum to 0
+        assert check((0, 1, 2), (1, 2)) and check((0, 1, 2), (0,))
+        assert not check((0, 1, 2), (1, 2, 3))  # the zero vertex d in the side
+        assert not check((), (1, 2))  # an empty pin
+        assert not check((0,), (1, 2))  # {a} crosses the free edge a - b
+        assert not check((0, 1, 2), (1,)) and not check((0, 1, 2), (2,))  # a side vertex dropped
 
     def test_zero_cuts(self):
         # x - y of weight 2 at f = (1, 0): x pins lambda = 2 / mu_x, and y
@@ -847,7 +878,8 @@ class TestBlockCheckers:
         t, x_only, both = np.array([[1], [0]], np.int8), np.array([[True], [False]]), np.ones((2, 1), bool)
 
         def check(g, first, *pi):
-            return bool(check_zero_cut_1lap(g, t, first, np.array(pi, np.int8)[:, None])[0])
+            pi = np.array(pi, np.int8)[:, None]
+            return bool(check_rejections_1lap(g, "zero-cut", t, first, pi)[0])
 
         assert check(graph(4.0), x_only, 0, -1)
         assert not check(graph(4.0), x_only, 0, 1)  # the wrong sign
@@ -859,14 +891,15 @@ class TestBlockCheckers:
         # int64 and uint64 extremes read as themselves, not as -1
         assert not check(graph(4.0), x_only, 0, -128)
         for pi in (np.array([[0], [-2**63]]), np.array([[0], [2**64 - 1]], np.uint64)):
-            assert not check_zero_cut_1lap(graph(4.0), t, x_only, pi)[0]
+            assert not check_rejections_1lap(graph(4.0), "zero-cut", t, x_only, pi)[0]
         # a - b - y at (1, 1, 0), mu_a = mu_b = 4: {a, b} pins 1/4 and y's
         # flux -2 exceeds its slack 1/4; {a} crosses the free edge a - b
         g = SignedGraph.build("aby", [("a", "b", 1.0, 1), ("b", "y", 2.0, 1)], mu=[4.0, 4.0, 1.0])
         t = np.array([[1], [1], [0]], np.int8)
         pi = np.array([[0], [0], [-1]], np.int8)
-        assert check_zero_cut_1lap(g, t, np.array([[True], [True], [False]]), pi).tolist() == [True]
-        assert check_zero_cut_1lap(g, t, np.array([[True], [False], [False]]), pi).tolist() == [False]
+        for first, verdict in (([[1], [1], [0]], True), ([[1], [0], [0]], False)):
+            first = np.array(first, bool)
+            assert check_rejections_1lap(g, "zero-cut", t, first, pi).tolist() == [verdict]
 
     @pytest.mark.parametrize("t", [np.full((2, 1), -128, np.int8), np.full((2, 1), -1.0),
                                    np.full((2, 1), -2**62), np.full((2, 1), -2**63)],
@@ -877,5 +910,5 @@ class TestBlockCheckers:
         # and 1/2, and the screen pair (a, b) checks, lo_a = 1 > hi_b / 2
         g = SignedGraph.build("ab", [("a", "b", 1.0, -1)], mu=[1.0, 2.0])
         first, second = np.array([[True], [False]]), np.array([[False], [True]])
-        assert check_pins_1lap(g, t, first, second).tolist() == [True]
-        assert check_screen_1lap(g, t, [0], [1]).tolist() == [True]
+        assert check_rejections_1lap(g, "pins", t, first, second).tolist() == [True]
+        assert check_rejections_1lap(g, "screen", t, [0], [1]).tolist() == [True]

@@ -14,7 +14,7 @@ from sgspec import spectra
 from sgspec.graph import GraphError, SignedGraph, parse_graph, switch, with_degree_measure
 from sgspec.harness import MODELS, random_signed_graph
 from sgspec.operators import (OneLapWitness, _pattern_lambda, check_certificate_1lap,
-                              check_pins_1lap, check_screen_1lap, check_zero_cut_1lap)
+                              check_rejections_1lap)
 from sgspec.spectra import (
     extremal_p,
     form_matrix,
@@ -378,22 +378,21 @@ class TestOneLapEnumerate:
 
     def test_every_pattern_keeps_a_certificate_that_checks(self):
         rng = np.random.default_rng(14)
+        kinds = set()
         for _ in range(6):
             g = random_graph(rng, 5)
             ols = one_lap_enumerate(g)
-            blocks = ols.screened + ols.pins + ols.zero_cuts
-            kept = [f for t, _, _ in blocks for f in zip(*t.tolist())]
-            patterns = [pr.f for pr in ols.pairs] + [f for f, _ in ols.rejections] + kept
+            kinds.update(kind for kind, t, _, _ in ols.rejected if t.shape[1])
+            kept = [f for _, t, _, _ in ols.rejected for f in zip(*t.tolist())]
+            patterns = [pr.f for pr in ols.pairs] + kept
             assert sorted(patterns) == sorted(
                 p for p in product((0, 1, -1), repeat=g.n) if next((t for t in p if t), 0) == 1)
             assert len(patterns) == ols.patterns_scanned
             for pr in ols.pairs:
                 assert pr.witness.lam == pr.lam
                 assert check_certificate_1lap(g, pr.f, pr.witness)
-            assert all(check_certificate_1lap(g, f, cert) for f, cert in ols.rejections)
-            assert all(check_screen_1lap(g, t, x, y).all() for t, x, y in ols.screened)
-            assert all(check_pins_1lap(g, *block).all() for block in ols.pins)
-            assert all(check_zero_cut_1lap(g, *block).all() for block in ols.zero_cuts)
+            assert all(check_rejections_1lap(g, *entry).all() for entry in ols.rejected)
+        assert kinds == {"screen", "pins", "support-cut", "zero-cut"}
 
     def test_cap_enforced(self):
         g = SignedGraph.build([str(i) for i in range(13)], [])
@@ -484,7 +483,8 @@ class TestBlockScreen:
                 for f, rej in zip(zip(*t.tolist()), rejected.tolist()):
                     assert rej == (prefilter_lambda_box(g, f) is not None), (g, f)
                     outcomes["rejected" if rej else "passed"] += 1
-                assert check_screen_1lap(g, t[:, rejected], x[rejected], y[rejected]).all(), g
+                assert check_rejections_1lap(g, "screen", t[:, rejected], x[rejected],
+                                             y[rejected]).all(), g
         assert sum(outcomes.values()) >= 20000
         assert min(outcomes.values()) >= 100, outcomes
 
@@ -502,11 +502,12 @@ class TestBlockScreen:
             assert sorted((pr.lam, pr.f) for pr in ols.pairs) == pairs
             assert list(ols.values) == values
             assert (ols.patterns_scanned, ols.patterns_solved) == (scanned, solved)
-            screened, pins, cuts = (sum(t.shape[1] for t, _, _ in blocks)
-                                    for blocks in (ols.screened, ols.pins, ols.zero_cuts))
-            assert screened == scanned - solved
-            assert pins == pinned
-            assert len(ols.rejections) + screened + pins + cuts == scanned - len(pairs)
+            rejected = Counter()
+            for kind, t, _, _ in ols.rejected:
+                rejected[kind] += t.shape[1]
+            assert rejected["screen"] == scanned - solved
+            assert rejected["pins"] == pinned
+            assert rejected.total() == scanned - len(pairs)
 
     def test_empty_graph_refused_before_the_scan(self, monkeypatch):
         monkeypatch.setattr(spectra._cheeger, "_labelings", lambda n: pytest.fail("scanned"))
@@ -558,8 +559,10 @@ class TestPinStage:
                     assert pins[j] == (not pair and cert[0] == "pins"), (g, f)
                     assert not (cut[j] and (pins[j] or pair)), (g, f)
                     seen["kept"] += not (pins[j] or cut[j])
-                assert check_pins_1lap(g, t[:, pins], first[:, pins], second[:, pins]).all(), g
-                assert check_zero_cut_1lap(g, t[:, cut], first[:, cut], pi[:, cut]).all(), g
+                assert check_rejections_1lap(g, "pins", t[:, pins], first[:, pins],
+                                             second[:, pins]).all(), g
+                assert check_rejections_1lap(g, "zero-cut", t[:, cut], first[:, cut],
+                                             pi[:, cut]).all(), g
                 assert (abs(pi[:, cut]).sum(axis=0) == 1).all() and not pi[:, ~cut].any()
                 seen["pins"] += pins.sum()
                 seen["zero-cut"] += cut.sum()
@@ -571,12 +574,10 @@ class TestPinStage:
         outcomes = Counter()
         for g in list(self._corpus())[::6]:
             for t, (pins, cut, first, second, pi) in _staged(g):
-                cases = [(check_pins_1lap, "pins", first, second),
-                         (check_pins_1lap, "pins", first, first),
-                         (check_zero_cut_1lap, "zero-cut", first, pi),
-                         (check_zero_cut_1lap, "zero-cut", second, -pi)]
-                for check, kind, one, two in cases:
-                    block = check(g, t, one, two)
+                cases = [("pins", first, second), ("pins", first, first),
+                         ("zero-cut", first, pi), ("zero-cut", second, -pi)]
+                for kind, one, two in cases:
+                    block = check_rejections_1lap(g, kind, t, one, two)
                     for j, f in enumerate(zip(*t.tolist())):
                         other = (np.flatnonzero(two[:, j]) if kind == "pins" else two[:, j]).tolist()
                         cert = (kind, tuple(np.flatnonzero(one[:, j]).tolist()), tuple(other))
