@@ -170,8 +170,8 @@ def _cmd_onelap(args) -> int:
                 print(f"re-verification failed for lambda={p.lam}", file=sys.stderr)
                 return 1
         bad, blocks = [], [np.array([p.f for p in ols.pairs]).T]
-        for kind, t, first, second in ols.rejected:
-            bad += map(tuple, t[:, ~check_rejections_1lap(g, kind, t, first, second)].T.tolist())
+        for kind, t, *certs in ols.rejected:
+            bad += map(tuple, t[:, ~check_rejections_1lap(g, kind, t, *certs)].T.tolist())
             blocks.append(t)
         if bad:
             print(f"rejection of pattern {bad[0]} failed its check", file=sys.stderr)

@@ -3,8 +3,9 @@
 Every connectivity question of the package is one labeling by ``_labels``,
 a union-find whose root is the least node of its class: components over the
 edges, balance over the signed double cover, whose nodes 2x and 2x + 1 are
-x with sign +1 and -1, and the nodal domains and 1-Laplacian pins of
-``nodal`` and ``operators``.
+x with sign +1 and -1, and the nodal domains of ``nodal``. The one
+exception is the 1-Laplacian pin stage, ``spectra._pin_stage``, which
+labels the components of a whole block of sign patterns at once in numpy.
 
 A signed graph carries a positive vertex measure ``mu``, a real vertex
 potential ``kappa``, positive edge weights and an edge signature in {-1,+1}.

@@ -12,6 +12,8 @@ no trial depends on the trials before it.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, fields, asdict
 from typing import NamedTuple
 
@@ -23,6 +25,7 @@ from .graph import (
     ParseError,
     SignedGraph,
     _exponent,
+    _is,
     balance_state,
     components,
     serialize_graph,
@@ -324,6 +327,9 @@ class SuiteConfig:
             raise GraphError("need seed >= 0 and trials >= 1")
         if not 4 <= self.n_min <= self.n_max:
             raise GraphError("need 4 <= n_min <= n_max")
+        for k, x in (("density", self.density), ("tol", self.tol)):
+            if not (_is(x, numbers.Real) and math.isfinite(x)):
+                raise GraphError(f"{k} must be a finite real number, got {x!r}")
         if not 0 < self.density <= 1:
             raise GraphError("density must be in (0, 1]")
         if not (self.models and self.p_list and self.checks):

@@ -7,15 +7,16 @@ differences, which the public functions and the fused gradient and Newton
 steps of :mod:`sgspec.spectra` share. Every public function checks its f
 once, by ``graph._function``; the kernels check nothing. For p = 1 the
 eigen-condition is a differential inclusion with Sgn intervals. Given a sign
-pattern f, the lambda it admits is a single point or nothing: each component
-of support edges with f_u = sigma f_v pins lambda, and the rest is a network
+pattern f, the lambda it admits is a single point or nothing: the support of
+f pins lambda to the ratio of its sums, and the rest is a network
 feasibility question, decided by an exact integer max-flow
 (``one_lap_lambda_range``). Each decision leaves a certificate: the flow, as
 a witness, when f admits lambda, and otherwise the inequality that rules f
-out (a screen pair, two conflicting pins, a support cut or a zero cut from
-Hoffman's circulation theorem). ``check_certificate_1lap`` checks one in
-integers, independently of whatever produced it (certifying algorithms:
-McConnell, Mehlhorn, Naeher & Schweitzer, Comput. Sci. Rev. 5(2), 2011).
+out (a screen pair, or a support cut or a zero cut from Hoffman's
+circulation theorem); every certificate takes lambda from the support.
+``check_certificate_1lap`` checks one in integers, independently of
+whatever produced it (certifying algorithms: McConnell, Mehlhorn, Naeher &
+Schweitzer, Comput. Sci. Rev. 5(2), 2011).
 Every rejection, of one pattern or of a whole block of patterns, is checked
 by the one block checker ``check_rejections_1lap``, which runs a private
 kernel per kind on one shared boundary; ``check_certificate_1lap`` calls it
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph, _exponent, _function, _groups, _is, _labels
+from .graph import GraphError, SignedGraph, _exponent, _function, _is
 
 __all__ = [
     "phi_p",
@@ -207,10 +208,12 @@ def check_eigenpair(g: SignedGraph, pair: EigenPair, tol: float = 1e-9) -> Resid
 # nonempty set C of support vertices that no free support edge
 # (f_u = sigma f_v != 0) leaves; summing sgn(f_x) times the inclusion over C
 # cancels the free edges inside C, so lambda mu(C) = sum over C of sgn_x c_x.
-# A rejection of one pattern is a plain tuple (kind, first, second),
-# described in ``check_certificate_1lap``; one_lap_enumerate keeps every
-# rejection in int8 blocks of patterns, with vertex sets as bool masks, for
-# ``check_rejections_1lap``.
+# The support itself is a pin (a free support edge joins two support
+# vertices), so every certificate takes lambda from the support's sums and
+# none carries a pin. A rejection of one pattern is a plain tuple
+# (kind, *certificate), described in ``check_certificate_1lap``;
+# one_lap_enumerate keeps every rejection in int8 blocks of patterns, with
+# a side as a bool mask, for ``check_rejections_1lap``.
 
 
 class OneLapWitness(NamedTuple):
@@ -306,27 +309,16 @@ def _pattern_lambda(g: SignedGraph, f) -> OneLapWitness | tuple:
         else:
             zero_edges.append((e, u, v, w, s))
 
-    # each component C of free support edges pins lambda mu(C) = sum sgn_x c_x
-    def pin(comp: tuple[int, ...]) -> tuple[int, int]:
-        return sum(sgn[x] * flux[x] for x in comp), sum(mu[x] for x in comp)
-
-    lab = _labels(n, [(u, v) for _, u, v, _ in support_arcs])
-    first, *rest = map(tuple, _groups(lab, (x for x in range(n) if sgn[x])).values())
-    num, den = pin(first)
-    for comp in rest:
-        a, b = pin(comp)
-        if a * den != num * b:
-            return "pins", first, comp
-    lam = Fraction(num, den)
+    # the support is a pin: lambda mu(support) = sum sgn_x c_x over it
+    lam = Fraction(sum(sx * c for sx, c in zip(sgn, flux)), sum(m for sx, m in zip(sgn, mu) if sx))
     p, q = lam.numerator, lam.denominator  # everything below is scaled by q
-
-    support_flows = []
-    if support_arcs:
-        demand = [p * mu[x] - q * sgn[x] * flux[x] if sgn[x] else 0 for x in range(n)]
-        support_flows, side = _feasible_flow(
-            n, [(u, v, q * w) for _, u, v, w in support_arcs], demand, demand)
-        if support_flows is None:
-            return "support-cut", first, tuple(sorted(side))
+    # a pin that differs from lambda is a cut of capacity 0, which the flow
+    # finds also where no free support edge joins the one-vertex pins
+    demand = [p * mu[x] - q * sgn[x] * flux[x] if sgn[x] else 0 for x in range(n)]
+    support_flows, side = _feasible_flow(
+        n, [(u, v, q * w) for _, u, v, w in support_arcs], demand, demand)
+    if support_flows is None:
+        return "support-cut", tuple(sorted(side))
 
     # zero vertex y: the net flux of its zero-zero edges lies in
     # [-|lam| mu_y - |kappa_y| - c_y, |lam| mu_y + |kappa_y| - c_y]
@@ -344,7 +336,7 @@ def _pattern_lambda(g: SignedGraph, f) -> OneLapWitness | tuple:
         elif q * abs(flux[y]) > slack:
             pi = [0] * n
             pi[y] = 1 if flux[y] > 0 else -1
-            return "zero-cut", first, tuple(pi)
+            return "zero-cut", tuple(pi)
     zero_flows = []
     if zero_edges:
         # Negative edges are not conservative, so decide the block on the
@@ -362,7 +354,7 @@ def _pattern_lambda(g: SignedGraph, f) -> OneLapWitness | tuple:
             pi = [0] * n
             for node in side:
                 pi[covered[node // 2]] += 1 if node % 2 else -1
-            return "zero-cut", first, tuple(pi)
+            return "zero-cut", tuple(pi)
 
     # The witness, over the common denominator 2q: a support flow x on u -> v
     # is 2 sgn_u x, and a zero-zero edge takes the mirror average (x+ - x-).
@@ -392,18 +384,18 @@ def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
     pattern of ``f``, in linear time and in integers on ``g.scaled_ints``,
     from g and f alone: it shares no code or state with the max-flow or the
     pin stage that produced ``cert``. Vertices are indices into ``g.ids``;
-    c_x and pins are defined above ``OneLapWitness``.
+    c_x and the support's lambda are defined above ``OneLapWitness``.
 
     * ``OneLapWitness``: passes when every z lies in its Sgn interval,
       z_vu = -sigma z_uv, and every vertex balances to lambda mu_x Sgn(f_x).
       Then (lambda, f) is an eigenpair.
-    * A rejection ``(kind, first, second)``: passes when
-      ``check_rejections_1lap`` passes it on one column. Then no lambda
-      makes f an eigenfunction.
+    * A rejection ``("screen", x, y)``, ``("support-cut", X)`` or
+      ``("zero-cut", pi)``: passes when ``check_rejections_1lap`` passes it
+      on one column. Then no lambda makes f an eigenfunction.
 
-    Anything else answers False, also a certificate of the wrong shape: a
-    vertex index, a count or a z must be a Python int, a vertex set or a pi
-    a tuple of them.
+    Anything else answers False, also a certificate of the wrong shape or
+    of an unknown kind: a vertex index, a count or a z must be a Python
+    int, a side X or a pi a tuple of them.
     """
     mu, kappa, edges, _ = g.scaled_ints
     n = len(mu)
@@ -416,27 +408,22 @@ def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
     if not all(map(math.isfinite, f)) or not any(f):
         raise GraphError("eigenfunction must be finite and nonzero")
     if not isinstance(cert, OneLapWitness):
-        if not (type(cert) is tuple and len(cert) == 3 and type(cert[0]) is str
-                and cert[0] in _KERNELS):
+        if not (type(cert) is tuple and cert and type(cert[0]) is str and cert[0] in _KERNELS
+                and len(cert) == 1 + _KERNELS[cert[0]][1]):
             return False
-        kind, first, second = cert
+        kind, *certs = cert
         col = np.array(f)[:, None]
         if kind == "screen":
-            return (type(first) is type(second) is int and 0 <= first < n and 0 <= second < n
-                    and bool(check_rejections_1lap(g, kind, col, [first], [second])[0]))
-
-        def mask(xs):  # a tuple of vertices as a one-column mask, else None
-            if type(xs) is tuple and all(type(x) is int and 0 <= x < n for x in xs):
-                return np.array([x in xs for x in range(n)])[:, None]
-
-        one = mask(first)
-        if kind == "zero-cut":  # pi as a column, once checked to be n ints in {-1, 0, 1}
-            ok = _ints(second, n) and all(-1 <= x <= 1 for x in second)
-            two = np.array(second)[:, None] if ok else None
-        else:
-            two = mask(second)
-        return (one is not None and two is not None
-                and bool(check_rejections_1lap(g, kind, col, one, two)[0]))
+            x, y = certs
+            return (type(x) is type(y) is int and 0 <= x < n and 0 <= y < n
+                    and bool(check_rejections_1lap(g, kind, col, [x], [y])[0]))
+        (xs,) = certs
+        if kind == "support-cut":  # the side X, a tuple of vertices, as a one-column mask
+            ok = type(xs) is tuple and all(type(x) is int and 0 <= x < n for x in xs)
+            xs = [x in xs for x in range(n)] if ok else xs
+        else:  # pi, as a column once checked to be n ints in {-1, 0, 1}
+            ok = _ints(xs, n) and all(-1 <= x <= 1 for x in xs)
+        return ok and bool(check_rejections_1lap(g, kind, col, np.array(xs)[:, None])[0])
 
     lam, den, z_edge, z_vertex = cert
     if not (isinstance(lam, Fraction) and type(den) is int and den >= 1
@@ -506,19 +493,15 @@ def _block(g: SignedGraph, t, *certs):
             dtype if span * total < 2**62 else object)
 
 
-def _pins(g: SignedGraph, sgn, d, mu, kappa, w, *masks):
-    """The flux c (n, m), the free support edges and the zero-zero edges
-    (E, m) of a checked block, and per mask whether each column is a pin,
-    with its (a, b): lambda = a / b."""
+def _support(g: SignedGraph, sgn, d, mu, kappa, w):
+    """The flux c (n, m) and the free support edges (E, m) of a checked
+    block, and each column's lambda = a / b from its support: a the sum of
+    sgn_x c_x and b the sum of mu_x over it (both 0 for a zero column)."""
     inc = np.zeros((g.n, len(g.edges)), np.int8)
     inc[g.eu, np.arange(len(g.edges))], inc[g.ev, np.arange(len(g.edges))] = 1, -g.es
     c = kappa[:, None] * sgn + inc @ (w[:, None] * d)
-    on_u, on_v = sgn[g.eu] != 0, sgn[g.ev] != 0
-    free = (d == 0) & on_u
-    return c, free, ~on_u & ~on_v, [(mask.any(axis=0) & ~(mask & (sgn == 0)).any(axis=0)
-                                     & ~(free & (mask[g.eu] != mask[g.ev])).any(axis=0),
-                                     (mask * sgn * c).sum(axis=0), (mask * mu[:, None]).sum(axis=0))
-                                    for mask in masks]
+    on = sgn != 0
+    return c, (d == 0) & on[g.eu], (sgn * c).sum(axis=0), (on * mu[:, None]).sum(axis=0)
 
 
 def _screen(g: SignedGraph, t, x, y) -> np.ndarray:
@@ -540,72 +523,72 @@ def _screen(g: SignedGraph, t, x, y) -> np.ndarray:
     return ok & (bound(x, -1) * mu[y] > bound(y, 1) * mu[x])
 
 
-def _two_pins(g: SignedGraph, t, first, second) -> np.ndarray:
-    sgn, d, masks, mu, kappa, w, wide = _block(g, t, (first, "b", 2), (second, "b", 2))
-    _, _, _, ((ok1, a1, b1), (ok2, a2, b2)) = _pins(g, sgn, d, mu, kappa, w, *masks)
-    return ok1 & ok2 & (a1.astype(wide) * b2 != a2.astype(wide) * b1)
-
-
-def _support_cut(g: SignedGraph, t, pin, side) -> np.ndarray:
+def _support_cut(g: SignedGraph, t, side) -> np.ndarray:
     """|a mu(X) - b sum over X of sgn_x c_x| > b (the weight of the free
     support edges that cross X), for the side X on the support."""
-    sgn, d, (pin, side), mu, kappa, w, wide = _block(g, t, (pin, "b", 2), (side, "b", 2))
-    c, free, _, ((ok, a, b),) = _pins(g, sgn, d, mu, kappa, w, pin)
-    ok &= ~(side & (sgn == 0)).any(axis=0)
+    sgn, d, (side,), mu, kappa, w, wide = _block(g, t, (side, "b", 2))
+    c, free, a, b = _support(g, sgn, d, mu, kappa, w)
     a, b = a.astype(wide), b.astype(wide)
     demand = a * (side * mu[:, None]).sum(axis=0) - b * (side * sgn * c).sum(axis=0)
-    return ok & (abs(demand) > b * (w @ (free & (side[g.eu] != side[g.ev]))))
+    return (~(side & (sgn == 0)).any(axis=0)
+            & (abs(demand) > b * (w @ (free & (side[g.eu] != side[g.ev])))))
 
 
-def _zero_cut(g: SignedGraph, t, first, pi) -> np.ndarray:
+def _zero_cut(g: SignedGraph, t, pi) -> np.ndarray:
     """b (sum pi_y c_y - sum |pi_y kappa_y| - the zero-zero capacity) >
     |a| sum |pi_y| mu_y."""
-    sgn, d, (first, pi), mu, kappa, w, wide = _block(g, t, (first, "b", 2), (pi, "iu", 2))
-    c, _, zero_zero, ((ok, a, b),) = _pins(g, sgn, d, mu, kappa, w, first)
+    sgn, d, (pi,), mu, kappa, w, wide = _block(g, t, (pi, "iu", 2))
+    c, _, a, b = _support(g, sgn, d, mu, kappa, w)
     # a column with pi off {-1, 0, 1} or on the support is zeroed: 0 > 0 fails
-    ok &= ((pi >= -1) & (pi <= 1) & ((pi == 0) | (sgn == 0))).all(axis=0)
+    ok = ((pi >= -1) & (pi <= 1) & ((pi == 0) | (sgn == 0))).all(axis=0)
     pi = np.where(ok, pi, 0).astype(np.int8)
+    zero_zero = (sgn[g.eu] == 0) & (sgn[g.ev] == 0)
     capacity = w @ (abs(pi[g.eu] - g.es.astype(np.int8)[:, None] * pi[g.ev]) * zero_zero)
     excess = (pi * c - abs(pi) * abs(kappa)[:, None]).sum(axis=0) - capacity
     return ok & (excess.astype(wide) * b > abs(a).astype(wide) * (abs(pi) * mu[:, None]).sum(axis=0))
 
 
-_KERNELS = {"screen": _screen, "pins": _two_pins, "support-cut": _support_cut,
-            "zero-cut": _zero_cut}
+# each kind's kernel and the number of certificate arrays it takes
+_KERNELS = {"screen": (_screen, 2), "support-cut": (_support_cut, 1), "zero-cut": (_zero_cut, 1)}
 
 
-def check_rejections_1lap(g: SignedGraph, kind: str, t, first, second) -> np.ndarray:
-    """Whether ``(kind, first[..., j], second[..., j])`` rejects column j of
+def check_rejections_1lap(g: SignedGraph, kind: str, t, *certs) -> np.ndarray:
+    """Whether ``(kind, *(a[..., j] for a in certs))`` rejects column j of
     the (n, m) array t, for each j: it does when the inequality it states
     holds, and then no lambda makes t[:, j] an eigenfunction. By kind, with
-    c_x and pins defined above ``OneLapWitness``, a vertex set a bool (n, m)
-    mask and pi an int (n, m) array:
+    c_x and lambda = a / b from the support (defined above
+    ``OneLapWitness``), a side X a bool (n, m) mask and pi an int (n, m)
+    array:
 
     * ``"screen"``, x and y int arrays of shape (m,): support vertices with
       lo_x / mu_x > hi_y / mu_y, where [lo_v, hi_v] holds sgn(t_v) times
       every flux that Sgn allows at v. Lambda would have to be at least the
       one and at most the other.
-    * ``"pins"``, two vertex sets: two pins that give different lambda.
-    * ``"support-cut"``, a pin and a set X of support vertices whose demand
+    * ``"support-cut"``, a side X of support vertices whose demand
       |sum over X of (lambda mu_x - sgn_x c_x)| exceeds the weight of the
       free support edges leaving X, the capacity of its cut (Hoffman's
-      circulation theorem).
-    * ``"zero-cut"``, a pin and signs pi in {-1, 0, 1} on the zero vertices
-      with sum pi_y c_y - sum |pi_y| (|lambda| mu_y + |kappa_y|) greater than
+      circulation theorem). A pin whose lambda differs from the support's
+      is such a side, of capacity 0.
+    * ``"zero-cut"``, signs pi in {-1, 0, 1} on the zero vertices with
+      sum pi_y c_y - sum |pi_y| (|lambda| mu_y + |kappa_y|) greater than
       the sum over zero-zero edges of w |pi_u - sigma pi_v|. Each zero
       vertex needs |c_y + its zero-zero flux| <= |lambda| mu_y + |kappa_y|;
       weighted by pi and summed, these cannot all hold. A zero vertex
       without zero-zero edges whose |c_y| exceeds that slack is the case of
       one nonzero pi_y.
 
-    One integer pass per block, from g and t alone: sgn, c, the free edges,
-    the pins and the screen's bounds are recomputed from ``g.scaled_ints``,
-    not taken from the screen, the pin stage or the max-flow that produced
-    the block (see ``_block`` for the arithmetic). An unknown kind or a
-    malformed block raises GraphError."""
+    A zero column is rejected by no kind. One integer pass per block, from
+    g and t alone: sgn, c, the free edges, lambda and the screen's bounds
+    are recomputed from ``g.scaled_ints``, not taken from the screen, the
+    pin stage or the max-flow that produced the block (see ``_block`` for
+    the arithmetic). An unknown kind, the wrong number of certificate
+    arrays or a malformed block raises GraphError."""
     if type(kind) is not str or kind not in _KERNELS:
         raise GraphError(f"unknown rejection kind {kind!r}, expected one of {sorted(_KERNELS)}")
-    return _KERNELS[kind](g, t, first, second)
+    kernel, arity = _KERNELS[kind]
+    if len(certs) != arity:
+        raise GraphError(f"a {kind!r} rejection takes {arity} certificate arrays, got {len(certs)}")
+    return kernel(g, t, *certs)
 
 
 def one_lap_lambda_range(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]]:
@@ -616,11 +599,12 @@ def one_lap_lambda_range(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]]:
     into two blocks that share only lambda:
 
     * Support block. On a free support edge (f_u = sigma f_v != 0)
-      y = sgn(f_u) z_uv is a conservative flow of capacity w. Each
-      component C of such edges therefore pins lambda mu(C) to the sum of
-      sgn_x c_x over C, where c_x is the determined flux at x; all
-      components must agree, and then a flow with demands
-      lambda mu_x - sgn_x c_x must exist. So the range is a point or empty.
+      y = sgn(f_u) z_uv is a conservative flow of capacity w, and no such
+      edge leaves the support. So lambda mu(support) is the sum of
+      sgn_x c_x over the support, where c_x is the determined flux at x,
+      and then a flow with demands lambda mu_x - sgn_x c_x must exist: the
+      range is a point or empty. Components of free support edges that
+      pin other lambdas leave a cut of capacity 0.
     * Zero block. Feasibility is monotone in |lambda|, and is decided at
       |lambda| by a flow on the signed double cover of the zero-zero edges.
 

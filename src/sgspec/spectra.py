@@ -16,12 +16,13 @@ pair is re-certified by its eigen-residual. For p = 1 candidates are the
 +-1/0 patterns, scanned in the int8 blocks of the Cheeger table and screened
 per block exactly, by integer ranks of the screen's bounds fixed once per
 graph; no float decides a pattern. The survivors meet one more exact
-integer pass per block, the pin stage: two pins that differ, or one zero
-vertex whose flux exceeds its slack, reject a column there. Only the rest is
-decided by an exact integer max-flow that leaves a certificate: a witness
-for a pair, checked by ``check_certificate_1lap``, else the reason. Every
-rejection, of the screen, the pin stage or the flow, is kept in one field
-as int8 blocks of patterns with their certificates, for the one block
+integer pass per block, the pin stage: a component of free support edges
+whose pin differs from the support's (a support cut of capacity 0), or one
+zero vertex whose flux exceeds its slack, rejects a column there. Only the
+rest is decided by an exact integer max-flow that leaves a certificate: a
+witness for a pair, checked by ``check_certificate_1lap``, else the reason.
+Every rejection, of the screen, the pin stage or the flow, is kept in one
+field as int8 blocks of patterns with their certificates, for the one block
 checker ``check_rejections_1lap``.
 """
 
@@ -315,11 +316,10 @@ class OneLapEigenSet:
     smallest_positive: Fraction | None
     patterns_scanned: int
     patterns_solved: int
-    # every scanned pattern that is not a pair, one (kind, t, first, second)
-    # per block and kind: (kind, first[..., j], second[..., j]) rejects column
-    # j of the int8 block t (see check_rejections_1lap)
-    rejected: tuple[tuple[str, np.ndarray, np.ndarray, np.ndarray], ...] = field(
-        compare=False, repr=False)
+    # every scanned pattern that is not a pair, one (kind, t, *certs) per
+    # block and kind: (kind, *(a[..., j] for a in certs)) rejects column j of
+    # the int8 block t (see check_rejections_1lap)
+    rejected: tuple[tuple, ...] = field(compare=False, repr=False)
 
 
 def _screened_blocks(g: SignedGraph):
@@ -369,19 +369,19 @@ def _screened_blocks(g: SignedGraph):
 
 def _pin_stage(g: SignedGraph):
     """The exact stage between the screen and ``_pattern_lambda``: a function
-    of an int8 block t of patterns giving ``(pins, cut, first, second, pi)``.
-    Column j is rejected at ``("pins", first[:, j], second[:, j])`` where
-    pins[j], two pins as masks, and at ``("zero-cut", first[:, j], pi[:, j])``
-    where cut[j]; first is the pin of the least support vertex, as in
-    ``_pattern_lambda``.
+    of an int8 block t of patterns giving ``(by_side, by_pi, side, pi)``.
+    Column j is rejected at ``("support-cut", side[:, j])`` where by_side[j]
+    and at ``("zero-cut", pi[:, j])`` where by_pi[j].
 
     On ``g.scaled_ints``: the flux c and the free support edges of every
     column, the components of those edges (each vertex labelled by the
     least vertex of its component, one edge at a time across all columns),
-    and each component's pin (sum sgn_x c_x, sum mu_x). Pins that differ reject;
-    else, with lambda = a / b from first, so does a zero vertex y with
-    b (|c_y| - |kappa_y| - Z_y) > |a| mu_y, Z_y the weight of its zero-zero
-    edges: pi is sgn(c_y) at y alone. Each |sum of fluxes| is at most
+    each component's pin (sum sgn_x c_x, sum mu_x) and the support's,
+    lambda = a / b. A component whose pin differs from lambda rejects, as a
+    support cut of capacity 0 whose side is the least-labelled such
+    component; else so does a zero vertex y with b (|c_y| - |kappa_y| - Z_y)
+    > |a| mu_y, Z_y the weight of its zero-zero edges: pi is sgn(c_y) at the
+    least such y alone. Each |sum of fluxes| is at most
     A = sum |kappa| + 2 sum w and each sum of mu at most B = sum mu, so the
     sums are int64 when A, B < 2**62 and the products when A B < 2**62;
     else they take Python ints (dtype object)."""
@@ -413,17 +413,16 @@ def _pin_stage(g: SignedGraph):
             np.copyto(lab, np.minimum(lu, lv), where=lab == np.where(free, np.maximum(lu, lv), -1))
         hit = lab == diag[:, None, None]  # [k, x, j]: x lies in component k of column j
         num, den = (hit * (t * c)).sum(axis=1), (hit * mu).sum(axis=1)  # the pins, by k
-        lead = lab[on.argmax(axis=0), cols]
-        a, b = num[lead, cols], den[lead, cols]
+        a, b = (t * c).sum(axis=0), (on * mu).sum(axis=0)  # the support's
         differ = (hit & on).any(axis=1) & (num.astype(wide) * b != a.astype(wide) * den)
-        pins = differ.any(axis=0)
+        by_side = differ.any(axis=0)
         zeros = weight @ (~on[g.eu] & ~on[g.ev])
-        over = ~on & ~pins & (b.astype(wide) * (abs(c) - abs(kappa) - zeros)
-                              > abs(a).astype(wide) * mu)
-        cut, y = over.any(axis=0), over.argmax(axis=0)
+        over = ~on & ~by_side & (b.astype(wide) * (abs(c) - abs(kappa) - zeros)
+                                 > abs(a).astype(wide) * mu)
+        by_pi, y = over.any(axis=0), over.argmax(axis=0)
         pi = np.zeros(t.shape, np.int8)
-        pi[y[cut], cols[cut]] = np.sign(c[y[cut], cols[cut]])
-        return pins, cut, lab == lead, lab == differ.argmax(axis=0), pi
+        pi[y[by_pi], cols[by_pi]] = np.sign(c[y[by_pi], cols[by_pi]])
+        return by_side, by_pi, lab == differ.argmax(axis=0), pi
 
     return decide
 
@@ -443,8 +442,8 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
     Each scanned pattern keeps its certificate: a pair its witness, for
     ``check_certificate_1lap``, and every other pattern the reason it was
     rejected, in ``rejected``, for ``check_rejections_1lap``. Per block there
-    is one entry per kind: the screen's pairs, the pin stage's two pins,
-    the flow's support cuts, and the zero cuts of the stage and the flow.
+    is one entry per kind: the screen's pairs, the support cuts and the zero
+    cuts, each of the pin stage and the flow.
     """
     if g.n > ONE_LAP_CAP:
         raise GraphError(
@@ -460,23 +459,20 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
         scanned += t.shape[1]
         rest = t[:, ~screened]
         solved += rest.shape[1]
-        pins, cut, first, second, pi = decide(rest)
+        by_side, by_pi, side, pi = decide(rest)
         # the flow decides the rest; a cut it finds joins the block's entries
-        # with the pin first of the stage, which all the pins agree with
-        side = np.zeros_like(cut)
-        flow = np.flatnonzero(~(pins | cut))
+        flow = np.flatnonzero(~(by_side | by_pi))
         for j, pattern in zip(flow.tolist(), zip(*rest[:, flow].tolist())):
             cert = _pattern_lambda(g, pattern)
             if isinstance(cert, OneLapWitness):
                 pairs.append(OneLapPair(lam=cert.lam, f=pattern, witness=cert))
             elif cert[0] == "zero-cut":
-                cut[j], pi[:, j] = True, cert[2]
-            else:  # a support cut: the stage leaves the flow no two pins
-                side[j], second[:, j] = True, [x in cert[2] for x in range(g.n)]
+                by_pi[j], pi[:, j] = True, cert[1]
+            else:
+                by_side[j], side[:, j] = True, [x in cert[1] for x in range(g.n)]
         rejected += [("screen", t[:, screened], x[screened], y[screened]),
-                     ("pins", rest[:, pins], first[:, pins], second[:, pins]),
-                     ("support-cut", rest[:, side], first[:, side], second[:, side]),
-                     ("zero-cut", rest[:, cut], first[:, cut], pi[:, cut])]
+                     ("support-cut", rest[:, by_side], side[:, by_side]),
+                     ("zero-cut", rest[:, by_pi], pi[:, by_pi])]
     pairs.sort(key=lambda pr: (pr.lam, pr.f))
     values = sorted({pr.lam for pr in pairs})
     if not values:

@@ -16,7 +16,7 @@ import numpy as np
 
 from sgspec import simplex
 from sgspec.cheeger import DEFAULT_CAPS, CheegerResult, _best_bipartition, _int_arrays
-from sgspec.graph import GraphError, SignedGraph
+from sgspec.graph import GraphError, SignedGraph, _groups, _labels
 from sgspec.operators import apply_p_laplacian, eigen_residual, phi_p, rayleigh
 from sgspec.spectra import ExtremalResult, _normalize_p as _normalize_columns, spectrum_p2
 
@@ -354,6 +354,40 @@ def prefilter_lambda_box(g: SignedGraph, f) -> tuple | None:
             hi_min = (hi, mu[x], x)
         if lo_max[0] * hi_min[1] > hi_min[0] * lo_max[1]:
             return "screen", lo_max[2], hi_min[2]
+    return None
+
+
+def pin_stage_reference(g: SignedGraph, f) -> tuple | None:
+    """The pin stage of ``one_lap_enumerate`` on one {-1, 0, +1} pattern
+    ``f``, by ``graph._labels`` (the library labels whole blocks at once):
+    ``("support-cut", C)`` for the least-labelled component C of the free
+    support edges whose pin differs from the support's, else
+    ``("zero-cut", pi)`` with pi_y = sgn(c_y) at the least zero vertex y
+    whose |c_y| exceeds |lambda| mu_y + |kappa_y| plus the weight of its
+    zero-zero edges, else None. Pins are compared exactly by
+    cross-multiplication on ``g.scaled_ints``."""
+    mu, kappa, edges, _ = g.scaled_ints
+    n = len(mu)
+    sgn = [(x > 0) - (x < 0) for x in f]
+    c = [k * s for k, s in zip(kappa, sgn)]  # the determined flux
+    free, zero_zero = [], [0] * n
+    for u, v, w, s in edges:
+        d = (f[u] > s * f[v]) - (f[u] < s * f[v])
+        c[u] += w * d
+        c[v] -= s * w * d
+        if not d and sgn[u]:
+            free.append((u, v))
+        if not sgn[u] and not sgn[v]:
+            zero_zero[u] += w
+            zero_zero[v] += w
+    a = sum(s * x for s, x in zip(sgn, c))
+    b = sum(m for s, m in zip(sgn, mu) if s)
+    for comp in _groups(_labels(n, free), (x for x in range(n) if sgn[x])).values():
+        if sum(sgn[x] * c[x] for x in comp) * b != a * sum(mu[x] for x in comp):
+            return "support-cut", tuple(comp)
+    for y in range(n):
+        if not sgn[y] and b * (abs(c[y]) - abs(kappa[y]) - zero_zero[y]) > abs(a) * mu[y]:
+            return "zero-cut", tuple((c[y] > 0) - (c[y] < 0) if x == y else 0 for x in range(n))
     return None
 
 

@@ -33,8 +33,9 @@ def p3_file(tmp_path):
 @pytest.fixture
 def cut_file(tmp_path):
     # triangle a-b-c with the negative edge b-c, and d pendant at a: its
-    # patterns are rejected by every kind, (1, 1, -1, 0) by the max-flow's
-    # support cut, with the side {b, c}
+    # patterns are rejected by every kind, by the pin stage and by the
+    # max-flow, (1, 1, -1, 0) by the max-flow's support cut, with the side
+    # {b, c}
     p = tmp_path / "cut.json"
     p.write_bytes(serialize_graph(SignedGraph.build(
         "abcd", [("a", "b", 1.0, 1), ("a", "c", 2.0, 1), ("a", "d", 2.0, 1), ("b", "c", 2.0, -1)])))
@@ -120,9 +121,9 @@ class TestNodal:
 
 
 def _tampered(ols, kind, tamper):
-    """ols with ``tamper(t, first, second)`` in place of the first entry of
+    """ols with ``tamper(t, *certs)`` in place of the first entry of
     ``kind`` in ``rejected`` that has columns."""
-    hits = [i for i, (k, t, _, _) in enumerate(ols.rejected) if k == kind and t.shape[1]]
+    hits = [i for i, (k, t, *_) in enumerate(ols.rejected) if k == kind and t.shape[1]]
     assert hits
     rejected = list(ols.rejected)
     rejected[hits[0]] = (kind, *tamper(*rejected[hits[0]][1:]))
@@ -155,13 +156,14 @@ class TestOnelap:
         assert doc == json.loads(plain)
 
     def test_verify_catches_a_wrongly_rejected_pattern(self, capsys, p3_file, monkeypatch):
-        # a max-flow that finds no flow where there is one: the pattern goes
-        # missing from the pairs, and its rejection does not check
+        # a max-flow that finds no flow where there is one, on a network with
+        # arcs (broken on every network, it would leave no pair at all): the
+        # pattern goes missing from the pairs, and its rejection does not check
         real = operators._feasible_flow
 
-        def no_flow(*args):
-            flows, side = real(*args)
-            return (None, []) if side is None else (flows, side)
+        def no_flow(n, arcs, lo, hi):
+            flows, side = real(n, arcs, lo, hi)
+            return (None, []) if side is None and arcs else (flows, side)
 
         monkeypatch.setattr(operators, "_feasible_flow", no_flow)
         assert run(capsys, "onelap", "--graph", p3_file)[0] == 0  # unnoticed without --verify
@@ -204,12 +206,12 @@ class TestOnelap:
         real = cli.one_lap_enumerate
 
         def one_dropped(g):
-            def flow_one_dropped(t, first, pi):
-                pins, cut, *_ = spectra._pin_stage(g)(t)
-                flow = np.flatnonzero(~(pins | cut))
+            def flow_one_dropped(t, pi):
+                by_side, by_pi, *_ = spectra._pin_stage(g)(t)
+                flow = np.flatnonzero(~(by_side | by_pi))
                 assert flow.size
                 kept = np.arange(t.shape[1]) != flow[0]
-                return t[:, kept], first[:, kept], pi[:, kept]
+                return t[:, kept], pi[:, kept]
 
             return _tampered(real(g), "zero-cut", flow_one_dropped)
 
@@ -248,21 +250,21 @@ class TestOnelap:
         assert "rejection of pattern (1, 1, 1) failed its check" in err
 
     def test_verify_catches_a_pair_rejected_by_forged_pins(self, capsys, p3_file, monkeypatch):
-        # (1, 1, 1) is a pair at lambda = 0; marked rejected by two pins, the
-        # whole support twice, it goes missing from the pairs, and the pins
-        # do not check
+        # (1, 1, 1) is a pair at lambda = 0; marked rejected as a pin that
+        # differs from the support's, with the whole support as the pin, it
+        # goes missing from the pairs, and the support cut does not check
         real = spectra._pin_stage
 
         def forged(g):
             decide = real(g)
 
             def forged_decide(t):
-                pins, cut, first, second, pi = decide(t)
+                by_side, by_pi, side, pi = decide(t)
                 j = (t.T == (1, 1, 1)).all(axis=1)
                 if j.any():
-                    assert not (pins[j] | cut[j]).any()
-                    pins, first[:, j], second[:, j] = pins | j, True, True
-                return pins, cut, first, second, pi
+                    assert not (by_side[j] | by_pi[j]).any()
+                    by_side, side[:, j] = by_side | j, True
+                return by_side, by_pi, side, pi
 
             return forged_decide
 
@@ -271,7 +273,7 @@ class TestOnelap:
         assert code == 1 and out == ""
         assert "rejection of pattern (1, 1, 1) failed its check" in err
 
-    @pytest.mark.parametrize("kind", ["screen", "pins", "support-cut", "zero-cut"])
+    @pytest.mark.parametrize("kind", ["screen", "support-cut", "zero-cut"])
     def test_verify_catches_a_missing_staged_pattern(self, capsys, cut_file, monkeypatch, kind):
         real = cli.one_lap_enumerate
 
@@ -283,19 +285,21 @@ class TestOnelap:
         assert code == 1 and out == ""
         assert "do not cover every sign pattern" in err
 
-    @pytest.mark.parametrize("kind", ["screen", "pins", "support-cut", "zero-cut"])
+    @pytest.mark.parametrize("kind", ["screen", "support-cut", "zero-cut"])
     def test_verify_catches_a_forged_staged_block(self, capsys, cut_file, monkeypatch, kind):
-        # the second certificate of every column of a kind replaced by the
-        # first: a screen pair (x, x), a pin against itself, the pin as the
-        # side of a support cut (its demand is 0), or pi from a mask on the
-        # support
+        # the last certificate array of every column of a kind replaced by
+        # one taken from the support: a screen pair (x, x), the whole
+        # support as the side of a support cut (its demand is 0), or pi on
+        # the support
         real = cli.one_lap_enumerate
+        forgery = {"screen": lambda t, x, y: (x, x), "support-cut": lambda t, side: (t != 0,),
+                   "zero-cut": lambda t, pi: ((t != 0).astype(pi.dtype),)}
 
         def forged(g):
             ols = real(g)
-            assert any(k == kind and t.shape[1] for k, t, _, _ in ols.rejected)
-            rejected = tuple((k, t, first, first.astype(second.dtype) if k == kind else second)
-                             for k, t, first, second in ols.rejected)
+            assert any(k == kind and t.shape[1] for k, t, *_ in ols.rejected)
+            rejected = tuple((k, t, *(forgery[k](t, *certs) if k == kind else certs))
+                             for k, t, *certs in ols.rejected)
             return dataclasses.replace(ols, rejected=rejected)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", forged)
@@ -311,10 +315,11 @@ class TestOnelap:
         real = cli.one_lap_enumerate
 
         def dropped(g):
-            def one_less(t, pin, side):
-                side, cols = side.copy(), np.arange(side.shape[1])
-                side[[np.flatnonzero(s)[which] for s in side.T], cols] = False
-                return t, pin, side
+            def one_less(t, side):
+                side, j = side.copy(), (t.T == (1, 1, -1, 0)).all(axis=1).argmax()
+                assert tuple(t[:, j]) == (1, 1, -1, 0)
+                side[np.flatnonzero(side[:, j])[which], j] = False
+                return t, side
 
             return _tampered(real(g), "support-cut", one_less)
 
@@ -330,9 +335,9 @@ class TestOnelap:
 
         def forged(g):
             ols = real(g)
-            rejected = tuple((k, t, first, np.where(pi == -1, -128, pi).astype(np.int8)
-                              if k == "zero-cut" else pi) for k, t, first, pi in ols.rejected)
-            assert any((pi == -128).any() for k, _, _, pi in rejected if k == "zero-cut")
+            rejected = tuple((k, t, np.where(certs[0] == -1, -128, certs[0]).astype(np.int8))
+                             if k == "zero-cut" else (k, t, *certs) for k, t, *certs in ols.rejected)
+            assert any((pi == -128).any() for k, _, pi, *_ in rejected if k == "zero-cut")
             return dataclasses.replace(ols, rejected=rejected)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", forged)
@@ -491,6 +496,9 @@ class TestVerify:
         json.dumps({"models": 3}),
         json.dumps({"trials": 2, "p_list": [2.0, float("inf")], "checks": ["perron-frobenius"]}),
         json.dumps({"trials": 2, "p_list": [float("nan")], "checks": ["perron-frobenius"]}),
+        '{"trials": 2, "tol": Infinity, "checks": ["interlacing-edge"]}',
+        json.dumps({"trials": 2, "tol": True, "checks": ["interlacing-edge"]}),
+        json.dumps({"trials": 2, "density": True, "checks": ["count-identity"]}),
     ])
     def test_bad_config_exits_2(self, capsys, tmp_path, text):
         cfg = tmp_path / "cfg.json"

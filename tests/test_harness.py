@@ -127,6 +127,11 @@ class TestSuiteConfig:
             SuiteConfig(models=("weird",))
         with pytest.raises(GraphError):
             SuiteConfig(density=1.5)
+        # an infinite tol passes every tolerance check vacuously
+        for bad in ({"tol": float("inf")}, {"tol": float("nan")}, {"tol": True},
+                    {"tol": "1e-9"}, {"density": True}, {"density": float("nan")}):
+            with pytest.raises(GraphError, match="finite real number"):
+                SuiteConfig(**bad)
 
     def test_from_json(self):
         cfg = SuiteConfig.from_json(json.dumps(

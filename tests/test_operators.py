@@ -314,7 +314,7 @@ class TestOneLapChecker:
     @pytest.mark.parametrize("tamper", [
         lambda c: c._replace(lam=c.lam + 1),
         lambda c: c._replace(z_edge=((c.z_edge[0][0] + 1, c.z_edge[0][1]),)),
-        lambda c: ("pins", (0,), (0,)),
+        lambda c: ("support-cut", (0,)),
     ], ids=("witness-lambda", "witness-edge", "rejection"))
     def test_certificate_that_fails_its_check_raises(self, monkeypatch, tamper):
         g, f = path(2), [1.0, -1.0]
@@ -358,6 +358,11 @@ class TestOneLapChecker:
                 assert flux == -target
             else:
                 assert abs(flux) <= abs(target)
+
+
+def _crossing_weight(g, f, side) -> float:
+    """The weight of the free support edges of the pattern f that cross side."""
+    return sum(w for u, v, w, s in g.edges if f[u] and f[u] == s * f[v] and (u in side) != (v in side))
 
 
 class TestLambdaRange:
@@ -457,8 +462,11 @@ class TestLambdaRange:
             else:
                 assert lp == [], (g, pattern, cert)
             kind = "witness" if isinstance(cert, OneLapWitness) else cert[0]
-            kinds.append(kind + ("-wide" if kind == "zero-cut" and sum(map(abs, cert[2])) > 1
-                                 else ""))
+            if kind == "zero-cut" and sum(map(abs, cert[1])) > 1:
+                kind += "-wide"
+            if kind == "support-cut" and not _crossing_weight(g, pattern, cert[1]):
+                kind += "-closed"  # a component whose pin is not the support's
+            kinds.append(kind)
         return kinds
 
     def test_equals_lp_oracle_on_every_sign_pattern(self):
@@ -478,9 +486,10 @@ class TestLambdaRange:
                 cover_cases += bool(got) and any(s < 0 and pattern[u] == pattern[v] == 0
                                                  for u, v, _, s in g.edges)
         assert found >= 150 and cover_cases >= 50
-        # every kind of certificate occurs, zero-block cuts over several vertices too
-        assert min(kinds[k] for k in ("witness", "screen", "pins", "support-cut", "zero-cut",
-                                      "zero-cut-wide")) >= 10, kinds
+        # every kind of certificate occurs, zero-block cuts over several
+        # vertices and support cuts of capacity 0 too
+        assert min(kinds[k] for k in ("witness", "screen", "support-cut-closed", "support-cut",
+                                      "zero-cut", "zero-cut-wide")) >= 10, kinds
 
     def test_equals_lp_oracle_on_repro_graph(self):
         g, lam = repro_graph()
@@ -590,9 +599,9 @@ class TestCertificateTamper:
         assert not check_certificate_1lap(g, f, tampered)
 
     def test_no_rejection_of_a_feasible_pattern_checks(self):
-        # every screen pair, every pin against the whole support (always a
-        # pin), every support cut and every sign vector pi on a feasible
-        # pattern must fail, since each would prove it infeasible
+        # every screen pair, every side on the support (a pin among them)
+        # and every sign vector pi on a feasible pattern must fail, since
+        # each would prove it infeasible
         tried = 0
         for g in [g for g in TestLambdaRange._corpus() if g.n <= 5]:
             for pattern in nonzero_patterns(g.n):
@@ -603,9 +612,8 @@ class TestCertificateTamper:
                 subsets = [tuple(x for i, x in enumerate(support) if m >> i & 1)
                            for m in range(1, 1 << len(support))]
                 fakes = [("screen", x, y) for x in support for y in support]
-                fakes += [("pins", c, support) for c in subsets]
-                fakes += [("support-cut", support, c) for c in subsets]
-                fakes += [("zero-cut", support, pi) for pi in product((-1, 0, 1), repeat=g.n)]
+                fakes += [("support-cut", c) for c in subsets]
+                fakes += [("zero-cut", pi) for pi in product((-1, 0, 1), repeat=g.n)]
                 for fake in fakes:
                     assert not check_certificate_1lap(g, pattern, fake), (g, pattern, fake)
                 tried += len(fakes)
@@ -619,14 +627,14 @@ class TestCertificateTamper:
                               kappa=[3.0, -1.5, -1.5])
         f = [1, 1, 1]
         cert = _pattern_lambda(g, f)
-        assert cert == ("support-cut", (0, 1, 2), (1, 2))
+        assert cert == ("support-cut", (1, 2))
         assert check_certificate_1lap(g, f, cert)
         for side in ((1,), (2,), ()):
-            assert not check_certificate_1lap(g, f, ("support-cut", (0, 1, 2), side))
+            assert not check_certificate_1lap(g, f, ("support-cut", side))
         assert one_lap_lambda_range_lp(g, f) == []
 
     def test_vertex_dropped_from_a_zero_cut(self):
-        # x pins lambda = 3/64; the zero vertices y1, y2 carry determined
+        # x, the support, pins lambda = 3/64; the zero vertices y1, y2 carry determined
         # flux -3/2 and +3/2, which the negative edge y1-y2 of weight 2 can
         # only cancel together: alone, each is within reach of it
         g = SignedGraph.build(["x", "y1", "y2"],
@@ -634,13 +642,13 @@ class TestCertificateTamper:
                               mu=[64.0, 1.0, 1.0])
         f = [1, 0, 0]
         cert = _pattern_lambda(g, f)
-        kind, pin, pi = cert
+        kind, pi = cert
         assert kind == "zero-cut" and sum(map(abs, pi)) == 2
         assert check_certificate_1lap(g, f, cert)
         for y in (1, 2):
             dropped = list(pi)
             dropped[y] = 0
-            assert not check_certificate_1lap(g, f, (kind, pin, tuple(dropped)))
+            assert not check_certificate_1lap(g, f, (kind, tuple(dropped)))
         assert one_lap_lambda_range_lp(g, f) == []
 
     def test_wrong_screen_pair(self):
@@ -657,17 +665,33 @@ class TestCertificateTamper:
                 tried += 1
         assert tried >= 100
 
-    def test_pins_must_be_closed_and_differ(self):
-        g = SignedGraph.build(["x1", "x2", "y1", "y2"],
+    def test_a_closed_side_at_the_support_ratio_fails(self):
+        # the components {x1, x2}, {y1, y2} and {z} of the free support edges
+        # pin lambda = 3/2, 5/2 and 2, and the support 10/5 = 2: the first
+        # two are support cuts of capacity 0, {z} and the whole support are
+        # closed at the support's ratio, and {x1} is left by the free edge
+        # x1 - x2, whose weight 1 its demand does not exceed
+        g = SignedGraph.build(["x1", "x2", "y1", "y2", "z"],
                               [("x1", "x2", 1.0, 1), ("y1", "y2", 1.0, 1), ("x2", "y1", 1.0, -1)],
-                              kappa=[1.0, 1.0, 2.0, 2.0])
-        f = [1, 1, 1, 1]
+                              kappa=[1.0, 1.0, 2.0, 2.0, 2.0])
+        f = [1, 1, 1, 1, 1]
         cert = _pattern_lambda(g, f)
-        assert cert == ("pins", (0, 1), (2, 3))
+        assert cert == ("support-cut", (0, 1))
         assert check_certificate_1lap(g, f, cert)
-        # {x1} is left by the free edge x1-x2; a pin against itself agrees
-        assert not check_certificate_1lap(g, f, ("pins", (0,), (2, 3)))
-        assert not check_certificate_1lap(g, f, ("pins", (0, 1), (0, 1)))
+        assert check_certificate_1lap(g, f, ("support-cut", (2, 3)))
+        for side in ((4,), (0, 1, 2, 3, 4), (0,)):
+            assert not check_certificate_1lap(g, f, ("support-cut", side))
+        assert one_lap_lambda_range_lp(g, f) == []
+
+    def test_one_vertex_pins_that_differ_give_a_support_cut(self):
+        # (1, -1, 1) on the path fixes every edge: {a}, {b} and {c} pin 1, 2
+        # and 1, the support 4/3, and with no free support edge the flow
+        # still runs and finds the cut {a, c} of capacity 0
+        g, f = path(3), (1, -1, 1)
+        cert = _pattern_lambda(g, f)
+        assert cert == ("support-cut", (0, 2))
+        assert check_certificate_1lap(g, f, cert)
+        assert one_lap_lambda_range(g, f) == one_lap_lambda_range_lp(g, f) == []
 
     @staticmethod
     def _good():
@@ -675,7 +699,7 @@ class TestCertificateTamper:
         zero_g = SignedGraph.build(["x", "y1", "y2"], [("x", "y1", 1.5, 1), ("x", "y2", 1.5, -1),
                                                        ("y1", "y2", 2.0, -1)], mu=[64.0, 1.0, 1.0])
         cases = {"screen": (path(3), (1, -1, 1), prefilter_lambda_box(path(3), (1, -1, 1))),
-                 "pins": (path(3), (1, -1, 1), ("pins", (0,), (1,))),
+                 "support-cut": (path(3), (1, -1, 1), ("support-cut", (1,))),
                  "witness": (path(3), (1, 1, 1), _pattern_lambda(path(3), (1, 1, 1))),
                  "zero-cut": (zero_g, (1, 0, 0), _pattern_lambda(zero_g, (1, 0, 0)))}
         for g, f, cert in cases.values():
@@ -694,12 +718,15 @@ class TestCertificateTamper:
         "screen-str-index": ("screen", lambda c: (c[0], str(c[1]), c[2])),
         "screen-bool-index": ("screen", lambda c: (c[0], c[1], True)),
         "kind-not-a-string": ("screen", lambda c: (np.array([1, 2]), c[1], c[2])),
-        "pins-none": ("pins", lambda c: (c[0], None, None)),
-        "pins-as-list": ("pins", lambda c: (c[0], list(c[1]), c[2])),
-        "pins-numpy-vertex": ("pins", lambda c: (c[0], c[1], (np.int64(c[2][0]),))),
-        "zero-cut-pi-as-list": ("zero-cut", lambda c: (c[0], c[1], list(c[2]))),
-        "zero-cut-float-pi": ("zero-cut", lambda c: (c[0], c[1], tuple(map(float, c[2])))),
-        "zero-cut-short-pi": ("zero-cut", lambda c: (c[0], c[1], c[2][:-1])),
+        "support-cut-none": ("support-cut", lambda c: (c[0], None)),
+        "support-cut-as-list": ("support-cut", lambda c: (c[0], list(c[1]))),
+        "support-cut-numpy-vertex": ("support-cut", lambda c: (c[0], (np.int64(c[1][0]),))),
+        "support-cut-with-a-pin": ("support-cut", lambda c: (c[0], (0, 1, 2), c[1])),
+        "pins-kind": ("support-cut", lambda c: ("pins", (0,), c[1])),
+        "zero-cut-pi-as-list": ("zero-cut", lambda c: (c[0], list(c[1]))),
+        "zero-cut-float-pi": ("zero-cut", lambda c: (c[0], tuple(map(float, c[1])))),
+        "zero-cut-short-pi": ("zero-cut", lambda c: (c[0], c[1][:-1])),
+        "zero-cut-with-a-pin": ("zero-cut", lambda c: (c[0], (0,), c[1])),
         "witness-float-lambda": ("witness", lambda c: c._replace(lam=float(c.lam))),
         "witness-numpy-den": ("witness", lambda c: c._replace(den=np.int64(c.den))),
         "witness-none-den": ("witness", lambda c: c._replace(den=None)),
@@ -721,12 +748,11 @@ class TestCertificateTamper:
             check_certificate_1lap(path(2), f, ("screen", 0, 1))
 
 
-# good arguments of each kind's kernel on an (n, m) block t: (first, second)
+# good certificate arrays of each kind's kernel on an (n, m) block t
 _CHECKERS = {
     "screen": lambda t: (np.zeros(t.shape[1], int), np.zeros(t.shape[1], int)),
-    "pins": lambda t: (t != 0, t != 0),
-    "support-cut": lambda t: (t != 0, t != 0),
-    "zero-cut": lambda t: (t != 0, np.zeros(t.shape, np.int8)),
+    "support-cut": lambda t: (t != 0,),
+    "zero-cut": lambda t: (np.zeros(t.shape, np.int8),),
 }
 _T3 = np.array([[1, 1], [-1, 0], [1, 1]], np.int8)
 
@@ -777,10 +803,10 @@ class TestScreenChecker:
     # the boundary of every kind: an unknown kind or a malformed block or
     # certificate array raises GraphError, and an empty block answers an
     # empty array
-    @pytest.mark.parametrize("kind", ["bogus", "zero_cuts", "Screen", None, ("screen",)])
+    @pytest.mark.parametrize("kind", ["bogus", "zero_cuts", "Screen", None, ("screen",), "pins"])
     def test_unknown_kind_raises(self, kind):
         with pytest.raises(GraphError, match="unknown rejection kind"):
-            check_rejections_1lap(path(3), kind, _T3, *_CHECKERS["pins"](_T3))
+            check_rejections_1lap(path(3), kind, _T3, *_CHECKERS["support-cut"](_T3))
 
     @pytest.mark.parametrize("name", _CHECKERS)
     @pytest.mark.parametrize("tamper", [
@@ -792,8 +818,10 @@ class TestScreenChecker:
         lambda t, certs: (t, [c[..., :1] for c in certs]),
         lambda t, certs: (t, [c.astype(float) for c in certs]),
         lambda t, certs: (t, [c.astype(str) for c in certs]),
+        lambda t, certs: (t, [*certs, certs[0]]),
+        lambda t, certs: (t, certs[1:]),
     ], ids=("nan", "inf", "short", "one-dimensional", "bool-t", "certificate-too-short",
-            "float-certificate", "str-certificate"))
+            "float-certificate", "str-certificate", "one-array-more", "one-array-less"))
     def test_malformed_block_raises(self, name, tamper):
         t, certs = tamper(_T3, _CHECKERS[name](_T3))
         with pytest.raises(GraphError):
@@ -813,12 +841,14 @@ class TestScreenChecker:
 
 
 class TestBlockCheckers:
-    """Forged pins, support cuts and zero cuts fail, each for the one reason
-    it was forged."""
+    """Forged support cuts and zero cuts fail, each for the one reason it was
+    forged. Every kind takes lambda = a / b from the support; a zero column
+    has b = 0 and is rejected by none."""
 
     # path a - b - c, unit weights and mu; columns (1, -1, 1) and (1, 1, -1):
-    # in the first every edge is fixed and {a}, {b}, {c} pin 1, 2, 1; in the
-    # second a - b is free, and {a, b} pins 1/2 and {c} pins 1
+    # in the first every edge is fixed, {a}, {b}, {c} pin 1, 2, 1 and the
+    # support 4/3; in the second a - b is free, {a, b} pins 1/2, {c} pins 1
+    # and the support 2/3
     _T = np.array([[1, 1], [-1, 1], [1, -1]], np.int8)
 
     @staticmethod
@@ -829,77 +859,86 @@ class TestBlockCheckers:
         return out
 
     def test_pins(self):
+        # a pin whose lambda differs from the support's is a support cut of
+        # capacity 0
         g, t, m = path(3), self._T, self._masks
 
-        def check(t, first, second):
-            return check_rejections_1lap(g, "pins", t, first, second).tolist()
+        def check(t, side):
+            return check_rejections_1lap(g, "support-cut", t, side).tolist()
 
-        assert check(t, m((0,), (0, 1)), m((1,), (2,))) == [True, True]
-        # first == second, and two pins that agree
-        assert not any(check(t, m((0,), (2,)), m((0,), (2,))))
-        assert not any(check(t, m((0,), (0, 1)), m((2,), (0, 1))))
-        # {a} crosses the free edge a - b: it would "pin" 0, not 1/2
-        assert check(t, m((0,), (0,)), m((1,), (2,))) == [True, False]
-        # an empty mask; a mask with the zero vertex b of (1, 0, -1)
-        assert not any(check(t, m((), ()), m((1,), (2,))))
+        assert check(t, m((0,), (0, 1))) == [True, True]
+        assert check(t, m((1,), (2,))) == [True, True]
+        # the whole support, and an empty side
+        assert not any(check(t, m((0, 1, 2), (0, 1, 2))))
+        assert not any(check(t, m((), ())))
+        # {a} crosses the free edge a - b of the second column, whose weight
+        # 1 its demand |2/3 - 0| does not exceed
+        assert check(t, m((0,), (0,))) == [True, False]
+        # (1, 0, -1): {a} and {c} pin 1, as does the support; a side with
+        # the zero vertex b
         t0 = np.array([[1], [0], [-1]], np.int8)
-        assert check(t0, m((0,)), m((2,))) == [False]  # both pin 1
-        assert check(t0, m((0, 1)), m((2,))) == [False]
+        assert check(t0, m((0,))) == [False]
+        assert check(t0, m((0, 1))) == [False]
+
+    def test_a_zero_column_is_rejected_by_no_kind(self):
+        g, t = path(3), np.zeros((3, 2), np.int8)
+        for side in (np.zeros((3, 2), bool), np.ones((3, 2), bool)):
+            assert not check_rejections_1lap(g, "support-cut", t, side).any()
+        for pi in (np.zeros((3, 2), np.int8), np.array([[1, -1], [0, 1], [-1, -1]], np.int8)):
+            assert not check_rejections_1lap(g, "zero-cut", t, pi).any()
+        assert not check_rejections_1lap(g, "screen", t, [0, 1], [1, 0]).any()
 
     @pytest.mark.parametrize("mu_a", [1.0, 2.0**70], ids=("int64", "object"))
     def test_support_cuts(self, mu_a):
         # a - b - c - d at (1, 1, 1, 0), w = 1, 2, 1 and kappa = (4, -3/2,
         # -5/2, 0): the fixed edge c - d gives c_c = -3/2, {a, b, c} is the
-        # one pin, and {b, c} demands about 3 across a - b of weight 1, while
-        # {b} and {c} alone have cuts of weight 3 and 2
+        # support and the one pin, and {b, c} demands about 3 across a - b of
+        # weight 1, while {b} and {c} alone have cuts of weight 3 and 2
         g = SignedGraph.build("abcd", [("a", "b", 1.0, 1), ("b", "c", 2.0, 1), ("c", "d", 1.0, 1)],
                               mu=[mu_a, 1.0, 1.0, 1.0], kappa=[4.0, -1.5, -2.5, 0.0])
         assert products_take_python_ints(g) == (mu_a > 1)
         t = np.array([[1], [1], [1], [0]], np.int8)
 
-        def check(pin, side):
-            pin_mask, side_mask = np.zeros((4, 1), bool), np.zeros((4, 1), bool)
-            pin_mask[list(pin)], side_mask[list(side)] = True, True
-            return bool(check_rejections_1lap(g, "support-cut", t, pin_mask, side_mask)[0])
+        def check(side):
+            side_mask = np.zeros((4, 1), bool)
+            side_mask[list(side)] = True
+            return bool(check_rejections_1lap(g, "support-cut", t, side_mask)[0])
 
         # a side and its complement on the support: the demands sum to 0
-        assert check((0, 1, 2), (1, 2)) and check((0, 1, 2), (0,))
-        assert not check((0, 1, 2), (1, 2, 3))  # the zero vertex d in the side
-        assert not check((), (1, 2))  # an empty pin
-        assert not check((0,), (1, 2))  # {a} crosses the free edge a - b
-        assert not check((0, 1, 2), (1,)) and not check((0, 1, 2), (2,))  # a side vertex dropped
+        assert check((1, 2)) and check((0,))
+        assert not check((1, 2, 3))  # the zero vertex d in the side
+        assert not check(()) and not check((0, 1, 2))  # the empty side and the whole support
+        assert not check((1,)) and not check((2,))  # a side vertex dropped
 
     def test_zero_cuts(self):
-        # x - y of weight 2 at f = (1, 0): x pins lambda = 2 / mu_x, and y
-        # carries flux -2 against the slack lambda mu_y = 2 / mu_x
+        # x - y of weight 2 at f = (1, 0): the support {x} pins
+        # lambda = 2 / mu_x, and y carries flux -2 against the slack
+        # lambda mu_y = 2 / mu_x
         def graph(mu_x):
             return SignedGraph.build("xy", [("x", "y", 2.0, 1)], mu=[mu_x, 1.0])
 
-        t, x_only, both = np.array([[1], [0]], np.int8), np.array([[True], [False]]), np.ones((2, 1), bool)
+        t = np.array([[1], [0]], np.int8)
 
-        def check(g, first, *pi):
+        def check(g, *pi):
             pi = np.array(pi, np.int8)[:, None]
-            return bool(check_rejections_1lap(g, "zero-cut", t, first, pi)[0])
+            return bool(check_rejections_1lap(g, "zero-cut", t, pi)[0])
 
-        assert check(graph(4.0), x_only, 0, -1)
-        assert not check(graph(4.0), x_only, 0, 1)  # the wrong sign
-        assert not check(graph(4.0), x_only, 1, -1)  # pi on the support
-        assert not check(graph(4.0), x_only, 0, -2)  # pi off {-1, 0, 1}
-        assert not check(graph(4.0), both, 0, -1)  # a mask with the zero vertex y
-        assert not check(graph(1.0), x_only, 0, -1)  # |c_y| = 2 = the slack: not exceeded
+        assert check(graph(4.0), 0, -1)
+        assert not check(graph(4.0), 0, 1)  # the wrong sign
+        assert not check(graph(4.0), 1, -1)  # pi on the support
+        assert not check(graph(4.0), 0, -2)  # pi off {-1, 0, 1}
+        assert not check(graph(1.0), 0, -1)  # |c_y| = 2 = the slack: not exceeded
         # pi off {-1, 0, 1} that wraps: abs(-128) is -128 in int8, and the
         # int64 and uint64 extremes read as themselves, not as -1
-        assert not check(graph(4.0), x_only, 0, -128)
+        assert not check(graph(4.0), 0, -128)
         for pi in (np.array([[0], [-2**63]]), np.array([[0], [2**64 - 1]], np.uint64)):
-            assert not check_rejections_1lap(graph(4.0), "zero-cut", t, x_only, pi)[0]
-        # a - b - y at (1, 1, 0), mu_a = mu_b = 4: {a, b} pins 1/4 and y's
-        # flux -2 exceeds its slack 1/4; {a} crosses the free edge a - b
+            assert not check_rejections_1lap(graph(4.0), "zero-cut", t, pi)[0]
+        # a - b - y at (1, 1, 0), mu_a = mu_b = 4: the support {a, b} pins
+        # 1/4, and y's flux -2 exceeds its slack 1/4
         g = SignedGraph.build("aby", [("a", "b", 1.0, 1), ("b", "y", 2.0, 1)], mu=[4.0, 4.0, 1.0])
         t = np.array([[1], [1], [0]], np.int8)
         pi = np.array([[0], [0], [-1]], np.int8)
-        for first, verdict in (([[1], [1], [0]], True), ([[1], [0], [0]], False)):
-            first = np.array(first, bool)
-            assert check_rejections_1lap(g, "zero-cut", t, first, pi).tolist() == [verdict]
+        assert check_rejections_1lap(g, "zero-cut", t, pi).tolist() == [True]
 
     @pytest.mark.parametrize("t", [np.full((2, 1), -128, np.int8), np.full((2, 1), -1.0),
                                    np.full((2, 1), -2**62), np.full((2, 1), -2**63)],
@@ -907,8 +946,9 @@ class TestBlockCheckers:
     def test_t_is_read_exactly(self, t):
         # a - b of sign -1 at t_a = t_b < 0: t_a - sigma t_b < 0 fixes the edge
         # (sigma t_b wrapped back to t_b would free it), so {a} and {b} pin 1
-        # and 1/2, and the screen pair (a, b) checks, lo_a = 1 > hi_b / 2
+        # and 1/2 against the support's 2/3, and the screen pair (a, b)
+        # checks, lo_a = 1 > hi_b / 2
         g = SignedGraph.build("ab", [("a", "b", 1.0, -1)], mu=[1.0, 2.0])
-        first, second = np.array([[True], [False]]), np.array([[False], [True]])
-        assert check_rejections_1lap(g, "pins", t, first, second).tolist() == [True]
+        side = np.array([[True], [False]])
+        assert check_rejections_1lap(g, "support-cut", t, side).tolist() == [True]
         assert check_rejections_1lap(g, "screen", t, [0], [1]).tolist() == [True]

@@ -26,7 +26,7 @@ from sgspec.spectra import (
 
 from oracles import (
     check_eigenpair_1lap_lp, extremal_p_sequential, lockstep_gradient_reference,
-    prefilter_lambda_box, sym2_eigs, sym3_eigs,
+    pin_stage_reference, prefilter_lambda_box, sym2_eigs, sym3_eigs,
 )
 from test_graph import complete, path, random_graph, triangle
 
@@ -382,8 +382,8 @@ class TestOneLapEnumerate:
         for _ in range(6):
             g = random_graph(rng, 5)
             ols = one_lap_enumerate(g)
-            kinds.update(kind for kind, t, _, _ in ols.rejected if t.shape[1])
-            kept = [f for _, t, _, _ in ols.rejected for f in zip(*t.tolist())]
+            kinds.update(kind for kind, t, *_ in ols.rejected if t.shape[1])
+            kept = [f for _, t, *_ in ols.rejected for f in zip(*t.tolist())]
             patterns = [pr.f for pr in ols.pairs] + kept
             assert sorted(patterns) == sorted(
                 p for p in product((0, 1, -1), repeat=g.n) if next((t for t in p if t), 0) == 1)
@@ -392,7 +392,7 @@ class TestOneLapEnumerate:
                 assert pr.witness.lam == pr.lam
                 assert check_certificate_1lap(g, pr.f, pr.witness)
             assert all(check_rejections_1lap(g, *entry).all() for entry in ols.rejected)
-        assert kinds == {"screen", "pins", "support-cut", "zero-cut"}
+        assert kinds == {"screen", "support-cut", "zero-cut"}
 
     def test_cap_enforced(self):
         g = SignedGraph.build([str(i) for i in range(13)], [])
@@ -402,10 +402,11 @@ class TestOneLapEnumerate:
 
 def _enumerate_per_pattern(g):
     """The enumeration as one loop over the patterns in lead-first order, each
-    through the exact screen, then ``_pattern_lambda``: the reference for the
-    block scan and the pin stage. Returns the pairs as (lambda, pattern), the
-    values, the two counts and the patterns that two pins reject."""
-    pairs, scanned, solved, pinned = [], 0, 0, 0
+    through the exact screen, the pin stage's reference, then
+    ``_pattern_lambda``: the reference for the block scan and the pin stage.
+    Returns the pairs as (lambda, pattern), the values, the two counts and
+    the number of rejections of each kind."""
+    pairs, scanned, solved, kinds = [], 0, 0, Counter()
     patterns = ((0,) * lead + (1,) + tail for lead in range(g.n)
                 for tail in product((0, 1, -1), repeat=g.n - lead - 1))
     for pattern in patterns:
@@ -413,12 +414,12 @@ def _enumerate_per_pattern(g):
         cert = prefilter_lambda_box(g, pattern)
         if cert is None:
             solved += 1
-            cert = _pattern_lambda(g, pattern)
+            cert = pin_stage_reference(g, pattern) or _pattern_lambda(g, pattern)
         if isinstance(cert, OneLapWitness):
             pairs.append((cert.lam, pattern))
         else:
-            pinned += cert[0] == "pins"
-    return sorted(pairs), sorted({lam for lam, _ in pairs}), scanned, solved, pinned
+            kinds[cert[0]] += 1
+    return sorted(pairs), sorted({lam for lam, _ in pairs}), scanned, solved, kinds
 
 
 def _screen_corpus():
@@ -498,15 +499,15 @@ class TestBlockScreen:
                 graphs.append(random_graph(rng, n))
         for g in graphs:
             ols = one_lap_enumerate(g)
-            pairs, values, scanned, solved, pinned = _enumerate_per_pattern(g)
+            pairs, values, scanned, solved, kinds = _enumerate_per_pattern(g)
             assert sorted((pr.lam, pr.f) for pr in ols.pairs) == pairs
             assert list(ols.values) == values
             assert (ols.patterns_scanned, ols.patterns_solved) == (scanned, solved)
             rejected = Counter()
-            for kind, t, _, _ in ols.rejected:
+            for kind, t, *_ in ols.rejected:
                 rejected[kind] += t.shape[1]
             assert rejected["screen"] == scanned - solved
-            assert rejected["pins"] == pinned
+            assert rejected == kinds
             assert rejected.total() == scanned - len(pairs)
 
     def test_empty_graph_refused_before_the_scan(self, monkeypatch):
@@ -528,7 +529,7 @@ def products_take_python_ints(g) -> bool:
 
 
 def _staged(g):
-    """Yields ``(t, (pins, cut, first, second, pi))`` for the screen's
+    """Yields ``(t, (by_side, by_pi, side, pi))`` for the screen's
     survivors t of each block, as ``one_lap_enumerate`` runs the pin stage."""
     decide = spectra._pin_stage(g)
     for t, rejected, _, _ in spectra._screened_blocks(g):
@@ -547,48 +548,57 @@ class TestPinStage:
             yield with_degree_measure(random_signed_graph(n, 0.7, seed=n, connected=True))
 
     def test_agrees_with_the_per_pattern_decider(self):
-        # a pins rejection exactly where _pattern_lambda finds two pins, no
-        # zero cut on a pair, and every rejection checks on its block
+        # exactly the reference's rejections, by graph._labels: a support
+        # cut where a component's pin differs from the support's, with the
+        # least-labelled such component as its side, else a zero cut at the
+        # least zero vertex over its slack; no rejection of a pair, and
+        # every rejection checks on its block
         seen = Counter()
         for g in self._corpus():
             seen["object" if products_take_python_ints(g) else "int64"] += 1
-            for t, (pins, cut, first, second, pi) in _staged(g):
+            for t, (by_side, by_pi, side, pi) in _staged(g):
                 for j, f in enumerate(zip(*t.tolist())):
-                    cert = _pattern_lambda(g, f)
-                    pair = isinstance(cert, OneLapWitness)
-                    assert pins[j] == (not pair and cert[0] == "pins"), (g, f)
-                    assert not (cut[j] and (pins[j] or pair)), (g, f)
-                    seen["kept"] += not (pins[j] or cut[j])
-                assert check_rejections_1lap(g, "pins", t[:, pins], first[:, pins],
-                                             second[:, pins]).all(), g
-                assert check_rejections_1lap(g, "zero-cut", t[:, cut], first[:, cut],
-                                             pi[:, cut]).all(), g
-                assert (abs(pi[:, cut]).sum(axis=0) == 1).all() and not pi[:, ~cut].any()
-                seen["pins"] += pins.sum()
-                seen["zero-cut"] += cut.sum()
+                    ref = pin_stage_reference(g, f)
+                    if ref is None:
+                        assert not (by_side[j] or by_pi[j]), (g, f)
+                        seen["kept"] += 1
+                    elif ref[0] == "support-cut":
+                        assert by_side[j] and not by_pi[j], (g, f)
+                        assert tuple(np.flatnonzero(side[:, j]).tolist()) == ref[1], (g, f)
+                    else:
+                        assert by_pi[j] and not by_side[j], (g, f)
+                        assert tuple(pi[:, j].tolist()) == ref[1], (g, f)
+                    if ref is not None:
+                        assert not isinstance(_pattern_lambda(g, f), OneLapWitness), (g, f)
+                assert check_rejections_1lap(g, "support-cut", t[:, by_side],
+                                             side[:, by_side]).all(), g
+                assert check_rejections_1lap(g, "zero-cut", t[:, by_pi], pi[:, by_pi]).all(), g
+                assert (abs(pi[:, by_pi]).sum(axis=0) == 1).all() and not pi[:, ~by_pi].any()
+                seen["support-cut"] += by_side.sum()
+                seen["zero-cut"] += by_pi.sum()
         assert min(seen.values()) >= 20, seen
 
     def test_block_checkers_agree_with_the_one_column_check(self):
-        # on the stage's blocks and on forgeries of them (a pin against
-        # itself, pi negated or taken at the second mask), column by column
+        # on the stage's blocks and on forgeries of them (the whole support
+        # as the side, pi negated), column by column
         outcomes = Counter()
         for g in list(self._corpus())[::6]:
-            for t, (pins, cut, first, second, pi) in _staged(g):
-                cases = [("pins", first, second), ("pins", first, first),
-                         ("zero-cut", first, pi), ("zero-cut", second, -pi)]
-                for kind, one, two in cases:
-                    block = check_rejections_1lap(g, kind, t, one, two)
+            for t, (by_side, by_pi, side, pi) in _staged(g):
+                for kind, certs in (("support-cut", side), ("support-cut", t != 0),
+                                    ("zero-cut", pi), ("zero-cut", -pi)):
+                    block = check_rejections_1lap(g, kind, t, certs)
                     for j, f in enumerate(zip(*t.tolist())):
-                        other = (np.flatnonzero(two[:, j]) if kind == "pins" else two[:, j]).tolist()
-                        cert = (kind, tuple(np.flatnonzero(one[:, j]).tolist()), tuple(other))
+                        col = (np.flatnonzero(certs[:, j]) if kind == "support-cut"
+                               else certs[:, j]).tolist()
+                        cert = (kind, tuple(col))
                         assert block[j] == check_certificate_1lap(g, f, cert), (g, f, cert)
                         outcomes[kind, bool(block[j])] += 1
         assert min(outcomes.values()) >= 20, outcomes
 
     def test_an_empty_block(self):
-        pins, cut, first, second, pi = spectra._pin_stage(path(3))(np.zeros((3, 0), np.int8))
-        assert pins.shape == cut.shape == (0,)
-        assert first.shape == second.shape == pi.shape == (3, 0)
+        by_side, by_pi, side, pi = spectra._pin_stage(path(3))(np.zeros((3, 0), np.int8))
+        assert by_side.shape == by_pi.shape == (0,)
+        assert side.shape == pi.shape == (3, 0)
 
 
 class TestSmallestPositive:
