@@ -61,13 +61,16 @@ def _is(x, kind) -> bool:
         t is not bool and isinstance(x, kind))
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only ``dtype`` array of ``values``."""
+    arr = np.array(values, dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 def _cached_array(values, dtype) -> cached_property:
     """A read-only ``dtype`` array of ``values(graph)``, built on first use."""
-    def build(g):
-        arr = np.array(values(g), dtype)
-        arr.flags.writeable = False
-        return arr
-    return cached_property(build)
+    return cached_property(lambda g: _frozen(values(g), dtype))
 
 
 ColumnViews = namedtuple("ColumnViews", "eu ev ew es mu kappa bins col inc")
@@ -83,7 +86,8 @@ class SignedGraph:
     one validator of these rules, as ``_function`` is of a function on the
     vertices. Its numeric views are read-only and built on first use: the
     edge columns ``eu``, ``ev`` (intp), ``ew``, ``es`` (float), mu, kappa,
-    the ``columns`` views and ``scaled_ints``, the exact integer view.
+    the ``columns`` views, ``scaled_ints``, the exact integer view, and
+    ``reduced_ints``, its arrays for the p = 1 block passes.
     """
 
     ids: tuple[str, ...]
@@ -199,6 +203,25 @@ class SignedGraph:
             adj[v].append((u, w, s))
         return tuple(ints[:n]), tuple(ints[n:2 * n]), edges, tuple(map(tuple, adj))
 
+    @cached_property
+    def reduced_ints(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, type]:
+        """``(mu, kappa, w, wide)``: ``scaled_ints`` as read-only arrays for the
+        integer block passes of the p = 1 code, mu over gcd(mu), and kappa
+        and the weights w over their gcd, which multiplies and divides lambda
+        and changes no comparison of it; and ``wide``, the dtype of
+        products. A |sum of fluxes| is at most A = sum |kappa| + 2 sum w and
+        a sum of mu at most B = sum mu, so the arrays and their sums are
+        int64 when A, B < 2**62 and products of the two when A B < 2**62;
+        else they take Python ints (dtype object)."""
+        mu, kappa, edges, _ = self.scaled_ints
+        w = [e[2] for e in edges]
+        dm, dk = math.gcd(*mu), math.gcd(*kappa, *w) or 1  # 0 without edges and kappa
+        mu, kappa, w = ([x // d for x in xs] for xs, d in ((mu, dm), (kappa, dk), (w, dk)))
+        span, total = sum(map(abs, kappa)) + 2 * sum(w), sum(mu)
+        dtype = np.int64 if max(span, total) < 2**62 else object
+        return (*(_frozen(xs, dtype) for xs in (mu, kappa, w)),
+                dtype if span * total < 2**62 else object)
+
     @staticmethod
     def build(
         ids: Sequence[str],
@@ -272,6 +295,12 @@ def _exponent(p, single_valued: bool) -> None:
     Delta_p must be ``single_valued``, else p >= 1."""
     if not (_is(p, numbers.Real) and math.isfinite(p) and (p > 1 if single_valued else p >= 1)):
         raise GraphError(f"p must be finite and {'> 1' if single_valued else '>= 1'}, got {p!r}")
+
+
+def _seed(seed) -> None:
+    """The one check of a random seed: a non-negative int, not a bool."""
+    if not (_is(seed, numbers.Integral) and seed >= 0):
+        raise GraphError(f"seed must be a non-negative int, got {seed!r}")
 
 
 def _vertices(g: SignedGraph, xs) -> set[int]:

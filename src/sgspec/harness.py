@@ -26,6 +26,7 @@ from .graph import (
     SignedGraph,
     _exponent,
     _is,
+    _seed,
     balance_state,
     components,
     serialize_graph,
@@ -73,6 +74,7 @@ def random_signed_graph(
         raise GraphError(f"unknown signature model {model!r}; choose one of {MODELS}")
     if mu_mode not in ("unit", "degree"):
         raise GraphError(f"mu_mode must be 'unit' or 'degree', got {mu_mode!r}")
+    _seed(seed)
     rng = np.random.default_rng((seed, n))
     for _ in range(1000):
         edges = []

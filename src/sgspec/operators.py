@@ -13,17 +13,17 @@ feasibility question, decided by an exact integer max-flow
 (``one_lap_lambda_range``). Each decision leaves a certificate: the flow, as
 a witness, when f admits lambda, and otherwise the inequality that rules f
 out (a screen pair, or a support cut or a zero cut from Hoffman's
-circulation theorem); every certificate takes lambda from the support.
-``check_certificate_1lap`` checks one in integers, independently of
-whatever produced it (certifying algorithms: McConnell, Mehlhorn, Naeher &
-Schweitzer, Comput. Sci. Rev. 5(2), 2011).
-Every rejection, of one pattern or of a whole block of patterns, is checked
-by the one block checker ``check_rejections_1lap``, which runs a private
-kernel per kind on one shared boundary; ``check_certificate_1lap`` calls it
-on a block of one column. ``check_eigenpair_1lap`` decides a given
-(lambda, f) by the same checked max-flow; :mod:`sgspec.simplex` decides
-nothing here, and remains only as the test oracles' independent LP and for
-the benchmark.
+circulation theorem); every certificate takes lambda from the support. Each
+is checked in integers, independently of whatever produced it, by one
+checker per form (certifying algorithms: McConnell, Mehlhorn, Naeher &
+Schweitzer, Comput. Sci. Rev. 5(2), 2011): a witness by
+``check_certificate_1lap``, and every rejection, of one pattern or of a
+whole block of patterns, by the block checker ``check_rejections_1lap``,
+which runs a private kernel per kind on one shared boundary. A rejection
+has one form, a block column: a side as an (n,) bool mask, pi as (n,)
+ints. ``check_eigenpair_1lap`` decides a given (lambda, f) by the same
+checked max-flow; :mod:`sgspec.simplex` decides nothing here, and remains
+only as the test oracles' independent LP and for the benchmark.
 """
 
 from __future__ import annotations
@@ -164,6 +164,16 @@ def eigen_residual(g: SignedGraph, p: float, f, lam):
     return res if np.ndim(f) == 2 else float(res[0])
 
 
+def _eigenvalue(lam) -> Fraction:
+    """The one check of an eigenvalue: a finite real number, not a bool or a
+    str, else GraphError. Returned as an exact Fraction: an int or a
+    Fraction as it is, any other real through its float (losslessly for a
+    float)."""
+    if not (_is(lam, numbers.Real) and abs(lam) < math.inf):
+        raise GraphError(f"eigenvalue must be a finite real number, got {lam!r}")
+    return Fraction(lam) if isinstance(lam, numbers.Rational) else Fraction(float(lam))
+
+
 @dataclass(frozen=True)
 class EigenPair:
     lam: float
@@ -172,8 +182,7 @@ class EigenPair:
 
     def __post_init__(self):
         _exponent(self.p, single_valued=False)
-        if not (_is(self.lam, numbers.Real) and math.isfinite(self.lam)):
-            raise GraphError(f"eigenvalue must be a finite real number, got {self.lam!r}")
+        _eigenvalue(self.lam)
         try:
             f = np.asarray(self.f, dtype=float)
         except (TypeError, ValueError):
@@ -210,10 +219,11 @@ def check_eigenpair(g: SignedGraph, pair: EigenPair, tol: float = 1e-9) -> Resid
 # cancels the free edges inside C, so lambda mu(C) = sum over C of sgn_x c_x.
 # The support itself is a pin (a free support edge joins two support
 # vertices), so every certificate takes lambda from the support's sums and
-# none carries a pin. A rejection of one pattern is a plain tuple
-# (kind, *certificate), described in ``check_certificate_1lap``;
-# one_lap_enumerate keeps every rejection in int8 blocks of patterns, with
-# a side as a bool mask, for ``check_rejections_1lap``.
+# none carries a pin. A rejection has one form, a column of a block
+# (kind, t, *certs) described in ``check_rejections_1lap``: the max-flow
+# decides one pattern and returns ("support-cut", side) or ("zero-cut", pi),
+# side an (n,) bool mask and pi (n,) int8, the columns that
+# one_lap_enumerate keeps in int8 blocks of patterns.
 
 
 class OneLapWitness(NamedTuple):
@@ -289,8 +299,8 @@ def _feasible_flow(n: int, arcs, lo, hi) -> tuple[list[int] | None, list[int] | 
 
 def _pattern_lambda(g: SignedGraph, f) -> OneLapWitness | tuple:
     """Decide a pattern: the witness for the one lambda at which (lambda, f)
-    satisfies the 1-Laplacian inclusion, or the reason that no lambda does;
-    see ``one_lap_lambda_range``."""
+    satisfies the 1-Laplacian inclusion, or the reason that no lambda does,
+    ``(kind, column)`` as above; see ``one_lap_lambda_range``."""
     mu, kappa, edges, _ = g.scaled_ints
     n = len(mu)
     sgn = [(x > 0) - (x < 0) for x in f]
@@ -318,7 +328,7 @@ def _pattern_lambda(g: SignedGraph, f) -> OneLapWitness | tuple:
     support_flows, side = _feasible_flow(
         n, [(u, v, q * w) for _, u, v, w in support_arcs], demand, demand)
     if support_flows is None:
-        return "support-cut", tuple(sorted(side))
+        return "support-cut", np.array([x in side for x in range(n)])
 
     # zero vertex y: the net flux of its zero-zero edges lies in
     # [-|lam| mu_y - |kappa_y| - c_y, |lam| mu_y + |kappa_y| - c_y]
@@ -334,9 +344,9 @@ def _pattern_lambda(g: SignedGraph, f) -> OneLapWitness | tuple:
             lo[i], hi[i] = -slack - q * flux[y], slack - q * flux[y]
             lo[i + 1], hi[i + 1] = -hi[i], -lo[i]
         elif q * abs(flux[y]) > slack:
-            pi = [0] * n
+            pi = np.zeros(n, np.int8)
             pi[y] = 1 if flux[y] > 0 else -1
-            return "zero-cut", tuple(pi)
+            return "zero-cut", pi
     zero_flows = []
     if zero_edges:
         # Negative edges are not conservative, so decide the block on the
@@ -351,10 +361,10 @@ def _pattern_lambda(g: SignedGraph, f) -> OneLapWitness | tuple:
         if zero_flows is None:
             # pi_y = [y- on the source side] - [y+ on it], whichever side of
             # Hoffman's condition the cut violates
-            pi = [0] * n
+            pi = np.zeros(n, np.int8)
             for node in side:
                 pi[covered[node // 2]] += 1 if node % 2 else -1
-            return "zero-cut", tuple(pi)
+            return "zero-cut", pi
 
     # The witness, over the common denominator 2q: a support flow x on u -> v
     # is 2 sgn_u x, and a zero-zero edge takes the mirror average (x+ - x-).
@@ -380,22 +390,19 @@ def _ints(xs, length: int) -> bool:
 
 
 def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
-    """Check the evidence that ``one_lap_enumerate`` keeps for the sign
-    pattern of ``f``, in linear time and in integers on ``g.scaled_ints``,
-    from g and f alone: it shares no code or state with the max-flow or the
-    pin stage that produced ``cert``. Vertices are indices into ``g.ids``;
-    c_x and the support's lambda are defined above ``OneLapWitness``.
+    """Check the witness that ``one_lap_enumerate`` keeps for a pair with
+    the sign pattern of ``f``, in linear time and in integers on
+    ``g.scaled_ints``, from g and f alone: it shares no code or state with
+    the max-flow that produced ``cert``. Vertices are indices into
+    ``g.ids``; c_x and the support's lambda are defined above
+    ``OneLapWitness``.
 
-    * ``OneLapWitness``: passes when every z lies in its Sgn interval,
-      z_vu = -sigma z_uv, and every vertex balances to lambda mu_x Sgn(f_x).
-      Then (lambda, f) is an eigenpair.
-    * A rejection ``("screen", x, y)``, ``("support-cut", X)`` or
-      ``("zero-cut", pi)``: passes when ``check_rejections_1lap`` passes it
-      on one column. Then no lambda makes f an eigenfunction.
-
-    Anything else answers False, also a certificate of the wrong shape or
-    of an unknown kind: a vertex index, a count or a z must be a Python
-    int, a side X or a pi a tuple of them.
+    An ``OneLapWitness`` passes when every z lies in its Sgn interval,
+    z_vu = -sigma z_uv, and every vertex balances to lambda mu_x Sgn(f_x);
+    then (lambda, f) is an eigenpair. f is checked first. Anything else
+    answers False: a rejection (``check_rejections_1lap`` checks those), or
+    a witness of the wrong shape, whose lambda is not a Fraction or whose
+    den or a z is not a Python int.
     """
     mu, kappa, edges, _ = g.scaled_ints
     n = len(mu)
@@ -408,26 +415,10 @@ def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
     if not all(map(math.isfinite, f)) or not any(f):
         raise GraphError("eigenfunction must be finite and nonzero")
     if not isinstance(cert, OneLapWitness):
-        if not (type(cert) is tuple and cert and type(cert[0]) is str and cert[0] in _KERNELS
-                and len(cert) == 1 + _KERNELS[cert[0]][1]):
-            return False
-        kind, *certs = cert
-        col = np.array(f)[:, None]
-        if kind == "screen":
-            x, y = certs
-            return (type(x) is type(y) is int and 0 <= x < n and 0 <= y < n
-                    and bool(check_rejections_1lap(g, kind, col, [x], [y])[0]))
-        (xs,) = certs
-        if kind == "support-cut":  # the side X, a tuple of vertices, as a one-column mask
-            ok = type(xs) is tuple and all(type(x) is int and 0 <= x < n for x in xs)
-            xs = [x in xs for x in range(n)] if ok else xs
-        else:  # pi, as a column once checked to be n ints in {-1, 0, 1}
-            ok = _ints(xs, n) and all(-1 <= x <= 1 for x in xs)
-        return ok and bool(check_rejections_1lap(g, kind, col, np.array(xs)[:, None])[0])
-
+        return False
     lam, den, z_edge, z_vertex = cert
-    if not (isinstance(lam, Fraction) and type(den) is int and den >= 1
-            and _ints(z_vertex, n) and type(z_edge) is tuple and len(z_edge) == len(edges)
+    if not (isinstance(lam, Fraction) and type(den) is int and den >= 1 and _ints(z_vertex, n)
+            and type(z_edge) is tuple and len(z_edge) == len(edges)
             and all(type(z) is tuple and len(z) == 2 and type(z[0]) is type(z[1]) is int
                     for z in z_edge)):
         return False
@@ -459,15 +450,12 @@ def _block(g: SignedGraph, t, *certs):
     int64 (Python ints past 2**62), the certificates in intp (a uint past
     2**63 - 1 as 2**63 - 1, out of range either way). Returns sgn(t) and the sign d of
     t_u - sigma t_v per edge (z_uv, or 0 where it is free), both int8, the
-    certificate arrays, mu over gcd(mu) and kappa and w over their gcd, and
-    the dtype of products. A |sum of fluxes| is at most A = sum |kappa| +
-    2 sum w and a sum of mu at most B = sum mu, so sums are exact in int64
-    when A, B < 2**62 and products of the two when A B < 2**62; else they
-    take Python ints (dtype object). A support cut's demand a mu(X) - b
-    sum_X sgn_x c_x is a difference of two such products, below 2 A B < 2**63
-    in absolute value, and b times its capacity is at most A B."""
-    mu, kappa, edges, _ = g.scaled_ints
-    n, t = len(mu), np.asarray(t)
+    certificate arrays, and ``g.reduced_ints``: mu, kappa and w, and the
+    dtype of products (see its bounds A and B). A support cut's demand
+    a mu(X) - b sum_X sgn_x c_x is a difference of two such products, below
+    2 A B < 2**63 in absolute value, and b times its capacity is at most
+    A B."""
+    n, t = g.n, np.asarray(t)
     if t.ndim != 2 or len(t) != n or t.dtype.kind not in "iuf" or not np.isfinite(t).all():
         raise GraphError(f"sign patterns must be an ({n}, m) array of finite reals, "
                          f"got {t.dtype} of shape {t.shape}")
@@ -483,14 +471,9 @@ def _block(g: SignedGraph, t, *certs):
         if a.dtype.kind == "u":  # past 2**63 - 1 no vertex or pi, and none at 2**63 - 1
             a = np.minimum(a.astype(np.uint64), 2**63 - 1)
         checked.append(a.astype(bool if kinds == "b" else np.intp))
-    w = [e[2] for e in edges]
-    dm, dk = math.gcd(*mu), math.gcd(*kappa, *w) or 1  # 0 without edges and kappa
-    span, total = (sum(map(abs, kappa)) + 2 * sum(w)) // dk, sum(mu) // dm
-    dtype = np.int64 if max(span, total) < 2**62 else object
     tu, tv = t[g.eu], g.es.astype(np.int8)[:, None] * t[g.ev]
     return (np.sign(t).astype(np.int8), (tu > tv).astype(np.int8) - (tu < tv), checked,
-            *(np.array([v // d for v in vals], dtype) for vals, d in ((mu, dm), (kappa, dk), (w, dk))),
-            dtype if span * total < 2**62 else object)
+            *g.reduced_ints)
 
 
 def _support(g: SignedGraph, sgn, d, mu, kappa, w):
@@ -610,7 +593,8 @@ def one_lap_lambda_range(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]]:
 
     Both blocks are exact max-flows in Python ints over ``g.scaled_ints``;
     only lambda itself is a Fraction. Each decision has a certificate, which
-    ``one_lap_enumerate`` keeps and ``check_certificate_1lap`` checks.
+    ``one_lap_enumerate`` keeps: a witness, which ``check_certificate_1lap``
+    checks, or a rejection, which ``check_rejections_1lap`` checks.
     """
     cert = _pattern_lambda(g, _function(g, f).tolist())
     return [(cert.lam, cert.lam)] if isinstance(cert, OneLapWitness) else []
@@ -622,19 +606,20 @@ def check_eigenpair_1lap(g: SignedGraph, lam, f) -> ResidualCertificate:
     Existence of {z_xy}, {z_x} with z_xy in Sgn(f(x) - sigma f(y)),
     z_xy = -sigma z_yx, z_x in Sgn(f(x)) and
     sum_y w z_xy + kappa_x z_x in lam mu_x Sgn(f(x)) at every vertex.
-    ``lam`` may be a float or an exact Fraction (floats convert losslessly).
-    f admits one lambda or none (``one_lap_lambda_range``), and the verdict
-    is whether that lambda is ``lam``; a certificate that fails
-    ``check_certificate_1lap`` raises instead. The witness holds each z as a
-    Fraction: z_uv per edge "u,v", z_x per vertex.
+    ``lam`` is a finite real, not a bool or a str, checked as an
+    ``EigenPair`` checks its own; a float or an exact Fraction (floats
+    convert losslessly). f admits one lambda or none
+    (``one_lap_lambda_range``), and the verdict is whether that lambda is
+    ``lam``; a certificate that fails its check (``check_certificate_1lap``
+    for a witness, ``check_rejections_1lap`` on one column for a rejection)
+    raises instead. The witness holds each z as a Fraction: z_uv per edge
+    "u,v", z_x per vertex.
     """
     f = _function(g, f).tolist()
-    try:
-        lam = lam if isinstance(lam, Fraction) else Fraction(float(lam))
-    except (TypeError, ValueError, OverflowError):
-        raise GraphError(f"lambda must be a finite real number, got {lam!r}") from None
+    lam = _eigenvalue(lam)
     cert = _pattern_lambda(g, f)
-    if not check_certificate_1lap(g, f, cert):
+    if not (check_certificate_1lap(g, f, cert) if isinstance(cert, OneLapWitness) else
+            check_rejections_1lap(g, cert[0], np.array(f)[:, None], cert[1][:, None])[0]):
         raise RuntimeError(f"the max-flow certificate {cert!r} fails its check")
     if not isinstance(cert, OneLapWitness) or cert.lam != lam:
         return ResidualCertificate(verdict=False)

@@ -11,8 +11,9 @@ resumes its gradient and is polished again. Each gradient step is one
 fused pass over the operator kernels of :mod:`sgspec.operators`, carrying
 the edge differences of f from the step that accepted f; each Newton step
 takes the edge differences once, for its right-hand side and its
-Jacobian. Neither loop calls a public operator. Every reported
-pair is re-certified by its eigen-residual. For p = 1 candidates are the
+Jacobian, and Phi_p f by the kernels' one formula. Neither loop calls a
+public operator. Every reported pair is re-certified by its
+eigen-residual. For p = 1 candidates are the
 +-1/0 patterns, scanned in the int8 blocks of the Cheeger table and screened
 per block exactly, by integer ranks of the screen's bounds fixed once per
 graph; no float decides a pattern. The survivors meet one more exact
@@ -20,26 +21,27 @@ integer pass per block, the pin stage: a component of free support edges
 whose pin differs from the support's (a support cut of capacity 0), or one
 zero vertex whose flux exceeds its slack, rejects a column there. Only the
 rest is decided by an exact integer max-flow that leaves a certificate: a
-witness for a pair, checked by ``check_certificate_1lap``, else the reason.
-Every rejection, of the screen, the pin stage or the flow, is kept in one
-field as int8 blocks of patterns with their certificates, for the one block
-checker ``check_rejections_1lap``.
+witness for a pair, checked by ``check_certificate_1lap``, else the reason,
+as a block column. Every rejection, of the screen, the pin stage or the
+flow, is kept in one field as int8 blocks of patterns with their
+certificates, for the one block checker ``check_rejections_1lap``. Both
+integer block passes take their arrays and the dtype of their products
+from ``g.reduced_ints``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import cheeger as _cheeger
-from .graph import (BalanceState, GraphError, SignedGraph, _exponent, balance_state, components,
-                    induced_subgraph)
+from .graph import (BalanceState, GraphError, SignedGraph, _exponent, _seed, balance_state,
+                    components, induced_subgraph)
 from .operators import (
-    OneLapWitness, _delta, _edge_diffs, _eigen_terms, _pattern_lambda, _quotient, _residual,
-    phi_p, rayleigh,
+    OneLapWitness, _delta, _edge_diffs, _eigen_terms, _pattern_lambda, _phi, _quotient, _residual,
+    rayleigh,
 )
 
 __all__ = [
@@ -189,7 +191,8 @@ def _lockstep_newton(g, p, f, lam):
         k, fl, ll = live.size, f[:, live], lam[live]
         cv, x = g.columns(k), fl.ravel()
         d = _edge_diffs(cv, x)
-        phi = phi_p(fl, p)
+        a = np.abs(fl)
+        phi = _phi(fl, a, a ** (p - 1))
         rhs = np.empty((k, n + 1))
         rhs[:, :n] = -(_delta(cv, p, d, phi).reshape(n, k) - ll * mu * phi).T
         rhs[:, n] = -(np.bincount(cv.col[:x.size], cv.mu * np.abs(x) ** p, k) - 1.0)
@@ -198,7 +201,7 @@ def _lockstep_newton(g, p, f, lam):
         jac[:, g.eu, g.ev] = jac[:, g.ev, g.eu] = (-cv.es * c).reshape(-1, k).T
         incident = np.bincount(cv.bins, np.concatenate((np.zeros(x.size), c, c)),
                                x.size).reshape(n, k)
-        dabs = np.maximum(np.abs(fl), 1e-12) ** (p - 2)
+        dabs = np.maximum(a, 1e-12) ** (p - 2)
         jac[:, diag, diag] = (incident + (p - 1) * (kap - ll * mu) * dabs).T
         jac[:, :n, n], jac[:, n, :n] = (-mu * phi).T, (p * mu * phi).T
         try:
@@ -237,6 +240,7 @@ def extremal_p(g: SignedGraph, p: float, restarts: int = 8, seed: int = 0) -> Ex
     column that Newton leaves above TOL resumes its gradient where it
     handed off, runs it until it stalls, and is polished again."""
     _exponent(p, single_valued=True)
+    _seed(seed)
     if restarts < 0:
         raise GraphError(f"restarts must be >= 0, got {restarts}")
     if g.n == 0:
@@ -326,7 +330,7 @@ def _screened_blocks(g: SignedGraph):
     """Yields ``(t, rejected, x, y)`` per block t of ``cheeger._labelings(g.n)``:
     the lambda-box screen of every column, decided exactly. A column is
     rejected, at ``("screen", x, y)``, when lo_x / mu_x > hi_y / mu_y for
-    support vertices x and y (see ``check_certificate_1lap``); x has the
+    support vertices x and y (see ``check_rejections_1lap``); x has the
     largest lo_x / mu_x and y the least hi_y / mu_y.
 
     On ``g.scaled_ints``, hi_x = kappa_x + W_x and lo_x = hi_x - 2 F_x, with
@@ -381,23 +385,14 @@ def _pin_stage(g: SignedGraph):
     support cut of capacity 0 whose side is the least-labelled such
     component; else so does a zero vertex y with b (|c_y| - |kappa_y| - Z_y)
     > |a| mu_y, Z_y the weight of its zero-zero edges: pi is sgn(c_y) at the
-    least such y alone. Each |sum of fluxes| is at most
-    A = sum |kappa| + 2 sum w and each sum of mu at most B = sum mu, so the
-    sums are int64 when A, B < 2**62 and the products when A B < 2**62;
-    else they take Python ints (dtype object)."""
-    mu, kappa, edges, _ = g.scaled_ints
-    n, e, w = g.n, np.arange(len(edges)), [x for _, _, x, _ in edges]
-    # mu over dm multiplies lambda by dm, and kappa and w over dk divide it by
-    # dk; every pin comparison and zero-cut inequality is unchanged
-    dm, dk = math.gcd(*mu), math.gcd(*kappa, *w) or 1
-    mu, kappa, w = [x // dm for x in mu], [x // dk for x in kappa], [x // dk for x in w]
-    span, total = sum(map(abs, kappa)) + 2 * sum(w), sum(mu)
-    dtype = np.int64 if max(span, total) < 2**62 else object
-    wide = dtype if span * total < 2**62 else object
-    inc, weight = np.zeros((n, e.size), dtype), np.zeros((n, e.size), dtype)
+    least such y alone. Sums and products take the dtypes of
+    ``g.reduced_ints``."""
+    mu, kappa, w, wide = g.reduced_ints
+    n, e = g.n, np.arange(w.size)
+    inc, weight = np.zeros((n, e.size), w.dtype), np.zeros((n, e.size), w.dtype)
     inc[g.eu, e] = weight[g.eu, e] = weight[g.ev, e] = w
-    inc[g.ev, e] = [-s * x for (_, _, _, s), x in zip(edges, w)]
-    mu, kappa = np.array(mu, dtype)[:, None], np.array(kappa, dtype)[:, None]
+    inc[g.ev, e] = -g.es.astype(np.int8) * w
+    mu, kappa = mu[:, None], kappa[:, None]
     sigma, diag = g.es.astype(np.int8)[:, None], np.arange(n)
     ends = list(zip(g.eu.tolist(), g.ev.tolist()))
 
@@ -466,10 +461,9 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
             cert = _pattern_lambda(g, pattern)
             if isinstance(cert, OneLapWitness):
                 pairs.append(OneLapPair(lam=cert.lam, f=pattern, witness=cert))
-            elif cert[0] == "zero-cut":
-                by_pi[j], pi[:, j] = True, cert[1]
-            else:
-                by_side[j], side[:, j] = True, [x in cert[1] for x in range(g.n)]
+            else:  # a cut: its column joins the block's entries of its kind
+                hit, col = (by_pi, pi) if cert[0] == "zero-cut" else (by_side, side)
+                hit[j], col[:, j] = True, cert[1]
         rejected += [("screen", t[:, screened], x[screened], y[screened]),
                      ("support-cut", rest[:, by_side], side[:, by_side]),
                      ("zero-cut", rest[:, by_pi], pi[:, by_pi])]

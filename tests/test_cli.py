@@ -434,7 +434,7 @@ class TestExtremal:
 
     @pytest.mark.parametrize("flags", [
         ("--p", "inf"), ("--p=-inf",), ("--p", "nan"), ("--p", "1"),
-        ("--p", "2", "--restarts", "-1"),
+        ("--p", "2", "--restarts", "-1"), ("--p", "2", "--seed", "-1"),
     ])
     def test_bad_p_or_restarts_exit_2(self, capsys, p3_file, flags):
         code, out, err = run(capsys, "extremal", "--graph", p3_file, *flags)
@@ -515,6 +515,11 @@ class TestRandomAndErrors:
         assert code1 == code2 == 0 and out1 == out2
         g = parse_graph(out1)
         assert g.n == 5
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run(capsys, "random", "--n", "5", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "spectrum", "--graph", "/nope/missing.json")

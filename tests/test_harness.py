@@ -66,6 +66,9 @@ class TestRandomGraph:
             random_signed_graph(4, model="weird")
         with pytest.raises(GraphError):
             random_signed_graph(4, mu_mode="volume")
+        for seed in (-1, 1.5, True, "3", None):
+            with pytest.raises(GraphError, match="seed"):
+                random_signed_graph(4, seed=seed)
 
 
 class TestImportSymmetricMatrix:

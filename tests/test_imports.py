@@ -158,3 +158,66 @@ def test_package_reexports_every_public_name():
     public = set().union(*(module_all(ast.parse(p.read_text())) for p in SRC.glob("*.py")
                            if p.name not in ("__init__.py", "simplex.py")))
     assert reexported == public
+
+
+def reached_names(tree: ast.Module, roots) -> dict[str, set[str]]:
+    """For each module-level definition that the ``roots`` reach, the names
+    it loads. A definition reaches every module-level function, class or
+    constant whose name it loads (``_KERNELS`` reaches its kernels)."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    reached, todo = {}, list(roots)
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in defs:
+            continue
+        reached[name] = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+        todo += reached[name]
+    return reached
+
+
+def forbidden_in_checkers(source: str, roots) -> list[str]:
+    """The names that a checker of ``roots``, or anything it reaches in the
+    same module, must not load but does: the producers ``_pattern_lambda``
+    and ``_feasible_flow``, and every name imported from ``spectra`` or
+    ``cheeger`` (or the module itself)."""
+    tree = ast.parse(source)
+    banned, modules = {"_pattern_lambda", "_feasible_flow"}, ("spectra", "cheeger")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            banned |= {alias.asname or alias.name for alias in node.names
+                       if module in modules or alias.name in modules}
+        elif isinstance(node, ast.Import):
+            banned |= {alias.asname or alias.name for alias in node.names
+                       if alias.name.split(".")[-1] in modules}
+    return sorted(f"{fn}: {name}" for fn, names in reached_names(tree, roots).items()
+                  for name in names & banned)
+
+
+def test_the_1lap_checkers_are_independent_of_what_they_check():
+    # the certifying-algorithm contract: the checkers re-derive everything
+    # from g and the pattern, and share no code with the max-flow, the
+    # screen or the pin stage that produce the certificates
+    source = (SRC / "operators.py").read_text()
+    roots = ("check_certificate_1lap", "check_rejections_1lap")
+    reached = reached_names(ast.parse(source), roots)
+    assert {"_block", "_screen", "_support_cut", "_zero_cut", "_support"} <= set(reached)
+    assert forbidden_in_checkers(source, roots) == []
+
+
+def test_detects_a_checker_that_names_a_producer():
+    source = ("from . import cheeger as _ch\nfrom .spectra import _pin_stage\n"
+              "from .graph import _is\n"
+              "def _feasible_flow(): pass\ndef _pattern_lambda(): pass\n"
+              "def _kernel(): return _pin_stage\n_TABLE = {'k': _kernel}\n"
+              "def _helper(): return _ch.x, _is\n"
+              "def check(): return _TABLE, _helper()\n"
+              "def other(): return _feasible_flow(), _pattern_lambda()\n")
+    assert forbidden_in_checkers(source, ("check",)) == ["_helper: _ch", "_kernel: _pin_stage"]
+    assert forbidden_in_checkers(source, ("other",)) == ["other: _feasible_flow",
+                                                         "other: _pattern_lambda"]

@@ -148,6 +148,9 @@ _F = np.array([1.0, -1.0, 0.0, 1.0])  # nonzero on the edge (0, 1)
 _BAD_SCALAR = {
     "check_eigenpair_1lap-nan-lambda": lambda g: check_eigenpair_1lap(g, _NAN, _F),
     "check_eigenpair_1lap-inf-lambda": lambda g: check_eigenpair_1lap(g, _INF, _F),
+    "check_eigenpair_1lap-bool-lambda": lambda g: check_eigenpair_1lap(g, True, _F),
+    "check_eigenpair_1lap-str-lambda": lambda g: check_eigenpair_1lap(g, "0.5", _F),
+    "check_eigenpair_1lap-complex-lambda": lambda g: check_eigenpair_1lap(g, 1j, _F),
     "rayleigh-nan-p": lambda g: rayleigh(g, _NAN, _F),
     "rayleigh-p-below-1": lambda g: rayleigh(g, 0.5, _F),
     "apply_p_laplacian-inf-p": lambda g: apply_p_laplacian(g, _INF, _F),

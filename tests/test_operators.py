@@ -314,7 +314,7 @@ class TestOneLapChecker:
     @pytest.mark.parametrize("tamper", [
         lambda c: c._replace(lam=c.lam + 1),
         lambda c: c._replace(z_edge=((c.z_edge[0][0] + 1, c.z_edge[0][1]),)),
-        lambda c: ("support-cut", (0,)),
+        lambda c: ("support-cut", np.array([True, False])),
     ], ids=("witness-lambda", "witness-edge", "rejection"))
     def test_certificate_that_fails_its_check_raises(self, monkeypatch, tamper):
         g, f = path(2), [1.0, -1.0]
@@ -361,8 +361,25 @@ class TestOneLapChecker:
 
 
 def _crossing_weight(g, f, side) -> float:
-    """The weight of the free support edges of the pattern f that cross side."""
-    return sum(w for u, v, w, s in g.edges if f[u] and f[u] == s * f[v] and (u in side) != (v in side))
+    """The weight of the free support edges of the pattern f that cross the
+    side, an (n,) bool mask."""
+    return sum(w for u, v, w, s in g.edges if f[u] and f[u] == s * f[v] and side[u] != side[v])
+
+
+def _mask(n, xs) -> np.ndarray:
+    """The vertices xs as an (n,) bool mask, the column form of a side."""
+    out = np.zeros(n, bool)
+    out[list(xs)] = True
+    return out
+
+
+def _rejects(g, f, cert) -> bool:
+    """Whether ``check_rejections_1lap`` passes the rejection ``(kind,
+    *columns)`` of the one pattern f, on a block of one column: a screen
+    pair's x and y are ints, a side or a pi an (n,) array."""
+    kind, *cols = cert
+    return bool(check_rejections_1lap(g, kind, np.array(f)[:, None],
+                                      *(np.asarray(c)[..., None] for c in cols))[0])
 
 
 class TestLambdaRange:
@@ -450,24 +467,26 @@ class TestLambdaRange:
     def _certified(g, pattern, lp) -> list[str]:
         """Assert that each certificate for ``pattern`` checks and agrees
         with the LP answer ``lp``; return the kinds seen. A witness must
-        also pass the fixed-lambda LP."""
+        also pass the fixed-lambda LP; a rejection of the max-flow is one
+        block column, a side an (n,) bool mask or pi (n,) int8."""
         kinds = []
-        for cert in (prefilter_lambda_box(g, pattern), _pattern_lambda(g, pattern)):
-            if cert is None:
-                continue
+        screen, cert = prefilter_lambda_box(g, pattern), _pattern_lambda(g, pattern)
+        if screen is not None:
+            assert _rejects(g, pattern, screen) and lp == [], (g, pattern, screen)
+            kinds.append("screen")
+        if isinstance(cert, OneLapWitness):
             assert check_certificate_1lap(g, pattern, cert), (g, pattern, cert)
-            if isinstance(cert, OneLapWitness):
-                assert lp == [(cert.lam, cert.lam)], (g, pattern)
-                assert check_eigenpair_1lap_lp(g, cert.lam, pattern)
-            else:
-                assert lp == [], (g, pattern, cert)
-            kind = "witness" if isinstance(cert, OneLapWitness) else cert[0]
-            if kind == "zero-cut" and sum(map(abs, cert[1])) > 1:
-                kind += "-wide"
-            if kind == "support-cut" and not _crossing_weight(g, pattern, cert[1]):
-                kind += "-closed"  # a component whose pin is not the support's
-            kinds.append(kind)
-        return kinds
+            assert lp == [(cert.lam, cert.lam)], (g, pattern)
+            assert check_eigenpair_1lap_lp(g, cert.lam, pattern)
+            return kinds + ["witness"]
+        kind, col = cert
+        assert col.shape == (g.n,) and col.dtype == (bool if kind == "support-cut" else np.int8)
+        assert _rejects(g, pattern, cert) and lp == [], (g, pattern, cert)
+        if kind == "zero-cut" and abs(col).sum() > 1:
+            kind += "-wide"
+        if kind == "support-cut" and not _crossing_weight(g, pattern, col):
+            kind += "-closed"  # a component whose pin is not the support's
+        return kinds + [kind]
 
     def test_equals_lp_oracle_on_every_sign_pattern(self):
         # max-flow against the three-LP simplex solve, on every pattern;
@@ -601,22 +620,23 @@ class TestCertificateTamper:
     def test_no_rejection_of_a_feasible_pattern_checks(self):
         # every screen pair, every side on the support (a pin among them)
         # and every sign vector pi on a feasible pattern must fail, since
-        # each would prove it infeasible
+        # each would prove it infeasible: each fake is one column of a block
+        # of the pattern, one block per kind
         tried = 0
         for g in [g for g in TestLambdaRange._corpus() if g.n <= 5]:
             for pattern in nonzero_patterns(g.n):
-                cert = _pattern_lambda(g, pattern)
-                if not isinstance(cert, OneLapWitness):
+                if not isinstance(_pattern_lambda(g, pattern), OneLapWitness):
                     continue
-                support = tuple(x for x in range(g.n) if pattern[x])
-                subsets = [tuple(x for i, x in enumerate(support) if m >> i & 1)
-                           for m in range(1, 1 << len(support))]
-                fakes = [("screen", x, y) for x in support for y in support]
-                fakes += [("support-cut", c) for c in subsets]
-                fakes += [("zero-cut", pi) for pi in product((-1, 0, 1), repeat=g.n)]
-                for fake in fakes:
-                    assert not check_certificate_1lap(g, pattern, fake), (g, pattern, fake)
-                tried += len(fakes)
+                support = [x for x in range(g.n) if pattern[x]]
+                pairs = np.array([(x, y) for x in support for y in support]).T
+                sides = np.array([_mask(g.n, (x for i, x in enumerate(support) if m >> i & 1))
+                                  for m in range(1, 1 << len(support))]).T
+                pis = np.array(list(product((-1, 0, 1), repeat=g.n)), np.int8).T
+                for kind, certs in (("screen", pairs), ("support-cut", [sides]),
+                                    ("zero-cut", [pis])):
+                    t = np.repeat(np.array(pattern, np.int8)[:, None], certs[0].shape[-1], axis=1)
+                    assert not check_rejections_1lap(g, kind, t, *certs).any(), (g, pattern, kind)
+                    tried += t.shape[1]
         assert tried >= 10000
 
     def test_vertex_dropped_from_a_support_cut(self):
@@ -627,10 +647,10 @@ class TestCertificateTamper:
                               kappa=[3.0, -1.5, -1.5])
         f = [1, 1, 1]
         cert = _pattern_lambda(g, f)
-        assert cert == ("support-cut", (1, 2))
-        assert check_certificate_1lap(g, f, cert)
+        assert cert[0] == "support-cut" and np.flatnonzero(cert[1]).tolist() == [1, 2]
+        assert _rejects(g, f, cert)
         for side in ((1,), (2,), ()):
-            assert not check_certificate_1lap(g, f, ("support-cut", side))
+            assert not _rejects(g, f, ("support-cut", _mask(3, side)))
         assert one_lap_lambda_range_lp(g, f) == []
 
     def test_vertex_dropped_from_a_zero_cut(self):
@@ -643,12 +663,12 @@ class TestCertificateTamper:
         f = [1, 0, 0]
         cert = _pattern_lambda(g, f)
         kind, pi = cert
-        assert kind == "zero-cut" and sum(map(abs, pi)) == 2
-        assert check_certificate_1lap(g, f, cert)
+        assert kind == "zero-cut" and abs(pi).sum() == 2
+        assert _rejects(g, f, cert)
         for y in (1, 2):
-            dropped = list(pi)
+            dropped = pi.copy()
             dropped[y] = 0
-            assert not check_certificate_1lap(g, f, (kind, tuple(dropped)))
+            assert not _rejects(g, f, (kind, dropped))
         assert one_lap_lambda_range_lp(g, f) == []
 
     def test_wrong_screen_pair(self):
@@ -659,9 +679,9 @@ class TestCertificateTamper:
                 if cert is None:
                     continue
                 _, x, y = cert
-                assert check_certificate_1lap(g, pattern, cert)
+                assert _rejects(g, pattern, cert)
                 for wrong in ((y, x), (x, x), (y, y)):
-                    assert not check_certificate_1lap(g, pattern, ("screen", *wrong))
+                    assert not _rejects(g, pattern, ("screen", *wrong))
                 tried += 1
         assert tried >= 100
 
@@ -676,11 +696,11 @@ class TestCertificateTamper:
                               kappa=[1.0, 1.0, 2.0, 2.0, 2.0])
         f = [1, 1, 1, 1, 1]
         cert = _pattern_lambda(g, f)
-        assert cert == ("support-cut", (0, 1))
-        assert check_certificate_1lap(g, f, cert)
-        assert check_certificate_1lap(g, f, ("support-cut", (2, 3)))
+        assert cert[0] == "support-cut" and np.flatnonzero(cert[1]).tolist() == [0, 1]
+        assert _rejects(g, f, cert)
+        assert _rejects(g, f, ("support-cut", _mask(5, (2, 3))))
         for side in ((4,), (0, 1, 2, 3, 4), (0,)):
-            assert not check_certificate_1lap(g, f, ("support-cut", side))
+            assert not _rejects(g, f, ("support-cut", _mask(5, side)))
         assert one_lap_lambda_range_lp(g, f) == []
 
     def test_one_vertex_pins_that_differ_give_a_support_cut(self):
@@ -689,44 +709,53 @@ class TestCertificateTamper:
         # still runs and finds the cut {a, c} of capacity 0
         g, f = path(3), (1, -1, 1)
         cert = _pattern_lambda(g, f)
-        assert cert == ("support-cut", (0, 2))
-        assert check_certificate_1lap(g, f, cert)
+        assert cert[0] == "support-cut" and np.flatnonzero(cert[1]).tolist() == [0, 2]
+        assert _rejects(g, f, cert)
         assert one_lap_lambda_range(g, f) == one_lap_lambda_range_lp(g, f) == []
 
     @staticmethod
     def _good():
-        """One certificate of each shape that checks, by name: (g, f, cert)."""
+        """One certificate of each kind that checks, by name: (g, f, cert),
+        a rejection as ``(kind, t, *certs)`` on a block t of one column."""
         zero_g = SignedGraph.build(["x", "y1", "y2"], [("x", "y1", 1.5, 1), ("x", "y2", 1.5, -1),
                                                        ("y1", "y2", 2.0, -1)], mu=[64.0, 1.0, 1.0])
-        cases = {"screen": (path(3), (1, -1, 1), prefilter_lambda_box(path(3), (1, -1, 1))),
-                 "support-cut": (path(3), (1, -1, 1), ("support-cut", (1,))),
+        t = np.array([[1], [-1], [1]], np.int8)
+        cases = {"screen": (path(3), (1, -1, 1), ("screen", t, np.array([1]), np.array([0]))),
+                 "support-cut": (path(3), (1, -1, 1), ("support-cut", t, _mask(3, (1,))[:, None])),
                  "witness": (path(3), (1, 1, 1), _pattern_lambda(path(3), (1, 1, 1))),
-                 "zero-cut": (zero_g, (1, 0, 0), _pattern_lambda(zero_g, (1, 0, 0)))}
+                 "zero-cut": (zero_g, (1, 0, 0), ("zero-cut", np.array([[1], [0], [0]], np.int8),
+                                                  _pattern_lambda(zero_g, (1, 0, 0))[1][:, None]))}
+        assert prefilter_lambda_box(path(3), (1, -1, 1)) == ("screen", 1, 0)
         for g, f, cert in cases.values():
-            assert check_certificate_1lap(g, f, cert)
+            assert (check_certificate_1lap(g, f, cert) if isinstance(cert, OneLapWitness)
+                    else check_rejections_1lap(g, *cert).tolist() == [True])
         return cases
 
-    # a certificate of the wrong shape, made from a good one of the named kind
+    # a certificate of the wrong shape, made from a good one of the named
+    # kind: a witness answers False; a rejection (kind, t, *certs) raises
+    # GraphError at the block boundary, or answers False where it names a
+    # vertex past the graph
     _MALFORMED = {
-        "none": ("screen", lambda c: None),
-        "kind-only": ("screen", lambda c: ("bogus",)),
-        "screen-one-vertex": ("screen", lambda c: c[:2]),
-        "screen-extra-entry": ("screen", lambda c: (*c, 0)),
-        "screen-as-list": ("screen", list),
-        "screen-float-index": ("screen", lambda c: (c[0], float(c[1]), c[2])),
-        "screen-numpy-index": ("screen", lambda c: (c[0], np.int64(c[1]), c[2])),
-        "screen-str-index": ("screen", lambda c: (c[0], str(c[1]), c[2])),
-        "screen-bool-index": ("screen", lambda c: (c[0], c[1], True)),
-        "kind-not-a-string": ("screen", lambda c: (np.array([1, 2]), c[1], c[2])),
-        "support-cut-none": ("support-cut", lambda c: (c[0], None)),
-        "support-cut-as-list": ("support-cut", lambda c: (c[0], list(c[1]))),
-        "support-cut-numpy-vertex": ("support-cut", lambda c: (c[0], (np.int64(c[1][0]),))),
-        "support-cut-with-a-pin": ("support-cut", lambda c: (c[0], (0, 1, 2), c[1])),
-        "pins-kind": ("support-cut", lambda c: ("pins", (0,), c[1])),
-        "zero-cut-pi-as-list": ("zero-cut", lambda c: (c[0], list(c[1]))),
-        "zero-cut-float-pi": ("zero-cut", lambda c: (c[0], tuple(map(float, c[1])))),
-        "zero-cut-short-pi": ("zero-cut", lambda c: (c[0], c[1][:-1])),
-        "zero-cut-with-a-pin": ("zero-cut", lambda c: (c[0], (0,), c[1])),
+        "none": ("screen", lambda c: (c[0], c[1], None, c[3])),
+        "kind-only": ("screen", lambda c: ("bogus", c[1])),
+        "screen-one-vertex": ("screen", lambda c: c[:3]),
+        "screen-extra-entry": ("screen", lambda c: (*c, c[3])),
+        "screen-as-list": ("screen", lambda c: (*c[:3], [c[3].tolist()])),  # shape (1, 1)
+        "screen-float-index": ("screen", lambda c: (*c[:3], c[3].astype(float))),
+        "screen-numpy-index": ("screen", lambda c: (*c[:2], np.full(1, 2**64 - 1, np.uint64),
+                                                    c[3])),  # reads as 2**63 - 1, off the graph
+        "screen-str-index": ("screen", lambda c: (*c[:3], c[3].astype(str))),
+        "screen-bool-index": ("screen", lambda c: (*c[:3], np.array([True]))),
+        "kind-not-a-string": ("screen", lambda c: (np.array([1, 2]), *c[1:])),
+        "support-cut-none": ("support-cut", lambda c: (*c[:2], None)),
+        "support-cut-as-list": ("support-cut", lambda c: (*c[:2], np.flatnonzero(c[2]).tolist())),
+        "support-cut-numpy-vertex": ("support-cut", lambda c: (*c[:2], c[2].astype(np.int64))),
+        "support-cut-with-a-pin": ("support-cut", lambda c: (*c, c[2])),
+        "pins-kind": ("support-cut", lambda c: ("pins", *c[1:])),
+        "zero-cut-pi-as-list": ("zero-cut", lambda c: (*c[:2], c[2][:, 0].tolist())),  # shape (n,)
+        "zero-cut-float-pi": ("zero-cut", lambda c: (*c[:2], c[2].astype(float))),
+        "zero-cut-short-pi": ("zero-cut", lambda c: (*c[:2], c[2][:-1])),
+        "zero-cut-with-a-pin": ("zero-cut", lambda c: (*c, c[2])),
         "witness-float-lambda": ("witness", lambda c: c._replace(lam=float(c.lam))),
         "witness-numpy-den": ("witness", lambda c: c._replace(den=np.int64(c.den))),
         "witness-none-den": ("witness", lambda c: c._replace(den=None)),
@@ -737,10 +766,27 @@ class TestCertificateTamper:
             z_vertex=(float(c.z_vertex[0]), *c.z_vertex[1:]))),
     }
 
-    @pytest.mark.parametrize("kind, malform", _MALFORMED.values(), ids=_MALFORMED)
-    def test_malformed_certificate_answers_false(self, kind, malform):
+    @pytest.mark.parametrize("name", _MALFORMED)
+    def test_malformed_certificate_answers_false(self, name):
+        kind, malform = self._MALFORMED[name]
         g, f, cert = self._good()[kind]
-        assert check_certificate_1lap(g, f, malform(cert)) is False
+        if kind == "witness":
+            assert check_certificate_1lap(g, f, malform(cert)) is False
+        elif name == "screen-numpy-index":
+            assert check_rejections_1lap(g, *malform(cert)).tolist() == [False]
+        else:
+            with pytest.raises(GraphError):
+                check_rejections_1lap(g, *malform(cert))
+
+    @pytest.mark.parametrize("kind", ["screen", "support-cut", "zero-cut"])
+    def test_a_rejection_is_no_witness(self, kind):
+        # check_certificate_1lap checks witnesses only: a good rejection, as
+        # its block or as the column form that _pattern_lambda returns,
+        # answers False there
+        g, f, (_, t, *certs) = self._good()[kind]
+        assert check_rejections_1lap(g, kind, t, *certs).all()
+        for cert in ((kind, t, *certs), (kind, *(c[..., 0] for c in certs))):
+            assert check_certificate_1lap(g, f, cert) is False
 
     @pytest.mark.parametrize("f", [[1.0], [0.0, 0.0], [1.0, float("nan")], [float("inf"), 1.0]])
     def test_bad_function_rejected(self, f):

@@ -156,7 +156,8 @@ class TestExtremalP:
             extremal_p(path(2), 1.0)
 
     @pytest.mark.parametrize("kwargs", [
-        {"p": float("inf")}, {"p": float("nan")}, {"p": 2.0, "restarts": -1}])
+        {"p": float("inf")}, {"p": float("nan")}, {"p": 2.0, "restarts": -1},
+        {"p": 2.0, "seed": -1}, {"p": 2.0, "seed": 1.5}, {"p": 2.0, "seed": True}])
     def test_bad_p_or_restarts_rejected(self, kwargs):
         with pytest.raises(GraphError):
             extremal_p(path(3), **kwargs)
@@ -580,20 +581,34 @@ class TestPinStage:
 
     def test_block_checkers_agree_with_the_one_column_check(self):
         # on the stage's blocks and on forgeries of them (the whole support
-        # as the side, pi negated), column by column
+        # as the side, pi negated), column by column: a column's verdict in
+        # its block is its verdict on a block of one column
         outcomes = Counter()
         for g in list(self._corpus())[::6]:
             for t, (by_side, by_pi, side, pi) in _staged(g):
                 for kind, certs in (("support-cut", side), ("support-cut", t != 0),
                                     ("zero-cut", pi), ("zero-cut", -pi)):
                     block = check_rejections_1lap(g, kind, t, certs)
-                    for j, f in enumerate(zip(*t.tolist())):
-                        col = (np.flatnonzero(certs[:, j]) if kind == "support-cut"
-                               else certs[:, j]).tolist()
-                        cert = (kind, tuple(col))
-                        assert block[j] == check_certificate_1lap(g, f, cert), (g, f, cert)
+                    for j in range(t.shape[1]):
+                        one = check_rejections_1lap(g, kind, t[:, j:j + 1], certs[:, j:j + 1])
+                        assert one.tolist() == [block[j]], (g, t[:, j], certs[:, j])
                         outcomes[kind, bool(block[j])] += 1
-        assert min(outcomes.values()) >= 20, outcomes
+        assert len(outcomes) == 4 and min(outcomes.values()) >= 20, outcomes
+
+    def test_reduced_ints_is_one_read_only_view(self):
+        # scaled_ints over the gcds, built once, read-only, and in Python
+        # ints exactly where products_take_python_ints says so
+        for g in list(self._corpus())[::3]:
+            mu, kappa, w, wide = g.reduced_ints
+            assert g.reduced_ints is g.reduced_ints
+            assert not any(a.flags.writeable for a in (mu, kappa, w))
+            assert (wide is object) == products_take_python_ints(g), g
+            smu, skappa, edges, _ = g.scaled_ints
+            sw = [e[2] for e in edges]
+            dk = math.gcd(*skappa, *sw) or 1
+            assert mu.tolist() == [m // math.gcd(*smu) for m in smu]
+            assert (kappa.tolist(), w.tolist()) == ([k // dk for k in skappa], [x // dk for x in sw])
+            assert mu.dtype == kappa.dtype == w.dtype
 
     def test_an_empty_block(self):
         by_side, by_pi, side, pi = spectra._pin_stage(path(3))(np.zeros((3, 0), np.int8))
