@@ -1,11 +1,12 @@
 """Signed graph data model: switching, balance, components, JSON I/O.
 
-Every connectivity question of the package is one labeling by ``_labels``,
-a union-find whose root is the least node of its class: components over the
-edges, balance over the signed double cover, whose nodes 2x and 2x + 1 are
-x with sign +1 and -1, and the nodal domains of ``nodal``. The one
-exception is the 1-Laplacian pin stage, ``spectra._pin_stage``, which
-labels the components of a whole block of sign patterns at once in numpy.
+Every connectivity question of the package is one labeling, each class
+labeled by its least node. On one graph it is ``_labels``, a union-find:
+components over the edges, and balance over the signed double cover, whose
+nodes 2x and 2x + 1 are x with sign +1 and -1, with an early stop. On a
+block of edge subsets, one per column, it is ``_block_labels``, in numpy:
+the nodal domains of ``nodal`` and the components of free support edges in
+the 1-Laplacian pin stage, ``spectra._pin_stage``.
 
 A signed graph carries a positive vertex measure ``mu``, a real vertex
 potential ``kappa``, positive edge weights and an edge signature in {-1,+1}.
@@ -86,8 +87,9 @@ class SignedGraph:
     one validator of these rules, as ``_function`` is of a function on the
     vertices. Its numeric views are read-only and built on first use: the
     edge columns ``eu``, ``ev`` (intp), ``ew``, ``es`` (float), mu, kappa,
-    the ``columns`` views, ``scaled_ints``, the exact integer view, and
-    ``reduced_ints``, its arrays for the p = 1 block passes.
+    the ``columns`` views, ``cover_ends``, the pairs of the signed double
+    cover, ``scaled_ints``, the exact integer view, and ``reduced_ints``,
+    its arrays for the p = 1 block passes.
     """
 
     ids: tuple[str, ...]
@@ -182,6 +184,17 @@ class SignedGraph:
                     a.flags.writeable = False
             self._column_views[m] = views
         return self._column_views[m]
+
+    @cached_property
+    def cover_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ends ``(cu, cv)`` of the pairs of the signed double
+        cover, whose node 2x + 1 is x with sign -1 (as in ``_cover_pairs``):
+        per edge (u, v, sigma), with a = (u, +1) and b = (v, sigma), the
+        pairs (a, b) and (a ^ 1, b ^ 1), which join under sigma, then
+        (a, b ^ 1) and (a ^ 1, b), which join under -sigma."""
+        a, b = 2 * self.eu, 2 * self.ev + (self.es < 0)
+        return (_frozen(np.concatenate((a, a ^ 1, a, a ^ 1)), np.intp),
+                _frozen(np.concatenate((b, b ^ 1, b ^ 1, b)), np.intp))
 
     @cached_property
     def scaled_ints(self) -> tuple[tuple[int, ...], tuple[int, ...],
@@ -367,18 +380,45 @@ def _labels(n: int, pairs: Iterable[tuple[int, int]], mirrored: bool = False) ->
     return root
 
 
+def _block_labels(n: int, eu: np.ndarray, ev: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Per column j of the (|E|, m) bool ``keep``, the classes of nodes
+    0..n-1 joined by the pairs (eu[e], ev[e]) with keep[e, j]: an (n, m)
+    array holding, per node, the least node of its class in column j.
+    Repeated pairs and pairs (a, a) are allowed.
+
+    Hook and jump on one flat parent array over (node, column), entry
+    x m + j, after Shiloach & Vishkin, "An O(log n) parallel connectivity
+    algorithm", J. Algorithms 3, 1982. After the jumps every entry points
+    at its root. A round hooks, on every kept pair whose two roots differ,
+    the larger root to the smaller, then sets parent = parent[parent] until
+    it is stable. Any one of several writes to a root is correct, since
+    each is smaller than the root, so ``minimum.at`` is not needed for the
+    labels; it is used because it hooks a root to the least of its
+    neighbouring roots, where the last write would hook a star whose centre
+    is its largest node one leaf a round, and because under it a pair whose
+    roots are equal writes nothing. Such a pair joins nothing any more and
+    is dropped for good."""
+    m = keep.shape[1]
+    e, j = np.nonzero(keep)
+    a, b = eu[e] * m + j, ev[e] * m + j
+    parent = np.arange(n * m)
+    while True:
+        ra, rb = parent[a], parent[b]
+        differ = ra != rb
+        if not np.count_nonzero(differ):
+            return (parent // max(m, 1)).reshape(n, m)
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        a, b = a[differ], b[differ]
+        while np.count_nonzero(parent != (jumped := parent[parent])):
+            parent = jumped
+
+
 def _groups(lab: Sequence[int], nodes: Iterable[int]) -> dict[int, list[int]]:
     """``nodes`` grouped by label, in order of first appearance."""
     groups: dict[int, list[int]] = {}
     for x in nodes:
         groups.setdefault(lab[x], []).append(x)
     return groups
-
-
-def _surplus(n: int, pairs: Sequence[tuple[int, int]]) -> int:
-    """|pairs| - n + #classes: the cycle surplus of the graph on n vertices
-    with these edges."""
-    return len(pairs) - n + len(set(_labels(n, pairs)))
 
 
 def _cover_pairs(edges, flip: int) -> Iterable[tuple[int, int]]:
@@ -427,7 +467,7 @@ def components(g: SignedGraph) -> list[list[int]]:
 
 def cycle_surplus(g: SignedGraph) -> int:
     """l(G) = |E| - |V| + c(G); zero exactly on forests."""
-    return _surplus(g.n, [(u, v) for u, v, _, _ in g.edges])
+    return len(g.edges) - g.n + len(components(g))
 
 
 def with_degree_measure(g: SignedGraph) -> SignedGraph:

@@ -323,10 +323,12 @@ class SuiteConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if any(type(getattr(self, k)) is not int for k in ("seed", "trials", "n_min", "n_max")):
-            raise GraphError("seed, trials, n_min and n_max must be integers")
-        if self.seed < 0 or self.trials < 1:
-            raise GraphError("need seed >= 0 and trials >= 1")
+        _seed(self.seed)
+        object.__setattr__(self, "seed", int(self.seed))  # a numpy seed reports as a Python int
+        if any(type(getattr(self, k)) is not int for k in ("trials", "n_min", "n_max")):
+            raise GraphError("trials, n_min and n_max must be integers")
+        if self.trials < 1:
+            raise GraphError("need trials >= 1")
         if not 4 <= self.n_min <= self.n_max:
             raise GraphError("need 4 <= n_min <= n_max")
         for k, x in (("density", self.density), ("tol", self.tol)):

@@ -1,24 +1,27 @@
 """Nodal domain counting on signed graphs and the associated combinatorial
 identities and eigenvalue-position bounds.
 
-Every count is one labeling by ``graph._labels``. Strong domains are the
-classes of the support under edges whose endpoint product (through the
-signature) is positive. Weak domains coarsen this by allowing walks through
-zero vertices, with the sign accumulated along the walk: they are the
-classes of the signed double cover in which each support vertex keeps only
-its node of its own sign and each zero keeps both. Dual counts flip every
-signature. Each public function checks f once, by ``graph._function``, in
-``_signs``.
+Every count of an int8 block of sign patterns comes from two calls of
+``graph._block_labels`` (``_block``), and the public functions are its
+one-column calls. Strong domains are the classes of the support under
+edges whose endpoint product (through the signature) is positive; the
+negative-product edges give the dual strong domains, and all support edges
+the support's classes, and the class counts give the cycle surpluses. Weak
+domains coarsen the strong ones by allowing walks through zero vertices,
+with the sign accumulated along the walk: they are the classes of the
+signed double cover in which each support vertex keeps only its node of
+its own sign and each zero keeps both. Dual counts flip every signature.
+Each public function checks f once, by ``graph._function``, in ``_one``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (GraphError, SignedGraph, _cover_pairs, _function, _groups, _labels,
-                    _surplus, components)
+from .graph import GraphError, SignedGraph, _block_labels, _function, _groups, components
 
 __all__ = [
     "strong_domains",
@@ -31,38 +34,65 @@ __all__ = [
 ]
 
 
-def _signs(g: SignedGraph, f) -> list[int]:
-    """sgn f, once f is checked to be a finite, nonzero vector on g."""
-    return np.sign(_function(g, f)).astype(int).tolist()
+# The nodal labelings of an (n, m) int8 block ``t`` of sign patterns, by
+# column j: ``lab[:, k, j]``, each vertex's least vertex of its class under
+# the positive-product (k = 0), negative-product (1) and all support edges
+# (2); ``cover[:, k, j]``, each node's least node of its weak class on the
+# double cover under sigma (k = 0) and -sigma (1), and ``own[:, k, j]``
+# that label at x's node of its own sign; ``strong[k, j]`` and
+# ``weak[k, j]``, the number of these classes that meet the support;
+# ``edges[k, j]`` and ``surplus[k, j]``, the edge count and the cycle
+# surplus |edges| - n + #classes of each of the three edge sets.
+_Block = namedtuple("_Block", "t lab cover own strong weak edges surplus")
 
 
-def _split(g: SignedGraph, sgn: list[int]) -> tuple[list, list]:
-    """The support edges whose product sgn(u) sigma sgn(v) is positive, and
-    those whose product is negative, as (u, v) pairs."""
-    plus, minus = [], []
-    for u, v, _, s in g.edges:
-        prod = sgn[u] * s * sgn[v]
-        if prod:
-            (plus if prod > 0 else minus).append((u, v))
-    return plus, minus
+def _block(g: SignedGraph, t: np.ndarray) -> _Block:
+    """The labelings and counts of every column of the (n, m) int8 block t
+    of signs, by two calls of ``graph._block_labels``: on the vertices,
+    and on the pairs ``g.cover_ends`` of the signed double cover, whose
+    node 2x + 1 is x with sign -1. There a support vertex keeps only its
+    node of its own sign and a zero keeps both."""
+    (n, m), on = t.shape, t != 0
+    prod = t[g.eu] * t[g.ev] * g.es[:, None]
+    split = np.concatenate((prod > 0, prod < 0, prod != 0), axis=1)
+    lab = _block_labels(n, g.eu, g.ev, split).reshape(n, 3, m)
+    # a support class is labelled by its least vertex, which is on the support
+    strong = ((lab == np.arange(n)[:, None, None]) & on[:, None]).sum(axis=0)
+    kept = np.concatenate((t >= 0, t <= 0), axis=1).reshape(2 * n, m)
+    (cu, cv), half = g.cover_ends, 2 * len(g.edges)
+    ends = kept[cu] & kept[cv]
+    keep = np.zeros((2 * half, 2 * m), bool)  # the pairs under sigma, then under -sigma
+    keep[:half, :m], keep[half:, m:] = ends[:half], ends[half:]
+    cover = _block_labels(2 * n, cu, cv, keep).reshape(2 * n, 2, m)
+    by_vertex = cover.reshape(n, 2, 2, m)  # [x, 0]: (x, +1), [x, 1]: (x, -1)
+    own = np.where((t < 0)[:, None], by_vertex[:, 1], by_vertex[:, 0])
+    # a weak class may be labelled by a zero's node: count the distinct labels
+    hit = np.zeros((2 * n + 1, 2, m), bool)
+    hit[np.where(on[:, None], own, 2 * n), np.arange(2)[:, None], np.arange(m)] = True
+    edges = split.reshape(-1, 3, m).sum(axis=0)
+    return _Block(t, lab, cover, own, strong, hit[:-1].sum(axis=0), edges,
+                  edges - on.sum(axis=0) + strong)
 
 
-def _domains(sgn: list[int], pairs) -> list[set[int]]:
-    """Classes of the support under ``pairs``, in order of least member."""
-    lab = _labels(len(sgn), pairs)
-    return [set(d) for d in _groups(lab, (x for x, s in enumerate(sgn) if s)).values()]
+def _one(g: SignedGraph, f) -> _Block:
+    """``_block`` of the signs of f, once f is checked to be a finite,
+    nonzero vector on g."""
+    return _block(g, np.sign(_function(g, f)).astype(np.int8)[:, None])
 
 
-def _weak(g: SignedGraph, sgn: list[int], flip: int) -> tuple[list[set[int]], list[set[int]]]:
-    """Weak classes under the signature times ``flip``, and their closures;
-    see ``weak_domains``. Node 2x + 1 of the cover is x with sign -1."""
-    keep = [s == 0 or i == (s < 0) for s in sgn for i in (0, 1)]
-    lab = _labels(2 * len(sgn), [(a, b) for pair in _cover_pairs(g.edges, flip)
-                                 for a, b in (pair, (pair[0] ^ 1, pair[1] ^ 1))
-                                 if keep[a] and keep[b]])
-    own = [lab[2 * x + (s < 0)] for x, s in enumerate(sgn)]
-    classes = _groups(own, (x for x, s in enumerate(sgn) if s))
-    zero_nodes = _groups(lab, (i for i in range(2 * len(sgn)) if not sgn[i // 2]))
+def _strong_sets(b: _Block) -> list[set[int]]:
+    """Strong domains of a one-column block, in order of least member."""
+    support = np.flatnonzero(b.t).tolist()
+    return [set(d) for d in _groups(b.lab[:, 0, 0].tolist(), support).values()]
+
+
+def _weak_sets(b: _Block) -> tuple[list[set[int]], list[set[int]]]:
+    """Weak classes of a one-column block, in order of least member, and
+    their closures; see ``weak_domains``."""
+    sgn = b.t[:, 0].tolist()
+    classes = _groups(b.own[:, 0, 0].tolist(), (x for x, s in enumerate(sgn) if s))
+    zero_nodes = _groups(b.cover[:, 0, 0].tolist(),
+                         (i for i in range(2 * len(sgn)) if not sgn[i // 2]))
     return ([set(c) for c in classes.values()],
             [set(c).union(i // 2 for i in zero_nodes.get(label, ()))
              for label, c in classes.items()])
@@ -70,9 +100,8 @@ def _weak(g: SignedGraph, sgn: list[int], flip: int) -> tuple[list[set[int]], li
 
 def strong_domains(g: SignedGraph, f) -> tuple[int, list[set[int]]]:
     """Connected components of support(f) under edges with f(x) sigma f(y) > 0."""
-    sgn = _signs(g, f)
-    domains = _domains(sgn, _split(g, sgn)[0])
-    return len(domains), domains
+    b = _one(g, f)
+    return int(b.strong[0, 0]), _strong_sets(b)
 
 
 def weak_domains(g: SignedGraph, f) -> tuple[int, list[set[int]], list[set[int]]]:
@@ -87,15 +116,15 @@ def weak_domains(g: SignedGraph, f) -> tuple[int, list[set[int]], list[set[int]]
     may be crossed with either sign. A class's closure adds every zero
     either of whose nodes lies in the class.
     """
-    classes, closures = _weak(g, _signs(g, f), 1)
-    return len(classes), classes, closures
+    b = _one(g, f)
+    return (int(b.weak[0, 0]), *_weak_sets(b))
 
 
 def dual_counts(g: SignedGraph, f) -> tuple[int, int]:
     """Strong and weak counts with respect to the negated signature."""
-    sgn = _signs(g, f)
+    b = _one(g, f)
     # under -sigma the positive-product support edges are the negative-product ones
-    return len(_domains(sgn, _split(g, sgn)[1])), len(_weak(g, sgn, -1)[0])
+    return int(b.strong[1, 0]), int(b.weak[1, 0])
 
 
 @dataclass(frozen=True)
@@ -120,35 +149,27 @@ def nodal_quantities(g: SignedGraph, f) -> NodalSummary:
     """All nodal counts, edge splits and cycle surpluses, with the
     combinatorial identity |E_-| = |E| - |E_z| + z - |V| - l+ + strong
     verified on the way out."""
-    return _quantities(g, _signs(g, f))
-
-
-def _quantities(g: SignedGraph, sgn: list[int]) -> NodalSummary:
-    """``nodal_quantities`` from the signs of a checked f."""
-    plus, minus = _split(g, sgn)
-    sdoms = _domains(sgn, plus)
-    wcls, wclo = _weak(g, sgn, 1)
-    zeros = sgn.count(0)
-    e_zero = len(g.edges) - len(plus) - len(minus)
-    l_plus = _surplus(g.n, plus)
-    identity_ok = len(minus) == (
-        len(g.edges) - e_zero + zeros - g.n - l_plus + len(sdoms)
-    )
+    b = _one(g, f)
+    (strong, dual_strong, _), (weak, dual_weak) = b.strong[:, 0].tolist(), b.weak[:, 0].tolist()
+    (e_plus, e_minus, _), (l_plus, l_minus, _) = b.edges[:, 0].tolist(), b.surplus[:, 0].tolist()
+    zeros = g.n - int(np.count_nonzero(b.t))
+    e_zero = len(g.edges) - e_plus - e_minus
+    wcls, wclo = _weak_sets(b)
     return NodalSummary(
-        strong_count=len(sdoms),
-        strong_sets=tuple(frozenset(d) for d in sdoms),
-        weak_count=len(wcls),
+        strong_count=strong,
+        strong_sets=tuple(frozenset(d) for d in _strong_sets(b)),
+        weak_count=weak,
         weak_classes=tuple(frozenset(c) for c in wcls),
         weak_closures=tuple(frozenset(c) for c in wclo),
-        dual_strong_count=len(_domains(sgn, minus)),
-        dual_weak_count=len(_weak(g, sgn, -1)[0]),
+        dual_strong_count=dual_strong,
+        dual_weak_count=dual_weak,
         zeros=zeros,
-        e_plus=len(plus),
-        e_minus=len(minus),
+        e_plus=e_plus,
+        e_minus=e_minus,
         e_zero=e_zero,
         l_plus=l_plus,
-        l_minus=_surplus(g.n, minus),
-        identity_ok=identity_ok,
+        l_minus=l_minus,
+        identity_ok=e_minus == len(g.edges) - e_zero + zeros - g.n - l_plus + strong,
     )
 
 
@@ -188,11 +209,10 @@ def bound_report(g: SignedGraph, f, ctx: SpectrumContext) -> dict:
         raise GraphError(
             f"inconsistent spectrum context: k={ctx.k}, r={ctx.r}, n={n}"
         )
-    sgn = _signs(g, f)
-    q = _quantities(g, sgn)
-    # the support's surplus: each zero adds one class and one vertex
-    plus, minus = _split(g, sgn)
-    l_sub = _surplus(n, plus + minus)
+    b = _one(g, f)
+    (strong, dual_strong, _), (weak, dual_weak) = b.strong[:, 0].tolist(), b.weak[:, 0].tolist()
+    # l_sub, the support's surplus: each zero adds one class and one vertex
+    (l_plus, _, l_sub), zeros = b.surplus[:, 0].tolist(), n - int(np.count_nonzero(b.t))
 
     checks = []
 
@@ -206,19 +226,19 @@ def bound_report(g: SignedGraph, f, ctx: SpectrumContext) -> dict:
     k_last = ctx.k + ctx.r - 1
     # every strong domain lies in one weak domain, and every weak domain
     # contains a strong one (Davies et al. 2001)
-    add("weak-le-strong", q.weak_count, q.strong_count, "<=")
+    add("weak-le-strong", weak, strong, "<=")
     # strong nodal domain theorem: S(f) <= k + r - 1 (Davies et al. 2001)
-    add("strong-upper", q.strong_count, k_last, "<=", k=ctx.k, r=ctx.r)
+    add("strong-upper", strong, k_last, "<=", k=ctx.k, r=ctx.r)
     # the same theorem for the dual, whose last index is n - k + 1
-    add("dual-strong-upper", q.dual_strong_count, n - ctx.k + 1, "<=", k=ctx.k)
+    add("dual-strong-upper", dual_strong, n - ctx.k + 1, "<=", k=ctx.k)
     if ctx.p > 1:
         # weak nodal domain theorem: W(f) <= k + c - 1 (Davies et al. 2001
         # for c = 1; arXiv:2209.09080 for signed graphs and p > 1)
-        add("weak-upper", q.weak_count, ctx.k + c - 1, "<=", k=ctx.k, c=c)
+        add("weak-upper", weak, ctx.k + c - 1, "<=", k=ctx.k, c=c)
         # the same theorem for the dual, whose first index is n - k - r + 2
         add(
             "dual-weak-upper",
-            q.dual_weak_count,
+            dual_weak,
             n - ctx.k - ctx.r + c + 1,
             "<=",
             k=ctx.k,
@@ -230,14 +250,14 @@ def bound_report(g: SignedGraph, f, ctx: SpectrumContext) -> dict:
     # graphs", Comm. Math. Phys. 278, 2008
     add(
         "strong-lower-surplus",
-        q.strong_count,
-        k_last - l_sub + q.l_plus - q.zeros,
+        strong,
+        k_last - l_sub + l_plus - zeros,
         ">=",
         k=ctx.k,
         r=ctx.r,
         l_support=l_sub,
-        l_plus=q.l_plus,
-        zeros=q.zeros,
+        l_plus=l_plus,
+        zeros=zeros,
     )
     return {
         "partial": ctx.p not in (1.0, 2.0),

@@ -201,9 +201,15 @@ class ResidualCertificate:
 
 
 def check_eigenpair(g: SignedGraph, pair: EigenPair, tol: float = 1e-9) -> ResidualCertificate:
-    """Relative residual check of the eigen-equation for p > 1."""
+    """Relative residual check of the eigen-equation for p > 1. The residual
+    is taken in floats, so a lambda beyond the float range is a GraphError
+    (``check_eigenpair_1lap`` takes any finite lambda exactly)."""
     _exponent(pair.p, single_valued=True)
-    res = float(_residual(g, pair.p, _function(g, pair.f)[:, None], pair.lam)[0])
+    try:
+        lam = float(pair.lam)
+    except OverflowError:
+        raise GraphError("eigenvalue is beyond the float range of the residual") from None
+    res = float(_residual(g, pair.p, _function(g, pair.f)[:, None], lam)[0])
     return ResidualCertificate(verdict=res <= tol, max_residual=res)
 
 

@@ -37,8 +37,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import cheeger as _cheeger
-from .graph import (BalanceState, GraphError, SignedGraph, _exponent, _seed, balance_state,
-                    components, induced_subgraph)
+from .graph import (BalanceState, GraphError, SignedGraph, _block_labels, _exponent, _seed,
+                    balance_state, components, induced_subgraph)
 from .operators import (
     OneLapWitness, _delta, _edge_diffs, _eigen_terms, _pattern_lambda, _phi, _quotient, _residual,
     rayleigh,
@@ -379,14 +379,14 @@ def _pin_stage(g: SignedGraph):
 
     On ``g.scaled_ints``: the flux c and the free support edges of every
     column, the components of those edges (each vertex labelled by the
-    least vertex of its component, one edge at a time across all columns),
-    each component's pin (sum sgn_x c_x, sum mu_x) and the support's,
-    lambda = a / b. A component whose pin differs from lambda rejects, as a
-    support cut of capacity 0 whose side is the least-labelled such
-    component; else so does a zero vertex y with b (|c_y| - |kappa_y| - Z_y)
-    > |a| mu_y, Z_y the weight of its zero-zero edges: pi is sgn(c_y) at the
-    least such y alone. Sums and products take the dtypes of
-    ``g.reduced_ints``."""
+    least vertex of its component, by one ``graph._block_labels`` call for
+    the whole block), each component's pin (sum sgn_x c_x, sum mu_x) and
+    the support's, lambda = a / b. A component whose pin differs from
+    lambda rejects, as a support cut of capacity 0 whose side is the
+    least-labelled such component; else so does a zero vertex y with
+    b (|c_y| - |kappa_y| - Z_y) > |a| mu_y, Z_y the weight of its zero-zero
+    edges: pi is sgn(c_y) at the least such y alone. Sums and products take
+    the dtypes of ``g.reduced_ints``."""
     mu, kappa, w, wide = g.reduced_ints
     n, e = g.n, np.arange(w.size)
     inc, weight = np.zeros((n, e.size), w.dtype), np.zeros((n, e.size), w.dtype)
@@ -394,18 +394,12 @@ def _pin_stage(g: SignedGraph):
     inc[g.ev, e] = -g.es.astype(np.int8) * w
     mu, kappa = mu[:, None], kappa[:, None]
     sigma, diag = g.es.astype(np.int8)[:, None], np.arange(n)
-    ends = list(zip(g.eu.tolist(), g.ev.tolist()))
 
     def decide(t):
         cols, on = np.arange(t.shape[1]), t != 0
         d = np.sign(t[g.eu] - sigma * t[g.ev])  # z_uv, or 0 where it is free
         c = kappa * t + inc @ d
-        # lab: the least vertex of each vertex's component; a free support
-        # edge relabels the larger of its ends' labels to the smaller
-        lab = np.repeat(diag[:, None], cols.size, axis=1)
-        for (u, v), free in zip(ends, (d == 0) & on[g.eu]):
-            lu, lv = lab[u], lab[v]
-            np.copyto(lab, np.minimum(lu, lv), where=lab == np.where(free, np.maximum(lu, lv), -1))
+        lab = _block_labels(n, g.eu, g.ev, (d == 0) & on[g.eu])  # the free support edges
         hit = lab == diag[:, None, None]  # [k, x, j]: x lies in component k of column j
         num, den = (hit * (t * c)).sum(axis=1), (hit * mu).sum(axis=1)  # the pins, by k
         a, b = (t * c).sum(axis=0), (on * mu).sum(axis=0)  # the support's

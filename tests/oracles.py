@@ -62,28 +62,42 @@ def p_laplacian_oracle(g: SignedGraph, p: float, f) -> list[float]:
 
 
 def _closure(mat: np.ndarray) -> np.ndarray:
-    """Boolean transitive closure of a reflexive matrix, by squaring until it is stable."""
+    """Boolean transitive closure of a reflexive matrix, or of each matrix of
+    an (m, N, N) stack, by squaring until it is stable."""
     m = mat
     while np.count_nonzero(m2 := m @ m) != np.count_nonzero(m):  # squaring only adds entries
         m = m2
     return m
 
 
-def strong_count_oracle(g: SignedGraph, f) -> int:
-    """Components of the support under positive-product edges, via closure."""
-    f = np.asarray(f, dtype=float)
-    sgn = np.sign(f)
+def _stacked(f) -> tuple[np.ndarray, bool]:
+    """sgn f as an (m, n) stack, one row per function: f is one function of
+    shape (n,) or m of them as the columns of an (n, m) array; and whether
+    it was one."""
+    sgn = np.sign(np.asarray(f, dtype=float))
+    return (sgn[None], True) if sgn.ndim == 1 else (sgn.T, False)
+
+
+def _least_members(related: np.ndarray, on: np.ndarray, one: bool):
+    """The number of classes of the symmetric, reflexive relation on the
+    nodes where ``on``, each counted at its least member, per matrix of the
+    (m, N, N) stack; an int for the one-function case."""
+    counts = ((related & on[:, None, :]).argmax(axis=2) == np.arange(on.shape[1])) & on
+    counts = counts.sum(axis=1)
+    return int(counts[0]) if one else counts
+
+
+def strong_count_oracle(g: SignedGraph, f):
+    """Components of the support under positive-product edges, via closure.
+    f is one function, or m functions as the columns of an (n, m) array;
+    the closure runs on the (m, n, n) stack, and the counts are one int or
+    one per column."""
+    sgn, one = _stacked(f)
     n = g.n
-    reach = np.eye(n, dtype=bool)
-    for u, v, _, s in g.edges:
-        if sgn[u] * s * sgn[v] > 0:
-            reach[u, v] = reach[v, u] = True
-    reach = _closure(reach)
-    support = [x for x in range(n) if sgn[x] != 0]
-    reps = set()
-    for x in support:
-        reps.add(min(y for y in support if reach[x, y]))
-    return len(reps)
+    reach = np.broadcast_to(np.eye(n, dtype=bool), (len(sgn), n, n)).copy()
+    k, e = np.nonzero(sgn[:, g.eu] * g.es * sgn[:, g.ev] > 0)  # the positive-product edges
+    reach[k, g.eu[e], g.ev[e]] = reach[k, g.ev[e], g.eu[e]] = True
+    return _least_members(_closure(reach), sgn != 0, one)
 
 
 @functools.lru_cache(maxsize=1)  # the callers loop over f within one graph
@@ -98,21 +112,25 @@ def _sign_steps(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
     return step, signs
 
 
-def weak_count_oracle(g: SignedGraph, f) -> int:
+def weak_count_oracle(g: SignedGraph, f):
     """Weak classes via closure on (vertex, sign) states.
 
     A walk from support u may pass only through zeros; u ~ v when the
-    accumulated edge-sign product times sgn(u) sgn(v) is positive.
+    accumulated edge-sign product times sgn(u) sgn(v) is positive. f is one
+    function, or m functions as the columns of an (n, m) array; the
+    closures run on (m, 2n, 2n) stacks, and the counts are one int or one
+    per column.
     """
     step, signs = _sign_steps(g)
-    sgn = np.repeat(np.sign(np.asarray(f, dtype=float)), 2)
+    sgn, one = _stacked(f)
+    sgn = np.repeat(sgn, 2, axis=1)
+    eye = np.eye(sgn.shape[1], dtype=bool)
     # interior vertices must be zeros: a walk leaves a support state only by its first step
-    full = step @ _closure(step & (sgn == 0)[:, None] | np.eye(sgn.size, dtype=bool))
-    state = sgn == signs
-    related = full[state][:, state]
-    # the classes of the symmetric, reflexive relation, each counted at its least member
-    related = _closure(related | related.T | np.eye(len(related), dtype=bool))
-    return int((related.argmax(axis=1) == np.arange(len(related))).sum()) if related.size else 0
+    full = step @ _closure(step & (sgn == 0)[:, :, None] | eye)
+    state = sgn == signs  # each support vertex's state of its own sign
+    related = full & state[:, :, None] & state[:, None, :]
+    # the classes of the symmetric, reflexive relation on those states
+    return _least_members(_closure(related | related.transpose(0, 2, 1) | eye), state, one)
 
 
 def sym2_eigs(a: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from itertools import product
 
 import numpy as np
 
+from sgspec import nodal
 from sgspec.cheeger import cheeger_k, check_theorem41
 from sgspec.graph import SignedGraph, balance_state
 from sgspec.harness import (
@@ -367,12 +368,15 @@ class TestOracleEquivalence:
                 assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_domain_counts_all_unsigned_graphs_up_to_five(self):
+        # per graph, every pattern at once: one int8 block through the block
+        # function behind the per-function API, against the closures run
+        # on the stack of patterns
         for n in (2, 3, 4, 5):
-            patterns = list(nonzero_patterns(n))
+            t = np.array(list(nonzero_patterns(n)), np.int8).T
             for g in all_unsigned_graphs(n):
-                for f in patterns:
-                    assert strong_domains(g, f)[0] == strong_count_oracle(g, f)
-                    assert weak_domains(g, f)[0] == weak_count_oracle(g, f)
+                block = nodal._block(g, t)
+                assert block.strong[0].tolist() == strong_count_oracle(g, t).tolist()
+                assert block.weak[0].tolist() == weak_count_oracle(g, t).tolist()
 
     def test_domain_counts_signed_exhaustive_and_random(self):
         for n in (2, 3):

@@ -499,6 +499,9 @@ class TestVerify:
         '{"trials": 2, "tol": Infinity, "checks": ["interlacing-edge"]}',
         json.dumps({"trials": 2, "tol": True, "checks": ["interlacing-edge"]}),
         json.dumps({"trials": 2, "density": True, "checks": ["count-identity"]}),
+        json.dumps({"seed": True, "trials": 1, "checks": ["count-identity"]}),
+        json.dumps({"seed": -1, "trials": 1, "checks": ["count-identity"]}),
+        json.dumps({"seed": 1.5, "trials": 1, "checks": ["count-identity"]}),
     ])
     def test_bad_config_exits_2(self, capsys, tmp_path, text):
         cfg = tmp_path / "cfg.json"

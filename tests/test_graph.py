@@ -350,6 +350,50 @@ class TestComponentsSurplus:
             assert (cycle_surplus(g) == 0) == (not has_cycle)
 
 
+class TestBlockLabels:
+    """``graph._block_labels`` against ``graph._labels``, column by column."""
+
+    @staticmethod
+    def check(n, eu, ev, keep):
+        eu, ev = np.asarray(eu, np.intp), np.asarray(ev, np.intp)
+        lab = graph_module._block_labels(n, eu, ev, keep)
+        assert lab.shape == (n, keep.shape[1])
+        for j in range(keep.shape[1]):
+            pairs = zip(eu[keep[:, j]].tolist(), ev[keep[:, j]].tolist())
+            assert lab[:, j].tolist() == graph_module._labels(n, pairs), (n, eu, ev, keep[:, j])
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_random_blocks(self, seed):
+        # pairs drawn with repeats and with both ends equal, as the cover has
+        rng = np.random.default_rng(seed)
+        n, size, m = int(rng.integers(1, 12)), int(rng.integers(0, 30)), int(rng.integers(0, 5))
+        keep = rng.random((size, m)) < rng.random()
+        self.check(n, rng.integers(0, n, size), rng.integers(0, n, size), keep)
+
+    @pytest.mark.parametrize("n, eu, ev, m", [
+        (4, [0, 1, 2], [1, 2, 3], 0),  # no columns
+        (4, [0, 1, 2], [3, 2, 1], 1),  # one column
+        (5, [], [], 3),  # no pairs
+        (1, [], [], 2),  # one node
+        (1, [0, 0], [0, 0], 2),  # one node and its self-pairs
+        (4, [2, 2, 3, 1, 0, 3], [2, 1, 1, 2, 0, 3], 3),  # repeated pairs and self-pairs
+        (40, list(range(39)), [39] * 39, 2),  # a star whose centre is the largest node
+        # one jump a round would leave node 3 two steps from its root
+        (8, [1, 2, 0, 3, 4, 4, 1, 5], [4, 3, 5, 3, 1, 2, 5, 4], 1),
+    ])
+    def test_edge_cases(self, n, eu, ev, m):
+        rng = np.random.default_rng(n + m)
+        for keep in (np.ones((len(eu), m), bool), rng.random((len(eu), m)) < 0.5):
+            self.check(n, eu, ev, keep)
+
+    def test_labels_are_least_nodes(self):
+        # the path 3 - 2 - 1 - 0 and the pair (1, 3) in two columns
+        keep = np.array([[1, 0], [1, 0], [1, 0], [0, 1]], bool)
+        lab = graph_module._block_labels(4, np.array([2, 1, 0, 1]), np.array([3, 2, 1, 3]), keep)
+        assert lab.T.tolist() == [[0, 0, 0, 0], [0, 1, 2, 1]]
+
+
 class TestIO:
     def test_minimal_document(self):
         g = parse_graph(b'{"vertices":[{"id":"a"},{"id":"b"}],'

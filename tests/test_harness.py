@@ -136,6 +136,17 @@ class TestSuiteConfig:
             with pytest.raises(GraphError, match="finite real number"):
                 SuiteConfig(**bad)
 
+    def test_seed_has_the_one_seed_rule(self):
+        # graph._seed decides, as for random_signed_graph: a numpy integer
+        # seed runs and reports as the Python int it equals
+        for bad in (True, -1, 1.5, "3", None):
+            with pytest.raises(GraphError, match="seed"):
+                SuiteConfig(seed=bad)
+        cfg = SuiteConfig(seed=np.int64(3), trials=1, n_max=4, checks=("count-identity",))
+        assert type(cfg.seed) is int
+        same = SuiteConfig(seed=3, trials=1, n_max=4, checks=("count-identity",))
+        assert run_suite(cfg).to_json() == run_suite(same).to_json()
+
     def test_from_json(self):
         cfg = SuiteConfig.from_json(json.dumps(
             {"seed": 3, "trials": 7, "checks": ["count-identity"],

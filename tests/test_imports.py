@@ -183,10 +183,12 @@ def reached_names(tree: ast.Module, roots) -> dict[str, set[str]]:
 def forbidden_in_checkers(source: str, roots) -> list[str]:
     """The names that a checker of ``roots``, or anything it reaches in the
     same module, must not load but does: the producers ``_pattern_lambda``
-    and ``_feasible_flow``, and every name imported from ``spectra`` or
+    and ``_feasible_flow``, the pin stage's labeling kernel
+    ``_block_labels``, and every name imported from ``spectra`` or
     ``cheeger`` (or the module itself)."""
     tree = ast.parse(source)
-    banned, modules = {"_pattern_lambda", "_feasible_flow"}, ("spectra", "cheeger")
+    banned = {"_pattern_lambda", "_feasible_flow", "_block_labels"}
+    modules = ("spectra", "cheeger")
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = (node.module or "").split(".")[-1]
@@ -210,14 +212,26 @@ def test_the_1lap_checkers_are_independent_of_what_they_check():
     assert forbidden_in_checkers(source, roots) == []
 
 
+def test_the_oracles_do_not_use_the_labeling_kernel():
+    # the closure oracles and pin_stage_reference are independent paths to
+    # what the nodal counts and the pin stage compute with _block_labels
+    tree = ast.parse((SRC.parents[1] / "tests" / "oracles.py").read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    loaded |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "_block_labels" not in names | loaded
+
+
 def test_detects_a_checker_that_names_a_producer():
     source = ("from . import cheeger as _ch\nfrom .spectra import _pin_stage\n"
-              "from .graph import _is\n"
+              "from .graph import _block_labels, _is\n"
               "def _feasible_flow(): pass\ndef _pattern_lambda(): pass\n"
               "def _kernel(): return _pin_stage\n_TABLE = {'k': _kernel}\n"
               "def _helper(): return _ch.x, _is\n"
               "def check(): return _TABLE, _helper()\n"
-              "def other(): return _feasible_flow(), _pattern_lambda()\n")
+              "def other(): return _feasible_flow(), _pattern_lambda(), _block_labels\n")
     assert forbidden_in_checkers(source, ("check",)) == ["_helper: _ch", "_kernel: _pin_stage"]
-    assert forbidden_in_checkers(source, ("other",)) == ["other: _feasible_flow",
+    assert forbidden_in_checkers(source, ("other",)) == ["other: _block_labels",
+                                                         "other: _feasible_flow",
                                                          "other: _pattern_lambda"]

@@ -276,6 +276,20 @@ class TestCheckEigenpair:
         with pytest.raises(GraphError):
             EigenPair(1.0, np.zeros(2), 2.0)
 
+    def test_lambda_beyond_the_float_range(self):
+        # the float residual has no such lambda, so it is a GraphError (not
+        # a bare OverflowError); the exact 1-Laplacian check takes it as it
+        # is: on one negative edge, f = (1, 1) has lambda = w / mu = 2**2000
+        g = SignedGraph.build(["a", "b"], [("a", "b", 2.0 ** 1000, -1)], mu=2.0 ** -1000)
+        f = np.array([1.0, 1.0])
+        for lam in (10**400, -10**400, Fraction(10**400, 3), 2**2000, 10**5000):
+            with pytest.raises(GraphError, match="float range"):
+                check_eigenpair(g, EigenPair(lam, f, 2.0))
+        assert check_eigenpair_1lap(g, 2**2000, f).verdict
+        assert check_eigenpair_1lap(g, Fraction(2**2000), f).verdict
+        assert not check_eigenpair_1lap(g, 2**2000 + 1, f).verdict
+        assert not check_eigenpair_1lap(g, 10**400, f).verdict
+
 
 class TestOneLapChecker:
     def test_p2_plus_edge_feasible(self):
