@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -16,6 +15,7 @@ from . import cheeger as _cheeger
 from .graph import (
     GraphError,
     ParseError,
+    _indented_json,
     parse_function,
     parse_graph,
     serialize_graph,
@@ -40,7 +40,7 @@ def _load_function(path: str, g):
 
 def _emit(doc, fmt: str):
     if fmt == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True, default=str))
+        print(_indented_json(doc))
     else:
         for key, val in doc.items():
             print(f"{key}: {val}")
@@ -59,12 +59,9 @@ def _cmd_spectrum(args) -> int:
     if args.p == 2.0:
         spec = spectrum_p2(g)
         doc = {
-            "eigenvalues": [float(v) for v in spec.values],
+            "eigenvalues": spec.values.tolist(),
             "multiplicities": [len(grp) for grp in spec.groups],
-            "eigenvectors": {
-                g.ids[i]: [float(spec.vectors[i, k]) for k in range(g.n)]
-                for i in range(g.n)
-            },
+            "eigenvectors": dict(zip(g.ids, spec.vectors.tolist())),
         }
     elif args.p == 1.0:
         doc = _one_lap_doc(one_lap_enumerate(g))

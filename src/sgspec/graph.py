@@ -11,6 +11,11 @@ the 1-Laplacian pin stage, ``spectra._pin_stage``.
 A signed graph carries a positive vertex measure ``mu``, a real vertex
 potential ``kappa``, positive edge weights and an edge signature in {-1,+1}.
 Vertices have string ids at the boundary and dense indices 0..n-1 internally.
+
+JSON I/O: ``parse_graph`` and ``serialize_graph`` read and write graph
+documents, and ``_indented_json``, beside them, writes every indented
+document the package prints: the CLI's ``--format json`` output and the
+suite report.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -493,8 +500,13 @@ def induced_subgraph(g: SignedGraph, keep: Sequence[int]) -> SignedGraph:
     )
 
 
-def _number(obj: dict, key: str, default: float, loc: str) -> float:
+def _number(obj: dict, key: str, default: float, where: str, i: int | None = None) -> float:
+    """``obj[key]`` (else ``default``) as a float; the ParseError names its
+    place, ``where`` or ``where[i]``, built only when it is raised."""
     val = obj.get(key, default)
+    if type(val) is float:
+        return val
+    loc = where if i is None else f"{where}[{i}]"
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ParseError(f"{loc}: {key} must be a number, got {val!r}")
     try:
@@ -514,26 +526,25 @@ def parse_graph(data: bytes | str) -> SignedGraph:
         raise ParseError("graph document must be an object with 'vertices' and 'edges' lists")
     ids, mu, kappa = [], [], []
     for i, v in enumerate(doc["vertices"]):
-        loc = f"vertices[{i}]"
         if not isinstance(v, dict) or "id" not in v:
-            raise ParseError(f"{loc}: each vertex needs an 'id'")
+            raise ParseError(f"vertices[{i}]: each vertex needs an 'id'")
         ids.append(str(v["id"]))
-        mu.append(_number(v, "mu", 1.0, loc))
-        kappa.append(_number(v, "kappa", 0.0, loc))
+        mu.append(_number(v, "mu", 1.0, "vertices", i))
+        kappa.append(_number(v, "kappa", 0.0, "vertices", i))
     idx = {vid: j for j, vid in enumerate(ids)}
     edges = []
     for i, e in enumerate(doc.get("edges", [])):
-        loc = f"edges[{i}]"
         if not isinstance(e, dict) or "u" not in e or "v" not in e:
-            raise ParseError(f"{loc}: each edge needs 'u' and 'v'")
+            raise ParseError(f"edges[{i}]: each edge needs 'u' and 'v'")
         a, b = str(e["u"]), str(e["v"])
-        for end in (a, b):
-            if end not in idx:
-                raise ParseError(f"{loc}: unknown vertex {end!r}")
-        u, v = sorted((idx[a], idx[b]))
-        edges.append((u, v, _number(e, "w", 1.0, loc), e.get("sigma", 1)))
+        u, v = idx.get(a), idx.get(b)
+        if u is None or v is None:
+            raise ParseError(f"edges[{i}]: unknown vertex {(a if u is None else b)!r}")
+        if v < u:
+            u, v = v, u
+        edges.append((u, v, _number(e, "w", 1.0, "edges", i), e.get("sigma", 1)))
     # sorted on (u, v) alone: a malformed sigma must reach the validator
-    edges.sort(key=lambda e: e[:2])
+    edges.sort(key=itemgetter(0, 1))
     try:
         return SignedGraph(ids=tuple(ids), mu=tuple(mu), kappa=tuple(kappa), edges=tuple(edges))
     except GraphError as exc:
@@ -553,6 +564,45 @@ def serialize_graph(g: SignedGraph) -> bytes:
         ],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _indented_json(doc, pad: str = "\n") -> str:
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=True, default=str)``,
+    the form of every indented document the package prints, ``pad`` being
+    the newline and indentation of doc's own level.
+
+    ``json.dumps`` takes its C encoder only without ``indent``; with it,
+    every number costs a generator step and a Python call. Here a dict with
+    str keys and a list or tuple are joined in one step each, a list of
+    finite floats is mapped through ``float.__repr__`` in one pass, and
+    str, int, finite float, bool and None leaves are written as
+    ``json.dumps`` writes them. Anything else (NaN, infinities, numpy
+    scalars, Fractions, non-str keys) goes to ``json.dumps`` itself,
+    re-indented: its strings hold no raw newline."""
+    t = type(doc)
+    if t is str:
+        return encode_basestring_ascii(doc)
+    if t is int:
+        return int.__repr__(doc)
+    if t is float and math.isfinite(doc):
+        return float.__repr__(doc)
+    if t is bool:
+        return "true" if doc else "false"
+    if doc is None:
+        return "null"
+    inner = pad + "  "
+    sep = "," + inner
+    if t is dict and {*map(type, doc)} <= {str}:
+        items = (encode_basestring_ascii(k) + ": " + _indented_json(doc[k], inner)
+                 for k in sorted(doc))
+        return "{" + inner + sep.join(items) + pad + "}" if doc else "{}"
+    if t is list or t is tuple:
+        if not doc:
+            return "[]"
+        if {*map(type, doc)} == {float} and all(map(math.isfinite, doc)):
+            return "[" + inner + sep.join(map(float.__repr__, doc)) + pad + "]"
+        return "[" + inner + sep.join(_indented_json(x, inner) for x in doc) + pad + "]"
+    return json.dumps(doc, indent=2, sort_keys=True, default=str).replace("\n", pad)
 
 
 def parse_function(data: bytes | str, g: SignedGraph) -> np.ndarray:

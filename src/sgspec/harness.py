@@ -25,6 +25,7 @@ from .graph import (
     ParseError,
     SignedGraph,
     _exponent,
+    _indented_json,
     _is,
     _seed,
     balance_state,
@@ -33,7 +34,7 @@ from .graph import (
     switch,
     with_degree_measure,
 )
-from .nodal import SpectrumContext, bound_report, nodal_quantities, strong_domains, weak_domains
+from .nodal import SpectrumContext, _bound_reports, nodal_quantities, strong_domains, weak_domains
 from .operators import EigenPair, check_eigenpair
 from .spectra import extremal_p, one_lap_enumerate, spectrum_p2
 from .transforms import interlacing_check_p2, remove_edge
@@ -85,7 +86,7 @@ def random_signed_graph(
                     if model in ("all-negative", "antibalanced"):
                         s = -1
                     elif model == "uniform":
-                        s = int(rng.choice((-1, 1)))
+                        s = (-1, 1)[rng.integers(0, 2)]  # the draw of rng.choice((-1, 1))
                     else:
                         s = 1
                     edges.append((i, j, w, s))
@@ -192,12 +193,12 @@ def _nodal_bounds(t: _Trial):
     yield from _uncertified(t)
     if 2.0 not in t.cfg.p_list:
         return
-    for grp in t.spec.groups:
-        f = _clean_zeros(t.spec.vectors[:, grp[0]])
-        ctx = SpectrumContext(k=grp[0] + 1, r=len(grp), c=t.c,
-                              lam=float(t.spec.values[grp[0]]), p=2.0)
-        rep = bound_report(t.g, f, ctx)
-        yield _Verdict(rep["all_pass"], {"function": list(map(float, f)), "report": rep})
+    groups = t.spec.groups
+    F = np.stack([_clean_zeros(t.spec.vectors[:, grp[0]]) for grp in groups], axis=1)
+    ctxs = [SpectrumContext(k=grp[0] + 1, r=len(grp), c=t.c,
+                            lam=float(t.spec.values[grp[0]]), p=2.0) for grp in groups]
+    for f, rep in zip(F.T.tolist(), _bound_reports(t.g, F, ctxs)):
+        yield _Verdict(rep["all_pass"], {"function": f, "report": rep})
 
 
 def _count_identity(t: _Trial):
@@ -388,7 +389,7 @@ class SuiteReport:
             "failures": self.failures,
             "ok": self.ok,
         }
-        return json.dumps(doc, sort_keys=True, indent=2, default=str)
+        return _indented_json(doc)
 
 
 def _run_trial(cfg: SuiteConfig, trial: int, agg: dict, failures: list):

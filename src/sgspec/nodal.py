@@ -11,7 +11,9 @@ domains coarsen the strong ones by allowing walks through zero vertices,
 with the sign accumulated along the walk: they are the classes of the
 signed double cover in which each support vertex keeps only its node of
 its own sign and each zero keeps both. Dual counts flip every signature.
-Each public function checks f once, by ``graph._function``, in ``_one``.
+Each public function checks f once, by ``graph._function``: in ``_one``,
+or, for ``bound_report``, in ``_bound_reports``, which also counts the
+eigenvectors of every eigenvalue group of a spectrum in one block.
 """
 
 from __future__ import annotations
@@ -203,16 +205,31 @@ def bound_report(g: SignedGraph, f, ctx: SpectrumContext) -> dict:
     -2 deg_w - kappa, and f is its eigenfunction at positions
     n - k - r + 2 .. n - k + 1.
     """
+    return _bound_reports(g, f, [ctx])[0]
+
+
+def _bound_reports(g: SignedGraph, F, ctxs) -> list[dict]:
+    """``bound_report`` of each column of F, an (n,) vector for one context
+    or (n, m) for m, placed by its context in ``ctxs``: the columns are
+    counted in one ``_block`` call."""
     n = g.n
-    c = ctx.c if ctx.c is not None else len(components(g))
-    if not 1 <= ctx.k <= n or ctx.r < 1 or ctx.k + ctx.r - 1 > n:
-        raise GraphError(
-            f"inconsistent spectrum context: k={ctx.k}, r={ctx.r}, n={n}"
-        )
-    b = _one(g, f)
-    (strong, dual_strong, _), (weak, dual_weak) = b.strong[:, 0].tolist(), b.weak[:, 0].tolist()
+    c = len(components(g)) if any(ctx.c is None for ctx in ctxs) else None
+    for ctx in ctxs:
+        if not 1 <= ctx.k <= n or ctx.r < 1 or ctx.k + ctx.r - 1 > n:
+            raise GraphError(
+                f"inconsistent spectrum context: k={ctx.k}, r={ctx.r}, n={n}"
+            )
+    b = _block(g, np.sign(_function(g, F, columns=True).reshape(n, -1)).astype(np.int8))
+    return [_report(b, j, ctx, c if ctx.c is None else ctx.c) for j, ctx in enumerate(ctxs)]
+
+
+def _report(b: _Block, j: int, ctx: SpectrumContext, c: int) -> dict:
+    """The bound rows of column j of the block b, placed by ``ctx``, on a
+    graph of c components."""
+    n = len(b.t)
+    (strong, dual_strong, _), (weak, dual_weak) = b.strong[:, j].tolist(), b.weak[:, j].tolist()
     # l_sub, the support's surplus: each zero adds one class and one vertex
-    (l_plus, _, l_sub), zeros = b.surplus[:, 0].tolist(), n - int(np.count_nonzero(b.t))
+    (l_plus, _, l_sub), zeros = b.surplus[:, j].tolist(), n - int(np.count_nonzero(b.t[:, j]))
 
     checks = []
 

@@ -16,7 +16,15 @@ import numpy as np
 
 from sgspec import simplex
 from sgspec.cheeger import DEFAULT_CAPS, CheegerResult, _best_bipartition, _int_arrays
-from sgspec.graph import GraphError, SignedGraph, _groups, _labels
+from sgspec.graph import (
+    GraphError,
+    SignedGraph,
+    _groups,
+    _labels,
+    components,
+    switch,
+    with_degree_measure,
+)
 from sgspec.operators import apply_p_laplacian, eigen_residual, phi_p, rayleigh
 from sgspec.spectra import ExtremalResult, _normalize_p as _normalize_columns, spectrum_p2
 
@@ -221,6 +229,35 @@ def all_signed_graphs(n: int):
             kappa=tuple(0.0 for _ in range(n)),
             edges=edges,
         )
+
+
+def random_signed_graph_reference(n: int, density: float, model: str, seed: int,
+                                  mu_mode: str, connected: bool) -> SignedGraph:
+    """``harness.random_signed_graph`` for valid arguments, drawing each
+    uniform-model sign by ``rng.choice((-1, 1))``: the draw it must equal."""
+    rng = np.random.default_rng((seed, n))
+    for _ in range(1000):
+        edges = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    w = float(rng.uniform(0.5, 2.0))
+                    if model in ("all-negative", "antibalanced"):
+                        s = -1
+                    elif model == "uniform":
+                        s = int(rng.choice((-1, 1)))
+                    else:
+                        s = 1
+                    edges.append((i, j, w, s))
+        g = SignedGraph(ids=tuple(f"v{i+1}" for i in range(n)), mu=(1.0,) * n,
+                        kappa=(0.0,) * n, edges=tuple(sorted(edges)))
+        if mu_mode == "degree":
+            g = with_degree_measure(g)
+        if model in ("balanced", "antibalanced"):
+            g = switch(g, [int(t) for t in rng.choice((-1, 1), size=n)])
+        if not connected or len(components(g)) == 1:
+            return g
+    raise GraphError("failed to draw a connected graph")
 
 
 def nonzero_patterns(n: int):

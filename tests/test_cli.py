@@ -11,6 +11,7 @@ import pytest
 from sgspec import cli, operators, spectra
 from sgspec.cli import main
 from sgspec.graph import SignedGraph, parse_graph, serialize_function, serialize_graph
+from sgspec.harness import random_signed_graph
 from sgspec.operators import check_rejections_1lap
 
 from test_graph import complete, path, triangle
@@ -509,6 +510,41 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--config", str(cfg))
         assert code == 2 and out == ""
         assert "parse error" in err
+
+
+class TestJsonOutput:
+    """Every ``--format json`` document is json.dumps(doc, indent=2, sort_keys=True)."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        g = random_signed_graph(6, 0.7, seed=3, mu_mode="degree", connected=True)
+        f = spectra.spectrum_p2(g).vectors[:, 2].copy()
+        f[1] = 0.0
+        paths = {"g": tmp_path / "g.json", "f": tmp_path / "f.json", "cfg": tmp_path / "cfg.json"}
+        paths["g"].write_bytes(serialize_graph(g))
+        paths["f"].write_bytes(serialize_function(f, g))
+        paths["cfg"].write_text(json.dumps({"seed": 2, "trials": 2, "n_min": 4, "n_max": 5,
+                                            "p_list": [2.0, 3.0]}))
+        u, v, _, _ = g.edges[-1]  # away from the zero at vertex 1
+        return {key: str(p) for key, p in paths.items()} | {
+            "edge": f"{g.ids[u]},{g.ids[v]}", "node": g.ids[4], "out": str(tmp_path / "o.json")}
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--graph", "{g}"),
+        ("spectrum", "--graph", "{g}", "--p", "1"),
+        ("extremal", "--graph", "{g}", "--p", "3", "--restarts", "1"),
+        ("nodal", "--graph", "{g}", "--function", "{f}", "--dual"),
+        ("cheeger", "--graph", "{g}", "--k", "2"),
+        ("onelap", "--graph", "{g}", "--verify"),
+        ("transform", "--graph", "{g}", "--remove-node", "{node}", "-o", "{out}"),
+        ("transform", "--graph", "{g}", "--remove-edge", "{edge}", "--function", "{f}",
+         "-o", "{out}"),
+        ("verify", "--config", "{cfg}"),
+    ], ids=lambda argv: " ".join(a for a in argv if "{" not in a))
+    def test_stdout_is_json_dumps(self, capsys, files, argv):
+        code, out, err = run(capsys, *(a.format(**files) for a in argv))
+        assert code == 0 and err == ""
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 class TestRandomAndErrors:

@@ -442,6 +442,43 @@ class TestIO:
         with pytest.raises(ParseError, match=match):
             parse_graph(json.dumps(doc))
 
+    @pytest.mark.parametrize("vertices, edges, message", [
+        ([{"id": "a"}, "b"], [], "vertices[1]: each vertex needs an 'id'"),
+        ([{"id": "a"}, {"mu": 1.0}], [], "vertices[1]: each vertex needs an 'id'"),
+        ([{"id": "a"}, {"id": "b", "mu": "x"}], [], "vertices[1]: mu must be a number, got 'x'"),
+        ([{"id": "a"}, {"id": "b", "kappa": None}], [],
+         "vertices[1]: kappa must be a number, got None"),
+        ([{"id": "a"}, {"id": "b"}], [{"u": "a", "v": "b"}, ["a", "b"]],
+         "edges[1]: each edge needs 'u' and 'v'"),
+        ([{"id": "a"}, {"id": "b"}], [{"u": "a", "v": "b"}, {"u": "a"}],
+         "edges[1]: each edge needs 'u' and 'v'"),
+        ([{"id": "a"}, {"id": "b"}], [{"u": "a", "v": "b"}, {"u": "zz", "v": "b"}],
+         "edges[1]: unknown vertex 'zz'"),
+        ([{"id": "a"}, {"id": "b"}], [{"u": "a", "v": "b"}, {"u": "a", "v": "yy"}],
+         "edges[1]: unknown vertex 'yy'"),
+        ([{"id": "a"}, {"id": "b"}], [{"u": "a", "v": "b"}, {"u": "xx", "v": "yy"}],
+         "edges[1]: unknown vertex 'xx'"),
+        ([{"id": "a"}, {"id": 1}], [{"u": "a", "v": "b"}], "edges[0]: unknown vertex 'b'"),
+        ([{"id": "a"}, {"id": "b"}], [{"u": "a", "v": "b"}, {"u": "b", "v": "a", "w": True}],
+         "edges[1]: w must be a number, got True"),
+        ([{"id": "a"}, {"id": "b"}], [{"u": "a", "v": "b"}, {"u": "b", "v": "a", "w": 10**400}],
+         "edges[1]: w is out of range"),
+        ([{"id": "a"}, {"id": "b"}], [{"u": "b", "v": "a"}, {"u": "a", "v": "b", "w": 2}],
+         "edge {a,b}: parallel edge"),
+    ])
+    def test_malformed_rows_name_their_place(self, vertices, edges, message):
+        with pytest.raises(ParseError) as exc:
+            parse_graph(json.dumps({"vertices": vertices, "edges": edges}))
+        assert str(exc.value) == message
+
+    def test_int_weight_is_stored_as_a_float(self):
+        g = parse_graph('{"vertices":[{"id":"a"},{"id":"b"}],'
+                        '"edges":[{"u":"b","v":"a","w":2,"sigma":-1}]}')
+        assert g.edges == ((0, 1, 2.0, -1),) and type(g.edges[0][2]) is float
+        assert serialize_graph(g) == (b'{"edges":[{"sigma":-1,"u":"a","v":"b","w":2.0}],'
+                                      b'"vertices":[{"id":"a","kappa":0.0,"mu":1.0},'
+                                      b'{"id":"b","kappa":0.0,"mu":1.0}]}')
+
     @given(
         st.sampled_from([(), ("vertices",), ("vertices", 0), ("vertices", 0, "id"),
                          ("vertices", 0, "mu"), ("vertices", 1, "kappa"), ("edges",),
@@ -477,6 +514,29 @@ class TestIO:
         with pytest.raises(ParseError, match="weight"):
             parse_graph('{"vertices":[{"id":"a"},{"id":"b"}],'
                         '"edges":[{"u":"a","v":"b","w":0}]}')
+
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text()
+        | st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")])
+        | st.fractions() | st.floats().map(np.float64)
+        | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_)
+        | st.lists(st.floats(), max_size=4),
+        lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+        | st.dictionaries(st.integers(), inner, max_size=3),
+        max_leaves=30,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_indented_json_is_json_dumps(self, doc):
+        assert (graph_module._indented_json(doc)
+                == json.dumps(doc, indent=2, sort_keys=True, default=str))
+
+    def test_indented_json_refuses_what_json_dumps_refuses(self):
+        for doc in ({"a": 1, 2: 3}, [{"b": [1.0], 1.5: None}], {"x": {(1, 2): 0}}):
+            with pytest.raises(TypeError):
+                json.dumps(doc, indent=2, sort_keys=True, default=str)
+            with pytest.raises(TypeError):
+                graph_module._indented_json(doc)
 
     def test_function_round_trip(self):
         g = path(3)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sgspec.cheeger
 import sgspec.harness
-from sgspec.graph import BalanceState, GraphError, balance_state, components
+from sgspec.graph import BalanceState, GraphError, balance_state, components, serialize_graph
 from sgspec.harness import (
     ALL_CHECKS,
     SuiteConfig,
@@ -18,6 +18,7 @@ from sgspec.harness import (
 )
 from sgspec.spectra import form_matrix
 
+from oracles import random_signed_graph_reference
 from test_graph import random_graph
 
 
@@ -27,6 +28,19 @@ class TestRandomGraph:
         b = random_signed_graph(6, seed=7)
         assert a == b
         assert a != random_signed_graph(6, seed=8)
+
+    @pytest.mark.parametrize("model", sgspec.harness.MODELS)
+    def test_draws_equal_the_choice_reference(self, model):
+        # the sign draw (-1, 1)[rng.integers(0, 2)] takes the same stream as
+        # rng.choice((-1, 1)), so every graph is unchanged, byte for byte
+        for n in (1, 2, 5, 9):
+            for density in (0.3, 0.6, 1.0):
+                for seed in (0, 3, 11):
+                    for mu_mode in ("unit", "degree"):
+                        for connected in (False, True):
+                            args = (n, density, model, seed, mu_mode, connected)
+                            assert (serialize_graph(random_signed_graph(*args))
+                                    == serialize_graph(random_signed_graph_reference(*args)))
 
     def test_balanced_model(self):
         for seed in range(10):

@@ -10,6 +10,7 @@ from sgspec.graph import GraphError, SignedGraph, induced_subgraph, serialize_fu
 from sgspec.harness import random_signed_graph
 from sgspec.nodal import (
     SpectrumContext,
+    _bound_reports,
     bound_report,
     dual_counts,
     nodal_quantities,
@@ -385,6 +386,31 @@ class TestBoundReport:
     def test_inconsistent_context(self):
         with pytest.raises(GraphError):
             bound_report(path(3), [1, 0, -1], SpectrumContext(k=3, r=2))
+
+    def test_batched_reports_equal_the_one_column_calls(self):
+        # a spectrum's groups, as the suite counts them, and random sign
+        # patterns with zeros, on one block each
+        from sgspec.harness import _clean_zeros
+        from sgspec.spectra import spectrum_p2
+
+        rng = np.random.default_rng(31)
+        for model in ("uniform", "balanced", "antibalanced", "all-negative"):
+            for seed in range(12):
+                g = random_signed_graph(int(rng.integers(2, 9)), float(rng.uniform(0.2, 1.0)),
+                                        model, seed=seed, connected=seed % 2 == 0)
+                spec = spectrum_p2(g)
+                F = np.stack([_clean_zeros(spec.vectors[:, grp[0]]) for grp in spec.groups],
+                             axis=1)
+                ctxs = [SpectrumContext(k=grp[0] + 1, r=len(grp), lam=float(spec.values[grp[0]]))
+                        for grp in spec.groups]
+                signs = rng.choice((-1.0, 0.0, 1.0), size=(g.n, 5))
+                signs[0] = 1.0
+                F = np.concatenate((F, signs), axis=1)
+                ctxs += [SpectrumContext(k=int(rng.integers(1, g.n + 1)), c=seed % 3 or None,
+                                         p=float(rng.choice((1.0, 2.0, 3.5))))
+                         for _ in range(5)]
+                assert _bound_reports(g, F, ctxs) == [bound_report(g, F[:, j], ctx)
+                                                      for j, ctx in enumerate(ctxs)]
 
     def test_forest_nonvanishing_equality(self):
         # nonvanishing eigenfunction on a tree: strong count == k + c - 1
