@@ -317,10 +317,10 @@ def _exponent(p, single_valued: bool) -> None:
         raise GraphError(f"p must be finite and {'> 1' if single_valued else '>= 1'}, got {p!r}")
 
 
-def _seed(seed) -> None:
-    """The one check of a random seed: a non-negative int, not a bool."""
-    if not (_is(seed, numbers.Integral) and seed >= 0):
-        raise GraphError(f"seed must be a non-negative int, got {seed!r}")
+def _seed(value, name: str = "seed") -> None:
+    """The one check of a random seed or a count: a non-negative int, not a bool."""
+    if not (_is(value, numbers.Integral) and value >= 0):
+        raise GraphError(f"{name} must be a non-negative int, got {value!r}")
 
 
 def _vertices(g: SignedGraph, xs) -> set[int]:

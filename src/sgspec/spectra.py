@@ -6,7 +6,11 @@ The p=2 case reduces to a symmetric matrix pencil and is solved by
 p > 1 only the extremes of the Rayleigh quotient are computed, every
 restart a column of one matrix run in lock step: projected gradient until
 the column's eigen-residual is below HANDOFF, then a Newton polish that
-stops at the rounding floor; a column the polish leaves uncertified
+stops at the rounding floor. The gradient's step lengths are those of
+Barzilai and Borwein (IMA J. Numer. Anal. 8(1), 1988), as used on
+constraint manifolds by Wen and Yin (Math. Program. 142, 2013): <s, s> /
+<s, y> over the last accepted step where <s, y> > 0, at most BB_CAP, and
+halved on a rejected trial. A column the polish leaves uncertified
 resumes its gradient and is polished again. Each gradient step is one
 fused pass over the operator kernels of :mod:`sgspec.operators`, carrying
 the edge differences of f from the step that accepted f; each Newton step
@@ -63,6 +67,7 @@ NEWTON_FLOOR = 1e-15  # residual at which a Newton column stops: rounding is all
 NEWTON_ITERS = 50  # Newton steps per polish
 MAX_ITER = 2000  # gradient steps per start, resumed runs included
 STEP = 0.1  # the first gradient step size
+BB_CAP = 1e6  # the largest Barzilai-Borwein step
 TOL = 1e-9  # eigen-residual that certifies an extreme
 
 
@@ -140,28 +145,44 @@ def _normalize_p(g: SignedGraph, p: float, f: np.ndarray) -> np.ndarray:
 
 def _lockstep_gradient(g, p, f, r, eta, steps, sign, max_iter, handoff):
     """Projected gradient on the mu-weighted l^p sphere, one start per column
-    of the normalized f, from the state (Rayleigh quotients r, step sizes
+    of the normalized f, from the state (Rayleigh quotients r, step lengths
     eta, step counts); sign[j] = +1 minimizes column j. Each column keeps its
     own step, acceptance and stopping test, and a stopped column stays
-    frozen. A column stalls on |grad| < 1e-14, eta < 1e-15 or max_iter steps
-    in all; it hands off once its eigen-residual is below ``handoff``.
-    Returns the state and which columns handed off without stalling.
+    frozen. A trial f - eta grad, grad = sign p eq the descent-signed
+    gradient, is accepted where it moves r the right way by more than 1e-16;
+    a rejected trial halves eta. After an accepted step the next length is
+    Barzilai and Borwein's <s, s> / <s, y>, s and y the changes of f and of
+    grad over that step, where <s, y> > 0, at most BB_CAP; elsewhere eta
+    stays. It is taken before the stop tests, so a column hands off with the
+    length it resumes with. A column stalls on |grad| < 1e-14, eta < 1e-15
+    or max_iter steps in all; it hands off once its eigen-residual is below
+    ``handoff``. Returns the state and which columns handed off without
+    stalling.
 
     One fused step on the operators' kernels: the edge differences d of f
     are carried from the Rayleigh quotient that accepted f, |f|^(p-1) is
     taken once, and one |eq| serves the stall test (max |p eq| = p max |eq|,
-    rounding being monotone) and the eigen-residual."""
+    rounding being monotone) and the eigen-residual. The previous f and
+    grad are kept by reference: a column that did not accept has s = 0, so
+    <s, y> = 0 keeps its eta with no mask."""
     m = f.shape[1]
     c, mu = g.columns(m), g.mu_array()[:, None]
     d = _edge_diffs(c, f.ravel()).reshape(-1, m)  # edge-major, as in c
+    f_old, g_old, eta = f, 0.0, eta.copy()  # s = 0 until a column accepts
+    sp = sign * p  # exact: sp eq = sign (p eq) bit for bit
     while True:
         eq, aeq, res = _eigen_terms(c, p, f, d.ravel(), r, mu)
+        grad = sp * eq
+        s, y = f - f_old, grad - g_old
+        sy = np.vecdot(s, y, axis=0)
+        np.minimum(np.divide(np.vecdot(s, s, axis=0), sy, out=eta, where=sy > 0), BB_CAP, out=eta)
+        f_old, g_old = f, grad
         stalled = (p * aeq.max(axis=0) < 1e-14) | (eta < 1e-15) | (steps >= max_iter)
         live = ~(stalled | (res < handoff))
         if not live.any():
             return f, r, eta, steps, ~stalled
         steps += live
-        f_try = f - sign * eta * (p * eq)
+        f_try = f - eta * grad
         nonzero = f_try.any(axis=0)  # a zero column is rejected; f stands in
         f_try = _normalize_p(g, p, np.where(nonzero, f_try, f))
         x_try = f_try.ravel()
@@ -170,7 +191,7 @@ def _lockstep_gradient(g, p, f, r, eta, steps, sign, max_iter, handoff):
         better = live & nonzero & (sign * (r_try - r) < -1e-16)
         f, r = np.where(better, f_try, f), np.where(better, r_try, r)
         d = np.where(better, d_try.reshape(-1, m), d)
-        eta = np.where(better, eta * 1.2, np.where(live, eta * 0.5, eta))
+        np.multiply(eta, 0.5, out=eta, where=live & ~better)
 
 
 def _lockstep_newton(g, p, f, lam):
@@ -241,8 +262,7 @@ def extremal_p(g: SignedGraph, p: float, restarts: int = 8, seed: int = 0) -> Ex
     handed off, runs it until it stalls, and is polished again."""
     _exponent(p, single_valued=True)
     _seed(seed)
-    if restarts < 0:
-        raise GraphError(f"restarts must be >= 0, got {restarts}")
+    _seed(restarts, "restarts")
     if g.n == 0:
         raise GraphError("extremal_p needs at least one vertex")
     rng = np.random.default_rng(seed)

@@ -26,7 +26,7 @@ from sgspec.graph import (
     with_degree_measure,
 )
 from sgspec.operators import apply_p_laplacian, eigen_residual, phi_p, rayleigh
-from sgspec.spectra import ExtremalResult, _normalize_p as _normalize_columns, spectrum_p2
+from sgspec.spectra import BB_CAP, ExtremalResult, _normalize_p as _normalize_columns, spectrum_p2
 
 
 def balance_oracle(g: SignedGraph) -> tuple[bool, bool]:
@@ -570,11 +570,20 @@ def one_lap_lambda_range_lp(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]
 def lockstep_gradient_reference(g, p, f, r, eta, steps, sign, max_iter, handoff):
     """``spectra._lockstep_gradient`` before its fused step, on the public
     operators: every step applies Delta_p and gathers the edge differences
-    anew. The fused step must give the same iterates, bit for bit."""
+    anew, and each column takes its Barzilai-Borwein length in a Python
+    loop. The fused step must give the same iterates, bit for bit."""
     mu = g.mu_array()[:, None]
+    f_prev, descent_prev = f, np.zeros_like(f)
     while True:
         eq = apply_p_laplacian(g, p, f) - r * mu * phi_p(f, p)
         grad = p * eq
+        # BB1 from the last accepted move; s = 0 for a column that did not move
+        s, y = f - f_prev, sign * grad - descent_prev
+        for j in range(f.shape[1]):
+            sy = np.dot(s[:, j], y[:, j])
+            if sy > 0:
+                eta[j] = min(np.dot(s[:, j], s[:, j]) / sy, BB_CAP)
+        f_prev, descent_prev = f, sign * grad
         stalled = (np.abs(grad).max(axis=0) < 1e-14) | (eta < 1e-15) | (steps >= max_iter)
         # eigen_residual(g, p, f, r), read off the gradient
         res = (np.abs(eq) / (1.0 + np.abs(r) * mu * np.abs(f) ** (p - 1))).max(axis=0)
@@ -588,7 +597,7 @@ def lockstep_gradient_reference(g, p, f, r, eta, steps, sign, max_iter, handoff)
         r_try = rayleigh(g, p, f_try)
         better = live & nonzero & (sign * (r_try - r) < -1e-16)
         f, r = np.where(better, f_try, f), np.where(better, r_try, r)
-        eta = np.where(better, eta * 1.2, np.where(live, eta * 0.5, eta))
+        eta = np.where(better | ~live, eta, eta * 0.5)
 
 
 def _normalize_p(g: SignedGraph, p: float, f: np.ndarray) -> np.ndarray:

@@ -157,7 +157,8 @@ class TestExtremalP:
 
     @pytest.mark.parametrize("kwargs", [
         {"p": float("inf")}, {"p": float("nan")}, {"p": 2.0, "restarts": -1},
-        {"p": 2.0, "seed": -1}, {"p": 2.0, "seed": 1.5}, {"p": 2.0, "seed": True}])
+        {"p": 2.0, "seed": -1}, {"p": 2.0, "seed": 1.5}, {"p": 2.0, "seed": True},
+        {"p": 2.0, "restarts": 2.5}, {"p": 2.0, "restarts": "2"}, {"p": 2.0, "restarts": True}])
     def test_bad_p_or_restarts_rejected(self, kwargs):
         with pytest.raises(GraphError):
             extremal_p(path(3), **kwargs)
@@ -268,10 +269,16 @@ class TestExtremalP:
                                                              want.converged_max)
 
 
-def _bench_pool():
-    """The graphs of the ``extremal-p`` benchmark pool, read only."""
+def _bench_entries():
+    """The entries of the ``extremal-p`` benchmark pool, read only: id, model,
+    graph and the recorded lambda pair per p."""
     pool = Path(__file__).resolve().parents[1] / "bench" / "refs" / "extremal-p.json"
-    return [parse_graph(json.dumps(e["graph"])) for e in json.loads(pool.read_text())["graphs"]]
+    return json.loads(pool.read_text())["graphs"]
+
+
+def _bench_pool():
+    """The graphs of the ``extremal-p`` benchmark pool."""
+    return [parse_graph(json.dumps(e["graph"])) for e in _bench_entries()]
 
 
 def _fused_corpus(group):
@@ -304,6 +311,24 @@ class TestFusedGradient:
         monkeypatch.setattr(spectra, "_lockstep_gradient", lockstep_gradient_reference)
         for (g, p, r, s), got in zip(cases, fused):
             assert got == key(extremal_p(g, p, restarts=r, seed=s)), (g.n, p, r, s)
+
+
+class TestBarzilaiBorweinStep:
+    def test_pool_equals_its_references_in_fewer_steps(self):
+        # the benchmark round is p = 3 on all twelve graphs and p = 1.5 on the
+        # first three of each model; under the 1.2x-growth rule its 18 solves
+        # took 2,361 lock-step iterations
+        steps = 0
+        for e in _bench_entries():
+            g = parse_graph(json.dumps(e["graph"]))
+            for p in ("1.5", "3"):
+                res = extremal_p(g, float(p), restarts=0)
+                for got, want in zip((res.lambda_min, res.lambda_max), e["lambda"][p]):
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (e["id"], p)
+                assert res.converged_min and res.converged_max, (e["id"], p)
+                if p == "3" or int(e["id"][1:]) < 3:
+                    steps += res.lockstep_steps
+        assert steps <= 1200
 
 
 class TestUpperBound:
