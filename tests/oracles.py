@@ -570,8 +570,9 @@ def one_lap_lambda_range_lp(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]
 def lockstep_gradient_reference(g, p, f, r, eta, steps, sign, max_iter, handoff):
     """``spectra._lockstep_gradient`` before its fused step, on the public
     operators: every step applies Delta_p and gathers the edge differences
-    anew, and each column takes its Barzilai-Borwein length in a Python
-    loop. The fused step must give the same iterates, bit for bit."""
+    anew. The fused step must give the same iterates, bit for bit. The
+    Barzilai-Borwein dot products are the code's own ``np.vecdot`` on the
+    (n, m) block, so that they round alike on every build."""
     mu = g.mu_array()[:, None]
     f_prev, descent_prev = f, np.zeros_like(f)
     while True:
@@ -579,10 +580,10 @@ def lockstep_gradient_reference(g, p, f, r, eta, steps, sign, max_iter, handoff)
         grad = p * eq
         # BB1 from the last accepted move; s = 0 for a column that did not move
         s, y = f - f_prev, sign * grad - descent_prev
-        for j in range(f.shape[1]):
-            sy = np.dot(s[:, j], y[:, j])
-            if sy > 0:
-                eta[j] = min(np.dot(s[:, j], s[:, j]) / sy, BB_CAP)
+        sy = np.vecdot(s, y, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bb = np.minimum(np.vecdot(s, s, axis=0) / sy, BB_CAP)
+        eta = np.where(sy > 0, bb, eta)
         f_prev, descent_prev = f, sign * grad
         stalled = (np.abs(grad).max(axis=0) < 1e-14) | (eta < 1e-15) | (steps >= max_iter)
         # eigen_residual(g, p, f, r), read off the gradient

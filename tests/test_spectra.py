@@ -317,7 +317,10 @@ class TestBarzilaiBorweinStep:
     def test_pool_equals_its_references_in_fewer_steps(self):
         # the benchmark round is p = 3 on all twelve graphs and p = 1.5 on the
         # first three of each model; under the 1.2x-growth rule its 18 solves
-        # took 2,361 lock-step iterations
+        # took 2,361 lock-step iterations. Under BB they take about 1,030, but
+        # the count follows the last bits of the BB dot products: scaling them
+        # by a few ulps spread it from 949 to 1,185, and one start elsewhere
+        # in the pool moved by 473 steps. The bound keeps 600 over the spread.
         steps = 0
         for e in _bench_entries():
             g = parse_graph(json.dumps(e["graph"]))
@@ -328,7 +331,7 @@ class TestBarzilaiBorweinStep:
                 assert res.converged_min and res.converged_max, (e["id"], p)
                 if p == "3" or int(e["id"][1:]) < 3:
                     steps += res.lockstep_steps
-        assert steps <= 1200
+        assert steps <= 1800
 
 
 class TestUpperBound:
