@@ -24,7 +24,7 @@ from .graph import (
 from .harness import SuiteConfig, random_signed_graph, run_suite
 from .nodal import nodal_quantities
 from .operators import check_certificate_1lap, check_rejections_1lap
-from .spectra import extremal_p, one_lap_enumerate, spectrum_p2
+from .spectra import RESTARTS, extremal_p, one_lap_enumerate, spectrum_p2
 from .transforms import remove_edge, remove_node
 
 
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extremal", help="certified extremal eigenpairs for p > 1")
     p.add_argument("--graph", required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=int, default=RESTARTS)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_extremal)

@@ -69,6 +69,7 @@ MAX_ITER = 2000  # gradient steps per start, resumed runs included
 STEP = 0.1  # the first gradient step size
 BB_CAP = 1e6  # the largest Barzilai-Borwein step
 TOL = 1e-9  # eigen-residual that certifies an extreme
+RESTARTS = 8  # random starts per side of extremal_p
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +254,18 @@ def _lockstep_newton(g, p, f, lam):
     return f, lam, res, steps
 
 
-def extremal_p(g: SignedGraph, p: float, restarts: int = 8, seed: int = 0) -> ExtremalResult:
-    """Certified extremes of the p-Rayleigh quotient for p > 1. The starts,
-    each a column: the p = 2 extreme eigenvector and ``restarts`` random
-    ones, for the min and then for the max. Each column runs the projected
-    gradient until its eigen-residual is below HANDOFF, then Newton; a
-    column that Newton leaves above TOL resumes its gradient where it
-    handed off, runs it until it stalls, and is polished again."""
+def _extremes(g: SignedGraph, p: float, restarts: int, seed: int, sides) -> dict:
+    """The extremes of ``sides``, ("min",), ("max",) or ("min", "max"), as
+    the fields of ``ExtremalResult`` but p. The starts, each a column: per
+    side, the p = 2 extreme eigenvector and ``restarts`` random ones; the rng
+    draws the min's and then the max's whatever is asked. Each column runs the
+    projected gradient until its eigen-residual is below HANDOFF, then
+    Newton; a column that Newton leaves above TOL resumes its gradient where
+    it handed off, runs it until it stalls, and is polished again.
+
+    One side alone gives that side of both bit for bit when restarts >= 1.
+    Not at restarts = 0: its one column is then contiguous, and ``np.vecdot``
+    sums the Barzilai-Borwein products in another order."""
     _exponent(p, single_valued=True)
     _seed(seed)
     _seed(restarts, "restarts")
@@ -267,11 +273,10 @@ def extremal_p(g: SignedGraph, p: float, restarts: int = 8, seed: int = 0) -> Ex
         raise GraphError("extremal_p needs at least one vertex")
     rng = np.random.default_rng(seed)
     vecs = spectrum_p2(g).vectors
-    starts = []
-    for warm in (vecs[:, 0], vecs[:, -1]):
-        starts += [warm, *(rng.standard_normal(g.n) for _ in range(restarts))]
-    sign = np.repeat([1.0, -1.0], restarts + 1)
-    f0 = _normalize_p(g, p, np.column_stack(starts))
+    drawn = {side: [warm, *(rng.standard_normal(g.n) for _ in range(restarts))]
+             for side, warm in (("min", vecs[:, 0]), ("max", vecs[:, -1]))}
+    sign = np.repeat([1.0 if side == "min" else -1.0 for side in sides], restarts + 1)
+    f0 = _normalize_p(g, p, np.column_stack([f for side in sides for f in drawn[side]]))
     fg, r, eta, gsteps, handed = _lockstep_gradient(
         g, p, f0, rayleigh(g, p, f0), np.full(sign.size, STEP), np.zeros(sign.size, dtype=int),
         sign, MAX_ITER, HANDOFF)
@@ -288,15 +293,23 @@ def extremal_p(g: SignedGraph, p: float, restarts: int = 8, seed: int = 0) -> Ex
                    "newton_steps": int(nsteps[j]), "resumed": bool(resumed[j])}
                   for j, s in enumerate(sign))
     ok = res <= TOL
-    # certified first, then the extreme lambda, else the smallest residual;
-    # min keeps the first of equal keys
-    jmin, jmax = (min(cols, key=lambda j: (not ok[j], s * lam[j] if ok[j] else res[j]))
-                  for s, cols in ((1, range(restarts + 1)), (-1, range(restarts + 1, sign.size))))
-    return ExtremalResult(
-        p=p, lambda_min=float(lam[jmin]), f_min=f[:, jmin].copy(), residual_min=float(res[jmin]),
-        lambda_max=float(lam[jmax]), f_max=f[:, jmax].copy(), residual_max=float(res[jmax]),
-        converged_min=bool(ok[jmin]), converged_max=bool(ok[jmax]),
-        trace=trace, lockstep_steps=int(gsteps.max()))
+    out = {"trace": trace, "lockstep_steps": int(gsteps.max())}
+    for i, side in enumerate(sides):
+        # certified first, then the extreme lambda, else the smallest
+        # residual; min keeps the first of equal keys
+        j = min(range(i * (restarts + 1), (i + 1) * (restarts + 1)),
+                key=lambda j: (not ok[j], sign[j] * lam[j] if ok[j] else res[j]))
+        out |= {f"lambda_{side}": float(lam[j]), f"f_{side}": f[:, j].copy(),
+                f"residual_{side}": float(res[j]), f"converged_{side}": bool(ok[j])}
+    return out
+
+
+def extremal_p(g: SignedGraph, p: float, restarts: int = RESTARTS,
+               seed: int = 0) -> ExtremalResult:
+    """Certified extremes of the p-Rayleigh quotient for p > 1, from the
+    p = 2 extreme eigenvector and ``restarts`` random starts per side (see
+    ``_extremes``)."""
+    return ExtremalResult(p=p, **_extremes(g, p, restarts, seed, ("min", "max")))
 
 
 # ---------------------------------------------------------------------------

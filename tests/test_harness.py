@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,7 +304,7 @@ class TestCheckTable:
         spy(h, "interlacing_check_p2",
             lambda g, steps, tol: ("interlace", steps[0].get("node", steps[0].get("edge"))))
         spy(h, "remove_edge", lambda g, p, f, e: ("surgery", tuple(e)))
-        spy(h, "extremal_p", lambda g, p, seed: ("extremal", p, seed))
+        spy(h, "_extremes", lambda g, p, restarts, seed, sides: ("extremal", p, seed))
         spy(sgspec.cheeger, "check_theorem41", lambda g, p, k, lam, m: ("cheeger", k))
         checks = ("nodal-bounds", "interlacing-edge", "interlacing-node", "count-identity",
                   "surgery-preservation", "perron-frobenius", "cheeger-bounds", "onelap-h1",
@@ -311,3 +314,23 @@ class TestCheckTable:
                                     checks=checks))
         assert rep.aggregates == PINNED_AGGREGATES
         assert draws == PINNED_DRAWS
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_perron_frobenius_keeps_the_benchmark_verdicts(monkeypatch):
+    """Each ``verify-suite`` benchmark config, run on perron-frobenius alone
+    as the benchmark runs it, gives the aggregates recorded in its pool;
+    ``bench/workloads.py`` and the pool are read, never written."""
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports its sibling inputs
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    pool = json.loads((BENCH / "refs" / "verify-suite.json").read_text())["configs"]
+    assert len(pool) == 8
+    for e in pool:
+        cfg = workloads.verify_config(e["n"], e["k"], "perron-frobenius")
+        rep = run_suite(SuiteConfig.from_json(json.dumps(cfg)))
+        assert rep.aggregates == {"perron-frobenius": e["aggregates"]["perron-frobenius"]}, e["n"]

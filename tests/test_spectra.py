@@ -244,6 +244,22 @@ class TestExtremalP:
         assert lam_resumed[0] == lam_plain[col]
         assert got["residual"] <= 1e-9 and res.converged_min and res.converged_max
 
+    @pytest.mark.parametrize("model", ("uniform", "balanced", "antibalanced"))
+    def test_max_side_alone_equals_extremal_p_bitwise(self, model):
+        # restarts >= 1: at 0 the one max column sums its BB products in
+        # another order (see spectra._extremes)
+        k = MODELS.index(model)
+        for i in range(8):
+            g = random_signed_graph(4 + (i + 2 * k) % 7, 0.6, model, seed=10 * k + i,
+                                    mu_mode=("unit", "degree")[(i + k) % 2], connected=True)
+            p, restarts = (1.5, 2.0, 3.0)[(i + k) % 3], i + 1
+            full = extremal_p(g, p, restarts=restarts, seed=i)
+            alone = spectra._extremes(g, p, restarts, i, ("max",))
+            assert (alone["lambda_max"], alone["residual_max"], alone["f_max"].tobytes(),
+                    alone["converged_max"], alone["trace"]) == (
+                full.lambda_max, full.residual_max, full.f_max.tobytes(), full.converged_max,
+                full.trace[restarts + 1:]), (g.n, p, restarts)
+
     def test_newton_stops_at_the_rounding_floor(self):
         # lambda_min = 0: Newton used to run every random min start to the
         # 50-step cap with residuals near 1e-27
