@@ -10,20 +10,23 @@ eigen-condition is a differential inclusion with Sgn intervals. Given a sign
 pattern f, the lambda it admits is a single point or nothing: the support of
 f pins lambda to the ratio of its sums, and the rest is a network
 feasibility question, decided by an exact integer max-flow
-(``one_lap_lambda_range``). Each decision leaves a certificate: the flow, as
-a witness, when f admits lambda, and otherwise the inequality that rules f
-out (a screen pair, or a support cut or a zero cut from Hoffman's
-circulation theorem); every certificate takes lambda from the support. Each
-is checked in integers, independently of whatever produced it, by one
-checker per form (certifying algorithms: McConnell, Mehlhorn, Naeher &
-Schweitzer, Comput. Sci. Rev. 5(2), 2011): a witness by
+(``one_lap_lambda_range``). Every such flow runs on one core,
+``_feasible_flow``: shortest augmenting paths (Edmonds & Karp) on a flat
+residual network, from every node with excess at once, each node started
+at the target in its interval nearest 0. Each decision leaves a
+certificate: the flow, as a witness, when f admits lambda, and otherwise
+the inequality that rules f out (a screen pair, or a support cut or a zero
+cut from Hoffman's circulation theorem); every certificate takes lambda
+from the support. Each is checked in integers, independently of whatever
+produced it, by one checker per form (certifying algorithms: McConnell,
+Mehlhorn, Naeher & Schweitzer, Comput. Sci. Rev. 5(2), 2011): a witness by
 ``check_certificate_1lap``, and every rejection, of one pattern or of a
 whole block of patterns, by the block checker ``check_rejections_1lap``,
 which runs a private kernel per kind on one shared boundary. A rejection
-has one form, a block column: a side as an (n,) bool mask, pi as (n,)
-ints. ``check_eigenpair_1lap`` decides a given (lambda, f) by the same
-checked max-flow; :mod:`sgspec.simplex` decides nothing here, and remains
-only as the test oracles' independent LP and for the benchmark.
+has one form, a block column: a side as an (n,) bool mask, pi as (n,) ints.
+``check_eigenpair_1lap`` decides a given (lambda, f) by the same checked
+max-flow; :mod:`sgspec.simplex` decides nothing here, and remains only as
+the test oracles' independent LP and for the benchmark.
 """
 
 from __future__ import annotations
@@ -250,57 +253,81 @@ def _feasible_flow(n: int, arcs, lo, hi) -> tuple[list[int] | None, list[int] | 
     ``(flows, None)`` with one flow per arc, or ``(None, side)`` if there is
     none. Exact on Python ints.
 
-    Lower-bound reduction: a root node r feeds each v through an arc with
-    flow in [lo_v, hi_v]; sending lo_v up front leaves supply lo_v at v and
-    -sum(lo) at r, and a flow is feasible iff a max flow from the positive
-    to the negative supplies (BFS augmenting paths) carries all of it. If it
-    cannot, the nodes v < n that the last search reaches are ``side``, the
-    source side of a cut whose capacity is below the supply. By Hoffman's
-    circulation theorem, either sum(lo) over ``side`` exceeds the capacity
-    of the arcs leaving it, or sum(hi) over the other nodes falls below
-    minus that capacity.
+    Reduction: a root node r = n feeds each v through a root arc r -> v
+    whose flow g_v in [lo_v, hi_v] is the net outflow that v passes on, so
+    a flow is feasible iff this network has a circulation. Each g_v starts
+    at the target t_v in [lo_v, hi_v] nearest 0, which leaves excess t_v at
+    v and -sum(t) at r; the root arc can still raise g_v by hi_v - t_v or
+    lower it by t_v - lo_v, so the root arcs carry the rest in either
+    direction. If every t_v is 0 the zero flow is feasible, and no network
+    is built.
+
+    Each augmentation is one BFS over the residual network from every node
+    with positive excess at once. It enters no node with positive excess,
+    stops at the first node with a deficit that it reaches, and pushes
+    along that path as much as the path, its start's excess and its end's
+    deficit allow. With a super source joined to the nodes with excess and
+    a super sink to those with a deficit, this is a shortest augmenting
+    path, so Edmonds and Karp's bound holds (J. ACM 19(2), 1972). The flow
+    is feasible once no excess is left.
+
+    If a search reaches no deficit, let S be the nodes it reached: every
+    node with positive excess and no node with a deficit, so S holds
+    positive excess, and every residual arc that leaves S is saturated.
+    ``side`` is S without r. By Hoffman's circulation theorem it rules out
+    every flow, with cap(dX) the capacity of the arcs with one end in X:
+    - r outside S: each root arc into S is at g_v = lo_v, and each arc
+      that leaves S carries its capacity out, so the excess of S is
+      sum(lo) over S - cap(dS) > 0. The nodes of S must pass on more than
+      the cut lets out.
+    - r inside S: let T be the nodes v < n outside S. Each root arc into T
+      is at g_v = hi_v, and each arc into T carries its capacity in, so the
+      excess of T is sum(hi) over T + cap(dT). T holds no positive excess,
+      and all excess sums to 0, so it is negative: sum(hi) over T <
+      -cap(dT). T must take in more than the cut lets in.
     """
-    r, s, t = n, n + 1, n + 2
-    # residual capacities; the root, source and sink arcs are distinct
-    # pairs too, so no capacity adds to another
-    res: list[dict[int, int]] = [{} for _ in range(n + 3)]
+    excess = [lo[v] if lo[v] > 0 else hi[v] if hi[v] < 0 else 0 for v in range(n)]
+    if not any(excess):
+        return [0] * len(arcs), None
+    excess.append(-sum(excess))
+    # arc e runs from head[e ^ 1] to head[e] with residual capacity res[e],
+    # and out[v] lists the arcs that leave v: the arcs of the network, each
+    # with its reverse, then the root arcs r -> v and their reverses
+    head, res = [], []
     for a, b, cap in arcs:
-        res[a][b] = res[b][a] = cap
-    supply = [*lo, -sum(lo)]
+        head += (b, a)
+        res += (cap, cap)
     for v in range(n):
         if hi[v] > lo[v]:
-            res[r][v], res[v][r] = hi[v] - lo[v], 0
-    need = 0
-    for v, sup in enumerate(supply):
-        if sup > 0:
-            res[s][v], res[v][s] = sup, 0
-            need += sup
-        elif sup < 0:
-            res[v][t], res[t][v] = -sup, 0
-    while need:
-        prev = {s: s}
-        queue = [s]
+            head += (v, n)
+            res += (hi[v] - excess[v], excess[v] - lo[v])
+    out = [[] for _ in range(n + 1)]
+    for e, b in enumerate(head):
+        out[b].append(e ^ 1)
+    while queue := [v for v, x in enumerate(excess) if x > 0]:
+        via = [-1] * (n + 1)  # the arc by which the search first reaches a node
         for a in queue:
-            for b, cap in res[a].items():
-                if cap and b not in prev:
-                    prev[b] = a
+            for e in out[a]:
+                if res[e] and via[b := head[e]] < 0 and excess[b] <= 0:
+                    via[b] = e
+                    if excess[b] < 0:
+                        break
                     queue.append(b)
-            if t in prev:
-                break
+            else:
+                continue
+            break
         else:
-            return None, [v for v in prev if v < n]
-        push, b = need, t
-        while b != s:
-            push = min(push, res[prev[b]][b])
-            b = prev[b]
-        b = t
-        while b != s:
-            a = prev[b]
-            res[a][b] -= push
-            res[b][a] += push
-            b = a
-        need -= push
-    return [cap - res[a][b] for a, b, cap in arcs], None
+            return None, [v for v in queue if v < n]
+        push, v = -excess[b], b
+        while (e := via[v]) >= 0:
+            push = min(push, res[e])
+            v = head[e ^ 1]
+        push = min(push, excess[v])
+        excess[v], excess[b] = excess[v] - push, excess[b] + push
+        while (e := via[b]) >= 0:
+            res[e], res[e ^ 1] = res[e] - push, res[e ^ 1] + push
+            b = head[e ^ 1]
+    return [cap - x for (_, _, cap), x in zip(arcs, res[::2])], None
 
 
 def _pattern_lambda(g: SignedGraph, f) -> OneLapWitness | tuple:

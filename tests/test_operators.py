@@ -396,6 +396,82 @@ def _rejects(g, f, cert) -> bool:
                                       *(np.asarray(c)[..., None] for c in cols))[0])
 
 
+def _hoffman_violated(n, arcs, lo, hi, side) -> bool:
+    """Whether the node set ``side`` rules out every flow: with cut the
+    capacity of the arcs with exactly one end in it, its nodes must pass on
+    more than the cut lets out (sum of lo over side > cut), or the rest
+    must take in more than it lets in (sum of hi over the rest < -cut)."""
+    cut = sum(cap for a, b, cap in arcs if (a in side) != (b in side))
+    return (sum(lo[v] for v in side) > cut
+            or sum(hi[v] for v in range(n) if v not in side) < -cut)
+
+
+def _hoffman_feasible(n, arcs, lo, hi) -> bool:
+    """Hoffman's circulation theorem by brute force: a flow exists iff no
+    subset of the nodes violates either condition."""
+    return not any(_hoffman_violated(n, arcs, lo, hi, {v for v in range(n) if mask >> v & 1})
+                   for mask in range(1 << n))
+
+
+FLOW_KINDS = ("point", "interval", "zero", "no-arcs", "wide")
+
+
+def _flow_networks(kind, count, seed):
+    """``count`` random networks (n, arcs, lo, hi) of up to 6 nodes: ``point``
+    demands (lo = hi, summing to 0 half the time), ``interval`` demands,
+    ``zero`` (0 in [lo, hi] at every node), ``no-arcs``, and ``wide``
+    (interval demands and capacities beyond 2**63)."""
+    rng = np.random.default_rng(seed)
+    scale = 2**64 + 1 if kind == "wide" else 1
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        keep = [] if kind == "no-arcs" else [pr for pr in pairs if rng.random() < 0.5]
+        arcs = [(*(pr if rng.random() < 0.5 else pr[::-1]), scale * int(rng.integers(0, 9)))
+                for pr in keep]
+        if kind == "point":
+            lo = [int(x) for x in rng.integers(-6, 7, n)]
+            if rng.random() < 0.5:
+                lo[-1] -= sum(lo)
+            hi = lo
+        else:
+            lo = [scale * int(x) for x in rng.integers(-8, 5, n)]
+            hi = [x + scale * int(d) for x, d in zip(lo, rng.integers(0, 6, n))]
+            if kind == "zero":
+                lo, hi = [min(x, 0) for x in lo], [max(x, 0) for x in hi]
+        yield n, arcs, lo, hi
+
+
+class TestFeasibleFlow:
+    """The integer flow core against a brute-force Hoffman oracle: a flow it
+    returns keeps every bound exactly, a side it returns violates one of
+    Hoffman's conditions, and it finds a flow exactly when one exists."""
+
+    @pytest.mark.parametrize("kind", FLOW_KINDS)
+    def test_agrees_with_hoffman(self, kind):
+        verdicts = Counter()
+        for n, arcs, lo, hi in _flow_networks(kind, 400, FLOW_KINDS.index(kind)):
+            flows, side = operators._feasible_flow(n, arcs, lo, hi)
+            feasible = _hoffman_feasible(n, arcs, lo, hi)
+            assert (flows is not None) == feasible, (n, arcs, lo, hi)
+            verdicts[feasible] += 1
+            if flows is None:
+                assert side is not None and set(side) <= set(range(n))
+                assert _hoffman_violated(n, arcs, lo, hi, set(side)), (n, arcs, lo, hi, side)
+                continue
+            assert side is None and len(flows) == len(arcs)
+            assert all(type(x) is int and abs(x) <= cap for x, (_, _, cap) in zip(flows, arcs))
+            net = [0] * n
+            for x, (a, b, _) in zip(flows, arcs):
+                net[a] += x
+                net[b] -= x
+            assert all(l <= x <= h for l, x, h in zip(lo, net, hi)), (n, arcs, lo, hi, flows)
+            # each node starts at the target nearest 0: the zero flow if it is one
+            assert kind != "zero" or not any(flows)
+        # every kind but zero demands meets both verdicts
+        assert verdicts[True] and (verdicts[False] or kind == "zero"), verdicts
+
+
 class TestLambdaRange:
     @staticmethod
     def _grid_cases():

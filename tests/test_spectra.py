@@ -285,11 +285,16 @@ class TestExtremalP:
                                                              want.converged_max)
 
 
+def _bench_ref(workload):
+    """The reference file of a benchmark workload, read only."""
+    ref = Path(__file__).resolve().parents[1] / "bench" / "refs" / f"{workload}.json"
+    return json.loads(ref.read_text())
+
+
 def _bench_entries():
     """The entries of the ``extremal-p`` benchmark pool, read only: id, model,
     graph and the recorded lambda pair per p."""
-    pool = Path(__file__).resolve().parents[1] / "bench" / "refs" / "extremal-p.json"
-    return json.loads(pool.read_text())["graphs"]
+    return _bench_ref("extremal-p")["graphs"]
 
 
 def _bench_pool():
@@ -438,6 +443,21 @@ class TestOneLapEnumerate:
                 assert check_certificate_1lap(g, pr.f, pr.witness)
             assert all(check_rejections_1lap(g, *entry).all() for entry in ols.rejected)
         assert kinds == {"screen", "support-cut", "zero-cut"}
+
+    def test_exact_p1_pool_equals_its_references(self):
+        # the 48 graphs of the exact-p1 benchmark: every eigenvalue and every
+        # (lambda, pattern) pair as recorded, in the reference's vertex order
+        entries = _bench_ref("exact-p1")["onelap"]
+        assert len(entries) == 48
+        for e in entries:
+            ols = one_lap_enumerate(parse_graph(json.dumps(e["graph"])))
+            want = e["onelap"]
+            assert [str(v) for v in ols.values] == want["eigenvalues"], e["id"]
+            for key in ("lambda_1", "lambda_2", "smallest_positive"):
+                got = getattr(ols, key)
+                assert want[key] == (None if got is None else str(got)), (e["id"], key)
+            assert sorted([str(pr.lam), str(pr.lam), list(pr.f)] for pr in ols.pairs
+                          ) == want["pairs"], e["id"]
 
     def test_cap_enforced(self):
         g = SignedGraph.build([str(i) for i in range(13)], [])
