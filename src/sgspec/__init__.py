@@ -19,13 +19,11 @@ from .graph import (
 )
 from .operators import (
     EigenPair,
-    OneLapWitness,
     ResidualCertificate,
     apply_p_laplacian,
-    check_certificate_1lap,
+    check_certificates_1lap,
     check_eigenpair,
     check_eigenpair_1lap,
-    check_rejections_1lap,
     eigen_residual,
     one_lap_lambda_range,
     phi_p,

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph, _exponent, _vertices
+from .graph import GraphError, SignedGraph, _exponent, _seed, _vertices
 
 __all__ = [
     "beta",
@@ -212,6 +212,7 @@ def _cheeger_exact(g: SignedGraph, ks) -> list[CheegerResult]:
     """Exact h_k for each k in ``ks``: one table of sets, packing layers up to max(ks)."""
     n = g.n
     for k in ks:
+        _seed(k, "k")
         if not 1 <= k <= n:
             raise GraphError(f"k must be between 1 and n={n}")
         if n > (cap := DEFAULT_CAPS.get(k, DEFAULT_CAPS[3])):
@@ -271,6 +272,7 @@ def _cheeger_exact(g: SignedGraph, ks) -> list[CheegerResult]:
 def cheeger_k(g: SignedGraph, k: int, heuristic: bool = False) -> CheegerResult:
     """Exact k-way signed Cheeger constant by subset enumeration + packing DP."""
     _require_zero_kappa(g, "cheeger_k")
+    _seed(k, "k")
     if heuristic and 1 <= k <= g.n and g.n > DEFAULT_CAPS.get(k, DEFAULT_CAPS[3]):
         return _cheeger_k_heuristic(g, k)
     return _cheeger_exact(g, (k,))[0]

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .graph import (
 )
 from .harness import SuiteConfig, random_signed_graph, run_suite
 from .nodal import nodal_quantities
-from .operators import check_certificate_1lap, check_rejections_1lap
+from .operators import check_certificates_1lap
 from .spectra import RESTARTS, extremal_p, one_lap_enumerate, spectrum_p2
 from .transforms import remove_edge, remove_node
 
@@ -147,6 +148,28 @@ def _covers_every_pattern(n: int, blocks) -> bool:
     return codes.size == (3**n - 1) // 2 == np.unique(codes).size
 
 
+def _uncertified(g, ols) -> str | None:
+    """Why the certificates of ``ols`` fail to prove its pairs, and that no
+    other sign pattern is one, or None if they prove it. One pass over
+    ``ols.certificates``: every column checks, the blocks cover every
+    pattern once, and the pairs are the witnessed (lambda, pattern) pairs.
+    A malformed certificate is a failed check, not a usage error."""
+    witnessed = []
+    for kind, t, *certs in ols.certificates:
+        try:
+            ok = check_certificates_1lap(g, kind, t, *certs)
+        except GraphError as exc:
+            return f"a {kind} certificate is malformed: {exc}"
+        if not ok.all():
+            return f"{kind} certificate of pattern {tuple(t.T[~ok][0].tolist())} failed its check"
+        if kind == "witness":
+            witnessed += zip(zip(*t.tolist()), map(Fraction, certs[0], certs[1]))
+    if not _covers_every_pattern(g.n, [t for _, t, *_ in ols.certificates]):
+        return "the certificates do not cover every sign pattern"
+    if len(witnessed) != len(ols.pairs) or dict(witnessed) != {p.f: p.lam for p in ols.pairs}:
+        return "the pairs are not the witnessed eigenpairs"
+
+
 def _cmd_onelap(args) -> int:
     g = _load_graph(args.graph)
     ols = one_lap_enumerate(g)
@@ -162,22 +185,11 @@ def _cmd_onelap(args) -> int:
         ],
     }
     if args.verify:
-        for p in ols.pairs:
-            if p.witness.lam != p.lam or not check_certificate_1lap(g, p.f, p.witness):
-                print(f"re-verification failed for lambda={p.lam}", file=sys.stderr)
-                return 1
-        bad, blocks = [], [np.array([p.f for p in ols.pairs]).T]
-        for kind, t, *certs in ols.rejected:
-            bad += map(tuple, t[:, ~check_rejections_1lap(g, kind, t, *certs)].T.tolist())
-            blocks.append(t)
-        if bad:
-            print(f"rejection of pattern {bad[0]} failed its check", file=sys.stderr)
+        if failure := _uncertified(g, ols):
+            print(failure, file=sys.stderr)
             return 1
-        if not _covers_every_pattern(g.n, blocks):
-            print("the certificates do not cover every sign pattern", file=sys.stderr)
-            return 1
-        doc["verified"] = {"pairs": len(ols.pairs),
-                           "rejections": sum(t.shape[1] for t in blocks) - len(ols.pairs)}
+        doc["verified"] = {"pairs": len(ols.pairs), "rejections": sum(
+            t.shape[1] for kind, t, *_ in ols.certificates if kind != "witness")}
     _emit(doc, args.format)
     return 0
 
@@ -322,8 +334,9 @@ def main(argv=None) -> int:
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # a path that cannot be opened as asked
+        reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        print(f"{reason}: {exc.filename}", file=sys.stderr)
         return 2
 
 

@@ -13,9 +13,10 @@ potential ``kappa``, positive edge weights and an edge signature in {-1,+1}.
 Vertices have string ids at the boundary and dense indices 0..n-1 internally.
 
 JSON I/O: ``parse_graph`` and ``serialize_graph`` read and write graph
-documents, and ``_indented_json``, beside them, writes every indented
-document the package prints: the CLI's ``--format json`` output and the
-suite report.
+documents. Beside them, ``_load_json`` reads every document the package
+takes (graphs, functions and suite configs), and ``_indented_json`` writes
+every indented document it prints: the CLI's ``--format json`` output and
+the suite report.
 """
 
 from __future__ import annotations
@@ -515,12 +516,18 @@ def _number(obj: dict, key: str, default: float, where: str, i: int | None = Non
         raise ParseError(f"{loc}: {key} is out of range") from None
 
 
+def _load_json(data: bytes | str):
+    """The one reader of a JSON document: a malformed one, or one nested
+    past the decoder's recursion limit, is a ParseError."""
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"malformed JSON: {exc}") from exc
+
+
 def parse_graph(data: bytes | str) -> SignedGraph:
     """Parse the JSON graph document (see README for the schema)."""
-    try:
-        doc = json.loads(data)
-    except ValueError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
+    doc = _load_json(data)
     if not (isinstance(doc, dict) and isinstance(doc.get("vertices"), list)
             and isinstance(doc.get("edges", []), list)):
         raise ParseError("graph document must be an object with 'vertices' and 'edges' lists")
@@ -607,10 +614,7 @@ def _indented_json(doc, pad: str = "\n") -> str:
 
 def parse_function(data: bytes | str, g: SignedGraph) -> np.ndarray:
     """Parse ``{"values": {id: value}}`` into a dense vector over g."""
-    try:
-        doc = json.loads(data)
-    except ValueError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
+    doc = _load_json(data)
     if not isinstance(doc, dict) or not isinstance(doc.get("values"), dict):
         raise ParseError("function document must be an object with a 'values' map")
     vals = doc["values"]

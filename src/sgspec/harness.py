@@ -11,7 +11,6 @@ no trial depends on the trials before it.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, fields, asdict
@@ -27,6 +26,7 @@ from .graph import (
     _exponent,
     _indented_json,
     _is,
+    _load_json,
     _seed,
     balance_state,
     components,
@@ -50,6 +50,19 @@ __all__ = [
 ]
 
 MODELS = ("uniform", "all-negative", "all-positive", "balanced", "antibalanced")
+MU_MODES = ("unit", "degree")
+
+
+def _density(x) -> None:
+    """The one check of an edge density: a real number in (0, 1], not a bool."""
+    if not (_is(x, numbers.Real) and 0 < x <= 1):
+        raise GraphError(f"density must be a finite real number in (0, 1], got {x!r}")
+
+
+def _option(x, name: str, options: tuple[str, ...]) -> None:
+    """The one check of a signature model or a mu_mode: one of the str ``options``."""
+    if not (type(x) is str and x in options):
+        raise GraphError(f"unknown {name} {x!r}; choose one of {options}")
 
 
 def random_signed_graph(
@@ -67,14 +80,12 @@ def random_signed_graph(
     all-negative base with a random tau (correct by switching invariance).
     ``connected=True`` retries until the graph is connected.
     """
+    _seed(n, "n")
     if n < 1:
         raise GraphError("n must be >= 1")
-    if not 0 < density <= 1:
-        raise GraphError("density must be in (0, 1]")
-    if model not in MODELS:
-        raise GraphError(f"unknown signature model {model!r}; choose one of {MODELS}")
-    if mu_mode not in ("unit", "degree"):
-        raise GraphError(f"mu_mode must be 'unit' or 'degree', got {mu_mode!r}")
+    _density(density)
+    _option(model, "signature model", MODELS)
+    _option(mu_mode, "mu_mode", MU_MODES)
     _seed(seed)
     rng = np.random.default_rng((seed, n))
     for _ in range(1000):
@@ -333,33 +344,26 @@ class SuiteConfig:
             raise GraphError("need trials >= 1")
         if not 4 <= self.n_min <= self.n_max:
             raise GraphError("need 4 <= n_min <= n_max")
-        for k, x in (("density", self.density), ("tol", self.tol)):
-            if not (_is(x, numbers.Real) and math.isfinite(x)):
-                raise GraphError(f"{k} must be a finite real number, got {x!r}")
-        if not 0 < self.density <= 1:
-            raise GraphError("density must be in (0, 1]")
+        if not (_is(self.tol, numbers.Real) and math.isfinite(self.tol)):
+            raise GraphError(f"tol must be a finite real number, got {self.tol!r}")
+        _density(self.density)
         if not (self.models and self.p_list and self.checks):
             raise GraphError("models, p_list and checks must be non-empty")
         for p in self.p_list:
             _exponent(p, single_valued=False)
-        if self.mu_mode not in ("unit", "degree"):
-            raise GraphError(f"mu_mode must be 'unit' or 'degree', got {self.mu_mode!r}")
+        _option(self.mu_mode, "mu_mode", MU_MODES)
         if not self.tol >= 0:
             raise GraphError("tol must be >= 0")
         for c in self.checks:
             if c not in ALL_CHECKS:
                 raise GraphError(f"unknown check {c!r}")
         for mdl in self.models:
-            if mdl not in MODELS:
-                raise GraphError(f"unknown model {mdl!r}")
+            _option(mdl, "signature model", MODELS)
 
     @staticmethod
     def from_json(data) -> "SuiteConfig":
         """Parse a config document; any invalid document raises ParseError."""
-        try:
-            doc = json.loads(data)
-        except ValueError as exc:
-            raise ParseError(f"malformed JSON: {exc}") from exc
+        doc = _load_json(data)
         if not isinstance(doc, dict):
             raise ParseError("suite config must be a JSON object")
         unknown = sorted(set(doc) - {f.name for f in fields(SuiteConfig)})

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph, _block_labels, _function, _groups, components
+from .graph import GraphError, SignedGraph, _block_labels, _function, _groups, _seed, components
 
 __all__ = [
     "strong_domains",
@@ -215,6 +215,8 @@ def _bound_reports(g: SignedGraph, F, ctxs) -> list[dict]:
     n = g.n
     c = len(components(g)) if any(ctx.c is None for ctx in ctxs) else None
     for ctx in ctxs:
+        for name in ("k", "r") if ctx.c is None else ("k", "r", "c"):
+            _seed(getattr(ctx, name), name)
         if not 1 <= ctx.k <= n or ctx.r < 1 or ctx.k + ctx.r - 1 > n:
             raise GraphError(
                 f"inconsistent spectrum context: k={ctx.k}, r={ctx.r}, n={n}"

@@ -17,16 +17,15 @@ at the target in its interval nearest 0. Each decision leaves a
 certificate: the flow, as a witness, when f admits lambda, and otherwise
 the inequality that rules f out (a screen pair, or a support cut or a zero
 cut from Hoffman's circulation theorem); every certificate takes lambda
-from the support. Each is checked in integers, independently of whatever
-produced it, by one checker per form (certifying algorithms: McConnell,
-Mehlhorn, Naeher & Schweitzer, Comput. Sci. Rev. 5(2), 2011): a witness by
-``check_certificate_1lap``, and every rejection, of one pattern or of a
-whole block of patterns, by the block checker ``check_rejections_1lap``,
-which runs a private kernel per kind on one shared boundary. A rejection
-has one form, a block column: a side as an (n,) bool mask, pi as (n,) ints.
-``check_eigenpair_1lap`` decides a given (lambda, f) by the same checked
-max-flow; :mod:`sgspec.simplex` decides nothing here, and remains only as
-the test oracles' independent LP and for the benchmark.
+from the support. A certificate has one form, a block column, and one
+checker (certifying algorithms: McConnell, Mehlhorn, Naeher & Schweitzer,
+Comput. Sci. Rev. 5(2), 2011): ``check_certificates_1lap`` checks one
+pattern or a whole block of patterns in integers, independently of whatever
+produced it, by a private kernel per kind on one shared boundary. A side is
+an (n,) bool mask, pi (n,) ints, and a witness lambda = p / q with its z as
+Python ints. ``check_eigenpair_1lap`` decides a given (lambda, f) by the
+same checked max-flow; :mod:`sgspec.simplex` decides nothing here, and
+remains only as the test oracles' independent LP and for the benchmark.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,9 +49,7 @@ __all__ = [
     "check_eigenpair",
     "check_eigenpair_1lap",
     "one_lap_lambda_range",
-    "OneLapWitness",
-    "check_certificate_1lap",
-    "check_rejections_1lap",
+    "check_certificates_1lap",
 ]
 
 _TINY = 1e-300
@@ -220,7 +216,7 @@ def check_eigenpair(g: SignedGraph, pair: EigenPair, tol: float = 1e-9) -> Resid
 # 1-Laplacian certificates
 #
 # Every decision on a sign pattern f carries evidence that
-# ``check_certificate_1lap`` re-checks from g and f alone. In what follows
+# ``check_certificates_1lap`` re-checks from g and f alone. In what follows
 # c_x is the determined flux at x: kappa_x sgn(f_x) plus w z_xy over the
 # edges at x whose z_xy is fixed because f_x != sigma f_y. A *pin* is a
 # nonempty set C of support vertices that no free support edge
@@ -228,22 +224,12 @@ def check_eigenpair(g: SignedGraph, pair: EigenPair, tol: float = 1e-9) -> Resid
 # cancels the free edges inside C, so lambda mu(C) = sum over C of sgn_x c_x.
 # The support itself is a pin (a free support edge joins two support
 # vertices), so every certificate takes lambda from the support's sums and
-# none carries a pin. A rejection has one form, a column of a block
-# (kind, t, *certs) described in ``check_rejections_1lap``: the max-flow
-# decides one pattern and returns ("support-cut", side) or ("zero-cut", pi),
-# side an (n,) bool mask and pi (n,) int8, the columns that
-# one_lap_enumerate keeps in int8 blocks of patterns.
-
-
-class OneLapWitness(NamedTuple):
-    """A solution of the inclusion at ``lam`` on ``g.scaled_ints``, times
-    ``den``: ``z_edge[e] = (den w z_uv, den w z_vu)`` for the edge
-    e = (u, v, w, sigma) of ``g.edges`` and ``z_vertex[x] = den kappa_x z_x``."""
-
-    lam: Fraction
-    den: int
-    z_edge: tuple[tuple[int, int], ...]
-    z_vertex: tuple[int, ...]
+# none carries a pin. A certificate has one form, a column of a block
+# (kind, t, *certs) described in ``check_certificates_1lap``: the max-flow
+# decides one pattern and returns ("support-cut", side), ("zero-cut", pi)
+# or ("witness", p, q, z_edge, z_vertex), side an (n,) bool mask, pi (n,)
+# int8, p and q ints and the z lists of |E| and n Python ints, the columns
+# that one_lap_enumerate keeps in blocks of patterns.
 
 
 def _feasible_flow(n: int, arcs, lo, hi) -> tuple[list[int] | None, list[int] | None]:
@@ -330,10 +316,10 @@ def _feasible_flow(n: int, arcs, lo, hi) -> tuple[list[int] | None, list[int] | 
     return [cap - x for (_, _, cap), x in zip(arcs, res[::2])], None
 
 
-def _pattern_lambda(g: SignedGraph, f) -> OneLapWitness | tuple:
+def _pattern_lambda(g: SignedGraph, f) -> tuple:
     """Decide a pattern: the witness for the one lambda at which (lambda, f)
     satisfies the 1-Laplacian inclusion, or the reason that no lambda does,
-    ``(kind, column)`` as above; see ``one_lap_lambda_range``."""
+    ``(kind, *columns)`` as above; see ``one_lap_lambda_range``."""
     mu, kappa, edges, _ = g.scaled_ints
     n = len(mu)
     sgn = [(x > 0) - (x < 0) for x in f]
@@ -413,75 +399,18 @@ def _pattern_lambda(g: SignedGraph, f) -> OneLapWitness | tuple:
     # z_y of a zero vertex absorbs what it can of its edge flux
     z_vertex = [sx * k * d if sx else max(-abs(k) * d, min(abs(k) * d, -ex))
                 for sx, k, ex in zip(sgn, kappa, excess)]
-    return OneLapWitness(lam, d, tuple(zip(t, [-e[3] * a for e, a in zip(edges, t)])),
-                         tuple(z_vertex))
-
-
-def _ints(xs, length: int) -> bool:
-    """Whether xs is a tuple of ``length`` Python ints (not bools, not numpy ints)."""
-    return type(xs) is tuple and len(xs) == length and all(type(x) is int for x in xs)
-
-
-def check_certificate_1lap(g: SignedGraph, f, cert) -> bool:
-    """Check the witness that ``one_lap_enumerate`` keeps for a pair with
-    the sign pattern of ``f``, in linear time and in integers on
-    ``g.scaled_ints``, from g and f alone: it shares no code or state with
-    the max-flow that produced ``cert``. Vertices are indices into
-    ``g.ids``; c_x and the support's lambda are defined above
-    ``OneLapWitness``.
-
-    An ``OneLapWitness`` passes when every z lies in its Sgn interval,
-    z_vu = -sigma z_uv, and every vertex balances to lambda mu_x Sgn(f_x);
-    then (lambda, f) is an eigenpair. f is checked first. Anything else
-    answers False: a rejection (``check_rejections_1lap`` checks those), or
-    a witness of the wrong shape, whose lambda is not a Fraction or whose
-    den or a z is not a Python int.
-    """
-    mu, kappa, edges, _ = g.scaled_ints
-    n = len(mu)
-    # its own check of f, not graph._function: it shares no code with what
-    # it checks, and it runs once per pattern, where lists are cheaper
-    f = np.asarray(f, dtype=float)
-    if f.shape != (n,):
-        raise GraphError(f"eigenfunction has shape {f.shape}, expected ({n},)")
-    f = f.tolist()
-    if not all(map(math.isfinite, f)) or not any(f):
-        raise GraphError("eigenfunction must be finite and nonzero")
-    if not isinstance(cert, OneLapWitness):
-        return False
-    lam, den, z_edge, z_vertex = cert
-    if not (isinstance(lam, Fraction) and type(den) is int and den >= 1 and _ints(z_vertex, n)
-            and type(z_edge) is tuple and len(z_edge) == len(edges)
-            and all(type(z) is tuple and len(z) == 2 and type(z[0]) is type(z[1]) is int
-                    for z in z_edge)):
-        return False
-    sgn = [(x > 0) - (x < 0) for x in f]
-    # the sign of f_u - sigma f_v on each edge: z_uv, or 0 where z_uv is free
-    dirs = [(f[u] > s * f[v]) - (f[u] < s * f[v]) for u, v, _, s in edges]
-    total = [0] * n
-    for (u, v, w, s), dz, (a, b) in zip(edges, dirs, z_edge):
-        if b != -s * a or (a != dz * w * den if dz else abs(a) > w * den):
-            return False
-        total[u] += a
-        total[v] += b
-    p, q = lam.numerator, lam.denominator
-    for sx, m, k, tot, zx in zip(sgn, mu, kappa, total, z_vertex):
-        if sx:
-            ok = zx == sx * k * den and q * (tot + zx) == sx * p * m * den
-        else:
-            ok = abs(zx) <= abs(k) * den and abs(q * (tot + zx)) <= abs(p) * m * den
-        if not ok:
-            return False
-    return True
+    return "witness", p, q, t, z_vertex
 
 
 def _block(g: SignedGraph, t, *certs):
-    """The one boundary of the block checkers: t an (n, m) array of finite
-    reals and each certificate ``(array, kinds, ndim)`` an array of numpy
-    kind in ``kinds``, of shape (n, m) if ndim is 2, else (m,) (an empty one
-    of any kind); else GraphError. Integer arrays are read exactly: t in
-    int64 (Python ints past 2**62), the certificates in intp (a uint past
-    2**63 - 1 as 2**63 - 1, out of range either way). Returns sgn(t) and the sign d of
+    """The one boundary of the block checker: t an (n, m) array of finite
+    reals and each certificate ``(array, kinds, rows)`` an array of numpy
+    kind in ``kinds``, of shape (m,) if rows is None, else (rows, m) (an
+    empty one of any kind), and an object array (kind "O") only of Python
+    ints, not bools or floats; else GraphError. Integer arrays are read
+    exactly: t in int64 (Python ints past 2**62), the certificates in Python
+    ints where they may be objects, else in intp (a uint past 2**63 - 1 as
+    2**63 - 1, out of range either way). Returns sgn(t) and the sign d of
     t_u - sigma t_v per edge (z_uv, or 0 where it is free), both int8, the
     certificate arrays, and ``g.reduced_ints``: mu, kappa and w, and the
     dtype of products (see its bounds A and B). A support cut's demand
@@ -496,14 +425,16 @@ def _block(g: SignedGraph, t, *certs):
         small = not t.size or -2**62 < int(t.min()) and int(t.max()) < 2**62
         t = t.astype(np.int64 if small else object)
     checked = []
-    for a, kinds, ndim in certs:
-        a, shape = np.asarray(a), t.shape[2 - ndim:]
-        if a.shape != shape or (a.size and a.dtype.kind not in kinds):
+    for a, kinds, rows in certs:
+        a, shape = np.asarray(a), t.shape[1:] if rows is None else (rows, t.shape[1])
+        if (a.shape != shape or (a.size and a.dtype.kind not in kinds)
+                or a.dtype.kind == "O" and not {*map(type, a.flat)} <= {int}):
             raise GraphError(f"a certificate array has shape {a.shape} and kind {a.dtype.kind!r}, "
-                             f"expected {shape} and one of {kinds!r}")
-        if a.dtype.kind == "u":  # past 2**63 - 1 no vertex or pi, and none at 2**63 - 1
+                             f"expected {shape} and one of {kinds!r}, objects as Python ints")
+        # past 2**63 - 1 no vertex or pi, and none at 2**63 - 1
+        if a.dtype.kind == "u" and "O" not in kinds:
             a = np.minimum(a.astype(np.uint64), 2**63 - 1)
-        checked.append(a.astype(bool if kinds == "b" else np.intp))
+        checked.append(a.astype(object if "O" in kinds else bool if kinds == "b" else np.intp))
     tu, tv = t[g.eu], g.es.astype(np.int8)[:, None] * t[g.ev]
     return (np.sign(t).astype(np.int8), (tu > tv).astype(np.int8) - (tu < tv), checked,
             *g.reduced_ints)
@@ -523,7 +454,7 @@ def _support(g: SignedGraph, sgn, d, mu, kappa, w):
 def _screen(g: SignedGraph, t, x, y) -> np.ndarray:
     """lo_x and hi_y are summed from ``g.scaled_ints``, not from the ranks of
     ``spectra._screened_blocks``, and compared as lo_x mu_y > hi_y mu_x."""
-    sgn, d, (x, y), mu, kappa, w, wide = _block(g, t, (x, "iu", 1), (y, "iu", 1))
+    sgn, d, (x, y), mu, kappa, w, wide = _block(g, t, (x, "iu", None), (y, "iu", None))
     cols, n = np.arange(sgn.shape[1]), g.n
     ok = (0 <= x) & (x < n) & (0 <= y) & (y < n)
     x, y = np.where(ok, x, 0), np.where(ok, y, 0)
@@ -542,7 +473,7 @@ def _screen(g: SignedGraph, t, x, y) -> np.ndarray:
 def _support_cut(g: SignedGraph, t, side) -> np.ndarray:
     """|a mu(X) - b sum over X of sgn_x c_x| > b (the weight of the free
     support edges that cross X), for the side X on the support."""
-    sgn, d, (side,), mu, kappa, w, wide = _block(g, t, (side, "b", 2))
+    sgn, d, (side,), mu, kappa, w, wide = _block(g, t, (side, "b", g.n))
     c, free, a, b = _support(g, sgn, d, mu, kappa, w)
     a, b = a.astype(wide), b.astype(wide)
     demand = a * (side * mu[:, None]).sum(axis=0) - b * (side * sgn * c).sum(axis=0)
@@ -553,7 +484,7 @@ def _support_cut(g: SignedGraph, t, side) -> np.ndarray:
 def _zero_cut(g: SignedGraph, t, pi) -> np.ndarray:
     """b (sum pi_y c_y - sum |pi_y kappa_y| - the zero-zero capacity) >
     |a| sum |pi_y| mu_y."""
-    sgn, d, (pi,), mu, kappa, w, wide = _block(g, t, (pi, "iu", 2))
+    sgn, d, (pi,), mu, kappa, w, wide = _block(g, t, (pi, "iu", g.n))
     c, _, a, b = _support(g, sgn, d, mu, kappa, w)
     # a column with pi off {-1, 0, 1} or on the support is zeroed: 0 > 0 fails
     ok = ((pi >= -1) & (pi <= 1) & ((pi == 0) | (sgn == 0))).all(axis=0)
@@ -564,18 +495,52 @@ def _zero_cut(g: SignedGraph, t, pi) -> np.ndarray:
     return ok & (excess.astype(wide) * b > abs(a).astype(wide) * (abs(pi) * mu[:, None]).sum(axis=0))
 
 
+def _witness(g: SignedGraph, t, p, q, z_edge, z_vertex) -> np.ndarray:
+    """Every z in its Sgn interval and every vertex balanced, on
+    ``g.scaled_ints`` times den = 2q with q >= 1, in Python ints (a zero
+    column is no eigenfunction, whatever its z): with d the sign of
+    t_u - sigma t_v, z_edge is d den w on a fixed edge and at most den w in
+    absolute value on a free one; a support vertex has z_vertex =
+    sgn_x den kappa_x and q times its flux, the z_edge at x (-sigma z_uv at
+    the end v) plus z_vertex, equal to sgn_x p mu_x den; a zero vertex has
+    |z_vertex| <= den |kappa_x| and |q times its flux| <= |p| mu_x den. Each
+    vertex's flux is one row operation per edge."""
+    mu, kappa, edges, _ = g.scaled_ints
+    sgn, d, (p, q, z, zx), *_ = _block(g, t, (p, "iuO", None), (q, "iuO", None),
+                                       (z_edge, "iuO", len(edges)), (z_vertex, "iuO", g.n))
+    den = 2 * q
+    wden = np.array([w for _, _, w, _ in edges], object)[:, None] * den
+    flux = zx.copy()
+    for (u, v, _, s), zu in zip(edges, z):
+        flux[u] += zu
+        flux[v] -= s * zu
+    flux *= q
+    kden, lmd = np.array(kappa, object)[:, None] * den, np.array(mu, object)[:, None] * (p * den)
+    return ((q >= 1) & (sgn != 0).any(axis=0)
+            & np.where(d != 0, z == d * wden, abs(z) <= wden).all(axis=0)
+            & np.where(sgn != 0, (zx == sgn * kden) & (flux == sgn * lmd),
+                       (abs(zx) <= abs(kden)) & (abs(flux) <= abs(lmd))).all(axis=0))
+
+
 # each kind's kernel and the number of certificate arrays it takes
-_KERNELS = {"screen": (_screen, 2), "support-cut": (_support_cut, 1), "zero-cut": (_zero_cut, 1)}
+_KERNELS = {"screen": (_screen, 2), "support-cut": (_support_cut, 1), "zero-cut": (_zero_cut, 1),
+            "witness": (_witness, 4)}
 
 
-def check_rejections_1lap(g: SignedGraph, kind: str, t, *certs) -> np.ndarray:
-    """Whether ``(kind, *(a[..., j] for a in certs))`` rejects column j of
-    the (n, m) array t, for each j: it does when the inequality it states
-    holds, and then no lambda makes t[:, j] an eigenfunction. By kind, with
-    c_x and lambda = a / b from the support (defined above
-    ``OneLapWitness``), a side X a bool (n, m) mask and pi an int (n, m)
-    array:
+def check_certificates_1lap(g: SignedGraph, kind: str, t, *certs) -> np.ndarray:
+    """Whether ``(kind, *(a[..., j] for a in certs))`` certifies column j of
+    the (n, m) array t, for each j. A witness certifies that t[:, j] is an
+    eigenfunction, at the lambda it names; a rejection, when the inequality
+    it states holds, that no lambda makes t[:, j] one. By kind, with c_x and
+    lambda = a / b from the support (defined above ``_feasible_flow``), a
+    side X a bool (n, m) mask and pi an int (n, m) array:
 
+    * ``"witness"``, lambda = p / q by two int arrays of shape (m,), and
+      z_edge (|E|, m) and z_vertex (n, m), int or Python-int object arrays
+      on ``g.scaled_ints`` times den = 2q: z_edge[e] = den w z_uv for the
+      edge e = (u, v, w, sigma) of ``g.edges`` (z_vu = -sigma z_uv), and
+      z_vertex[x] = den kappa_x z_x. Every z lies in its Sgn interval and
+      every vertex balances to lambda mu_x Sgn(t_x) (see ``_witness``).
     * ``"screen"``, x and y int arrays of shape (m,): support vertices with
       lo_x / mu_x > hi_y / mu_y, where [lo_v, hi_v] holds sgn(t_v) times
       every flux that Sgn allows at v. Lambda would have to be at least the
@@ -593,17 +558,17 @@ def check_rejections_1lap(g: SignedGraph, kind: str, t, *certs) -> np.ndarray:
       without zero-zero edges whose |c_y| exceeds that slack is the case of
       one nonzero pi_y.
 
-    A zero column is rejected by no kind. One integer pass per block, from
+    A zero column is certified by no kind. One integer pass per block, from
     g and t alone: sgn, c, the free edges, lambda and the screen's bounds
     are recomputed from ``g.scaled_ints``, not taken from the screen, the
     pin stage or the max-flow that produced the block (see ``_block`` for
     the arithmetic). An unknown kind, the wrong number of certificate
     arrays or a malformed block raises GraphError."""
     if type(kind) is not str or kind not in _KERNELS:
-        raise GraphError(f"unknown rejection kind {kind!r}, expected one of {sorted(_KERNELS)}")
+        raise GraphError(f"unknown certificate kind {kind!r}, expected one of {sorted(_KERNELS)}")
     kernel, arity = _KERNELS[kind]
     if len(certs) != arity:
-        raise GraphError(f"a {kind!r} rejection takes {arity} certificate arrays, got {len(certs)}")
+        raise GraphError(f"a {kind!r} certificate takes {arity} arrays, got {len(certs)}")
     return kernel(g, t, *certs)
 
 
@@ -626,11 +591,11 @@ def one_lap_lambda_range(g: SignedGraph, f) -> list[tuple[Fraction, Fraction]]:
 
     Both blocks are exact max-flows in Python ints over ``g.scaled_ints``;
     only lambda itself is a Fraction. Each decision has a certificate, which
-    ``one_lap_enumerate`` keeps: a witness, which ``check_certificate_1lap``
-    checks, or a rejection, which ``check_rejections_1lap`` checks.
+    ``one_lap_enumerate`` keeps and ``check_certificates_1lap`` checks: a
+    witness or a rejection.
     """
-    cert = _pattern_lambda(g, _function(g, f).tolist())
-    return [(cert.lam, cert.lam)] if isinstance(cert, OneLapWitness) else []
+    kind, *cols = _pattern_lambda(g, _function(g, f).tolist())
+    return [(Fraction(*cols[:2]),) * 2] if kind == "witness" else []
 
 
 def check_eigenpair_1lap(g: SignedGraph, lam, f) -> ResidualCertificate:
@@ -643,26 +608,26 @@ def check_eigenpair_1lap(g: SignedGraph, lam, f) -> ResidualCertificate:
     ``EigenPair`` checks its own; a float or an exact Fraction (floats
     convert losslessly). f admits one lambda or none
     (``one_lap_lambda_range``), and the verdict is whether that lambda is
-    ``lam``; a certificate that fails its check (``check_certificate_1lap``
-    for a witness, ``check_rejections_1lap`` on one column for a rejection)
-    raises instead. The witness holds each z as a Fraction: z_uv per edge
-    "u,v", z_x per vertex.
+    ``lam``; a certificate that fails ``check_certificates_1lap``, on a
+    block of one column whatever its kind, raises instead. The witness
+    holds each z as a Fraction: z_uv per edge "u,v", z_x per vertex.
     """
     f = _function(g, f).tolist()
     lam = _eigenvalue(lam)
-    cert = _pattern_lambda(g, f)
-    if not (check_certificate_1lap(g, f, cert) if isinstance(cert, OneLapWitness) else
-            check_rejections_1lap(g, cert[0], np.array(f)[:, None], cert[1][:, None])[0]):
+    kind, *cols = cert = _pattern_lambda(g, f)
+    if not check_certificates_1lap(g, kind, np.array(f)[:, None],
+                                   *(np.asarray(c)[..., None] for c in cols))[0]:
         raise RuntimeError(f"the max-flow certificate {cert!r} fails its check")
-    if not isinstance(cert, OneLapWitness) or cert.lam != lam:
+    if kind != "witness" or Fraction(cols[0], cols[1]) != lam:
         return ResidualCertificate(verdict=False)
-    # back from scaled_ints: z_uv = a / (den w), z_x = z / (den kappa_x),
-    # and where kappa_x = 0, z_x is sgn f_x (0 at a zero)
+    # back from scaled_ints: z_uv = a / (den w), z_x = z / (den kappa_x) with
+    # den = 2q, and where kappa_x = 0, z_x is sgn f_x (0 at a zero)
     _, kappa, edges, _ = g.scaled_ints
+    den = 2 * cols[1]
     witness = {
-        "z_edge": {f"{g.ids[u]},{g.ids[v]}": Fraction(a, cert.den * w)
-                   for (u, v, w, _), (a, _) in zip(edges, cert.z_edge)},
-        "z_vertex": {vid: Fraction(z, cert.den * k) if k else Fraction((fx > 0) - (fx < 0))
-                     for vid, fx, k, z in zip(g.ids, f, kappa, cert.z_vertex)},
+        "z_edge": {f"{g.ids[u]},{g.ids[v]}": Fraction(a, den * w)
+                   for (u, v, w, _), a in zip(edges, cols[2])},
+        "z_vertex": {vid: Fraction(z, den * k) if k else Fraction((fx > 0) - (fx < 0))
+                     for vid, fx, k, z in zip(g.ids, f, kappa, cols[3])},
     }
     return ResidualCertificate(verdict=True, witness=witness)

@@ -25,12 +25,11 @@ integer pass per block, the pin stage: a component of free support edges
 whose pin differs from the support's (a support cut of capacity 0), or one
 zero vertex whose flux exceeds its slack, rejects a column there. Only the
 rest is decided by an exact integer max-flow that leaves a certificate: a
-witness for a pair, checked by ``check_certificate_1lap``, else the reason,
-as a block column. Every rejection, of the screen, the pin stage or the
-flow, is kept in one field as int8 blocks of patterns with their
-certificates, for the one block checker ``check_rejections_1lap``. Both
-integer block passes take their arrays and the dtype of their products
-from ``g.reduced_ints``.
+witness for a pair, else the reason, as a block column. Every certificate,
+of the screen, the pin stage or the flow, is kept in one field as int8
+blocks of patterns with their certificate arrays, for the one block checker
+``check_certificates_1lap``. Both integer block passes take their arrays
+and the dtype of their products from ``g.reduced_ints``.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ from . import cheeger as _cheeger
 from .graph import (BalanceState, GraphError, SignedGraph, _block_labels, _exponent, _seed,
                     balance_state, components, induced_subgraph)
 from .operators import (
-    OneLapWitness, _delta, _edge_diffs, _eigen_terms, _pattern_lambda, _phi, _quotient, _residual,
-    rayleigh,
+    _delta, _edge_diffs, _eigen_terms, _pattern_lambda, _phi, _quotient, _residual, rayleigh,
 )
 
 __all__ = [
@@ -341,7 +339,6 @@ def upper_bound_lambda_k(g: SignedGraph, p: float, k: int) -> float:
 class OneLapPair:
     lam: Fraction
     f: tuple[int, ...]
-    witness: OneLapWitness = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -353,17 +350,17 @@ class OneLapEigenSet:
     smallest_positive: Fraction | None
     patterns_scanned: int
     patterns_solved: int
-    # every scanned pattern that is not a pair, one (kind, t, *certs) per
-    # block and kind: (kind, *(a[..., j] for a in certs)) rejects column j of
-    # the int8 block t (see check_rejections_1lap)
-    rejected: tuple[tuple, ...] = field(compare=False, repr=False)
+    # every scanned pattern, one (kind, t, *certs) per block and kind:
+    # (kind, *(a[..., j] for a in certs)) witnesses or rejects column j of
+    # the int8 block t (see check_certificates_1lap)
+    certificates: tuple[tuple, ...] = field(compare=False, repr=False)
 
 
 def _screened_blocks(g: SignedGraph):
     """Yields ``(t, rejected, x, y)`` per block t of ``cheeger._labelings(g.n)``:
     the lambda-box screen of every column, decided exactly. A column is
     rejected, at ``("screen", x, y)``, when lo_x / mu_x > hi_y / mu_y for
-    support vertices x and y (see ``check_rejections_1lap``); x has the
+    support vertices x and y (see ``check_certificates_1lap``); x has the
     largest lo_x / mu_x and y the least hi_y / mu_y.
 
     On ``g.scaled_ints``, hi_x = kappa_x + W_x and lo_x = hi_x - 2 F_x, with
@@ -461,11 +458,11 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
     (``_pin_stage``) decides the survivors that need no flow, a block at a
     time; only the rest loop in Python, each decided by an exact max-flow.
     A pattern admits at most one lambda, so a pair is one (lambda, pattern).
-    Each scanned pattern keeps its certificate: a pair its witness, for
-    ``check_certificate_1lap``, and every other pattern the reason it was
-    rejected, in ``rejected``, for ``check_rejections_1lap``. Per block there
-    is one entry per kind: the screen's pairs, the support cuts and the zero
-    cuts, each of the pin stage and the flow.
+    Each scanned pattern keeps its certificate in ``certificates``, for
+    ``check_certificates_1lap``: a pair its witness, and every other pattern
+    the reason it was rejected. Per block there is one entry per kind: the
+    screen's pairs, the support cuts and the zero cuts, each of the pin
+    stage and the flow, and the flow's witnesses.
     """
     if g.n > ONE_LAP_CAP:
         raise GraphError(
@@ -474,7 +471,7 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
     if g.n == 0:
         raise GraphError("one_lap_enumerate needs at least one vertex")
     pairs: list[OneLapPair] = []
-    rejected = []
+    certificates = []
     scanned = solved = 0
     decide = _pin_stage(g)
     for t, screened, x, y in _screened_blocks(g):
@@ -482,18 +479,25 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
         rest = t[:, ~screened]
         solved += rest.shape[1]
         by_side, by_pi, side, pi = decide(rest)
-        # the flow decides the rest; a cut it finds joins the block's entries
+        # the flow decides the rest; each certificate it leaves joins the
+        # block's entries of its kind, a witness as the rows p, q, z_edge
+        # and z_vertex of one object array
         flow = np.flatnonzero(~(by_side | by_pi))
+        witnessed, z = [], []
         for j, pattern in zip(flow.tolist(), zip(*rest[:, flow].tolist())):
-            cert = _pattern_lambda(g, pattern)
-            if isinstance(cert, OneLapWitness):
-                pairs.append(OneLapPair(lam=cert.lam, f=pattern, witness=cert))
-            else:  # a cut: its column joins the block's entries of its kind
-                hit, col = (by_pi, pi) if cert[0] == "zero-cut" else (by_side, side)
-                hit[j], col[:, j] = True, cert[1]
-        rejected += [("screen", t[:, screened], x[screened], y[screened]),
-                     ("support-cut", rest[:, by_side], side[:, by_side]),
-                     ("zero-cut", rest[:, by_pi], pi[:, by_pi])]
+            kind, *cols = _pattern_lambda(g, pattern)
+            if kind == "witness":
+                pairs.append(OneLapPair(lam=Fraction(cols[0], cols[1]), f=pattern))
+                witnessed.append(j)
+                z.append([cols[0], cols[1], *cols[2], *cols[3]])
+            else:
+                hit, col = (by_pi, pi) if kind == "zero-cut" else (by_side, side)
+                hit[j], col[:, j] = True, cols[0]
+        z = np.array(z, object).reshape(len(z), 2 + len(g.edges) + g.n).T
+        certificates += [("screen", t[:, screened], x[screened], y[screened]),
+                         ("support-cut", rest[:, by_side], side[:, by_side]),
+                         ("zero-cut", rest[:, by_pi], pi[:, by_pi]),
+                         ("witness", rest[:, witnessed], z[0], z[1], z[2:-g.n], z[-g.n:])]
     pairs.sort(key=lambda pr: (pr.lam, pr.f))
     values = sorted({pr.lam for pr in pairs})
     if not values:
@@ -511,7 +515,7 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
         smallest_positive=smallest_pos,
         patterns_scanned=scanned,
         patterns_solved=solved,
-        rejected=tuple(rejected),
+        certificates=tuple(certificates),
     )
 
 

@@ -12,7 +12,7 @@ from sgspec import cli, operators, spectra
 from sgspec.cli import main
 from sgspec.graph import SignedGraph, parse_graph, serialize_function, serialize_graph
 from sgspec.harness import random_signed_graph
-from sgspec.operators import check_rejections_1lap
+from sgspec.operators import check_certificates_1lap
 
 from test_graph import complete, path, triangle
 
@@ -123,12 +123,12 @@ class TestNodal:
 
 def _tampered(ols, kind, tamper):
     """ols with ``tamper(t, *certs)`` in place of the first entry of
-    ``kind`` in ``rejected`` that has columns."""
-    hits = [i for i, (k, t, *_) in enumerate(ols.rejected) if k == kind and t.shape[1]]
+    ``kind`` in ``certificates`` that has columns."""
+    hits = [i for i, (k, t, *_) in enumerate(ols.certificates) if k == kind and t.shape[1]]
     assert hits
-    rejected = list(ols.rejected)
-    rejected[hits[0]] = (kind, *tamper(*rejected[hits[0]][1:]))
-    return dataclasses.replace(ols, rejected=tuple(rejected))
+    certificates = list(ols.certificates)
+    certificates[hits[0]] = (kind, *tamper(*certificates[hits[0]][1:]))
+    return dataclasses.replace(ols, certificates=tuple(certificates))
 
 
 def _without_the_first_column(*block):
@@ -170,22 +170,23 @@ class TestOnelap:
         assert run(capsys, "onelap", "--graph", p3_file)[0] == 0  # unnoticed without --verify
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
         assert code == 1 and out == ""
-        assert "rejection of pattern" in err
+        assert "certificate of pattern" in err and "failed its check" in err
 
     def test_verify_catches_a_corrupted_witness(self, capsys, p3_file, monkeypatch):
+        # z_uv + 1 on the first edge of every witness the max-flow leaves
         real = spectra._pattern_lambda
 
         def corrupted(g, f):
-            cert = real(g, f)
-            if isinstance(cert, spectra.OneLapWitness):
-                (a, b), *rest = cert.z_edge
-                cert = cert._replace(z_edge=((a + 1, b - g.edges[0][3]), *rest))
-            return cert
+            kind, *cols = real(g, f)
+            if kind == "witness":
+                cols[2] = cols[2].copy()
+                cols[2][0] += 1
+            return kind, *cols
 
         monkeypatch.setattr(spectra, "_pattern_lambda", corrupted)
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
         assert code == 1 and out == ""
-        assert "re-verification failed" in err
+        assert "witness certificate of pattern" in err and "failed its check" in err
 
     def test_verify_matches_each_pair_with_its_witness(self, capsys, p3_file, monkeypatch):
         real = cli.one_lap_enumerate
@@ -199,7 +200,36 @@ class TestOnelap:
         monkeypatch.setattr(cli, "one_lap_enumerate", shifted)
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
         assert code == 1 and out == ""
-        assert "re-verification failed" in err
+        assert "the pairs are not the witnessed eigenpairs" in err
+
+    @pytest.mark.parametrize("tamper", ["z-edge", "z-vertex", "p", "float"])
+    def test_verify_catches_a_tampered_witness(self, capsys, p3_file, monkeypatch, tamper):
+        # one entry of the first witness column with v0 on its support:
+        # z_uv + 1 on v0's edge, z_x + 1 at v0, p + 1, or z_x at v0 as a
+        # float, which is no Python int
+        real = cli.one_lap_enumerate
+
+        def tampered(g):
+            def one_entry(t, p, q, z_edge, z_vertex):
+                p, z_edge, z_vertex = p.copy(), z_edge.copy(), z_vertex.copy()
+                j = np.flatnonzero(t[0])[0]
+                if tamper == "z-edge":
+                    z_edge[0, j] += 1
+                elif tamper == "z-vertex":
+                    z_vertex[0, j] += 1
+                elif tamper == "p":
+                    p[j] += 1
+                else:
+                    z_vertex[0, j] = float(z_vertex[0, j])
+                return t, p, q, z_edge, z_vertex
+
+            return _tampered(real(g), "witness", one_entry)
+
+        monkeypatch.setattr(cli, "one_lap_enumerate", tampered)
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
+        assert code == 1 and out == ""
+        assert ("witness certificate is malformed" if tamper == "float"
+                else "witness certificate of pattern") in err
 
     def test_verify_catches_a_missing_pattern(self, capsys, k5_file, monkeypatch):
         # on K5, unlike P3, some patterns meet the max-flow and are rejected
@@ -248,7 +278,7 @@ class TestOnelap:
         monkeypatch.setattr(spectra, "_screened_blocks", forged)
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
         assert code == 1 and out == ""
-        assert "rejection of pattern (1, 1, 1) failed its check" in err
+        assert "screen certificate of pattern (1, 1, 1) failed its check" in err
 
     def test_verify_catches_a_pair_rejected_by_forged_pins(self, capsys, p3_file, monkeypatch):
         # (1, 1, 1) is a pair at lambda = 0; marked rejected as a pin that
@@ -272,9 +302,9 @@ class TestOnelap:
         monkeypatch.setattr(spectra, "_pin_stage", forged)
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
         assert code == 1 and out == ""
-        assert "rejection of pattern (1, 1, 1) failed its check" in err
+        assert "support-cut certificate of pattern (1, 1, 1) failed its check" in err
 
-    @pytest.mark.parametrize("kind", ["screen", "support-cut", "zero-cut"])
+    @pytest.mark.parametrize("kind", ["screen", "support-cut", "zero-cut", "witness"])
     def test_verify_catches_a_missing_staged_pattern(self, capsys, cut_file, monkeypatch, kind):
         real = cli.one_lap_enumerate
 
@@ -286,22 +316,23 @@ class TestOnelap:
         assert code == 1 and out == ""
         assert "do not cover every sign pattern" in err
 
-    @pytest.mark.parametrize("kind", ["screen", "support-cut", "zero-cut"])
+    @pytest.mark.parametrize("kind", ["screen", "support-cut", "zero-cut", "witness"])
     def test_verify_catches_a_forged_staged_block(self, capsys, cut_file, monkeypatch, kind):
-        # the last certificate array of every column of a kind replaced by
-        # one taken from the support: a screen pair (x, x), the whole
-        # support as the side of a support cut (its demand is 0), or pi on
-        # the support
+        # the certificate arrays of every column of a kind forged from the
+        # support: a screen pair (x, x), the whole support as the side of a
+        # support cut (its demand is 0), pi on the support, or a witness at
+        # lambda + 1
         real = cli.one_lap_enumerate
         forgery = {"screen": lambda t, x, y: (x, x), "support-cut": lambda t, side: (t != 0,),
-                   "zero-cut": lambda t, pi: ((t != 0).astype(pi.dtype),)}
+                   "zero-cut": lambda t, pi: ((t != 0).astype(pi.dtype),),
+                   "witness": lambda t, p, q, *z: (p + q, q, *z)}
 
         def forged(g):
             ols = real(g)
-            assert any(k == kind and t.shape[1] for k, t, *_ in ols.rejected)
-            rejected = tuple((k, t, *(forgery[k](t, *certs) if k == kind else certs))
-                             for k, t, *certs in ols.rejected)
-            return dataclasses.replace(ols, rejected=rejected)
+            assert any(k == kind and t.shape[1] for k, t, *_ in ols.certificates)
+            certificates = tuple((k, t, *(forgery[k](t, *certs) if k == kind else certs))
+                                 for k, t, *certs in ols.certificates)
+            return dataclasses.replace(ols, certificates=certificates)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", forged)
         code, out, err = run(capsys, "onelap", "--graph", cut_file, "--verify")
@@ -327,7 +358,7 @@ class TestOnelap:
         monkeypatch.setattr(cli, "one_lap_enumerate", dropped)
         code, out, err = run(capsys, "onelap", "--graph", cut_file, "--verify")
         assert code == 1 and out == ""
-        assert "rejection of pattern (1, 1, -1, 0) failed its check" in err
+        assert "support-cut certificate of pattern (1, 1, -1, 0) failed its check" in err
 
     def test_verify_catches_a_zero_cut_that_wraps_in_int8(self, capsys, p3_file, monkeypatch):
         # pi = -128 where it was -1: abs(-128) is -128 in int8, so a check that
@@ -336,10 +367,11 @@ class TestOnelap:
 
         def forged(g):
             ols = real(g)
-            rejected = tuple((k, t, np.where(certs[0] == -1, -128, certs[0]).astype(np.int8))
-                             if k == "zero-cut" else (k, t, *certs) for k, t, *certs in ols.rejected)
-            assert any((pi == -128).any() for k, _, pi, *_ in rejected if k == "zero-cut")
-            return dataclasses.replace(ols, rejected=rejected)
+            certificates = tuple(
+                (k, t, np.where(certs[0] == -1, -128, certs[0]).astype(np.int8))
+                if k == "zero-cut" else (k, t, *certs) for k, t, *certs in ols.certificates)
+            assert any((pi == -128).any() for k, _, pi, *_ in certificates if k == "zero-cut")
+            return dataclasses.replace(ols, certificates=certificates)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", forged)
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
@@ -370,7 +402,7 @@ class TestOnelap:
             def checked(t, x, y):
                 t, x, y = tamper(t, x, y)
                 # so only the coverage check can fail
-                assert check_rejections_1lap(g, "screen", t, x, y).all()
+                assert check_certificates_1lap(g, "screen", t, x, y).all()
                 return t, x, y
 
             return _tampered(real(g), "screen", checked)
@@ -503,6 +535,7 @@ class TestVerify:
         json.dumps({"seed": True, "trials": 1, "checks": ["count-identity"]}),
         json.dumps({"seed": -1, "trials": 1, "checks": ["count-identity"]}),
         json.dumps({"seed": 1.5, "trials": 1, "checks": ["count-identity"]}),
+        '{"models": %s}' % ("[" * 10**5 + "]" * 10**5),
     ])
     def test_bad_config_exits_2(self, capsys, tmp_path, text):
         cfg = tmp_path / "cfg.json"
@@ -565,12 +598,30 @@ class TestRandomAndErrors:
         assert code == 2
         assert "not found" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--graph", "{dir}"),
+        ("verify", "--config", "{dir}"),
+        ("transform", "--graph", "{graph}", "--remove-node", "v1", "-o", "{dir}"),
+        ("random", "--n", "3", "-o", "{dir}"),
+        ("nodal", "--graph", "{graph}", "--function", "{missing}"),
+    ], ids=("graph-dir", "config-dir", "transform-output-dir", "random-output-dir",
+            "missing-function"))
+    def test_unusable_path_exits_2(self, capsys, tmp_path, p3_file, argv):
+        # a path that cannot be opened as asked: one error line, no traceback
+        paths = {"dir": str(tmp_path), "graph": p3_file, "missing": str(tmp_path / "nope.json")}
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("file not found: " if "{missing}" in argv else "Is a directory: ")
+
     def test_parse_error(self, capsys, tmp_path):
+        # malformed, and nested past the decoder's recursion limit
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code, _, err = run(capsys, "spectrum", "--graph", str(bad))
-        assert code == 2
-        assert "parse error" in err
+        for text in ("{not json", '{"vertices": %s}' % ("[" * 10**5 + "]" * 10**5)):
+            bad.write_text(text)
+            code, out, err = run(capsys, "spectrum", "--graph", str(bad))
+            assert code == 2 and out == ""
+            assert "parse error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("vertex, edge", [
         (',"mu":"x"', ""),
@@ -603,8 +654,9 @@ class TestMalformedFunctionExit2:
         (("transform", "--remove-edge", "v0,v1"), '{"v0": 1, "v1": 0, "v2": -1}'),
         (("transform", "--remove-edge", "v0,v1"), '{"v0": 1, "v1": Infinity, "v2": -1}'),
         (("transform", "--remove-node", "v1"), '{"v0": 1, "v1": 0.5, "v2": -1}'),
+        (("nodal",), "[" * 10**5 + "]" * 10**5),
     ], ids=("nodal-zero", "nodal-nan", "nodal-unknown-vertex", "nodal-missing-vertex",
-            "edge-zero-endpoint", "edge-inf", "node-nonzero-at-vertex"))
+            "edge-zero-endpoint", "edge-inf", "node-nonzero-at-vertex", "nodal-nested"))
     def test_exit_2(self, capsys, p3_file, tmp_path, argv, values):
         ffile = tmp_path / "f.json"
         ffile.write_text('{"values": %s}' % values)

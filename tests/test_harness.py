@@ -83,6 +83,16 @@ class TestRandomGraph:
             random_signed_graph(4, model="weird")
         with pytest.raises(GraphError):
             random_signed_graph(4, mu_mode="volume")
+        # one check per parameter: n a positive int, density a real in (0, 1]
+        for n in (5.5, "5", True):
+            with pytest.raises(GraphError, match="n must be"):
+                random_signed_graph(n)
+        for density in ("x", True, float("nan")):
+            with pytest.raises(GraphError, match="density must be"):
+                random_signed_graph(4, density=density)
+        for kwargs in ({"model": ["uniform"]}, {"mu_mode": None}):
+            with pytest.raises(GraphError, match="unknown"):
+                random_signed_graph(4, **kwargs)
         for seed in (-1, 1.5, True, "3", None):
             with pytest.raises(GraphError, match="seed"):
                 random_signed_graph(4, seed=seed)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgspec.cheeger import check_theorem41
+from sgspec.cheeger import check_theorem41, cheeger_k
 from sgspec.graph import GraphError, SignedGraph, induced_subgraph, serialize_function, switch
 from sgspec.harness import random_signed_graph
 from sgspec.nodal import (
@@ -20,7 +20,7 @@ from sgspec.nodal import (
 from sgspec.operators import (
     EigenPair,
     apply_p_laplacian,
-    check_certificate_1lap,
+    check_certificates_1lap,
     check_eigenpair,
     check_eigenpair_1lap,
     eigen_residual,
@@ -129,7 +129,11 @@ _TAKES_F = {
     "check_eigenpair": (lambda g, f: check_eigenpair(g, EigenPair(1.0, f, 3.0)), True),
     "check_eigenpair_1lap": (lambda g, f: check_eigenpair_1lap(g, 1.0, f), True),
     "one_lap_lambda_range": (one_lap_lambda_range, True),
-    "check_certificate_1lap": (lambda g, f: check_certificate_1lap(g, f, ("screen", 0, 1)), True),
+    # one certificate: f as a block of one column, under a zero witness; no
+    # kind certifies a zero column, so f = 0 answers False there
+    "check_certificate_1lap": (lambda g, f: check_certificates_1lap(
+        g, "witness", np.asarray(f)[:, None], [0], [1], np.zeros((len(g.edges), 1), int),
+        np.zeros((g.n, 1), int)), False),
     "remove_edge": (lambda g, f: remove_edge(g, 2.0, f, (0, 1)), True),
     "remove_node": (lambda g, f: remove_node(g, 2, f), False),
     "interlacing_edge": (lambda g, f: interlacing_check_p2(
@@ -179,12 +183,22 @@ _BAD_SCALAR = {
     "remove_node-negative-index": lambda g: remove_node(g, -1),
     "induced_subgraph-negative-index": lambda g: induced_subgraph(g, [-1]),
     "induced_subgraph-index-out-of-range": lambda g: induced_subgraph(g, [5]),
+    "cheeger_k-float-k": lambda g: cheeger_k(g, 1.5),
+    "cheeger_k-bool-k": lambda g: cheeger_k(g, True),
+    "check_theorem41-float-k": lambda g: check_theorem41(g, 2.0, 1.5, 1.0, 1),
+    "check_theorem41-bool-m": lambda g: check_theorem41(g, 2.0, 1, 1.0, True),
+    "upper_bound_lambda_k-float-k": lambda g: upper_bound_lambda_k(g, 2.0, 1.5),
+    "upper_bound_lambda_k-bool-k": lambda g: upper_bound_lambda_k(g, 2.0, True),
+    "bound_report-float-k": lambda g: bound_report(g, _F, SpectrumContext(k=1.5)),
+    "bound_report-bool-r": lambda g: bound_report(g, _F, SpectrumContext(k=1, r=True)),
+    "bound_report-negative-c": lambda g: bound_report(g, _F, SpectrumContext(k=1, c=-3)),
 }
 
 
 class TestMalformedScalar:
     """Each bad scalar argument is a GraphError, checked once by
-    ``graph._exponent``, ``graph._vertices`` or, for lambda, by
+    ``graph._exponent``, ``graph._vertices``, ``graph._seed`` (a count k, m,
+    r or c) or, for lambda, by
     ``check_eigenpair_1lap`` itself and by ``EigenPair``, which also checks
     its f."""
 

@@ -11,13 +11,11 @@ from sgspec import operators
 from sgspec.graph import GraphError, SignedGraph, switch
 from sgspec.operators import (
     EigenPair,
-    OneLapWitness,
     _pattern_lambda,
     apply_p_laplacian,
-    check_certificate_1lap,
+    check_certificates_1lap,
     check_eigenpair,
     check_eigenpair_1lap,
-    check_rejections_1lap,
     eigen_residual,
     one_lap_lambda_range,
     phi_p,
@@ -326,8 +324,8 @@ class TestOneLapChecker:
                 self._verify_witness(g, f, lo, cert.witness)
 
     @pytest.mark.parametrize("tamper", [
-        lambda c: c._replace(lam=c.lam + 1),
-        lambda c: c._replace(z_edge=((c.z_edge[0][0] + 1, c.z_edge[0][1]),)),
+        lambda c: (c[0], c[1] + c[2], *c[2:]),  # lambda + 1 = (p + q) / q
+        lambda c: (*c[:3], [c[3][0] + 1], c[4]),  # z_uv of the one edge
         lambda c: ("support-cut", np.array([True, False])),
     ], ids=("witness-lambda", "witness-edge", "rejection"))
     def test_certificate_that_fails_its_check_raises(self, monkeypatch, tamper):
@@ -387,13 +385,23 @@ def _mask(n, xs) -> np.ndarray:
     return out
 
 
-def _rejects(g, f, cert) -> bool:
-    """Whether ``check_rejections_1lap`` passes the rejection ``(kind,
+def _checks(g, f, cert) -> bool:
+    """Whether ``check_certificates_1lap`` passes the certificate ``(kind,
     *columns)`` of the one pattern f, on a block of one column: a screen
-    pair's x and y are ints, a side or a pi an (n,) array."""
+    pair's x and y and a witness's p and q are ints, a side, a pi or a z an
+    array of one column."""
     kind, *cols = cert
-    return bool(check_rejections_1lap(g, kind, np.array(f)[:, None],
-                                      *(np.asarray(c)[..., None] for c in cols))[0])
+    return bool(check_certificates_1lap(g, kind, np.array(f)[:, None],
+                                        *(np.asarray(c)[..., None] for c in cols))[0])
+
+
+def _witness_block(g, patterns):
+    """The witnesses of those ``patterns`` that have one, from
+    ``_pattern_lambda``, as one block ``(t, p, q, z_edge, z_vertex)``."""
+    cols = [(f, *cert[1:]) for f in patterns if (cert := _pattern_lambda(g, f))[0] == "witness"]
+    f, p, q, z_edge, z_vertex = zip(*cols)
+    return (np.array(f, np.int8).T, np.array(p, object), np.array(q, object),
+            np.array(z_edge, object).reshape(len(cols), -1).T, np.array(z_vertex, object).T)
 
 
 def _hoffman_violated(n, arcs, lo, hi, side) -> bool:
@@ -562,16 +570,19 @@ class TestLambdaRange:
         kinds = []
         screen, cert = prefilter_lambda_box(g, pattern), _pattern_lambda(g, pattern)
         if screen is not None:
-            assert _rejects(g, pattern, screen) and lp == [], (g, pattern, screen)
+            assert _checks(g, pattern, screen) and lp == [], (g, pattern, screen)
             kinds.append("screen")
-        if isinstance(cert, OneLapWitness):
-            assert check_certificate_1lap(g, pattern, cert), (g, pattern, cert)
-            assert lp == [(cert.lam, cert.lam)], (g, pattern)
-            assert check_eigenpair_1lap_lp(g, cert.lam, pattern)
+        assert _checks(g, pattern, cert), (g, pattern, cert)
+        kind, *cols = cert
+        if kind == "witness":
+            lam = Fraction(cols[0], cols[1])
+            assert lp == [(lam, lam)], (g, pattern)
+            assert check_eigenpair_1lap_lp(g, lam, pattern)
+            assert all(type(z) is int for z in (*cols[:2], *cols[2], *cols[3]))
             return kinds + ["witness"]
-        kind, col = cert
+        col = cols[0]
         assert col.shape == (g.n,) and col.dtype == (bool if kind == "support-cut" else np.int8)
-        assert _rejects(g, pattern, cert) and lp == [], (g, pattern, cert)
+        assert lp == [], (g, pattern, cert)
         if kind == "zero-cut" and abs(col).sum() > 1:
             kind += "-wide"
         if kind == "support-cut" and not _crossing_weight(g, pattern, col):
@@ -643,69 +654,93 @@ class TestLambdaRange:
 
 
 class TestCertificateTamper:
-    """A certificate changed in any of these ways no longer checks."""
+    """A certificate changed in any of these ways no longer checks. The
+    tampered columns of a test go to the checker as one block per graph."""
 
     @staticmethod
-    def _witnesses():
+    def _witness_blocks():
+        """Per graph of the first six of the corpus, its witnesses as one
+        block, each of which checks."""
         for g in list(TestLambdaRange._corpus())[:6]:
-            for pattern in nonzero_patterns(g.n):
-                cert = _pattern_lambda(g, pattern)
-                if isinstance(cert, OneLapWitness):
-                    yield g, pattern, cert
+            block = _witness_block(g, nonzero_patterns(g.n))
+            assert check_certificates_1lap(g, "witness", *block).all()
+            yield g, block
 
     def test_perturbed_edge_value(self):
         # a fixed z_uv leaves its Sgn point, a free support edge unbalances
-        # its ends; a zero-zero edge may have slack, so it is left out
+        # its ends; a zero-zero edge may have slack, so it is left out: one
+        # column per witness and edge, z_uv + 1 there
         tried = 0
-        for g, pattern, cert in self._witnesses():
-            for e, (u, v, _, s) in enumerate(g.edges):
-                if pattern[u] == pattern[v] == 0:
-                    continue
-                z_edge = list(cert.z_edge)
-                a, b = z_edge[e]
-                z_edge[e] = (a + 1, b - s)  # still antisymmetric
-                assert not check_certificate_1lap(g, pattern, cert._replace(z_edge=tuple(z_edge)))
-                tried += 1
+        for g, (t, p, q, z_edge, z_vertex) in self._witness_blocks():
+            j, e = np.nonzero(((t[g.eu] != 0) | (t[g.ev] != 0)).T)
+            z = z_edge[:, j]
+            z[e, np.arange(j.size)] += 1
+            assert not check_certificates_1lap(g, "witness", t[:, j], p[j], q[j], z,
+                                               z_vertex[:, j]).any()
+            tried += j.size
         assert tried >= 300
 
-    def test_broken_antisymmetry(self):
-        for g, pattern, cert in self._witnesses():
-            for e in range(len(g.edges)):
-                z_edge = list(cert.z_edge)
-                a, b = z_edge[e]
-                z_edge[e] = (a, b + 1)
-                assert not check_certificate_1lap(g, pattern, cert._replace(z_edge=tuple(z_edge)))
-
     def test_lambda_shifted_by_one_scaled_unit(self):
-        for g, pattern, cert in self._witnesses():
-            p, q = cert.lam.numerator, cert.lam.denominator
-            for lam in (Fraction(p + 1, q), Fraction(p - 1, q)):
-                assert not check_certificate_1lap(g, pattern, cert._replace(lam=lam))
+        # p + 1 and p - 1 over the same q, two columns per witness
+        for g, (t, p, q, z_edge, z_vertex) in self._witness_blocks():
+            j = np.tile(np.arange(p.size), 2)
+            shifted = np.concatenate((p + 1, p - 1))
+            assert not check_certificates_1lap(g, "witness", t[:, j], shifted, q[j], z_edge[:, j],
+                                               z_vertex[:, j]).any()
 
     def test_circulation_beyond_the_sgn_interval(self):
         # a circulation around a cycle of free edges keeps every vertex
         # balanced; one of twice the weight puts each |z| at 2
         g = triangle()
-        f = [1, 1, 1]
-        cert = _pattern_lambda(g, f)
-        assert check_certificate_1lap(g, f, cert)
-        w, c = g.scaled_ints[2][0][2], 2 * cert.den
+        block = _witness_block(g, [(1, 1, 1)])
+        t, p, q, z_edge, z_vertex = block
+        assert check_certificates_1lap(g, "witness", *block).tolist() == [True]
+        w, c = g.scaled_ints[2][0][2], 4 * q[0]  # twice den = 2q
         assert all(e[2] == w for e in g.scaled_ints[2])
         flows = {(0, 1): c, (1, 2): c, (0, 2): -c}  # 0 -> 1 -> 2 -> 0
-        z_edge = tuple((a + w * flows[u, v], b - w * flows[u, v])
-                       for (a, b), (u, v, _, _) in zip(cert.z_edge, g.edges))
-        assert not check_certificate_1lap(g, f, cert._replace(z_edge=z_edge))
+        z = z_edge + np.array([[w * flows[u, v]] for u, v, _, _ in g.edges], object)
+        assert not check_certificates_1lap(g, "witness", t, p, q, z, z_vertex).any()
 
     def test_zero_vertex_unbalanced_inside_its_interval(self):
         # y has flux -1 from its edge and slack |lambda| mu_y + kappa_y = 2;
         # z_y = +1 absorbs the flux, z_y = -1 doubles it
         g = SignedGraph.build(["x", "y"], [("x", "y", 1.0, 1)], kappa=[0.0, 1.0])
-        f = [1, 0]
-        cert = _pattern_lambda(g, f)
-        assert cert.lam == 1 and cert.z_vertex[1] == cert.den * g.scaled_ints[1][1]
-        assert check_certificate_1lap(g, f, cert)
-        tampered = cert._replace(z_vertex=(0, -cert.z_vertex[1]))
-        assert not check_certificate_1lap(g, f, tampered)
+        block = _witness_block(g, [(1, 0)])
+        t, p, q, z_edge, z_vertex = block
+        assert (p[0], q[0]) == (1, 1) and z_vertex[1, 0] == 2 * q[0] * g.scaled_ints[1][1]
+        assert check_certificates_1lap(g, "witness", *block).tolist() == [True]
+        tampered = z_vertex.copy()
+        tampered[1] *= -1
+        assert not check_certificates_1lap(g, "witness", t, p, q, z_edge, tampered).any()
+
+    def test_denominator_below_one(self):
+        # den = 2q: at q = 0 every bound is 0, so zero z would pass on every
+        # pattern; a witness negated whole, at q < 0, names the same lambda
+        for g, (t, p, q, z_edge, z_vertex) in self._witness_blocks():
+            zero = np.zeros(p.size, int)
+            assert not check_certificates_1lap(g, "witness", t, p, zero, 0 * z_edge,
+                                               0 * z_vertex).any()
+            assert not check_certificates_1lap(g, "witness", t, -p, -q, -z_edge,
+                                               -z_vertex).any()
+
+    def test_support_value_off_its_sgn_point(self):
+        # a - b at (1, 1): the free edge carries z_ab = 0 of [-1, 1]; moving
+        # one unit of den z_ab onto z_a and z_b keeps both ends balanced,
+        # but z_x = sgn(f_x) is fixed on the support
+        g = path(2)
+        t, p, q, z_edge, z_vertex = _witness_block(g, [(1, 1)])
+        assert (p[0], z_edge[0, 0]) == (0, 0)
+        moved = (z_edge - 1, z_vertex + np.array([[1], [-1]]))
+        assert not check_certificates_1lap(g, "witness", t, p, q, *moved).any()
+
+    def test_zero_vertex_value_beyond_its_interval(self):
+        # a - b at (1, 0), lambda = 1: b's flux -1 is within its slack 1, and
+        # stays so with z_vertex = 1 at b, but kappa_b = 0 fixes it at 0
+        g = path(2)
+        t, p, q, z_edge, z_vertex = _witness_block(g, [(1, 0)])
+        assert (p[0], q[0]) == (1, 1) and z_vertex[1, 0] == 0
+        z_vertex[1, 0] = 1
+        assert not check_certificates_1lap(g, "witness", t, p, q, z_edge, z_vertex).any()
 
     def test_no_rejection_of_a_feasible_pattern_checks(self):
         # every screen pair, every side on the support (a pin among them)
@@ -715,7 +750,7 @@ class TestCertificateTamper:
         tried = 0
         for g in [g for g in TestLambdaRange._corpus() if g.n <= 5]:
             for pattern in nonzero_patterns(g.n):
-                if not isinstance(_pattern_lambda(g, pattern), OneLapWitness):
+                if _pattern_lambda(g, pattern)[0] != "witness":
                     continue
                 support = [x for x in range(g.n) if pattern[x]]
                 pairs = np.array([(x, y) for x in support for y in support]).T
@@ -725,7 +760,7 @@ class TestCertificateTamper:
                 for kind, certs in (("screen", pairs), ("support-cut", [sides]),
                                     ("zero-cut", [pis])):
                     t = np.repeat(np.array(pattern, np.int8)[:, None], certs[0].shape[-1], axis=1)
-                    assert not check_rejections_1lap(g, kind, t, *certs).any(), (g, pattern, kind)
+                    assert not check_certificates_1lap(g, kind, t, *certs).any(), (g, pattern, kind)
                     tried += t.shape[1]
         assert tried >= 10000
 
@@ -738,9 +773,9 @@ class TestCertificateTamper:
         f = [1, 1, 1]
         cert = _pattern_lambda(g, f)
         assert cert[0] == "support-cut" and np.flatnonzero(cert[1]).tolist() == [1, 2]
-        assert _rejects(g, f, cert)
+        assert _checks(g, f, cert)
         for side in ((1,), (2,), ()):
-            assert not _rejects(g, f, ("support-cut", _mask(3, side)))
+            assert not _checks(g, f, ("support-cut", _mask(3, side)))
         assert one_lap_lambda_range_lp(g, f) == []
 
     def test_vertex_dropped_from_a_zero_cut(self):
@@ -754,11 +789,11 @@ class TestCertificateTamper:
         cert = _pattern_lambda(g, f)
         kind, pi = cert
         assert kind == "zero-cut" and abs(pi).sum() == 2
-        assert _rejects(g, f, cert)
+        assert _checks(g, f, cert)
         for y in (1, 2):
             dropped = pi.copy()
             dropped[y] = 0
-            assert not _rejects(g, f, (kind, dropped))
+            assert not _checks(g, f, (kind, dropped))
         assert one_lap_lambda_range_lp(g, f) == []
 
     def test_wrong_screen_pair(self):
@@ -769,9 +804,9 @@ class TestCertificateTamper:
                 if cert is None:
                     continue
                 _, x, y = cert
-                assert _rejects(g, pattern, cert)
+                assert _checks(g, pattern, cert)
                 for wrong in ((y, x), (x, x), (y, y)):
-                    assert not _rejects(g, pattern, ("screen", *wrong))
+                    assert not _checks(g, pattern, ("screen", *wrong))
                 tried += 1
         assert tried >= 100
 
@@ -787,10 +822,10 @@ class TestCertificateTamper:
         f = [1, 1, 1, 1, 1]
         cert = _pattern_lambda(g, f)
         assert cert[0] == "support-cut" and np.flatnonzero(cert[1]).tolist() == [0, 1]
-        assert _rejects(g, f, cert)
-        assert _rejects(g, f, ("support-cut", _mask(5, (2, 3))))
+        assert _checks(g, f, cert)
+        assert _checks(g, f, ("support-cut", _mask(5, (2, 3))))
         for side in ((4,), (0, 1, 2, 3, 4), (0,)):
-            assert not _rejects(g, f, ("support-cut", _mask(5, side)))
+            assert not _checks(g, f, ("support-cut", _mask(5, side)))
         assert one_lap_lambda_range_lp(g, f) == []
 
     def test_one_vertex_pins_that_differ_give_a_support_cut(self):
@@ -800,7 +835,7 @@ class TestCertificateTamper:
         g, f = path(3), (1, -1, 1)
         cert = _pattern_lambda(g, f)
         assert cert[0] == "support-cut" and np.flatnonzero(cert[1]).tolist() == [0, 2]
-        assert _rejects(g, f, cert)
+        assert _checks(g, f, cert)
         assert one_lap_lambda_range(g, f) == one_lap_lambda_range_lp(g, f) == []
 
     @staticmethod
@@ -812,19 +847,18 @@ class TestCertificateTamper:
         t = np.array([[1], [-1], [1]], np.int8)
         cases = {"screen": (path(3), (1, -1, 1), ("screen", t, np.array([1]), np.array([0]))),
                  "support-cut": (path(3), (1, -1, 1), ("support-cut", t, _mask(3, (1,))[:, None])),
-                 "witness": (path(3), (1, 1, 1), _pattern_lambda(path(3), (1, 1, 1))),
+                 "witness": (path(3), (1, 1, 1),
+                             ("witness", *_witness_block(path(3), [(1, 1, 1)]))),
                  "zero-cut": (zero_g, (1, 0, 0), ("zero-cut", np.array([[1], [0], [0]], np.int8),
                                                   _pattern_lambda(zero_g, (1, 0, 0))[1][:, None]))}
         assert prefilter_lambda_box(path(3), (1, -1, 1)) == ("screen", 1, 0)
         for g, f, cert in cases.values():
-            assert (check_certificate_1lap(g, f, cert) if isinstance(cert, OneLapWitness)
-                    else check_rejections_1lap(g, *cert).tolist() == [True])
+            assert check_certificates_1lap(g, *cert).tolist() == [True]
         return cases
 
-    # a certificate of the wrong shape, made from a good one of the named
-    # kind: a witness answers False; a rejection (kind, t, *certs) raises
-    # GraphError at the block boundary, or answers False where it names a
-    # vertex past the graph
+    # a certificate of the wrong shape, made from a good block (kind, t,
+    # *certs) of the named kind: it raises GraphError at the block boundary,
+    # or answers False where it names a vertex past the graph
     _MALFORMED = {
         "none": ("screen", lambda c: (c[0], c[1], None, c[3])),
         "kind-only": ("screen", lambda c: ("bogus", c[1])),
@@ -846,55 +880,70 @@ class TestCertificateTamper:
         "zero-cut-float-pi": ("zero-cut", lambda c: (*c[:2], c[2].astype(float))),
         "zero-cut-short-pi": ("zero-cut", lambda c: (*c[:2], c[2][:-1])),
         "zero-cut-with-a-pin": ("zero-cut", lambda c: (*c, c[2])),
-        "witness-float-lambda": ("witness", lambda c: c._replace(lam=float(c.lam))),
-        "witness-numpy-den": ("witness", lambda c: c._replace(den=np.int64(c.den))),
-        "witness-none-den": ("witness", lambda c: c._replace(den=None)),
-        "witness-z-edge-triple": ("witness", lambda c: c._replace(
-            z_edge=((*c.z_edge[0], 0), *c.z_edge[1:]))),
-        "witness-z-vertex-as-list": ("witness", lambda c: c._replace(z_vertex=list(c.z_vertex))),
-        "witness-float-z": ("witness", lambda c: c._replace(
-            z_vertex=(float(c.z_vertex[0]), *c.z_vertex[1:]))),
+        "witness-float-lambda": ("witness", lambda c: (*c[:2], c[2].astype(float), *c[3:])),
+        "witness-numpy-den": ("witness", lambda c: (*c[:3], np.array([np.int64(2)], object),
+                                                    *c[4:])),
+        "witness-none-den": ("witness", lambda c: (*c[:3], None, *c[4:])),
+        "witness-z-edge-triple": ("witness", lambda c: (*c[:4], np.vstack((c[4], c[4][:1])),
+                                                        c[5])),
+        "witness-z-vertex-as-list": ("witness", lambda c: (*c[:5], c[5][:, 0].tolist())),
+        "witness-float-z": ("witness", lambda c: (*c[:5], np.where(np.eye(3, 1, dtype=bool),
+                                                                   float(c[5][0, 0]), c[5]))),
+        "witness-bool-z": ("witness", lambda c: (*c[:4], np.where(np.eye(2, 1, dtype=bool),
+                                                                  True, c[4]), c[5])),
+        "witness-one-array-less": ("witness", lambda c: c[:5]),
     }
 
     @pytest.mark.parametrize("name", _MALFORMED)
     def test_malformed_certificate_answers_false(self, name):
         kind, malform = self._MALFORMED[name]
         g, f, cert = self._good()[kind]
-        if kind == "witness":
-            assert check_certificate_1lap(g, f, malform(cert)) is False
-        elif name == "screen-numpy-index":
-            assert check_rejections_1lap(g, *malform(cert)).tolist() == [False]
+        if name == "screen-numpy-index":
+            assert check_certificates_1lap(g, *malform(cert)).tolist() == [False]
         else:
             with pytest.raises(GraphError):
-                check_rejections_1lap(g, *malform(cert))
+                check_certificates_1lap(g, *malform(cert))
 
     @pytest.mark.parametrize("kind", ["screen", "support-cut", "zero-cut"])
     def test_a_rejection_is_no_witness(self, kind):
-        # check_certificate_1lap checks witnesses only: a good rejection, as
-        # its block or as the column form that _pattern_lambda returns,
-        # answers False there
+        # a good rejection's arrays are no witness's, and no zero z makes
+        # its pattern an eigenfunction, at its support's lambda or another
         g, f, (_, t, *certs) = self._good()[kind]
-        assert check_rejections_1lap(g, kind, t, *certs).all()
-        for cert in ((kind, t, *certs), (kind, *(c[..., 0] for c in certs))):
-            assert check_certificate_1lap(g, f, cert) is False
+        assert check_certificates_1lap(g, kind, t, *certs).all()
+        with pytest.raises(GraphError):
+            check_certificates_1lap(g, "witness", t, *certs)
+        zero = (np.zeros((len(g.edges), 1), int), np.zeros((g.n, 1), int))
+        for lam in (Fraction(0), Fraction(4, 3), Fraction(3, 64), Fraction(-1, 2)):
+            assert not check_certificates_1lap(g, "witness", t, [lam.numerator],
+                                               [lam.denominator], *zero).any()
 
     @pytest.mark.parametrize("f", [[1.0], [0.0, 0.0], [1.0, float("nan")], [float("inf"), 1.0]])
     def test_bad_function_rejected(self, f):
-        with pytest.raises(GraphError):
-            check_certificate_1lap(path(2), f, ("screen", 0, 1))
+        # a witness of one column on f: a zero column answers False (no kind
+        # certifies it), any other raises GraphError at the boundary
+        certs = ([0], [1], np.zeros((1, 1), int), np.zeros((2, 1), int))
+        t = np.array(f)[:, None]
+        if f == [0.0, 0.0]:
+            assert check_certificates_1lap(path(2), "witness", t, *certs).tolist() == [False]
+        else:
+            with pytest.raises(GraphError):
+                check_certificates_1lap(path(2), "witness", t, *certs)
 
 
-# good certificate arrays of each kind's kernel on an (n, m) block t
+# good certificate arrays of each kind's kernel on an (n, m) block t of
+# path(3), whose two edges the witness's z_edge rows are
 _CHECKERS = {
     "screen": lambda t: (np.zeros(t.shape[1], int), np.zeros(t.shape[1], int)),
     "support-cut": lambda t: (t != 0,),
     "zero-cut": lambda t: (np.zeros(t.shape, np.int8),),
+    "witness": lambda t: (np.zeros(t.shape[1], int), np.ones(t.shape[1], int),
+                          np.zeros((2, t.shape[1]), int), np.zeros(t.shape, int)),
 }
 _T3 = np.array([[1, 1], [-1, 0], [1, 1]], np.int8)
 
 
 class TestScreenChecker:
-    """``check_rejections_1lap`` on whole blocks of screen pairs against the
+    """``check_certificates_1lap`` on whole blocks of screen pairs against the
     per-pattern screen of the oracles: for every column, some (x, y) checks
     exactly when the oracle rejects, and the oracle's (x, y) checks. Then
     the boundary that every kind shares."""
@@ -918,7 +967,7 @@ class TestScreenChecker:
         rejected = 0
         for t, _, _ in _labelings(g.n):
             m = t.shape[1]
-            checks = {(x, y): check_rejections_1lap(g, "screen", t, np.full(m, x), np.full(m, y))
+            checks = {(x, y): check_certificates_1lap(g, "screen", t, np.full(m, x), np.full(m, y))
                       for x in range(g.n) for y in range(g.n)}
             for j, f in enumerate(zip(*t.tolist())):
                 cert = prefilter_lambda_box(g, f)
@@ -931,18 +980,19 @@ class TestScreenChecker:
     def test_vertex_off_the_graph_or_the_support(self):
         # (1, -1, 1): the middle pins lambda = 2, the ends lambda = 1
         t = np.array([[1, 1], [-1, 0], [1, 1]], np.int8)
-        assert check_rejections_1lap(path(3), "screen", t, [1, 1], [0, 0]).tolist() == [True, False]
-        assert not check_rejections_1lap(path(3), "screen", t, [1, 1], [-3, 3]).any()
+        out = check_certificates_1lap(path(3), "screen", t, [1, 1], [0, 0])
+        assert out.tolist() == [True, False]
+        assert not check_certificates_1lap(path(3), "screen", t, [1, 1], [-3, 3]).any()
         with pytest.raises(GraphError, match="shape"):
-            check_rejections_1lap(path(3), "screen", t[:2], [1, 1], [0, 0])
+            check_certificates_1lap(path(3), "screen", t[:2], [1, 1], [0, 0])
 
     # the boundary of every kind: an unknown kind or a malformed block or
     # certificate array raises GraphError, and an empty block answers an
     # empty array
     @pytest.mark.parametrize("kind", ["bogus", "zero_cuts", "Screen", None, ("screen",), "pins"])
     def test_unknown_kind_raises(self, kind):
-        with pytest.raises(GraphError, match="unknown rejection kind"):
-            check_rejections_1lap(path(3), kind, _T3, *_CHECKERS["support-cut"](_T3))
+        with pytest.raises(GraphError, match="unknown certificate kind"):
+            check_certificates_1lap(path(3), kind, _T3, *_CHECKERS["support-cut"](_T3))
 
     @pytest.mark.parametrize("name", _CHECKERS)
     @pytest.mark.parametrize("tamper", [
@@ -961,19 +1011,19 @@ class TestScreenChecker:
     def test_malformed_block_raises(self, name, tamper):
         t, certs = tamper(_T3, _CHECKERS[name](_T3))
         with pytest.raises(GraphError):
-            check_rejections_1lap(path(3), name, t, *certs)
+            check_certificates_1lap(path(3), name, t, *certs)
 
     @pytest.mark.parametrize("name", _CHECKERS)
     def test_an_empty_block(self, name):
         t = np.zeros((3, 0), np.int8)
         certs = _CHECKERS[name](t)
         for args in (certs, [[]] * len(certs) if name == "screen" else certs):
-            out = check_rejections_1lap(path(3), name, t, *args)
+            out = check_certificates_1lap(path(3), name, t, *args)
             assert out.dtype == bool and out.shape == (0,)
 
     def test_good_arguments_pass_the_boundary(self):
         for name, make in _CHECKERS.items():
-            assert check_rejections_1lap(path(3), name, _T3, *make(_T3)).shape == (2,), name
+            assert check_certificates_1lap(path(3), name, _T3, *make(_T3)).shape == (2,), name
 
 
 class TestBlockCheckers:
@@ -1000,7 +1050,7 @@ class TestBlockCheckers:
         g, t, m = path(3), self._T, self._masks
 
         def check(t, side):
-            return check_rejections_1lap(g, "support-cut", t, side).tolist()
+            return check_certificates_1lap(g, "support-cut", t, side).tolist()
 
         assert check(t, m((0,), (0, 1))) == [True, True]
         assert check(t, m((1,), (2,))) == [True, True]
@@ -1019,10 +1069,11 @@ class TestBlockCheckers:
     def test_a_zero_column_is_rejected_by_no_kind(self):
         g, t = path(3), np.zeros((3, 2), np.int8)
         for side in (np.zeros((3, 2), bool), np.ones((3, 2), bool)):
-            assert not check_rejections_1lap(g, "support-cut", t, side).any()
+            assert not check_certificates_1lap(g, "support-cut", t, side).any()
         for pi in (np.zeros((3, 2), np.int8), np.array([[1, -1], [0, 1], [-1, -1]], np.int8)):
-            assert not check_rejections_1lap(g, "zero-cut", t, pi).any()
-        assert not check_rejections_1lap(g, "screen", t, [0, 1], [1, 0]).any()
+            assert not check_certificates_1lap(g, "zero-cut", t, pi).any()
+        assert not check_certificates_1lap(g, "screen", t, [0, 1], [1, 0]).any()
+        assert not check_certificates_1lap(g, "witness", t, *_CHECKERS["witness"](t)).any()
 
     @pytest.mark.parametrize("mu_a", [1.0, 2.0**70], ids=("int64", "object"))
     def test_support_cuts(self, mu_a):
@@ -1038,7 +1089,7 @@ class TestBlockCheckers:
         def check(side):
             side_mask = np.zeros((4, 1), bool)
             side_mask[list(side)] = True
-            return bool(check_rejections_1lap(g, "support-cut", t, side_mask)[0])
+            return bool(check_certificates_1lap(g, "support-cut", t, side_mask)[0])
 
         # a side and its complement on the support: the demands sum to 0
         assert check((1, 2)) and check((0,))
@@ -1057,7 +1108,7 @@ class TestBlockCheckers:
 
         def check(g, *pi):
             pi = np.array(pi, np.int8)[:, None]
-            return bool(check_rejections_1lap(g, "zero-cut", t, pi)[0])
+            return bool(check_certificates_1lap(g, "zero-cut", t, pi)[0])
 
         assert check(graph(4.0), 0, -1)
         assert not check(graph(4.0), 0, 1)  # the wrong sign
@@ -1068,13 +1119,13 @@ class TestBlockCheckers:
         # int64 and uint64 extremes read as themselves, not as -1
         assert not check(graph(4.0), 0, -128)
         for pi in (np.array([[0], [-2**63]]), np.array([[0], [2**64 - 1]], np.uint64)):
-            assert not check_rejections_1lap(graph(4.0), "zero-cut", t, pi)[0]
+            assert not check_certificates_1lap(graph(4.0), "zero-cut", t, pi)[0]
         # a - b - y at (1, 1, 0), mu_a = mu_b = 4: the support {a, b} pins
         # 1/4, and y's flux -2 exceeds its slack 1/4
         g = SignedGraph.build("aby", [("a", "b", 1.0, 1), ("b", "y", 2.0, 1)], mu=[4.0, 4.0, 1.0])
         t = np.array([[1], [1], [0]], np.int8)
         pi = np.array([[0], [0], [-1]], np.int8)
-        assert check_rejections_1lap(g, "zero-cut", t, pi).tolist() == [True]
+        assert check_certificates_1lap(g, "zero-cut", t, pi).tolist() == [True]
 
     @pytest.mark.parametrize("t", [np.full((2, 1), -128, np.int8), np.full((2, 1), -1.0),
                                    np.full((2, 1), -2**62), np.full((2, 1), -2**63)],
@@ -1086,5 +1137,5 @@ class TestBlockCheckers:
         # checks, lo_a = 1 > hi_b / 2
         g = SignedGraph.build("ab", [("a", "b", 1.0, -1)], mu=[1.0, 2.0])
         side = np.array([[True], [False]])
-        assert check_rejections_1lap(g, "support-cut", t, side).tolist() == [True]
-        assert check_rejections_1lap(g, "screen", t, [0], [1]).tolist() == [True]
+        assert check_certificates_1lap(g, "support-cut", t, side).tolist() == [True]
+        assert check_certificates_1lap(g, "screen", t, [0], [1]).tolist() == [True]

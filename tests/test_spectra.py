@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from sgspec import spectra
 from sgspec.graph import GraphError, SignedGraph, parse_graph, switch, with_degree_measure
 from sgspec.harness import MODELS, random_signed_graph
-from sgspec.operators import (OneLapWitness, _pattern_lambda, check_certificate_1lap,
-                              check_rejections_1lap)
+from sgspec.operators import _pattern_lambda, check_certificates_1lap
 from sgspec.spectra import (
     extremal_p,
     form_matrix,
@@ -432,17 +431,22 @@ class TestOneLapEnumerate:
         for _ in range(6):
             g = random_graph(rng, 5)
             ols = one_lap_enumerate(g)
-            kinds.update(kind for kind, t, *_ in ols.rejected if t.shape[1])
-            kept = [f for _, t, *_ in ols.rejected for f in zip(*t.tolist())]
-            patterns = [pr.f for pr in ols.pairs] + kept
+            kinds.update(kind for kind, t, *_ in ols.certificates if t.shape[1])
+            patterns = [f for _, t, *_ in ols.certificates for f in zip(*t.tolist())]
             assert sorted(patterns) == sorted(
                 p for p in product((0, 1, -1), repeat=g.n) if next((t for t in p if t), 0) == 1)
             assert len(patterns) == ols.patterns_scanned
-            for pr in ols.pairs:
-                assert pr.witness.lam == pr.lam
-                assert check_certificate_1lap(g, pr.f, pr.witness)
-            assert all(check_rejections_1lap(g, *entry).all() for entry in ols.rejected)
-        assert kinds == {"screen", "support-cut", "zero-cut"}
+            # the pairs are the witnessed (lambda, pattern) pairs, and a
+            # witness holds Python ints alone
+            witnessed = []
+            for kind, t, *certs in ols.certificates:
+                assert check_certificates_1lap(g, kind, t, *certs).all()
+                if kind == "witness":
+                    assert all(a.dtype == object and all(type(z) is int for z in a.flat)
+                               for a in certs)
+                    witnessed += zip(map(F, certs[0], certs[1]), zip(*t.tolist()))
+            assert sorted(witnessed) == [(pr.lam, pr.f) for pr in ols.pairs]
+        assert kinds == {"screen", "support-cut", "zero-cut", "witness"}
 
     def test_exact_p1_pool_equals_its_references(self):
         # the 48 graphs of the exact-p1 benchmark: every eigenvalue and every
@@ -470,7 +474,7 @@ def _enumerate_per_pattern(g):
     through the exact screen, the pin stage's reference, then
     ``_pattern_lambda``: the reference for the block scan and the pin stage.
     Returns the pairs as (lambda, pattern), the values, the two counts and
-    the number of rejections of each kind."""
+    the number of certificates of each kind."""
     pairs, scanned, solved, kinds = [], 0, 0, Counter()
     patterns = ((0,) * lead + (1,) + tail for lead in range(g.n)
                 for tail in product((0, 1, -1), repeat=g.n - lead - 1))
@@ -480,10 +484,9 @@ def _enumerate_per_pattern(g):
         if cert is None:
             solved += 1
             cert = pin_stage_reference(g, pattern) or _pattern_lambda(g, pattern)
-        if isinstance(cert, OneLapWitness):
-            pairs.append((cert.lam, pattern))
-        else:
-            kinds[cert[0]] += 1
+        if cert[0] == "witness":
+            pairs.append((F(cert[1], cert[2]), pattern))
+        kinds[cert[0]] += 1
     return sorted(pairs), sorted({lam for lam, _ in pairs}), scanned, solved, kinds
 
 
@@ -549,7 +552,7 @@ class TestBlockScreen:
                 for f, rej in zip(zip(*t.tolist()), rejected.tolist()):
                     assert rej == (prefilter_lambda_box(g, f) is not None), (g, f)
                     outcomes["rejected" if rej else "passed"] += 1
-                assert check_rejections_1lap(g, "screen", t[:, rejected], x[rejected],
+                assert check_certificates_1lap(g, "screen", t[:, rejected], x[rejected],
                                              y[rejected]).all(), g
         assert sum(outcomes.values()) >= 20000
         assert min(outcomes.values()) >= 100, outcomes
@@ -568,12 +571,12 @@ class TestBlockScreen:
             assert sorted((pr.lam, pr.f) for pr in ols.pairs) == pairs
             assert list(ols.values) == values
             assert (ols.patterns_scanned, ols.patterns_solved) == (scanned, solved)
-            rejected = Counter()
-            for kind, t, *_ in ols.rejected:
-                rejected[kind] += t.shape[1]
-            assert rejected["screen"] == scanned - solved
-            assert rejected == kinds
-            assert rejected.total() == scanned - len(pairs)
+            certified = Counter()
+            for kind, t, *_ in ols.certificates:
+                certified[kind] += t.shape[1]
+            assert certified["screen"] == scanned - solved
+            assert certified == kinds
+            assert certified["witness"] == len(pairs) and certified.total() == scanned
 
     def test_empty_graph_refused_before_the_scan(self, monkeypatch):
         monkeypatch.setattr(spectra._cheeger, "_labelings", lambda n: pytest.fail("scanned"))
@@ -634,10 +637,10 @@ class TestPinStage:
                         assert by_pi[j] and not by_side[j], (g, f)
                         assert tuple(pi[:, j].tolist()) == ref[1], (g, f)
                     if ref is not None:
-                        assert not isinstance(_pattern_lambda(g, f), OneLapWitness), (g, f)
-                assert check_rejections_1lap(g, "support-cut", t[:, by_side],
+                        assert _pattern_lambda(g, f)[0] != "witness", (g, f)
+                assert check_certificates_1lap(g, "support-cut", t[:, by_side],
                                              side[:, by_side]).all(), g
-                assert check_rejections_1lap(g, "zero-cut", t[:, by_pi], pi[:, by_pi]).all(), g
+                assert check_certificates_1lap(g, "zero-cut", t[:, by_pi], pi[:, by_pi]).all(), g
                 assert (abs(pi[:, by_pi]).sum(axis=0) == 1).all() and not pi[:, ~by_pi].any()
                 seen["support-cut"] += by_side.sum()
                 seen["zero-cut"] += by_pi.sum()
@@ -652,9 +655,9 @@ class TestPinStage:
             for t, (by_side, by_pi, side, pi) in _staged(g):
                 for kind, certs in (("support-cut", side), ("support-cut", t != 0),
                                     ("zero-cut", pi), ("zero-cut", -pi)):
-                    block = check_rejections_1lap(g, kind, t, certs)
+                    block = check_certificates_1lap(g, kind, t, certs)
                     for j in range(t.shape[1]):
-                        one = check_rejections_1lap(g, kind, t[:, j:j + 1], certs[:, j:j + 1])
+                        one = check_certificates_1lap(g, kind, t[:, j:j + 1], certs[:, j:j + 1])
                         assert one.tolist() == [block[j]], (g, t[:, j], certs[:, j])
                         outcomes[kind, bool(block[j])] += 1
         assert len(outcomes) == 4 and min(outcomes.values()) >= 20, outcomes
