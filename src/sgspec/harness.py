@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields, asdict
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -172,7 +173,8 @@ class _Trial:
 
     The trial rng is seeded from (seed, trial). It draws n, then the main
     graph g; ``spec`` is g's p = 2 spectrum and c its number of
-    components. Checks draw from the same rng in table order.
+    components, each taken when a check first reads it (neither draws).
+    Checks draw from the same rng in table order.
     """
 
     def __init__(self, cfg: SuiteConfig, trial: int):
@@ -180,8 +182,9 @@ class _Trial:
         self.rng = np.random.default_rng((cfg.seed, trial))
         self.n = int(self.rng.integers(cfg.n_min, cfg.n_max + 1))
         self.g = self.draw(cfg.models[trial % len(cfg.models)])
-        self.spec = spectrum_p2(self.g)
-        self.c = len(components(self.g))
+
+    spec = cached_property(lambda t: spectrum_p2(t.g))
+    c = cached_property(lambda t: len(components(t.g)))
 
     def draw(self, model: str) -> SignedGraph:
         """A connected graph on n vertices, seeded by the next trial draw."""
@@ -336,10 +339,9 @@ class SuiteConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        _seed(self.seed)
-        object.__setattr__(self, "seed", int(self.seed))  # a numpy seed reports as a Python int
-        if any(type(getattr(self, k)) is not int for k in ("trials", "n_min", "n_max")):
-            raise GraphError("trials, n_min and n_max must be integers")
+        for k in ("seed", "trials", "n_min", "n_max"):  # a numpy count reports as a Python int
+            _seed(getattr(self, k), k)
+            object.__setattr__(self, k, int(getattr(self, k)))
         if self.trials < 1:
             raise GraphError("need trials >= 1")
         if not 4 <= self.n_min <= self.n_max:

@@ -13,11 +13,14 @@ constraint manifolds by Wen and Yin (Math. Program. 142, 2013): <s, s> /
 halved on a rejected trial. A column the polish leaves uncertified
 resumes its gradient and is polished again. Each gradient step is one
 fused pass over the operator kernels of :mod:`sgspec.operators`, carrying
-the edge differences of f from the step that accepted f; each Newton step
-takes the edge differences once, for its right-hand side and its
-Jacobian, and Phi_p f by the kernels' one formula. Neither loop calls a
-public operator. Every reported pair is re-certified by its
-eigen-residual. For p = 1 candidates are the
+the edge differences of f from the step that accepted f; after a step in
+which no column accepted, the gradient and its tests are kept, not taken
+again, and a trial is masked only when one of its columns is zero. The
+iterates equal, bit for bit, those of a loop that takes the gradient at
+every step. Each Newton step takes the edge differences once, for its
+right-hand side and its Jacobian, and Phi_p f by the kernels' one
+formula. Neither loop calls a public operator. Every reported pair is
+re-certified by its eigen-residual. For p = 1 candidates are the
 +-1/0 patterns, scanned in the int8 blocks of the Cheeger table and screened
 per block exactly, by integer ranks of the screen's bounds fixed once per
 graph; no float decides a pattern. The survivors meet one more exact
@@ -163,33 +166,50 @@ def _lockstep_gradient(g, p, f, r, eta, steps, sign, max_iter, handoff):
     taken once, and one |eq| serves the stall test (max |p eq| = p max |eq|,
     rounding being monotone) and the eigen-residual. The previous f and
     grad are kept by reference: a column that did not accept has s = 0, so
-    <s, y> = 0 keeps its eta with no mask."""
+    <s, y> = 0 keeps its eta with no mask. After a step in which no column
+    accepted, f, r and d are the same objects, so the gradient, its tests
+    and eta's Barzilai-Borwein update would come out the same (s = y = 0):
+    they are kept, not taken again. A trial is normalized on the views of
+    ``g.columns``; only when one of its scales is zero (a zero column, where
+    f stands in and the trial is rejected, or an underflow, which raises) is
+    it masked and normalized by ``_normalize_p``."""
     m = f.shape[1]
     c, mu = g.columns(m), g.mu_array()[:, None]
+    col, cmu = c.col[:f.size], c.mu  # the vertex entries, for a trial's scale
     d = _edge_diffs(c, f.ravel()).reshape(-1, m)  # edge-major, as in c
     f_old, g_old, eta = f, 0.0, eta.copy()  # s = 0 until a column accepts
-    sp = sign * p  # exact: sp eq = sign (p eq) bit for bit
+    sp, moved = sign * p, True  # exact: sp eq = sign (p eq) bit for bit
     while True:
-        eq, aeq, res = _eigen_terms(c, p, f, d.ravel(), r, mu)
-        grad = sp * eq
-        s, y = f - f_old, grad - g_old
-        sy = np.vecdot(s, y, axis=0)
-        np.minimum(np.divide(np.vecdot(s, s, axis=0), sy, out=eta, where=sy > 0), BB_CAP, out=eta)
-        f_old, g_old = f, grad
-        stalled = (p * aeq.max(axis=0) < 1e-14) | (eta < 1e-15) | (steps >= max_iter)
-        live = ~(stalled | (res < handoff))
-        if not live.any():
+        if moved:
+            eq, aeq, res = _eigen_terms(c, p, f, d.ravel(), r, mu)
+            grad = sp * eq
+            s, y = f - f_old, grad - g_old
+            sy = np.vecdot(s, y, axis=0)
+            np.minimum(np.divide(np.vecdot(s, s, axis=0), sy, out=eta, where=sy > 0), BB_CAP,
+                       out=eta)
+            f_old, g_old = f, grad
+            flat, handed = p * aeq.max(axis=0) < 1e-14, res < handoff
+        stalled = flat | (eta < 1e-15) | (steps >= max_iter)
+        live = ~(stalled | handed)
+        if not np.count_nonzero(live):
             return f, r, eta, steps, ~stalled
         steps += live
         f_try = f - eta * grad
-        nonzero = f_try.any(axis=0)  # a zero column is rejected; f stands in
-        f_try = _normalize_p(g, p, np.where(nonzero, f_try, f))
+        scale = np.bincount(col, cmu * np.abs(f_try.ravel()) ** p, m) ** (1.0 / p)
+        ok = live
+        if np.count_nonzero(scale) == m:
+            f_try /= scale
+        else:  # a zero column: f stands in and is rejected (an underflow raises)
+            nonzero = f_try.any(axis=0)
+            f_try, ok = _normalize_p(g, p, np.where(nonzero, f_try, f)), live & nonzero
         x_try = f_try.ravel()
         d_try = _edge_diffs(c, x_try)
         r_try = _quotient(c, p, x_try, d_try, m)
-        better = live & nonzero & (sign * (r_try - r) < -1e-16)
-        f, r = np.where(better, f_try, f), np.where(better, r_try, r)
-        d = np.where(better, d_try.reshape(-1, m), d)
+        better = ok & (sign * (r_try - r) < -1e-16)
+        moved = np.count_nonzero(better)
+        if moved:
+            f, r = np.where(better, f_try, f), np.where(better, r_try, r)
+            d = np.where(better, d_try.reshape(-1, m), d)
         np.multiply(eta, 0.5, out=eta, where=live & ~better)
 
 
@@ -470,7 +490,7 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
         )
     if g.n == 0:
         raise GraphError("one_lap_enumerate needs at least one vertex")
-    pairs: list[OneLapPair] = []
+    found = []  # (p, q, pattern) per witness, lambda = p / q in lowest terms
     certificates = []
     scanned = solved = 0
     decide = _pin_stage(g)
@@ -487,7 +507,7 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
         for j, pattern in zip(flow.tolist(), zip(*rest[:, flow].tolist())):
             kind, *cols = _pattern_lambda(g, pattern)
             if kind == "witness":
-                pairs.append(OneLapPair(lam=Fraction(cols[0], cols[1]), f=pattern))
+                found.append((cols[0], cols[1], pattern))
                 witnessed.append(j)
                 z.append([cols[0], cols[1], *cols[2], *cols[3]])
             else:
@@ -498,8 +518,10 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
                          ("support-cut", rest[:, by_side], side[:, by_side]),
                          ("zero-cut", rest[:, by_pi], pi[:, by_pi]),
                          ("witness", rest[:, witnessed], z[0], z[1], z[2:-g.n], z[-g.n:])]
-    pairs.sort(key=lambda pr: (pr.lam, pr.f))
-    values = sorted({pr.lam for pr in pairs})
+    # pairs by (lambda, pattern), each of the few distinct lambdas ranked once
+    values = sorted(Fraction(*pq) for pq in {w[:2] for w in found})
+    rank = {(v.numerator, v.denominator): i for i, v in enumerate(values)}
+    pairs = [OneLapPair(values[i], f) for i, f in sorted((rank[p, q], f) for p, q, f in found)]
     if not values:
         raise GraphError("no 1-Laplacian eigenpairs found (unexpected)")
     lam1 = values[0]

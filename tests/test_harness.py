@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import sgspec.cheeger
 import sgspec.harness
-from sgspec.graph import BalanceState, GraphError, balance_state, components, serialize_graph
+from sgspec.graph import (BalanceState, GraphError, ParseError, balance_state, components,
+                          serialize_graph)
 from sgspec.harness import (
     ALL_CHECKS,
     SuiteConfig,
@@ -173,6 +174,17 @@ class TestSuiteConfig:
         assert type(cfg.seed) is int
         same = SuiteConfig(seed=3, trials=1, n_max=4, checks=("count-identity",))
         assert run_suite(cfg).to_json() == run_suite(same).to_json()
+
+    @pytest.mark.parametrize("key", ("trials", "n_min", "n_max"))
+    def test_counts_have_the_seed_rule(self, key):
+        # every count goes through graph._seed and reports as a Python int
+        cfg = SuiteConfig(**{key: np.int64(5)})
+        assert getattr(cfg, key) == 5 and type(getattr(cfg, key)) is int
+        for bad in (True, False, 5.0, -5, "5", None):
+            with pytest.raises(GraphError, match=f"{key} must be a non-negative int"):
+                SuiteConfig(**{key: bad})
+            with pytest.raises(ParseError, match=f"invalid suite config: {key}"):
+                SuiteConfig.from_json(json.dumps({key: bad}))
 
     def test_from_json(self):
         cfg = SuiteConfig.from_json(json.dumps(

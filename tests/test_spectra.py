@@ -23,6 +23,7 @@ from sgspec.spectra import (
     upper_bound_lambda_k,
 )
 
+import oracles
 from oracles import (
     check_eigenpair_1lap_lp, extremal_p_sequential, lockstep_gradient_reference,
     pin_stage_reference, prefilter_lambda_box, sym2_eigs, sym3_eigs,
@@ -352,6 +353,65 @@ class TestBarzilaiBorweinStep:
                 if p == "3" or int(e["id"][1:]) < 3:
                     steps += res.lockstep_steps
         assert steps <= 1800
+
+
+def _start(g, p):
+    """The state ``_extremes`` hands the gradient at restarts 0: the p = 2
+    extreme eigenvectors, the minimum's first."""
+    vecs = spectrum_p2(g).vectors
+    f0 = spectra._normalize_p(g, p, np.column_stack([vecs[:, 0], vecs[:, -1]]))
+    return (g, p, f0, spectra.rayleigh(g, p, f0), np.full(2, spectra.STEP),
+            np.zeros(2, dtype=int), np.array([1.0, -1.0]), spectra.MAX_ITER, spectra.HANDOFF)
+
+
+def _same_state(a, b):
+    return all(np.shape(x) == np.shape(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+               for x, y in zip(a, b))
+
+
+class TestGradientReuse:
+    def test_one_gradient_per_step_that_moved(self, monkeypatch):
+        # the loop takes the gradient once, then again only after a step in
+        # which some column accepted; the reference loop takes it every step,
+        # and a step moved exactly when the iterate it is handed changes
+        calls, iterates = [], []
+        kernel, laplacian = spectra._eigen_terms, oracles.apply_p_laplacian
+        monkeypatch.setattr(spectra, "_eigen_terms",
+                            lambda *a: calls.append(1) or kernel(*a))
+        monkeypatch.setattr(oracles, "apply_p_laplacian",
+                            lambda g, p, f: iterates.append(f.tobytes()) or laplacian(g, p, f))
+        kept = 0
+        for g in _bench_pool():
+            calls.clear()
+            iterates.clear()
+            got = spectra._lockstep_gradient(*_start(g, 1.5))
+            assert _same_state(got, lockstep_gradient_reference(*_start(g, 1.5)))
+            moved = sum(a != b for a, b in zip(iterates, iterates[1:]))
+            assert len(calls) == 1 + moved
+            kept += len(iterates) - len(calls)
+        assert kept > 0  # some step moved no column, so the reuse ran
+
+    def test_zero_trial_column_equals_the_reference(self):
+        # column 0's trial f - eta grad is exactly zero: f stands in and the
+        # trial is rejected, as is column 1's; both halve until they stall
+        g = SignedGraph.build(["a", "b"], [("a", "b", 1.0, 1)], kappa=[1.0, 1.0])
+
+        def state():
+            return (g, 2.0, np.ones((2, 2)), np.array([0.5, 0.5]), np.array([1.0, 0.25]),
+                    np.zeros(2, dtype=int), np.array([1.0, 1.0]), 2000, 1e-4)
+
+        got = spectra._lockstep_gradient(*state())
+        assert _same_state(got, lockstep_gradient_reference(*state()))
+        assert got[3].tolist() == [50, 48] and not got[4].any()
+
+    def test_trial_whose_scale_underflows_raises(self):
+        # grad = 32 (1 - r) = 1, so the trial is 2^-50, nonzero, and its
+        # 32nd power underflows: the scale is zero, as in the reference
+        g = SignedGraph.build(["a"], [], kappa=[1.0])
+        for loop in (spectra._lockstep_gradient, lockstep_gradient_reference):
+            with pytest.raises(GraphError, match="zero function"):
+                loop(g, 32.0, np.ones((1, 1)), np.array([0.96875]), np.array([1 - 2.0**-50]),
+                     np.zeros(1, dtype=int), np.array([1.0]), 2000, 0.0)
 
 
 class TestUpperBound:
