@@ -180,7 +180,7 @@ def _lockstep_gradient(g, p, f, r, eta, steps, sign, max_iter, handoff):
     f_old, g_old, eta = f, 0.0, eta.copy()  # s = 0 until a column accepts
     sp, moved = sign * p, True  # exact: sp eq = sign (p eq) bit for bit
     while True:
-        if moved:
+        if moved:  # else f, r and d stand, and all of this would repeat
             eq, aeq, res = _eigen_terms(c, p, f, d.ravel(), r, mu)
             grad = sp * eq
             s, y = f - f_old, grad - g_old
