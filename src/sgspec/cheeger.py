@@ -2,13 +2,18 @@
 
 Every quantity here is a 1-Rayleigh quotient: a sub-bipartition (V1, V2)
 scores the quotient of t = 1_V1 - 1_V2, sum_e w_e |t_u - sigma_e t_v| over
-sum_x mu_x |t_x|. Scores are exact integers on ``SignedGraph.scaled_ints``,
-whose one common denominator cancels in every quotient; a Fraction is
-built only for a returned value. The k-way constant is found by minimizing,
+sum_x mu_x |t_x|. Every numpy pass scores exact integers on
+``SignedGraph.reduced_ints``, whose gcds multiply every quotient by one
+positive constant and so keep every rank, tie and argmin. A returned value
+is one exact quotient in Python ints on ``SignedGraph.scaled_ints``
+(``_quotient``), or, for the frustration index, a sum of Fractions of the
+weights. The k-way constant is found by minimizing,
 over all families of k disjoint nonempty vertex sets, the maximum of the
 per-set minimum (frustration + boundary) / volume. One pass over the labelings
 up to sign, in int8 blocks, gives the per-set optima; each layer of a bitmask
 packing DP on their exact ranks reduces over the pairs (+1 set, -1 set).
+Past the enumeration caps both fall back, when asked, on one
+first-improvement local search, ``_descend``.
 """
 
 from __future__ import annotations
@@ -42,16 +47,6 @@ def _require_zero_kappa(g: SignedGraph, what: str):
         raise GraphError(f"{what} requires kappa == 0 everywhere")
 
 
-def _int_arrays(g: SignedGraph):
-    """``g.scaled_ints`` as arrays ``(eu, ev, sigma, w, mu)``. ``w`` and
-    ``mu`` are int64 when every score fits (2 * sum(w) and sum(mu) below
-    2**63), else Python ints (dtype object); the code is the same."""
-    mu, _, edges, _ = g.scaled_ints
-    w = [e[2] for e in edges]
-    dtype = np.int64 if max(2 * sum(w), sum(mu)) < 2**63 else object
-    return g.eu, g.ev, g.es.astype(np.int8), np.array(w, dtype), np.array(mu, dtype)
-
-
 def _numerators(t, eu, ev, sigma, w):
     """The 1-Rayleigh numerators sum_e w_e |t_u - sigma_e t_v| of the
     columns of ``t`` (labelings in {-1, 0, +1}, int8 to keep the gathers
@@ -59,16 +54,13 @@ def _numerators(t, eu, ev, sigma, w):
     return w @ np.abs(t[eu] - sigma[:, None] * t[ev])
 
 
-def _quotients(d, t):
-    """Exact 1-Rayleigh quotients of the columns of ``t`` as integer arrays
-    (numerators, denominators) in ``scaled_ints`` units."""
-    eu, ev, sigma, w, mu = d
-    return _numerators(t, eu, ev, sigma, w), mu @ np.abs(t)
-
-
-def _less(a, b) -> bool:
-    """Whether the quotient a[0] / a[1] is below b[0] / b[1] (positive denominators)."""
-    return a[0] * b[1] < b[0] * a[1]
+def _quotient(g: SignedGraph, v1, v2) -> Fraction:
+    """The 1-Rayleigh quotient of 1_v1 - 1_v2, exactly: Python ints on
+    ``g.scaled_ints``, whose one common denominator cancels."""
+    mu, _, edges = g.scaled_ints
+    t = [(x in v1) - (x in v2) for x in range(g.n)]
+    return Fraction(sum(w * abs(t[u] - s * t[v]) for u, v, w, s in edges),
+                    sum(m for m, x in zip(mu, t) if x))
 
 
 def beta(g: SignedGraph, v1, v2) -> Fraction:
@@ -84,29 +76,50 @@ def beta(g: SignedGraph, v1, v2) -> Fraction:
         raise GraphError("sub-bipartition sides must be disjoint")
     if not v1 | v2:
         raise GraphError("sub-bipartition must be nonempty")
-    t = np.array([[(x in v1) - (x in v2)] for x in range(g.n)], np.int8)
-    num, den = _quotients(_int_arrays(g), t)
-    return Fraction(int(num[0]), int(den[0]))
+    return _quotient(g, v1, v2)
 
 
-def _induced(d, omega):
-    """The edges of ``d`` inside the sorted vertex array ``omega`` as
-    ``(pu, pv, sigma, w)``, with endpoints indexed into omega."""
-    eu, ev, sigma, w, mu = d
-    local = np.full(len(mu), -1)
+def _descend(a, states: int, score):
+    """First-improvement local search on the int array ``a``, in place:
+    each entry in turn takes the first other value in range(states) that
+    lowers ``score(a)``, until a pass over all entries moves none. ``score``
+    is None where ``a`` is infeasible, which no move reaches, and the start
+    must be feasible. Returns the last score."""
+    cur, improved = score(a), True
+    while improved:
+        improved = False
+        for x in range(len(a)):
+            old = a[x]
+            for new in range(states):
+                if new != old:
+                    a[x] = new
+                    val = score(a)
+                    if val is not None and val < cur:
+                        cur, improved = val, True
+                        break
+            else:
+                a[x] = old
+    return cur
+
+
+def _induced(g: SignedGraph, omega):
+    """The edges of g inside the sorted vertex array ``omega`` as
+    ``(pu, pv, sigma, w)``, with endpoints indexed into omega and w from
+    ``g.reduced_ints``."""
+    local = np.full(g.n, -1)
     local[omega] = np.arange(len(omega))
-    pu, pv = local[eu], local[ev]
+    pu, pv = local[g.eu], local[g.ev]
     inside = (pu >= 0) & (pv >= 0)
-    return pu[inside], pv[inside], sigma[inside], w[inside]
+    return pu[inside], pv[inside], g.es[inside].astype(np.int8), g.reduced_ints[2][inside]
 
 
-def _best_bipartition(d, omega) -> tuple[int, int]:
+def _best_bipartition(g: SignedGraph, omega) -> tuple[int, int]:
     """``(code, iota)`` of the first least-violated bipartition of omega:
     bit i of code puts omega[i + 1] into V2 (omega[0] is pinned to V1), and
     iota is twice the violated weight, the numerator of the +-1 labeling
     over the edges inside omega. One numpy pass scores up to ``_BLOCK``
     labelings, which bounds the memory on large sets."""
-    edges = _induced(d, omega)
+    edges = _induced(g, omega)
     total = 1 << (len(omega) - 1)
     best = None
     for start in range(0, total, _BLOCK):
@@ -129,7 +142,6 @@ def frustration_index(g: SignedGraph, omega, heuristic: bool = False):
     omega = np.array(sorted(_vertices(g, omega)), np.intp)
     if not len(omega):
         raise GraphError("frustration index of the empty set is undefined")
-    d = _int_arrays(g)
     exact = len(omega) <= FRUSTRATION_ENUM_CAP
     if not exact and not heuristic:
         raise GraphError(
@@ -137,35 +149,23 @@ def frustration_index(g: SignedGraph, omega, heuristic: bool = False):
             "pass heuristic=True for a flagged local search"
         )
     # +1 on V1 of the best code (see _best_bipartition), or the local search's labeling
-    t = (1 - 2 * (_best_bipartition(d, omega)[0] << 1 >> np.arange(len(omega)) & 1) if exact
-         else _frustration_local_search(d, omega))
-    iota = _numerators(t[:, None], *_induced(d, omega))[0]
-    # back from scaled_ints units: mu_0 scales to scaled_ints[0][0]
-    value = int(iota) * Fraction(g.mu[0]) / g.scaled_ints[0][0]
-    return value, {int(x): int(s) for x, s in zip(omega, t)}, exact
+    t = (1 - 2 * (_best_bipartition(g, omega)[0] << 1 >> np.arange(len(omega)) & 1) if exact
+         else _frustration_local_search(g, omega))
+    tau = {int(x): int(s) for x, s in zip(omega, t)}
+    value = sum((2 * Fraction(w) for u, v, w, s in g.edges
+                 if u in tau and v in tau and tau[u] * s * tau[v] < 0), Fraction(0))
+    return value, tau, exact
 
 
-def _frustration_local_search(d, omega):
-    """A +-1 labeling of omega after flip-improving local search from random
-    labelings; gains are exact integers."""
+def _frustration_local_search(g: SignedGraph, omega):
+    """A +-1 labeling of omega, the best of ``_descend`` from
+    FRUSTRATION_RESTARTS random labelings; scores are exact integers."""
     rng = np.random.default_rng(0)
-    edges = list(zip(*(a.tolist() for a in _induced(d, omega))))
+    edges = _induced(g, omega)
     best_t, best = None, None
     for _ in range(FRUSTRATION_RESTARTS):
         lab = rng.integers(0, 2, size=len(omega))
-        improved = True
-        while improved:
-            improved = False
-            for i in range(len(omega)):
-                gain = 0
-                for pu, pv, s, w in edges:
-                    if i in (pu, pv):
-                        # a flip fixes a violated edge and breaks a satisfied one
-                        gain += w if (lab[pu] != lab[pv]) == (s == 1) else -w
-                if gain > 0:
-                    lab[i] ^= 1
-                    improved = True
-        val = _numerators((1 - 2 * lab)[:, None], *_induced(d, omega))[0]
+        val = _descend(lab, 2, lambda a: _numerators((1 - 2 * a)[:, None], *edges)[0])
         if best is None or val < best:
             best, best_t = val, 2 * lab - 1
     return best_t
@@ -208,17 +208,24 @@ def _ranks(nums, dens, bound: int) -> np.ndarray:
     return np.unique(keys, return_inverse=True)[1].ravel()
 
 
+def _refusal(n: int, k) -> GraphError | None:
+    """Why h_k on n vertices is not enumerated: a GraphError, raised, unless
+    k is an int in [1, n]; the cap's GraphError, returned, when n is past
+    the cap for k; else None."""
+    _seed(k, "k")
+    if not 1 <= k <= n:
+        raise GraphError(f"k must be between 1 and n={n}")
+    if n > (cap := DEFAULT_CAPS.get(k, DEFAULT_CAPS[3])):
+        return GraphError(f"cheeger_k exact enumeration capped at n={cap} for k={k} (graph "
+                          f"has n={n}); pass heuristic=True for a flagged local search")
+    return None
+
+
 def _cheeger_exact(g: SignedGraph, ks) -> list[CheegerResult]:
-    """Exact h_k for each k in ``ks``: one table of sets, packing layers up to max(ks)."""
-    n = g.n
-    for k in ks:
-        _seed(k, "k")
-        if not 1 <= k <= n:
-            raise GraphError(f"k must be between 1 and n={n}")
-        if n > (cap := DEFAULT_CAPS.get(k, DEFAULT_CAPS[3])):
-            raise GraphError(f"cheeger_k exact enumeration capped at n={cap} for k={k} (graph "
-                             f"has n={n}); pass heuristic=True for a flagged local search")
-    eu, ev, sigma, w, mu = _int_arrays(g)
+    """Exact h_k for each k in ``ks``, none refused by ``_refusal``: one
+    table of sets, packing layers up to max(ks)."""
+    n, eu, ev, sigma = g.n, g.eu, g.ev, g.es.astype(np.int8)
+    mu, _, w, _ = g.reduced_ints
     size, full = 1 << n, (1 << n) - 1
     # Per mask S: num[S], the least numerator with support S (boundary + iota),
     # and v2[S], the least -1 set among its ties (_best_bipartition's choice).
@@ -262,9 +269,9 @@ def _cheeger_exact(g: SignedGraph, ks) -> list[CheegerResult]:
         for _, choice in reversed(layers[:k]):
             family.insert(0, int(choice[mask]))
             mask ^= family[0]
-        pair_values = tuple(Fraction(int(num[sub]), int(vol[sub])) for sub in family)
         sides = [(sub ^ v, v) for sub, v in zip(family, v2[family].tolist())]
         pairs = tuple(tuple(tuple(i for i in range(n) if x >> i & 1) for x in pr) for pr in sides)
+        pair_values = tuple(_quotient(g, *pr) for pr in pairs)
         results.append(CheegerResult(max(pair_values), pairs, pair_values, subsets_scored=full))
     return results
 
@@ -272,69 +279,47 @@ def _cheeger_exact(g: SignedGraph, ks) -> list[CheegerResult]:
 def cheeger_k(g: SignedGraph, k: int, heuristic: bool = False) -> CheegerResult:
     """Exact k-way signed Cheeger constant by subset enumeration + packing DP."""
     _require_zero_kappa(g, "cheeger_k")
-    _seed(k, "k")
-    if heuristic and 1 <= k <= g.n and g.n > DEFAULT_CAPS.get(k, DEFAULT_CAPS[3]):
+    if (refusal := _refusal(g.n, k)) is None:
+        return _cheeger_exact(g, (k,))[0]
+    if heuristic:
         return _cheeger_k_heuristic(g, k)
-    return _cheeger_exact(g, (k,))[0]
+    raise refusal
 
 
 def _cheeger_k_heuristic(g: SignedGraph, k: int) -> CheegerResult:
-    """Local search over vertex assignments; result flagged inexact."""
+    """``_descend`` over assignments of the vertices, 0 unused and 2i + 1,
+    2i + 2 the two sides of group i < k, from HEURISTIC_RESTARTS random
+    starts, to the least largest group quotient; result flagged inexact."""
     rng = np.random.default_rng(1)
-    d = _int_arrays(g)
-    n = g.n
-    best_val, best_assign = None, None
+    n, eu, ev, sigma = g.n, g.eu, g.ev, g.es.astype(np.int8)
+    mu, _, w, _ = g.reduced_ints
+    groups = np.arange(1, k + 1)
+
+    def score(assign):  # the largest group quotient, None when a group is empty
+        t = np.where((assign[:, None] + 1) // 2 == groups,
+                     np.where(assign % 2, 1, -1)[:, None], 0).astype(np.int8)
+        dens = mu @ np.abs(t)
+        return max(map(Fraction, _numerators(t, eu, ev, sigma, w).tolist(), dens.tolist())
+                   ) if dens.all() else None
+
+    best = None
     for _ in range(HEURISTIC_RESTARTS):
-        # assignment: 0 unused, 2i-1 / 2i the two sides of group i
         assign = rng.integers(0, 2 * k + 1, size=n)
-        for i in range(k):  # ensure nonempty groups
-            if not np.any((assign == 2 * i + 1) | (assign == 2 * i + 2)):
-                assign[rng.integers(0, n)] = 2 * i + 1
-        improved = True
-        while improved:
-            improved = False
-            cur = _assignment_value(d, assign, k)
-            if cur is None:
-                break
-            for x in range(n):
-                old = assign[x]
-                for new in range(2 * k + 1):
-                    if new == old:
-                        continue
-                    assign[x] = new
-                    val = _assignment_value(d, assign, k)
-                    if val is not None and _less(val, cur):
-                        cur = val
-                        improved = True
-                        break
-                    assign[x] = old
-        val = _assignment_value(d, assign, k)
-        if val is not None and (best_val is None or _less(val, best_val)):
-            best_val, best_assign = val, assign.copy()
-    pairs = tuple(tuple(tuple(int(x) for x in np.flatnonzero(best_assign == 2 * i + j))
-                        for j in (1, 2)) for i in range(k))
-    return CheegerResult(
-        value=Fraction(*best_val),
-        pairs=pairs,
-        pair_values=tuple(beta(g, *pr) for pr in pairs),
-        subsets_scored=0,
-        exact=False,
-    )
-
-
-def _assignment_value(d, assign, k: int) -> tuple[int, int] | None:
-    """The largest group quotient (numerator, denominator) of an
-    assignment, or None when a group is empty."""
-    group = (assign + 1) // 2  # 0 unused, i + 1 for group i
-    sides = np.where(assign % 2, 1, -1).astype(np.int8)
-    t = np.where(group[:, None] == np.arange(1, k + 1), sides[:, None], 0)
-    if not t.any(axis=0).all():
-        return None
-    best = (0, 1)
-    for q in zip(*(a.tolist() for a in _quotients(d, t))):
-        if _less(best, q):
-            best = q
-    return best
+        for i in groups:  # a drawn vertex for each empty group ...
+            if not np.any((assign + 1) // 2 == i):
+                assign[rng.integers(0, n)] = 2 * i - 1
+        for i in groups:  # ... may empty an earlier one: refill it, undrawn, from the
+            group = (assign + 1) // 2  # unused vertices or a group of two or more
+            if not np.any(group == i):
+                spare = (group == 0) | (np.bincount(group)[group] > 1)
+                assign[np.flatnonzero(spare)[0]] = 2 * i - 1
+        val = _descend(assign, 2 * k + 1, score)
+        if best is None or val < best[0]:
+            best = val, assign
+    pairs = tuple(tuple(tuple(np.flatnonzero(best[1] == 2 * i + j).tolist()) for j in (1, 2))
+                  for i in range(k))
+    pair_values = tuple(_quotient(g, *pr) for pr in pairs)
+    return CheegerResult(max(pair_values), pairs, pair_values, subsets_scored=0, exact=False)
 
 
 def check_theorem41(g: SignedGraph, p: float, k: int, lambda_k: float, m: int) -> dict:
@@ -345,6 +330,9 @@ def check_theorem41(g: SignedGraph, p: float, k: int, lambda_k: float, m: int) -
     """
     _require_zero_kappa(g, "check_theorem41")
     _exponent(p, single_valued=False)
+    for j in (m, k):
+        if (refusal := _refusal(g.n, j)) is not None:
+            raise refusal
     deg = g.weighted_degrees()
     c_const = float(np.max(deg / g.mu_array()))
     h_m, h_k = (float(r.value) for r in _cheeger_exact(g, (m, k)))

@@ -97,7 +97,9 @@ class SignedGraph:
     edge columns ``eu``, ``ev`` (intp), ``ew``, ``es`` (float), mu, kappa,
     the ``columns`` views, ``cover_ends``, the pairs of the signed double
     cover, ``scaled_ints``, the exact integer view, and ``reduced_ints``,
-    its arrays for the p = 1 block passes.
+    its arrays. Python-int passes and returned exact values read
+    ``scaled_ints``; every numpy pass over the exact integers reads
+    ``reduced_ints``, the one place that picks int64 or Python ints.
     """
 
     ids: tuple[str, ...]
@@ -206,35 +208,32 @@ class SignedGraph:
 
     @cached_property
     def scaled_ints(self) -> tuple[tuple[int, ...], tuple[int, ...],
-                                   tuple[tuple[int, int, int, int], ...],
-                                   tuple[tuple[tuple[int, int, int], ...], ...]]:
-        """Exact integer view ``(mu, kappa, edges, adjacency)``: every mu,
-        kappa and edge weight times one common denominator (a power of two
-        for float data), so sums and ratios of them compare exactly in
-        Python ints."""
+                                   tuple[tuple[int, int, int, int], ...]]:
+        """Exact integer view ``(mu, kappa, edges)``: every mu, kappa and
+        edge weight times one common denominator (a power of two for float
+        data), so sums and ratios of them compare exactly in Python ints."""
         weights = [w for _, _, w, _ in self.edges]
         ratios = [Fraction(x).as_integer_ratio() for x in (*self.mu, *self.kappa, *weights)]
         den = math.lcm(*(d for _, d in ratios))
         ints = [num * (den // d) for num, d in ratios]
         n = self.n
         edges = tuple((u, v, w, s) for (u, v, _, s), w in zip(self.edges, ints[2 * n:]))
-        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        for u, v, w, s in edges:
-            adj[u].append((v, w, s))
-            adj[v].append((u, w, s))
-        return tuple(ints[:n]), tuple(ints[n:2 * n]), edges, tuple(map(tuple, adj))
+        return tuple(ints[:n]), tuple(ints[n:2 * n]), edges
 
     @cached_property
     def reduced_ints(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, type]:
-        """``(mu, kappa, w, wide)``: ``scaled_ints`` as read-only arrays for the
-        integer block passes of the p = 1 code, mu over gcd(mu), and kappa
-        and the weights w over their gcd, which multiplies and divides lambda
-        and changes no comparison of it; and ``wide``, the dtype of
-        products. A |sum of fluxes| is at most A = sum |kappa| + 2 sum w and
+        """``(mu, kappa, w, wide)``: ``scaled_ints`` as read-only arrays for
+        every numpy pass over the exact integers (the Cheeger table and
+        heuristics, the frustration index, and the p = 1 screen, pin stage
+        and block checkers), mu over gcd(mu), and kappa and the weights w
+        over their gcd. That multiplies every quotient sum w |t_u - sigma
+        t_v| / sum mu |t_x|, and lambda, by one positive constant, and
+        changes no comparison, rank or tie of them; and ``wide``, the dtype
+        of products. A |sum of fluxes| is at most A = sum |kappa| + 2 sum w and
         a sum of mu at most B = sum mu, so the arrays and their sums are
         int64 when A, B < 2**62 and products of the two when A B < 2**62;
         else they take Python ints (dtype object)."""
-        mu, kappa, edges, _ = self.scaled_ints
+        mu, kappa, edges = self.scaled_ints
         w = [e[2] for e in edges]
         dm, dk = math.gcd(*mu), math.gcd(*kappa, *w) or 1  # 0 without edges and kappa
         mu, kappa, w = ([x // d for x in xs] for xs, d in ((mu, dm), (kappa, dk), (w, dk)))

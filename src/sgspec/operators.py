@@ -320,7 +320,7 @@ def _pattern_lambda(g: SignedGraph, f) -> tuple:
     """Decide a pattern: the witness for the one lambda at which (lambda, f)
     satisfies the 1-Laplacian inclusion, or the reason that no lambda does,
     ``(kind, *columns)`` as above; see ``one_lap_lambda_range``."""
-    mu, kappa, edges, _ = g.scaled_ints
+    mu, kappa, edges = g.scaled_ints
     n = len(mu)
     sgn = [(x > 0) - (x < 0) for x in f]
     flux = [k * sx for k, sx in zip(kappa, sgn)]  # determined flux c_x
@@ -452,7 +452,7 @@ def _support(g: SignedGraph, sgn, d, mu, kappa, w):
 
 
 def _screen(g: SignedGraph, t, x, y) -> np.ndarray:
-    """lo_x and hi_y are summed from ``g.scaled_ints``, not from the ranks of
+    """lo_x and hi_y are summed from ``g.reduced_ints``, not from the ranks of
     ``spectra._screened_blocks``, and compared as lo_x mu_y > hi_y mu_x."""
     sgn, d, (x, y), mu, kappa, w, wide = _block(g, t, (x, "iu", None), (y, "iu", None))
     cols, n = np.arange(sgn.shape[1]), g.n
@@ -505,7 +505,7 @@ def _witness(g: SignedGraph, t, p, q, z_edge, z_vertex) -> np.ndarray:
     the end v) plus z_vertex, equal to sgn_x p mu_x den; a zero vertex has
     |z_vertex| <= den |kappa_x| and |q times its flux| <= |p| mu_x den. Each
     vertex's flux is one row operation per edge."""
-    mu, kappa, edges, _ = g.scaled_ints
+    mu, kappa, edges = g.scaled_ints
     sgn, d, (p, q, z, zx), *_ = _block(g, t, (p, "iuO", None), (q, "iuO", None),
                                        (z_edge, "iuO", len(edges)), (z_vertex, "iuO", g.n))
     den = 2 * q
@@ -560,10 +560,11 @@ def check_certificates_1lap(g: SignedGraph, kind: str, t, *certs) -> np.ndarray:
 
     A zero column is certified by no kind. One integer pass per block, from
     g and t alone: sgn, c, the free edges, lambda and the screen's bounds
-    are recomputed from ``g.scaled_ints``, not taken from the screen, the
-    pin stage or the max-flow that produced the block (see ``_block`` for
-    the arithmetic). An unknown kind, the wrong number of certificate
-    arrays or a malformed block raises GraphError."""
+    are recomputed from ``g.reduced_ints`` (a witness's balances from
+    ``g.scaled_ints``), not taken from the screen, the pin stage or the
+    max-flow that produced the block (see ``_block`` for the arithmetic).
+    An unknown kind, the wrong number of certificate arrays or a malformed
+    block raises GraphError."""
     if type(kind) is not str or kind not in _KERNELS:
         raise GraphError(f"unknown certificate kind {kind!r}, expected one of {sorted(_KERNELS)}")
     kernel, arity = _KERNELS[kind]
@@ -622,7 +623,7 @@ def check_eigenpair_1lap(g: SignedGraph, lam, f) -> ResidualCertificate:
         return ResidualCertificate(verdict=False)
     # back from scaled_ints: z_uv = a / (den w), z_x = z / (den kappa_x) with
     # den = 2q, and where kappa_x = 0, z_x is sgn f_x (0 at a zero)
-    _, kappa, edges, _ = g.scaled_ints
+    _, kappa, edges = g.scaled_ints
     den = 2 * cols[1]
     witness = {
         "z_edge": {f"{g.ids[u]},{g.ids[v]}": Fraction(a, den * w)

@@ -31,8 +31,9 @@ rest is decided by an exact integer max-flow that leaves a certificate: a
 witness for a pair, else the reason, as a block column. Every certificate,
 of the screen, the pin stage or the flow, is kept in one field as int8
 blocks of patterns with their certificate arrays, for the one block checker
-``check_certificates_1lap``. Both integer block passes take their arrays
-and the dtype of their products from ``g.reduced_ints``.
+``check_certificates_1lap``. The screen's rank tables and the pin stage
+take their arrays, and the pin stage the dtype of its products, from
+``g.reduced_ints``.
 """
 
 from __future__ import annotations
@@ -383,12 +384,13 @@ def _screened_blocks(g: SignedGraph):
     support vertices x and y (see ``check_certificates_1lap``); x has the
     largest lo_x / mu_x and y the least hi_y / mu_y.
 
-    On ``g.scaled_ints``, hi_x = kappa_x + W_x and lo_x = hi_x - 2 F_x, with
-    W_x and F_x the weight of the edges and of the free edges at x. F_x is
-    one of the subset sums of x's edge weights, so all bounds are ranked
-    once, in Python ints, by ``cheeger._ranks`` (their denominators are at
-    most max mu); a block looks up each lo_x by the bits of x's free edges,
-    and integer compares decide every column."""
+    On ``g.reduced_ints``, hi_x = kappa_x + W_x and lo_x = hi_x - 2 F_x,
+    with W_x and F_x the weight of the edges and of the free edges at x.
+    F_x is one of the subset sums of x's edge weights, all of them one
+    matrix product, so all bounds are ranked once, in Python ints, by
+    ``cheeger._ranks`` (their denominators are at most max mu); a block
+    looks up each lo_x by the bits of x's free edges, and integer compares
+    decide every column."""
     n = g.n
     # slot k of vertex x: its k-th edge, or the edge past the last, whose sigma 0 is never free
     slots = [[e for e, (u, v, _, _) in enumerate(g.edges) if x in (u, v)] for x in range(n)]
@@ -400,16 +402,13 @@ def _screened_blocks(g: SignedGraph):
     # lo_of[x << width | c]: the rank of lo_x / mu_x where the slots in the
     # bits of c are free; lo_of[n << width] = -1, below every rank, is off
     # the support; hi_of[x] is the rank at c = 0, hi_of[n] above every rank
-    mu, kappa, _, adj = g.scaled_ints
-    nums = []
-    for kap, a in zip(kappa, adj):
-        sums = [0]  # sums[c]: the weight of the slots in the bits of c (padding weighs 0)
-        for w in [w for _, w, _ in a] + [0] * (width - len(a)):
-            sums += [s + w for s in sums]
-        nums += [kap + sums[-1] - 2 * s for s in sums]
-    dens = [m for m in mu for _ in range(1 << width)]
-    lo_of = np.append(_cheeger._ranks(nums, dens, max(mu)), -1)
-    hi_of = np.append(lo_of[:-1:1 << width], len(nums))
+    mu, kappa, w, _ = g.reduced_ints
+    # sums[x, c]: the weight of x's slots in the bits of c (padding weighs 0)
+    sums = np.append(w, 0)[slot] @ (np.arange(1 << width) >> np.arange(width)[:, None] & 1)
+    nums = kappa[:, None] + sums[:, -1:] - 2 * sums
+    lo_of = np.append(_cheeger._ranks(nums.ravel().tolist(), np.repeat(mu, 1 << width).tolist(),
+                                      int(mu.max())), -1)
+    hi_of = np.append(lo_of[:-1:1 << width], nums.size)
     start = (np.arange(n) << width)[:, None]
     for t, _, _ in _cheeger._labelings(n):
         # t_u sigma t_v is 1 exactly on a free edge, else 0 or -1: clipped at 0, a bool array

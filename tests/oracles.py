@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from sgspec import simplex
-from sgspec.cheeger import DEFAULT_CAPS, CheegerResult, _best_bipartition, _int_arrays
+from sgspec.cheeger import DEFAULT_CAPS, CheegerResult, _best_bipartition
 from sgspec.graph import (
     GraphError,
     SignedGraph,
@@ -287,17 +287,20 @@ def cheeger_h1_oracle(g: SignedGraph) -> Fraction:
     return best
 
 
+def one_rayleigh_fraction(g: SignedGraph, t) -> Fraction:
+    """The 1-Rayleigh quotient sum_e w_e |t_u - sigma_e t_v| / sum_x mu_x |t_x|
+    of a nonzero labeling t, in Fractions of the graph's floats."""
+    num = sum(Fraction(w) * abs(t[u] - s * t[v]) for u, v, w, s in g.edges)
+    return num / sum(Fraction(m) * abs(x) for m, x in zip(g.mu, t))
+
+
 def cheeger_k_oracle(g: SignedGraph, k: int) -> Fraction:
     """h_k by brute force over all assignments of the vertices to unused,
     V1_i or V2_i (i < k) with every V1_i + V2_i nonempty: the minimum over
     them of the largest beta(V1_i, V2_i), each the 1-Rayleigh quotient
     sum_e w_e |t_u - sigma_e t_v| / sum_x mu_x |t_x| of t = 1_V1_i - 1_V2_i
     in Fractions. Meant for n <= 5 and k <= 3."""
-    beta_of = {}
-    for t in product((0, 1, -1), repeat=g.n):
-        if any(t):
-            num = sum(Fraction(w) * abs(t[u] - s * t[v]) for u, v, w, s in g.edges)
-            beta_of[t] = num / sum(Fraction(m) * abs(x) for m, x in zip(g.mu, t))
+    beta_of = {t: one_rayleigh_fraction(g, t) for t in product((0, 1, -1), repeat=g.n) if any(t)}
     best = None
     for assign in product(range(2 * k + 1), repeat=g.n):
         groups = [tuple(1 if a == 2 * i + 1 else -1 if a == 2 * i + 2 else 0 for a in assign)
@@ -319,11 +322,13 @@ def cheeger_k_sequential(g: SignedGraph, k: int) -> CheegerResult:
     """``cheeger_k`` one vertex set at a time: a ``_best_bipartition`` call
     per mask for the per-set optima, then the packing DP with a pure-Python
     descending submask loop per layer j >= 2. Same ranks, ties and family
-    as the library; exact enumeration only, under the same caps."""
+    as the library, ranked on ``g.reduced_ints``; each pair value is
+    ``one_rayleigh_fraction`` of its pair. Exact enumeration only, under
+    the same caps."""
     n = g.n
     if not 1 <= k <= n or n > DEFAULT_CAPS.get(k, DEFAULT_CAPS[3]):
         raise GraphError(f"k={k} out of range or above the cap for n={n}")
-    d = eu, ev, _, w, mu = _int_arrays(g)
+    eu, ev, (mu, _, w, _) = g.eu, g.ev, g.reduced_ints
     size = 1 << n
     full = size - 1
     # per mask: its boundary and volume, plus the least iota over its bipartitions
@@ -331,7 +336,7 @@ def cheeger_k_sequential(g: SignedGraph, k: int) -> CheegerResult:
     num, vol = np.abs(bits[:, eu] - bits[:, ev]) @ w, bits @ mu
     codes = [0] * size
     for mask in range(1, size):
-        codes[mask], iota = _best_bipartition(d, np.flatnonzero(bits[mask]))
+        codes[mask], iota = _best_bipartition(g, np.flatnonzero(bits[mask]))
         num[mask] += iota
 
     # exact ranks: two different scores with denominators <= V differ by >= 1 / V**2
@@ -369,10 +374,12 @@ def cheeger_k_sequential(g: SignedGraph, k: int) -> CheegerResult:
         family.append(layer[mask])
         mask ^= family[-1]
     family.reverse()
-    pair_values = tuple(Fraction(int(num[sub]), int(vol[sub])) for sub in family)
+    pairs = tuple(_sides(np.flatnonzero(bits[sub]), codes[sub]) for sub in family)
+    pair_values = tuple(one_rayleigh_fraction(g, [(x in v1) - (x in v2) for x in range(n)])
+                        for v1, v2 in pairs)
     return CheegerResult(
         value=max(pair_values),
-        pairs=tuple(_sides(np.flatnonzero(bits[sub]), codes[sub]) for sub in family),
+        pairs=pairs,
         pair_values=pair_values,
         subsets_scored=full,
     )
@@ -386,10 +393,14 @@ def prefilter_lambda_box(g: SignedGraph, f) -> tuple | None:
 
     For each support vertex x the inclusion pins lambda to an interval
     [lo_x / mu_x, hi_x / mu_x] of achievable normalized flux; the intervals
-    must intersect. The bounds are ``g.scaled_ints`` sums, compared exactly
-    by cross-multiplication (mu > 0).
+    must intersect. The bounds are ``g.scaled_ints`` sums over each
+    vertex's edges, compared exactly by cross-multiplication (mu > 0).
     """
-    mu, kappa, _, adj = g.scaled_ints
+    mu, kappa, edges = g.scaled_ints
+    adj = [[] for _ in mu]
+    for u, v, w, s in edges:
+        adj[u].append((v, w, s))
+        adj[v].append((u, w, s))
     lo_max = hi_min = None  # (flux, mu, x) of the largest lower / smallest upper end
     for x, fx in enumerate(f):
         if fx == 0:
@@ -421,7 +432,7 @@ def pin_stage_reference(g: SignedGraph, f) -> tuple | None:
     whose |c_y| exceeds |lambda| mu_y + |kappa_y| plus the weight of its
     zero-zero edges, else None. Pins are compared exactly by
     cross-multiplication on ``g.scaled_ints``."""
-    mu, kappa, edges, _ = g.scaled_ints
+    mu, kappa, edges = g.scaled_ints
     n = len(mu)
     sgn = [(x > 0) - (x < 0) for x in f]
     c = [k * s for k, s in zip(kappa, sgn)]  # the determined flux

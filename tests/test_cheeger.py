@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgspec import cheeger as cheeger_mod
-from sgspec.cheeger import DEFAULT_CAPS, _int_arrays, beta, cheeger_k, check_theorem41
-from sgspec.cheeger import frustration_index
+from sgspec.cheeger import DEFAULT_CAPS, beta, cheeger_k, check_theorem41
+from sgspec.cheeger import _cheeger_k_heuristic, _frustration_local_search, frustration_index
 from sgspec.graph import GraphError, SignedGraph, balance_state, components, switch
 from sgspec.graph import BalanceState, induced_subgraph, with_degree_measure
 from sgspec.harness import MODELS, random_signed_graph
@@ -121,8 +121,23 @@ class TestFrustration:
         g = random_zero_kappa(rng, 26, density=0.2)
         with pytest.raises(GraphError, match="capped"):
             frustration_index(g, range(26))
-        _, _, exact = frustration_index(g, range(26), heuristic=True)
+        value, tau, exact = frustration_index(g, range(26), heuristic=True)
         assert not exact
+        assert value == violated_twice(g, tau) > 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_local_search_is_a_valid_bound(self, monkeypatch, seed):
+        # within the cap, the local search's labeling against the exact index
+        rng = np.random.default_rng(seed)
+        g = random_zero_kappa(rng, int(rng.integers(4, 11)), density=0.6)
+        omega = sorted({0, *(x for x in range(g.n) if rng.random() < 0.8)})
+        exact_value, _, exact = frustration_index(g, omega)
+        tau = _frustration_local_search(g, np.array(omega))
+        assert exact and len(tau) == len(omega) and set(tau.tolist()) <= {-1, 1}
+        monkeypatch.setattr(cheeger_mod, "FRUSTRATION_ENUM_CAP", 0)
+        value, found, flagged = frustration_index(g, omega, heuristic=True)
+        assert not flagged and found == dict(zip(omega, tau.tolist()))
+        assert value == violated_twice(g, found) >= exact_value
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -140,6 +155,23 @@ class TestFrustration:
             for mask in range(1 << len(omega))
         )
         assert best == (iota + bound) / vol
+
+
+def violated_twice(g, tau):
+    """Twice the weight of the edges inside tau's domain that tau leaves
+    violated (tau_u sigma tau_v = -1), in Fractions."""
+    return sum(2 * F(w) for u, v, w, s in g.edges
+               if u in tau and v in tau and tau[u] * s * tau[v] < 0)
+
+
+def assert_valid_family(g, res, k):
+    """res names k disjoint nonempty groups whose pair values are their
+    beta, and its value is the largest of them."""
+    assert len(res.pairs) == len(res.pair_values) == k
+    members = [x for v1, v2 in res.pairs for x in (*v1, *v2)]
+    assert len(members) == len(set(members)) and all(v1 or v2 for v1, v2 in res.pairs)
+    assert res.pair_values == tuple(beta(g, v1, v2) for v1, v2 in res.pairs)
+    assert res.value == max(res.pair_values)
 
 
 class TestCheegerK:
@@ -227,8 +259,30 @@ class TestCheegerK:
         with pytest.raises(GraphError, match="capped"):
             cheeger_k(g, 2)
         res = cheeger_k(g, 2, heuristic=True)
+        assert not res.exact and res.subsets_scored == 0
+        assert_valid_family(g, res, 2)
+
+    @pytest.mark.parametrize("n", [14, 15, 16])
+    def test_heuristic_at_k_equal_n(self, n):
+        # a start's fix-up may empty a group it filled earlier; every start
+        # must still give each group a vertex, or no start is feasible
+        g = random_signed_graph(n, 0.4, seed=n, connected=True)
+        res = cheeger_k(g, n, heuristic=True)
         assert not res.exact
-        assert res.value >= 0
+        assert_valid_family(g, res, n)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_heuristic_is_a_valid_upper_bound(self, seed):
+        # within the caps, against the exact constant
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        model = MODELS[seed % len(MODELS)]
+        g = with_mu(random_signed_graph(n, 0.6, model, seed=seed), "dyadic", rng)
+        for k in range(1, min(n, 3) + 1):
+            res = _cheeger_k_heuristic(g, k)
+            assert not res.exact
+            assert_valid_family(g, res, k)
+            assert res.value >= cheeger_k(g, k).value
 
     def test_k_out_of_range(self):
         with pytest.raises(GraphError):
@@ -268,12 +322,25 @@ def cycle(n, negative=0):
                                    for i in range(n)])
 
 
+def spread_weights(g, rng):
+    """g with its weights spread over 1e-9 .. 1e9, so that its exact
+    integers need Python ints."""
+    scales = rng.permutation(np.logspace(-9, 9, len(g.edges)))
+    return SignedGraph(g.ids, g.mu, g.kappa, tuple((u, v, float(rng.uniform(1, 2) * x), s)
+                                                   for (u, v, _, s), x in zip(g.edges, scales)))
+
+
+# the dtype of g.reduced_ints on the named graphs of both corpora below
+PINNED_DTYPES = {"repro": np.int64, "repro-negated": np.int64, "wide-weights": object}
+
+
 def sequential_corpus():
     """(name, graph) for the table-against-sequential check: n = 1..10 over
     the five signature models with unit, degree and dyadic mu; tie-heavy
     unit-weight complete graphs and cycles; the repro graph and its
-    unbalanced copy, both scored in Python ints. n >= 8 spreads a support
-    over several blocks of labelings."""
+    unbalanced copy, and a graph with weights spread over 1e-9 .. 1e9,
+    scored in Python ints. n >= 8 spreads a support over several blocks of
+    labelings."""
     rng = np.random.default_rng(53)
     corpus = []
     for n in range(1, 11):
@@ -288,7 +355,9 @@ def sequential_corpus():
     repro, _ = repro_graph()
     (u, v, w, _), *rest = repro.edges
     corpus += [("repro", repro),
-               ("repro-negated", SignedGraph(repro.ids, repro.mu, repro.kappa, ((u, v, w, -1), *rest)))]
+               ("repro-negated", SignedGraph(repro.ids, repro.mu, repro.kappa, ((u, v, w, -1), *rest))),
+               ("wide-weights", spread_weights(random_signed_graph(7, 0.8, seed=7, connected=True),
+                                               rng))]
     return corpus
 
 
@@ -300,8 +369,8 @@ class TestAgainstSequential:
     @pytest.mark.parametrize("name, g", sequential_corpus(),
                              ids=lambda x: x if isinstance(x, str) else "")
     def test_identical_results(self, name, g):
-        if name.startswith("repro"):
-            assert _int_arrays(g)[3].dtype == object
+        if name in PINNED_DTYPES:
+            assert g.reduced_ints[0].dtype == PINNED_DTYPES[name]
         for k in exact_ks(g.n):
             assert cheeger_k(g, k) == cheeger_k_sequential(g, k), k
 
@@ -319,8 +388,7 @@ def oracle_corpus():
     """Seeded zero-kappa graphs for the brute-force oracles, n 3-5, as
     (kind, graph): dyadic non-unit mu, degree mu, the repro graph and an
     unbalanced copy (one edge negated; mu = 1e9 on three vertices), and
-    weights spread over 1e-9 .. 1e9. The last three need scores beyond
-    int64."""
+    weights spread over 1e-9 .. 1e9, whose scores need Python ints."""
     rng = np.random.default_rng(47)
     corpus = []
     for n in (3, 4, 5, 5):
@@ -334,11 +402,7 @@ def oracle_corpus():
     negated = SignedGraph(repro.ids, repro.mu, repro.kappa, ((u, v, w, -1), *rest))
     corpus += [("repro", repro), ("repro", negated)]
     for n in (4, 5):
-        g = random_zero_kappa(rng, n, density=0.9)
-        scales = rng.permutation(np.logspace(-9, 9, len(g.edges)))
-        edges = tuple((u, v, float(rng.uniform(1, 2) * x), s)
-                      for (u, v, _, s), x in zip(g.edges, scales))
-        corpus.append(("wide-weights", SignedGraph(g.ids, g.mu, g.kappa, edges)))
+        corpus.append(("wide-weights", spread_weights(random_zero_kappa(rng, n, density=0.9), rng)))
     return corpus
 
 
@@ -347,8 +411,7 @@ class TestAgainstOracles:
                              ids=lambda x: x if isinstance(x, str) else "")
     def test_cheeger_k_equals_brute_force(self, kind, g):
         # the exact integer scores run in int64 or, when they may not fit, in Python ints
-        wide = kind in ("repro", "wide-weights")
-        assert _int_arrays(g)[3].dtype == (object if wide else np.int64)
+        assert g.reduced_ints[0].dtype == PINNED_DTYPES.get(kind, np.int64)
         assert cheeger_k_oracle(g, 1) == cheeger_h1_oracle(g)
         for k in range(1, min(3, g.n) + 1):
             res = cheeger_k(g, k)
@@ -388,6 +451,11 @@ class TestTheoremCheck:
         assert [rec["h_m"], rec["h_k"]] == want
         # one pass for the table, one per packing layer j = 2..max(m, k)
         assert passes.count(g.n) == max(m, k)
+
+    def test_empty_graph_refused(self):
+        # k and m are checked before the degree bound, whose max has no entry here
+        with pytest.raises(GraphError, match="between 1 and n=0"):
+            check_theorem41(SignedGraph.build([], []), 2.0, 1, 0.0, 1)
 
     @pytest.mark.parametrize("m, k, match", [(3, 1, "capped at n=8 for k=3"),
                                              (1, 11, "between 1 and n=10")])

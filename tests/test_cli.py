@@ -107,6 +107,15 @@ class TestCheeger:
         assert code == 0
         assert json.loads(out)["value"] == "3/4"
 
+    def test_heuristic_at_k_equal_n(self, capsys, tmp_path):
+        # every group of every start gets a vertex: no traceback at k = n
+        gfile = tmp_path / "g.json"
+        gfile.write_bytes(serialize_graph(random_signed_graph(14, 0.4, seed=14, connected=True)))
+        code, out, _ = run(capsys, "cheeger", "--graph", str(gfile), "--k", "14", "--heuristic")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["exact"] is False and len(doc["pairs"]) == 14
+
 
 class TestNodal:
     def test_counts_and_exit_code(self, capsys, p3_file, tmp_path):

@@ -179,14 +179,13 @@ class TestCachedArrays:
     def test_scaled_ints_are_one_exact_scaling(self):
         g = SignedGraph.build(["a", "b", "c"], [("a", "b", 0.75, 1), ("b", "c", 3.0, -1)],
                               mu=[0.5, 1.0, 0.1], kappa=[0.0, -1.25, 0.0])
-        mu, kappa, edges, adj = g.scaled_ints
+        mu, kappa, edges = g.scaled_ints
         ints = [*mu, *kappa, *(w for _, _, w, _ in edges)]
         vals = [*g.mu, *g.kappa, *(w for _, _, w, _ in g.edges)]
         assert all(type(i) is int for i in ints)
         scale = Fraction(ints[0]) / Fraction(vals[0])
         assert all(Fraction(i) == scale * Fraction(v) for i, v in zip(ints, vals))
         assert [(u, v, s) for u, v, _, s in edges] == [(u, v, s) for u, v, _, s in g.edges]
-        assert adj[1] == ((0, edges[0][2], 1), (2, edges[1][2], -1))
         assert g.scaled_ints is g.scaled_ints  # built once
         assert g == SignedGraph(ids=g.ids, mu=g.mu, kappa=g.kappa, edges=g.edges)
 

@@ -649,7 +649,7 @@ def products_take_python_ints(g) -> bool:
     Python ints (dtype object) on g: A, B or A B reaches 2**62, with
     A = sum |kappa| + 2 sum w and B = sum mu, mu over its gcd and kappa and
     w over theirs."""
-    mu, kappa, edges, _ = g.scaled_ints
+    mu, kappa, edges = g.scaled_ints
     w = [e[2] for e in edges]
     span = (sum(map(abs, kappa)) + 2 * sum(w)) // (math.gcd(*kappa, *w) or 1)
     total = sum(mu) // math.gcd(*mu)
@@ -730,7 +730,7 @@ class TestPinStage:
             assert g.reduced_ints is g.reduced_ints
             assert not any(a.flags.writeable for a in (mu, kappa, w))
             assert (wide is object) == products_take_python_ints(g), g
-            smu, skappa, edges, _ = g.scaled_ints
+            smu, skappa, edges = g.scaled_ints
             sw = [e[2] for e in edges]
             dk = math.gcd(*skappa, *sw) or 1
             assert mu.tolist() == [m // math.gcd(*smu) for m in smu]
