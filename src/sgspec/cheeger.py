@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph, _exponent, _seed, _vertices
+from .graph import GraphError, SignedGraph, _eigenvalue, _exponent, _seed, _vertices
 
 __all__ = [
     "beta",
@@ -327,9 +327,15 @@ def check_theorem41(g: SignedGraph, p: float, k: int, lambda_k: float, m: int) -
 
     Evaluates (2^(p-1) / (C^(p-1) p^p)) h_m^p <= lambda_k <= 2^(p-1) h_k
     with C = max_x (sum_y w_xy) / mu_x, and reports slack on both sides.
+    lambda_k is a finite real number, not a bool or a str, within the float
+    range of the bounds.
     """
     _require_zero_kappa(g, "check_theorem41")
     _exponent(p, single_valued=False)
+    try:
+        lambda_k = float(_eigenvalue(lambda_k))
+    except OverflowError:
+        raise GraphError("lambda_k is beyond the float range of the bounds") from None
     for j in (m, k):
         if (refusal := _refusal(g.n, j)) is not None:
             raise refusal

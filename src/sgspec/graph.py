@@ -250,15 +250,18 @@ class SignedGraph:
         kappa: Mapping[str, float] | Sequence[float] | float = 0.0,
     ) -> "SignedGraph":
         """Construct from string ids; edges as ``(u_id, v_id, w, sigma)``. Malformed
-        input (not a 4-tuple, not a number, sigma not an int) raises GraphError."""
+        input (not a 4-tuple, not a real number by the constructor's rule, so
+        neither a bool nor a str, sigma not an int) raises GraphError."""
         ids = tuple(str(i) for i in ids)
         idx = {vid: i for i, vid in enumerate(ids)}
 
-        def number(x, kind, what):
+        def number(x, kind, what):  # kind float takes a real number alone
             try:
-                return kind(x)
+                if kind is tuple or _is(x, numbers.Real):
+                    return kind(x)
             except (TypeError, ValueError, OverflowError):
-                raise GraphError(f"{what} must be a number, got {x!r}") from None
+                pass
+            raise GraphError(f"{what} must be a number, got {x!r}")
 
         def per_vertex(spec, name, default):
             if isinstance(spec, Mapping):
@@ -317,10 +320,26 @@ def _exponent(p, single_valued: bool) -> None:
         raise GraphError(f"p must be finite and {'> 1' if single_valued else '>= 1'}, got {p!r}")
 
 
+def _eigenvalue(lam) -> Fraction:
+    """The one check of an eigenvalue: a finite real number, not a bool or a
+    str, else GraphError. Returned as an exact Fraction: an int or a
+    Fraction as it is, any other real through its float (losslessly for a
+    float)."""
+    if not (_is(lam, numbers.Real) and abs(lam) < math.inf):
+        raise GraphError(f"eigenvalue must be a finite real number, got {lam!r}")
+    return Fraction(lam) if isinstance(lam, numbers.Rational) else Fraction(float(lam))
+
+
 def _seed(value, name: str = "seed") -> None:
     """The one check of a random seed or a count: a non-negative int, not a bool."""
     if not (_is(value, numbers.Integral) and value >= 0):
         raise GraphError(f"{name} must be a non-negative int, got {value!r}")
+
+
+def _tol(tol) -> None:
+    """The one check of a tolerance: a finite real number >= 0, not a bool."""
+    if not (_is(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        raise GraphError(f"tol must be a finite real number >= 0, got {tol!r}")
 
 
 def _vertices(g: SignedGraph, xs) -> set[int]:
@@ -350,8 +369,9 @@ def switch(g: SignedGraph, tau: Sequence[int]) -> SignedGraph:
     if len(tau) != g.n:
         raise GraphError("switching function must be defined on exactly the vertex set")
     for t in tau:
-        if t not in (-1, 1):
-            raise GraphError(f"switching values must be -1 or +1, got {t}")
+        if not (_is(t, numbers.Integral) and t in (-1, 1)):
+            raise GraphError(f"switching values must be the int -1 or +1, got {t!r}")
+    tau = [int(t) for t in tau]
     new_edges = tuple((u, v, w, tau[u] * s * tau[v]) for u, v, w, s in g.edges)
     return SignedGraph(ids=g.ids, mu=g.mu, kappa=g.kappa, edges=new_edges)
 

@@ -11,7 +11,6 @@ no trial depends on the trials before it.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, fields, asdict
 from functools import cached_property
@@ -29,6 +28,7 @@ from .graph import (
     _is,
     _load_json,
     _seed,
+    _tol,
     balance_state,
     components,
     serialize_graph,
@@ -37,7 +37,7 @@ from .graph import (
 )
 from .nodal import SpectrumContext, _bound_reports, nodal_quantities, strong_domains, weak_domains
 from .operators import EigenPair, check_eigenpair
-from .spectra import RESTARTS, _extremes, one_lap_enumerate, spectrum_p2
+from .spectra import ONE_LAP_CAP, RESTARTS, _extremes, one_lap_enumerate, spectrum_p2
 from .transforms import interlacing_check_p2, remove_edge
 
 __all__ = [
@@ -279,18 +279,18 @@ def _cheeger_bounds(t: _Trial):
     yield from _uncertified(t)
     if 2.0 not in t.cfg.p_list:
         return
-    if t.n > 8:
-        yield "n over exact Cheeger cap"
-        return
     k = int(t.rng.integers(1, t.n + 1))
     f = _clean_zeros(t.spec.vectors[:, k - 1])
-    rec = _cheeger.check_theorem41(t.g, 2.0, k, float(t.spec.values[k - 1]),
-                                   strong_domains(t.g, f)[0])
+    m = strong_domains(t.g, f)[0]
+    if _cheeger._refusal(t.n, k) or _cheeger._refusal(t.n, m):
+        yield "n over exact Cheeger cap"
+        return
+    rec = _cheeger.check_theorem41(t.g, 2.0, k, float(t.spec.values[k - 1]), m)
     yield _Verdict(rec["pass"], {"record": rec})
 
 
 def _onelap_h1(t: _Trial):
-    if t.n > 8:
+    if t.n > ONE_LAP_CAP:  # h_1's cap is no lower
         yield "n over 1-Laplacian enumeration budget"
         return
     lam1 = one_lap_enumerate(t.g).lambda_1
@@ -346,16 +346,13 @@ class SuiteConfig:
             raise GraphError("need trials >= 1")
         if not 4 <= self.n_min <= self.n_max:
             raise GraphError("need 4 <= n_min <= n_max")
-        if not (_is(self.tol, numbers.Real) and math.isfinite(self.tol)):
-            raise GraphError(f"tol must be a finite real number, got {self.tol!r}")
+        _tol(self.tol)
         _density(self.density)
         if not (self.models and self.p_list and self.checks):
             raise GraphError("models, p_list and checks must be non-empty")
         for p in self.p_list:
             _exponent(p, single_valued=False)
         _option(self.mu_mode, "mu_mode", MU_MODES)
-        if not self.tol >= 0:
-            raise GraphError("tol must be >= 0")
         for c in self.checks:
             if c not in ALL_CHECKS:
                 raise GraphError(f"unknown check {c!r}")

@@ -15,29 +15,29 @@ feasibility question, decided by an exact integer max-flow
 residual network, from every node with excess at once, each node started
 at the target in its interval nearest 0. Each decision leaves a
 certificate: the flow, as a witness, when f admits lambda, and otherwise
-the inequality that rules f out (a screen pair, or a support cut or a zero
-cut from Hoffman's circulation theorem); every certificate takes lambda
-from the support. A certificate has one form, a block column, and one
-checker (certifying algorithms: McConnell, Mehlhorn, Naeher & Schweitzer,
-Comput. Sci. Rev. 5(2), 2011): ``check_certificates_1lap`` checks one
-pattern or a whole block of patterns in integers, independently of whatever
-produced it, by a private kernel per kind on one shared boundary. A side is
-an (n,) bool mask, pi (n,) ints, and a witness lambda = p / q with its z as
-Python ints. ``check_eigenpair_1lap`` decides a given (lambda, f) by the
-same checked max-flow; :mod:`sgspec.simplex` decides nothing here, and
-remains only as the test oracles' independent LP and for the benchmark.
+a cut, signs pi in {-1, 0, 1} for which the pi-weighted flux that the free
+edges must carry exceeds what they can carry (Farkas; the screen's, the
+pin stage's and both of Hoffman's max-flow cuts are all of this one form);
+every certificate takes lambda from the support. A certificate has one
+form, a block column, and one checker (certifying algorithms: McConnell,
+Mehlhorn, Naeher & Schweitzer, Comput. Sci. Rev. 5(2), 2011):
+``check_certificates_1lap`` checks one pattern or a whole block of
+patterns in integers, independently of whatever produced it, by a private
+kernel per kind, ``_cut`` or ``_witness``, on one shared boundary. A cut
+is pi as (n,) ints, and a witness lambda = p / q with its z as Python
+ints. ``check_eigenpair_1lap`` decides a given (lambda, f) by the same
+checked max-flow; :mod:`sgspec.simplex` decides nothing here, and remains
+only as the test oracles' independent LP and for the benchmark.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph, _exponent, _function, _is
+from .graph import GraphError, SignedGraph, _eigenvalue, _exponent, _function, _tol
 
 __all__ = [
     "phi_p",
@@ -163,16 +163,6 @@ def eigen_residual(g: SignedGraph, p: float, f, lam):
     return res if np.ndim(f) == 2 else float(res[0])
 
 
-def _eigenvalue(lam) -> Fraction:
-    """The one check of an eigenvalue: a finite real number, not a bool or a
-    str, else GraphError. Returned as an exact Fraction: an int or a
-    Fraction as it is, any other real through its float (losslessly for a
-    float)."""
-    if not (_is(lam, numbers.Real) and abs(lam) < math.inf):
-        raise GraphError(f"eigenvalue must be a finite real number, got {lam!r}")
-    return Fraction(lam) if isinstance(lam, numbers.Rational) else Fraction(float(lam))
-
-
 @dataclass(frozen=True)
 class EigenPair:
     lam: float
@@ -202,8 +192,10 @@ class ResidualCertificate:
 def check_eigenpair(g: SignedGraph, pair: EigenPair, tol: float = 1e-9) -> ResidualCertificate:
     """Relative residual check of the eigen-equation for p > 1. The residual
     is taken in floats, so a lambda beyond the float range is a GraphError
-    (``check_eigenpair_1lap`` takes any finite lambda exactly)."""
+    (``check_eigenpair_1lap`` takes any finite lambda exactly). tol is a
+    finite real >= 0."""
     _exponent(pair.p, single_valued=True)
+    _tol(tol)
     try:
         lam = float(pair.lam)
     except OverflowError:
@@ -226,10 +218,11 @@ def check_eigenpair(g: SignedGraph, pair: EigenPair, tol: float = 1e-9) -> Resid
 # vertices), so every certificate takes lambda from the support's sums and
 # none carries a pin. A certificate has one form, a column of a block
 # (kind, t, *certs) described in ``check_certificates_1lap``: the max-flow
-# decides one pattern and returns ("support-cut", side), ("zero-cut", pi)
-# or ("witness", p, q, z_edge, z_vertex), side an (n,) bool mask, pi (n,)
-# int8, p and q ints and the z lists of |E| and n Python ints, the columns
-# that one_lap_enumerate keeps in blocks of patterns.
+# decides one pattern and returns ("cut", pi) or ("witness", p, q, z_edge,
+# z_vertex), pi (n,) int8 in {-1, 0, 1}, p and q ints and the z lists of |E|
+# and n Python ints, the columns that one_lap_enumerate keeps in blocks of
+# patterns. A side S of a flow's Hoffman cut is pi = sgn on S; a side of
+# the zero block's double cover is pi_y = [y+ in it] - [y- in it].
 
 
 def _feasible_flow(n: int, arcs, lo, hi) -> tuple[list[int] | None, list[int] | None]:
@@ -346,8 +339,10 @@ def _pattern_lambda(g: SignedGraph, f) -> tuple:
     demand = [p * mu[x] - q * sgn[x] * flux[x] if sgn[x] else 0 for x in range(n)]
     support_flows, side = _feasible_flow(
         n, [(u, v, q * w) for _, u, v, w in support_arcs], demand, demand)
-    if support_flows is None:
-        return "support-cut", np.array([x in side for x in range(n)])
+    pi = np.zeros(n, np.int8)  # the cut, if one rules f out
+    if support_flows is None:  # pi = sgn on the side
+        pi[side] = [sgn[x] for x in side]
+        return "cut", pi
 
     # zero vertex y: the net flux of its zero-zero edges lies in
     # [-|lam| mu_y - |kappa_y| - c_y, |lam| mu_y + |kappa_y| - c_y]
@@ -363,9 +358,8 @@ def _pattern_lambda(g: SignedGraph, f) -> tuple:
             lo[i], hi[i] = -slack - q * flux[y], slack - q * flux[y]
             lo[i + 1], hi[i + 1] = -hi[i], -lo[i]
         elif q * abs(flux[y]) > slack:
-            pi = np.zeros(n, np.int8)
-            pi[y] = 1 if flux[y] > 0 else -1
-            return "zero-cut", pi
+            pi[y] = -1 if flux[y] > 0 else 1
+            return "cut", pi
     zero_flows = []
     if zero_edges:
         # Negative edges are not conservative, so decide the block on the
@@ -378,12 +372,11 @@ def _pattern_lambda(g: SignedGraph, f) -> tuple:
             arcs += [(a, b, q * w), (a + 1, b ^ 1, q * w)]
         zero_flows, side = _feasible_flow(len(lo), arcs, lo, hi)
         if zero_flows is None:
-            # pi_y = [y- on the source side] - [y+ on it], whichever side of
+            # pi_y = [y+ on the source side] - [y- on it], whichever side of
             # Hoffman's condition the cut violates
-            pi = np.zeros(n, np.int8)
             for node in side:
-                pi[covered[node // 2]] += 1 if node % 2 else -1
-            return "zero-cut", pi
+                pi[covered[node // 2]] += -1 if node % 2 else 1
+            return "cut", pi
 
     # The witness, over the common denominator 2q: a support flow x on u -> v
     # is 2 sgn_u x, and a zero-zero edge takes the mirror average (x+ - x-).
@@ -413,10 +406,9 @@ def _block(g: SignedGraph, t, *certs):
     2**63 - 1, out of range either way). Returns sgn(t) and the sign d of
     t_u - sigma t_v per edge (z_uv, or 0 where it is free), both int8, the
     certificate arrays, and ``g.reduced_ints``: mu, kappa and w, and the
-    dtype of products (see its bounds A and B). A support cut's demand
-    a mu(X) - b sum_X sgn_x c_x is a difference of two such products, below
-    2 A B < 2**63 in absolute value, and b times its capacity is at most
-    A B."""
+    dtype of products (see its bounds A and B). A cut's a Lam - b R is a
+    difference of two such products, below 2 A B < 2**63 in absolute value,
+    and b times its capacity is at most A B."""
     n, t = g.n, np.asarray(t)
     if t.ndim != 2 or len(t) != n or t.dtype.kind not in "iuf" or not np.isfinite(t).all():
         raise GraphError(f"sign patterns must be an ({n}, m) array of finite reals, "
@@ -431,68 +423,44 @@ def _block(g: SignedGraph, t, *certs):
                 or a.dtype.kind == "O" and not {*map(type, a.flat)} <= {int}):
             raise GraphError(f"a certificate array has shape {a.shape} and kind {a.dtype.kind!r}, "
                              f"expected {shape} and one of {kinds!r}, objects as Python ints")
-        # past 2**63 - 1 no vertex or pi, and none at 2**63 - 1
+        # past 2**63 - 1 no pi, and none at 2**63 - 1
         if a.dtype.kind == "u" and "O" not in kinds:
             a = np.minimum(a.astype(np.uint64), 2**63 - 1)
-        checked.append(a.astype(object if "O" in kinds else bool if kinds == "b" else np.intp))
+        checked.append(a.astype(object if "O" in kinds else np.intp))
     tu, tv = t[g.eu], g.es.astype(np.int8)[:, None] * t[g.ev]
     return (np.sign(t).astype(np.int8), (tu > tv).astype(np.int8) - (tu < tv), checked,
             *g.reduced_ints)
 
 
-def _support(g: SignedGraph, sgn, d, mu, kappa, w):
-    """The flux c (n, m) and the free support edges (E, m) of a checked
-    block, and each column's lambda = a / b from its support: a the sum of
-    sgn_x c_x and b the sum of mu_x over it (both 0 for a zero column)."""
-    inc = np.zeros((g.n, len(g.edges)), np.int8)
-    inc[g.eu, np.arange(len(g.edges))], inc[g.ev, np.arange(len(g.edges))] = 1, -g.es
-    c = kappa[:, None] * sgn + inc @ (w[:, None] * d)
-    on = sgn != 0
-    return c, (d == 0) & on[g.eu], (sgn * c).sum(axis=0), (on * mu[:, None]).sum(axis=0)
+def _cut(g: SignedGraph, t, pi) -> np.ndarray:
+    """Farkas's lemma over the flux that the free edges must carry. An edge
+    is free where t_u = sigma t_v (between support vertices, or between
+    zeros), and z_uv in [-1, 1] there; every other z is fixed. The flux of
+    x's free edges lies in [lo_x, hi_x]: on the support S the one point
+    lambda mu_x sgn_x - c_x, at a zero -c_x -+ (|lambda| mu_x + |kappa_x|).
+    Any z gives sum_x pi_x phi_x = sum over free edges of w z_uv (pi_u -
+    sigma pi_v), phi_x the flux of x's free edges, so no z exists where
+    sum_x min(pi_x lo_x, pi_x hi_x) > K = sum over free edges of
+    w |pi_u - sigma pi_v|.
 
-
-def _screen(g: SignedGraph, t, x, y) -> np.ndarray:
-    """lo_x and hi_y are summed from ``g.reduced_ints``, not from the ranks of
-    ``spectra._screened_blocks``, and compared as lo_x mu_y > hi_y mu_x."""
-    sgn, d, (x, y), mu, kappa, w, wide = _block(g, t, (x, "iu", None), (y, "iu", None))
-    cols, n = np.arange(sgn.shape[1]), g.n
-    ok = (0 <= x) & (x < n) & (0 <= y) & (y < n)
-    x, y = np.where(ok, x, 0), np.where(ok, y, 0)
-    ok &= (sgn[x, cols] != 0) & (sgn[y, cols] != 0)
-    # sgn(t) times z at each end of an edge (z_vu = -sigma z_uv), and the free edges
-    at_u, at_v, free = sgn[g.eu] * d, -g.es.astype(np.int8)[:, None] * sgn[g.ev] * d, d == 0
-
-    def bound(z, free_z: int):  # sgn(t_z) times the flux at z, each free z at free_z
-        on_u, on_v = g.eu[:, None] == z, g.ev[:, None] == z
-        return (kappa[z] + w @ (on_u * at_u + on_v * at_v + free_z * ((on_u | on_v) & free))
-                ).astype(wide)
-
-    return ok & (bound(x, -1) * mu[y] > bound(y, 1) * mu[x])
-
-
-def _support_cut(g: SignedGraph, t, side) -> np.ndarray:
-    """|a mu(X) - b sum over X of sgn_x c_x| > b (the weight of the free
-    support edges that cross X), for the side X on the support."""
-    sgn, d, (side,), mu, kappa, w, wide = _block(g, t, (side, "b", g.n))
-    c, free, a, b = _support(g, sgn, d, mu, kappa, w)
-    a, b = a.astype(wide), b.astype(wide)
-    demand = a * (side * mu[:, None]).sum(axis=0) - b * (side * sgn * c).sum(axis=0)
-    return (~(side & (sgn == 0)).any(axis=0)
-            & (abs(demand) > b * (w @ (free & (side[g.eu] != side[g.ev])))))
-
-
-def _zero_cut(g: SignedGraph, t, pi) -> np.ndarray:
-    """b (sum pi_y c_y - sum |pi_y kappa_y| - the zero-zero capacity) >
-    |a| sum |pi_y| mu_y."""
+    On ``g.reduced_ints``, times b > 0 with lambda = a / b: a Lam - b R >
+    b K, with Lam = sum_S pi_x sgn_x mu_x - sgn(a) sum_zeros |pi_x| mu_x
+    (|Lam| <= B) and R = sum_x pi_x c_x + sum_zeros |pi_x kappa_x|
+    (|R| <= A), so both sides stay below 2 A B (see ``_block``). Each
+    sum_x y_x c_x is sum_x kappa_x sgn_x y_x + sum_e w z_uv (y_u - sigma
+    y_v). A column with pi off {-1, 0, 1} is zeroed: 0 > 0 fails."""
     sgn, d, (pi,), mu, kappa, w, wide = _block(g, t, (pi, "iu", g.n))
-    c, _, a, b = _support(g, sgn, d, mu, kappa, w)
-    # a column with pi off {-1, 0, 1} or on the support is zeroed: 0 > 0 fails
-    ok = ((pi >= -1) & (pi <= 1) & ((pi == 0) | (sgn == 0))).all(axis=0)
+    ok = ((pi >= -1) & (pi <= 1)).all(axis=0)
     pi = np.where(ok, pi, 0).astype(np.int8)
-    zero_zero = (sgn[g.eu] == 0) & (sgn[g.ev] == 0)
-    capacity = w @ (abs(pi[g.eu] - g.es.astype(np.int8)[:, None] * pi[g.ev]) * zero_zero)
-    excess = (pi * c - abs(pi) * abs(kappa)[:, None]).sum(axis=0) - capacity
-    return ok & (excess.astype(wide) * b > abs(a).astype(wide) * (abs(pi) * mu[:, None]).sum(axis=0))
+    sigma, zero = g.es.astype(np.int8)[:, None], sgn == 0
+
+    def flux(y):  # sum_x y_x c_x, per column
+        return kappa @ (sgn * y) + w @ (d * (y[g.eu] - sigma * y[g.ev]))
+
+    a, b = flux(sgn).astype(wide), (mu @ ~zero).astype(wide)
+    lam = mu @ (pi * sgn) - np.sign(a) * (mu @ (abs(pi) * zero))
+    r = flux(pi) + abs(kappa) @ (abs(pi) * zero)
+    return ok & (a * lam - b * r > b * (w @ ((d == 0) * abs(pi[g.eu] - sigma * pi[g.ev]))))
 
 
 def _witness(g: SignedGraph, t, p, q, z_edge, z_vertex) -> np.ndarray:
@@ -523,17 +491,15 @@ def _witness(g: SignedGraph, t, p, q, z_edge, z_vertex) -> np.ndarray:
 
 
 # each kind's kernel and the number of certificate arrays it takes
-_KERNELS = {"screen": (_screen, 2), "support-cut": (_support_cut, 1), "zero-cut": (_zero_cut, 1),
-            "witness": (_witness, 4)}
+_KERNELS = {"cut": (_cut, 1), "witness": (_witness, 4)}
 
 
 def check_certificates_1lap(g: SignedGraph, kind: str, t, *certs) -> np.ndarray:
     """Whether ``(kind, *(a[..., j] for a in certs))`` certifies column j of
     the (n, m) array t, for each j. A witness certifies that t[:, j] is an
-    eigenfunction, at the lambda it names; a rejection, when the inequality
-    it states holds, that no lambda makes t[:, j] one. By kind, with c_x and
-    lambda = a / b from the support (defined above ``_feasible_flow``), a
-    side X a bool (n, m) mask and pi an int (n, m) array:
+    eigenfunction, at the lambda it names; a cut, when the inequality it
+    states holds, that no lambda makes t[:, j] one. By kind, with c_x and
+    lambda = a / b from the support (defined above ``_feasible_flow``):
 
     * ``"witness"``, lambda = p / q by two int arrays of shape (m,), and
       z_edge (|E|, m) and z_vertex (n, m), int or Python-int object arrays
@@ -541,26 +507,17 @@ def check_certificates_1lap(g: SignedGraph, kind: str, t, *certs) -> np.ndarray:
       edge e = (u, v, w, sigma) of ``g.edges`` (z_vu = -sigma z_uv), and
       z_vertex[x] = den kappa_x z_x. Every z lies in its Sgn interval and
       every vertex balances to lambda mu_x Sgn(t_x) (see ``_witness``).
-    * ``"screen"``, x and y int arrays of shape (m,): support vertices with
-      lo_x / mu_x > hi_y / mu_y, where [lo_v, hi_v] holds sgn(t_v) times
-      every flux that Sgn allows at v. Lambda would have to be at least the
-      one and at most the other.
-    * ``"support-cut"``, a side X of support vertices whose demand
-      |sum over X of (lambda mu_x - sgn_x c_x)| exceeds the weight of the
-      free support edges leaving X, the capacity of its cut (Hoffman's
-      circulation theorem). A pin whose lambda differs from the support's
-      is such a side, of capacity 0.
-    * ``"zero-cut"``, signs pi in {-1, 0, 1} on the zero vertices with
-      sum pi_y c_y - sum |pi_y| (|lambda| mu_y + |kappa_y|) greater than
-      the sum over zero-zero edges of w |pi_u - sigma pi_v|. Each zero
-      vertex needs |c_y + its zero-zero flux| <= |lambda| mu_y + |kappa_y|;
-      weighted by pi and summed, these cannot all hold. A zero vertex
-      without zero-zero edges whose |c_y| exceeds that slack is the case of
-      one nonzero pi_y.
+    * ``"cut"``, pi an int (n, m) array in {-1, 0, 1}: weighted by pi and
+      summed, the flux that the free edges must carry exceeds what they
+      can carry (Farkas; see ``_cut``). It covers every rejection: the
+      screen's vertex whose own interval misses lambda (pi = -+sgn_x at x
+      alone), a pin whose lambda differs from the support's (pi = +-sgn on
+      it, capacity 0), a side of a Hoffman cut of the support flow
+      (pi = sgn on it), and one of the zero block's (pi on the zeros).
 
-    A zero column is certified by no kind. One integer pass per block, from
-    g and t alone: sgn, c, the free edges, lambda and the screen's bounds
-    are recomputed from ``g.reduced_ints`` (a witness's balances from
+    A zero column is certified by no kind (b = 0). One integer pass per
+    block, from g and t alone: sgn, c, the free edges and lambda are
+    recomputed from ``g.reduced_ints`` (a witness's balances from
     ``g.scaled_ints``), not taken from the screen, the pin stage or the
     max-flow that produced the block (see ``_block`` for the arithmetic).
     An unknown kind, the wrong number of certificate arrays or a malformed

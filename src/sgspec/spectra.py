@@ -22,17 +22,19 @@ right-hand side and its Jacobian, and Phi_p f by the kernels' one
 formula. Neither loop calls a public operator. Every reported pair is
 re-certified by its eigen-residual. For p = 1 candidates are the
 +-1/0 patterns, scanned in the int8 blocks of the Cheeger table and screened
-per block exactly, by integer ranks of the screen's bounds fixed once per
-graph; no float decides a pattern. The survivors meet one more exact
-integer pass per block, the pin stage: a component of free support edges
-whose pin differs from the support's (a support cut of capacity 0), or one
-zero vertex whose flux exceeds its slack, rejects a column there. Only the
-rest is decided by an exact integer max-flow that leaves a certificate: a
-witness for a pair, else the reason, as a block column. Every certificate,
-of the screen, the pin stage or the flow, is kept in one field as int8
-blocks of patterns with their certificate arrays, for the one block checker
-``check_certificates_1lap``. The screen's rank tables and the pin stage
-take their arrays, and the pin stage the dtype of its products, from
+per block exactly: integer ranks of the screen's bounds, fixed once per
+graph, find the two support vertices whose intervals lie highest and
+lowest, and integer compares test lambda against them; no float decides a
+pattern. The survivors meet one more exact integer pass per block, the pin
+stage: a component of free support edges whose pin differs from the
+support's, or one zero vertex whose flux exceeds its slack, rejects a
+column there. Only the rest is decided by an exact integer max-flow that
+leaves a certificate. A pair's is its witness; every rejection, of the
+screen, the pin stage or the flow, is a cut, signs pi in {-1, 0, 1} (see
+``check_certificates_1lap``). Both are kept in one field, per block one
+entry of cuts and one of witnesses, as int8 blocks of patterns with their
+certificate arrays, for the one block checker. The screen and the pin
+stage take their arrays, and the dtype of their products, from
 ``g.reduced_ints``.
 """
 
@@ -371,26 +373,31 @@ class OneLapEigenSet:
     smallest_positive: Fraction | None
     patterns_scanned: int
     patterns_solved: int
-    # every scanned pattern, one (kind, t, *certs) per block and kind:
-    # (kind, *(a[..., j] for a in certs)) witnesses or rejects column j of
-    # the int8 block t (see check_certificates_1lap)
+    # every scanned pattern, one ("cut", t, pi) and one ("witness", t, p, q,
+    # z_edge, z_vertex) per block: (kind, *(a[..., j] for a in certs))
+    # rejects or witnesses column j of the int8 block t (see
+    # check_certificates_1lap)
     certificates: tuple[tuple, ...] = field(compare=False, repr=False)
 
 
 def _screened_blocks(g: SignedGraph):
-    """Yields ``(t, rejected, x, y)`` per block t of ``cheeger._labelings(g.n)``:
-    the lambda-box screen of every column, decided exactly. A column is
-    rejected, at ``("screen", x, y)``, when lo_x / mu_x > hi_y / mu_y for
-    support vertices x and y (see ``check_certificates_1lap``); x has the
-    largest lo_x / mu_x and y the least hi_y / mu_y.
+    """Yields ``(t, rejected, pi)`` per block t of ``cheeger._labelings(g.n)``:
+    the lambda screen of every column, decided exactly. A column is
+    rejected, at ``("cut", pi[:, j])``, when lambda = a / b of its support
+    lies outside [lo_x / mu_x, hi_x / mu_x] for the support vertex x with
+    the largest lo_x / mu_x (a mu_x < b lo_x, pi = -sgn_x at x alone) or
+    for y with the least hi_y / mu_y (a mu_y > b hi_y, pi = sgn_y at y
+    alone); [lo_x, hi_x] holds sgn_x times every flux that Sgn allows at x.
+    lambda is a mediant of the midpoints of these intervals, so this
+    rejects every column whose intervals do not all meet, and more.
 
-    On ``g.reduced_ints``, hi_x = kappa_x + W_x and lo_x = hi_x - 2 F_x,
-    with W_x and F_x the weight of the edges and of the free edges at x.
-    F_x is one of the subset sums of x's edge weights, all of them one
-    matrix product, so all bounds are ranked once, in Python ints, by
-    ``cheeger._ranks`` (their denominators are at most max mu); a block
-    looks up each lo_x by the bits of x's free edges, and integer compares
-    decide every column."""
+    On ``g.reduced_ints``, hi_x = kappa_x + W_x, lo_x = hi_x - 2 F_x and
+    sgn_x c_x = hi_x - F_x, with W_x and F_x the weight of the edges and of
+    the free edges at x. F_x is one of the subset sums of x's edge weights,
+    all of them one matrix product, so all bounds are ranked once, in
+    Python ints, by ``cheeger._ranks`` (their denominators are at most max
+    mu); a block looks up each F_x and the rank of each lo_x by the bits of
+    x's free edges, and integer compares decide every column."""
     n = g.n
     # slot k of vertex x: its k-th edge, or the edge past the last, whose sigma 0 is never free
     slots = [[e for e, (u, v, _, _) in enumerate(g.edges) if x in (u, v)] for x in range(n)]
@@ -402,13 +409,14 @@ def _screened_blocks(g: SignedGraph):
     # lo_of[x << width | c]: the rank of lo_x / mu_x where the slots in the
     # bits of c are free; lo_of[n << width] = -1, below every rank, is off
     # the support; hi_of[x] is the rank at c = 0, hi_of[n] above every rank
-    mu, kappa, w, _ = g.reduced_ints
+    mu, kappa, w, wide = g.reduced_ints
     # sums[x, c]: the weight of x's slots in the bits of c (padding weighs 0)
     sums = np.append(w, 0)[slot] @ (np.arange(1 << width) >> np.arange(width)[:, None] & 1)
     nums = kappa[:, None] + sums[:, -1:] - 2 * sums
     lo_of = np.append(_cheeger._ranks(nums.ravel().tolist(), np.repeat(mu, 1 << width).tolist(),
                                       int(mu.max())), -1)
     hi_of = np.append(lo_of[:-1:1 << width], nums.size)
+    lo_num, mid_num = nums.ravel(), np.append(nums + sums, 0)  # lo_x, and sgn_x c_x (0 off S)
     start = (np.arange(n) << width)[:, None]
     for t, _, _ in _cheeger._labelings(n):
         # t_u sigma t_v is 1 exactly on a free edge, else 0 or -1: clipped at 0, a bool array
@@ -416,26 +424,33 @@ def _screened_blocks(g: SignedGraph):
         code = np.where(t != 0, start, n << width)
         for k in range(width):
             np.add(code, 1 << k, out=code, where=free[slot[:, k]])
-        lo, hi = lo_of[code], hi_of[code >> width]
-        yield t, lo.max(axis=0) > hi.min(axis=0), lo.argmax(axis=0), hi.argmin(axis=0)
+        cols = np.arange(t.shape[1])
+        x, y = lo_of[code].argmax(axis=0), hi_of[code >> width].argmin(axis=0)
+        a, b = mid_num[code].sum(axis=0).astype(wide), (mu @ (t != 0)).astype(wide)
+        by_x = a * mu[x] < b * lo_num[code[x, cols]]
+        by_y = ~by_x & (a * mu[y] > b * nums[y, 0])
+        pi = np.zeros(t.shape, np.int8)
+        pi[x[by_x], cols[by_x]] = -t[x[by_x], cols[by_x]]
+        pi[y[by_y], cols[by_y]] = t[y[by_y], cols[by_y]]
+        yield t, by_x | by_y, pi
 
 
 def _pin_stage(g: SignedGraph):
     """The exact stage between the screen and ``_pattern_lambda``: a function
-    of an int8 block t of patterns giving ``(by_side, by_pi, side, pi)``.
-    Column j is rejected at ``("support-cut", side[:, j])`` where by_side[j]
-    and at ``("zero-cut", pi[:, j])`` where by_pi[j].
+    of an int8 block t of patterns giving ``(rejected, pi)``. Column j is
+    rejected at ``("cut", pi[:, j])`` where rejected[j], and pi[:, j] is 0
+    elsewhere.
 
     On ``g.scaled_ints``: the flux c and the free support edges of every
     column, the components of those edges (each vertex labelled by the
     least vertex of its component, by one ``graph._block_labels`` call for
     the whole block), each component's pin (sum sgn_x c_x, sum mu_x) and
-    the support's, lambda = a / b. A component whose pin differs from
-    lambda rejects, as a support cut of capacity 0 whose side is the
-    least-labelled such component; else so does a zero vertex y with
-    b (|c_y| - |kappa_y| - Z_y) > |a| mu_y, Z_y the weight of its zero-zero
-    edges: pi is sgn(c_y) at the least such y alone. Sums and products take
-    the dtypes of ``g.reduced_ints``."""
+    the support's, lambda = a / b. The least-labelled component C whose pin
+    differs from lambda rejects, as a cut of capacity 0 with pi =
+    sign(a mu(C) - b sum_C sgn_x c_x) sgn on C; else so does the least zero
+    vertex y with b (|c_y| - |kappa_y| - Z_y) > |a| mu_y, Z_y the weight of
+    its zero-zero edges, with pi = -sgn(c_y) at y alone. Sums and products
+    take the dtypes of ``g.reduced_ints``."""
     mu, kappa, w, wide = g.reduced_ints
     n, e = g.n, np.arange(w.size)
     inc, weight = np.zeros((n, e.size), w.dtype), np.zeros((n, e.size), w.dtype)
@@ -452,15 +467,16 @@ def _pin_stage(g: SignedGraph):
         hit = lab == diag[:, None, None]  # [k, x, j]: x lies in component k of column j
         num, den = (hit * (t * c)).sum(axis=1), (hit * mu).sum(axis=1)  # the pins, by k
         a, b = (t * c).sum(axis=0), (on * mu).sum(axis=0)  # the support's
-        differ = (hit & on).any(axis=1) & (num.astype(wide) * b != a.astype(wide) * den)
-        by_side = differ.any(axis=0)
+        gap = a.astype(wide) * den - num.astype(wide) * b
+        differ = (hit & on).any(axis=1) & (gap != 0)
+        by_side, k = differ.any(axis=0), differ.argmax(axis=0)
+        pi = ((lab == k) * by_side * t * np.sign(gap[k, cols])).astype(np.int8)
         zeros = weight @ (~on[g.eu] & ~on[g.ev])
         over = ~on & ~by_side & (b.astype(wide) * (abs(c) - abs(kappa) - zeros)
                                  > abs(a).astype(wide) * mu)
         by_pi, y = over.any(axis=0), over.argmax(axis=0)
-        pi = np.zeros(t.shape, np.int8)
-        pi[y[by_pi], cols[by_pi]] = np.sign(c[y[by_pi], cols[by_pi]])
-        return by_side, by_pi, lab == differ.argmax(axis=0), pi
+        pi[y[by_pi], cols[by_pi]] = -np.sign(c[y[by_pi], cols[by_pi]])
+        return by_side | by_pi, pi
 
     return decide
 
@@ -472,16 +488,16 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
     Scans the sign patterns up to global negation in the int8 blocks of
     ``cheeger._labelings``, which also drive the Cheeger table, and screens
     each block exactly by integer ranks of its bounds (``_screened_blocks``):
-    a pattern is rejected there by a screen pair, or survives
+    a pattern is rejected there by a one-vertex cut, or survives
     (``patterns_solved`` counts the survivors). The pin stage
     (``_pin_stage``) decides the survivors that need no flow, a block at a
     time; only the rest loop in Python, each decided by an exact max-flow.
     A pattern admits at most one lambda, so a pair is one (lambda, pattern).
     Each scanned pattern keeps its certificate in ``certificates``, for
     ``check_certificates_1lap``: a pair its witness, and every other pattern
-    the reason it was rejected. Per block there is one entry per kind: the
-    screen's pairs, the support cuts and the zero cuts, each of the pin
-    stage and the flow, and the flow's witnesses.
+    the cut that rejects it. Per block there are two entries, its cuts (of
+    the screen, the pin stage and the flow, in column order) and the flow's
+    witnesses.
     """
     if g.n > ONE_LAP_CAP:
         raise GraphError(
@@ -493,30 +509,27 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
     certificates = []
     scanned = solved = 0
     decide = _pin_stage(g)
-    for t, screened, x, y in _screened_blocks(g):
+    for t, rejected, pi in _screened_blocks(g):
         scanned += t.shape[1]
-        rest = t[:, ~screened]
-        solved += rest.shape[1]
-        by_side, by_pi, side, pi = decide(rest)
-        # the flow decides the rest; each certificate it leaves joins the
-        # block's entries of its kind, a witness as the rows p, q, z_edge
-        # and z_vertex of one object array
-        flow = np.flatnonzero(~(by_side | by_pi))
+        rest = np.flatnonzero(~rejected)
+        solved += rest.size
+        rejected[rest], pi[:, rest] = decide(t[:, rest])
+        # the flow decides the rest; a cut it leaves joins the block's, and
+        # a witness becomes the rows p, q, z_edge and z_vertex of one object
+        # array
+        flow = rest[~rejected[rest]]
         witnessed, z = [], []
-        for j, pattern in zip(flow.tolist(), zip(*rest[:, flow].tolist())):
+        for j, pattern in zip(flow.tolist(), zip(*t[:, flow].tolist())):
             kind, *cols = _pattern_lambda(g, pattern)
             if kind == "witness":
                 found.append((cols[0], cols[1], pattern))
                 witnessed.append(j)
                 z.append([cols[0], cols[1], *cols[2], *cols[3]])
             else:
-                hit, col = (by_pi, pi) if kind == "zero-cut" else (by_side, side)
-                hit[j], col[:, j] = True, cols[0]
+                rejected[j], pi[:, j] = True, cols[0]
         z = np.array(z, object).reshape(len(z), 2 + len(g.edges) + g.n).T
-        certificates += [("screen", t[:, screened], x[screened], y[screened]),
-                         ("support-cut", rest[:, by_side], side[:, by_side]),
-                         ("zero-cut", rest[:, by_pi], pi[:, by_pi]),
-                         ("witness", rest[:, witnessed], z[0], z[1], z[2:-g.n], z[-g.n:])]
+        certificates += [("cut", t[:, rejected], pi[:, rejected]),
+                         ("witness", t[:, witnessed], z[0], z[1], z[2:-g.n], z[-g.n:])]
     # pairs by (lambda, pattern), each of the few distinct lambdas ranked once
     values = sorted(Fraction(*pq) for pq in {w[:2] for w in found})
     rank = {(v.numerator, v.denominator): i for i, v in enumerate(values)}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph, _exponent, _function, _vertices, induced_subgraph
+from .graph import GraphError, SignedGraph, _exponent, _function, _tol, _vertices, induced_subgraph
 from .operators import phi_p
 from .spectra import spectrum_p2
 
@@ -108,8 +108,10 @@ def interlacing_check_p2(g: SignedGraph, surgery_sequence, tol: float = 1e-9) ->
     lambda_k <= eta_k <= lambda_{k+m} is added when the sequence removes
     m nodes and nothing else. Each graph's spectrum is computed once: a
     step's eta is the next step's lambda. A step of another shape raises
-    GraphError naming its index.
+    GraphError naming its index; so does a tol that is not a finite real
+    >= 0.
     """
+    _tol(tol)
     cur = g
     lam0 = lam = spectrum_p2(g).values
     steps = []

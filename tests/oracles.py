@@ -386,21 +386,24 @@ def cheeger_k_sequential(g: SignedGraph, k: int) -> CheegerResult:
 
 
 def prefilter_lambda_box(g: SignedGraph, f) -> tuple | None:
-    """The lambda-box screen of a {-1, 0, +1} pattern ``f``, one pattern at a
+    """The lambda screen of a {-1, 0, +1} pattern ``f``, one pattern at a
     time (the library screens whole blocks by exact ranks): the rejection
-    ``("screen", x, y)`` naming a violating pair of vertices, or None if it
-    holds.
+    ``("cut", pi)``, pi one nonzero entry, or None if it passes.
 
-    For each support vertex x the inclusion pins lambda to an interval
-    [lo_x / mu_x, hi_x / mu_x] of achievable normalized flux; the intervals
-    must intersect. The bounds are ``g.scaled_ints`` sums over each
-    vertex's edges, compared exactly by cross-multiplication (mu > 0).
+    Each support vertex x confines sgn(f_x) times its flux to [lo_x, hi_x],
+    and the support pins lambda = sum (lo_x + hi_x) / 2 over sum mu_x. The
+    screen rejects where lambda < lo_x / mu_x, for the first x with the
+    largest lo_x / mu_x (pi = -sgn(f_x) at x), else where lambda >
+    hi_y / mu_y, for the first y with the least hi_y / mu_y (pi = sgn(f_y)
+    at y). The bounds are ``g.scaled_ints`` sums over each vertex's edges,
+    compared exactly by cross-multiplication (mu > 0).
     """
     mu, kappa, edges = g.scaled_ints
     adj = [[] for _ in mu]
     for u, v, w, s in edges:
         adj[u].append((v, w, s))
         adj[v].append((u, w, s))
+    a = b = 0  # lambda = a / b
     lo_max = hi_min = None  # (flux, mu, x) of the largest lower / smallest upper end
     for x, fx in enumerate(f):
         if fx == 0:
@@ -414,24 +417,29 @@ def prefilter_lambda_box(g: SignedGraph, f) -> tuple | None:
         # lambda * mu_x * sign(f_x) must equal the flux
         if fx < 0:
             lo, hi = -hi, -lo
+        a, b = a + lo + hi, b + 2 * mu[x]
         if lo_max is None or lo * lo_max[1] > lo_max[0] * mu[x]:
             lo_max = (lo, mu[x], x)
         if hi_min is None or hi * hi_min[1] < hi_min[0] * mu[x]:
             hi_min = (hi, mu[x], x)
-        if lo_max[0] * hi_min[1] > hi_min[0] * lo_max[1]:
-            return "screen", lo_max[2], hi_min[2]
-    return None
+    if a * lo_max[1] < b * lo_max[0]:
+        at, sign = lo_max[2], -1
+    elif a * hi_min[1] > b * hi_min[0]:
+        at, sign = hi_min[2], 1
+    else:
+        return None
+    return "cut", tuple(sign * ((f[at] > 0) - (f[at] < 0)) if v == at else 0 for v in range(len(mu)))
 
 
 def pin_stage_reference(g: SignedGraph, f) -> tuple | None:
     """The pin stage of ``one_lap_enumerate`` on one {-1, 0, +1} pattern
     ``f``, by ``graph._labels`` (the library labels whole blocks at once):
-    ``("support-cut", C)`` for the least-labelled component C of the free
-    support edges whose pin differs from the support's, else
-    ``("zero-cut", pi)`` with pi_y = sgn(c_y) at the least zero vertex y
-    whose |c_y| exceeds |lambda| mu_y + |kappa_y| plus the weight of its
-    zero-zero edges, else None. Pins are compared exactly by
-    cross-multiplication on ``g.scaled_ints``."""
+    ``("cut", pi)`` with pi = sign(a mu(C) - b sum_C sgn_x c_x) sgn on the
+    least-labelled component C of the free support edges whose pin differs
+    from the support's lambda = a / b, else with pi_y = -sgn(c_y) at the
+    least zero vertex y whose |c_y| exceeds |lambda| mu_y + |kappa_y| plus
+    the weight of its zero-zero edges, else None. Pins are compared exactly
+    by cross-multiplication on ``g.scaled_ints``."""
     mu, kappa, edges = g.scaled_ints
     n = len(mu)
     sgn = [(x > 0) - (x < 0) for x in f]
@@ -449,11 +457,12 @@ def pin_stage_reference(g: SignedGraph, f) -> tuple | None:
     a = sum(s * x for s, x in zip(sgn, c))
     b = sum(m for s, m in zip(sgn, mu) if s)
     for comp in _groups(_labels(n, free), (x for x in range(n) if sgn[x])).values():
-        if sum(sgn[x] * c[x] for x in comp) * b != a * sum(mu[x] for x in comp):
-            return "support-cut", tuple(comp)
+        if gap := a * sum(mu[x] for x in comp) - b * sum(sgn[x] * c[x] for x in comp):
+            return "cut", tuple(((gap > 0) - (gap < 0)) * sgn[x] if x in comp else 0
+                                for x in range(n))
     for y in range(n):
         if not sgn[y] and b * (abs(c[y]) - abs(kappa[y]) - zero_zero[y]) > abs(a) * mu[y]:
-            return "zero-cut", tuple((c[y] > 0) - (c[y] < 0) if x == y else 0 for x in range(n))
+            return "cut", tuple((c[y] < 0) - (c[y] > 0) if x == y else 0 for x in range(n))
     return None
 
 

@@ -33,13 +33,14 @@ def p3_file(tmp_path):
 
 @pytest.fixture
 def cut_file(tmp_path):
-    # triangle a-b-c with the negative edge b-c, and d pendant at a: its
-    # patterns are rejected by every kind, by the pin stage and by the
-    # max-flow, (1, 1, -1, 0) by the max-flow's support cut, with the side
-    # {b, c}
+    # its patterns are rejected by cuts of every stage: one-vertex cuts of
+    # the screen, the pin stage's of a component ({b, c} at (0, 1, -1, 1, -1))
+    # and of a zero vertex, and the max-flow's of the support ({c, d, e} at
+    # (1, 1, 1, 1, -1)) and of the zero block ({a, b} at (0, 0, 1, 1, -1))
     p = tmp_path / "cut.json"
     p.write_bytes(serialize_graph(SignedGraph.build(
-        "abcd", [("a", "b", 1.0, 1), ("a", "c", 2.0, 1), ("a", "d", 2.0, 1), ("b", "c", 2.0, -1)])))
+        "abcde", [("a", "b", 1.0, 1), ("a", "c", 1.0, 1), ("a", "e", 3.0, 1), ("b", "c", 3.0, -1),
+                  ("c", "d", 3.0, 1), ("d", "e", 2.0, -1)])))
     return str(p)
 
 
@@ -130,18 +131,37 @@ class TestNodal:
         assert "dual_strong" in doc
 
 
-def _tampered(ols, kind, tamper):
+def _tampered(ols, kind, tamper, stage=None):
     """ols with ``tamper(t, *certs)`` in place of the first entry of
-    ``kind`` in ``certificates`` that has columns."""
-    hits = [i for i, (k, t, *_) in enumerate(ols.certificates) if k == kind and t.shape[1]]
+    ``kind`` in ``certificates`` that has columns, a cut column of the form
+    of ``stage`` if one is named (see ``_formed``)."""
+    hits = [i for i, (k, t, *certs) in enumerate(ols.certificates) if k == kind and t.shape[1]
+            and (stage is None or _formed(t, certs[0], stage).any())]
     assert hits
     certificates = list(ols.certificates)
     certificates[hits[0]] = (kind, *tamper(*certificates[hits[0]][1:]))
     return dataclasses.replace(ols, certificates=tuple(certificates))
 
 
+def _formed(t, pi, stage):
+    """Which cut columns have the form that ``stage`` leaves: pi at one
+    support vertex (the screen's), at two or more (a pin or a side of the
+    support flow), or on the zeros alone (a zero vertex or the zero block)."""
+    on = np.count_nonzero(pi * t, axis=0)
+    return {"screen": on == 1, "support-cut": on > 1, "zero-cut": on == 0}[stage]
+
+
 def _without_the_first_column(*block):
     return tuple(a[..., 1:] for a in block)
+
+
+def _flow_patterns(g):
+    """The patterns that neither the screen nor the pin stage decides."""
+    decide, out = spectra._pin_stage(g), set()
+    for t, rejected, _ in spectra._screened_blocks(g):
+        rest = t[:, ~rejected]
+        out |= set(zip(*rest[:, ~decide(rest)[0]].tolist()))
+    return out
 
 
 class TestOnelap:
@@ -240,23 +260,24 @@ class TestOnelap:
         assert ("witness certificate is malformed" if tamper == "float"
                 else "witness certificate of pattern") in err
 
-    def test_verify_catches_a_missing_pattern(self, capsys, k5_file, monkeypatch):
-        # on K5, unlike P3, some patterns meet the max-flow and are rejected
-        # there, by zero cuts that join the pin stage's in their block
+    def test_verify_catches_a_missing_pattern(self, capsys, cut_file, monkeypatch):
+        # some patterns meet the max-flow and are rejected there, by cuts
+        # that join the screen's and the pin stage's in their block
         real = cli.one_lap_enumerate
 
         def one_dropped(g):
+            flow = _flow_patterns(g)
+
             def flow_one_dropped(t, pi):
-                by_side, by_pi, *_ = spectra._pin_stage(g)(t)
-                flow = np.flatnonzero(~(by_side | by_pi))
-                assert flow.size
-                kept = np.arange(t.shape[1]) != flow[0]
+                hit = [f in flow for f in zip(*t.tolist())]
+                assert any(hit)
+                kept = np.arange(t.shape[1]) != hit.index(True)
                 return t[:, kept], pi[:, kept]
 
-            return _tampered(real(g), "zero-cut", flow_one_dropped)
+            return _tampered(real(g), "cut", flow_one_dropped)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", one_dropped)
-        code, out, err = run(capsys, "onelap", "--graph", k5_file, "--verify")
+        code, out, err = run(capsys, "onelap", "--graph", cut_file, "--verify")
         assert code == 1 and out == ""
         assert "do not cover every sign pattern" in err
 
@@ -264,7 +285,11 @@ class TestOnelap:
         real = cli.one_lap_enumerate
 
         def one_dropped(g):
-            return _tampered(real(g), "screen", _without_the_first_column)
+            def first_screened_dropped(t, pi):
+                kept = np.arange(t.shape[1]) != _formed(t, pi, "screen").argmax()
+                return t[:, kept], pi[:, kept]
+
+            return _tampered(real(g), "cut", first_screened_dropped, "screen")
 
         monkeypatch.setattr(cli, "one_lap_enumerate", one_dropped)
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
@@ -273,74 +298,92 @@ class TestOnelap:
 
     def test_verify_catches_a_pair_screened_out_by_a_wrong_pair(self, capsys, p3_file,
                                                                 monkeypatch):
-        # (1, 1, 1) is a pair at lambda = 0; marked rejected at (0, 0), it
-        # goes missing from the pairs, and its screen pair does not check
+        # (1, 1, 1) is a pair at lambda = 0; marked rejected by the screen's
+        # cut at the first vertex, it goes missing from the pairs, and the
+        # cut does not check
         real = spectra._screened_blocks
 
         def forged(g):
-            for t, rejected, x, y in real(g):
+            for t, rejected, pi in real(g):
                 j = (t.T == (1, 1, 1)).all(axis=1).argmax()
                 assert tuple(t[:, j]) == (1, 1, 1) and not rejected[j]
-                rejected[j], x[j], y[j] = True, 0, 0
-                yield t, rejected, x, y
+                rejected[j], pi[0, j] = True, 1
+                yield t, rejected, pi
 
         monkeypatch.setattr(spectra, "_screened_blocks", forged)
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
         assert code == 1 and out == ""
-        assert "screen certificate of pattern (1, 1, 1) failed its check" in err
+        assert "cut certificate of pattern (1, 1, 1) failed its check" in err
 
     def test_verify_catches_a_pair_rejected_by_forged_pins(self, capsys, p3_file, monkeypatch):
         # (1, 1, 1) is a pair at lambda = 0; marked rejected as a pin that
         # differs from the support's, with the whole support as the pin, it
-        # goes missing from the pairs, and the support cut does not check
+        # goes missing from the pairs, and the cut does not check
         real = spectra._pin_stage
 
         def forged(g):
             decide = real(g)
 
             def forged_decide(t):
-                by_side, by_pi, side, pi = decide(t)
+                rejected, pi = decide(t)
                 j = (t.T == (1, 1, 1)).all(axis=1)
                 if j.any():
-                    assert not (by_side[j] | by_pi[j]).any()
-                    by_side, side[:, j] = by_side | j, True
-                return by_side, by_pi, side, pi
+                    assert not rejected[j].any()
+                    rejected, pi[:, j] = rejected | j, t[:, j]
+                return rejected, pi
 
             return forged_decide
 
         monkeypatch.setattr(spectra, "_pin_stage", forged)
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
         assert code == 1 and out == ""
-        assert "support-cut certificate of pattern (1, 1, 1) failed its check" in err
+        assert "cut certificate of pattern (1, 1, 1) failed its check" in err
 
-    @pytest.mark.parametrize("kind", ["screen", "support-cut", "zero-cut", "witness"])
-    def test_verify_catches_a_missing_staged_pattern(self, capsys, cut_file, monkeypatch, kind):
+    @pytest.mark.parametrize("stage", ["screen", "support-cut", "zero-cut", "witness"])
+    def test_verify_catches_a_missing_staged_pattern(self, capsys, cut_file, monkeypatch, stage):
+        # the first witness, or the first cut column of the stage's form
         real = cli.one_lap_enumerate
 
         def one_dropped(g):
-            return _tampered(real(g), kind, _without_the_first_column)
+            if stage == "witness":
+                return _tampered(real(g), stage, _without_the_first_column)
+
+            def dropped(t, pi):
+                kept = np.arange(t.shape[1]) != _formed(t, pi, stage).argmax()
+                return t[:, kept], pi[:, kept]
+
+            return _tampered(real(g), "cut", dropped, stage)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", one_dropped)
         code, out, err = run(capsys, "onelap", "--graph", cut_file, "--verify")
         assert code == 1 and out == ""
         assert "do not cover every sign pattern" in err
 
-    @pytest.mark.parametrize("kind", ["screen", "support-cut", "zero-cut", "witness"])
-    def test_verify_catches_a_forged_staged_block(self, capsys, cut_file, monkeypatch, kind):
-        # the certificate arrays of every column of a kind forged from the
-        # support: a screen pair (x, x), the whole support as the side of a
-        # support cut (its demand is 0), pi on the support, or a witness at
+    @pytest.mark.parametrize("stage", ["screen", "support-cut", "zero-cut", "witness"])
+    def test_verify_catches_a_forged_staged_block(self, capsys, cut_file, monkeypatch, stage):
+        # every cut column of the stage's form forged: pi negated (no pi and
+        # -pi both check) for the screen and the zero cuts, sgn on the whole
+        # support for the support cuts (its demand is 0); or every witness at
         # lambda + 1
         real = cli.one_lap_enumerate
-        forgery = {"screen": lambda t, x, y: (x, x), "support-cut": lambda t, side: (t != 0,),
-                   "zero-cut": lambda t, pi: ((t != 0).astype(pi.dtype),),
-                   "witness": lambda t, p, q, *z: (p + q, q, *z)}
+        forgery = {"screen": lambda t, pi: -pi, "support-cut": lambda t, pi: t.astype(pi.dtype),
+                   "zero-cut": lambda t, pi: -pi}
+
+        def forge(kind, t, *certs):
+            if kind == "witness":
+                p, q, *z = certs
+                return (p + q, q, *z) if stage == "witness" else certs
+            if stage == "witness":
+                return certs
+            hit = _formed(t, certs[0], stage)
+            return (np.where(hit, forgery[stage](t, certs[0]), certs[0]),)
 
         def forged(g):
             ols = real(g)
-            assert any(k == kind and t.shape[1] for k, t, *_ in ols.certificates)
-            certificates = tuple((k, t, *(forgery[k](t, *certs) if k == kind else certs))
-                                 for k, t, *certs in ols.certificates)
+            # the stage leaves some column (_tampered asserts it)
+            _tampered(ols, "witness" if stage == "witness" else "cut", lambda *block: block,
+                      None if stage == "witness" else stage)
+            certificates = tuple((k, t, *forge(k, t, *certs)) for k, t, *certs in ols.certificates)
             return dataclasses.replace(ols, certificates=certificates)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", forged)
@@ -351,23 +394,24 @@ class TestOnelap:
     @pytest.mark.parametrize("which", [0, -1], ids=("first", "last"))
     def test_verify_catches_a_vertex_dropped_from_a_support_cut(self, capsys, cut_file,
                                                                  monkeypatch, which):
-        # the side {b, c} of (1, 1, -1, 0) less b or less c: the demand of
-        # {b} or {c} alone is within the capacity of its cut
+        # the side {c, d, e} of (1, 1, 1, 1, -1) less c or less e: the demand
+        # of {d, e} or {c, d} is within the capacity of its cut
         real = cli.one_lap_enumerate
+        f = (1, 1, 1, 1, -1)
 
         def dropped(g):
-            def one_less(t, side):
-                side, j = side.copy(), (t.T == (1, 1, -1, 0)).all(axis=1).argmax()
-                assert tuple(t[:, j]) == (1, 1, -1, 0)
-                side[np.flatnonzero(side[:, j])[which], j] = False
-                return t, side
+            def one_less(t, pi):
+                pi, j = pi.copy(), (t.T == f).all(axis=1).argmax()
+                assert tuple(t[:, j]) == f and pi[:, j].tolist() == [0, 0, 1, 1, -1]
+                pi[np.flatnonzero(pi[:, j])[which], j] = 0
+                return t, pi
 
-            return _tampered(real(g), "support-cut", one_less)
+            return _tampered(real(g), "cut", one_less)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", dropped)
         code, out, err = run(capsys, "onelap", "--graph", cut_file, "--verify")
         assert code == 1 and out == ""
-        assert "support-cut certificate of pattern (1, 1, -1, 0) failed its check" in err
+        assert "cut certificate of pattern (1, 1, 1, 1, -1) failed its check" in err
 
     def test_verify_catches_a_zero_cut_that_wraps_in_int8(self, capsys, p3_file, monkeypatch):
         # pi = -128 where it was -1: abs(-128) is -128 in int8, so a check that
@@ -378,8 +422,8 @@ class TestOnelap:
             ols = real(g)
             certificates = tuple(
                 (k, t, np.where(certs[0] == -1, -128, certs[0]).astype(np.int8))
-                if k == "zero-cut" else (k, t, *certs) for k, t, *certs in ols.certificates)
-            assert any((pi == -128).any() for k, _, pi, *_ in certificates if k == "zero-cut")
+                if k == "cut" else (k, t, *certs) for k, t, *certs in ols.certificates)
+            assert any((pi == -128).any() for k, _, pi, *_ in certificates if k == "cut")
             return dataclasses.replace(ols, certificates=certificates)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", forged)
@@ -388,33 +432,35 @@ class TestOnelap:
         assert "failed its check" in err
 
     @staticmethod
-    def _duplicated(t, x, y):
+    def _duplicated(t, pi):
         # the first column twice, in place of the last: as many columns as before
         j = np.r_[0, :t.shape[1] - 1]
-        return t[:, j], x[j], y[j]
+        return t[:, j], pi[:, j]
 
     @staticmethod
-    def _entry_two(t, x, y):
-        # (1, -1, 2): z has no free edge in (1, -1, 1), so its screen pair still checks
+    def _entry_two(t, pi):
+        # (1, -1, 2): z has no free edge in (1, -1, 1), so its cut still checks
         t = t.copy()
         t[2, (t.T == (1, -1, 1)).all(axis=1).argmax()] = 2
-        return t, x, y
+        return t, pi
 
     @pytest.mark.parametrize("tamper", [
-        _duplicated, lambda t, x, y: (np.hstack((t[:, :1], -t[:, 1:])), x, y), _entry_two,
+        # a column negated with its pi still checks
+        _duplicated, lambda t, pi: (np.hstack((t[:, :1], -t[:, 1:])),
+                                    np.hstack((pi[:, :1], -pi[:, 1:]))), _entry_two,
     ], ids=("duplicated", "led-by-minus-one", "entry-two"))
     def test_verify_catches_a_screened_column_off_the_patterns(self, capsys, p3_file,
                                                                monkeypatch, tamper):
         real = cli.one_lap_enumerate
 
         def tampered(g):
-            def checked(t, x, y):
-                t, x, y = tamper(t, x, y)
+            def checked(t, pi):
+                t, pi = tamper(t, pi)
                 # so only the coverage check can fail
-                assert check_certificates_1lap(g, "screen", t, x, y).all()
-                return t, x, y
+                assert check_certificates_1lap(g, "cut", t, pi).all()
+                return t, pi
 
-            return _tampered(real(g), "screen", checked)
+            return _tampered(real(g), "cut", checked)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", tampered)
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
@@ -434,9 +480,9 @@ class TestOnelap:
         assert code == 0
         doc = json.loads(out)
         assert "verified" not in doc
-        # 3^3 patterns up to negation; the screen drops 3 of them, among
-        # them (1, -1, 1): its ends pin lambda = 1 and its middle lambda = 2
-        assert (doc["patterns_scanned"], doc["patterns_solved"]) == (13, 10)
+        # 3^3 patterns up to negation; the screen drops 5 of them, among
+        # them (1, -1, 1): its middle pins lambda = 2, and the support 4/3
+        assert (doc["patterns_scanned"], doc["patterns_solved"]) == (13, 8)
         assert doc["pairs"] and all(p["lambda_hi"] == p["lambda"] for p in doc["pairs"])
 
 

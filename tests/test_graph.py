@@ -87,19 +87,28 @@ class TestConstruction:
         with pytest.raises(GraphError, match="signature"):
             SignedGraph.build(["a", "b"], [("a", "b", 1.0, 0)])
 
-    @pytest.mark.parametrize("edges, mu, match", [
-        ([("a", "b", "x", 1)], 1.0, "edge weight"),
-        ([("a", "b", 1.0)], 1.0, "tuple"),
-        ([], ["q"], "mu"),
-        ([], {"a": None}, "mu"),
-        ([("a", "b", 1.0, 1.5)], 1.0, "signature"),
-        ([("a", "b", 1.0, "-1")], 1.0, "signature"),
-        ([("a", "b", 1.0, "x"), ("b", "a", 1.0, 1)], 1.0, "signature"),
+    # a number by the constructor's rule: no bool, and no str even where
+    # float() would read it
+    @pytest.mark.parametrize("edges, spec, match", [
+        ([("a", "b", "x", 1)], {}, "edge weight"),
+        ([("a", "b", 1.0)], {}, "tuple"),
+        ([], {"mu": ["q"]}, "mu"),
+        ([], {"mu": {"a": None}}, "mu"),
+        ([("a", "b", 1.0, 1.5)], {}, "signature"),
+        ([("a", "b", 1.0, "-1")], {}, "signature"),
+        ([("a", "b", 1.0, "x"), ("b", "a", 1.0, 1)], {}, "signature"),
+        ([("a", "b", True, 1)], {}, "edge weight"),
+        ([("a", "b", "1.0", 1)], {}, "edge weight"),
+        ([], {"mu": {"a": "2.5"}}, "mu"),
+        ([], {"mu": True}, "mu"),
+        ([], {"kappa": [False, 1.0]}, "kappa"),
+        ([], {"kappa": [0.0, "1e3"]}, "kappa"),
     ], ids=("text-weight", "three-tuple", "text-mu", "none-mu", "fractional-sigma", "text-sigma",
-            "parallel-text-sigma"))
-    def test_build_rejects_malformed_input(self, edges, mu, match):
+            "parallel-text-sigma", "bool-weight", "numeric-text-weight", "numeric-text-mu",
+            "bool-mu", "bool-kappa", "numeric-text-kappa"))
+    def test_build_rejects_malformed_input(self, edges, spec, match):
         with pytest.raises(GraphError, match=match):
-            SignedGraph.build(["a", "b"], edges, mu=mu)
+            SignedGraph.build(["a", "b"], edges, **spec)
 
     @pytest.mark.parametrize("spec", [{"mu": {"b": 5.0}}, {"kappa": {"A": 2.0}}],
                              ids=("mu", "kappa"))
@@ -218,8 +227,13 @@ class TestSwitch:
     def test_domain_mismatch(self):
         with pytest.raises(GraphError):
             switch(path(3), [1, -1])
-        with pytest.raises(GraphError):
-            switch(path(2), [1, 2])
+        # each value the int -1 or +1: no bool, and no float even at 1.0
+        for tau in ([1, 2], [True, 1], [1, 1.0], [-1.0, 1], ["1", 1], [None, 1]):
+            with pytest.raises(GraphError, match="switching values"):
+                switch(path(2), tau)
+        # a numpy int is an int, and the signs are Python ints
+        got = switch(path(2), np.array([1, -1]))
+        assert got.edges[0][3] == -1 and type(got.edges[0][3]) is int
 
     @given(st.integers(0, 2**12 - 1), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)

@@ -158,9 +158,11 @@ class TestSuiteConfig:
             SuiteConfig(models=("weird",))
         with pytest.raises(GraphError):
             SuiteConfig(density=1.5)
-        # an infinite tol passes every tolerance check vacuously
+        # an infinite tol passes every tolerance check vacuously; graph._tol
+        # is the one check of a tol, as in check_eigenpair
         for bad in ({"tol": float("inf")}, {"tol": float("nan")}, {"tol": True},
-                    {"tol": "1e-9"}, {"density": True}, {"density": float("nan")}):
+                    {"tol": "1e-9"}, {"tol": -1e-9}, {"density": True},
+                    {"density": float("nan")}):
             with pytest.raises(GraphError, match="finite real number"):
                 SuiteConfig(**bad)
 
@@ -232,6 +234,26 @@ class TestRunSuite:
         for a in rep.aggregates.values():
             assert (a["checked"], a["skipped"]) == (0, 3)
             assert a["skip_reasons"] == {"interior eigenvalues uncertified for p=1.0": 3}
+
+    def test_limits_come_from_the_caps(self, monkeypatch):
+        # n = 9: onelap-h1 runs, within ONE_LAP_CAP, and cheeger-bounds
+        # records a verdict exactly where k and m = S(f) are within the
+        # exact Cheeger caps (k = 1 and 2 at n = 9), else a skip
+        calls, real = [], sgspec.cheeger.check_theorem41
+
+        def spy(g, p, k, lambda_k, m):
+            calls.append((g.n, k, m))
+            return real(g, p, k, lambda_k, m)
+
+        monkeypatch.setattr(sgspec.cheeger, "check_theorem41", spy)
+        rep = run_suite(SuiteConfig(seed=3, trials=4, n_min=9, n_max=9,
+                                    checks=("cheeger-bounds", "onelap-h1")))
+        assert rep.aggregates["onelap-h1"]["passed"] == 4
+        agg = rep.aggregates["cheeger-bounds"]
+        assert agg["checked"] == agg["passed"] == len(calls) and 1 <= len(calls) < 4
+        assert agg["skip_reasons"] == {"n over exact Cheeger cap": 4 - len(calls)}
+        assert all(n == 9 and sgspec.cheeger._refusal(n, k) is None
+                   and sgspec.cheeger._refusal(n, m) is None for n, k, m in calls)
 
     def test_zero_count_function_is_skipped(self):
         # trial 6 draws an all-zero function, which used to drop the trial

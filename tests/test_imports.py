@@ -208,8 +208,7 @@ def test_the_1lap_checkers_are_independent_of_what_they_check():
     source = (SRC / "operators.py").read_text()
     roots = ("check_certificates_1lap",)
     reached = reached_names(ast.parse(source), roots)
-    kernels = {"_block", "_screen", "_support_cut", "_zero_cut", "_support", "_witness"}
-    assert kernels <= set(reached)
+    assert {"_block", "_cut", "_witness"} <= set(reached)
     assert forbidden_in_checkers(source, roots) == []
 
 

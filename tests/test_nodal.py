@@ -148,8 +148,10 @@ _NAN, _INF = float("nan"), float("inf")
 _F = np.array([1.0, -1.0, 0.0, 1.0])  # nonzero on the edge (0, 1)
 # Public entry points called with one bad scalar argument: an exponent p that
 # is not finite, or below 1 (or at 1 where Delta_p must be single-valued), a
-# lambda that is not a finite real, or a vertex index that is not an int in
-# [0, n); and an EigenPair whose f is not a finite real vector.
+# lambda that is not a finite real, a vertex index that is not an int in
+# [0, n), a tolerance that is not a finite real >= 0, or a switching value
+# that is not the int -1 or +1; and an EigenPair whose f is not a finite
+# real vector.
 _BAD_SCALAR = {
     "check_eigenpair_1lap-nan-lambda": lambda g: check_eigenpair_1lap(g, _NAN, _F),
     "check_eigenpair_1lap-inf-lambda": lambda g: check_eigenpair_1lap(g, _INF, _F),
@@ -192,15 +194,32 @@ _BAD_SCALAR = {
     "bound_report-float-k": lambda g: bound_report(g, _F, SpectrumContext(k=1.5)),
     "bound_report-bool-r": lambda g: bound_report(g, _F, SpectrumContext(k=1, r=True)),
     "bound_report-negative-c": lambda g: bound_report(g, _F, SpectrumContext(k=1, c=-3)),
+    "check_eigenpair-str-tol": lambda g: check_eigenpair(g, EigenPair(1.0, _F, 2.0), tol="x"),
+    "check_eigenpair-nan-tol": lambda g: check_eigenpair(g, EigenPair(1.0, _F, 2.0), tol=_NAN),
+    "check_eigenpair-negative-tol": lambda g: check_eigenpair(g, EigenPair(1.0, _F, 2.0),
+                                                              tol=-1e-9),
+    "check_eigenpair-bool-tol": lambda g: check_eigenpair(g, EigenPair(1.0, _F, 2.0), tol=True),
+    "interlacing_check_p2-str-tol": lambda g: interlacing_check_p2(g, [], tol="x"),
+    "interlacing_check_p2-nan-tol": lambda g: interlacing_check_p2(g, [], tol=_NAN),
+    "interlacing_check_p2-inf-tol": lambda g: interlacing_check_p2(g, [], tol=_INF),
+    "check_theorem41-str-lambda": lambda g: check_theorem41(g, 2.0, 1, "x", 1),
+    "check_theorem41-none-lambda": lambda g: check_theorem41(g, 2.0, 1, None, 1),
+    "check_theorem41-bool-lambda": lambda g: check_theorem41(g, 2.0, 1, True, 1),
+    "check_theorem41-nan-lambda": lambda g: check_theorem41(g, 2.0, 1, _NAN, 1),
+    "check_theorem41-huge-lambda": lambda g: check_theorem41(g, 2.0, 1, 10**400, 1),
+    "switch-bool-tau": lambda g: switch(g, [True] * g.n),
+    "switch-float-tau": lambda g: switch(g, [1.0] * g.n),
+    "switch-str-tau": lambda g: switch(g, ["1"] * g.n),
 }
 
 
 class TestMalformedScalar:
     """Each bad scalar argument is a GraphError, checked once by
     ``graph._exponent``, ``graph._vertices``, ``graph._seed`` (a count k, m,
-    r or c) or, for lambda, by
-    ``check_eigenpair_1lap`` itself and by ``EigenPair``, which also checks
-    its f."""
+    r or c), ``graph._tol`` (a tolerance) or ``graph._eigenvalue`` (a
+    lambda, as ``check_eigenpair_1lap``, ``check_theorem41`` and
+    ``EigenPair``, which also checks its f, take it); a switching tau by
+    ``switch``."""
 
     @pytest.mark.parametrize("call", _BAD_SCALAR.values(), ids=_BAD_SCALAR)
     def test_rejected(self, call):

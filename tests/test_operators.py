@@ -326,7 +326,7 @@ class TestOneLapChecker:
     @pytest.mark.parametrize("tamper", [
         lambda c: (c[0], c[1] + c[2], *c[2:]),  # lambda + 1 = (p + q) / q
         lambda c: (*c[:3], [c[3][0] + 1], c[4]),  # z_uv of the one edge
-        lambda c: ("support-cut", np.array([True, False])),
+        lambda c: ("cut", np.array([1, 0], np.int8)),
     ], ids=("witness-lambda", "witness-edge", "rejection"))
     def test_certificate_that_fails_its_check_raises(self, monkeypatch, tamper):
         g, f = path(2), [1.0, -1.0]
@@ -372,24 +372,23 @@ class TestOneLapChecker:
                 assert abs(flux) <= abs(target)
 
 
-def _crossing_weight(g, f, side) -> float:
-    """The weight of the free support edges of the pattern f that cross the
-    side, an (n,) bool mask."""
-    return sum(w for u, v, w, s in g.edges if f[u] and f[u] == s * f[v] and side[u] != side[v])
+def _crossing_weight(g, f, pi) -> float:
+    """The weight of the free support edges of the pattern f that the cut
+    pi crosses (pi_u != sigma pi_v)."""
+    return sum(w for u, v, w, s in g.edges if f[u] and f[u] == s * f[v] and pi[u] != s * pi[v])
 
 
-def _mask(n, xs) -> np.ndarray:
-    """The vertices xs as an (n,) bool mask, the column form of a side."""
-    out = np.zeros(n, bool)
-    out[list(xs)] = True
+def _side(f, xs) -> np.ndarray:
+    """The cut pi = sgn(f) on the vertices xs, 0 elsewhere, as (n,) int8."""
+    out = np.zeros(len(f), np.int8)
+    out[list(xs)] = np.sign(np.asarray(f))[list(xs)]
     return out
 
 
 def _checks(g, f, cert) -> bool:
     """Whether ``check_certificates_1lap`` passes the certificate ``(kind,
-    *columns)`` of the one pattern f, on a block of one column: a screen
-    pair's x and y and a witness's p and q are ints, a side, a pi or a z an
-    array of one column."""
+    *columns)`` of the one pattern f, on a block of one column: a witness's
+    p and q are ints, a pi or a z an array of one column."""
     kind, *cols = cert
     return bool(check_certificates_1lap(g, kind, np.array(f)[:, None],
                                         *(np.asarray(c)[..., None] for c in cols))[0])
@@ -564,9 +563,10 @@ class TestLambdaRange:
     @staticmethod
     def _certified(g, pattern, lp) -> list[str]:
         """Assert that each certificate for ``pattern`` checks and agrees
-        with the LP answer ``lp``; return the kinds seen. A witness must
-        also pass the fixed-lambda LP; a rejection of the max-flow is one
-        block column, a side an (n,) bool mask or pi (n,) int8."""
+        with the LP answer ``lp``; return where each came from. A witness
+        must also pass the fixed-lambda LP; a cut of the max-flow is one
+        block column, pi (n,) int8, on the support (a side of the support
+        flow) or on the zeros (a side of the zero block) alone."""
         kinds = []
         screen, cert = prefilter_lambda_box(g, pattern), _pattern_lambda(g, pattern)
         if screen is not None:
@@ -580,13 +580,16 @@ class TestLambdaRange:
             assert check_eigenpair_1lap_lp(g, lam, pattern)
             assert all(type(z) is int for z in (*cols[:2], *cols[2], *cols[3]))
             return kinds + ["witness"]
-        col = cols[0]
-        assert col.shape == (g.n,) and col.dtype == (bool if kind == "support-cut" else np.int8)
+        pi = cols[0]
+        assert kind == "cut" and pi.shape == (g.n,) and pi.dtype == np.int8
         assert lp == [], (g, pattern, cert)
-        if kind == "zero-cut" and abs(col).sum() > 1:
-            kind += "-wide"
-        if kind == "support-cut" and not _crossing_weight(g, pattern, col):
-            kind += "-closed"  # a component whose pin is not the support's
+        on = np.array(pattern) != 0
+        if pi[on].any():
+            assert not pi[~on].any() and (pi[on] * np.array(pattern)[on] >= 0).all()
+            # closed: a component whose pin is not the support's
+            kind = "support-cut" if _crossing_weight(g, pattern, pi) else "support-cut-closed"
+        else:
+            kind = "zero-cut-wide" if abs(pi).sum() > 1 else "zero-cut"
         return kinds + [kind]
 
     def test_equals_lp_oracle_on_every_sign_pattern(self):
@@ -743,25 +746,19 @@ class TestCertificateTamper:
         assert not check_certificates_1lap(g, "witness", t, p, q, z_edge, z_vertex).any()
 
     def test_no_rejection_of_a_feasible_pattern_checks(self):
-        # every screen pair, every side on the support (a pin among them)
-        # and every sign vector pi on a feasible pattern must fail, since
-        # each would prove it infeasible: each fake is one column of a block
-        # of the pattern, one block per kind
+        # every pi in {-1, 0, 1}^n on a feasible pattern must fail, since it
+        # would prove it infeasible: the screen's one-vertex cuts, every side
+        # on the support (a pin among them) and every zero-block cut are
+        # among them; each fake is one column of a block of the pattern
         tried = 0
         for g in [g for g in TestLambdaRange._corpus() if g.n <= 5]:
+            pis = np.array(list(product((-1, 0, 1), repeat=g.n)), np.int8).T
             for pattern in nonzero_patterns(g.n):
                 if _pattern_lambda(g, pattern)[0] != "witness":
                     continue
-                support = [x for x in range(g.n) if pattern[x]]
-                pairs = np.array([(x, y) for x in support for y in support]).T
-                sides = np.array([_mask(g.n, (x for i, x in enumerate(support) if m >> i & 1))
-                                  for m in range(1, 1 << len(support))]).T
-                pis = np.array(list(product((-1, 0, 1), repeat=g.n)), np.int8).T
-                for kind, certs in (("screen", pairs), ("support-cut", [sides]),
-                                    ("zero-cut", [pis])):
-                    t = np.repeat(np.array(pattern, np.int8)[:, None], certs[0].shape[-1], axis=1)
-                    assert not check_certificates_1lap(g, kind, t, *certs).any(), (g, pattern, kind)
-                    tried += t.shape[1]
+                t = np.repeat(np.array(pattern, np.int8)[:, None], pis.shape[1], axis=1)
+                assert not check_certificates_1lap(g, "cut", t, pis).any(), (g, pattern)
+                tried += t.shape[1]
         assert tried >= 10000
 
     def test_vertex_dropped_from_a_support_cut(self):
@@ -772,10 +769,11 @@ class TestCertificateTamper:
                               kappa=[3.0, -1.5, -1.5])
         f = [1, 1, 1]
         cert = _pattern_lambda(g, f)
-        assert cert[0] == "support-cut" and np.flatnonzero(cert[1]).tolist() == [1, 2]
+        assert cert[0] == "cut" and cert[1].tolist() == [0, 1, 1]
         assert _checks(g, f, cert)
         for side in ((1,), (2,), ()):
-            assert not _checks(g, f, ("support-cut", _mask(3, side)))
+            for sign in (1, -1):
+                assert not _checks(g, f, ("cut", sign * _side(f, side)))
         assert one_lap_lambda_range_lp(g, f) == []
 
     def test_vertex_dropped_from_a_zero_cut(self):
@@ -788,7 +786,7 @@ class TestCertificateTamper:
         f = [1, 0, 0]
         cert = _pattern_lambda(g, f)
         kind, pi = cert
-        assert kind == "zero-cut" and abs(pi).sum() == 2
+        assert kind == "cut" and not pi[0] and abs(pi).sum() == 2
         assert _checks(g, f, cert)
         for y in (1, 2):
             dropped = pi.copy()
@@ -797,35 +795,40 @@ class TestCertificateTamper:
         assert one_lap_lambda_range_lp(g, f) == []
 
     def test_wrong_screen_pair(self):
+        # the screen's one-vertex cut with the other sign at its vertex, or
+        # with an entry beyond {-1, 0, 1}
         tried = 0
         for g in list(TestLambdaRange._corpus())[:6]:
             for pattern in nonzero_patterns(g.n):
                 cert = prefilter_lambda_box(g, pattern)
                 if cert is None:
                     continue
-                _, x, y = cert
-                assert _checks(g, pattern, cert)
-                for wrong in ((y, x), (x, x), (y, y)):
-                    assert not _checks(g, pattern, ("screen", *wrong))
+                pi = np.array(cert[1])
+                assert _checks(g, pattern, cert) and abs(pi).sum() == 1
+                for wrong in (-pi, 2 * pi):
+                    assert not _checks(g, pattern, ("cut", wrong))
                 tried += 1
         assert tried >= 100
 
     def test_a_closed_side_at_the_support_ratio_fails(self):
         # the components {x1, x2}, {y1, y2} and {z} of the free support edges
         # pin lambda = 3/2, 5/2 and 2, and the support 10/5 = 2: the first
-        # two are support cuts of capacity 0, {z} and the whole support are
-        # closed at the support's ratio, and {x1} is left by the free edge
-        # x1 - x2, whose weight 1 its demand does not exceed
+        # two are cuts of capacity 0, pi = sgn below the support's lambda and
+        # -sgn above it; {z} and the whole support are closed at the
+        # support's ratio, and {x1} is left by the free edge x1 - x2, whose
+        # weight 1 its demand does not exceed
         g = SignedGraph.build(["x1", "x2", "y1", "y2", "z"],
                               [("x1", "x2", 1.0, 1), ("y1", "y2", 1.0, 1), ("x2", "y1", 1.0, -1)],
                               kappa=[1.0, 1.0, 2.0, 2.0, 2.0])
         f = [1, 1, 1, 1, 1]
         cert = _pattern_lambda(g, f)
-        assert cert[0] == "support-cut" and np.flatnonzero(cert[1]).tolist() == [0, 1]
+        assert cert[0] == "cut" and cert[1].tolist() == [1, 1, 0, 0, 0]
         assert _checks(g, f, cert)
-        assert _checks(g, f, ("support-cut", _mask(5, (2, 3))))
+        assert _checks(g, f, ("cut", -_side(f, (2, 3))))
+        assert not _checks(g, f, ("cut", _side(f, (2, 3))))
         for side in ((4,), (0, 1, 2, 3, 4), (0,)):
-            assert not _checks(g, f, ("support-cut", _mask(5, side)))
+            for sign in (1, -1):
+                assert not _checks(g, f, ("cut", sign * _side(f, side)))
         assert one_lap_lambda_range_lp(g, f) == []
 
     def test_one_vertex_pins_that_differ_give_a_support_cut(self):
@@ -834,46 +837,49 @@ class TestCertificateTamper:
         # still runs and finds the cut {a, c} of capacity 0
         g, f = path(3), (1, -1, 1)
         cert = _pattern_lambda(g, f)
-        assert cert[0] == "support-cut" and np.flatnonzero(cert[1]).tolist() == [0, 2]
+        assert cert[0] == "cut" and cert[1].tolist() == [1, 0, 1]
         assert _checks(g, f, cert)
         assert one_lap_lambda_range(g, f) == one_lap_lambda_range_lp(g, f) == []
 
     @staticmethod
     def _good():
-        """One certificate of each kind that checks, by name: (g, f, cert),
-        a rejection as ``(kind, t, *certs)`` on a block t of one column."""
+        """One certificate that checks per stage that makes it, by name:
+        (g, f, cert), cert ``(kind, t, *certs)`` on a block t of one column.
+        The screen's cut of (1, -1, 1) on the path is pi = 1 at its middle,
+        which pins lambda = 2 against the support's 4/3; the flow's is {a, c}
+        (see above); the zero block's is that of the y1 - y2 graph above."""
         zero_g = SignedGraph.build(["x", "y1", "y2"], [("x", "y1", 1.5, 1), ("x", "y2", 1.5, -1),
                                                        ("y1", "y2", 2.0, -1)], mu=[64.0, 1.0, 1.0])
         t = np.array([[1], [-1], [1]], np.int8)
-        cases = {"screen": (path(3), (1, -1, 1), ("screen", t, np.array([1]), np.array([0]))),
-                 "support-cut": (path(3), (1, -1, 1), ("support-cut", t, _mask(3, (1,))[:, None])),
+        cases = {"screen": (path(3), (1, -1, 1), ("cut", t, np.array([[0], [1], [0]]))),
+                 "support-cut": (path(3), (1, -1, 1), ("cut", t, np.array([[1], [0], [1]]))),
                  "witness": (path(3), (1, 1, 1),
                              ("witness", *_witness_block(path(3), [(1, 1, 1)]))),
-                 "zero-cut": (zero_g, (1, 0, 0), ("zero-cut", np.array([[1], [0], [0]], np.int8),
+                 "zero-cut": (zero_g, (1, 0, 0), ("cut", np.array([[1], [0], [0]], np.int8),
                                                   _pattern_lambda(zero_g, (1, 0, 0))[1][:, None]))}
-        assert prefilter_lambda_box(path(3), (1, -1, 1)) == ("screen", 1, 0)
+        assert prefilter_lambda_box(path(3), (1, -1, 1)) == ("cut", (0, 1, 0))
         for g, f, cert in cases.values():
             assert check_certificates_1lap(g, *cert).tolist() == [True]
         return cases
 
     # a certificate of the wrong shape, made from a good block (kind, t,
-    # *certs) of the named kind: it raises GraphError at the block boundary,
-    # or answers False where it names a vertex past the graph
+    # *certs) of the named stage: it raises GraphError at the block
+    # boundary, or answers False where pi reads off {-1, 0, 1}
     _MALFORMED = {
-        "none": ("screen", lambda c: (c[0], c[1], None, c[3])),
+        "none": ("screen", lambda c: (c[0], c[1], None)),
         "kind-only": ("screen", lambda c: ("bogus", c[1])),
-        "screen-one-vertex": ("screen", lambda c: c[:3]),
-        "screen-extra-entry": ("screen", lambda c: (*c, c[3])),
-        "screen-as-list": ("screen", lambda c: (*c[:3], [c[3].tolist()])),  # shape (1, 1)
-        "screen-float-index": ("screen", lambda c: (*c[:3], c[3].astype(float))),
-        "screen-numpy-index": ("screen", lambda c: (*c[:2], np.full(1, 2**64 - 1, np.uint64),
-                                                    c[3])),  # reads as 2**63 - 1, off the graph
-        "screen-str-index": ("screen", lambda c: (*c[:3], c[3].astype(str))),
-        "screen-bool-index": ("screen", lambda c: (*c[:3], np.array([True]))),
+        "screen-one-vertex": ("screen", lambda c: c[:2]),  # no pi
+        "screen-extra-entry": ("screen", lambda c: (*c, c[2])),
+        "screen-as-list": ("screen", lambda c: (*c[:2], [c[2].tolist()])),  # shape (1, 3, 1)
+        "screen-float-index": ("screen", lambda c: (*c[:2], c[2].astype(float))),
+        "screen-numpy-index": ("screen", lambda c: (*c[:2], np.where(
+            c[2] != 0, np.uint64(2**64 - 1), c[2].astype(np.uint64)))),  # reads as 2**63 - 1
+        "screen-str-index": ("screen", lambda c: (*c[:2], c[2].astype(str))),
+        "screen-bool-index": ("screen", lambda c: (*c[:2], c[2] != 0)),
         "kind-not-a-string": ("screen", lambda c: (np.array([1, 2]), *c[1:])),
         "support-cut-none": ("support-cut", lambda c: (*c[:2], None)),
         "support-cut-as-list": ("support-cut", lambda c: (*c[:2], np.flatnonzero(c[2]).tolist())),
-        "support-cut-numpy-vertex": ("support-cut", lambda c: (*c[:2], c[2].astype(np.int64))),
+        "support-cut-numpy-vertex": ("support-cut", lambda c: (*c[:2], np.flatnonzero(c[2]))),
         "support-cut-with-a-pin": ("support-cut", lambda c: (*c, c[2])),
         "pins-kind": ("support-cut", lambda c: ("pins", *c[1:])),
         "zero-cut-pi-as-list": ("zero-cut", lambda c: (*c[:2], c[2][:, 0].tolist())),  # shape (n,)
@@ -896,20 +902,20 @@ class TestCertificateTamper:
 
     @pytest.mark.parametrize("name", _MALFORMED)
     def test_malformed_certificate_answers_false(self, name):
-        kind, malform = self._MALFORMED[name]
-        g, f, cert = self._good()[kind]
+        stage, malform = self._MALFORMED[name]
+        g, f, cert = self._good()[stage]
         if name == "screen-numpy-index":
             assert check_certificates_1lap(g, *malform(cert)).tolist() == [False]
         else:
             with pytest.raises(GraphError):
                 check_certificates_1lap(g, *malform(cert))
 
-    @pytest.mark.parametrize("kind", ["screen", "support-cut", "zero-cut"])
-    def test_a_rejection_is_no_witness(self, kind):
-        # a good rejection's arrays are no witness's, and no zero z makes
-        # its pattern an eigenfunction, at its support's lambda or another
-        g, f, (_, t, *certs) = self._good()[kind]
-        assert check_certificates_1lap(g, kind, t, *certs).all()
+    @pytest.mark.parametrize("stage", ["screen", "support-cut", "zero-cut"])
+    def test_a_rejection_is_no_witness(self, stage):
+        # a good cut's arrays are no witness's, and no zero z makes its
+        # pattern an eigenfunction, at its support's lambda or another
+        g, f, (kind, t, *certs) = self._good()[stage]
+        assert kind == "cut" and check_certificates_1lap(g, kind, t, *certs).all()
         with pytest.raises(GraphError):
             check_certificates_1lap(g, "witness", t, *certs)
         zero = (np.zeros((len(g.edges), 1), int), np.zeros((g.n, 1), int))
@@ -930,23 +936,60 @@ class TestCertificateTamper:
                 check_certificates_1lap(path(2), "witness", t, *certs)
 
 
-# good certificate arrays of each kind's kernel on an (n, m) block t of
-# path(3), whose two edges the witness's z_edge rows are
+class TestCutKernel:
+    """The cut kernel is sound and complete on small graphs: over every pi
+    in {-1, 0, 1}^n, no cut checks on a pattern that admits a lambda, and
+    some cut checks on every pattern that admits none. Which patterns
+    admit one is ``one_lap_lambda_range``'s answer, which ``TestLambdaRange``
+    pins to the LP oracle."""
+
+    @staticmethod
+    def _graphs():
+        # n = 3 and 4: unit mu, degree mu, and non-unit mu with kappa != 0
+        yield path(3)
+        yield triangle((-1, 1, 1))
+        yield complete(4)
+        for seed, model in enumerate(("uniform", "balanced", "antibalanced")):
+            g = random_signed_graph(4, 0.7, model=model, seed=seed)
+            yield with_degree_measure(g) if g.edges else g
+        yield SignedGraph.build("abcd", [("a", "b", 1.0, -1), ("b", "c", 2.0, 1),
+                                         ("c", "d", 1.0, -1), ("a", "d", 1.5, 1)],
+                                mu=[1.0, 2.0, 1.0, 0.5], kappa=[1.0, 0.0, -0.5, 0.0])
+
+    def test_sound_and_complete(self):
+        verdicts = Counter()
+        for g in self._graphs():
+            pis = np.array(list(product((-1, 0, 1), repeat=g.n)), np.int8).T
+            patterns = list(nonzero_patterns(g.n))
+            t = np.repeat(np.array(patterns, np.int8).T, pis.shape[1], axis=1)
+            checks = check_certificates_1lap(g, "cut", t, np.tile(pis, len(patterns)))
+            for pattern, cut in zip(patterns, checks.reshape(len(patterns), -1).any(axis=1)):
+                feasible = bool(one_lap_lambda_range(g, pattern))
+                assert cut != feasible, (g, pattern)
+                verdicts[feasible] += 1
+        assert min(verdicts.values()) >= 50, verdicts
+
+
+# good certificate arrays on an (n, m) block t of path(3), as (kind, make)
+# by the stage that makes them: pi at one vertex (the screen), sgn on the
+# support (a side of the support flow) or 0 (a zero-block cut), and a
+# witness, whose two z_edge rows are the path's edges
 _CHECKERS = {
-    "screen": lambda t: (np.zeros(t.shape[1], int), np.zeros(t.shape[1], int)),
-    "support-cut": lambda t: (t != 0,),
-    "zero-cut": lambda t: (np.zeros(t.shape, np.int8),),
-    "witness": lambda t: (np.zeros(t.shape[1], int), np.ones(t.shape[1], int),
-                          np.zeros((2, t.shape[1]), int), np.zeros(t.shape, int)),
+    "screen": ("cut", lambda t: (np.eye(3, t.shape[1], dtype=int),)),
+    "support-cut": ("cut", lambda t: (t.astype(np.int8),)),
+    "zero-cut": ("cut", lambda t: (np.zeros(t.shape, np.int8),)),
+    "witness": ("witness", lambda t: (np.zeros(t.shape[1], int), np.ones(t.shape[1], int),
+                                      np.zeros((2, t.shape[1]), int), np.zeros(t.shape, int))),
 }
 _T3 = np.array([[1, 1], [-1, 0], [1, 1]], np.int8)
 
 
 class TestScreenChecker:
-    """``check_certificates_1lap`` on whole blocks of screen pairs against the
-    per-pattern screen of the oracles: for every column, some (x, y) checks
-    exactly when the oracle rejects, and the oracle's (x, y) checks. Then
-    the boundary that every kind shares."""
+    """``check_certificates_1lap`` on whole blocks of the screen's one-vertex
+    cuts against the per-pattern screen of the oracles: for every column,
+    some pi = +-sgn_v at one support vertex v checks exactly when the oracle
+    rejects, and the oracle's pi checks. Then the boundary that every kind
+    shares."""
 
     _GRAPHS = {
         "int64": lambda: random_signed_graph(6, 0.5, seed=2, connected=True),
@@ -966,33 +1009,41 @@ class TestScreenChecker:
         assert products_take_python_ints(g) == name.startswith("object")
         rejected = 0
         for t, _, _ in _labelings(g.n):
-            m = t.shape[1]
-            checks = {(x, y): check_certificates_1lap(g, "screen", t, np.full(m, x), np.full(m, y))
-                      for x in range(g.n) for y in range(g.n)}
+            checks = {}
+            for v, sign in product(range(g.n), (-1, 1)):
+                pi = np.zeros(t.shape, np.int8)
+                pi[v] = sign * t[v]
+                checks[v, sign] = check_certificates_1lap(g, "cut", t, pi)
             for j, f in enumerate(zip(*t.tolist())):
                 cert = prefilter_lambda_box(g, f)
                 assert any(c[j] for c in checks.values()) == (cert is not None), (name, f)
                 if cert is not None:
-                    assert checks[cert[1:]][j], (name, f)
+                    v = np.flatnonzero(cert[1])[0]
+                    assert checks[v, cert[1][v] * f[v]][j], (name, f)
                     rejected += 1
         assert rejected >= 10 or name == "edgeless-zero-kappa"
 
     def test_vertex_off_the_graph_or_the_support(self):
-        # (1, -1, 1): the middle pins lambda = 2, the ends lambda = 1
+        # (1, -1, 1) and (1, 0, 1): pi = 1 at the middle checks both, as the
+        # screen's cut (b pins lambda = 2 against the support's 4/3) and as
+        # a zero vertex's (b's flux -2 exceeds its slack |lambda| mu_b = 1);
+        # the same vertex with an entry off {-1, 0, 1} checks neither
         t = np.array([[1, 1], [-1, 0], [1, 1]], np.int8)
-        out = check_certificates_1lap(path(3), "screen", t, [1, 1], [0, 0])
-        assert out.tolist() == [True, False]
-        assert not check_certificates_1lap(path(3), "screen", t, [1, 1], [-3, 3]).any()
+        pi = np.array([[0, 0], [1, 1], [0, 0]])
+        assert check_certificates_1lap(path(3), "cut", t, pi).tolist() == [True, True]
+        for k in (2, -3, 2**62):
+            assert not check_certificates_1lap(path(3), "cut", t, k * pi).any()
         with pytest.raises(GraphError, match="shape"):
-            check_certificates_1lap(path(3), "screen", t[:2], [1, 1], [0, 0])
+            check_certificates_1lap(path(3), "cut", t[:2], pi)
 
     # the boundary of every kind: an unknown kind or a malformed block or
     # certificate array raises GraphError, and an empty block answers an
     # empty array
-    @pytest.mark.parametrize("kind", ["bogus", "zero_cuts", "Screen", None, ("screen",), "pins"])
+    @pytest.mark.parametrize("kind", ["bogus", "zero_cuts", "Screen", None, ("screen",), "pins",
+                                      "screen", "support-cut", "zero-cut", "Cut"])
     def test_unknown_kind_raises(self, kind):
         with pytest.raises(GraphError, match="unknown certificate kind"):
-            check_certificates_1lap(path(3), kind, _T3, *_CHECKERS["support-cut"](_T3))
+            check_certificates_1lap(path(3), kind, _T3, *_CHECKERS["support-cut"][1](_T3))
 
     @pytest.mark.parametrize("name", _CHECKERS)
     @pytest.mark.parametrize("tamper", [
@@ -1009,27 +1060,30 @@ class TestScreenChecker:
     ], ids=("nan", "inf", "short", "one-dimensional", "bool-t", "certificate-too-short",
             "float-certificate", "str-certificate", "one-array-more", "one-array-less"))
     def test_malformed_block_raises(self, name, tamper):
-        t, certs = tamper(_T3, _CHECKERS[name](_T3))
+        kind, make = _CHECKERS[name]
+        t, certs = tamper(_T3, make(_T3))
         with pytest.raises(GraphError):
-            check_certificates_1lap(path(3), name, t, *certs)
+            check_certificates_1lap(path(3), kind, t, *certs)
 
     @pytest.mark.parametrize("name", _CHECKERS)
     def test_an_empty_block(self, name):
+        # the arrays, and the same as lists: an empty array of any kind passes
+        kind, make = _CHECKERS[name]
         t = np.zeros((3, 0), np.int8)
-        certs = _CHECKERS[name](t)
-        for args in (certs, [[]] * len(certs) if name == "screen" else certs):
-            out = check_certificates_1lap(path(3), name, t, *args)
+        certs = make(t)
+        for args in (certs, [c.tolist() for c in certs]):
+            out = check_certificates_1lap(path(3), kind, t, *args)
             assert out.dtype == bool and out.shape == (0,)
 
     def test_good_arguments_pass_the_boundary(self):
-        for name, make in _CHECKERS.items():
-            assert check_certificates_1lap(path(3), name, _T3, *make(_T3)).shape == (2,), name
+        for name, (kind, make) in _CHECKERS.items():
+            assert check_certificates_1lap(path(3), kind, _T3, *make(_T3)).shape == (2,), name
 
 
 class TestBlockCheckers:
-    """Forged support cuts and zero cuts fail, each for the one reason it was
-    forged. Every kind takes lambda = a / b from the support; a zero column
-    has b = 0 and is rejected by none."""
+    """Forged cuts fail, each for the one reason it was forged. Every cut
+    takes lambda = a / b from the support; a zero column has b = 0 and is
+    rejected by none."""
 
     # path a - b - c, unit weights and mu; columns (1, -1, 1) and (1, 1, -1):
     # in the first every edge is fixed, {a}, {b}, {c} pin 1, 2, 1 and the
@@ -1037,43 +1091,38 @@ class TestBlockCheckers:
     # and the support 2/3
     _T = np.array([[1, 1], [-1, 1], [1, -1]], np.int8)
 
-    @staticmethod
-    def _masks(*sets):
-        out = np.zeros((3, len(sets)), bool)
-        for j, xs in enumerate(sets):
-            out[list(xs), j] = True
-        return out
-
     def test_pins(self):
-        # a pin whose lambda differs from the support's is a support cut of
-        # capacity 0
-        g, t, m = path(3), self._T, self._masks
+        # a pin whose lambda differs from the support's is a cut of
+        # capacity 0, pi = sgn on it below the support's lambda and -sgn
+        # above it
+        g, t = path(3), self._T
 
-        def check(t, side):
-            return check_certificates_1lap(g, "support-cut", t, side).tolist()
+        def check(*columns):
+            return check_certificates_1lap(g, "cut", t, np.array(columns).T).tolist()
 
-        assert check(t, m((0,), (0, 1))) == [True, True]
-        assert check(t, m((1,), (2,))) == [True, True]
-        # the whole support, and an empty side
-        assert not any(check(t, m((0, 1, 2), (0, 1, 2))))
-        assert not any(check(t, m((), ())))
+        assert check((1, 0, 0), (1, 1, 0)) == [True, True]
+        assert check((0, 1, 0), (0, 0, 1)) == [True, True]
+        # the other sign
+        assert not any(check((-1, 0, 0), (-1, -1, 0)))
+        assert not any(check((0, -1, 0), (0, 0, -1)))
+        # sgn on the whole support, and no pi at all
+        assert not any(check((1, -1, 1), (1, 1, -1)))
+        assert not any(check((0, 0, 0), (0, 0, 0)))
         # {a} crosses the free edge a - b of the second column, whose weight
         # 1 its demand |2/3 - 0| does not exceed
-        assert check(t, m((0,), (0,))) == [True, False]
-        # (1, 0, -1): {a} and {c} pin 1, as does the support; a side with
-        # the zero vertex b
+        assert check((1, 0, 0), (1, 0, 0)) == [True, False]
+        # (1, 0, -1): {a} and {c} pin 1, as does the support; pi at the zero
+        # vertex b too, of either sign
         t0 = np.array([[1], [0], [-1]], np.int8)
-        assert check(t0, m((0,))) == [False]
-        assert check(t0, m((0, 1))) == [False]
+        for pi in ((1, 0, 0), (1, 1, 0), (1, -1, 0), (-1, 1, 0)):
+            assert not check_certificates_1lap(g, "cut", t0, np.array([pi]).T).any(), pi
 
     def test_a_zero_column_is_rejected_by_no_kind(self):
         g, t = path(3), np.zeros((3, 2), np.int8)
-        for side in (np.zeros((3, 2), bool), np.ones((3, 2), bool)):
-            assert not check_certificates_1lap(g, "support-cut", t, side).any()
-        for pi in (np.zeros((3, 2), np.int8), np.array([[1, -1], [0, 1], [-1, -1]], np.int8)):
-            assert not check_certificates_1lap(g, "zero-cut", t, pi).any()
-        assert not check_certificates_1lap(g, "screen", t, [0, 1], [1, 0]).any()
-        assert not check_certificates_1lap(g, "witness", t, *_CHECKERS["witness"](t)).any()
+        for pi in (np.zeros((3, 2), np.int8), np.ones((3, 2), np.int8), np.eye(3, 2, dtype=int),
+                   np.array([[1, -1], [0, 1], [-1, -1]], np.int8)):
+            assert not check_certificates_1lap(g, "cut", t, pi).any()
+        assert not check_certificates_1lap(g, "witness", t, *_CHECKERS["witness"][1](t)).any()
 
     @pytest.mark.parametrize("mu_a", [1.0, 2.0**70], ids=("int64", "object"))
     def test_support_cuts(self, mu_a):
@@ -1084,18 +1133,19 @@ class TestBlockCheckers:
         g = SignedGraph.build("abcd", [("a", "b", 1.0, 1), ("b", "c", 2.0, 1), ("c", "d", 1.0, 1)],
                               mu=[mu_a, 1.0, 1.0, 1.0], kappa=[4.0, -1.5, -2.5, 0.0])
         assert products_take_python_ints(g) == (mu_a > 1)
-        t = np.array([[1], [1], [1], [0]], np.int8)
+        f = (1, 1, 1, 0)
+        t = np.array([f], np.int8).T
 
-        def check(side):
-            side_mask = np.zeros((4, 1), bool)
-            side_mask[list(side)] = True
-            return bool(check_certificates_1lap(g, "support-cut", t, side_mask)[0])
+        def check(side, sign):
+            return bool(check_certificates_1lap(g, "cut", t, sign * _side(f, side)[:, None])[0])
 
-        # a side and its complement on the support: the demands sum to 0
-        assert check((1, 2)) and check((0,))
-        assert not check((1, 2, 3))  # the zero vertex d in the side
-        assert not check(()) and not check((0, 1, 2))  # the empty side and the whole support
-        assert not check((1,)) and not check((2,))  # a side vertex dropped
+        # a side and its complement on the support, of opposite signs: the
+        # demands sum to 0
+        assert check((1, 2), 1) and check((0,), -1)
+        assert not check((1, 2), -1) and not check((0,), 1)  # the other sign
+        for sign in (1, -1):
+            assert not check((), sign) and not check((0, 1, 2), sign)  # none, the whole support
+            assert not check((1,), sign) and not check((2,), sign)  # a side vertex dropped
 
     def test_zero_cuts(self):
         # x - y of weight 2 at f = (1, 0): the support {x} pins
@@ -1108,24 +1158,24 @@ class TestBlockCheckers:
 
         def check(g, *pi):
             pi = np.array(pi, np.int8)[:, None]
-            return bool(check_certificates_1lap(g, "zero-cut", t, pi)[0])
+            return bool(check_certificates_1lap(g, "cut", t, pi)[0])
 
-        assert check(graph(4.0), 0, -1)
-        assert not check(graph(4.0), 0, 1)  # the wrong sign
-        assert not check(graph(4.0), 1, -1)  # pi on the support
-        assert not check(graph(4.0), 0, -2)  # pi off {-1, 0, 1}
-        assert not check(graph(1.0), 0, -1)  # |c_y| = 2 = the slack: not exceeded
+        assert check(graph(4.0), 0, 1)  # pi_y = -sgn(c_y)
+        assert not check(graph(4.0), 0, -1)  # the wrong sign
+        assert check(graph(4.0), 1, 1)  # with x as well: lambda mu_x - c_x = 0 there
+        assert not check(graph(4.0), 0, 2)  # pi off {-1, 0, 1}
+        assert not check(graph(1.0), 0, 1)  # |c_y| = 2 = the slack: not exceeded
         # pi off {-1, 0, 1} that wraps: abs(-128) is -128 in int8, and the
-        # int64 and uint64 extremes read as themselves, not as -1
+        # int64 and uint64 extremes read as themselves, not as -1 or 1
         assert not check(graph(4.0), 0, -128)
         for pi in (np.array([[0], [-2**63]]), np.array([[0], [2**64 - 1]], np.uint64)):
-            assert not check_certificates_1lap(graph(4.0), "zero-cut", t, pi)[0]
+            assert not check_certificates_1lap(graph(4.0), "cut", t, pi)[0]
         # a - b - y at (1, 1, 0), mu_a = mu_b = 4: the support {a, b} pins
         # 1/4, and y's flux -2 exceeds its slack 1/4
         g = SignedGraph.build("aby", [("a", "b", 1.0, 1), ("b", "y", 2.0, 1)], mu=[4.0, 4.0, 1.0])
         t = np.array([[1], [1], [0]], np.int8)
-        pi = np.array([[0], [0], [-1]], np.int8)
-        assert check_certificates_1lap(g, "zero-cut", t, pi).tolist() == [True]
+        pi = np.array([[0], [0], [1]], np.int8)
+        assert check_certificates_1lap(g, "cut", t, pi).tolist() == [True]
 
     @pytest.mark.parametrize("t", [np.full((2, 1), -128, np.int8), np.full((2, 1), -1.0),
                                    np.full((2, 1), -2**62), np.full((2, 1), -2**63)],
@@ -1133,9 +1183,9 @@ class TestBlockCheckers:
     def test_t_is_read_exactly(self, t):
         # a - b of sign -1 at t_a = t_b < 0: t_a - sigma t_b < 0 fixes the edge
         # (sigma t_b wrapped back to t_b would free it), so {a} and {b} pin 1
-        # and 1/2 against the support's 2/3, and the screen pair (a, b)
-        # checks, lo_a = 1 > hi_b / 2
+        # and 1/2 against the support's 2/3: pi = -sgn_a = 1 at a (also the
+        # screen's cut, lo_a = 1 > 2/3) and pi = sgn_b = -1 at b check
         g = SignedGraph.build("ab", [("a", "b", 1.0, -1)], mu=[1.0, 2.0])
-        side = np.array([[True], [False]])
-        assert check_certificates_1lap(g, "support-cut", t, side).tolist() == [True]
-        assert check_certificates_1lap(g, "screen", t, [0], [1]).tolist() == [True]
+        pi = np.array([[1, 0], [0, -1]])
+        assert check_certificates_1lap(g, "cut", np.repeat(t, 2, axis=1), pi).tolist() == [True,
+                                                                                           True]

@@ -506,7 +506,7 @@ class TestOneLapEnumerate:
                                for a in certs)
                     witnessed += zip(map(F, certs[0], certs[1]), zip(*t.tolist()))
             assert sorted(witnessed) == [(pr.lam, pr.f) for pr in ols.pairs]
-        assert kinds == {"screen", "support-cut", "zero-cut", "witness"}
+        assert kinds == {"cut", "witness"}
 
     def test_exact_p1_pool_equals_its_references(self):
         # the 48 graphs of the exact-p1 benchmark: every eigenvalue and every
@@ -534,8 +534,8 @@ def _enumerate_per_pattern(g):
     through the exact screen, the pin stage's reference, then
     ``_pattern_lambda``: the reference for the block scan and the pin stage.
     Returns the pairs as (lambda, pattern), the values, the two counts and
-    the number of certificates of each kind."""
-    pairs, scanned, solved, kinds = [], 0, 0, Counter()
+    each rejected pattern's pi."""
+    pairs, scanned, solved, cuts = [], 0, 0, {}
     patterns = ((0,) * lead + (1,) + tail for lead in range(g.n)
                 for tail in product((0, 1, -1), repeat=g.n - lead - 1))
     for pattern in patterns:
@@ -546,8 +546,9 @@ def _enumerate_per_pattern(g):
             cert = pin_stage_reference(g, pattern) or _pattern_lambda(g, pattern)
         if cert[0] == "witness":
             pairs.append((F(cert[1], cert[2]), pattern))
-        kinds[cert[0]] += 1
-    return sorted(pairs), sorted({lam for lam, _ in pairs}), scanned, solved, kinds
+        else:
+            cuts[pattern] = tuple(np.asarray(cert[1]).tolist())
+    return sorted(pairs), sorted({lam for lam, _ in pairs}), scanned, solved, cuts
 
 
 def _screen_corpus():
@@ -604,16 +605,17 @@ def _screen_corpus():
 
 class TestBlockScreen:
     def test_agrees_with_the_exact_screen(self):
-        # every column's block decision is the per-pattern screen's, and
-        # every block rejection names a pair that checks
+        # every column's block decision and pi are the per-pattern screen's,
+        # and every block rejection is a cut that checks
         outcomes = Counter()
         for g in _screen_corpus():
-            for t, rejected, x, y in spectra._screened_blocks(g):
-                for f, rej in zip(zip(*t.tolist()), rejected.tolist()):
-                    assert rej == (prefilter_lambda_box(g, f) is not None), (g, f)
+            for t, rejected, pi in spectra._screened_blocks(g):
+                for f, rej, col in zip(zip(*t.tolist()), rejected.tolist(), pi.T.tolist()):
+                    ref = prefilter_lambda_box(g, f)
+                    assert rej == (ref is not None), (g, f)
+                    assert tuple(col) == (ref[1] if rej else (0,) * g.n), (g, f)
                     outcomes["rejected" if rej else "passed"] += 1
-                assert check_certificates_1lap(g, "screen", t[:, rejected], x[rejected],
-                                             y[rejected]).all(), g
+                assert check_certificates_1lap(g, "cut", t[:, rejected], pi[:, rejected]).all(), g
         assert sum(outcomes.values()) >= 20000
         assert min(outcomes.values()) >= 100, outcomes
 
@@ -627,16 +629,17 @@ class TestBlockScreen:
                 graphs.append(random_graph(rng, n))
         for g in graphs:
             ols = one_lap_enumerate(g)
-            pairs, values, scanned, solved, kinds = _enumerate_per_pattern(g)
+            pairs, values, scanned, solved, cuts = _enumerate_per_pattern(g)
             assert sorted((pr.lam, pr.f) for pr in ols.pairs) == pairs
             assert list(ols.values) == values
             assert (ols.patterns_scanned, ols.patterns_solved) == (scanned, solved)
             certified = Counter()
-            for kind, t, *_ in ols.certificates:
+            for kind, t, *certs in ols.certificates:
                 certified[kind] += t.shape[1]
-            assert certified["screen"] == scanned - solved
-            assert certified == kinds
-            assert certified["witness"] == len(pairs) and certified.total() == scanned
+                if kind == "cut":
+                    assert all(cuts[f] == pi for f, pi in zip(zip(*t.tolist()), zip(*certs[0].tolist())))
+            assert certified == {"cut": len(cuts), "witness": len(pairs)}
+            assert certified.total() == scanned
 
     def test_empty_graph_refused_before_the_scan(self, monkeypatch):
         monkeypatch.setattr(spectra._cheeger, "_labelings", lambda n: pytest.fail("scanned"))
@@ -657,10 +660,10 @@ def products_take_python_ints(g) -> bool:
 
 
 def _staged(g):
-    """Yields ``(t, (by_side, by_pi, side, pi))`` for the screen's
-    survivors t of each block, as ``one_lap_enumerate`` runs the pin stage."""
+    """Yields ``(t, (rejected, pi))`` for the screen's survivors t of each
+    block, as ``one_lap_enumerate`` runs the pin stage."""
     decide = spectra._pin_stage(g)
-    for t, rejected, _, _ in spectra._screened_blocks(g):
+    for t, rejected, _ in spectra._screened_blocks(g):
         yield t[:, ~rejected], decide(t[:, ~rejected])
 
 
@@ -676,51 +679,47 @@ class TestPinStage:
             yield with_degree_measure(random_signed_graph(n, 0.7, seed=n, connected=True))
 
     def test_agrees_with_the_per_pattern_decider(self):
-        # exactly the reference's rejections, by graph._labels: a support
-        # cut where a component's pin differs from the support's, with the
-        # least-labelled such component as its side, else a zero cut at the
+        # exactly the reference's rejections and pi, by graph._labels: a
+        # cut of capacity 0 where a component's pin differs from the
+        # support's, on the least-labelled such component, else one at the
         # least zero vertex over its slack; no rejection of a pair, and
         # every rejection checks on its block
         seen = Counter()
         for g in self._corpus():
             seen["object" if products_take_python_ints(g) else "int64"] += 1
-            for t, (by_side, by_pi, side, pi) in _staged(g):
+            for t, (rejected, pi) in _staged(g):
                 for j, f in enumerate(zip(*t.tolist())):
                     ref = pin_stage_reference(g, f)
+                    assert rejected[j] == (ref is not None), (g, f)
+                    assert tuple(pi[:, j].tolist()) == (ref[1] if ref else (0,) * g.n), (g, f)
                     if ref is None:
-                        assert not (by_side[j] or by_pi[j]), (g, f)
                         seen["kept"] += 1
-                    elif ref[0] == "support-cut":
-                        assert by_side[j] and not by_pi[j], (g, f)
-                        assert tuple(np.flatnonzero(side[:, j]).tolist()) == ref[1], (g, f)
                     else:
-                        assert by_pi[j] and not by_side[j], (g, f)
-                        assert tuple(pi[:, j].tolist()) == ref[1], (g, f)
-                    if ref is not None:
                         assert _pattern_lambda(g, f)[0] != "witness", (g, f)
-                assert check_certificates_1lap(g, "support-cut", t[:, by_side],
-                                             side[:, by_side]).all(), g
-                assert check_certificates_1lap(g, "zero-cut", t[:, by_pi], pi[:, by_pi]).all(), g
-                assert (abs(pi[:, by_pi]).sum(axis=0) == 1).all() and not pi[:, ~by_pi].any()
-                seen["support-cut"] += by_side.sum()
-                seen["zero-cut"] += by_pi.sum()
+                        seen["support" if (pi[:, j] * t[:, j]).any() else "zero"] += 1
+                assert check_certificates_1lap(g, "cut", t[:, rejected], pi[:, rejected]).all(), g
+                # a zero vertex's cut is pi = -sgn(c_y) at y alone
+                zero = rejected & ~(pi * t).any(axis=0)
+                assert (abs(pi[:, zero]).sum(axis=0) == 1).all()
         assert min(seen.values()) >= 20, seen
 
     def test_block_checkers_agree_with_the_one_column_check(self):
-        # on the stage's blocks and on forgeries of them (the whole support
-        # as the side, pi negated), column by column: a column's verdict in
-        # its block is its verdict on a block of one column
+        # on the stage's blocks and on forgeries of them (pi = sgn on the
+        # whole support, pi negated), column by column: a column's verdict
+        # in its block is its verdict on a block of one column
         outcomes = Counter()
         for g in list(self._corpus())[::6]:
-            for t, (by_side, by_pi, side, pi) in _staged(g):
-                for kind, certs in (("support-cut", side), ("support-cut", t != 0),
-                                    ("zero-cut", pi), ("zero-cut", -pi)):
-                    block = check_certificates_1lap(g, kind, t, certs)
+            for t, (_, pi) in _staged(g):
+                for name, certs in (("staged", pi), ("support", t), ("negated", -pi)):
+                    block = check_certificates_1lap(g, "cut", t, certs)
                     for j in range(t.shape[1]):
-                        one = check_certificates_1lap(g, kind, t[:, j:j + 1], certs[:, j:j + 1])
+                        one = check_certificates_1lap(g, "cut", t[:, j:j + 1], certs[:, j:j + 1])
                         assert one.tolist() == [block[j]], (g, t[:, j], certs[:, j])
-                        outcomes[kind, bool(block[j])] += 1
-        assert len(outcomes) == 4 and min(outcomes.values()) >= 20, outcomes
+                        outcomes[name, bool(block[j])] += 1
+        # the staged cuts check, the forgeries never do
+        assert set(outcomes) == {("staged", True), ("staged", False), ("support", False),
+                                 ("negated", False)}
+        assert min(outcomes.values()) >= 20, outcomes
 
     def test_reduced_ints_is_one_read_only_view(self):
         # scaled_ints over the gcds, built once, read-only, and in Python
@@ -738,9 +737,8 @@ class TestPinStage:
             assert mu.dtype == kappa.dtype == w.dtype
 
     def test_an_empty_block(self):
-        by_side, by_pi, side, pi = spectra._pin_stage(path(3))(np.zeros((3, 0), np.int8))
-        assert by_side.shape == by_pi.shape == (0,)
-        assert side.shape == pi.shape == (3, 0)
+        rejected, pi = spectra._pin_stage(path(3))(np.zeros((3, 0), np.int8))
+        assert rejected.shape == (0,) and pi.shape == (3, 0)
 
 
 class TestSmallestPositive:
