@@ -9,9 +9,13 @@ is one exact quotient in Python ints on ``SignedGraph.scaled_ints``
 (``_quotient``), or, for the frustration index, a sum of Fractions of the
 weights. The k-way constant is found by minimizing,
 over all families of k disjoint nonempty vertex sets, the maximum of the
-per-set minimum (frustration + boundary) / volume. One pass over the labelings
-up to sign, in int8 blocks, gives the per-set optima; each layer of a bitmask
-packing DP on their exact ranks reduces over the pairs (+1 set, -1 set).
+per-set minimum (frustration + boundary) / volume. The labelings up to sign
+form a grid, high rows by low columns (``_grid``): a labeling's numerator is
+a row term plus a column term plus the cross terms, one gathered row of a
+table per pair of high vertices. ``_grouped_min`` takes the least value per
+support over slabs of whole rows, by ``np.minimum.reduceat`` on both axes;
+it gives the per-set optima, and each layer of a bitmask packing DP on their
+exact ranks, a grouped minimum over the pairs (+1 set, -1 set).
 Past the enumeration caps both fall back, when asked, on one
 first-improvement local search, ``_descend``.
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -40,6 +45,7 @@ FRUSTRATION_RESTARTS = 16  # random starts of the local search above FRUSTRATION
 HEURISTIC_RESTARTS = 32  # random starts of cheeger_k's heuristic
 _BLOCK = 1 << 12
 _LOW = 6  # a block of labelings runs over the last _LOW entries: 3**6 <= _BLOCK
+_SLAB = 1 << 13  # entries of one slab of the Cheeger table's grid (whole rows, at least one)
 
 
 def _require_zero_kappa(g: SignedGraph, what: str):
@@ -180,18 +186,32 @@ class CheegerResult:
     exact: bool = True
 
 
+@cache
+def _low(n: int):
+    """``(h, t, pos, neg)``: the split of n vertices into the high first h =
+    max(n - _LOW, 0) and the low last n - h, and all 3**(n - h) labelings of
+    the low ones as int8 columns t with the bitmasks of their +1 and -1
+    entries, bit i for low vertex h + i. The earlier entries vary slower,
+    each through 0, +1, -1, so zero-led labelings come first."""
+    h = max(n - _LOW, 0)
+    t, pos, neg = np.zeros((0, 1), np.int8), np.zeros(1, np.int64), np.zeros(1, np.int64)
+    for i in reversed(range(n - h)):  # entry i leads: 0, +1, -1 in turn
+        t = np.vstack((np.repeat(np.int8((0, 1, -1)), t.shape[1]), np.tile(t, 3)))
+        pos, neg = np.r_[pos, pos | 1 << i, pos], np.r_[neg, neg, neg | 1 << i]
+    for arr in (t, pos, neg):
+        arr.flags.writeable = False
+    return h, t, pos, neg
+
+
 def _labelings(n: int):
     """The (3**n - 1) / 2 labelings in {-1, 0, +1}^n led by +1 (first nonzero entry), as
     blocks ``(t, pos, neg)``: int8 columns t and the bitmasks of their +1 and -1 entries.
-    One scan drives both the Cheeger table and ``one_lap_enumerate``'s sign patterns. A block
-    runs over the last min(n, _LOW) entries under one such labeling of the first h, or
-    under zeros; in it the earlier entries vary slower, each through 0, +1, -1, so zero-led
-    labelings come first: (0, 0, 1) before (1, 0, 0)."""
-    h = max(n - _LOW, 0)
-    low, pos, neg = np.zeros((0, 1), np.int8), np.zeros(1, np.int64), np.zeros(1, np.int64)
-    for i in reversed(range(h, n)):  # entry i leads: 0, +1, -1 in turn
-        low = np.vstack((np.repeat(np.int8((0, 1, -1)), low.shape[1]), np.tile(low, 3)))
-        pos, neg = np.r_[pos, pos | 1 << i, pos], np.r_[neg, neg, neg | 1 << i]
+    These are ``one_lap_enumerate``'s sign patterns; the Cheeger table scores the same
+    split as a grid (``_grid``). A block runs over all the low labelings of ``_low(n)``
+    under one such labeling of the high vertices, or under zeros over the low labelings
+    led by +1: (0, 0, 1) before (1, 0, 0)."""
+    h, low, pos, neg = _low(n)
+    pos, neg = pos << h, neg << h
     for t, p, q in _labelings(h) if h else ():
         for i in range(t.shape[1]):
             yield np.vstack((np.repeat(t[:, [i]], low.shape[1], 1), low)), pos | p[i], neg | q[i]
@@ -199,13 +219,64 @@ def _labelings(n: int):
     yield np.vstack((np.zeros((h, lead.sum()), np.int8), low[:, lead])), pos[lead], neg[lead]
 
 
+@cache
+def _grid(n: int):
+    """The labelings of n vertices up to sign as a grid of high rows by low
+    columns (``_low(n)``'s split): ``(rows, cols)``. rows = (t, pos, neg, sup)
+    holds the zero labeling and the high labelings led by +1, cols = (t, pos,
+    neg, start) every low labeling, each sorted by support sup = pos | neg;
+    start[s] is the first column of low support s, every one of the 2**(n - h)
+    present. Row r and column c are the labeling of support sup[r] |
+    sup(c) << h, led by +1 wherever row r is nonzero."""
+    h, t, pos, neg = _low(n)
+    blocks = list(_labelings(h)) if h else []
+    rt = np.hstack([np.zeros((h, 1), np.int8), *(b[0] for b in blocks)])
+    rpos, rneg = (np.concatenate([[0], *(b[i] for b in blocks)]) for i in (1, 2))
+    rows, cols = np.argsort(rpos | rneg, kind="stable"), np.argsort(pos | neg, kind="stable")
+    start = np.searchsorted((pos | neg)[cols], np.arange((1 << (n - h)) + 1))
+    grid = ((rt[:, rows], rpos[rows], rneg[rows], (rpos | rneg)[rows]),
+            (t[:, cols], pos[cols], neg[cols], start))
+    for arr in (*grid[0], *grid[1]):
+        arr.flags.writeable = False
+    return grid
+
+
+def _grouped_min(n: int, slab, out):
+    """Lowers ``out[S]``, a (2**n,) array, to the least value of the
+    labelings of support S, where ``slab(r0, r1)`` holds the values of grid
+    rows r0 to r1 (``_grid(n)``) over all its columns. A slab has at most
+    ``_SLAB`` entries, or one row; one ``np.minimum.reduceat`` over the
+    columns' low supports and one over the rows' high supports group it."""
+    (rt, _, _, sup), (ct, _, _, start) = _grid(n)
+    table = out.reshape(-1, 1 << rt.shape[0])  # table[low support, high support]
+    step = max(_SLAB // ct.shape[1], 1)
+    for r0 in range(0, sup.size, step):
+        s = sup[r0:r0 + step]
+        first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+        least = np.minimum.reduceat(np.minimum.reduceat(slab(r0, r0 + s.size), start[:-1], axis=1),
+                                    first, axis=0)
+        table[:, s[first]] = np.minimum(table[:, s[first]], least.T)
+
+
 def _ranks(nums, dens, bound: int) -> np.ndarray:
-    """Dense ranks (from 0) of the fractions nums[i] / dens[i], Python ints
-    with 0 < dens[i] <= bound. Two different ones differ by at least
-    1 / bound**2, so floor(v * bound**2) keeps their order and their ties."""
+    """Dense ranks (from 0) of the fractions nums[i] / dens[i], integer
+    arrays with 0 < dens[i] <= bound. Two different ones differ by at least
+    1 / bound**2, so floor(v * bound**2) keeps their order and their ties.
+    When nums is int64 and bound**3 < 2**63 that key is split in int64 as
+    (floor(v), floor((v - floor(v)) * bound**2)) and ranked by one lexsort;
+    else it is one Python int per fraction."""
     scale = bound**2
-    keys = np.array([a * scale // b for a, b in zip(nums, dens)], dtype=object)
-    return np.unique(keys, return_inverse=True)[1].ravel()
+    if nums.dtype == object or bound * scale >= 2**63:
+        keys = np.array([a * scale // b for a, b in zip(nums.tolist(), dens.tolist())], object)
+        return np.unique(keys, return_inverse=True)[1].ravel()
+    dens = dens.astype(np.int64)
+    whole, part = np.divmod(nums, dens)
+    part = part * scale // dens
+    order = np.lexsort((part, whole))
+    whole, part = whole[order], part[order]
+    ranks = np.empty(order.size, np.int64)
+    ranks[order] = np.cumsum(np.r_[False, (whole[1:] != whole[:-1]) | (part[1:] != part[:-1])])
+    return ranks
 
 
 def _refusal(n: int, k) -> GraphError | None:
@@ -223,45 +294,76 @@ def _refusal(n: int, k) -> GraphError | None:
 
 def _cheeger_exact(g: SignedGraph, ks) -> list[CheegerResult]:
     """Exact h_k for each k in ``ks``, none refused by ``_refusal``: one
-    table of sets, packing layers up to max(ks)."""
-    n, eu, ev, sigma = g.n, g.eu, g.ev, g.es.astype(np.int8)
+    table of sets, packing layers up to max(ks), each one ``_grouped_min``."""
+    n, sigma = g.n, g.es.astype(np.int8)
     mu, _, w, _ = g.reduced_ints
     size, full = 1 << n, (1 << n) - 1
-    # Per mask S: num[S], the least numerator with support S (boundary + iota),
-    # and v2[S], the least -1 set among its ties (_best_bipartition's choice).
-    num, v2 = np.full(size, 2 * w.sum() + 1, w.dtype), np.zeros(size, np.int64)
-    for t, pos, neg in _labelings(n):
-        s, a = pos | neg, _numerators(t, eu, ev, sigma, w)
-        old = num[s]
-        np.minimum.at(num, s, a)
-        v2[s[num[s] < old]] = size  # a smaller numerator voids an earlier block's witness
-        hit = a == num[s]
-        np.minimum.at(v2, s[hit], neg[hit])
+    (rt, rpos, rneg, rsup), (ct, cpos, cneg, start) = _grid(n)
+    h = rt.shape[0]
+    # A labeling's numerator, row r by column c: the edges inside the high
+    # vertices score at the row, those inside the low ones at the column, and
+    # a cross edge xy (x high, y low) scores w |t_x - sigma t_y|, which is
+    # w |t_y| at t_x = 0 and w (1 - t_x sigma t_y) else. The high vertices
+    # score in pairs (a zero vertex pads an odd h) from pair[i, 3 t_x + t_x' + 4].
+    inner, outer = g.ev < h, g.eu >= h
+    row_num = _numerators(rt, g.eu[inner], g.ev[inner], sigma[inner], w[inner])
+    col_num = _numerators(ct, g.eu[outer] - h, g.ev[outer] - h, sigma[outer], w[outer])
+    e = ~inner & ~outer
+    m = np.zeros((h + h % 2, n - h), w.dtype)  # m[x, y - h] = w sigma of the cross edge xy
+    m[g.eu[e], g.ev[e] - h] = w[e] * sigma[e]
+    flip, reach = m @ ct, abs(m).sum(1)[:, None]
+    cross = np.stack((reach + flip, abs(m) @ abs(ct), reach - flip), 1)  # [x, 1 + t_x, c]
+    pair = (cross[0::2, :, None] + cross[1::2, None]).reshape(-1, 9, ct.shape[1])
+    pair_of = 3 * rt[0::2] + 4
+    pair_of[:h // 2] += rt[1::2]
+
+    def scores(r0, r1, cols=slice(None)):
+        out = row_num[r0:r1, None] + col_num[cols]
+        for table, i in zip(pair, pair_of[:, r0:r1]):
+            out += table[:, cols][i]
+        return out
+
+    # num[S], the least numerator with support S (boundary + iota)
+    num = np.full(size, 2 * w.sum() + 1, w.dtype)
+    _grouped_min(n, scores, num)
     vol = mu @ (np.arange(size) >> np.arange(n)[:, None] & 1)
 
     inf = size  # above every rank; stands for "no family fits"
-    b = np.concatenate(([inf], _ranks(num[1:].tolist(), vol[1:].tolist(), int(vol[full]))))
+    b = np.concatenate(([inf], _ranks(num[1:], vol[1:], int(vol[full]))))
 
-    # D_j[mask]: minimal max-rank over j disjoint nonempty groups inside mask.
-    # j = 1: subset-min transform; per bit, masks with the bit take the
-    # strictly smaller value of the mask without it.
-    d1, c1 = b.copy(), np.arange(size)
+    # D_j[mask]: minimal max-rank over j disjoint nonempty groups inside mask,
+    # and the choice of its first group, as the key D << n | full ^ choice, so
+    # that ties go to the largest choice, as a descending submask scan with
+    # strict < finds. j = 1: the subset-min transform of b; per bit, masks
+    # with the bit take the key of the mask without it where it is smaller.
+    key = b << n | full ^ np.arange(size)
     for bit in range(n):
-        dv, cv = d1.reshape(-1, 2, 1 << bit), c1.reshape(-1, 2, 1 << bit)
-        better = dv[:, 0] < dv[:, 1]
-        dv[:, 1] = np.where(better, dv[:, 0], dv[:, 1])
-        cv[:, 1] = np.where(better, cv[:, 0], cv[:, 1])
+        kv = key.reshape(-1, 2, 1 << bit)
+        np.minimum(kv[:, 1], kv[:, 0], out=kv[:, 1])
+    layers = [(key >> n, full ^ (key & full))]
     # j >= 2: the least max(b[sub], D_{j-1}[rest]) over the disjoint pairs, a
-    # labeling's +1 and -1 entries in either order, keyed so that ties go to
-    # the largest sub, as a descending submask scan with strict < finds.
-    layers = [(d1, c1)]
+    # labeling's +1 and -1 entries in either order.
+    split = ((rpos, cpos, rneg, cneg), (rneg, cneg, rpos, cpos))
     for _j in range(2, max(ks) + 1):
         key = np.full(size, inf << n | full)  # no family: D = inf, choice 0
-        for _, pos, neg in _labelings(n):
-            for sub, rest in ((pos, neg), (neg, pos)):
-                cand = np.maximum(b[sub], layers[-1][0][rest])
-                np.minimum.at(key, sub | rest, cand << n | full ^ sub)
+        by_sub, by_rest = ((x << n).reshape(-1, 1 << h) for x in (b, layers[-1][0]))
+
+        def keys(r0, r1):
+            return np.minimum(*(
+                np.maximum(by_sub[:, hs[r0:r1]].T[:, ls], by_rest[:, hr[r0:r1]].T[:, lr])
+                + (full ^ hs[r0:r1])[:, None] - (ls << h) for hs, ls, hr, lr in split))
+
+        _grouped_min(n, keys, key)
         layers.append((key >> n, full ^ (key & full)))
+
+    def witness(s):  # the least -1 set among the ties of support s led by +1
+        hs, ls = s & (1 << h) - 1, s >> h
+        r0, r1 = np.searchsorted(rsup, (hs, hs + 1))
+        cols = slice(start[ls], start[ls + 1])
+        tie = scores(r0, r1, cols) == num[s]
+        if not hs:  # the zero row: the columns led by +1
+            tie &= (cpos[cols] & ls & -ls) != 0
+        return int((rneg[r0:r1, None] | cneg[cols] << h)[tie].min())
 
     results = []
     for k in ks:  # reconstruct the optimal family
@@ -269,7 +371,7 @@ def _cheeger_exact(g: SignedGraph, ks) -> list[CheegerResult]:
         for _, choice in reversed(layers[:k]):
             family.insert(0, int(choice[mask]))
             mask ^= family[0]
-        sides = [(sub ^ v, v) for sub, v in zip(family, v2[family].tolist())]
+        sides = [(sub ^ v, v) for sub, v in zip(family, map(witness, family))]
         pairs = tuple(tuple(tuple(i for i in range(n) if x >> i & 1) for x in pr) for pr in sides)
         pair_values = tuple(_quotient(g, *pr) for pr in pairs)
         results.append(CheegerResult(max(pair_values), pairs, pair_values, subsets_scored=full))

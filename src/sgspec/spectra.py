@@ -21,7 +21,7 @@ every step. Each Newton step takes the edge differences once, for its
 right-hand side and its Jacobian, and Phi_p f by the kernels' one
 formula. Neither loop calls a public operator. Every reported pair is
 re-certified by its eigen-residual. For p = 1 candidates are the
-+-1/0 patterns, scanned in the int8 blocks of the Cheeger table and screened
++-1/0 patterns, scanned in the int8 blocks of ``cheeger._labelings`` and screened
 per block exactly: integer ranks of the screen's bounds, fixed once per
 graph, find the two support vertices whose intervals lie highest and
 lowest, and integer compares test lambda against them; no float decides a
@@ -394,10 +394,12 @@ def _screened_blocks(g: SignedGraph):
     On ``g.reduced_ints``, hi_x = kappa_x + W_x, lo_x = hi_x - 2 F_x and
     sgn_x c_x = hi_x - F_x, with W_x and F_x the weight of the edges and of
     the free edges at x. F_x is one of the subset sums of x's edge weights,
-    all of them one matrix product, so all bounds are ranked once, in
-    Python ints, by ``cheeger._ranks`` (their denominators are at most max
+    all of them one matrix product, so all bounds are ranked once, exactly
+    (int64 where the keys fit, else Python ints), by ``cheeger._ranks`` (their denominators are at most max
     mu); a block looks up each F_x and the rank of each lo_x by the bits of
-    x's free edges, and integer compares decide every column."""
+    x's free edges, and integer compares decide every column. The blocks
+    are ``cheeger._labelings``; the Cheeger table scores the same split of
+    the vertices as a grid (``cheeger._grouped_min``)."""
     n = g.n
     # slot k of vertex x: its k-th edge, or the edge past the last, whose sigma 0 is never free
     slots = [[e for e, (u, v, _, _) in enumerate(g.edges) if x in (u, v)] for x in range(n)]
@@ -413,8 +415,7 @@ def _screened_blocks(g: SignedGraph):
     # sums[x, c]: the weight of x's slots in the bits of c (padding weighs 0)
     sums = np.append(w, 0)[slot] @ (np.arange(1 << width) >> np.arange(width)[:, None] & 1)
     nums = kappa[:, None] + sums[:, -1:] - 2 * sums
-    lo_of = np.append(_cheeger._ranks(nums.ravel().tolist(), np.repeat(mu, 1 << width).tolist(),
-                                      int(mu.max())), -1)
+    lo_of = np.append(_cheeger._ranks(nums.ravel(), np.repeat(mu, 1 << width), int(mu.max())), -1)
     hi_of = np.append(lo_of[:-1:1 << width], nums.size)
     lo_num, mid_num = nums.ravel(), np.append(nums + sums, 0)  # lo_x, and sgn_x c_x (0 off S)
     start = (np.arange(n) << width)[:, None]
@@ -486,8 +487,8 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
     for n up to ONE_LAP_CAP.
 
     Scans the sign patterns up to global negation in the int8 blocks of
-    ``cheeger._labelings``, which also drive the Cheeger table, and screens
-    each block exactly by integer ranks of its bounds (``_screened_blocks``):
+    ``cheeger._labelings``, on the high/low vertex split of the Cheeger
+    table's grid (``cheeger._grid``), and screens each block exactly by integer ranks of its bounds (``_screened_blocks``):
     a pattern is rejected there by a one-vertex cut, or survives
     (``patterns_solved`` counts the survivors). The pin stage
     (``_pin_stage``) decides the survivors that need no flow, a block at a

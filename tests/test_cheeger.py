@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -9,14 +10,14 @@ from hypothesis import strategies as st
 from sgspec import cheeger as cheeger_mod
 from sgspec.cheeger import DEFAULT_CAPS, beta, cheeger_k, check_theorem41
 from sgspec.cheeger import _cheeger_k_heuristic, _frustration_local_search, frustration_index
-from sgspec.graph import GraphError, SignedGraph, balance_state, components, switch
+from sgspec.graph import GraphError, SignedGraph, balance_state, components, parse_graph, switch
 from sgspec.graph import BalanceState, induced_subgraph, with_degree_measure
 from sgspec.harness import MODELS, random_signed_graph
 from sgspec.operators import rayleigh
 
 from oracles import cheeger_h1_oracle, cheeger_k_oracle, cheeger_k_sequential
 from test_graph import complete, path, random_graph, triangle
-from test_spectra import repro_graph
+from test_spectra import _bench_ref, repro_graph
 
 F = Fraction
 
@@ -384,6 +385,78 @@ class TestAgainstSequential:
         assert cheeger_k(g, k) == cheeger_k_sequential(g, k)
 
 
+class TestSlabs:
+    def test_one_row_slabs_change_nothing(self, monkeypatch):
+        # slabs of one grid row against the default ones, where a grid has
+        # more than one row (n >= 8 puts several in a default slab)
+        corpus = [(name, g) for name, g in sequential_corpus() if g.n >= 8]
+        want = [[cheeger_k(g, k) for k in exact_ks(g.n)] for _, g in corpus]
+        monkeypatch.setattr(cheeger_mod, "_SLAB", 1)
+        for (name, g), results in zip(corpus, want):
+            assert [cheeger_k(g, k) for k in exact_ks(g.n)] == results, name
+
+
+class TestBenchReferences:
+    """The exact h_1 and h_2 recorded for the ``exact-p1`` benchmark pools."""
+
+    def test_cheeger_pool(self):
+        entries = _bench_ref("exact-p1")["cheeger"]
+        assert len(entries) == 16
+        for e in entries:
+            g = parse_graph(json.dumps(e["graph"]))
+            assert [str(cheeger_k(g, k).value) for k in (1, 2)] == [e["h1"], e["h2"]], e["id"]
+
+    def test_onelap_pool(self):
+        entries = _bench_ref("exact-p1")["onelap"]
+        assert len(entries) == 48
+        for e in entries:
+            assert str(cheeger_k(parse_graph(json.dumps(e["graph"])), 1).value) == e["h1"], e["id"]
+
+
+def fraction_ranks(nums, dens):
+    """Dense ranks of the fractions, through Fractions."""
+    values = [F(int(a), int(b)) for a, b in zip(nums, dens)]
+    distinct = sorted(set(values))
+    return [distinct.index(v) for v in values]
+
+
+class TestRanks:
+    """``_ranks`` splits its keys into int64 columns when nums is int64 and
+    bound**3 < 2**63, else it keys each fraction by one Python int."""
+
+    @pytest.mark.parametrize("bound, int64", [(1, True), (10, True), (2**21 - 1, True),
+                                              (2**21, False), (2**31, False), (2**40, False)])
+    def test_int64_keys_equal_python_ints(self, monkeypatch, bound, int64):
+        rng = np.random.default_rng(bound)
+        dens = rng.integers(1, bound + 1, 300)
+        nums = rng.integers(-2**62, 2**62, 300)
+        nums[:60] = 0
+        nums[60:120] = rng.integers(-3, 4, 60)
+        # the same fractions in other terms, and neighbours 1 / (b (b - 1)) apart
+        c = 2 if bound > 1 else 1
+        nums[160:200] //= 2
+        dens[160:200] = rng.integers(1, bound // c + 1, 40)
+        nums[120:160], dens[120:160] = c * nums[160:200], c * dens[160:200]
+        dens[200:240] = rng.integers(max(bound - 3, 1), bound + 1, 40)
+        nums[200:240] = dens[200:240] - 1
+        nums[240:280] = rng.integers(-5, 5, 40) * dens[240:280] + 1
+        lexsorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(1) or lexsort(keys))
+        got = cheeger_mod._ranks(nums, dens, bound)
+        assert lexsorts == ([1] if int64 else [])
+        want = fraction_ranks(nums, dens)
+        assert got.tolist() == want
+        assert cheeger_mod._ranks(nums.astype(object), dens.astype(object), bound).tolist() == want
+        assert lexsorts == ([1] if int64 else [])
+
+    def test_zero_numerators_past_the_int64_range(self):
+        # bound**2 alone is past 2**62; every key is 0 or a small multiple of it
+        bound = 2**32 + 1
+        nums, dens = np.array([0, 0, 1, 0, -1, 1]), np.array([1, bound, bound, 5, 3, 2])
+        assert cheeger_mod._ranks(nums, dens, bound).tolist() == fraction_ranks(nums, dens)
+
+
 def oracle_corpus():
     """Seeded zero-kappa graphs for the brute-force oracles, n 3-5, as
     (kind, graph): dyadic non-unit mu, degree mu, the repro graph and an
@@ -445,12 +518,13 @@ class TestTheoremCheck:
         g = random_signed_graph(7, 0.6, "uniform", seed=3, connected=True)
         want = [float(cheeger_k(g, j).value) for j in (m, k)]
         passes = []
-        labelings = cheeger_mod._labelings
-        monkeypatch.setattr(cheeger_mod, "_labelings", lambda n: passes.append(n) or labelings(n))
+        grouped_min = cheeger_mod._grouped_min
+        monkeypatch.setattr(cheeger_mod, "_grouped_min",
+                            lambda n, *args: passes.append(n) or grouped_min(n, *args))
         rec = check_theorem41(g, 2.0, k, 1.0, m)
         assert [rec["h_m"], rec["h_k"]] == want
         # one pass for the table, one per packing layer j = 2..max(m, k)
-        assert passes.count(g.n) == max(m, k)
+        assert passes == [g.n] * max(m, k)
 
     def test_empty_graph_refused(self):
         # k and m are checked before the degree bound, whose max has no entry here
