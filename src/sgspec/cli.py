@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -148,12 +150,14 @@ def _covers_every_pattern(n: int, blocks) -> bool:
     return codes.size == (3**n - 1) // 2 == np.unique(codes).size
 
 
-def _uncertified(g, ols) -> str | None:
+def _uncertified(g, ols, at_most) -> str | None:
     """Why the certificates of ``ols`` fail to prove its pairs, and that no
-    other sign pattern is one, or None if they prove it. One pass over
-    ``ols.certificates``: every column checks, the blocks cover every
-    pattern once, and the pairs are the witnessed (lambda, pattern) pairs.
-    A malformed certificate is a failed check, not a usage error."""
+    other sign pattern is one at or below the bound ``at_most`` (None for
+    no bound), or None if they prove it. One pass over
+    ``ols.certificates``: every column checks, every "above" column names
+    the bound, the blocks cover every pattern once, and the pairs are the
+    witnessed (lambda, pattern) pairs, none above the bound. A malformed
+    certificate is a failed check, not a usage error."""
     witnessed = []
     for kind, t, *certs in ols.certificates:
         try:
@@ -164,15 +168,35 @@ def _uncertified(g, ols) -> str | None:
             return f"{kind} certificate of pattern {tuple(t.T[~ok][0].tolist())} failed its check"
         if kind == "witness":
             witnessed += zip(zip(*t.tolist()), map(Fraction, certs[0], certs[1]))
+        elif kind == "above" and {*map(Fraction, certs[0], certs[1])} - {at_most}:
+            return f"an above certificate names a bound other than {at_most}"
     if not _covers_every_pattern(g.n, [t for _, t, *_ in ols.certificates]):
         return "the certificates do not cover every sign pattern"
-    if len(witnessed) != len(ols.pairs) or dict(witnessed) != {p.f: p.lam for p in ols.pairs}:
+    if (len(witnessed) != len(ols.pairs) or dict(witnessed) != {p.f: p.lam for p in ols.pairs}
+            or at_most is not None and any(p.lam > at_most for p in ols.pairs)):
         return "the pairs are not the witnessed eigenpairs"
 
 
+# P/Q, or a decimal whose exponent has at most three digits (Fraction would
+# build 10**e for any e)
+_BOUND = re.compile(r"\s*[+-]?(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][+-]?\d{1,3})?)\s*")
+
+
+def _bound(text: str) -> Fraction:
+    """The one parse of ``--at-most``: a fraction P/Q or a decimal, exactly;
+    anything else, nan, inf or a zero denominator among it, is a ParseError."""
+    try:
+        if _BOUND.fullmatch(text):
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # Q = 0, or past int's digit limit
+        pass
+    raise ParseError(f"--at-most takes a fraction P/Q or a decimal, got {text!r}")
+
+
 def _cmd_onelap(args) -> int:
+    at_most = None if args.at_most is None else _bound(args.at_most)
     g = _load_graph(args.graph)
-    ols = one_lap_enumerate(g)
+    ols = one_lap_enumerate(g, at_most=at_most)
     doc = {
         **_one_lap_doc(ols),
         "patterns_scanned": ols.patterns_scanned,
@@ -184,12 +208,18 @@ def _cmd_onelap(args) -> int:
             for p in ols.pairs
         ],
     }
+    if at_most is not None:
+        doc["at_most"] = str(at_most)
     if args.verify:
-        if failure := _uncertified(g, ols):
+        if failure := _uncertified(g, ols, at_most):
             print(failure, file=sys.stderr)
             return 1
-        doc["verified"] = {"pairs": len(ols.pairs), "rejections": sum(
-            t.shape[1] for kind, t, *_ in ols.certificates if kind != "witness")}
+        counts = Counter()
+        for kind, t, *_ in ols.certificates:
+            counts[kind] += t.shape[1]
+        doc["verified"] = {"pairs": len(ols.pairs), "rejections": counts["cut"]}
+        if at_most is not None:
+            doc["verified"]["above"] = counts["above"]
     _emit(doc, args.format)
     return 0
 
@@ -290,6 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("onelap", help="enumerated 1-Laplacian eigenpairs")
     p.add_argument("--graph", required=True)
     p.add_argument("--verify", action="store_true")
+    p.add_argument("--at-most", dest="at_most", metavar="P/Q",
+                   help="only the eigenpairs with lambda <= P/Q (exact)")
     common(p)
     p.set_defaults(func=_cmd_onelap)
 

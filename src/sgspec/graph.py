@@ -99,7 +99,8 @@ class SignedGraph:
     cover, ``scaled_ints``, the exact integer view, and ``reduced_ints``,
     its arrays. Python-int passes and returned exact values read
     ``scaled_ints``; every numpy pass over the exact integers reads
-    ``reduced_ints``, the one place that picks int64 or Python ints.
+    ``reduced_ints``, the one place that picks int64 or Python ints, with
+    ``reduced_bound`` for a lambda compared on its scale.
     """
 
     ids: tuple[str, ...]
@@ -234,13 +235,33 @@ class SignedGraph:
         int64 when A, B < 2**62 and products of the two when A B < 2**62;
         else they take Python ints (dtype object)."""
         mu, kappa, edges = self.scaled_ints
-        w = [e[2] for e in edges]
-        dm, dk = math.gcd(*mu), math.gcd(*kappa, *w) or 1  # 0 without edges and kappa
+        (dm, dk), w = self._gcds, [e[2] for e in edges]
         mu, kappa, w = ([x // d for x in xs] for xs, d in ((mu, dm), (kappa, dk), (w, dk)))
         span, total = sum(map(abs, kappa)) + 2 * sum(w), sum(mu)
         dtype = np.int64 if max(span, total) < 2**62 else object
         return (*(_frozen(xs, dtype) for xs in (mu, kappa, w)),
                 dtype if span * total < 2**62 else object)
+
+    @cached_property
+    def _gcds(self) -> tuple[int, int]:
+        """gcd(mu) and gcd(kappa, w) of ``scaled_ints``, the divisors of
+        ``reduced_ints`` (the second is 1 where kappa and w are all 0)."""
+        mu, kappa, edges = self.scaled_ints
+        return math.gcd(*mu), math.gcd(*kappa, *(e[2] for e in edges)) or 1
+
+    def reduced_bound(self, lam: Fraction) -> tuple[int, int, type]:
+        """``(p, q, dtype)``: the exact lam on the scale of ``reduced_ints``,
+        which multiplies every lambda by gcd(mu) / gcd(kappa, w), as p / q
+        in lowest terms with q >= 1; and the dtype in which a q and b p
+        compare exactly for the lambda = a / b of a support (|a| <= A and
+        0 <= b <= B, see ``reduced_ints``): int64 when max(A, B) times
+        max(|p|, q) is below 2**62, else object."""
+        mu, kappa, w, _ = self.reduced_ints
+        dm, dk = self._gcds
+        lam = lam * Fraction(dm, dk)
+        p, q = lam.numerator, lam.denominator
+        span, total = int(abs(kappa).sum()) + 2 * int(w.sum()), int(mu.sum())
+        return p, q, np.int64 if max(span, total) * max(abs(p), q) < 2**62 else object
 
     @staticmethod
     def build(

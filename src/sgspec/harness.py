@@ -293,9 +293,11 @@ def _onelap_h1(t: _Trial):
     if t.n > ONE_LAP_CAP:  # h_1's cap is no lower
         yield "n over 1-Laplacian enumeration budget"
         return
-    lam1 = one_lap_enumerate(t.g).lambda_1
+    # eigenvalues above h_1 cannot decide lambda_1 = h_1: one below h_1 is
+    # still found, and none at or below it leaves lambda_1 None
     h1 = _cheeger.cheeger_k(t.g, 1).value
-    yield _Verdict(lam1 == h1, {"lambda_1": str(lam1), "h_1": str(h1)})
+    lam1 = one_lap_enumerate(t.g, at_most=h1).lambda_1
+    yield _Verdict(lam1 == h1, {"lambda_1": None if lam1 is None else str(lam1), "h_1": str(h1)})
 
 
 def _weak_balanced_two(t: _Trial):

@@ -23,9 +23,12 @@ form, a block column, and one checker (certifying algorithms: McConnell,
 Mehlhorn, Naeher & Schweitzer, Comput. Sci. Rev. 5(2), 2011):
 ``check_certificates_1lap`` checks one pattern or a whole block of
 patterns in integers, independently of whatever produced it, by a private
-kernel per kind, ``_cut`` or ``_witness``, on one shared boundary. A cut
-is pi as (n,) ints, and a witness lambda = p / q with its z as Python
-ints. ``check_eigenpair_1lap`` decides a given (lambda, f) by the same
+kernel per kind, ``_cut``, ``_witness`` or ``_above``, on one shared
+boundary. A cut is pi as (n,) ints, and a witness lambda = p / q with its
+z as Python ints; an "above" certificate, a bound p / q below the
+support's lambda, rules out every lambda up to p / q and no more (the
+patterns that a bounded enumeration leaves undecided).
+``check_eigenpair_1lap`` decides a given (lambda, f) by the same
 checked max-flow; :mod:`sgspec.simplex` decides nothing here, and remains
 only as the test oracles' independent LP and for the benchmark.
 """
@@ -432,6 +435,13 @@ def _block(g: SignedGraph, t, *certs):
             *g.reduced_ints)
 
 
+def _flux(g: SignedGraph, sgn, d, kappa, w, y):
+    """sum_x y_x c_x per column of y: sum_x kappa_x sgn_x y_x + sum_e
+    w z_uv (y_u - sigma y_v), with sgn, d, kappa and w as ``_block`` returns
+    them."""
+    return kappa @ (sgn * y) + w @ (d * (y[g.eu] - g.es.astype(np.int8)[:, None] * y[g.ev]))
+
+
 def _cut(g: SignedGraph, t, pi) -> np.ndarray:
     """Farkas's lemma over the flux that the free edges must carry. An edge
     is free where t_u = sigma t_v (between support vertices, or between
@@ -447,20 +457,28 @@ def _cut(g: SignedGraph, t, pi) -> np.ndarray:
     b K, with Lam = sum_S pi_x sgn_x mu_x - sgn(a) sum_zeros |pi_x| mu_x
     (|Lam| <= B) and R = sum_x pi_x c_x + sum_zeros |pi_x kappa_x|
     (|R| <= A), so both sides stay below 2 A B (see ``_block``). Each
-    sum_x y_x c_x is sum_x kappa_x sgn_x y_x + sum_e w z_uv (y_u - sigma
-    y_v). A column with pi off {-1, 0, 1} is zeroed: 0 > 0 fails."""
+    sum_x y_x c_x is one ``_flux``. A column with pi off {-1, 0, 1} is
+    zeroed: 0 > 0 fails."""
     sgn, d, (pi,), mu, kappa, w, wide = _block(g, t, (pi, "iu", g.n))
     ok = ((pi >= -1) & (pi <= 1)).all(axis=0)
     pi = np.where(ok, pi, 0).astype(np.int8)
     sigma, zero = g.es.astype(np.int8)[:, None], sgn == 0
-
-    def flux(y):  # sum_x y_x c_x, per column
-        return kappa @ (sgn * y) + w @ (d * (y[g.eu] - sigma * y[g.ev]))
-
-    a, b = flux(sgn).astype(wide), (mu @ ~zero).astype(wide)
+    a, b = _flux(g, sgn, d, kappa, w, sgn).astype(wide), (mu @ ~zero).astype(wide)
     lam = mu @ (pi * sgn) - np.sign(a) * (mu @ (abs(pi) * zero))
-    r = flux(pi) + abs(kappa) @ (abs(pi) * zero)
+    r = _flux(g, sgn, d, kappa, w, pi) + abs(kappa) @ (abs(pi) * zero)
     return ok & (a * lam - b * r > b * (w @ ((d == 0) * abs(pi[g.eu] - sigma * pi[g.ev]))))
+
+
+def _above(g: SignedGraph, t, p, q) -> np.ndarray:
+    """The support's lambda exceeds p / q, given q >= 1: on
+    ``g.reduced_ints`` lambda is a / b times dk / dm, with dm = gcd(mu) and
+    dk = gcd(kappa, w) of ``g.scaled_ints`` (``SignedGraph.reduced_bound``),
+    so the test is a dk q > b dm p, in Python ints. A zero column (b = 0)
+    fails."""
+    sgn, d, (p, q), mu, kappa, w, _ = _block(g, t, (p, "iuO", None), (q, "iuO", None))
+    dm, dk = g._gcds
+    a, b = _flux(g, sgn, d, kappa, w, sgn).astype(object), (mu @ (sgn != 0)).astype(object)
+    return (q >= 1) & (b > 0) & (a * dk * q > b * dm * p)
 
 
 def _witness(g: SignedGraph, t, p, q, z_edge, z_vertex) -> np.ndarray:
@@ -491,7 +509,7 @@ def _witness(g: SignedGraph, t, p, q, z_edge, z_vertex) -> np.ndarray:
 
 
 # each kind's kernel and the number of certificate arrays it takes
-_KERNELS = {"cut": (_cut, 1), "witness": (_witness, 4)}
+_KERNELS = {"cut": (_cut, 1), "witness": (_witness, 4), "above": (_above, 2)}
 
 
 def check_certificates_1lap(g: SignedGraph, kind: str, t, *certs) -> np.ndarray:
@@ -514,6 +532,13 @@ def check_certificates_1lap(g: SignedGraph, kind: str, t, *certs) -> np.ndarray:
       alone), a pin whose lambda differs from the support's (pi = +-sgn on
       it, capacity 0), a side of a Hoffman cut of the support flow
       (pi = sgn on it), and one of the zero block's (pi on the zeros).
+    * ``"above"``, a bound p / q by two int or Python-int object arrays of
+      shape (m,), q >= 1: the support's lambda = a / b exceeds it,
+      a q > b p on the scale of ``g.scaled_ints`` (see ``_above``). The
+      one lambda that t[:, j] can admit is a / b, so no lambda <= p / q
+      makes it an eigenfunction: the certificate of a pattern that
+      ``one_lap_enumerate(g, at_most=p / q)`` leaves undecided. It says
+      nothing of lambdas above p / q.
 
     A zero column is certified by no kind (b = 0). One integer pass per
     block, from g and t alone: sgn, c, the free edges and lambda are

@@ -36,6 +36,21 @@ entry of cuts and one of witnesses, as int8 blocks of patterns with their
 certificate arrays, for the one block checker. The screen and the pin
 stage take their arrays, and the dtype of their products, from
 ``g.reduced_ints``.
+
+A bound Lambda_0 (``one_lap_enumerate(g, at_most=...)``) asks only for the
+eigenpairs with lambda <= Lambda_0. It is sound because a pattern admits
+no lambda but the pin of its support, lambda = a / b: summed with the
+signs of f over the support, the inclusions cancel every free support
+edge, since z_vu = -sigma z_uv and sgn f_v = sigma sgn f_u there, and leave
+lambda mu(S) = sum over S of sgn_x c_x (proved in full in
+``one_lap_enumerate``). So the screen compares each survivor's a / b with
+Lambda_0 in integers, on the scale of ``g.reduced_ints``
+(``SignedGraph.reduced_bound``), and a survivor above it needs no pin
+stage and no flow: it keeps an ("above", t, p, q) certificate, p / q =
+Lambda_0, which the checker re-derives from t alone. The 1-Laplacian's
+lambda_1 = h_1 (Chang, J. Graph Theory 81(2), 2016) is then checked by
+enumerating up to h_1 alone: a lambda_1 below h_1 would still be found,
+and none at or below it leaves lambda_1 None.
 """
 
 from __future__ import annotations
@@ -46,8 +61,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import cheeger as _cheeger
-from .graph import (BalanceState, GraphError, SignedGraph, _block_labels, _exponent, _seed,
-                    balance_state, components, induced_subgraph)
+from .graph import (BalanceState, GraphError, SignedGraph, _block_labels, _eigenvalue, _exponent,
+                    _seed, balance_state, components, induced_subgraph)
 from .operators import (
     _delta, _edge_diffs, _eigen_terms, _pattern_lambda, _phi, _quotient, _residual, rayleigh,
 )
@@ -368,28 +383,33 @@ class OneLapPair:
 class OneLapEigenSet:
     pairs: tuple[OneLapPair, ...]
     values: tuple[Fraction, ...]
-    lambda_1: Fraction
+    lambda_1: Fraction | None  # None only under a bound below every eigenvalue
     lambda_2: Fraction | None
     smallest_positive: Fraction | None
     patterns_scanned: int
     patterns_solved: int
     # every scanned pattern, one ("cut", t, pi) and one ("witness", t, p, q,
-    # z_edge, z_vertex) per block: (kind, *(a[..., j] for a in certs))
-    # rejects or witnesses column j of the int8 block t (see
-    # check_certificates_1lap)
+    # z_edge, z_vertex) per block, and under a bound one ("above", t, p, q):
+    # (kind, *(a[..., j] for a in certs)) rejects, witnesses or puts above
+    # the bound column j of the int8 block t (see check_certificates_1lap)
     certificates: tuple[tuple, ...] = field(compare=False, repr=False)
 
 
-def _screened_blocks(g: SignedGraph):
-    """Yields ``(t, rejected, pi)`` per block t of ``cheeger._labelings(g.n)``:
-    the lambda screen of every column, decided exactly. A column is
+def _screened_blocks(g: SignedGraph, at_most: Fraction | None = None):
+    """Yields ``(t, rejected, pi, above)`` per block t of
+    ``cheeger._labelings(g.n)``: the lambda screen of every column, decided
+    exactly, and with a bound, which columns it leaves lie above it. A column is
     rejected, at ``("cut", pi[:, j])``, when lambda = a / b of its support
     lies outside [lo_x / mu_x, hi_x / mu_x] for the support vertex x with
     the largest lo_x / mu_x (a mu_x < b lo_x, pi = -sgn_x at x alone) or
     for y with the least hi_y / mu_y (a mu_y > b hi_y, pi = sgn_y at y
     alone); [lo_x, hi_x] holds sgn_x times every flux that Sgn allows at x.
     lambda is a mediant of the midpoints of these intervals, so this
-    rejects every column whose intervals do not all meet, and more.
+    rejects every column whose intervals do not all meet, and more. Given
+    the exact ``at_most``, a column that is not rejected is above it where
+    a q > b p, with p / q the bound on the scale of ``g.reduced_ints`` and
+    the products in the dtype that ``g.reduced_bound`` picks; above is all
+    False without a bound.
 
     On ``g.reduced_ints``, hi_x = kappa_x + W_x, lo_x = hi_x - 2 F_x and
     sgn_x c_x = hi_x - F_x, with W_x and F_x the weight of the edges and of
@@ -419,6 +439,8 @@ def _screened_blocks(g: SignedGraph):
     hi_of = np.append(lo_of[:-1:1 << width], nums.size)
     lo_num, mid_num = nums.ravel(), np.append(nums + sums, 0)  # lo_x, and sgn_x c_x (0 off S)
     start = (np.arange(n) << width)[:, None]
+    if at_most is not None:
+        bp, bq, bound_dtype = g.reduced_bound(at_most)
     for t, _, _ in _cheeger._labelings(n):
         # t_u sigma t_v is 1 exactly on a free edge, else 0 or -1: clipped at 0, a bool array
         free = np.maximum(t[eu] * sigma * t[ev], 0).view(bool)
@@ -433,7 +455,10 @@ def _screened_blocks(g: SignedGraph):
         pi = np.zeros(t.shape, np.int8)
         pi[x[by_x], cols[by_x]] = -t[x[by_x], cols[by_x]]
         pi[y[by_y], cols[by_y]] = t[y[by_y], cols[by_y]]
-        yield t, by_x | by_y, pi
+        rejected = by_x | by_y
+        above = np.zeros_like(rejected) if at_most is None else ~rejected & (
+            a.astype(bound_dtype) * bq > b.astype(bound_dtype) * bp)
+        yield t, rejected, pi, above
 
 
 def _pin_stage(g: SignedGraph):
@@ -482,23 +507,48 @@ def _pin_stage(g: SignedGraph):
     return decide
 
 
-def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
+def one_lap_enumerate(g: SignedGraph, at_most=None) -> OneLapEigenSet:
     """All verified 1-Laplacian eigenpairs with {-1,0,+1}-valued functions,
-    for n up to ONE_LAP_CAP.
+    for n up to ONE_LAP_CAP; given ``at_most``, a finite real bound
+    Lambda_0 checked by ``graph._eigenvalue`` and taken exactly, those with
+    lambda <= Lambda_0.
 
     Scans the sign patterns up to global negation in the int8 blocks of
     ``cheeger._labelings``, on the high/low vertex split of the Cheeger
     table's grid (``cheeger._grid``), and screens each block exactly by integer ranks of its bounds (``_screened_blocks``):
-    a pattern is rejected there by a one-vertex cut, or survives
-    (``patterns_solved`` counts the survivors). The pin stage
+    a pattern is rejected there by a one-vertex cut, or survives. Under a
+    bound, a survivor whose support's lambda = a / b exceeds Lambda_0 is
+    put above it, with no further work; ``patterns_solved`` counts the
+    survivors that are not. The pin stage
     (``_pin_stage``) decides the survivors that need no flow, a block at a
     time; only the rest loop in Python, each decided by an exact max-flow.
     A pattern admits at most one lambda, so a pair is one (lambda, pattern).
     Each scanned pattern keeps its certificate in ``certificates``, for
-    ``check_certificates_1lap``: a pair its witness, and every other pattern
-    the cut that rejects it. Per block there are two entries, its cuts (of
-    the screen, the pin stage and the flow, in column order) and the flow's
-    witnesses.
+    ``check_certificates_1lap``: a pair its witness, a pattern put above
+    the bound ("above", Lambda_0 = p / q), and every other pattern the cut
+    that rejects it. Per block there are two entries, its cuts (of the
+    screen, the pin stage and the flow, in column order) and the flow's
+    witnesses, and under a bound a third, its "above" columns.
+
+    Soundness of the bound. Let f be a pattern with support S. Summing
+    sgn(f_x) times the inclusion at every x in S, each free support edge
+    u - v (f_u = sigma f_v != 0) adds sgn(f_u) w z_uv at u and sgn(f_v)
+    w z_vu = -sgn(f_u) w z_uv at v, and so cancels; every other z is fixed
+    by f. Hence lambda mu(S) = sum over S of sgn_x c_x, that is lambda =
+    a / b, the only lambda that f can admit. So f with a / b > Lambda_0
+    admits no lambda <= Lambda_0, and leaving it undecided loses no pair
+    <= Lambda_0. A pattern the screen rejects admits no lambda at all and
+    keeps its cut; every other pattern is decided as without a bound,
+    exactly. Therefore ``pairs`` and ``values`` are exactly the pairs and
+    eigenvalues <= Lambda_0 of the unbounded call (its pairs with lambda <=
+    Lambda_0, the same witnesses and the same cuts), ``lambda_1`` is their
+    least, or None if there is none (no "no eigenpairs" error under a
+    bound), and ``lambda_2`` and ``smallest_positive`` are set only where
+    they are <= Lambda_0. In particular lambda_1 = h_1 holds iff
+    ``one_lap_enumerate(g, at_most=h_1).lambda_1 == h_1``: a lambda_1 below
+    h_1 is found, and one above it leaves None. Without a bound the output,
+    certificates included, is that of the unbounded scan, with no "above"
+    entry.
     """
     if g.n > ONE_LAP_CAP:
         raise GraphError(
@@ -506,13 +556,15 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
         )
     if g.n == 0:
         raise GraphError("one_lap_enumerate needs at least one vertex")
+    if at_most is not None:
+        at_most = _eigenvalue(at_most)
     found = []  # (p, q, pattern) per witness, lambda = p / q in lowest terms
     certificates = []
     scanned = solved = 0
     decide = _pin_stage(g)
-    for t, rejected, pi in _screened_blocks(g):
+    for t, rejected, pi, above in _screened_blocks(g, at_most):
         scanned += t.shape[1]
-        rest = np.flatnonzero(~rejected)
+        rest = np.flatnonzero(~(rejected | above))
         solved += rest.size
         rejected[rest], pi[:, rest] = decide(t[:, rest])
         # the flow decides the rest; a cut it leaves joins the block's, and
@@ -531,13 +583,17 @@ def one_lap_enumerate(g: SignedGraph) -> OneLapEigenSet:
         z = np.array(z, object).reshape(len(z), 2 + len(g.edges) + g.n).T
         certificates += [("cut", t[:, rejected], pi[:, rejected]),
                          ("witness", t[:, witnessed], z[0], z[1], z[2:-g.n], z[-g.n:])]
+        if at_most is not None:
+            k = np.count_nonzero(above)
+            certificates.append(("above", t[:, above], np.full(k, at_most.numerator, object),
+                                 np.full(k, at_most.denominator, object)))
     # pairs by (lambda, pattern), each of the few distinct lambdas ranked once
     values = sorted(Fraction(*pq) for pq in {w[:2] for w in found})
     rank = {(v.numerator, v.denominator): i for i, v in enumerate(values)}
     pairs = [OneLapPair(values[i], f) for i, f in sorted((rank[p, q], f) for p, q, f in found)]
-    if not values:
+    if not values and at_most is None:
         raise GraphError("no 1-Laplacian eigenpairs found (unexpected)")
-    lam1 = values[0]
+    lam1 = values[0] if values else None
     positives = [v for v in values if v > 0]
     smallest_pos = positives[0] if positives else None
     bal = balance_state(g).state in (BalanceState.BALANCED, BalanceState.BOTH)

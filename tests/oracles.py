@@ -431,6 +431,20 @@ def prefilter_lambda_box(g: SignedGraph, f) -> tuple | None:
     return "cut", tuple(sign * ((f[at] > 0) - (f[at] < 0)) if v == at else 0 for v in range(len(mu)))
 
 
+def support_lambda(g: SignedGraph, f) -> Fraction:
+    """The one lambda that a nonzero {-1, 0, +1} pattern ``f`` can admit,
+    the pin of its support S: sum over S of sgn_x c_x over mu(S), c_x the
+    determined flux, in Fractions on ``g.scaled_ints``, one edge at a time."""
+    mu, kappa, edges = g.scaled_ints
+    sgn = [(x > 0) - (x < 0) for x in f]
+    a = sum(k * s * s for k, s in zip(kappa, sgn))
+    for u, v, w, s in edges:
+        if f[u] != s * f[v]:  # z_uv fixed at sign(f_u - sigma f_v); z_vu = -sigma z_uv
+            z = w if f[u] > s * f[v] else -w
+            a += sgn[u] * z - sgn[v] * s * z
+    return Fraction(a, sum(m for m, s in zip(mu, sgn) if s))
+
+
 def pin_stage_reference(g: SignedGraph, f) -> tuple | None:
     """The pin stage of ``one_lap_enumerate`` on one {-1, 0, +1} pattern
     ``f``, by ``graph._labels`` (the library labels whole blocks at once):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from sgspec import cli, operators, spectra
 from sgspec.cli import main
-from sgspec.graph import SignedGraph, parse_graph, serialize_function, serialize_graph
+from sgspec.graph import ParseError, SignedGraph, parse_graph, serialize_function, serialize_graph
 from sgspec.harness import random_signed_graph
 from sgspec.operators import check_certificates_1lap
 
@@ -158,7 +159,7 @@ def _without_the_first_column(*block):
 def _flow_patterns(g):
     """The patterns that neither the screen nor the pin stage decides."""
     decide, out = spectra._pin_stage(g), set()
-    for t, rejected, _ in spectra._screened_blocks(g):
+    for t, rejected, _, _ in spectra._screened_blocks(g):
         rest = t[:, ~rejected]
         out |= set(zip(*rest[:, ~decide(rest)[0]].tolist()))
     return out
@@ -220,8 +221,8 @@ class TestOnelap:
     def test_verify_matches_each_pair_with_its_witness(self, capsys, p3_file, monkeypatch):
         real = cli.one_lap_enumerate
 
-        def shifted(g):
-            ols = real(g)
+        def shifted(g, at_most=None):
+            ols = real(g, at_most)
             first, *rest = ols.pairs
             wrong = dataclasses.replace(first, lam=first.lam + 1)
             return dataclasses.replace(ols, pairs=(wrong, *rest))
@@ -238,7 +239,7 @@ class TestOnelap:
         # float, which is no Python int
         real = cli.one_lap_enumerate
 
-        def tampered(g):
+        def tampered(g, at_most=None):
             def one_entry(t, p, q, z_edge, z_vertex):
                 p, z_edge, z_vertex = p.copy(), z_edge.copy(), z_vertex.copy()
                 j = np.flatnonzero(t[0])[0]
@@ -252,7 +253,7 @@ class TestOnelap:
                     z_vertex[0, j] = float(z_vertex[0, j])
                 return t, p, q, z_edge, z_vertex
 
-            return _tampered(real(g), "witness", one_entry)
+            return _tampered(real(g, at_most), "witness", one_entry)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", tampered)
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
@@ -265,7 +266,7 @@ class TestOnelap:
         # that join the screen's and the pin stage's in their block
         real = cli.one_lap_enumerate
 
-        def one_dropped(g):
+        def one_dropped(g, at_most=None):
             flow = _flow_patterns(g)
 
             def flow_one_dropped(t, pi):
@@ -274,7 +275,7 @@ class TestOnelap:
                 kept = np.arange(t.shape[1]) != hit.index(True)
                 return t[:, kept], pi[:, kept]
 
-            return _tampered(real(g), "cut", flow_one_dropped)
+            return _tampered(real(g, at_most), "cut", flow_one_dropped)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", one_dropped)
         code, out, err = run(capsys, "onelap", "--graph", cut_file, "--verify")
@@ -284,12 +285,12 @@ class TestOnelap:
     def test_verify_catches_a_missing_screened_pattern(self, capsys, p3_file, monkeypatch):
         real = cli.one_lap_enumerate
 
-        def one_dropped(g):
+        def one_dropped(g, at_most=None):
             def first_screened_dropped(t, pi):
                 kept = np.arange(t.shape[1]) != _formed(t, pi, "screen").argmax()
                 return t[:, kept], pi[:, kept]
 
-            return _tampered(real(g), "cut", first_screened_dropped, "screen")
+            return _tampered(real(g, at_most), "cut", first_screened_dropped, "screen")
 
         monkeypatch.setattr(cli, "one_lap_enumerate", one_dropped)
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
@@ -303,12 +304,12 @@ class TestOnelap:
         # cut does not check
         real = spectra._screened_blocks
 
-        def forged(g):
-            for t, rejected, pi in real(g):
+        def forged(g, at_most=None):
+            for t, rejected, pi, above in real(g, at_most):
                 j = (t.T == (1, 1, 1)).all(axis=1).argmax()
                 assert tuple(t[:, j]) == (1, 1, 1) and not rejected[j]
                 rejected[j], pi[0, j] = True, 1
-                yield t, rejected, pi
+                yield t, rejected, pi, above
 
         monkeypatch.setattr(spectra, "_screened_blocks", forged)
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
@@ -344,15 +345,15 @@ class TestOnelap:
         # the first witness, or the first cut column of the stage's form
         real = cli.one_lap_enumerate
 
-        def one_dropped(g):
+        def one_dropped(g, at_most=None):
             if stage == "witness":
-                return _tampered(real(g), stage, _without_the_first_column)
+                return _tampered(real(g, at_most), stage, _without_the_first_column)
 
             def dropped(t, pi):
                 kept = np.arange(t.shape[1]) != _formed(t, pi, stage).argmax()
                 return t[:, kept], pi[:, kept]
 
-            return _tampered(real(g), "cut", dropped, stage)
+            return _tampered(real(g, at_most), "cut", dropped, stage)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", one_dropped)
         code, out, err = run(capsys, "onelap", "--graph", cut_file, "--verify")
@@ -378,8 +379,8 @@ class TestOnelap:
             hit = _formed(t, certs[0], stage)
             return (np.where(hit, forgery[stage](t, certs[0]), certs[0]),)
 
-        def forged(g):
-            ols = real(g)
+        def forged(g, at_most=None):
+            ols = real(g, at_most)
             # the stage leaves some column (_tampered asserts it)
             _tampered(ols, "witness" if stage == "witness" else "cut", lambda *block: block,
                       None if stage == "witness" else stage)
@@ -399,14 +400,14 @@ class TestOnelap:
         real = cli.one_lap_enumerate
         f = (1, 1, 1, 1, -1)
 
-        def dropped(g):
+        def dropped(g, at_most=None):
             def one_less(t, pi):
                 pi, j = pi.copy(), (t.T == f).all(axis=1).argmax()
                 assert tuple(t[:, j]) == f and pi[:, j].tolist() == [0, 0, 1, 1, -1]
                 pi[np.flatnonzero(pi[:, j])[which], j] = 0
                 return t, pi
 
-            return _tampered(real(g), "cut", one_less)
+            return _tampered(real(g, at_most), "cut", one_less)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", dropped)
         code, out, err = run(capsys, "onelap", "--graph", cut_file, "--verify")
@@ -418,8 +419,8 @@ class TestOnelap:
         # took abs in the block's own dtype would pass every column
         real = cli.one_lap_enumerate
 
-        def forged(g):
-            ols = real(g)
+        def forged(g, at_most=None):
+            ols = real(g, at_most)
             certificates = tuple(
                 (k, t, np.where(certs[0] == -1, -128, certs[0]).astype(np.int8))
                 if k == "cut" else (k, t, *certs) for k, t, *certs in ols.certificates)
@@ -453,14 +454,14 @@ class TestOnelap:
                                                                monkeypatch, tamper):
         real = cli.one_lap_enumerate
 
-        def tampered(g):
+        def tampered(g, at_most=None):
             def checked(t, pi):
                 t, pi = tamper(t, pi)
                 # so only the coverage check can fail
                 assert check_certificates_1lap(g, "cut", t, pi).all()
                 return t, pi
 
-            return _tampered(real(g), "cut", checked)
+            return _tampered(real(g, at_most), "cut", checked)
 
         monkeypatch.setattr(cli, "one_lap_enumerate", tampered)
         code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
@@ -484,6 +485,149 @@ class TestOnelap:
         # them (1, -1, 1): its middle pins lambda = 2, and the support 4/3
         assert (doc["patterns_scanned"], doc["patterns_solved"]) == (13, 8)
         assert doc["pairs"] and all(p["lambda_hi"] == p["lambda"] for p in doc["pairs"])
+
+
+def _above_tampered(real, tamper):
+    """A bounded ``one_lap_enumerate`` whose certificates and pairs
+    ``tamper(g, certificates, pairs)`` replaces."""
+    def tampered(g, at_most=None):
+        ols = real(g, at_most)
+        certificates, pairs = tamper(g, list(ols.certificates), list(ols.pairs))
+        return dataclasses.replace(ols, certificates=tuple(certificates), pairs=tuple(pairs))
+
+    return tampered
+
+
+class TestOnelapAtMost:
+    """``onelap --at-most P/Q``: the pairs with lambda <= P/Q, every other
+    pattern left undecided put "above" it. On the path a - b - c the pairs
+    are (1, 1, 1) at 0, (0, 0, 1), (1, 0, -1) and (1, 0, 0) at 1 and
+    (0, 1, 0) at 2; at 1/2 the screen rejects 7 patterns, 5 lie above and
+    (1, 1, 1) alone reaches the pin stage."""
+
+    def test_bounded_output(self, capsys, p3_file):
+        _, plain, _ = run(capsys, "onelap", "--graph", p3_file)
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify", "--at-most", "1/2")
+        assert (code, err) == (0, "")
+        doc, full = json.loads(out), json.loads(plain)
+        assert doc.pop("at_most") == "1/2"
+        assert doc.pop("verified") == {"pairs": 1, "rejections": 7, "above": 5}
+        assert doc["pairs"] == [p for p in full["pairs"] if Fraction(p["lambda"]) <= Fraction(1, 2)]
+        assert {k: doc[k] for k in ("eigenvalues", "lambda_1", "lambda_2", "smallest_positive")} == {
+            "eigenvalues": ["0"], "lambda_1": "0", "lambda_2": None, "smallest_positive": None}
+        assert (doc["patterns_scanned"], doc["patterns_solved"]) == (13, 3)
+
+    @pytest.mark.parametrize("bound, values", [("1", ["0", "1"]), ("2.5", ["0", "1", "2"]),
+                                               ("-0.5", []), ("0.99", ["0"]), (" 1e0 ", ["0", "1"])])
+    def test_bound_is_exact(self, capsys, p3_file, bound, values):
+        code, out, _ = run(capsys, "onelap", "--graph", p3_file, "--verify", f"--at-most={bound}")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["at_most"] == str(Fraction(bound)) and doc["eigenvalues"] == values
+        assert doc["lambda_1"] == (values[0] if values else None)
+        verified = doc["verified"]
+        assert verified["pairs"] + verified["rejections"] + verified["above"] == 13
+
+    # the last three: 10**9999 and 10**-99999 would take Fraction minutes to
+    # build, and 5000 digits are past Python's int parsing limit
+    @pytest.mark.parametrize("bound", ["abc", "nan", "NaN", "inf", "-inf", "1/0", "", "1/2/3",
+                                       "0x10", "1/-2", "2/0.5", "1e9999", "1e-99999", "1" * 5000],
+                             ids=lambda b: b if len(b) < 10 else "5000-digits")
+    def test_malformed_bound_exits_2(self, capsys, p3_file, bound):
+        with pytest.raises(ParseError):
+            cli._bound(bound)
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify", f"--at-most={bound}")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: --at-most") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("unit", ["p", "q"])
+    def test_bound_moved_by_one_unit(self, capsys, p3_file, monkeypatch, unit):
+        # 1/2 as 2/2 or 1/1 on every above column: those at lambda = 1 are no
+        # longer above it (a q = b p)
+        def moved(g, certificates, pairs):
+            for i, (kind, t, *certs) in enumerate(certificates):
+                if kind == "above":
+                    p, q = certs
+                    certificates[i] = (kind, t, p + (unit == "p"), q - (unit == "q"))
+                    ok = check_certificates_1lap(g, *certificates[i])
+                    assert not ok.all() and ok.any()
+            return certificates, pairs
+
+        monkeypatch.setattr(cli, "one_lap_enumerate", _above_tampered(cli.one_lap_enumerate, moved))
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify", "--at-most", "1/2")
+        assert code == 1 and out == ""
+        assert "above certificate of pattern" in err and "failed its check" in err
+
+    def test_above_names_another_bound(self, capsys, p3_file, monkeypatch):
+        # (0, 1, 0) at lambda = 2 is above 2/2 too: its column checks, but
+        # it names a bound other than the one asked for
+        def moved(g, certificates, pairs):
+            for i, (kind, t, *certs) in enumerate(certificates):
+                if kind == "above":
+                    p, q = certs
+                    certificates[i] = (kind, t, p + (t.T == (0, 1, 0)).all(axis=1), q)
+                    assert check_certificates_1lap(g, *certificates[i]).all()
+            return certificates, pairs
+
+        monkeypatch.setattr(cli, "one_lap_enumerate", _above_tampered(cli.one_lap_enumerate, moved))
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify", "--at-most", "1/2")
+        assert code == 1 and out == ""
+        assert err == "an above certificate names a bound other than 1/2\n"
+
+    def test_a_pair_filed_as_above(self, capsys, p3_file, monkeypatch):
+        # (1, 1, 1), the pair at lambda = 0 <= 1/2, moved from its witness
+        # into the above block, its pair dropped: its column does not check
+        def filed(g, certificates, pairs):
+            k = next(i for i, c in enumerate(certificates) if c[0] == "witness" and c[1].shape[1])
+            kind, t, *_ = certificates[k]
+            assert t.T.tolist() == [[1, 1, 1]]
+            certificates[k] = (kind, *(a[..., :0] for a in certificates[k][1:]))
+            i = next(i for i, c in enumerate(certificates) if c[0] == "above")
+            _, above, p, q = certificates[i]
+            certificates[i] = ("above", np.hstack((above, t)), np.append(p, p[:1]),
+                               np.append(q, q[:1]))
+            return certificates, [pr for pr in pairs if pr.f != (1, 1, 1)]
+
+        monkeypatch.setattr(cli, "one_lap_enumerate", _above_tampered(cli.one_lap_enumerate, filed))
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify", "--at-most", "1/2")
+        assert code == 1 and out == ""
+        assert err == "above certificate of pattern (1, 1, 1) failed its check\n"
+
+    def test_an_above_column_dropped(self, capsys, p3_file, monkeypatch):
+        def dropped(g, certificates, pairs):
+            i = next(i for i, c in enumerate(certificates) if c[0] == "above" and c[1].shape[1])
+            certificates[i] = ("above", *_without_the_first_column(*certificates[i][1:]))
+            return certificates, pairs
+
+        monkeypatch.setattr(cli, "one_lap_enumerate", _above_tampered(cli.one_lap_enumerate,
+                                                                       dropped))
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify", "--at-most", "1/2")
+        assert code == 1 and out == ""
+        assert "do not cover every sign pattern" in err
+
+    def test_above_without_a_bound(self, capsys, p3_file, monkeypatch):
+        # a bounded result passed off as the unbounded one: its above blocks
+        # name a bound that was not asked for, and its pairs are not all
+        real = cli.one_lap_enumerate
+        monkeypatch.setattr(cli, "one_lap_enumerate", lambda g, at_most=None: real(g, Fraction(1, 2)))
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify")
+        assert code == 1 and out == ""
+        assert err == "an above certificate names a bound other than None\n"
+
+    def test_a_pair_above_the_bound(self, capsys, p3_file, monkeypatch):
+        # the unbounded result passed off as the bounded one: every
+        # certificate checks and covers, but pairs at 1 and 2 exceed 1/2
+        real = cli.one_lap_enumerate
+        monkeypatch.setattr(cli, "one_lap_enumerate", lambda g, at_most=None: real(g))
+        code, out, err = run(capsys, "onelap", "--graph", p3_file, "--verify", "--at-most", "1/2")
+        assert code == 1 and out == ""
+        assert err == "the pairs are not the witnessed eigenpairs\n"
+
+    def test_no_bound_no_above_block(self, capsys, p3_file):
+        ols = cli.one_lap_enumerate(parse_graph(Path(p3_file).read_bytes()))
+        assert {kind for kind, *_ in ols.certificates} == {"cut", "witness"}
+        _, out, _ = run(capsys, "onelap", "--graph", p3_file, "--verify")
+        assert "at_most" not in json.loads(out) and "above" not in json.loads(out)["verified"]
 
 
 class TestTransform:
@@ -624,6 +768,7 @@ class TestJsonOutput:
         ("nodal", "--graph", "{g}", "--function", "{f}", "--dual"),
         ("cheeger", "--graph", "{g}", "--k", "2"),
         ("onelap", "--graph", "{g}", "--verify"),
+        ("onelap", "--graph", "{g}", "--verify", "--at-most", "3/2"),
         ("transform", "--graph", "{g}", "--remove-node", "{node}", "-o", "{out}"),
         ("transform", "--graph", "{g}", "--remove-edge", "{edge}", "--function", "{f}",
          "-o", "{out}"),

@@ -255,6 +255,42 @@ class TestRunSuite:
         assert all(n == 9 and sgspec.cheeger._refusal(n, k) is None
                    and sgspec.cheeger._refusal(n, m) is None for n, k, m in calls)
 
+    def test_onelap_h1_enumerates_up_to_h1(self, monkeypatch):
+        # the check bounds the enumeration at h_1 exactly, and its verdict
+        # moves with the bound: at h_1 less the least gap of the spectrum
+        # lambda_1 is not found (a failing bundle records it as null), and
+        # against h_2 in place of h_1 the check fails as well
+        cfg = SuiteConfig(seed=5, trials=6, n_max=7, models=("uniform", "balanced"),
+                          mu_mode="degree", checks=("onelap-h1",))
+        real, real_h, bounds = sgspec.harness.one_lap_enumerate, sgspec.cheeger.cheeger_k, []
+
+        def spy(g, at_most=None):
+            bounds.append((at_most, real_h(g, 1).value))
+            ols = real(g, at_most=at_most)
+            assert ols.pairs == tuple(pr for pr in real(g).pairs if pr.lam <= at_most)
+            return ols
+
+        monkeypatch.setattr(sgspec.harness, "one_lap_enumerate", spy)
+        assert run_suite(cfg).aggregates["onelap-h1"]["passed"] == 6
+        assert len(bounds) == 6 and all(b == h for b, h in bounds)
+
+        def lowered(g, at_most=None):
+            values = real(g).values
+            return real(g, at_most=at_most - min(b - a for a, b in zip(values, values[1:])))
+
+        monkeypatch.setattr(sgspec.harness, "one_lap_enumerate", lowered)
+        rep = run_suite(cfg)
+        assert rep.aggregates["onelap-h1"]["failed"] == 6
+        failures = json.loads(rep.to_json())["failures"]
+        assert len(failures) == 6 and all(f["lambda_1"] is None for f in failures)
+        assert '"lambda_1": null' in rep.to_json()
+
+        monkeypatch.setattr(sgspec.harness, "one_lap_enumerate", real)
+        monkeypatch.setattr(sgspec.cheeger, "cheeger_k", lambda g, k: real_h(g, 2 if k == 1 else k))
+        rep = run_suite(cfg)
+        assert rep.aggregates["onelap-h1"]["failed"] == 6
+        assert all(f["lambda_1"] != f["h_1"] for f in rep.failures)
+
     def test_zero_count_function_is_skipped(self):
         # trial 6 draws an all-zero function, which used to drop the trial
         rep = run_suite(SuiteConfig(seed=1, trials=50, n_min=4, n_max=4,

@@ -29,10 +29,10 @@ from sgspec.harness import random_signed_graph
 
 from oracles import (
     check_eigenpair_1lap_lp, nonzero_patterns, one_lap_lambda_range_lp, p_laplacian_oracle,
-    prefilter_lambda_box, rayleigh_p2_oracle,
+    prefilter_lambda_box, rayleigh_p2_oracle, support_lambda,
 )
 from test_graph import complete, path, random_graph, triangle
-from test_spectra import products_take_python_ints, repro_graph
+from test_spectra import _screen_corpus, products_take_python_ints, repro_graph
 
 
 class TestPhi:
@@ -1189,3 +1189,84 @@ class TestBlockCheckers:
         pi = np.array([[1, 0], [0, -1]])
         assert check_certificates_1lap(g, "cut", np.repeat(t, 2, axis=1), pi).tolist() == [True,
                                                                                            True]
+
+
+class TestAboveKernel:
+    """An "above" column checks exactly where its support's lambda exceeds
+    the bound p / q it names."""
+
+    @staticmethod
+    def _graphs():
+        # the lambda-range corpus, and screen-corpus graphs whose products
+        # take Python ints
+        yield from list(TestLambdaRange._corpus())[:8]
+        yield from [g for g in list(_screen_corpus())[:40:4] if products_take_python_ints(g)]
+
+    def test_is_the_support_lambda_against_the_bound(self):
+        # every pattern against bounds at every support lambda of the graph
+        # (a tie is not above) and next to it, as int64 and as Python-int
+        # arrays; one block per bound
+        outcomes = Counter()
+        for g in self._graphs():
+            patterns = list(nonzero_patterns(g.n))
+            t = np.array(patterns, np.int8).T
+            lams = [support_lambda(g, f) for f in patterns]
+            eps = Fraction(1, 1 + max(lam.denominator for lam in lams)) ** 2
+            bounds = sorted({b + d for b in set(lams) for d in (-eps, 0, eps)})
+            for bound in bounds[::max(1, len(bounds) // 12)]:
+                want = [lam > bound for lam in lams]
+                m = t.shape[1]
+                p, q = np.full(m, bound.numerator, object), np.full(m, bound.denominator, object)
+                assert check_certificates_1lap(g, "above", t, p, q).tolist() == want, (g, bound)
+                if abs(bound.numerator) < 2**62 and bound.denominator < 2**62:
+                    assert check_certificates_1lap(g, "above", t, p.astype(np.int64),
+                                                   q.astype(np.int64)).tolist() == want
+                outcomes.update(want)
+        assert min(outcomes[True], outcomes[False]) >= 1000, outcomes
+
+    def test_bound_moved_by_one_unit(self):
+        # with lambda = a / b in lowest terms, the bound (a - 1) / b checks
+        # and p + 1 puts it at lambda (a q = b p, not above); where lambda >
+        # 0 so do a / (b + 1) and q - 1
+        for g in list(self._graphs())[:4]:
+            patterns = list(nonzero_patterns(g.n))
+            t = np.array(patterns, np.int8).T
+            lams = [support_lambda(g, f) for f in patterns]
+            a = np.array([lam.numerator for lam in lams], object)
+            b = np.array([lam.denominator for lam in lams], object)
+            assert check_certificates_1lap(g, "above", t, a - 1, b).all()
+            assert not check_certificates_1lap(g, "above", t, a - 1 + 1, b).any()
+            pos = a > 0
+            assert pos.any()
+            assert check_certificates_1lap(g, "above", t[:, pos], a[pos], b[pos] + 1).all()
+            assert not check_certificates_1lap(g, "above", t[:, pos], a[pos], b[pos] + 1 - 1).any()
+
+    def test_denominator_below_one_and_zero_column(self):
+        # q = 0 and a bound negated whole, at q < 0, name no bound; no bound
+        # puts the zero column above it (it has no support)
+        g, t = path(3), np.array([[1, 0], [-1, 0], [1, 0]], np.int8)
+        assert check_certificates_1lap(g, "above", t[:, :1], [0], [1]).tolist() == [True]
+        for p, q in ((0, 0), (-1, 0), (0, -1), (-4, -3)):
+            assert not check_certificates_1lap(g, "above", t[:, :1], [p], [q]).any(), (p, q)
+        assert not check_certificates_1lap(g, "above", t[:, 1:], [-10**9], [1]).any()
+
+    _MALFORMED = {
+        "one-array-less": lambda p, q: (p,),
+        "one-array-more": lambda p, q: (p, q, q),
+        "p-none": lambda p, q: (None, q),
+        "p-float": lambda p, q: (p.astype(float), q),
+        "q-bool": lambda p, q: (p, q > 0),
+        "q-str": lambda p, q: (p, q.astype(str)),
+        "p-as-a-row": lambda p, q: (p[None, :], q),
+        "q-short": lambda p, q: (p, q[:-1]),
+        "p-numpy-int-objects": lambda p, q: (np.array([np.int64(x) for x in p], object), q),
+        "q-float-objects": lambda p, q: (p, np.array([float(x) for x in q], object)),
+    }
+
+    @pytest.mark.parametrize("name", _MALFORMED)
+    def test_malformed_above_raises(self, name):
+        g, t = path(3), np.array([[1, 0], [-1, 1], [1, 0]], np.int8)
+        p, q = np.array([1, 1], object), np.array([2, 2], object)
+        assert check_certificates_1lap(g, "above", t, p, q).all()
+        with pytest.raises(GraphError):
+            check_certificates_1lap(g, "above", t, *self._MALFORMED[name](p, q))

@@ -26,7 +26,7 @@ from sgspec.spectra import (
 import oracles
 from oracles import (
     check_eigenpair_1lap_lp, extremal_p_sequential, lockstep_gradient_reference,
-    pin_stage_reference, prefilter_lambda_box, sym2_eigs, sym3_eigs,
+    pin_stage_reference, prefilter_lambda_box, support_lambda, sym2_eigs, sym3_eigs,
 )
 from test_graph import complete, path, random_graph, triangle
 
@@ -609,7 +609,7 @@ class TestBlockScreen:
         # and every block rejection is a cut that checks
         outcomes = Counter()
         for g in _screen_corpus():
-            for t, rejected, pi in spectra._screened_blocks(g):
+            for t, rejected, pi, _ in spectra._screened_blocks(g):
                 for f, rej, col in zip(zip(*t.tolist()), rejected.tolist(), pi.T.tolist()):
                     ref = prefilter_lambda_box(g, f)
                     assert rej == (ref is not None), (g, f)
@@ -663,7 +663,7 @@ def _staged(g):
     """Yields ``(t, (rejected, pi))`` for the screen's survivors t of each
     block, as ``one_lap_enumerate`` runs the pin stage."""
     decide = spectra._pin_stage(g)
-    for t, rejected, _ in spectra._screened_blocks(g):
+    for t, rejected, _, _ in spectra._screened_blocks(g):
         yield t[:, ~rejected], decide(t[:, ~rejected])
 
 
@@ -739,6 +739,115 @@ class TestPinStage:
     def test_an_empty_block(self):
         rejected, pi = spectra._pin_stage(path(3))(np.zeros((3, 0), np.int8))
         assert rejected.shape == (0,) and pi.shape == (3, 0)
+
+
+def _bounded_corpus(model):
+    """40 graphs of the model with n <= 8 and density 0.3 to 0.9, and one at
+    n = 10 and density 0.5; unit or degree mu, a third of them with
+    kappa != 0."""
+    rng = np.random.default_rng(MODELS.index(model))
+    for i in range(41):
+        n, density = (10, 0.5) if i == 40 else (int(rng.integers(2, 9)), rng.uniform(0.3, 0.9))
+        g = random_signed_graph(n, float(density), model, seed=i,
+                                mu_mode=("unit", "degree")[i % 2], connected=True)
+        if i % 3 == 2:
+            g = SignedGraph(g.ids, g.mu, tuple(float(k) for k in rng.choice((-1.0, 0.0, 0.5, 2.0),
+                                                                             g.n)), g.edges)
+        yield g
+
+
+def _bounds(values, rng):
+    """At an eigenvalue, between two, below lambda_1 and above the largest."""
+    i = int(rng.integers(len(values)))
+    yield values[i]
+    if len(values) > 1:
+        yield (values[i - 1] + values[i]) / 2 if i else (values[0] + values[1]) / 2
+    yield values[0] - F(1, 7)
+    yield values[-1] + 1
+
+
+class TestBoundedEnumeration:
+    """``one_lap_enumerate(g, at_most=L)`` against the unbounded call."""
+
+    @staticmethod
+    def _assert_bounded(g, full, bound):
+        ols = one_lap_enumerate(g, at_most=bound)
+        want = tuple(pr for pr in full.pairs if pr.lam <= bound)
+        assert ols.pairs == want, (g, bound)
+        assert ols.values == tuple(v for v in full.values if v <= bound)
+        assert ols.lambda_1 == (want[0].lam if want else None)
+        for key in ("lambda_2", "smallest_positive"):
+            v = getattr(full, key)
+            assert getattr(ols, key) == (v if v is not None and v <= bound else None), key
+        assert ols.patterns_scanned == full.patterns_scanned
+        assert ols.patterns_solved <= full.patterns_solved
+        # every certificate checks; each pattern is filed once, its cut and
+        # witness as the unbounded call's, and "above" names the bound
+        full_kind = {f: kind for kind, t, *_ in full.certificates for f in zip(*t.tolist())}
+        full_cut = {f: pi for kind, t, *c in full.certificates if kind == "cut"
+                    for f, pi in zip(zip(*t.tolist()), zip(*c[0].tolist()))}
+        filed = Counter()
+        for kind, t, *certs in ols.certificates:
+            assert check_certificates_1lap(g, kind, t, *certs).all(), (g, bound, kind)
+            patterns = list(zip(*t.tolist()))
+            filed.update(patterns)
+            if kind == "above":
+                assert {F(p, q) for p, q in zip(*certs)} <= {bound}
+                assert all(support_lambda(g, f) > bound for f in patterns)
+            else:
+                assert all(full_kind[f] == kind for f in patterns)
+            if kind == "cut":
+                assert all(full_cut[f] == pi for f, pi in zip(patterns, zip(*certs[0].tolist())))
+        assert set(filed) == set(full_kind) and set(filed.values()) == {1}
+        return ols
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_equals_the_full_enumeration_up_to_the_bound(self, model):
+        rng = np.random.default_rng(31)
+        kinds = Counter()
+        for g in _bounded_corpus(model):
+            full = one_lap_enumerate(g)
+            assert not any(kind == "above" for kind, *_ in full.certificates)
+            for bound in _bounds(full.values, rng):
+                ols = self._assert_bounded(g, full, bound)
+                kinds["empty" if ols.lambda_1 is None else
+                      "all" if ols.pairs == full.pairs else "part"] += 1
+        assert min(kinds[k] for k in ("empty", "all", "part")) >= 10, kinds
+
+    def test_bounds_in_python_ints(self):
+        # graphs whose products take Python ints, and a bound whose p and q
+        # push int64 past 2**62 on a graph that is int64 without one
+        graphs = [g for g in list(_screen_corpus())[::4] if products_take_python_ints(g)]
+        assert len(graphs) >= 3
+        rng = np.random.default_rng(5)
+        for g in graphs:
+            full = one_lap_enumerate(g)
+            for bound in _bounds(full.values, rng):
+                assert g.reduced_bound(bound)[2] is object
+                self._assert_bounded(g, full, bound)
+        g = path(3)
+        full, bound = one_lap_enumerate(g), F(2**61 + 1, 2**61)
+        assert g.reduced_bound(bound)[2] is object and g.reduced_bound(F(1))[2] is np.int64
+        assert self._assert_bounded(g, full, bound).values == (0, 1)
+
+    def test_exact_p1_pool_at_h1(self):
+        # one screen survivor per pool graph lies at or below h_1, and it is
+        # the pair at lambda_1 = h_1
+        for e in _bench_ref("exact-p1")["onelap"]:
+            g = parse_graph(json.dumps(e["graph"]))
+            h1 = F(e["h1"])
+            ols = one_lap_enumerate(g, at_most=h1)
+            assert ols.lambda_1 == h1 and ols.patterns_solved == 1, e["id"]
+
+    @pytest.mark.parametrize("bound", [True, "1", float("nan"), float("inf"), 1j])
+    def test_bad_bound_rejected(self, bound):
+        with pytest.raises(GraphError, match="finite real"):
+            one_lap_enumerate(path(3), at_most=bound)
+
+    def test_float_bound_taken_exactly(self):
+        g = path(3)
+        assert one_lap_enumerate(g, at_most=0.9999999999999999).values == (0,)
+        assert one_lap_enumerate(g, at_most=1.0).values == (0, 1)
 
 
 class TestSmallestPositive:
