@@ -502,8 +502,9 @@ class TestOnelapAtMost:
     """``onelap --at-most P/Q``: the pairs with lambda <= P/Q, every other
     pattern left undecided put "above" it. On the path a - b - c the pairs
     are (1, 1, 1) at 0, (0, 0, 1), (1, 0, -1) and (1, 0, 0) at 1 and
-    (0, 1, 0) at 2; at 1/2 the screen rejects 7 patterns, 5 lie above and
-    (1, 1, 1) alone reaches the pin stage."""
+    (0, 1, 0) at 2. At 1/2 the screen rejects 5 of the 13 patterns, 5 lie
+    above, and 3 reach the pin stage, where (1, 1, 1) alone is a pair;
+    lambda_2 = 1 of this balanced graph lies above the bound."""
 
     def test_bounded_output(self, capsys, p3_file):
         _, plain, _ = run(capsys, "onelap", "--graph", p3_file)
